@@ -11,7 +11,7 @@ spare.
 
 import numpy as np
 
-from sparsedom.dyadic import build_grid, grid_norm
+from sparsedom.dyadic import Grid, grid_norm
 from sparsedom.maximal import scalar_maximal
 from sparsedom.sparse import cz_decompose, optimal_sparse_form, verify_sparse
 
@@ -20,7 +20,7 @@ rng = np.random.default_rng(0)
 # ---------------------------------------------------------------------
 # the grid: depth-2 refinement of [0,1), four cells, seven dyadic cubes
 # ---------------------------------------------------------------------
-grid = build_grid(1, 2)
+grid = Grid(1, 2)
 print(f"grid: d={grid.d}, depth={grid.depth}, cells={grid.cell_shape}")
 
 # a pair of rough inputs and their product-average maximal function

@@ -10,7 +10,7 @@ bound survive when the operator acts on sequence-valued functions?
 
 import numpy as np
 
-from sparsedom.dyadic import Cube, build_grid, grid_norm
+from sparsedom.dyadic import Cube, Grid, grid_norm
 from sparsedom.sparse import SparseFamily, stopping_domination, verify_sparse
 from sparsedom.spaces import AtomicMeasure, LebesgueSpace
 from sparsedom.transfer import (
@@ -21,7 +21,7 @@ from sparsedom.transfer import (
 )
 
 rng = np.random.default_rng(1)
-grid = build_grid(1, 2)
+grid = Grid(1, 2)
 
 # ---------------------------------------------------------------------
 # stopping-time domination for an ell^4 x ell^{4/3} pair, growing the

@@ -25,7 +25,6 @@ from .dyadic import (
     MAX_DEPTH,
     Cube,
     Grid,
-    build_grid,
     function_to_json,
     grid_norm,
     shifted_grids,
@@ -33,17 +32,19 @@ from .dyadic import (
 from .maximal import scalar_maximal
 from .sparse import (
     SparseFamily,
+    certificate_depth,
     cz_decompose,
     family_to_json,
     optimal_sparse_form,
     stopping_domination,
     verify_sparse,
 )
-from .spaces import AtomicMeasure, LebesgueSpace
+from .spaces import AtomicMeasure, LebesgueSpace, harmonic_exponent
 from .transfer import HaarTransform, SparseOperator, vv_transfer_check
 from .weights import (
     composed_transfer_exponent,
     ellt_exponent,
+    encode_inf,
     maximal_weighted_exponent,
     muckenhoupt_constant,
     power_envelope,
@@ -114,10 +115,6 @@ def parse_config_text(text: str) -> dict:
     return out
 
 
-def _cube_count(d: int, depth: int) -> int:
-    return sum((1 << (d * k)) for k in range(depth + 1))
-
-
 def _int_field(cfg: dict, key: str, lo: int) -> int:
     v = cfg[key]
     if isinstance(v, bool) or not isinstance(v, int):
@@ -128,12 +125,13 @@ def _int_field(cfg: dict, key: str, lo: int) -> int:
 
 
 def _validate(command: str, cfg: dict) -> None:
-    if cfg["dim"] not in (1, 2):
-        raise ConfigError(f"dim must be 1 or 2, got {cfg['dim']!r}")
+    dim = cfg["dim"]
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim not in (1, 2):
+        raise ConfigError(f"dim must be 1 or 2, got {dim!r}")
     depth = _int_field(cfg, "depth", 0)
-    cap = MAX_DEPTH[cfg["dim"]]
+    cap = MAX_DEPTH[dim]
     if depth > cap:
-        raise ConfigError(f"depth must be at most {cap} for dim {cfg['dim']}, got {depth}")
+        raise ConfigError(f"depth must be at most {cap} for dim {dim}, got {depth}")
     _int_field(cfg, "trials", 1)
     _int_field(cfg, "seed", 0)
     eta = cfg["eta"]
@@ -149,10 +147,10 @@ def _validate(command: str, cfg: dict) -> None:
     if not isinstance(cfg["shifts"], bool):
         raise ConfigError(f"shifts must be true or false, got {cfg['shifts']!r}")
     if command in ("equivalence", "all"):
-        n = _cube_count(cfg["dim"], depth)
+        n = Grid(dim, depth).ncubes()
         if n > 18:
             raise ConfigError(
-                f"exact search needs at most 18 cubes; dim {cfg['dim']} depth {depth} has {n}"
+                f"exact search needs at most 18 cubes; dim {dim} depth {depth} has {n}"
             )
     if command in ("exponents", "all"):
         m = _int_field(cfg, "m", 1)
@@ -163,12 +161,12 @@ def _validate(command: str, cfg: dict) -> None:
     if command in ("stopping", "transfer", "all"):
         if not float(cfg["s"]) > float(cfg["q"]):
             raise ConfigError(f"need s > q, got s={cfg['s']}, q={cfg['q']}")
-
-
-def _enc(value):
-    if isinstance(value, float) and math.isinf(value):
-        return "inf"
-    return value
+    if command in ("transfer", "all"):
+        # the transfer battery certifies a chain of cubes down to ``depth``
+        try:
+            certificate_depth(dim, depth, eta)
+        except ValueError as exc:
+            raise ConfigError(f"eta {eta!r} at depth {depth}: {exc}") from exc
 
 
 def _plain(obj):
@@ -181,10 +179,8 @@ def _plain(obj):
         return bool(obj)
     if isinstance(obj, np.integer):
         return int(obj)
-    if isinstance(obj, np.floating):
-        return _enc(float(obj))
-    if isinstance(obj, float):
-        return _enc(obj)
+    if isinstance(obj, (float, np.floating)):
+        return encode_inf(float(obj))
     return obj
 
 
@@ -201,7 +197,7 @@ def _equivalence_checks(cfg: dict) -> list[dict]:
     # ratio = ||M||_1 / (eta * best form): at least 1 for every eta by the
     # packing bound (the form never beats eta^{-1} times the maximal
     # integral), at most 8 on the eta = 1/2 suite
-    grid = build_grid(cfg["dim"], cfg["depth"])
+    grid = Grid(cfg["dim"], cfg["depth"])
     rng = np.random.default_rng(cfg["seed"])
     eta = float(cfg["eta"])
     r_cases = [(1.0,), (1.0, 1.0), (2.0, 1.0)]
@@ -262,13 +258,13 @@ def _equivalence_checks(cfg: dict) -> list[dict]:
 
 
 def _cz_checks(cfg: dict) -> list[dict]:
-    grid = build_grid(cfg["dim"], cfg["depth"])
+    grid = Grid(cfg["dim"], cfg["depth"])
     rng = np.random.default_rng(cfg["seed"])
     d = grid.d
     flat_m, avg_m, bad_m = 0.0, 0.0, 0.0
     failing = None
     for rs in [(1.0,), (1.0, 2.0)]:
-        r = 1.0 / sum(1.0 / rj for rj in rs)
+        r = harmonic_exponent(rs)
         for _ in range(cfg["trials"]):
             fs = _positive_inputs(rng, grid, len(rs))
             lam = float(rng.uniform(0.3, 2.0))
@@ -318,7 +314,7 @@ def _cz_checks(cfg: dict) -> list[dict]:
 
 
 def _stopping_checks(cfg: dict) -> list[dict]:
-    grid = build_grid(cfg["dim"], cfg["depth"])
+    grid = Grid(cfg["dim"], cfg["depth"])
     rng = np.random.default_rng(cfg["seed"])
     cases = [
         ("l2", (1.0,), (2.0,), 1.0),
@@ -370,7 +366,7 @@ def _stopping_checks(cfg: dict) -> list[dict]:
 
 
 def _weights_checks(cfg: dict) -> list[dict]:
-    grid = build_grid(cfg["dim"], cfg["depth"])
+    grid = Grid(cfg["dim"], cfg["depth"])
     grids = shifted_grids(cfg["dim"], cfg["depth"]) if cfg["shifts"] else grid
     ps, rs, s = (2.0,), (1.0,), math.inf
     p = ps[0]
@@ -432,8 +428,8 @@ def _exponents_checks(cfg: dict) -> list[dict]:
         mm = int(rng.integers(1, 4))
         rr = list(rng.uniform(0.5, 3.0, size=mm))
         pp = [rj * u for rj, u in zip(rr, rng.uniform(1.2, 4.0, size=mm))]
-        qq = (1.0 / sum(1.0 / x for x in pp)) * float(rng.uniform(0.3, 1.0))
-        ss = math.inf if rng.random() < 0.5 else (1.0 / sum(1.0 / x for x in pp)) * float(rng.uniform(1.5, 4.0))
+        qq = harmonic_exponent(pp) * float(rng.uniform(0.3, 1.0))
+        ss = math.inf if rng.random() < 0.5 else harmonic_exponent(pp) * float(rng.uniform(1.5, 4.0))
         direct = transfer_exponent(pp, qq, rr, ss)
         composed = composed_transfer_exponent(pp, qq, rr, ss)
         if not np.isclose(direct, composed, rtol=1e-12):
@@ -445,13 +441,13 @@ def _exponents_checks(cfg: dict) -> list[dict]:
         if not np.isclose(got, want, rtol=1e-12):
             classical_bad += 1
     table = [
-        {"quantity": "transfer_gamma", "value": _enc(gamma)},
+        {"quantity": "transfer_gamma", "value": encode_inf(gamma)},
         {"quantity": "pinned_identity_gamma", "value": pinned},
         {"quantity": "m", "value": m},
-        {"quantity": "r", "value": _enc(r)},
-        {"quantity": "s", "value": _enc(s)},
+        {"quantity": "r", "value": encode_inf(r)},
+        {"quantity": "s", "value": encode_inf(s)},
         {"quantity": "q", "value": q},
-        {"quantity": "p", "value": _enc(p)},
+        {"quantity": "p", "value": encode_inf(p)},
     ]
     return [
         {
@@ -480,7 +476,7 @@ def _exponents_checks(cfg: dict) -> list[dict]:
 
 
 def _transfer_checks(cfg: dict) -> list[dict]:
-    grid = build_grid(cfg["dim"], cfg["depth"])
+    grid = Grid(cfg["dim"], cfg["depth"])
     chain = [
         Cube(k, (0,) * cfg["dim"]) for k in range(cfg["depth"] + 1)
     ]
@@ -556,7 +552,7 @@ def run(command: str, config: dict | None = None) -> dict:
     return {
         "schema": SCHEMA,
         "command": command,
-        "config": {k: _enc(v) for k, v in cfg.items()},
+        "config": {k: encode_inf(v) for k, v in cfg.items()},
         "checks": checks,
         "passed": all(c["passed"] for c in checks),
     }

@@ -15,6 +15,12 @@ which is nested in k (the two children of a cube along an axis have indices
 2m + (-1)^k a and 2m + (-1)^k a + 1).  Shifted cubes may protrude from the
 unit cube; averages are then taken over the intersection with [0,1)^d.  Cover
 decisions use exact rational arithmetic, so the covering suites are exact.
+
+``level_averages`` is the one r-average kernel, for every lattice: it refines
+each axis with a nonzero shift digit into thirds, which makes every cube of a
+level one contiguous block of subcells, and reduces all blocks of a level in
+one zero-padded reshape.  ``average`` and ``cube_averages`` read single cubes
+off those level arrays.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -31,11 +38,13 @@ import numpy as np
 __all__ = [
     "Cube",
     "Grid",
-    "build_grid",
     "shifted_grids",
     "cover_cube",
     "average",
     "level_averages",
+    "level_products",
+    "cube_averages",
+    "upsample",
     "grid_norm",
     "function_to_json",
     "function_from_json",
@@ -44,6 +53,11 @@ __all__ = [
 ]
 
 MAX_DEPTH = {1: 12, 2: 6}
+
+
+def _digits(shift: int, d: int) -> tuple[int, ...]:
+    """Per-axis one-third digits of a shift index: base 3, axis 0 first."""
+    return tuple(shift // 3**axis % 3 for axis in range(d))
 
 
 @dataclass(frozen=True)
@@ -73,11 +87,7 @@ class Cube:
 
     @property
     def shift_digits(self) -> tuple[int, ...]:
-        a, digits = self.shift, []
-        for _ in range(self.d):
-            digits.append(a % 3)
-            a //= 3
-        return tuple(digits)
+        return _digits(self.shift, self.d)
 
     def support_exact(self) -> list[tuple[Fraction, Fraction]]:
         """Per-axis [lo, hi) as exact rationals."""
@@ -130,6 +140,7 @@ class Grid:
         self.d = d
         self.depth = depth
         self.shift = shift
+        self.digits = _digits(shift, d)
         self.cell_shape = (1 << depth,) * d
         self.ncells = (1 << depth) ** d
         self.cell_measure = 2.0 ** (-d * depth)
@@ -143,27 +154,11 @@ class Grid:
             raise ValueError("shifted grids have no single root over [0,1)^d")
         return Cube(0, (0,) * self.d, 0)
 
-    def _digits(self) -> tuple[int, ...]:
-        a, digits = self.shift, []
-        for _ in range(self.d):
-            digits.append(a % 3)
-            a //= 3
-        return tuple(digits)
-
     def level_cubes(self, level: int) -> list[Cube]:
         if not 0 <= level <= self.depth:
             raise ValueError(f"level {level} outside [0, {self.depth}]")
-        digits = self._digits()
-        ranges = [_axis_range(level, a) for a in digits]
-        cubes = []
-        if self.d == 1:
-            for m in ranges[0]:
-                cubes.append(Cube(level, (m,), self.shift))
-        else:
-            for m0 in ranges[0]:
-                for m1 in ranges[1]:
-                    cubes.append(Cube(level, (m0, m1), self.shift))
-        return cubes
+        ranges = [_axis_range(level, a) for a in self.digits]
+        return [Cube(level, index, self.shift) for index in product(*ranges)]
 
     def cubes(self) -> Iterator[Cube]:
         for level in range(self.depth + 1):
@@ -183,11 +178,7 @@ class Grid:
             base = 2 * m + cube.sign * a
             rng = _axis_range(k1, a)
             axes.append([b for b in (base, base + 1) if b in rng])
-        if self.d == 1:
-            return [Cube(k1, (m,), self.shift) for m in axes[0]]
-        return [
-            Cube(k1, (m0, m1), self.shift) for m0 in axes[0] for m1 in axes[1]
-        ]
+        return [Cube(k1, index, self.shift) for index in product(*axes)]
 
     def parent(self, cube: Cube) -> Cube | None:
         if cube.level == 0:
@@ -217,22 +208,6 @@ class Grid:
             raise ValueError("cell slices are defined for shift-0 cubes only")
         b = 1 << (self.depth - cube.level)
         return tuple(slice(m * b, (m + 1) * b) for m in cube.index)
-
-    def overlap_weights(self, cube: Cube) -> list[np.ndarray]:
-        """Per-axis overlap lengths of ``cube`` with the finest cells."""
-        n = 1 << self.depth
-        h = 1.0 / n
-        out = []
-        for lo, hi in cube.support():
-            edges = np.arange(n + 1) * h
-            ov = np.minimum(hi, edges[1:]) - np.maximum(lo, edges[:-1])
-            out.append(np.maximum(ov, 0.0))
-        return out
-
-
-def build_grid(d: int, depth: int, shift: int = 0) -> Grid:
-    """Construct the full cube tree for one shifted grid."""
-    return Grid(d, depth, shift)
 
 
 def shifted_grids(d: int, depth: int) -> list[Grid]:
@@ -300,64 +275,116 @@ def _check_cells(grid: Grid, f: np.ndarray) -> np.ndarray:
     return f
 
 
-def average(grid: Grid, f: np.ndarray, r: float, cube: Cube):
-    """The r-average <f>_{r,Q} = (|Q|^-1 int_Q |f|^r)^(1/r), exact.
-
-    Q is intersected with [0,1)^d (relevant for shifted cubes); r = inf gives
-    the essential supremum.  Trailing axes of ``f`` broadcast (one average
-    per atom).
-    """
-    f = _check_cells(grid, f)
-    if not (r > 0):
-        raise ValueError(f"average exponent must be positive, got r={r}")
-    cells = tuple(range(grid.d))
-    if cube.shift == 0:
-        sub = np.abs(f[grid.cube_slices(cube)])
-        if math.isinf(r):
-            return sub.max(axis=cells)
-        return np.mean(sub**r, axis=cells) ** (1.0 / r)
-
-    axes_w = grid.overlap_weights(cube)
-    w = axes_w[0] if grid.d == 1 else np.multiply.outer(axes_w[0], axes_w[1])
-    total = w.sum()
-    if total <= 0:
-        raise ValueError("cube does not meet [0,1)^d")
-    fa = np.abs(f)
-    if math.isinf(r):
-        mask = w > 0
-        return fa[mask].max(axis=0) if f.ndim > grid.d else fa[mask].max()
-    wx = w.reshape(w.shape + (1,) * (f.ndim - grid.d))
-    return (np.sum(wx * fa**r, axis=cells) / total) ** (1.0 / r)
-
-
 def level_averages(grid: Grid, f: np.ndarray, r: float) -> dict[int, np.ndarray]:
-    """r-averages over every shift-0 cube, one array of shape (2^k,)*d per level.
+    """r-averages over every cube of ``grid``'s lattice, one array per level.
 
-    Exact block reductions; the workhorse behind maximal operators.  Trailing
-    axes broadcast.
+    The r-average is <f>_{r,Q} = (|Q|^-1 int_Q |f|^r)^(1/r) with Q cut down
+    to [0,1)^d; r = inf gives the essential supremum.  Each level is one
+    zero-padded block reshape of |f|^r on subcells (see the module notes),
+    summed per block and divided by the block's count of subcells inside the
+    unit cube.  Entry i along an axis is the cube with index
+    ``_axis_range(level, digit)[i]``; on shift 0 that is the index itself.
+    Trailing axes broadcast.
     """
-    if grid.shift != 0:
-        raise ValueError("level averages are defined on the shift-0 tree")
     f = _check_cells(grid, f)
     if not (r > 0):
         raise ValueError(f"average exponent must be positive, got r={r}")
-    n = 1 << grid.depth
     trail = f.shape[grid.d:]
+    power = np.abs(f) if math.isinf(r) else np.abs(f) ** r
+    for axis, a in enumerate(grid.digits):
+        if a:
+            power = np.repeat(power, 3, axis=axis)
+    blocks = tuple(range(1, 2 * grid.d, 2))
     out: dict[int, np.ndarray] = {}
-    fa = np.abs(f)
-    power = None if math.isinf(r) else fa**r
     for k in range(grid.depth + 1):
-        b = 1 << (grid.depth - k)
-        if grid.d == 1:
-            shape = (n // b, b) + trail
-            red_axes = (1,)
+        shape, padded, window, counts = (), (), [], np.ones(())
+        sign = 1 if k % 2 == 0 else -1
+        for axis, a in enumerate(grid.digits):
+            # in subcells: cube i of the axis is block i after ``lo`` zeros
+            rng, size = _axis_range(k, a), power.shape[axis]
+            ncubes, block = len(rng), (3 if a else 1) << (grid.depth - k)
+            lo = -(3 * rng.start + sign * a) << (grid.depth - k)
+            shape += (ncubes, block)
+            padded += (ncubes * block,)
+            window.append(slice(lo, lo + size))
+            # shift 0 needs no padding and has one count per level, which
+            # keeps it equal, bit for bit, to a plain block mean
+            if grid.shift:
+                edges = np.clip(np.arange(ncubes + 1) * block - lo, 0, size)
+                counts = np.multiply.outer(counts, np.diff(edges))
+            else:
+                counts = counts * block
+        x = power
+        if grid.shift:
+            x = np.zeros(padded + trail)
+            x[tuple(window)] = power
+        x = x.reshape(shape + trail)
+        if math.isinf(r):
+            out[k] = x.max(axis=blocks)
         else:
-            shape = (n // b, b, n // b, b) + trail
-            red_axes = (1, 3)
-        if power is None:
-            out[k] = fa.reshape(shape).max(axis=red_axes)
-        else:
-            out[k] = np.mean(power.reshape(shape), axis=red_axes) ** (1.0 / r)
+            counts = counts.reshape(counts.shape + (1,) * len(trail))
+            out[k] = (x.sum(axis=blocks) / counts) ** (1.0 / r)
+    return out
+
+
+def level_products(
+    grid: Grid, fs: Sequence[np.ndarray], rs: Sequence[float]
+) -> dict[int, np.ndarray]:
+    """prod_j <f_j>_{r_j,Q} over every cube of ``grid``'s lattice, per level."""
+    lvs = [level_averages(grid, f, r) for f, r in zip(fs, rs)]
+    out = {}
+    for k in range(grid.depth + 1):
+        out[k] = lvs[0][k]
+        for lv in lvs[1:]:
+            out[k] = out[k] * lv[k]
+    return out
+
+
+def _position(grid: Grid, cube: Cube) -> tuple[int, ...]:
+    """Where ``cube`` sits in the level arrays of its lattice, bounds-checked."""
+    if cube.d != grid.d or not 0 <= cube.level <= grid.depth:
+        raise ValueError(f"{cube} lies off the d={grid.d} lattices of depth {grid.depth}")
+    pos = []
+    for m, a in zip(cube.index, cube.shift_digits):
+        rng = _axis_range(cube.level, a)
+        if m not in rng:
+            raise ValueError(f"{cube} does not meet [0,1)^{grid.d}")
+        pos.append(m - rng.start)
+    return tuple(pos)
+
+
+def cube_averages(
+    grid: Grid, fs: Sequence[np.ndarray], rs: Sequence[float], cubes: Iterable[Cube]
+) -> Iterator[np.ndarray]:
+    """Yield prod_j <f_j>_{r_j,Q} for each cube Q, looked up in level arrays.
+
+    The cubes may come from any of the 3^d lattices; level products are
+    built once for each lattice that occurs.
+    """
+    tables: dict[int, dict[int, np.ndarray]] = {}
+    for cube in cubes:
+        pos = _position(grid, cube)
+        if cube.shift not in tables:
+            lattice = Grid(grid.d, grid.depth, cube.shift)
+            tables[cube.shift] = level_products(lattice, fs, rs)
+        yield tables[cube.shift][cube.level][pos]
+
+
+def average(grid: Grid, f: np.ndarray, r: float, cube: Cube):
+    """The r-average <f>_{r,Q} of one cube, exact (see level_averages).
+
+    Trailing axes of ``f`` broadcast (one average per atom).  A cube that is
+    not in its lattice's index range raises ValueError.
+    """
+    return next(cube_averages(grid, [f], [r], [cube]))
+
+
+def upsample(grid: Grid, arr: np.ndarray, level: int) -> np.ndarray:
+    """A shift-0 level array onto the finest cells; trailing axes ride along."""
+    b = 1 << (grid.depth - level)
+    out = np.repeat(arr, b, axis=0)
+    if grid.d == 2:
+        out = np.repeat(out, b, axis=1)
     return out
 
 

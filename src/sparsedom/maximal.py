@@ -14,8 +14,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .dyadic import Cube, Grid, average, grid_norm, level_averages, shifted_grids
-from .spaces import Space, product_space
+from .dyadic import (
+    Cube,
+    Grid,
+    cube_averages,
+    grid_norm,
+    level_products,
+    shifted_grids,
+    upsample,
+)
+from .spaces import Space, harmonic_exponent, product_space
 
 __all__ = [
     "contained_cells",
@@ -54,9 +62,8 @@ def all_cubes(d: int, depth: int, shifts: bool = False) -> list[Cube]:
     return [q for g in grids for q in g.cubes()]
 
 
-def _validate(grid: Grid, fs: Sequence[np.ndarray], rs: Sequence[float]):
-    if len(fs) != len(rs) or not fs:
-        raise ValueError("need one exponent per function, at least one pair")
+def check_tuple(grid: Grid, fs: Sequence[np.ndarray]):
+    """The functions as float arrays, plus their common trailing atom shape."""
     fs = [np.asarray(f, dtype=float) for f in fs]
     trail = fs[0].shape[grid.d:]
     for f in fs:
@@ -77,32 +84,21 @@ def scalar_maximal(
     collection (including shifted cubes) is accepted and the result is
     monotone in it.
     """
-    fs, trail = _validate(grid, fs, rs)
+    if len(fs) != len(rs) or not fs:
+        raise ValueError("need one exponent per function, at least one pair")
+    fs, trail = check_tuple(grid, fs)
+    out = np.zeros(grid.cell_shape + trail)
     if cubes is None:
         # block-reduction fast path over the full tree
-        out = np.zeros(grid.cell_shape + trail)
-        for k in range(grid.depth + 1):
-            prods = None
-            for f, r in zip(fs, rs):
-                lv = level_averages(grid, f, r)[k]
-                prods = lv if prods is None else prods * lv
-            b = 1 << (grid.depth - k)
-            up = np.repeat(prods, b, axis=0)
-            if grid.d == 2:
-                up = np.repeat(up, b, axis=1)
-            np.maximum(out, up, out=out)
+        for k, prods in level_products(grid, fs, rs).items():
+            np.maximum(out, upsample(grid, prods, k), out=out)
         return out
 
-    out = np.zeros(grid.cell_shape + trail)
-    for cube in cubes:
+    cubes = list(cubes)
+    for cube, val in zip(cubes, cube_averages(grid, fs, rs, cubes)):
         sl = contained_cells(grid, cube)
-        if sl is None:
-            continue
-        val = None
-        for f, r in zip(fs, rs):
-            a = average(grid, f, r, cube)
-            val = a if val is None else val * a
-        np.maximum(out[sl], val, out=out[sl])
+        if sl is not None:
+            np.maximum(out[sl], val, out=out[sl])
     return out
 
 
@@ -125,16 +121,14 @@ def lattice_maximal(
     return scalar_maximal(grid, Fs, rs, cubes)
 
 
-def _tower(rng, grid: Grid, n: int) -> np.ndarray:
+def tower(rng, grid: Grid) -> np.ndarray:
     """Nested-indicator extremal input: geometric growth toward a corner."""
     beta = rng.uniform(0.3, 0.95)
     f = np.zeros(grid.cell_shape)
     for k in range(grid.depth + 1):
         b = 1 << (grid.depth - k)
-        block = (slice(0, b),) * grid.d
-        f[block] = (2.0 ** (grid.d * k)) ** beta
-    direction = rng.exponential(size=n)
-    return np.multiply.outer(f, direction)
+        f[(slice(0, b),) * grid.d] = (2.0 ** (grid.d * k)) ** beta
+    return f
 
 
 def maximal_opnorm_lower(
@@ -162,8 +156,7 @@ def maximal_opnorm_lower(
                 f"space {sp!r} declares convexity {sp.convexity} below r={r}"
             )
     prod = product_space(spaces)
-    inv_p = sum(0.0 if math.isinf(p) else 1.0 / p for p in ps)
-    p_out = math.inf if inv_p == 0 else 1.0 / inv_p
+    p_out = harmonic_exponent(ps)
     n = spaces[0].measure.n
 
     rng = np.random.default_rng(seed)
@@ -177,7 +170,10 @@ def maximal_opnorm_lower(
                 for _ in range(m)
             ]
         else:
-            Fs = [_tower(rng, grid, n) for _ in range(m)]
+            Fs = [
+                np.multiply.outer(tower(rng, grid), rng.exponential(size=n))
+                for _ in range(m)
+            ]
         M = lattice_maximal(grid, Fs, rs)
         num = grid_norm(grid, np.asarray(prod.norm(M)), p_out)
         den = 1.0

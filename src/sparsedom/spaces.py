@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -36,7 +36,23 @@ __all__ = [
     "space_from_json",
     "phi_table_to_csv",
     "phi_table_from_csv",
+    "recip",
+    "harmonic_exponent",
 ]
+
+
+def recip(x) -> float:
+    """1/x for exponents, with 1/inf = 0."""
+    x = float(x)
+    if not x > 0:
+        raise ValueError(f"exponent must be positive, got {x}")
+    return 0.0 if math.isinf(x) else 1.0 / x
+
+
+def harmonic_exponent(ps: Iterable[float]) -> float:
+    """The aggregate p with 1/p = sum_j 1/p_j (inf when every p_j is inf)."""
+    total = sum(recip(p) for p in ps)
+    return math.inf if total == 0.0 else 1.0 / total
 
 
 class AtomicMeasure:
@@ -497,8 +513,7 @@ def product_norm(spaces: Sequence[Space], xi, seed: int = 0, restarts: int = 8):
         return spaces[0].norm(xi)
 
     if all(isinstance(sp, LebesgueSpace) for sp in spaces):
-        inv_t = sum(0.0 if math.isinf(sp.t) else 1.0 / sp.t for sp in spaces)
-        t = math.inf if inv_t == 0 else 1.0 / inv_t
+        t = harmonic_exponent(sp.t for sp in spaces)
         return LebesgueSpace(t, spaces[0].measure).norm(xi)
 
     xi = np.abs(np.asarray(xi, dtype=float))
@@ -616,9 +631,7 @@ def product_space(spaces: Sequence[Space]) -> Space:
     if len(spaces) == 1:
         return spaces[0]
     if all(isinstance(sp, LebesgueSpace) for sp in spaces):
-        inv_t = sum(0.0 if math.isinf(sp.t) else 1.0 / sp.t for sp in spaces)
-        t = math.inf if inv_t == 0 else 1.0 / inv_t
-        return LebesgueSpace(t, spaces[0].measure)
+        return LebesgueSpace(harmonic_exponent(sp.t for sp in spaces), spaces[0].measure)
     raise ValueError(
         "no closed-form product for these kinds; evaluate product_norm directly"
     )

@@ -24,9 +24,9 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_flow
 
-from .dyadic import Cube, Grid, average, grid_norm, level_averages
+from .dyadic import Cube, Grid, cube_averages, grid_norm, level_averages, level_products
 from .maximal import lattice_maximal, scalar_maximal
-from .spaces import Space, product_space
+from .spaces import Space, harmonic_exponent, product_space
 
 __all__ = [
     "SparseFamily",
@@ -35,6 +35,7 @@ __all__ = [
     "StoppingCertificate",
     "StoppingFailure",
     "verify_sparse",
+    "certificate_depth",
     "carleson_constant",
     "sparse_form",
     "optimal_sparse_form",
@@ -120,6 +121,26 @@ def _require_standard(cubes: Sequence[Cube]) -> int:
     return ds.pop()
 
 
+def certificate_depth(d: int, level: int, eta: float) -> int:
+    """Cell depth at which eta |Q| is a whole number of cells down to ``level``.
+
+    Raises ValueError when eta is not a dyadic rational in (0, 1) or when the
+    depth passes the resolution cap of dimension d.
+    """
+    frac = Fraction(eta)
+    if not 0 < frac < 1:
+        raise ValueError(f"sparseness parameter must be in (0,1), got {eta}")
+    den = frac.denominator
+    if den & (den - 1):
+        raise ValueError(f"eta={eta} is not dyadic; no refinement depth resolves it")
+    depth = level + (den.bit_length() - 1 + d - 1) // d
+    if depth > _VERIFY_DEPTH_CAP[d]:
+        raise ValueError(
+            f"certificate depth {depth} exceeds the d={d} resolution cap"
+        )
+    return depth
+
+
 def verify_sparse(cubes: Sequence[Cube], eta: float = 0.5):
     """Decide eta-sparseness exactly; SparseFamily or SparseRefutation.
 
@@ -132,17 +153,7 @@ def verify_sparse(cubes: Sequence[Cube], eta: float = 0.5):
         return SparseFamily([], eta, {}, 0)
     d = _require_standard(cubes)
     frac = Fraction(eta)
-    if not 0 < frac < 1:
-        raise ValueError(f"sparseness parameter must be in (0,1), got {eta}")
-    den = frac.denominator
-    if den & (den - 1):
-        raise ValueError(f"eta={eta} is not dyadic; no refinement depth resolves it")
-    extra = (den.bit_length() - 1 + d - 1) // d
-    depth = max(q.level for q in cubes) + extra
-    if depth > _VERIFY_DEPTH_CAP[d]:
-        raise ValueError(
-            f"certificate depth {depth} exceeds the d={d} resolution cap"
-        )
+    depth = certificate_depth(d, max(q.level for q in cubes), eta)
 
     ncells = (1 << depth) ** d
     C = len(cubes)
@@ -247,14 +258,14 @@ def sparse_form(
         raise ValueError(f"form exponent must be positive, got q={q}")
     if g is not None and not (sigma is None or sigma > 0):
         raise ValueError(f"dual exponent must be positive, got {sigma}")
+    fs, rs = list(fs), list(rs)
+    if len(fs) != len(rs):
+        raise ValueError("need one exponent per function")
+    if g is not None:
+        fs, rs = fs + [g], rs + [q if sigma is None else sigma]
     total = 0.0
-    for cube in cubes:
-        term = 1.0
-        for f, r in zip(fs, rs):
-            term *= float(average(grid, f, r, cube))
-        if g is not None:
-            term *= float(average(grid, g, q if sigma is None else sigma, cube))
-        total += term**q * cube.measure
+    for cube, term in zip(cubes, cube_averages(grid, fs, rs, cubes)):
+        total += float(term) ** q * cube.measure
     return total ** (1.0 / q)
 
 
@@ -289,14 +300,10 @@ def optimal_sparse_form(
     than doubles that of the nearest selected ancestor.  The greedy family is
     sparse at a slightly smaller eta when sum 1/r_j > 1 (set on the result).
     """
-    fs = [np.asarray(f, dtype=float) for f in fs]
-    lv = [level_averages(grid, f, r) for f, r in zip(fs, rs)]
+    lp = level_products(grid, fs, rs)
 
     def prod_avg(cube: Cube) -> float:
-        out = 1.0
-        for lvj in lv:
-            out *= float(lvj[cube.level][cube.index])
-        return out
+        return float(lp[cube.level][cube.index])
 
     cubes = list(grid.cubes())
 
@@ -350,7 +357,7 @@ def optimal_sparse_form(
         return best_val, family
 
     if mode == "greedy":
-        rho = 1.0 / sum(1.0 / r for r in rs)
+        rho = harmonic_exponent(rs)
         bound = 1 - 2.0**-rho
         den = 16
         while math.floor(bound * den) == 0 and den < 1024:
@@ -433,7 +440,7 @@ def cz_decompose(
     if any(c <= 0 for c in norms):
         raise ValueError("cannot normalize a vanishing component")
     fn = [f / c for f, c in zip(fs, norms)]
-    r = 1.0 / sum(1.0 / rj for rj in rs)
+    r = harmonic_exponent(rs)
     thresholds = [lam ** (r / rj) for rj in rs]
 
     flat, averaged, good, level_sets, stop_cubes = [], [], [], [], []
@@ -493,8 +500,8 @@ class StoppingCertificate:
 
     ratios maps each selected cube to the worst cell ratio of the lattice
     maximal function's X-norm against c_stop times the q-aggregated sparse
-    bound; all ratios are <= 1 when pointwise_ok.  weak_type_constant records
-    the adaptive stand-in for the nonconstructive weak-type constant.
+    bound; all ratios are <= 1 when pointwise_ok.  c_stop is also the
+    adaptive stand-in for the nonconstructive weak-type constant.
     """
 
     family: SparseFamily
@@ -502,7 +509,6 @@ class StoppingCertificate:
     doublings: int
     ratios: dict[Cube, float]
     pointwise_ok: bool
-    weak_type_constant: float
 
 
 def stopping_domination(
@@ -538,21 +544,14 @@ def stopping_domination(
         )
 
     cellnorms = [np.asarray(sp.norm(F)) for sp, F in zip(spaces, Fs)]
-    scalar_lv = [level_averages(grid, cn, r) for cn, r in zip(cellnorms, rs)]
-    vector_lv = [level_averages(grid, F, r) for F, r in zip(Fs, rs)]
+    scalar_lp = level_products(grid, cellnorms, rs)
+    vector_lp = level_products(grid, Fs, rs)
 
     def A(cube: Cube) -> float:
-        out = 1.0
-        for lvj in scalar_lv:
-            out *= float(lvj[cube.level][cube.index])
-        return out
+        return float(scalar_lp[cube.level][cube.index])
 
     def pvec(cube: Cube) -> np.ndarray:
-        out = None
-        for lvj in vector_lv:
-            v = lvj[cube.level][cube.index]
-            out = v.copy() if out is None else out * v
-        return out
+        return vector_lp[cube.level][cube.index]
 
     def xnorm(vec: np.ndarray) -> float:
         return float(prod_space_X.norm(vec))
@@ -605,7 +604,7 @@ def stopping_domination(
         Q: float(cell_ratio[grid.cube_slices(Q)].max()) for Q in selected
     }
     pointwise_ok = bool(np.all(cell_ratio <= 1 + 1e-9))
-    return StoppingCertificate(family, c, doubling, ratios, pointwise_ok, c)
+    return StoppingCertificate(family, c, doubling, ratios, pointwise_ok)
 
 
 def form_bound_from_pointwise(

@@ -27,18 +27,19 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dyadic import Cube, Grid, average, grid_norm
-from .maximal import contained_cells, scalar_maximal
+from .dyadic import Cube, Grid, cube_averages, grid_norm, upsample
+from .maximal import check_tuple, contained_cells, scalar_maximal, tower
 from .sparse import SparseFamily, form_bound_from_pointwise
 from .spaces import (
     AtomicMeasure,
     IteratedSpace,
     LebesgueSpace,
     Space,
+    harmonic_exponent,
     product_space,
 )
 from .weights import (
-    harmonic_exponent,
+    encode_inf,
     muckenhoupt_constant,
     power_envelope,
     power_weight,
@@ -48,7 +49,6 @@ from .weights import (
 __all__ = [
     "SparseOperator",
     "HaarTransform",
-    "apply_model",
     "tensor_extend",
     "space_tuple",
     "lebesgue_layers",
@@ -67,15 +67,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # model operators
 # ---------------------------------------------------------------------------
-
-
-def _check_tuple(grid: Grid, fs: Sequence[np.ndarray]):
-    fs = [np.asarray(f, dtype=float) for f in fs]
-    trail = fs[0].shape[grid.d:]
-    for f in fs:
-        if f.shape[: grid.d] != grid.cell_shape or f.shape[grid.d:] != trail:
-            raise ValueError("functions must share the grid cell shape and atoms")
-    return fs, trail
 
 
 class SparseOperator:
@@ -114,17 +105,12 @@ class SparseOperator:
     def apply(self, grid: Grid, fs: Sequence[np.ndarray]) -> np.ndarray:
         if len(fs) != self.m:
             raise ValueError(f"model takes {self.m} functions, got {len(fs)}")
-        fs, trail = _check_tuple(grid, fs)
+        fs, trail = check_tuple(grid, fs)
         out = np.zeros(grid.cell_shape + trail)
-        for cube in self.cubes:
+        for cube, val in zip(self.cubes, cube_averages(grid, fs, self.rs, self.cubes)):
             sl = contained_cells(grid, cube)
-            if sl is None:
-                continue
-            val = None
-            for f, r in zip(fs, self.rs):
-                a = average(grid, f, r, cube)
-                val = a if val is None else val * a
-            out[sl] += val
+            if sl is not None:
+                out[sl] += val
         return out
 
     def __repr__(self) -> str:
@@ -143,15 +129,6 @@ def _signed_means(grid: Grid, f: np.ndarray) -> list[np.ndarray]:
             a, b = cur.shape[0] // 2, cur.shape[1] // 2
             cur = cur.reshape((a, 2, b, 2) + cur.shape[2:]).mean(axis=(1, 3))
         out[k - 1] = cur
-    return out
-
-
-def _expand(arr: np.ndarray, grid: Grid, k: int) -> np.ndarray:
-    # level-k array onto the finest cells; only the leading d axes repeat
-    b = 1 << (grid.depth - k)
-    out = np.repeat(arr, b, axis=0)
-    if grid.d == 2:
-        out = np.repeat(out, b, axis=1)
     return out
 
 
@@ -214,14 +191,14 @@ class HaarTransform:
     def apply(self, grid: Grid, fs: Sequence[np.ndarray]) -> np.ndarray:
         if len(fs) != 1:
             raise ValueError("Haar transform supports m = 1 only")
-        fs, trail = _check_tuple(grid, fs)
+        fs, trail = check_tuple(grid, fs)
         self._validate_keys(grid)
         f = fs[0]
         means = _signed_means(grid, f)
-        out = _expand(means[0], grid, 0).copy()
+        out = upsample(grid, means[0], 0).copy()
         for k in range(grid.depth):
-            detail = _expand(means[k + 1], grid, k + 1) - _expand(means[k], grid, k)
-            s = _expand(self._sign_array(k, grid.d), grid, k)
+            detail = upsample(grid, means[k + 1], k + 1) - upsample(grid, means[k], k)
+            s = upsample(grid, self._sign_array(k, grid.d), k)
             out += s.reshape(s.shape + (1,) * len(trail)) * detail
         return out
 
@@ -229,25 +206,17 @@ class HaarTransform:
         return f"HaarTransform(signs={len(self.signs)})"
 
 
-def apply_model(T, grid: Grid, fs: Sequence[np.ndarray]) -> np.ndarray:
-    """Evaluate a model operator on an m-tuple of cell functions.
-
-    Both models broadcast trailing atom axes, which is what makes the tensor
-    extension a single vectorized call.
-    """
-    return T.apply(grid, fs)
-
-
 def tensor_extend(T, grid: Grid, Fs: Sequence[np.ndarray]) -> np.ndarray:
     """The lattice extension: the scalar model on every atom slice.
 
-    Equivalent to looping apply_model over atom indices (the slice identity,
-    pinned in the tests); implemented as one broadcast call.
+    Equivalent to looping ``T.apply`` over atom indices (the slice identity,
+    pinned in the tests); both models broadcast trailing atom axes, so it is
+    one call.
     """
     Fs = [np.asarray(F, dtype=float) for F in Fs]
     if any(F.ndim == grid.d for F in Fs):
         raise ValueError("tensor_extend expects at least one trailing atom axis")
-    return apply_model(T, grid, Fs)
+    return T.apply(grid, Fs)
 
 
 # ---------------------------------------------------------------------------
@@ -411,15 +380,6 @@ def _norming_field(space: Space, q: float, v: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _tower_cells(rng, grid: Grid) -> np.ndarray:
-    beta = rng.uniform(0.3, 0.95)
-    f = np.zeros(grid.cell_shape)
-    for k in range(grid.depth + 1):
-        b = 1 << (grid.depth - k)
-        f[(slice(0, b),) * grid.d] = (2.0 ** (grid.d * k)) ** beta
-    return f
-
-
 def _random_cells(rng, grid: Grid) -> np.ndarray:
     """One scalar profile: cube indicator, tower, or lognormal field."""
     kind = int(rng.integers(3))
@@ -430,7 +390,7 @@ def _random_cells(rng, grid: Grid) -> np.ndarray:
         f[grid.cube_slices(Cube(k, idx))] = float(rng.exponential()) + 0.1
         return f
     if kind == 1:
-        return _tower_cells(rng, grid)
+        return tower(rng, grid)
     return rng.lognormal(sigma=1.2, size=grid.cell_shape)
 
 
@@ -481,7 +441,7 @@ def scalar_hypothesis_check(
     for _ in range(trials):
         fs = [_random_cells(rng, grid) for _ in range(T.m)]
         g = _random_cells(rng, grid)
-        out = np.abs(apply_model(T, grid, fs))
+        out = np.abs(T.apply(grid, fs))
         if math.isinf(s):
             ratio = form_bound_from_pointwise(grid, out, fs, g, list(T.rs), q)
         else:
@@ -552,7 +512,6 @@ class TransferReport:
         return "PASS" if self.passed else "FAIL"
 
     def as_dict(self) -> dict:
-        enc = lambda x: "inf" if isinstance(x, float) and math.isinf(x) else x
         return {
             "kind": self.kind,
             "ns": list(self.ns),
@@ -563,7 +522,7 @@ class TransferReport:
             "exploratory": self.exploratory,
             "warnings": list(self.warnings),
             "scalar": self.scalar,
-            "config": {k: enc(v) for k, v in self.config.items()},
+            "config": {k: encode_inf(v) for k, v in self.config.items()},
             "ratios": {str(n): [float(x) for x in r] for n, r in self.ratios.items()},
         }
 

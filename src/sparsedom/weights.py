@@ -18,13 +18,15 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .dyadic import Cube, Grid, average, shifted_grids
+from .dyadic import Cube, Grid, cube_averages, shifted_grids
+from .spaces import harmonic_exponent, recip
 
 __all__ = [
     "WeightVector",
     "ExponentTuple",
     "recip",
     "harmonic_exponent",
+    "encode_inf",
     "power_weight",
     "muckenhoupt_over_cubes",
     "muckenhoupt_constant",
@@ -41,20 +43,6 @@ __all__ = [
     "bht_region",
     "power_envelope",
 ]
-
-
-def recip(x) -> float:
-    """1/x for exponents, with 1/inf = 0."""
-    x = float(x)
-    if not x > 0:
-        raise ValueError(f"exponent must be positive, got {x}")
-    return 0.0 if math.isinf(x) else 1.0 / x
-
-
-def harmonic_exponent(ps: Iterable[float]) -> float:
-    """The aggregate p with 1/p = sum_j 1/p_j (inf when every p_j is inf)."""
-    total = sum(recip(p) for p in ps)
-    return math.inf if total == 0.0 else 1.0 / total
 
 
 class WeightVector:
@@ -125,13 +113,8 @@ def muckenhoupt_over_cubes(ws, ps, rs, s, grid: Grid, cubes: Iterable[Cube]) -> 
     wv = ws if isinstance(ws, WeightVector) else WeightVector(ws)
     ejs, e0 = _dual_exponents(ps, rs, s, wv.m)
     winv = [1.0 / w for w in wv.parts]
-    best = 0.0
-    for cube in cubes:
-        val = float(average(grid, wv.product, e0, cube))
-        for wj, ej in zip(winv, ejs):
-            val *= float(average(grid, wj, ej, cube))
-        best = max(best, val)
-    return best
+    vals = cube_averages(grid, [wv.product, *winv], [e0, *ejs], cubes)
+    return max((float(v) for v in vals), default=0.0)
 
 
 def muckenhoupt_constant(ws, ps, rs, s, grids) -> float:
@@ -139,16 +122,13 @@ def muckenhoupt_constant(ws, ps, rs, s, grids) -> float:
 
     ``grids`` is one Grid or a sequence of Grids over the same cells (pass
     all 3^d shifted grids to include the shifted lattices in the supremum).
-    Averages over shifted cubes weight by overlap with the unit cube, so the
-    value is exact for the piecewise constant weight.
+    Averages over shifted cubes are taken over their part inside the unit
+    cube, so the value is exact for the piecewise constant weight.
     """
     if isinstance(grids, Grid):
         grids = [grids]
-    wv = ws if isinstance(ws, WeightVector) else WeightVector(ws)
-    best = 0.0
-    for g in grids:
-        best = max(best, muckenhoupt_over_cubes(wv, ps, rs, s, g, g.cubes()))
-    return best
+    cubes = (q for g in grids for q in g.cubes())
+    return muckenhoupt_over_cubes(ws, ps, rs, s, grids[0], cubes)
 
 
 def stable_muckenhoupt_constant(
@@ -273,14 +253,13 @@ def maximal_weighted_exponent(ps, rs) -> float:
     return max(terms)
 
 
-def _enc(x: float):
-    """JSON-safe scalar: infinity as the string 'inf'."""
-    x = float(x)
-    return "inf" if math.isinf(x) else x
+def encode_inf(x):
+    """JSON-safe value: float infinity as the string 'inf', others unchanged."""
+    return "inf" if isinstance(x, float) and math.isinf(x) else x
 
 
 def _enc_seq(xs):
-    return [_enc(x) for x in xs]
+    return [encode_inf(float(x)) for x in xs]
 
 
 def _report(inputs: dict, r_side: float, s_side: float) -> dict:
@@ -317,7 +296,12 @@ def transfer_exponent(ps, q, rs, s) -> float:
 def transfer_report(ps, q, rs, s) -> dict:
     """JSON record for the transfer exponent, naming the binding family."""
     r_side, s_side = _transfer_terms(ps, q, rs, s)
-    inputs = {"ps": _enc_seq(ps), "q": _enc(q), "rs": _enc_seq(rs), "s": _enc(s)}
+    inputs = {
+        "ps": _enc_seq(ps),
+        "q": encode_inf(float(q)),
+        "rs": _enc_seq(rs),
+        "s": encode_inf(float(s)),
+    }
     return _report(inputs, r_side, s_side)
 
 
@@ -362,7 +346,12 @@ def extrapolation_exponent(ps, ts, rs, s) -> float:
 def extrapolation_report(ps, ts, rs, s) -> dict:
     """JSON record for the extrapolation exponent."""
     r_side, s_side = _extrapolation_terms(ps, ts, rs, s)
-    inputs = {"ps": _enc_seq(ps), "ts": _enc_seq(ts), "rs": _enc_seq(rs), "s": _enc(s)}
+    inputs = {
+        "ps": _enc_seq(ps),
+        "ts": _enc_seq(ts),
+        "rs": _enc_seq(rs),
+        "s": encode_inf(float(s)),
+    }
     return _report(inputs, r_side, s_side)
 
 
@@ -413,7 +402,7 @@ def ellt_report(ps, rs, q0, ts) -> dict:
     inputs = {
         "ps": _enc_seq(ps),
         "rs": _enc_seq(rs),
-        "q0": _enc(q0),
+        "q0": encode_inf(float(q0)),
         "ts": _enc_seq(ts),
     }
     return _report(inputs, r_side, s_side)

@@ -35,7 +35,7 @@ def minimal_container(lower, side, d, max_depth):
 
 
 # ---------------------------------------------------------------------------
-# naive averages and maximal function (d=1, shift-0 cubes)
+# naive averages (any lattice) and maximal function (d=1, shift-0 cubes)
 # ---------------------------------------------------------------------------
 
 def naive_average(values, r, level, m, depth):
@@ -62,6 +62,36 @@ def naive_scalar_maximal(fs, rs, cubes, depth):
                 prod *= naive_average(f, r, cube.level, cube.index[0], depth)
             out[i] = max(out[i], prod)
     return out
+
+
+def naive_shifted_average(values, r, cube, depth):
+    """<f>_{r,Q} for any shifted cube Q, cut down to [0,1)^d, d in {1, 2}.
+
+    Each finest cell enters with the exact Fraction measure of its overlap
+    with Q, taken per axis from Cube.support_exact; r = inf is the max over
+    the cells that meet Q in positive measure.  Trailing axes of ``values``
+    broadcast.
+    """
+    values = np.abs(np.asarray(values, dtype=float))
+    n = 2**depth
+    per_axis = []
+    for lo, hi in cube.support_exact():
+        per_axis.append([
+            max(Fraction(0), min(hi, Fraction(i + 1, n)) - max(lo, Fraction(i, n)))
+            for i in range(n)
+        ])
+    overlaps = {}
+    for cell in product(range(n), repeat=cube.d):
+        w = Fraction(1)
+        for axis, i in enumerate(cell):
+            w *= per_axis[axis][i]
+        if w > 0:
+            overlaps[cell] = w
+    if r == float("inf"):
+        return np.max([values[cell] for cell in overlaps], axis=0)
+    total = sum(overlaps.values())
+    acc = sum(float(w / total) * values[cell] ** r for cell, w in overlaps.items())
+    return acc ** (1.0 / r)
 
 
 # ---------------------------------------------------------------------------

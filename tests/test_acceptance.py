@@ -14,7 +14,7 @@ import numpy as np
 
 import conftest
 from oracles import theta_scan
-from sparsedom.dyadic import Cube, Grid, build_grid, cover_cube, grid_norm
+from sparsedom.dyadic import Cube, Grid, cover_cube, grid_norm
 from sparsedom.maximal import scalar_maximal
 from sparsedom.sparse import (
     SparseFamily,
@@ -64,7 +64,7 @@ def test_criterion_1_sparse_maximal_equivalence():
     # packing bound makes the ratio at least 1 exactly, and on this suite
     # it never reaches 8; the raw (unnormalized) ratio is reported too
     start = time.monotonic()
-    grid = build_grid(1, 2)
+    grid = Grid(1, 2)
     rng = np.random.default_rng(2024)
     eta, tol = 0.5, 1e-9
     min_ratio, max_ratio, min_greedy = INF, 0.0, INF
@@ -102,7 +102,7 @@ def test_criterion_2_cz_decomposition_bounds():
     rng = np.random.default_rng(7)
     violations = 0
     worst = 0.0
-    suites = [(build_grid(1, 3), 100), (build_grid(2, 2), 100)]
+    suites = [(Grid(1, 3), 100), (Grid(2, 2), 100)]
     for grid, count in suites:
         d = grid.d
         for i in range(count):
@@ -132,7 +132,7 @@ def test_criterion_2_cz_decomposition_bounds():
 
 def test_criterion_3_stopping_certificates():
     start = time.monotonic()
-    grid = build_grid(1, 2)
+    grid = Grid(1, 2)
     cases = [
         ("l1 single", (1.0,), (1.0,)),
         ("l2 single", (2.0,), (2.0,)),
@@ -252,7 +252,7 @@ def test_criterion_5_weighted_envelope():
 
 
 def test_criterion_6_vector_valued_transfer():
-    grid = build_grid(1, 2)
+    grid = Grid(1, 2)
     chain = _chain(3)
     models = [
         ("haar l2", HaarTransform.random(grid, seed=0), [2.0]),
@@ -294,7 +294,7 @@ def test_criterion_7_structural_exactness():
     rng = np.random.default_rng(5)
     iso_err = 0.0
     for depth in (1, 2, 3):
-        grid = build_grid(1, depth)
+        grid = Grid(1, depth)
         for trial in range(20):
             T = HaarTransform.random(grid, seed=trial)
             f = rng.normal(size=grid.cell_shape)

@@ -12,7 +12,7 @@ from sparsedom.cli import (
     parse_config_text,
     run,
 )
-from sparsedom.dyadic import build_grid, function_from_json, grid_norm
+from sparsedom.dyadic import Grid, function_from_json, grid_norm
 from sparsedom.maximal import scalar_maximal
 from sparsedom.sparse import family_from_json, optimal_sparse_form
 
@@ -81,6 +81,15 @@ class TestValidation:
     def test_s_must_exceed_q(self):
         with pytest.raises(ConfigError, match="need s > q"):
             run("transfer", {"q": 2.0, "s": 2.0})
+
+    def test_dim_rejects_booleans(self):
+        with pytest.raises(ConfigError, match="dim must be 1 or 2, got True"):
+            run("cz", {"dim": True})
+
+    def test_transfer_certificate_depth_cap_named(self):
+        # depth 6 plus the 4 extra levels eta = 1/256 needs in d=2 passes 9
+        with pytest.raises(ConfigError, match="certificate depth 10 exceeds the d=2"):
+            run("transfer", {"dim": 2, "depth": 6, "eta": 0.00390625})
 
 
 class TestReportShape:
@@ -180,7 +189,7 @@ class TestBatteries:
         assert not rep["passed"]
         # the embedded witness replays to the reported ratio exactly
         case = by_name["equivalence_ratio_at_most_eight"]["failing_case"]
-        grid = build_grid(1, 2)
+        grid = Grid(1, 2)
         fs = [function_from_json(json.dumps(p))[1] for p in case["fs"]]
         rs = [float(r) for r in case["rs"]]
         value, _ = optimal_sparse_form(fs, rs, grid, mode="exact", eta=eta)
@@ -189,6 +198,16 @@ class TestBatteries:
 
 
 class TestMainEntry:
+    def test_precondition_failures_exit_two_with_names(self, tmp_path, capsys):
+        argv = ["transfer", "--dim", "2", "--depth", "6", "--eta", "0.00390625"]
+        assert main(argv + ["--out", str(tmp_path)]) == 2
+        assert "certificate depth 10" in capsys.readouterr().err
+        cfg = tmp_path / "bool.cfg"
+        cfg.write_text("dim = true\n")
+        assert main(["cz", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "dim must be 1 or 2, got True" in capsys.readouterr().err
+        assert not list(tmp_path.glob("report_*.json"))
+
     def test_exponents_end_to_end(self, tmp_path, capsys):
         code = main(["exponents", "--out", str(tmp_path)])
         out = capsys.readouterr().out

@@ -13,7 +13,6 @@ from sparsedom.dyadic import (
     Cube,
     Grid,
     average,
-    build_grid,
     cover_cube,
     function_from_csv,
     function_from_json,
@@ -32,26 +31,26 @@ import oracles
 # ---------------------------------------------------------------------------
 
 def test_grid_counts():
-    assert build_grid(1, 0, 0).ncubes() == 1
-    assert build_grid(1, 2, 0).ncubes() == 7  # 1 + 2 + 4
-    assert build_grid(2, 1, 0).ncubes() == 5  # 1 + 4
+    assert Grid(1, 0, 0).ncubes() == 1
+    assert Grid(1, 2, 0).ncubes() == 7  # 1 + 2 + 4
+    assert Grid(2, 1, 0).ncubes() == 5  # 1 + 4
 
 
 def test_grid_validation():
     with pytest.raises(ValueError):
-        build_grid(3, 2, 0)
+        Grid(3, 2, 0)
     with pytest.raises(ValueError):
-        build_grid(1, 13, 0)
+        Grid(1, 13, 0)
     with pytest.raises(ValueError):
-        build_grid(2, 7, 0)
+        Grid(2, 7, 0)
     with pytest.raises(ValueError):
-        build_grid(1, 2, 3)
+        Grid(1, 2, 3)
     with pytest.raises(ValueError):
-        build_grid(2, 2, 9)
+        Grid(2, 2, 9)
 
 
 def test_cells_partition_unit_interval():
-    grid = build_grid(1, 3, 0)
+    grid = Grid(1, 3, 0)
     cells = grid.level_cubes(3)
     endpoints = sorted(c.support_exact()[0] for c in cells)
     assert endpoints[0][0] == 0
@@ -65,7 +64,7 @@ def test_cells_partition_unit_interval():
 def test_children_tile_parent_exactly(d, alpha_axis):
     # exact rational check that the 2^d index-children tile each parent
     alpha = alpha_axis * sum(3**i for i in range(d)) if alpha_axis else 0
-    grid = build_grid(d, 3 if d == 1 else 2, alpha)
+    grid = Grid(d, 3 if d == 1 else 2, alpha)
     for cube in grid.cubes():
         if cube.level == grid.depth:
             continue
@@ -158,14 +157,14 @@ def test_cover_matches_enumeration_oracle_small():
 # ---------------------------------------------------------------------------
 
 def test_average_constant():
-    grid = build_grid(1, 3, 0)
+    grid = Grid(1, 3, 0)
     f = np.full(grid.cell_shape, 2.5)
     for r in (0.5, 1, 2, math.inf):
         assert average(grid, f, r, grid.root) == pytest.approx(2.5)
 
 
 def test_average_half_indicator():
-    grid = build_grid(1, 1, 0)
+    grid = Grid(1, 1, 0)
     f = np.array([1.0, 0.0])
     assert average(grid, f, 1, grid.root) == pytest.approx(0.5, abs=1e-9)
     assert average(grid, f, 2, grid.root) == pytest.approx(0.5**0.5, abs=1e-9)
@@ -173,10 +172,10 @@ def test_average_half_indicator():
 
 
 def test_average_shifted_cube_against_direct_sum():
-    grid = build_grid(1, 4, 0)
+    grid = Grid(1, 4, 0)
     rng = np.random.default_rng(3)
     f = rng.random(grid.cell_shape)
-    shifted = build_grid(1, 4, 1)
+    shifted = Grid(1, 4, 1)
     for cube in shifted.level_cubes(2):
         lo, hi = cube.support()[0]
         clo, chi = max(lo, 0.0), min(hi, 1.0)
@@ -193,7 +192,7 @@ def test_average_shifted_cube_against_direct_sum():
 
 
 def test_average_empty_intersection_error():
-    grid = build_grid(1, 2, 0)
+    grid = Grid(1, 2, 0)
     f = np.ones(grid.cell_shape)
     # level-1 shifted cube [-1/6, 1/3+...) exists; build one fully outside
     outside = Cube(1, (2,), 1)  # [1 - 1/6, 1.5 - 1/6) except clipped
@@ -206,7 +205,7 @@ def test_average_empty_intersection_error():
 
 
 def test_average_bad_exponent():
-    grid = build_grid(1, 1, 0)
+    grid = Grid(1, 1, 0)
     f = np.ones(grid.cell_shape)
     with pytest.raises(ValueError):
         average(grid, f, 0, grid.root)
@@ -223,7 +222,7 @@ def test_average_bad_exponent():
 def test_average_monotone_in_r(vals, r1, r2):
     if r1 > r2:
         r1, r2 = r2, r1
-    grid = build_grid(1, 3, 0)
+    grid = Grid(1, 3, 0)
     f = np.array(vals)
     for cube in grid.cubes():
         a1 = average(grid, f, r1, cube)
@@ -238,7 +237,7 @@ def test_average_monotone_in_r(vals, r1, r2):
 )
 def test_average_nesting_identity(vals, r):
     # average(f 1_Q, r, P)^r |P| == average(f, r, Q)^r |Q| for Q inside P
-    grid = build_grid(1, 3, 0)
+    grid = Grid(1, 3, 0)
     f = np.array(vals)
     P = grid.root
     for Q in grid.cubes():
@@ -251,7 +250,7 @@ def test_average_nesting_identity(vals, r):
 
 
 def test_level_averages_match_per_cube():
-    grid = build_grid(2, 3, 0)
+    grid = Grid(2, 3, 0)
     rng = np.random.default_rng(11)
     f = rng.random(grid.cell_shape)
     for r in (0.5, 1.0, 2.0, math.inf):
@@ -262,8 +261,71 @@ def test_level_averages_match_per_cube():
             )
 
 
+_NONNEGLIGIBLE = st.one_of(st.just(0.0), st.floats(1e-3, 8.0), st.floats(-8.0, -1e-3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_level_averages_match_exact_overlap_oracle(data):
+    # every cube of every one-third-shifted lattice, entries in the row-major
+    # order of Grid.level_cubes
+    d = data.draw(st.sampled_from([1, 2]), label="d")
+    depth = 3 if d == 1 else 2
+    atoms = data.draw(st.sampled_from([(), (2,)]), label="atoms")
+    r = data.draw(st.sampled_from([0.5, 1.0, 2.0, math.inf]), label="r")
+    shape = (1 << depth,) * d + atoms
+    size = int(np.prod(shape))
+    vals = data.draw(st.lists(_NONNEGLIGIBLE, min_size=size, max_size=size))
+    f = np.reshape(vals, shape)
+    for alpha in range(3**d):
+        lattice = Grid(d, depth, alpha)
+        lv = level_averages(lattice, f, r)
+        for k in range(depth + 1):
+            got = lv[k].reshape((-1,) + atoms)
+            cubes = lattice.level_cubes(k)
+            assert len(got) == len(cubes)
+            for cube, value in zip(cubes, got):
+                want = oracles.naive_shifted_average(f, r, cube, depth)
+                np.testing.assert_allclose(value, want, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("d, depth, atoms", [(1, 6, ()), (1, 6, (3,)), (2, 4, ()), (2, 4, (2, 2))])
+def test_level_averages_shift_zero_is_a_plain_block_mean(d, depth, atoms):
+    grid = Grid(d, depth)
+    f = np.random.default_rng(7).lognormal(size=grid.cell_shape + atoms)
+    n = 1 << depth
+    for r in (0.5, 1.0, 2.0, math.inf):
+        lv = level_averages(grid, f, r)
+        for k in range(depth + 1):
+            b = 1 << (depth - k)
+            blocks = np.abs(f).reshape((n // b, b) * d + atoms)
+            axes = (1,) if d == 1 else (1, 3)
+            if math.isinf(r):
+                want = blocks.max(axis=axes)
+            else:
+                want = np.mean(blocks**r, axis=axes) ** (1.0 / r)
+            assert np.array_equal(lv[k], want)
+
+
+def test_average_rejects_cube_outside_its_lattice():
+    grid = Grid(1, 2)
+    f = np.arange(4.0)
+    # negative or too large indices must not wrap around into the arrays
+    for cube in (
+        Cube(1, (-1,)),
+        Cube(1, (2,)),
+        Cube(1, (3,), 1),
+        Cube(2, (-2,), 2),
+        Cube(3, (0,)),
+    ):
+        with pytest.raises(ValueError):
+            average(grid, f, 1.0, cube)
+    with pytest.raises(ValueError):
+        average(Grid(2, 1), np.ones((2, 2)), 2.0, Cube(1, (0, -1)))
+
+
 def test_level_averages_trailing_axes():
-    grid = build_grid(1, 2, 0)
+    grid = Grid(1, 2, 0)
     rng = np.random.default_rng(5)
     F = rng.random(grid.cell_shape + (3,))
     byk = level_averages(grid, F, 2.0)
@@ -274,7 +336,7 @@ def test_level_averages_trailing_axes():
 
 
 def test_grid_norm_basics():
-    grid = build_grid(1, 2, 0)
+    grid = Grid(1, 2, 0)
     assert grid_norm(grid, np.ones(grid.cell_shape), 1) == pytest.approx(1.0)
     f = np.array([4.0, 0.0, 0.0, 0.0])
     assert grid_norm(grid, f, 1) == pytest.approx(1.0)
@@ -289,7 +351,7 @@ def test_grid_norm_basics():
 # ---------------------------------------------------------------------------
 
 def test_json_round_trip_exact():
-    grid = build_grid(2, 2, 0)
+    grid = Grid(2, 2, 0)
     rng = np.random.default_rng(13)
     f = rng.random(grid.cell_shape)
     text = function_to_json(grid, f)
@@ -301,7 +363,7 @@ def test_json_round_trip_exact():
 
 
 def test_csv_round_trip_exact(tmp_path):
-    grid = build_grid(1, 4, 0)
+    grid = Grid(1, 4, 0)
     rng = np.random.default_rng(17)
     f = rng.random(grid.cell_shape)
     path = tmp_path / "f.csv"

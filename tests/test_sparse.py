@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sparsedom.dyadic import Cube, build_grid, grid_norm
+from sparsedom.dyadic import Cube, Grid, grid_norm
 from sparsedom.maximal import scalar_maximal
 from sparsedom.spaces import AtomicMeasure, LebesgueSpace
 from sparsedom.sparse import (
@@ -36,7 +36,7 @@ TREE1 = [ROOT, LEFT, RIGHT]
 
 
 def full_tree(d, depth):
-    g = build_grid(d, depth)
+    g = Grid(d, depth)
     return list(g.cubes())
 
 
@@ -157,43 +157,43 @@ class TestPackingEquivalence:
 
 class TestSparseForm:
     def test_single_cube_all_ones(self):
-        g = build_grid(1, 2)
+        g = Grid(1, 2)
         ones = np.ones(4)
         for q in (0.5, 1.0, 2.0):
             val = sparse_form([ROOT], g, [ones], [1.0], g=ones, q=q)
             assert val == pytest.approx(1.0)
 
     def test_level1_tree_measure_sum(self):
-        g = build_grid(1, 1)
+        g = Grid(1, 1)
         ones = np.ones(2)
         assert sparse_form(TREE1, g, [ones], [1.0], q=1.0) == pytest.approx(2.0)
 
     def test_chain_family_hand_value(self):
-        g = build_grid(1, 2)
+        g = Grid(1, 2)
         f = np.array([4.0, 0.0, 0.0, 0.0])
         S = [Cube(2, (0,), 0), LEFT, ROOT]
         assert sparse_form(S, g, [f], [1.0]) == pytest.approx(3.0)
 
     def test_qth_root_reporting(self):
-        g = build_grid(1, 1)
+        g = Grid(1, 1)
         ones = np.ones(2)
         c = 3.7
         val = sparse_form([ROOT], g, [ones], [1.0], g=c * ones, q=2.0)
         assert val == pytest.approx(c)
 
     def test_sigma_override(self):
-        g = build_grid(1, 1)
+        g = Grid(1, 1)
         gfun = np.array([1.0, 3.0])
         v1 = sparse_form([ROOT], g, [np.ones(2)], [1.0], g=gfun, sigma=2.0)
         assert v1 == pytest.approx(np.sqrt(5.0))
 
     def test_accepts_family_object(self):
         fam = verify_sparse(TREE1, 0.5)
-        g = build_grid(1, 1)
+        g = Grid(1, 1)
         assert sparse_form(fam, g, [np.ones(2)], [1.0]) == pytest.approx(2.0)
 
     def test_bad_exponent(self):
-        g = build_grid(1, 1)
+        g = Grid(1, 1)
         with pytest.raises(ValueError):
             sparse_form([ROOT], g, [np.ones(2)], [1.0], q=0.0)
 
@@ -218,21 +218,21 @@ def oracle_best(fs, rs, grid, eta):
 
 class TestOptimalExact:
     def test_single_cube_grid(self):
-        g = build_grid(1, 0)
+        g = Grid(1, 0)
         val, fam = optimal_sparse_form([np.array([3.0])], [1.0], g)
         assert fam.cubes == [ROOT]
         assert val == pytest.approx(3.0)
 
     def test_constant_one_attains_two(self):
         for depth in (1, 2):
-            g = build_grid(1, depth)
+            g = Grid(1, depth)
             val, fam = optimal_sparse_form([np.ones(2**depth)], [1.0], g)
             assert val == pytest.approx(2.0)
             assert isinstance(fam, SparseFamily)
             assert fam.check_certificate()
 
     def test_quarter_bump_hand_value(self):
-        g = build_grid(1, 2)
+        g = Grid(1, 2)
         f = np.array([4.0, 0.0, 0.0, 0.0])
         val, fam = optimal_sparse_form([f], [1.0], g)
         assert val == pytest.approx(3.0)
@@ -240,7 +240,7 @@ class TestOptimalExact:
 
     @pytest.mark.parametrize("rs", [(1.0,), (1.0, 1.0), (2.0, 1.0)])
     def test_matches_exhaustive_oracle(self, rs):
-        g = build_grid(1, 2)
+        g = Grid(1, 2)
         rng = np.random.default_rng(hash(rs) % 2**32)
         for _ in range(6):
             fs = [rng.uniform(0.0, 2.0, size=4) for _ in rs]
@@ -252,7 +252,7 @@ class TestOptimalExact:
             )
 
     def test_d2_matches_oracle(self):
-        g = build_grid(2, 1)
+        g = Grid(2, 1)
         rng = np.random.default_rng(5)
         fs = [rng.uniform(0.0, 2.0, size=(2, 2))]
         val, fam = optimal_sparse_form(fs, [1.0], g)
@@ -260,17 +260,17 @@ class TestOptimalExact:
         assert val == pytest.approx(best, rel=1e-12)
 
     def test_size_cap(self):
-        g = build_grid(1, 4)
+        g = Grid(1, 4)
         with pytest.raises(ValueError, match="cap"):
             optimal_sparse_form([np.ones(16)], [1.0], g, mode="exact")
 
     def test_zero_function(self):
-        g = build_grid(1, 1)
+        g = Grid(1, 1)
         val, fam = optimal_sparse_form([np.zeros(2)], [1.0], g)
         assert val == 0.0
 
     def test_unknown_mode(self):
-        g = build_grid(1, 1)
+        g = Grid(1, 1)
         with pytest.raises(ValueError, match="mode"):
             optimal_sparse_form([np.ones(2)], [1.0], g, mode="best")
 
@@ -279,7 +279,7 @@ class TestGreedy:
     def test_realizes_half_the_maximal_norm(self):
         rng = np.random.default_rng(17)
         for rs in [(1.0,), (1.0, 1.0), (2.0, 1.0)]:
-            g = build_grid(1, 4)
+            g = Grid(1, 4)
             fs = [rng.uniform(0.0, 3.0, size=16) for _ in rs]
             val, fam = optimal_sparse_form(fs, list(rs), g, mode="greedy")
             mnorm = grid_norm(g, scalar_maximal(g, fs, list(rs)), 1.0)
@@ -291,7 +291,7 @@ class TestGreedy:
 
     def test_within_quarter_of_exact(self):
         rng = np.random.default_rng(23)
-        g = build_grid(1, 2)
+        g = Grid(1, 2)
         for rs in [(1.0,), (1.0, 1.0), (2.0, 1.0)]:
             for _ in range(5):
                 fs = [rng.uniform(0.0, 2.0, size=4) for _ in rs]
@@ -300,7 +300,7 @@ class TestGreedy:
                 assert gval >= 0.25 * eval_ - 1e-12
 
     def test_greedy_eta_values(self):
-        g = build_grid(1, 2)
+        g = Grid(1, 2)
         cases = {(1.0,): 0.5, (1.0, 1.0): 0.25, (2.0, 1.0): 0.3125}
         for rs, eta in cases.items():
             fs = [np.ones(4) for _ in rs]
@@ -308,7 +308,7 @@ class TestGreedy:
             assert fam.eta == eta
 
     def test_root_always_selected(self):
-        g = build_grid(1, 2)
+        g = Grid(1, 2)
         _, fam = optimal_sparse_form([np.zeros(4)], [1.0], g, mode="greedy")
         assert ROOT in fam.cubes
 
@@ -320,7 +320,7 @@ class TestGreedy:
 
 class TestCZ:
     def test_huge_threshold_trivial(self):
-        g = build_grid(1, 2)
+        g = Grid(1, 2)
         f = np.array([4.0, 0.0, 0.0, 0.0])
         parts = cz_decompose(g, [f], [1.0], lam=100.0)
         assert parts.stopping_cubes == [[]]
@@ -330,7 +330,7 @@ class TestCZ:
     def test_quarter_bump_root_selected_at_half(self):
         # at lam = 1/2 the root average 1 exceeds the threshold, so the
         # maximal selected cube is the root and g freezes the root average
-        g = build_grid(1, 2)
+        g = Grid(1, 2)
         f = np.array([4.0, 0.0, 0.0, 0.0])
         parts = cz_decompose(g, [f], [1.0], lam=0.5)
         assert parts.stopping_cubes == [[ROOT]]
@@ -341,7 +341,7 @@ class TestCZ:
         # lam far below the root average: the zero-extension ancestor two
         # levels up still averages 0.25 > 0.2 while its parent drops to
         # 0.125, so the frozen value is 0.25 and the doubling bound holds
-        g = build_grid(1, 2)
+        g = Grid(1, 2)
         f = np.array([4.0, 0.0, 0.0, 0.0])
         parts = cz_decompose(g, [f], [1.0], lam=0.2)
         assert parts.stopping_cubes == [[ROOT]]
@@ -349,7 +349,7 @@ class TestCZ:
         assert np.max(np.abs(parts.averaged[0])) <= 2.0 * 0.2 + 1e-12
 
     def test_quarter_bump_halfcube_selected_above_one(self):
-        g = build_grid(1, 2)
+        g = Grid(1, 2)
         f = np.array([4.0, 0.0, 0.0, 0.0])
         parts = cz_decompose(g, [f], [1.0], lam=1.2)
         assert parts.stopping_cubes == [[LEFT]]
@@ -360,7 +360,7 @@ class TestCZ:
 
     def test_norm_preserved(self):
         rng = np.random.default_rng(31)
-        g = build_grid(1, 3)
+        g = Grid(1, 3)
         for rs in [(1.0,), (1.0, 2.0)]:
             fs = [rng.uniform(0.1, 3.0, size=8) for _ in rs]
             parts = cz_decompose(g, fs, list(rs), lam=1.0)
@@ -371,7 +371,7 @@ class TestCZ:
     def test_proof_estimates(self, d, m):
         rng = np.random.default_rng(10 * d + m)
         depth = 3 if d == 1 else 2
-        g = build_grid(d, depth)
+        g = Grid(d, depth)
         shape = g.cell_shape
         rs = [1.0, 2.0][:m]
         r = 1.0 / sum(1.0 / rj for rj in rs)
@@ -391,7 +391,7 @@ class TestCZ:
 
     def test_bad_supported_on_level_sets(self):
         rng = np.random.default_rng(41)
-        g = build_grid(1, 3)
+        g = Grid(1, 3)
         fs = [rng.uniform(0.0, 4.0, size=8) for _ in range(2)]
         parts = cz_decompose(g, fs, [1.0, 1.0], lam=1.3)
         union = parts.level_sets[0] | parts.level_sets[1]
@@ -399,7 +399,7 @@ class TestCZ:
 
     def test_splitting_identity(self):
         rng = np.random.default_rng(43)
-        g = build_grid(1, 3)
+        g = Grid(1, 3)
         fs = [rng.uniform(0.0, 4.0, size=8) for _ in range(2)]
         parts = cz_decompose(g, fs, [1.0, 1.0], lam=1.1)
         fn = [f / grid_norm(g, f, 1.0) for f in fs]
@@ -408,13 +408,13 @@ class TestCZ:
         )
 
     def test_supplied_norms_respected(self):
-        g = build_grid(1, 2)
+        g = Grid(1, 2)
         f = np.array([4.0, 0.0, 0.0, 0.0])
         parts = cz_decompose(g, [f], [1.0], lam=0.5, norms=[2.0])
         np.testing.assert_allclose(parts.good[0] + parts.bad, f / 2.0)
 
     def test_domain_errors(self):
-        g = build_grid(1, 1)
+        g = Grid(1, 1)
         with pytest.raises(ValueError):
             cz_decompose(g, [np.ones(2)], [1.0], lam=0.0)
         with pytest.raises(ValueError):
@@ -435,7 +435,7 @@ def vec(cells, atom_values):
 
 class TestStopping:
     def test_constant_input_selects_root_only(self):
-        g = build_grid(1, 2)
+        g = Grid(1, 2)
         X = [LebesgueSpace(4.0, AtomicMeasure.unit(2)), LebesgueSpace(4 / 3, AtomicMeasure.unit(2))]
         Fs = [vec((4,), [1.0, 2.0]), vec((4,), [3.0, 1.0])]
         cert = stopping_domination(g, Fs, [1.0, 1.0], 1.0, X)
@@ -446,7 +446,7 @@ class TestStopping:
         assert all(v <= 1 + 1e-12 for v in cert.ratios.values())
 
     def test_scalar_principal_tree(self):
-        g = build_grid(1, 2)
+        g = Grid(1, 2)
         f = np.array([4.0, 0.0, 0.0, 0.0])[:, None]
         cert = stopping_domination(g, [f], [1.0], 1.0, [LebesgueSpace(1.0, AtomicMeasure.unit(1))])
         assert set(cert.family.cubes) == {ROOT, LEFT, Cube(2, (0,), 0)}
@@ -456,7 +456,7 @@ class TestStopping:
     def test_doubling_triggered_by_wide_plateau(self):
         # three quarters at a common height force children of total measure
         # 3/4 at the initial constant, so one doubling is required
-        g = build_grid(1, 2)
+        g = Grid(1, 2)
         f = np.array([1.9, 1.9, 1.9, 0.0])[:, None]
         cert = stopping_domination(g, [f], [1.0], 1.0, [LebesgueSpace(1.0, AtomicMeasure.unit(1))])
         assert cert.doublings == 1
@@ -469,7 +469,7 @@ class TestStopping:
         for n in (2, 8):
             mu = AtomicMeasure.unit(n)
             X = [LebesgueSpace(4.0, mu), LebesgueSpace(4 / 3, mu)]
-            g = build_grid(1, 3)
+            g = Grid(1, 3)
             Fs = [rng.uniform(0.0, 3.0, size=(8, n)) for _ in range(2)]
             cert = stopping_domination(g, Fs, [1.0, 1.0], 1.0, X)
             assert cert.pointwise_ok
@@ -479,20 +479,20 @@ class TestStopping:
     def test_q_convex_aggregation(self):
         rng = np.random.default_rng(59)
         X = [LebesgueSpace(4.0, AtomicMeasure.unit(4)), LebesgueSpace(4.0, AtomicMeasure.unit(4))]
-        g = build_grid(1, 3)
+        g = Grid(1, 3)
         Fs = [rng.uniform(0.0, 3.0, size=(8, 4)) for _ in range(2)]
         cert = stopping_domination(g, Fs, [1.0, 1.0], 2.0, X)
         assert cert.pointwise_ok
 
     def test_convexity_validation(self):
-        g = build_grid(1, 1)
+        g = Grid(1, 1)
         with pytest.raises(ValueError, match="convex"):
             stopping_domination(
                 g, [np.ones((2, 1))], [1.0], 1.0, [LebesgueSpace(0.5, AtomicMeasure.unit(1))]
             )
 
     def test_alignment_validation(self):
-        g = build_grid(1, 1)
+        g = Grid(1, 1)
         with pytest.raises(ValueError, match="align"):
             stopping_domination(g, [np.ones((2, 1))], [1.0, 1.0], 1.0,
                                 [LebesgueSpace(1.0, AtomicMeasure.unit(1))])
@@ -500,7 +500,7 @@ class TestStopping:
 
 class TestFormBound:
     def test_single_cube_all_ones(self):
-        g = build_grid(1, 1)
+        g = Grid(1, 1)
         ones = np.ones(2)
         T = np.ones(2)
         assert form_bound_from_pointwise(g, T, [ones], ones, [1.0], 1.0) <= 1 + 1e-12
@@ -508,7 +508,7 @@ class TestFormBound:
     @pytest.mark.parametrize("q", [1.0, 0.5])
     def test_tree_operator_bounded_by_hypothesis_constant(self, q):
         rng = np.random.default_rng(61)
-        g = build_grid(1, 2)
+        g = Grid(1, 2)
         for _ in range(10):
             fs = [rng.uniform(0.1, 2.0, size=4)]
             gg = rng.uniform(0.1, 2.0, size=4)
@@ -521,7 +521,7 @@ class TestFormBound:
             assert ratio <= 0.5 ** (-1.0 / min(q, 1.0)) + 1e-9
 
     def test_zero_cases(self):
-        g = build_grid(1, 1)
+        g = Grid(1, 1)
         z = np.zeros(2)
         assert form_bound_from_pointwise(g, z, [z], z, [1.0], 1.0) == 0.0
         with pytest.raises(ValueError):

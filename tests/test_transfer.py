@@ -23,7 +23,6 @@ from sparsedom.transfer import (
     _ellq_collapse,
     _norming_field,
     admissible_tuple,
-    apply_model,
     dual_power_space,
     haar_unconditionality_probe,
     lebesgue_layers,
@@ -52,7 +51,7 @@ def slice_apply(T, grid, Fs):
     out = np.zeros(grid.cell_shape + atom_shape)
     for idx in np.ndindex(*atom_shape):
         sl = (Ellipsis,) + idx
-        out[sl] = apply_model(T, grid, [F[sl] for F in Fs])
+        out[sl] = T.apply(grid, [F[sl] for F in Fs])
     return out
 
 
@@ -65,14 +64,14 @@ class TestSparseOperator:
     def test_root_only_fixes_constants(self):
         grid = Grid(1, 2)
         T = SparseOperator([Cube(0, (0,))], rs=(1.0,))
-        assert np.array_equal(apply_model(T, grid, [np.ones(4)]), np.ones(4))
+        assert np.array_equal(T.apply(grid, [np.ones(4)]), np.ones(4))
 
     def test_depth_one_tree_pinned(self):
         grid = Grid(1, 1)
         T = SparseOperator(
             [Cube(0, (0,)), Cube(1, (0,)), Cube(1, (1,))], rs=(1.0,)
         )
-        out = apply_model(T, grid, [np.array([1.0, 0.0])])
+        out = T.apply(grid, [np.array([1.0, 0.0])])
         assert np.allclose(out, [1.5, 0.5], atol=1e-15)
 
     def test_matches_cell_loop(self):
@@ -90,15 +89,15 @@ class TestSparseOperator:
             for f, r in zip(fs, rs):
                 val *= float(np.mean(f[sl] ** r) ** (1.0 / r))
             expected[sl] += val
-        assert np.allclose(apply_model(T, grid, fs), expected, rtol=1e-12)
+        assert np.allclose(T.apply(grid, fs), expected, rtol=1e-12)
 
     def test_scaling_in_each_slot(self):
         grid = Grid(1, 2)
         rng = np.random.default_rng(5)
         fs = [rng.lognormal(size=4), rng.lognormal(size=4)]
         T = SparseOperator(chain_family(3), rs=(1.0, 3.0))
-        base = apply_model(T, grid, fs)
-        scaled = apply_model(T, grid, [2.5 * fs[0], fs[1]])
+        base = T.apply(grid, fs)
+        scaled = T.apply(grid, [2.5 * fs[0], fs[1]])
         assert np.allclose(scaled, 2.5 * base, rtol=1e-12)
 
     def test_additive_in_the_family(self):
@@ -107,17 +106,17 @@ class TestSparseOperator:
         f = rng.lognormal(size=4)
         a = [Cube(0, (0,)), Cube(2, (3,))]
         b = [Cube(1, (0,))]
-        whole = apply_model(SparseOperator(a + b, rs=(1.0,)), grid, [f])
-        parts = apply_model(SparseOperator(a, rs=(1.0,)), grid, [f]) + apply_model(
-            SparseOperator(b, rs=(1.0,)), grid, [f]
-        )
+        whole = SparseOperator(a + b, rs=(1.0,)).apply(grid, [f])
+        parts = SparseOperator(a, rs=(1.0,)).apply(grid, [f]) + SparseOperator(
+            b, rs=(1.0,)
+        ).apply(grid, [f])
         assert np.allclose(whole, parts, rtol=1e-13)
 
     def test_arity_and_exponent_errors(self):
         grid = Grid(1, 1)
         T = SparseOperator([Cube(0, (0,))], rs=(1.0, 1.0))
         with pytest.raises(ValueError, match="takes 2 functions"):
-            apply_model(T, grid, [np.ones(2)])
+            T.apply(grid, [np.ones(2)])
         with pytest.raises(ValueError, match="positive"):
             SparseOperator([Cube(0, (0,))], rs=(0.0,))
 
@@ -140,25 +139,25 @@ class TestHaarTransform:
     def test_all_plus_is_identity(self):
         grid = Grid(1, 3)
         f = np.random.default_rng(0).normal(size=8)
-        out = apply_model(HaarTransform(), grid, [f])
+        out = HaarTransform().apply(grid, [f])
         assert np.allclose(out, f, atol=1e-14)
 
     def test_all_plus_is_identity_d2(self):
         grid = Grid(2, 2)
         f = np.random.default_rng(1).normal(size=(4, 4))
-        out = apply_model(HaarTransform(), grid, [f])
+        out = HaarTransform().apply(grid, [f])
         assert np.allclose(out, f, atol=1e-14)
 
     def test_root_flip_pinned(self):
         grid = Grid(1, 1)
         T = HaarTransform({Cube(0, (0,)): -1.0})
-        out = apply_model(T, grid, [np.array([1.0, 0.0])])
+        out = T.apply(grid, [np.array([1.0, 0.0])])
         assert np.allclose(out, [0.0, 1.0], atol=1e-15)
 
     def test_mean_is_preserved(self):
         grid = Grid(1, 3)
         f = np.random.default_rng(2).normal(size=8)
-        out = apply_model(HaarTransform.random(grid, seed=9), grid, [f])
+        out = HaarTransform.random(grid, seed=9).apply(grid, [f])
         assert abs(out.mean() - f.mean()) < 1e-13
 
     @settings(max_examples=25, deadline=None)
@@ -167,13 +166,13 @@ class TestHaarTransform:
         grid = Grid(1, 3)
         T = HaarTransform.random(grid, seed=sign_seed)
         f = np.random.default_rng(f_seed).normal(size=8)
-        out = apply_model(T, grid, [f])
+        out = T.apply(grid, [f])
         assert abs(grid_norm(grid, out, 2) - grid_norm(grid, f, 2)) < 1e-12
 
     def test_isometry_d2(self):
         grid = Grid(2, 2)
         f = np.random.default_rng(4).normal(size=(4, 4))
-        out = apply_model(HaarTransform.random(grid, seed=7), grid, [f])
+        out = HaarTransform.random(grid, seed=7).apply(grid, [f])
         assert abs(grid_norm(grid, out, 2) - grid_norm(grid, f, 2)) < 1e-12
 
     def test_random_signs_deterministic(self):
@@ -185,7 +184,7 @@ class TestHaarTransform:
     def test_two_inputs_unsupported(self):
         grid = Grid(1, 1)
         with pytest.raises(ValueError, match="m = 1"):
-            apply_model(HaarTransform(), grid, [np.ones(2), np.ones(2)])
+            HaarTransform().apply(grid, [np.ones(2), np.ones(2)])
 
     def test_sign_validation(self):
         with pytest.raises(ValueError, match=r"\+1 or -1"):
@@ -195,10 +194,10 @@ class TestHaarTransform:
         grid = Grid(1, 2)
         deep = HaarTransform({Cube(2, (0,)): -1.0})
         with pytest.raises(ValueError, match="no children"):
-            apply_model(deep, grid, [np.ones(4)])
+            deep.apply(grid, [np.ones(4)])
         outside = HaarTransform({Cube(1, (2,)): -1.0})
         with pytest.raises(ValueError, match="outside"):
-            apply_model(outside, grid, [np.ones(4)])
+            outside.apply(grid, [np.ones(4)])
 
 
 # ---------------------------------------------------------------------------
@@ -234,8 +233,8 @@ class TestTensorExtend:
         f1, f2 = rng.lognormal(size=4), rng.lognormal(size=4)
         for T in (SparseOperator(chain_family(3), rs=(1.0,)), HaarTransform.random(grid, 3)):
             out = tensor_extend(T, grid, [np.stack([f1, f2], axis=-1)])
-            assert np.allclose(out[:, 0], apply_model(T, grid, [f1]), atol=1e-13)
-            assert np.allclose(out[:, 1], apply_model(T, grid, [f2]), atol=1e-13)
+            assert np.allclose(out[:, 0], T.apply(grid, [f1]), atol=1e-13)
+            assert np.allclose(out[:, 1], T.apply(grid, [f2]), atol=1e-13)
 
     def test_needs_an_atom_axis(self):
         grid = Grid(1, 2)
@@ -500,7 +499,7 @@ class TestTransferSides:
         direction[1] = 1.0
         spaces = space_tuple([2.5], 3)
         lhs, rhs = transfer_sides(T, grid, [np.multiply.outer(f, direction)], g, spaces, 1.0, INF)
-        num = grid_norm(grid, apply_model(T, grid, [f]) * g, 1.0)
+        num = grid_norm(grid, T.apply(grid, [f]) * g, 1.0)
         den = grid_norm(grid, scalar_maximal(grid, [f, g], [1.0, 1.0]), 1.0)
         assert np.isclose(lhs, num, rtol=1e-12) and np.isclose(rhs, den, rtol=1e-12)
 

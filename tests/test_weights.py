@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sparsedom.dyadic import Grid, build_grid, grid_norm, shifted_grids
+from sparsedom.dyadic import Grid, grid_norm, shifted_grids
 from sparsedom.maximal import scalar_maximal
 from sparsedom.weights import (
     ExponentTuple,
