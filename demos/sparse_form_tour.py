@@ -40,7 +40,7 @@ print(f"\nexact optimal form {exact_val:.4f} over {len(family.cubes)} cubes")
 print(f"greedy (principal cubes) form {greedy_val:.4f}, "
       f"fraction of optimum {greedy_val / exact_val:.3f}")
 
-# each winner carries a flow-verified certificate of disjoint witness sets
+# each winner carries a verified certificate of disjoint witness sets
 print("certificate checks out:", family.check_certificate())
 
 # the equivalence: the maximal integral sits inside [eta*form, form*(L+1)],

@@ -633,12 +633,9 @@ def main(argv: list[str] | None = None) -> int:
         if value is not None:
             config[key] = value
 
-    out_dir = Path(
-        args.out
-        or config.pop("out", None)
-        or os.environ.get(OUT_ENV)
-        or "sparsedom_reports"
-    )
+    # the output path never enters the report's config
+    config_out = config.pop("out", None)
+    out_dir = Path(args.out or config_out or os.environ.get(OUT_ENV) or "sparsedom_reports")
 
     try:
         report = run(args.command, config)

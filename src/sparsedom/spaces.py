@@ -196,6 +196,17 @@ class LorentzSpace(Space):
         return f"LorentzSpace(t={self.t}, u={self.u}, n={self.measure.n})"
 
 
+_BRACKET_CAP = 100
+
+
+def _check_bracket(open_rows: np.ndarray) -> None:
+    if open_rows.any():
+        raise ValueError(
+            f"Luxemburg norm not bracketed within {_BRACKET_CAP} doublings; "
+            "Phi grows too slowly for this vector"
+        )
+
+
 class OrliczSpace(Space):
     """Luxemburg norm for a tabulated monotone Young function.
 
@@ -282,22 +293,29 @@ class OrliczSpace(Space):
         if sub.size:
             # bracket the unit level set by doubling outward from the sup
             hi = sub.max(axis=1).copy()
-            for _ in range(100):
+            for _ in range(_BRACKET_CAP):
                 mask = excess(hi, sub) > 0
                 if not mask.any():
                     break
                 hi[mask] *= 2.0
+            else:
+                _check_bracket(excess(hi, sub) > 0)
             lo = sub.max(axis=1).copy()
-            for _ in range(100):
+            for _ in range(_BRACKET_CAP):
                 mask = excess(lo, sub) <= 0
                 if not mask.any():
                     break
                 lo[mask] *= 0.5
+            else:
+                _check_bracket(excess(lo, sub) <= 0)
             for _ in range(120):
                 mid = np.sqrt(lo * hi)
                 high = excess(mid, sub) > 0
-                lo = np.where(high, mid, lo)
-                hi = np.where(high, hi, mid)
+                new_lo = np.where(high, mid, lo)
+                new_hi = np.where(high, hi, mid)
+                if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
+                    break  # a fixed point: further steps repeat it
+                lo, hi = new_lo, new_hi
             out[active] = hi
         return _as_scalar(out.reshape(lead))
 
@@ -654,6 +672,7 @@ def _space_payload(space: Space) -> dict:
                 "inner": _space_payload(space.inner),
             },
             "atoms": space.outer.measure.weights.tolist(),
+            "convexity": space.convexity,
         }
     if isinstance(space, ConcavifiedSpace):
         return {
@@ -665,6 +684,7 @@ def _space_payload(space: Space) -> dict:
         "kind": space.kind,
         "parameters": space.params(),
         "atoms": space.measure.weights.tolist(),
+        "convexity": space.convexity,
     }
 
 
@@ -676,15 +696,17 @@ def _space_from_payload(obj: dict) -> Space:
     kind = obj["kind"]
     measure = AtomicMeasure(obj["atoms"])
     params = obj["parameters"]
+    # a concavified space derives its convexity from its base
+    conv = obj.get("convexity")
     if kind == "lebesgue":
-        return LebesgueSpace(params["t"], measure)
+        return LebesgueSpace(params["t"], measure, conv)
     if kind == "lorentz":
-        return LorentzSpace(params["t"], params["u"], measure)
+        return LorentzSpace(params["t"], params["u"], measure, conv)
     if kind == "orlicz":
-        return OrliczSpace(np.asarray(params["table"]), measure)
+        return OrliczSpace(np.asarray(params["table"]), measure, conv)
     if kind == "iterated":
         return IteratedSpace(
-            _space_from_payload(params["outer"]), _space_from_payload(params["inner"])
+            _space_from_payload(params["outer"]), _space_from_payload(params["inner"]), conv
         )
     if kind == "concavified":
         return ConcavifiedSpace(_space_from_payload(params["base"]), params["p"])

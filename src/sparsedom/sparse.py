@@ -1,10 +1,11 @@
 """Sparse families: exact verification, forms, optimization, CZ, stopping.
 
-Sparseness of a cube family is decided exactly as a transversal problem:
-disjoint subsets E_Q with |E_Q| >= eta |Q| exist iff the bipartite flow
-between cubes (demand eta |Q| in finest-cell units) and cells (capacity one
-cell each) saturates all demands.  Infeasibility comes with a Hall-violator
-refutation extracted from the min cut.
+Sparseness of a cube family is decided exactly by one bottom-up pass over
+the dyadic tree.  On one lattice, disjoint subsets E_Q with |E_Q| >= eta |Q|
+exist iff every family cube P packs: eta * sum_{Q subseteq P} |Q| <= |P|
+(the Carleson condition with constant 1/eta).  Deepest cubes first, each
+cube takes eta |Q| free finest cells of its own; a cube that finds too few
+refutes sparseness with itself and its family descendants as Hall violator.
 
 The optimizers target the sparse form sum_Q prod_j <f_j>_{r_j,Q} |Q|: an
 exhaustive branch-and-bound for small grids (the ground-truth oracle) and
@@ -21,8 +22,6 @@ from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import maximum_flow
 
 from .dyadic import Cube, Grid, cube_averages, grid_norm, level_averages, level_products
 from .maximal import lattice_maximal, scalar_maximal
@@ -147,6 +146,12 @@ def verify_sparse(cubes: Sequence[Cube], eta: float = 0.5):
     The demand eta |Q| must be an integer number of cells at the working
     depth, which is refined automatically for dyadic eta; other eta values
     cannot be resolved on any dyadic refinement and raise.
+
+    Certificate rule: cubes are visited deepest level first (input order
+    within a level), and each takes the eta |Q| lowest-indexed finest cells
+    of its block that no earlier cube took.  The first cube P that finds
+    fewer free cells than its demand is refuted together with its family
+    descendants: their demand exceeds |P|, which contains all their cells.
     """
     cubes = list(cubes)
     if not cubes:
@@ -155,69 +160,28 @@ def verify_sparse(cubes: Sequence[Cube], eta: float = 0.5):
     frac = Fraction(eta)
     depth = certificate_depth(d, max(q.level for q in cubes), eta)
 
-    ncells = (1 << depth) ** d
-    C = len(cubes)
-    demands = [int(frac * 2 ** (d * (depth - q.level))) for q in cubes]
-    cell_sets = [sorted(_cells_under(q, depth)) for q in cubes]
-
-    # nodes: 0 source, 1..C cubes, C+1..C+ncells cells, last = sink
-    nodes = C + ncells + 2
-    sink = nodes - 1
-    rows, cols, caps = [], [], []
-
-    def add_edge(u, v, c):
-        rows.extend((u, v))
-        cols.extend((v, u))
-        caps.extend((c, 0))
-
-    for i, dem in enumerate(demands):
-        add_edge(0, 1 + i, dem)
-    for i, cells in enumerate(cell_sets):
-        for cell in cells:
-            add_edge(1 + i, 1 + C + cell, 1)
-    used_cells = sorted(set().union(*map(set, cell_sets)))
-    for cell in used_cells:
-        add_edge(1 + C + cell, sink, 1)
-
-    graph = csr_matrix((caps, (rows, cols)), shape=(nodes, nodes), dtype=np.int32)
-    graph.sum_duplicates()
-    result = maximum_flow(graph, 0, sink)
-
-    if result.flow_value == sum(demands):
-        flow = result.flow
-        certificate: dict[Cube, list[int]] = {}
-        for i, q in enumerate(cubes):
-            row = flow.getrow(1 + i)
-            cells = [
-                int(j) - 1 - C
-                for j, fl in zip(row.indices, row.data)
-                if fl > 0 and 1 + C <= j < 1 + C + ncells
-            ]
-            certificate[q] = sorted(cells)
-        return SparseFamily(cubes, eta, certificate, depth)
-
-    # min cut: cubes reachable from the source in the residual graph form a
-    # Hall violator
-    residual = graph - result.flow
-    reach = np.zeros(nodes, dtype=bool)
-    stack = [0]
-    reach[0] = True
-    indptr, indices, data = residual.indptr, residual.indices, residual.data
-    while stack:
-        u = stack.pop()
-        for pos in range(indptr[u], indptr[u + 1]):
-            v = indices[pos]
-            if data[pos] > 0 and not reach[v]:
-                reach[v] = True
-                stack.append(v)
-    violator = [q for i, q in enumerate(cubes) if reach[1 + i]]
-    union: set[int] = set()
-    for i, q in enumerate(cubes):
-        if reach[1 + i]:
-            union.update(cell_sets[i])
-    demand = sum(Fraction(eta) * Fraction(1, (2**q.level) ** d) for q in violator)
-    available = Fraction(len(union), (2**depth) ** d)
-    return SparseRefutation(violator, demand, available, eta, depth)
+    free = np.ones((1 << depth,) * d, dtype=bool)
+    taken: dict[int, list[int]] = {}
+    for i in sorted(range(len(cubes)), key=lambda i: -cubes[i].level):
+        P = cubes[i]
+        k = depth - P.level
+        demand = int(frac * 2 ** (d * k))
+        block = tuple(slice(m << k, (m + 1) << k) for m in P.index)
+        # nonzero lists the free cells of the block in row-major order,
+        # which is increasing flat id
+        cells = tuple(
+            axis[:demand] + (m << k) for axis, m in zip(np.nonzero(free[block]), P.index)
+        )
+        if len(cells[0]) < demand:
+            violator = [Q for Q in cubes if _contains(P, Q)]
+            total = sum(frac * Fraction(1, 2 ** (d * Q.level)) for Q in violator)
+            return SparseRefutation(
+                violator, total, Fraction(1, 2 ** (d * P.level)), eta, depth
+            )
+        free[cells] = False
+        taken[i] = np.ravel_multi_index(cells, free.shape).tolist()
+    certificate = {q: taken[i] for i, q in enumerate(cubes)}
+    return SparseFamily(cubes, eta, certificate, depth)
 
 
 def _contains(P: Cube, Q: Cube) -> bool:
@@ -236,11 +200,14 @@ def carleson_constant(cubes: Sequence[Cube] | SparseFamily) -> float:
     if not cubes:
         return 0.0
     _require_standard(cubes)
-    best = 0.0
-    for P in cubes:
-        tot = sum(Q.measure for Q in cubes if _contains(P, Q))
-        best = max(best, tot / P.measure)
-    return best
+    # each cube adds its measure to every family ancestor, itself included
+    packed = {P: 0.0 for P in cubes}
+    for Q in cubes:
+        for k in range(Q.level + 1):
+            P = Cube(Q.level - k, tuple(m >> k for m in Q.index))
+            if P in packed:
+                packed[P] += Q.measure
+    return max(tot / P.measure for P, tot in packed.items())
 
 
 def sparse_form(
@@ -269,21 +236,6 @@ def sparse_form(
     return total ** (1.0 / q)
 
 
-def packing_sparse(cubes: Sequence[Cube], eta: float) -> bool:
-    """Exact eta-sparseness for a standard-lattice family.
-
-    On one lattice, Hall's condition decomposes over maximal cubes, so
-    feasibility is exactly the per-cube packing bound
-    eta * sum_{Q subseteq P} |Q| <= |P|.
-    """
-    etaf = Fraction(eta)
-    for P in cubes:
-        tot = sum(Fraction(1, (2**Q.level) ** Q.d) for Q in cubes if _contains(P, Q))
-        if etaf * tot > Fraction(1, (2**P.level) ** P.d):
-            return False
-    return True
-
-
 def optimal_sparse_form(
     fs: Sequence[np.ndarray],
     rs: Sequence[float],
@@ -295,7 +247,7 @@ def optimal_sparse_form(
 
     exact: branch and bound over all subsets (cap 18 cubes), pruned by the
     packing bound, which on one lattice is the exact feasibility criterion;
-    the winner is re-verified by flow for its certificate.
+    the winner is re-verified by ``verify_sparse`` for its certificate.
     greedy: principal cubes; select a cube when its product of averages more
     than doubles that of the nearest selected ancestor.  The greedy family is
     sparse at a slightly smaller eta when sum 1/r_j > 1 (set on the result).
@@ -353,7 +305,7 @@ def optimal_sparse_form(
         dfs(0, 0.0)
         family = verify_sparse(best_set, eta)
         if not isinstance(family, SparseFamily):
-            raise AssertionError("packing-feasible optimum failed flow verification")
+            raise AssertionError("packing-feasible optimum failed sparseness verification")
         return best_val, family
 
     if mode == "greedy":
@@ -527,7 +479,7 @@ def stopping_domination(
     c_stop * prod_j <||F_j||_{X_j}>_{r_j,Q}.  The constant doubles until
     every selected cube keeps at least half its measure free of children,
     which makes the family 1/2-sparse by construction (still re-verified by
-    flow) and the pointwise bound holds cell by cell.
+    ``verify_sparse``) and the pointwise bound holds cell by cell.
     """
     Fs = [np.asarray(F, dtype=float) for F in Fs]
     if len(Fs) != len(rs) or len(spaces) != len(rs):
@@ -590,7 +542,7 @@ def stopping_domination(
 
     family = verify_sparse(selected, 0.5)
     if not isinstance(family, SparseFamily):
-        raise AssertionError("stopping family failed flow verification")
+        raise AssertionError("stopping family failed sparseness verification")
 
     M = lattice_maximal(grid, Fs, rs)
     lhs = np.asarray(prod_space_X.norm(M))

@@ -11,6 +11,7 @@ from itertools import combinations, product
 import numpy as np
 
 from sparsedom.dyadic import Cube, shifted_grids
+from sparsedom.sparse import SparseFamily, SparseRefutation, certificate_depth
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +96,7 @@ def naive_shifted_average(values, r, cube, depth):
 
 
 # ---------------------------------------------------------------------------
-# sparse families: Hall-condition feasibility and exhaustive form optimum
+# sparse families: Hall-condition feasibility, max-flow and exhaustive form optimum
 # ---------------------------------------------------------------------------
 
 def _cube_cells(cube, depth):
@@ -127,6 +128,74 @@ def hall_feasible(cubes, eta, depth):
             if demand > len(union) * cell_measure:
                 return False
     return True
+
+
+def flow_sparse(cubes, eta):
+    """Sparseness by max-flow, a SparseFamily or SparseRefutation.
+
+    The bipartite transversal problem: source -> cube (capacity eta|Q| in
+    finest cells at the verifier's depth) -> each of its cells (capacity 1)
+    -> sink (capacity 1).  Every demand saturates iff the family is
+    eta-sparse; otherwise the cubes reachable from the source in the
+    residual graph form a Hall violator (the min cut).
+    """
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import maximum_flow
+
+    cubes = list(cubes)
+    d = cubes[0].d
+    frac = Fraction(eta)
+    depth = certificate_depth(d, max(q.level for q in cubes), eta)
+    ncells = (2**depth) ** d
+    C = len(cubes)
+    demands = [int(frac * 2 ** (d * (depth - q.level))) for q in cubes]
+    cell_sets = [sorted(_cube_cells(q, depth)) for q in cubes]
+
+    # nodes: 0 source, 1..C cubes, C+1..C+ncells cells, last = sink
+    nodes = C + ncells + 2
+    sink = nodes - 1
+    rows, cols, caps = [], [], []
+
+    def add_edge(u, v, c):
+        rows.extend((u, v))
+        cols.extend((v, u))
+        caps.extend((c, 0))
+
+    for i, dem in enumerate(demands):
+        add_edge(0, 1 + i, dem)
+    for i, cells in enumerate(cell_sets):
+        for cell in cells:
+            add_edge(1 + i, 1 + C + cell, 1)
+    for cell in sorted(set().union(*map(set, cell_sets))):
+        add_edge(1 + C + cell, sink, 1)
+
+    graph = csr_matrix((caps, (rows, cols)), shape=(nodes, nodes), dtype=np.int32)
+    graph.sum_duplicates()
+    result = maximum_flow(graph, 0, sink)
+
+    if result.flow_value == sum(demands):
+        certificate = {}
+        for i, q in enumerate(cubes):
+            row = result.flow.getrow(1 + i)
+            certificate[q] = sorted(
+                int(j) - 1 - C for j, fl in zip(row.indices, row.data) if fl > 0
+            )
+        return SparseFamily(cubes, eta, certificate, depth)
+
+    residual = graph - result.flow
+    reach = {0}
+    stack = [0]
+    while stack:
+        u = stack.pop()
+        for pos in range(residual.indptr[u], residual.indptr[u + 1]):
+            v = int(residual.indices[pos])
+            if residual.data[pos] > 0 and v not in reach:
+                reach.add(v)
+                stack.append(v)
+    violator = [q for i, q in enumerate(cubes) if 1 + i in reach]
+    union = set().union(*(cell_sets[i] for i in range(C) if 1 + i in reach))
+    demand = sum(frac * Fraction(1, (2**q.level) ** d) for q in violator)
+    return SparseRefutation(violator, demand, Fraction(len(union), ncells), eta, depth)
 
 
 def exhaustive_best_form(cube_values, eta, depth):

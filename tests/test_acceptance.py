@@ -8,6 +8,7 @@ a failure here is a real counterexample, not noise.
 import json
 import math
 import time
+import zlib
 from fractions import Fraction
 
 import numpy as np
@@ -144,7 +145,7 @@ def test_criterion_3_stopping_certificates():
     for label, rs, ts in cases:
         r = harmonic_exponent(rs)
         for q in sorted({1.0, r}):
-            rng = np.random.default_rng(hash((label, q)) % 2**32)
+            rng = np.random.default_rng(zlib.crc32(f"{label}|{q}".encode()))
             consts = []
             for n in (2, 8, 32):
                 spaces = [LebesgueSpace(t, AtomicMeasure.unit(n)) for t in ts]

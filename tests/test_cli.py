@@ -1,6 +1,10 @@
 """Command-line front end: config handling, batteries, artifacts, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -289,8 +293,29 @@ class TestMainEntry:
         capsys.readouterr()
         assert (out / "report_exponents.json").exists()
 
+    def test_out_flag_drops_config_out_key(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"out = {tmp_path / 'from_cfg'}\n")
+        target = tmp_path / "from_flag"
+        assert main(["exponents", "--config", str(cfg), "--out", str(target)]) == 0
+        capsys.readouterr()
+        rep = json.loads((target / "report_exponents.json").read_text())
+        assert "out" not in rep["config"]
+        assert not (tmp_path / "from_cfg").exists()
+
     def test_missing_config_file_exits_two(self, tmp_path, capsys):
         code = main(["cz", "--config", str(tmp_path / "nope.cfg")])
         err = capsys.readouterr().err
         assert code == 2
         assert "cannot read" in err
+
+
+def test_cli_import_loads_no_scipy():
+    # sparseness is decided by a tree pass; scipy is a test-only dependency
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, sparsedom.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

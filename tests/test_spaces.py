@@ -104,6 +104,15 @@ def test_orlicz_power_values():
     assert orl.norm(np.zeros(4)) == 0.0
 
 
+def test_orlicz_norm_raises_at_bracket_cap():
+    # Phi = t^0.01 puts the norm of (1, 1, 1) at 3^100, beyond 2^100 doublings
+    slow = OrliczSpace.from_power(0.01, AtomicMeasure.unit(3))
+    with pytest.raises(ValueError, match="100 doublings"):
+        slow.norm(np.ones(3))
+    # within the cap the same space still norms: 2^100 >= (4/3)^100
+    assert slow.norm([1.0, 0.0, 0.0]) == pytest.approx(1.0, rel=1e-10)
+
+
 def test_orlicz_phi_roundtrip_and_validation():
     tab = np.array([[0.5, 0.3], [1.0, 1.0], [2.0, 5.0], [4.0, 40.0]])
     sp = OrliczSpace(tab, U2)
@@ -322,14 +331,31 @@ def test_space_json_roundtrip():
         OrliczSpace.from_power(2, U2),
         IteratedSpace(LebesgueSpace(1, U2), LebesgueSpace(2, U2)),
         ConcavifiedSpace(OrliczSpace.from_power(2, U2), 2.0),
+        # declared convexities off the defaults, each flipping associate_norm's
+        # acceptance against the default
+        LebesgueSpace(0.5, U2, convexity=1.0),
+        LorentzSpace(3, 4, U3, convexity=1.0),
+        OrliczSpace.from_power(2, U2, convexity=0.5),
+        IteratedSpace(LebesgueSpace(1, U2), LebesgueSpace(2, U2), convexity=0.5),
+        ConcavifiedSpace(OrliczSpace.from_power(2, U2, convexity=2.0), 2.0),
     ]
     rng = np.random.default_rng(5)
     for sp in spaces:
         text = space_to_json(sp)
         back = space_from_json(text)
         assert json.loads(text)["kind"] == sp.kind
+        assert back.convexity == sp.convexity
         v = rng.exponential(size=sp.atom_shape)
         assert back.norm(v) == pytest.approx(sp.norm(v), rel=1e-12)
+        assert _associate_outcome(back, v) == _associate_outcome(sp, v)
+
+
+def _associate_outcome(space, v):
+    """associate_norm's value, or its refusal message."""
+    try:
+        return associate_norm(space, v, restarts=1)
+    except ValueError as exc:
+        return str(exc)
 
 
 def test_phi_table_csv_roundtrip(tmp_path):

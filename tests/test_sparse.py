@@ -1,4 +1,4 @@
-"""Sparse engine: flow verification, forms, optimizers, CZ, stopping."""
+"""Sparse engine: packing verification, forms, optimizers, CZ, stopping."""
 
 import itertools
 import json
@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sparsedom.dyadic import Cube, Grid, grid_norm
 from sparsedom.maximal import scalar_maximal
@@ -21,13 +22,12 @@ from sparsedom.sparse import (
     family_to_json,
     form_bound_from_pointwise,
     optimal_sparse_form,
-    packing_sparse,
     sparse_form,
     stopping_domination,
     verify_sparse,
 )
 
-from oracles import exhaustive_best_form, hall_feasible
+from oracles import exhaustive_best_form, flow_sparse, hall_feasible
 
 ROOT = Cube(0, (0,), 0)
 LEFT = Cube(1, (0,), 0)
@@ -139,15 +139,31 @@ class TestCarleson:
 
 
 class TestPackingEquivalence:
-    def test_packing_matches_flow(self):
-        # on one lattice the per-cube packing bound is exactly Hall's condition
-        rng = np.random.default_rng(11)
-        pool = full_tree(1, 3)
-        for _ in range(30):
-            pick = rng.choice(len(pool), size=rng.integers(1, 9), replace=False)
-            cubes = [pool[i] for i in pick]
-            flow_ok = isinstance(verify_sparse(cubes, 0.5), SparseFamily)
-            assert packing_sparse(cubes, 0.5) == flow_ok
+    # on one lattice the bottom-up packing pass decides exactly what the
+    # max-flow transversal and Hall's condition over all subfamilies decide
+    POOLS = {1: full_tree(1, 3), 2: full_tree(2, 2)}
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data=st.data(),
+        d=st.sampled_from([1, 2]),
+        eta=st.sampled_from([0.25, 0.5, 0.625, 0.75]),
+    )
+    def test_verify_matches_flow_and_hall(self, data, d, eta):
+        cubes = data.draw(
+            st.lists(st.sampled_from(self.POOLS[d]), min_size=1, max_size=8, unique=True)
+        )
+        out = verify_sparse(cubes, eta)
+        flow = flow_sparse(cubes, eta)
+        assert isinstance(out, SparseFamily) == isinstance(flow, SparseFamily)
+        if isinstance(out, SparseFamily):
+            assert out.check_certificate()
+            depth = out.certificate_depth
+        else:
+            assert out.demand > out.available
+            assert not hall_feasible(out.cubes, eta, out.depth)
+            depth = out.depth
+        assert isinstance(out, SparseFamily) == hall_feasible(cubes, eta, depth)
 
 
 # ---------------------------------------------------------------------------
