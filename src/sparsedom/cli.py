@@ -152,6 +152,8 @@ def _validate(command: str, cfg: dict) -> None:
             raise ConfigError(
                 f"exact search needs at most 18 cubes; dim {dim} depth {depth} has {n}"
             )
+    if command in ("stopping", "transfer", "all") and not float(cfg["q"]) > 0:
+        raise ConfigError(f"q must be positive, got {cfg['q']!r}")
     if command in ("exponents", "all"):
         m = _int_field(cfg, "m", 1)
         try:

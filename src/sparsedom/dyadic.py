@@ -190,18 +190,6 @@ class Grid:
         )
         return Cube(k0, index, self.shift)
 
-    def descendants(self, cube: Cube, strict: bool = True) -> Iterator[Cube]:
-        """Top-down iteration over the subtree rooted at ``cube``."""
-        if not strict:
-            yield cube
-        frontier = self.children(cube)
-        while frontier:
-            nxt = []
-            for q in frontier:
-                yield q
-                nxt.extend(self.children(q))
-            frontier = nxt
-
     def cube_slices(self, cube: Cube) -> tuple[slice, ...]:
         """Cell-array slices covered by a shift-0 cube."""
         if cube.shift != 0:

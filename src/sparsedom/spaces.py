@@ -437,6 +437,11 @@ def associate_norm(
             "associate norm requires a 1-convex space; "
             f"declared convexity is {space.convexity}"
         )
+    if isinstance(space, LebesgueSpace) and space.t < 1:
+        # a declared convexity cannot make L^t with t < 1 a normed space
+        raise ValueError(
+            f"associate norm requires a Lebesgue exponent t >= 1, got {space.t}"
+        )
     xi = np.abs(np.asarray(xi, dtype=float))
     if xi.shape != space.atom_shape:
         raise ValueError(f"expected a single vector of shape {space.atom_shape}")

@@ -173,7 +173,9 @@ def verify_sparse(cubes: Sequence[Cube], eta: float = 0.5):
             axis[:demand] + (m << k) for axis, m in zip(np.nonzero(free[block]), P.index)
         )
         if len(cells[0]) < demand:
-            violator = [Q for Q in cubes if _contains(P, Q)]
+            violator = [
+                Q for Q in cubes if Q.level >= P.level and _ancestor(Q, P.level) == P
+            ]
             total = sum(frac * Fraction(1, 2 ** (d * Q.level)) for Q in violator)
             return SparseRefutation(
                 violator, total, Fraction(1, 2 ** (d * P.level)), eta, depth
@@ -184,12 +186,9 @@ def verify_sparse(cubes: Sequence[Cube], eta: float = 0.5):
     return SparseFamily(cubes, eta, certificate, depth)
 
 
-def _contains(P: Cube, Q: Cube) -> bool:
-    """P contains Q, both from the standard lattice."""
-    if Q.level < P.level:
-        return False
-    shiftdown = Q.level - P.level
-    return all(mq >> shiftdown == mp for mp, mq in zip(P.index, Q.index))
+def _ancestor(Q: Cube, level: int) -> Cube:
+    """The standard-lattice cube at ``level`` (<= Q.level) containing Q."""
+    return Cube(level, tuple(m >> (Q.level - level) for m in Q.index))
 
 
 def carleson_constant(cubes: Sequence[Cube] | SparseFamily) -> float:
@@ -203,8 +202,8 @@ def carleson_constant(cubes: Sequence[Cube] | SparseFamily) -> float:
     # each cube adds its measure to every family ancestor, itself included
     packed = {P: 0.0 for P in cubes}
     for Q in cubes:
-        for k in range(Q.level + 1):
-            P = Cube(Q.level - k, tuple(m >> k for m in Q.index))
+        for level in range(Q.level + 1):
+            P = _ancestor(Q, level)
             if P in packed:
                 packed[P] += Q.measure
     return max(tot / P.measure for P, tot in packed.items())
@@ -248,6 +247,9 @@ def optimal_sparse_form(
     exact: branch and bound over all subsets (cap 18 cubes), pruned by the
     packing bound, which on one lattice is the exact feasibility criterion;
     the winner is re-verified by ``verify_sparse`` for its certificate.
+    Each cube keeps an integer slack, den |P| less the num-weighted cells of
+    P and its chosen descendants (eta = num/den); a cube is admitted iff its
+    own slack and that of every taken ancestor stay nonnegative.
     greedy: principal cubes; select a cube when its product of averages more
     than doubles that of the nearest selected ancestor.  The greedy family is
     sparse at a slightly smaller eta when sum 1/r_j > 1 (set on the result).
@@ -264,19 +266,23 @@ def optimal_sparse_form(
             raise ValueError(
                 f"exact mode enumerates subsets; {len(cubes)} cubes exceed the cap 18"
             )
+        _require_standard(cubes)
         etaf = Fraction(eta)
         num, den = etaf.numerator, etaf.denominator
         contrib = [(prod_avg(q) * q.measure, q) for q in cubes]
         contrib.sort(key=lambda t: -t[0])
         values = [c for c, _ in contrib]
         suffix = np.concatenate([np.cumsum(values[::-1])[::-1], [0.0]])
+        pos = {q: k for k, (_, q) in enumerate(contrib)}
+        anc = [[pos[_ancestor(q, lv)] for lv in range(q.level)] for _, q in contrib]
         # integer cell counts at a common depth keep packing checks exact
         K = max(q.level for q in cubes)
         icell = [2 ** (q.d * (K - q.level)) for _, q in contrib]
+        # slack[i] = den |P| - num (cells of P + cells of chosen cubes under P)
+        slack = [(den - num) * c for c in icell]
+        taken = [False] * len(contrib)
         best_val, best_set = 0.0, []
         chosen: list[int] = []
-        # per chosen cube: den |P| - eta-weighted cells already packed under P
-        budget: dict[int, int] = {}
 
         def dfs(i: int, cur: float):
             nonlocal best_val, best_set
@@ -285,21 +291,17 @@ def optimal_sparse_form(
                 best_set = [contrib[k][1] for k in chosen]
             if i == len(contrib) or cur + suffix[i] <= best_val:
                 return
-            val, cube = contrib[i]
             cost = num * icell[i]
-            ancestors = [k for k in chosen if _contains(contrib[k][1], cube)]
-            own = den * icell[i] - cost
-            own -= sum(num * icell[k] for k in chosen if _contains(cube, contrib[k][1]))
-            if own >= 0 and all(budget[k] >= cost for k in ancestors):
-                for k in ancestors:
-                    budget[k] -= cost
+            if slack[i] >= 0 and all(slack[k] >= cost for k in anc[i] if taken[k]):
+                for k in anc[i]:
+                    slack[k] -= cost
                 chosen.append(i)
-                budget[i] = own
-                dfs(i + 1, cur + val)
-                del budget[i]
+                taken[i] = True
+                dfs(i + 1, cur + contrib[i][0])
+                taken[i] = False
                 chosen.pop()
-                for k in ancestors:
-                    budget[k] += cost
+                for k in anc[i]:
+                    slack[k] += cost
             dfs(i + 1, cur)
 
         dfs(0, 0.0)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -460,13 +460,6 @@ def scalar_hypothesis_check(
     }
 
 
-def _tuple_norm(spaces: Sequence[Space]) -> Callable:
-    spaces = list(spaces)
-    if len(spaces) == 1:
-        return spaces[0].norm
-    return product_space(spaces).norm
-
-
 def transfer_sides(
     T, grid: Grid, Fs: Sequence[np.ndarray], g, spaces: Sequence[Space], q: float, s: float
 ) -> tuple[float, float]:
@@ -479,7 +472,7 @@ def transfer_sides(
     spaces = list(spaces)
     g = np.abs(np.asarray(g, dtype=float))
     out = tensor_extend(T, grid, Fs)
-    lhs = grid_norm(grid, np.asarray(_tuple_norm(spaces)(out)) * g, q)
+    lhs = grid_norm(grid, np.asarray(product_space(spaces).norm(out)) * g, q)
     scalars = [np.asarray(sp.norm(F)) for sp, F in zip(spaces, Fs)]
     M = scalar_maximal(grid, scalars + [g], list(T.rs) + [sigma])
     rhs = grid_norm(grid, M, q)
@@ -719,7 +712,7 @@ def weighted_transfer_experiment(
     ps = [float(p) for p in ps]
     p = harmonic_exponent(ps)
     gamma = transfer_exponent(ps, q, rs, s)
-    norm_fn = _tuple_norm(spaces)
+    norm_fn = product_space(spaces).norm
 
     rng = np.random.default_rng(seed)
     rows, xs, ys = [], [], []

@@ -90,6 +90,12 @@ class TestValidation:
         with pytest.raises(ConfigError, match="dim must be 1 or 2, got True"):
             run("cz", {"dim": True})
 
+    def test_q_must_be_positive(self):
+        for command in ("stopping", "transfer", "all"):
+            for q in (0, -1.0):
+                with pytest.raises(ConfigError, match=f"q must be positive, got {q}"):
+                    run(command, {"q": q})
+
     def test_transfer_certificate_depth_cap_named(self):
         # depth 6 plus the 4 extra levels eta = 1/256 needs in d=2 passes 9
         with pytest.raises(ConfigError, match="certificate depth 10 exceeds the d=2"):
@@ -210,6 +216,9 @@ class TestMainEntry:
         cfg.write_text("dim = true\n")
         assert main(["cz", "--config", str(cfg), "--out", str(tmp_path)]) == 2
         assert "dim must be 1 or 2, got True" in capsys.readouterr().err
+        cfg.write_text("q = 0\n")
+        assert main(["transfer", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "q must be positive, got 0" in capsys.readouterr().err
         assert not list(tmp_path.glob("report_*.json"))
 
     def test_exponents_end_to_end(self, tmp_path, capsys):

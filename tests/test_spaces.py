@@ -214,6 +214,11 @@ def test_associate_refuses_quasi_norms():
         associate_norm(LorentzSpace(2, 4, U2), [1, 1])
     with pytest.raises(ValueError):
         associate_norm(LebesgueSpace(0.5, U2), [1, 1])
+    # a declared convexity does not make L^t with t < 1 a normed space
+    sp = LebesgueSpace(0.5, U2, convexity=1.0)
+    for argmax in (False, True):
+        with pytest.raises(ValueError, match="Lebesgue exponent t >= 1, got 0.5"):
+            associate_norm(sp, [1, 1], restarts=1, return_argmax=argmax)
 
 
 def test_associate_generic_matches_analytic():

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import zlib
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +18,7 @@ from sparsedom.sparse import (
     SparseRefutation,
     StoppingFailure,
     carleson_constant,
+    certificate_depth,
     cz_decompose,
     family_from_json,
     family_to_json,
@@ -228,8 +230,7 @@ def oracle_best(fs, rs, grid, eta):
         for f, r in zip(fs, rs):
             prod *= float(average(grid, f, r, q))
         vals[q] = prod * q.measure
-    depth = max(q.level for q in vals) + 1
-    return exhaustive_best_form(vals, eta, depth)
+    return exhaustive_best_form(vals, eta, certificate_depth(grid.d, grid.depth, eta))
 
 
 class TestOptimalExact:
@@ -254,18 +255,28 @@ class TestOptimalExact:
         assert val == pytest.approx(3.0)
         assert set(fam.cubes) == {Cube(2, (0,), 0), LEFT, ROOT}
 
+    @pytest.mark.parametrize("d, depth", [(1, 2), (2, 1)])
+    @pytest.mark.parametrize("eta", [0.25, 0.5, 0.625, 0.75])
     @pytest.mark.parametrize("rs", [(1.0,), (1.0, 1.0), (2.0, 1.0)])
-    def test_matches_exhaustive_oracle(self, rs):
-        g = Grid(1, 2)
-        rng = np.random.default_rng(hash(rs) % 2**32)
-        for _ in range(6):
-            fs = [rng.uniform(0.0, 2.0, size=4) for _ in rs]
-            val, fam = optimal_sparse_form(fs, list(rs), g)
-            best, _ = oracle_best(fs, list(rs), g, 0.5)
+    def test_matches_exhaustive_oracle(self, rs, eta, d, depth):
+        g = Grid(d, depth)
+        rng = np.random.default_rng(zlib.crc32(f"{rs}|{eta}|{d}".encode()))
+        for trial in range(6):
+            # every other draw takes values in {0, 1, 2}, so that equal cube
+            # values reach the tie-break
+            if trial % 2:
+                fs = [rng.integers(0, 3, size=g.cell_shape).astype(float) for _ in rs]
+            else:
+                fs = [rng.uniform(0.0, 2.0, size=g.cell_shape) for _ in rs]
+            val, fam = optimal_sparse_form(fs, list(rs), g, eta=eta)
+            best, _ = oracle_best(fs, list(rs), g, eta)
             assert val == pytest.approx(best, rel=1e-12)
             assert val == pytest.approx(
                 sparse_form(fam, g, fs, list(rs)), rel=1e-12
             )
+            # an empty family (all products zero) carries no certificate
+            assert fam.check_certificate() or (val == 0 and not fam.cubes)
+            assert carleson_constant(fam) <= 1 / eta
 
     def test_d2_matches_oracle(self):
         g = Grid(2, 1)
@@ -279,6 +290,11 @@ class TestOptimalExact:
         g = Grid(1, 4)
         with pytest.raises(ValueError, match="cap"):
             optimal_sparse_form([np.ones(16)], [1.0], g, mode="exact")
+
+    def test_shifted_lattice_refused(self):
+        # even an all-zero input, whose optimum is the empty family
+        with pytest.raises(ValueError, match="standard lattice only"):
+            optimal_sparse_form([np.zeros(4)], [1.0], Grid(1, 2, 1), mode="exact")
 
     def test_zero_function(self):
         g = Grid(1, 1)
