@@ -4,8 +4,9 @@ Every subcommand runs a deterministic battery (the seed is part of the
 config), prints one verdict line per check, and writes a ``schema: 1`` JSON
 report plus CSV tables into the output directory.  Exit status: 0 when every
 check passes, 1 when a check fails (the failing case is serialized next to
-the report for replay), 2 when the config violates a named precondition or
-the subcommand is unknown.
+the report for replay) or the stopping constant never stabilizes, 2 when the
+config or a library call violates a named precondition or the subcommand is
+unknown.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .dyadic import (
 from .maximal import scalar_maximal
 from .sparse import (
     SparseFamily,
+    StoppingFailure,
     certificate_depth,
     cz_decompose,
     family_to_json,
@@ -644,6 +646,12 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except ValueError as exc:  # a library precondition the validator missed
+        print(f"precondition error: {exc}", file=sys.stderr)
+        return 2
+    except StoppingFailure as exc:  # a finding about the inputs, not the config
+        print(f"stopping failure: {exc}; state {json.dumps(exc.state)}", file=sys.stderr)
+        return 1
 
     for check in report["checks"]:
         print(f"[{'PASS' if check['passed'] else 'FAIL'}] {check['name']}: {check['detail']}")

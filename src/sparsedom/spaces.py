@@ -4,6 +4,8 @@ Four kinds: weighted Lebesgue, Lorentz via the decreasing rearrangement,
 Orlicz with a tabulated Young function and the Luxemburg norm, and one level
 of iteration (outer space of inner norms).  All norms are vectorized over
 leading axes, so a (cells x atoms) array is normed per cell in one call.
+Orlicz and Lorentz norms give a row the same bits whatever rows share its
+call; the Lebesgue norm's BLAS matmul sums in an order set by the batch.
 
 The associate (Kothe dual) norm and the product-space norm have analytic
 paths for Lebesgue spaces and seeded coordinate-search paths otherwise; the
@@ -135,7 +137,9 @@ class LebesgueSpace(Space):
         if math.isinf(self.t):
             return _as_scalar(a.max(axis=-1))
         w = self.measure.weights
-        return _as_scalar((a**self.t @ w) ** (1.0 / self.t))
+        # np.power: a NumPy scalar's ** rounds unlike the array loop.  The
+        # matmul still sums a row in an order set by the batch size.
+        return _as_scalar(np.power(a**self.t @ w, 1.0 / self.t))
 
     def params(self) -> dict:
         return {"t": self.t}
@@ -187,7 +191,7 @@ class LorentzSpace(Space):
         prev = cum - w
         ex = self.u / self.t
         blocks = (self.t / self.u) * (cum**ex - prev**ex)
-        return _as_scalar((vals**self.u * blocks).sum(axis=-1) ** (1.0 / self.u))
+        return _as_scalar(np.power((vals**self.u * blocks).sum(axis=-1), 1.0 / self.u))
 
     def params(self) -> dict:
         return {"t": self.t, "u": self.u}
@@ -285,9 +289,10 @@ class OrliczSpace(Space):
         active = rows.max(axis=1) > 0
 
         def excess(lam, sub):
-            # sum Phi(a / lam) mu - 1, vectorized over rows
+            # sum Phi(a / lam) mu - 1, vectorized over rows; a row sum, not
+            # a matmul, so that a row's bits do not depend on its batch
             ratio = sub / lam[:, None]
-            return self.phi(ratio) @ w - 1.0
+            return np.sum(self.phi(ratio) * w, axis=-1) - 1.0
 
         sub = rows[active]
         if sub.size:

@@ -72,8 +72,8 @@ class SparseFamily:
             raise ValueError(f"sparseness parameter must be in (0,1), got {self.eta}")
 
     def check_certificate(self) -> bool:
-        """Disjointness, containment, and the measure lower bound."""
-        if not self.certificate:
+        """One witness set per family cube: disjoint, contained, large enough."""
+        if set(self.certificate) != set(self.cubes):
             return False
         seen: set[int] = set()
         eta = Fraction(self.eta)
@@ -378,6 +378,11 @@ def cz_decompose(
     Components are normalized to ||f_j||_{L^{r_j}} = 1 (using supplied norms
     when given).  Selected cubes are the maximal ones exceeding the
     component threshold; the averaged part freezes the cube average there.
+    They are found in one top-down sweep over the levels: at level k the
+    selection is the exceeding cubes not covered by a coarser selection,
+    and the cover and the frozen values are refined one level at a time.
+    ``stopping_cubes`` lists the disjoint cubes in descending Z-order of
+    their first finest cell (axis 0 as the high bit).
 
     The lattice is the full one of the zero extension beyond the window, so
     when the root average exceeds the threshold the selected cube is the
@@ -396,43 +401,70 @@ def cz_decompose(
     fn = [f / c for f, c in zip(fs, norms)]
     r = harmonic_exponent(rs)
     thresholds = [lam ** (r / rj) for rj in rs]
+    d = grid.d
 
     flat, averaged, good, level_sets, stop_cubes = [], [], [], [], []
     for f, rj, thr in zip(fn, rs, thresholds):
         lv = level_averages(grid, f, rj)
-        selected: list[Cube] = []
-        stack = [grid.root]
-        while stack:
-            cube = stack.pop()
-            if float(lv[cube.level][cube.index]) > thr:
-                selected.append(cube)
-            else:
-                stack.extend(grid.children(cube))
-        frozen = {q: float(lv[q.level][q.index]) for q in selected}
-        if selected == [grid.root]:
+        covered = np.zeros((1,) * d, dtype=bool)
+        frozen = np.zeros((1,) * d)
+        picks = []
+        for k in range(grid.depth + 1):
+            if k:
+                covered, frozen = _refine(covered, d), _refine(frozen, d)
+            sel = (lv[k] > thr) & ~covered
+            covered |= sel
+            frozen[sel] = lv[k][sel]
+            picks.append(sel)
+        if picks[0].any():  # the root itself is selected
             # climb the zero extension: each ancestor divides the average
             # by 2^(d/r_j); stop on the last level still above threshold
-            a0, k = frozen[grid.root], 0
-            while a0 * 2.0 ** (-(k + 1) * grid.d / rj) > thr:
+            a0, k = float(lv[0].flat[0]), 0
+            while a0 * 2.0 ** (-(k + 1) * d / rj) > thr:
                 k += 1
-            frozen[grid.root] = a0 * 2.0 ** (-k * grid.d / rj)
-        mask = np.zeros(grid.cell_shape, dtype=bool)
-        g2 = np.zeros(grid.cell_shape)
-        for cube in selected:
-            sl = grid.cube_slices(cube)
-            mask[sl] = True
-            g2[sl] = frozen[cube]
-        g1 = np.where(mask, 0.0, f)
+            frozen = np.full(grid.cell_shape, a0 * 2.0 ** (-k * d / rj))
+        level, index, code = _selected(picks, grid.depth)
+        g1 = np.where(covered, 0.0, f)
         flat.append(g1)
-        averaged.append(g2)
-        good.append(g1 + g2)
-        level_sets.append(mask)
-        stop_cubes.append(selected)
+        averaged.append(frozen)
+        good.append(g1 + frozen)
+        level_sets.append(covered)
+        stop_cubes.append(_cubes(level, index, np.argsort(-code, kind="stable")))
 
     bad = np.prod(fn, axis=0) - np.prod(good, axis=0)
     return CZParts(
         good, flat, averaged, bad, level_sets, stop_cubes, lam, r, thresholds, norms
     )
+
+
+def _refine(a: np.ndarray, d: int) -> np.ndarray:
+    """A level array one level finer: each cube's entry goes to its children."""
+    for axis in range(d):
+        a = np.repeat(a, 2, axis=axis)
+    return a
+
+
+def _selected(picks: Sequence[np.ndarray], depth: int):
+    """Levels, indices and first-cell Z-order codes of per-level masks.
+
+    Cubes come level by level, row-major within a level.  The Z-order code
+    interleaves the bits of the cube's first finest cell, axis 0 high.
+    """
+    found = [np.nonzero(sel) for sel in picks]
+    level = np.concatenate([np.full(len(f[0]), k) for k, f in enumerate(found)])
+    index = [np.concatenate(axis) for axis in zip(*found)]
+    d = len(index)
+    code = np.zeros(len(level), dtype=np.int64)
+    for axis, m in enumerate(index):
+        cell = m << (depth - level)
+        for b in range(depth):
+            code |= ((cell >> b) & 1) << (d * b + d - 1 - axis)
+    return level, index, code
+
+
+def _cubes(level: np.ndarray, index: Sequence[np.ndarray], order: np.ndarray) -> list[Cube]:
+    indices = zip(*(m[order].tolist() for m in index))
+    return [Cube(k, i) for k, i in zip(level[order].tolist(), indices)]
 
 
 # ---------------------------------------------------------------------------
@@ -482,6 +514,12 @@ def stopping_domination(
     every selected cube keeps at least half its measure free of children,
     which makes the family 1/2-sparse by construction (still re-verified by
     ``verify_sparse``) and the pointwise bound holds cell by cell.
+
+    Every generation is found in one top-down sweep over the levels (see
+    ``_stopping_sweep``), with one X-norm call per level.  The family lists
+    the cubes in the preorder of the stopping tree, children in ascending
+    Z-order: sorted by the Z-order code of the first finest cell (axis 0 as
+    the high bit), then by level.
     """
     Fs = [np.asarray(F, dtype=float) for F in Fs]
     if len(Fs) != len(rs) or len(spaces) != len(rs):
@@ -501,39 +539,14 @@ def stopping_domination(
     scalar_lp = level_products(grid, cellnorms, rs)
     vector_lp = level_products(grid, Fs, rs)
 
-    def A(cube: Cube) -> float:
-        return float(scalar_lp[cube.level][cube.index])
-
-    def pvec(cube: Cube) -> np.ndarray:
-        return vector_lp[cube.level][cube.index]
-
-    def xnorm(vec: np.ndarray) -> float:
-        return float(prod_space_X.norm(vec))
-
     c = float(c_stop)
     for doubling in range(max_doublings + 1):
-        selected: list[Cube] = []
-        ok = True
-        frontier = [grid.root]
-        while frontier and ok:
-            Q = frontier.pop()
-            selected.append(Q)
-            threshold = c * A(Q)
-            children: list[Cube] = []
-            stack = [(child, pvec(Q)) for child in grid.children(Q)]
-            while stack:
-                node, chain = stack.pop()
-                chain = np.maximum(chain, pvec(node))
-                if xnorm(chain) > threshold:
-                    children.append(node)
-                else:
-                    for sub in grid.children(node):
-                        stack.append((sub, chain))
-            if sum(ch.measure for ch in children) > 0.5 * Q.measure:
-                ok = False
-                break
-            frontier.extend(children)
-        if ok:
+        picks, parent = _stopping_sweep(grid, scalar_lp, vector_lp, prod_space_X, c)
+        level, index, code = _selected(picks, grid.depth)
+        # each cube's children may cover at most half of it, in finest cells
+        cells = 1 << (grid.d * (grid.depth - level))
+        covered = np.bincount(parent, weights=cells[1:], minlength=len(cells))
+        if np.all(2 * covered <= cells):
             break
         c *= 2.0
     else:
@@ -542,6 +555,7 @@ def stopping_domination(
             {"c_stop": c, "rs": list(rs), "q": q, "depth": grid.depth},
         )
 
+    selected = _cubes(level, index, np.lexsort((level, code)))
     family = verify_sparse(selected, 0.5)
     if not isinstance(family, SparseFamily):
         raise AssertionError("stopping family failed sparseness verification")
@@ -550,7 +564,7 @@ def stopping_domination(
     lhs = np.asarray(prod_space_X.norm(M))
     rhs_q = np.zeros(grid.cell_shape)
     for Q in selected:
-        rhs_q[grid.cube_slices(Q)] += A(Q) ** q
+        rhs_q[grid.cube_slices(Q)] += float(scalar_lp[Q.level][Q.index]) ** q
     rhs = rhs_q ** (1.0 / q)
     with np.errstate(invalid="ignore", divide="ignore"):
         cell_ratio = np.where(lhs > 0, lhs / (c * rhs), 0.0)
@@ -559,6 +573,34 @@ def stopping_domination(
     }
     pointwise_ok = bool(np.all(cell_ratio <= 1 + 1e-9))
     return StoppingCertificate(family, c, doubling, ratios, pointwise_ok)
+
+
+def _stopping_sweep(grid: Grid, scalar_lp, vector_lp, space: Space, c: float):
+    """Every generation of stopping cubes at constant c, top down by level.
+
+    Each cell of level k carries its owner's threshold c A(owner), the chain
+    supremum of the vector averages since the owner, and the owner's id.
+    The cubes whose chain X-norm passes the threshold are selected; they
+    own themselves from then on.  Returns the per-level selection masks and,
+    for every selected cube but the root, its owner's id; ids count the
+    cubes level by level, row-major within a level.
+    """
+    d = grid.d
+    thr = c * scalar_lp[0]
+    chain = vector_lp[0]
+    owner = np.zeros(thr.shape, dtype=int)
+    picks, parent, count = [np.ones(thr.shape, dtype=bool)], [np.zeros(0, dtype=int)], 1
+    for k in range(1, grid.depth + 1):
+        chain, thr, owner = _refine(chain, d), _refine(thr, d), _refine(owner, d)
+        np.maximum(chain, vector_lp[k], out=chain)
+        sel = np.asarray(space.norm(chain)) > thr
+        parent.append(owner[sel])
+        owner[sel] = count + np.arange(len(parent[-1]))
+        count += len(parent[-1])
+        thr[sel] = c * scalar_lp[k][sel]
+        chain[sel] = vector_lp[k][sel]
+        picks.append(sel)
+    return picks, np.concatenate(parent)
 
 
 def form_bound_from_pointwise(

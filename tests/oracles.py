@@ -10,8 +10,18 @@ from itertools import combinations, product
 
 import numpy as np
 
-from sparsedom.dyadic import Cube, shifted_grids
-from sparsedom.sparse import SparseFamily, SparseRefutation, certificate_depth
+from sparsedom.dyadic import grid_norm, level_averages, level_products, shifted_grids
+from sparsedom.maximal import lattice_maximal
+from sparsedom.spaces import harmonic_exponent, product_space
+from sparsedom.sparse import (
+    CZParts,
+    SparseFamily,
+    SparseRefutation,
+    StoppingCertificate,
+    StoppingFailure,
+    certificate_depth,
+    verify_sparse,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +224,151 @@ def exhaustive_best_form(cube_values, eta, depth):
             if value > best:
                 best, best_family = value, list(sub)
     return best, best_family
+
+
+# ---------------------------------------------------------------------------
+# stopping cubes by walking the tree one Cube at a time
+# ---------------------------------------------------------------------------
+
+def cz_decompose_walk(grid, fs, rs, lam, norms=None):
+    """``sparse.cz_decompose`` by a stack walk over ``Grid.children``.
+
+    Pops the root, keeps a cube above its threshold, else pushes its
+    children; the stopping cubes come out in that pop order.
+    """
+    if not (lam > 0):
+        raise ValueError(f"threshold must be positive, got {lam}")
+    fs = [np.asarray(f, dtype=float) for f in fs]
+    if norms is None:
+        norms = [grid_norm(grid, f, r) for f, r in zip(fs, rs)]
+    norms = [float(c) for c in norms]
+    if any(c <= 0 for c in norms):
+        raise ValueError("cannot normalize a vanishing component")
+    fn = [f / c for f, c in zip(fs, norms)]
+    r = harmonic_exponent(rs)
+    thresholds = [lam ** (r / rj) for rj in rs]
+
+    flat, averaged, good, level_sets, stop_cubes = [], [], [], [], []
+    for f, rj, thr in zip(fn, rs, thresholds):
+        lv = level_averages(grid, f, rj)
+        selected = []
+        stack = [grid.root]
+        while stack:
+            cube = stack.pop()
+            if float(lv[cube.level][cube.index]) > thr:
+                selected.append(cube)
+            else:
+                stack.extend(grid.children(cube))
+        frozen = {q: float(lv[q.level][q.index]) for q in selected}
+        if selected == [grid.root]:
+            # climb the zero extension: each ancestor divides the average
+            # by 2^(d/r_j); stop on the last level still above threshold
+            a0, k = frozen[grid.root], 0
+            while a0 * 2.0 ** (-(k + 1) * grid.d / rj) > thr:
+                k += 1
+            frozen[grid.root] = a0 * 2.0 ** (-k * grid.d / rj)
+        mask = np.zeros(grid.cell_shape, dtype=bool)
+        g2 = np.zeros(grid.cell_shape)
+        for cube in selected:
+            sl = grid.cube_slices(cube)
+            mask[sl] = True
+            g2[sl] = frozen[cube]
+        g1 = np.where(mask, 0.0, f)
+        flat.append(g1)
+        averaged.append(g2)
+        good.append(g1 + g2)
+        level_sets.append(mask)
+        stop_cubes.append(selected)
+
+    bad = np.prod(fn, axis=0) - np.prod(good, axis=0)
+    return CZParts(
+        good, flat, averaged, bad, level_sets, stop_cubes, lam, r, thresholds, norms
+    )
+
+
+def stopping_domination_walk(grid, Fs, rs, q, spaces, c_stop=1.0, max_doublings=20):
+    """``sparse.stopping_domination`` by stack walks over ``Grid.children``.
+
+    A frontier of selected cubes is popped depth first; below each one a
+    stack walk carries the chain supremum and takes one X-norm per node,
+    and the doubling restarts as soon as one cube fails the half test.
+    """
+    Fs = [np.asarray(F, dtype=float) for F in Fs]
+    if len(Fs) != len(rs) or len(spaces) != len(rs):
+        raise ValueError("Fs, rs and spaces must align")
+    for sp, r in zip(spaces, rs):
+        if sp.convexity < r - 1e-12:
+            raise ValueError(
+                f"component space must be {r}-convex; declared {sp.convexity}"
+            )
+    prod_space_X = product_space(spaces)
+    if prod_space_X.convexity < q - 1e-12:
+        raise ValueError(
+            f"product space must be {q}-convex; declared {prod_space_X.convexity}"
+        )
+
+    cellnorms = [np.asarray(sp.norm(F)) for sp, F in zip(spaces, Fs)]
+    scalar_lp = level_products(grid, cellnorms, rs)
+    vector_lp = level_products(grid, Fs, rs)
+
+    def A(cube):
+        return float(scalar_lp[cube.level][cube.index])
+
+    def pvec(cube):
+        return vector_lp[cube.level][cube.index]
+
+    def xnorm(vec):
+        return float(prod_space_X.norm(vec))
+
+    c = float(c_stop)
+    for doubling in range(max_doublings + 1):
+        selected = []
+        ok = True
+        frontier = [grid.root]
+        while frontier and ok:
+            Q = frontier.pop()
+            selected.append(Q)
+            threshold = c * A(Q)
+            children = []
+            stack = [(child, pvec(Q)) for child in grid.children(Q)]
+            while stack:
+                node, chain = stack.pop()
+                chain = np.maximum(chain, pvec(node))
+                if xnorm(chain) > threshold:
+                    children.append(node)
+                else:
+                    for sub in grid.children(node):
+                        stack.append((sub, chain))
+            if sum(ch.measure for ch in children) > 0.5 * Q.measure:
+                ok = False
+                break
+            frontier.extend(children)
+        if ok:
+            break
+        c *= 2.0
+    else:
+        raise StoppingFailure(
+            "stopping constant failed to stabilize; counterexample candidate",
+            {"c_stop": c, "rs": list(rs), "q": q, "depth": grid.depth},
+        )
+
+    family = verify_sparse(selected, 0.5)
+    if not isinstance(family, SparseFamily):
+        raise AssertionError("stopping family failed sparseness verification")
+
+    M = lattice_maximal(grid, Fs, rs)
+    lhs = np.asarray(prod_space_X.norm(M))
+    rhs_q = np.zeros(grid.cell_shape)
+    for Q in selected:
+        rhs_q[grid.cube_slices(Q)] += A(Q) ** q
+    rhs = rhs_q ** (1.0 / q)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        cell_ratio = np.where(lhs > 0, lhs / (c * rhs), 0.0)
+    ratios = {
+        Q: float(cell_ratio[grid.cube_slices(Q)].max()) for Q in selected
+    }
+    pointwise_ok = bool(np.all(cell_ratio <= 1 + 1e-9))
+    return StoppingCertificate(family, c, doubling, ratios, pointwise_ok)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from sparsedom import cli, sparse
 from sparsedom.cli import (
     COMMANDS,
     ConfigError,
@@ -18,7 +19,9 @@ from sparsedom.cli import (
 )
 from sparsedom.dyadic import Grid, function_from_json, grid_norm
 from sparsedom.maximal import scalar_maximal
-from sparsedom.sparse import family_from_json, optimal_sparse_form
+from sparsedom.sparse import StoppingFailure, family_from_json, optimal_sparse_form
+
+from oracles import cz_decompose_walk, stopping_domination_walk
 
 
 class TestConfigParsing:
@@ -233,6 +236,29 @@ class TestMainEntry:
         assert csv_text.splitlines()[0] == "quantity,value"
         assert "transfer_gamma,2.0" in csv_text
 
+    def test_library_precondition_exits_two_without_traceback(self, monkeypatch, tmp_path, capsys):
+        def refuse(command, config=None):
+            raise ValueError("certificate depth 12 exceeds the d=1 resolution cap")
+
+        monkeypatch.setattr(cli, "run", refuse)
+        assert main(["stopping", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == "precondition error: certificate depth 12 exceeds the d=1 resolution cap\n"
+        assert not list(tmp_path.iterdir())
+
+    def test_stopping_failure_exits_one_with_its_state(self, monkeypatch, tmp_path, capsys):
+        state = {"c_stop": 2097152.0, "rs": [1.0], "q": 1.0, "depth": 4}
+
+        def diverge(command, config=None):
+            raise StoppingFailure("stopping constant failed to stabilize", state)
+
+        monkeypatch.setattr(cli, "run", diverge)
+        assert main(["stopping", "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("stopping failure: stopping constant failed to stabilize")
+        assert json.loads(err.split("state ", 1)[1]) == state
+        assert not list(tmp_path.iterdir())
+
     def test_unknown_subcommand_exits_two(self, capsys):
         assert main(["bogus"]) == 2
         capsys.readouterr()
@@ -328,3 +354,17 @@ def test_cli_import_loads_no_scipy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize(
+    "command, dim, depth", [("stopping", 1, 8), ("stopping", 2, 4), ("cz", 2, 4)]
+)
+def test_reports_match_the_stack_walks(monkeypatch, command, dim, depth, seed):
+    """The level sweeps leave the report bytes of the old stack walks."""
+    config = {"dim": dim, "depth": depth, "seed": seed}
+    swept = json.dumps(run(command, config), indent=2)
+    for module in (sparse, cli):
+        monkeypatch.setattr(module, "stopping_domination", stopping_domination_walk)
+        monkeypatch.setattr(module, "cz_decompose", cz_decompose_walk)
+    assert json.dumps(run(command, config), indent=2) == swept
