@@ -10,7 +10,11 @@ call; the Lebesgue norm's BLAS matmul sums in an order set by the batch.
 The associate (Kothe dual) norm and the product-space norm have analytic
 paths for Lebesgue spaces and seeded coordinate-search paths otherwise; the
 searches are deterministic per seed and are cross-checked against dense-grid
-oracles in the test suite at low dimension.
+oracles in the test suite at low dimension.  A search runs its restarts in
+lockstep, one batched norm call per coordinate step for all of them; with
+batch-independent norms that is bit-identical to running them one after
+another, while over Lebesgue factors (whose matmul is batch-dependent) the
+result may move by an ulp.
 """
 
 from __future__ import annotations
@@ -82,6 +86,11 @@ class AtomicMeasure:
         return f"AtomicMeasure({self.weights.tolist()})"
 
 
+_TINY = np.finfo(float).tiny  # the smallest normal double
+_SQRT_TINY = math.sqrt(_TINY)
+_SQRT_HUGE = math.sqrt(np.finfo(float).max)
+
+
 def _as_scalar(x: np.ndarray):
     return float(x) if np.ndim(x) == 0 else x
 
@@ -139,7 +148,20 @@ class LebesgueSpace(Space):
         w = self.measure.weights
         # np.power: a NumPy scalar's ** rounds unlike the array loop.  The
         # matmul still sums a row in an order set by the batch size.
-        return _as_scalar(np.power(a**self.t @ w, 1.0 / self.t))
+        total = a**self.t @ w
+        out = np.power(total, 1.0 / self.t)
+        # one row's sum is a NumPy scalar, whose min() costs more than the norm
+        lo, hi = (total, total) if total.ndim == 0 else (total.min(), total.max())
+        if hi < math.inf and (_TINY <= lo or not a[total < _TINY].any()):
+            return _as_scalar(out)  # every sum in range, or from a zero row
+        # a power sum that overflows or leaves the normal range loses its
+        # row; norm such nonzero rows again scaled by their largest entry
+        top = a.max(axis=-1)
+        odd = ~((total >= _TINY) & (total < math.inf)) & (top > 0) & (top < math.inf)
+        if np.any(odd):
+            out, scale = np.array(out), top[odd]
+            out[odd] = scale * np.power((a[odd] / scale[:, None]) ** self.t @ w, 1.0 / self.t)
+        return _as_scalar(out)
 
     def params(self) -> dict:
         return {"t": self.t}
@@ -209,6 +231,16 @@ def _check_bracket(open_rows: np.ndarray) -> None:
             f"Luxemburg norm not bracketed within {_BRACKET_CAP} doublings; "
             "Phi grows too slowly for this vector"
         )
+
+
+def _midpoint(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """sqrt(lo * hi), taken as sqrt(lo) * sqrt(hi) where the product is not normal."""
+    with np.errstate(over="ignore", under="ignore"):
+        sq = lo * hi
+    mid = np.sqrt(sq)
+    odd = ~(sq >= _TINY) | np.isinf(sq)
+    mid[odd] = np.sqrt(lo[odd]) * np.sqrt(hi[odd])
+    return mid
 
 
 class OrliczSpace(Space):
@@ -313,8 +345,11 @@ class OrliczSpace(Space):
                 lo[mask] *= 0.5
             else:
                 _check_bracket(excess(lo, sub) <= 0)
+            # lo * hi stays in [lo**2, hi**2] of the bracket; only norms
+            # beyond about 1e+-154 need the guarded midpoint
+            plain = lo.min() > _SQRT_TINY and hi.max() < _SQRT_HUGE
             for _ in range(120):
-                mid = np.sqrt(lo * hi)
+                mid = np.sqrt(lo * hi) if plain else _midpoint(lo, hi)
                 high = excess(mid, sub) > 0
                 new_lo = np.where(high, mid, lo)
                 new_hi = np.where(high, hi, mid)
@@ -409,19 +444,9 @@ def concavify(space: Space, p: float) -> Space:
 # associate (Kothe dual) norm
 # ---------------------------------------------------------------------------
 
-def _dual_objective(space: Space, xiw_flat: np.ndarray):
-    shape = space.atom_shape
-
-    def value(rows: np.ndarray) -> np.ndarray:
-        # rows: (batch, N) nonnegative directions
-        nrm = np.asarray(space.norm(rows.reshape(rows.shape[0], *shape)), dtype=float)
-        pair = rows @ xiw_flat
-        out = np.zeros(rows.shape[0])
-        ok = nrm > 0
-        out[ok] = pair[ok] / nrm[ok]
-        return out
-
-    return value
+def _check_restarts(restarts: int) -> None:
+    if restarts < 1:
+        raise ValueError(f"restarts must be at least 1, got {restarts}")
 
 
 def associate_norm(
@@ -436,7 +461,15 @@ def associate_norm(
     Analytic for Lebesgue spaces (dual exponent), otherwise coordinate ascent
     over the positive unit sphere with seeded random restarts.  Requires a
     1-convex space (declared hint) so that the associate functional is a norm.
+
+    The restarts run in lockstep: each coordinate step norms the candidates
+    of every restart still improving in one call, and a restart drops out
+    after a sweep that improves nothing (or after 40 sweeps).  For norms
+    that give a row the same bits whatever its batch (Orlicz, Lorentz), the
+    result equals running the restarts one after another, bit for bit; over
+    Lebesgue factors (return_argmax, iterated spaces) it may move by an ulp.
     """
+    _check_restarts(restarts)
     if space.convexity < 1.0 - 1e-12:
         raise ValueError(
             "associate norm requires a 1-convex space; "
@@ -448,8 +481,9 @@ def associate_norm(
             f"associate norm requires a Lebesgue exponent t >= 1, got {space.t}"
         )
     xi = np.abs(np.asarray(xi, dtype=float))
-    if xi.shape != space.atom_shape:
-        raise ValueError(f"expected a single vector of shape {space.atom_shape}")
+    shape = space.atom_shape
+    if xi.shape != shape:
+        raise ValueError(f"expected a single vector of shape {shape}")
 
     if isinstance(space, LebesgueSpace) and not return_argmax:
         t = space.t
@@ -463,43 +497,58 @@ def associate_norm(
 
     xiw = (xi * space.mu).ravel()
     n = xiw.size
-    value = _dual_objective(space, xiw)
     support = np.flatnonzero(xiw > 0)
     if support.size == 0:
         eta = np.ones(n)
-        eta /= space.norm(eta.reshape(space.atom_shape))
-        return (0.0, eta.reshape(space.atom_shape)) if return_argmax else 0.0
+        eta /= space.norm(eta.reshape(shape))
+        return (0.0, eta.reshape(shape)) if return_argmax else 0.0
+
+    def value(rows: np.ndarray) -> np.ndarray:
+        # rows: (restarts, batch, N) nonnegative directions; each restart's
+        # block is paired as its own matmul, as a one-restart call would
+        nrm = np.asarray(space.norm(rows.reshape(-1, *shape)), dtype=float)
+        nrm = nrm.reshape(rows.shape[:2])
+        pair = rows @ xiw
+        out = np.zeros(nrm.shape)
+        ok = nrm > 0
+        out[ok] = pair[ok] / nrm[ok]
+        return out
 
     rng = np.random.default_rng(seed)
     inits = [np.ones(n), xiw.copy(), np.sqrt(xiw)]
     inits += [np.where(xiw > 0, rng.lognormal(size=n), 0.0) for _ in range(max(0, restarts - len(inits)))]
 
     factors = np.exp(np.linspace(-3.0, 3.0, 25))
-    best_val, best_eta = 0.0, inits[0]
-    for eta0 in inits[:restarts]:
-        eta = eta0.copy()
-        cur = value(eta[None, :])[0]
-        for _ in range(40):
-            improved = False
-            for i in support:
-                base = eta[i] if eta[i] > 0 else (eta.max() or 1.0) * 1e-3
-                cands = np.concatenate([[0.0], base * factors])
-                batch = np.repeat(eta[None, :], cands.size, axis=0)
-                batch[:, i] = cands
-                vals = value(batch)
-                j = int(np.argmax(vals))
-                if vals[j] > cur * (1 + 1e-12):
-                    cur = vals[j]
-                    eta[i] = cands[j]
-                    improved = True
-            if not improved:
-                break
-        if cur > best_val:
-            best_val, best_eta = cur, eta.copy()
+    eta = np.array(inits[:restarts])
+    cur = value(eta[:, None, :])[:, 0]
+    live = np.arange(len(eta))  # restarts whose last sweep improved
+    for _ in range(40):
+        improved = np.zeros(live.size, dtype=bool)
+        rows = np.arange(live.size)
+        for i in support:
+            sub = eta[live]
+            top = sub.max(axis=1)
+            base = np.where(sub[:, i] > 0, sub[:, i], np.where(top != 0, top, 1.0) * 1e-3)
+            cands = np.concatenate([np.zeros((live.size, 1)), base[:, None] * factors], axis=1)
+            batch = np.repeat(sub[:, None, :], cands.shape[1], axis=1)
+            batch[:, :, i] = cands
+            vals = value(batch)
+            j = np.argmax(vals, axis=1)
+            gain = vals[rows, j] > cur[live] * (1 + 1e-12)
+            cur[live[gain]] = vals[rows, j][gain]
+            eta[live[gain], i] = cands[rows, j][gain]
+            improved |= gain
+        live = live[improved]
+        if not live.size:
+            break
 
+    best_val, best_eta = 0.0, inits[0]
+    for r in range(len(eta)):  # restart order: the first of equal values wins
+        if cur[r] > best_val:
+            best_val, best_eta = cur[r], eta[r]
     if return_argmax:
-        unit = best_eta / space.norm(best_eta.reshape(space.atom_shape))
-        return float(best_val), unit.reshape(space.atom_shape)
+        unit = best_eta / space.norm(best_eta.reshape(shape))
+        return float(best_val), unit.reshape(shape)
     return float(best_val)
 
 
@@ -532,7 +581,15 @@ def product_norm(spaces: Sequence[Space], xi, seed: int = 0, restarts: int = 8):
     Exact for Lebesgue tuples (power factorization, 1/t = sum 1/t_j);
     otherwise alternating coordinate descent over factorizations, seeded by
     power splits and, for Orlicz tuples, by the inverse-Young factorization.
+
+    The restarts run in lockstep, as in associate_norm: each coordinate step
+    norms the candidates of every restart still improving in one call per
+    factor, and a restart drops out after a sweep that improves nothing (or
+    after 30 sweeps).  The result equals running the restarts one after
+    another, bit for bit, when every factor's norm is batch-independent
+    (Orlicz, Lorentz); a Lebesgue factor may move it by an ulp.
     """
+    _check_restarts(restarts)
     spaces = list(spaces)
     if not spaces:
         raise ValueError("need at least one factor space")
@@ -545,35 +602,26 @@ def product_norm(spaces: Sequence[Space], xi, seed: int = 0, restarts: int = 8):
         return LebesgueSpace(t, spaces[0].measure).norm(xi)
 
     xi = np.abs(np.asarray(xi, dtype=float))
-    if xi.shape != spaces[0].atom_shape:
-        raise ValueError(f"expected a single vector of shape {spaces[0].atom_shape}")
+    shape = spaces[0].atom_shape
+    if xi.shape != shape:
+        raise ValueError(f"expected a single vector of shape {shape}")
     flat = xi.ravel()
     pos = np.flatnonzero(flat > 0)
     if pos.size == 0:
         return 0.0
     m = len(spaces)
-    shape = spaces[0].atom_shape
 
-    def norms_off(gs_fixed, skip):
-        acc = 1.0
-        for k, g in enumerate(gs_fixed):
-            if k != skip and k != m - 1:
-                acc *= float(spaces[k].norm(g.reshape(shape)))
-        return acc
+    def norms(k, g):
+        # ||g||_(X_k) for every row of g; leading axes kept
+        out = np.asarray(spaces[k].norm(g.reshape(-1, *shape)), dtype=float)
+        return out.reshape(g.shape[:-1])
 
-    def last_factor(gs):
-        g = flat.copy()
+    def last_factors(G):
+        # the factor of X_m that completes each row's factorization of |xi|
+        g = np.repeat(flat[None, :], len(G), axis=0)
         for k in range(m - 1):
-            g[pos] = g[pos] / gs[k][pos]
-        g[flat == 0] = 0.0
+            g[:, pos] = g[:, pos] / G[:, k, pos]
         return g
-
-    def total(gs):
-        glast = last_factor(gs)
-        acc = float(spaces[m - 1].norm(glast.reshape(shape)))
-        for k in range(m - 1):
-            acc *= float(spaces[k].norm(gs[k].reshape(shape)))
-        return acc
 
     # structured initial splits
     inv = [1.0 / max(_nominal_exponent(sp), 1e-9) for sp in spaces]
@@ -585,47 +633,57 @@ def product_norm(spaces: Sequence[Space], xi, seed: int = 0, restarts: int = 8):
     while len(splits) < restarts:
         splits.append(rng.dirichlet(np.ones(m)))
 
-    factors = np.exp(np.linspace(-2.0, 2.0, 21))
-    best = math.inf
-    for split in splits[:restarts]:
+    # G[r, k] is factor k of restart r, for the first m - 1 factors
+    G = np.empty((restarts, m - 1, flat.size))
+    for r, split in enumerate(splits[:restarts]):
         if isinstance(split, list):  # precomputed factor list
-            gs = [g.copy() for g in split[: m - 1]]
+            G[r] = split[: m - 1]
         else:
-            gs = [
-                np.where(flat > 0, flat ** float(split[k]), 0.0)
-                for k in range(m - 1)
-            ]
-        cur = total(gs)
-        for _ in range(30):
-            improved = False
-            for k in range(m - 1):
-                off = norms_off(gs, k)
-                glast = last_factor(gs)
-                for i in pos:
-                    cands = gs[k][i] * factors
-                    batch = np.repeat(gs[k][None, :], cands.size, axis=0)
-                    batch[:, i] = cands
-                    nk = np.asarray(spaces[k].norm(batch.reshape(-1, *shape)))
-                    others = np.prod([gs[kk][i] for kk in range(m - 1) if kk != k])
-                    lasts = np.repeat(glast[None, :], cands.size, axis=0)
-                    lasts[:, i] = flat[i] / (cands * others)
-                    nl = np.asarray(spaces[m - 1].norm(lasts.reshape(-1, *shape)))
-                    vals = off * nk * nl
-                    j = int(np.argmin(vals))
-                    if vals[j] < cur * (1 - 1e-12):
-                        cur = vals[j]
-                        gs[k][i] = cands[j]
-                        glast = last_factor(gs)
-                        improved = True
-            if not improved:
-                break
-        best = min(best, cur)
-    return float(best)
+            G[r] = [np.where(flat > 0, flat ** float(split[k]), 0.0) for k in range(m - 1)]
+
+    factors = np.exp(np.linspace(-2.0, 2.0, 21))
+    cur = norms(m - 1, last_factors(G))
+    for k in range(m - 1):
+        cur = cur * norms(k, G[:, k])
+    live = np.arange(restarts)  # restarts whose last sweep improved
+    for _ in range(30):
+        improved = np.zeros(live.size, dtype=bool)
+        rows = np.arange(live.size)
+        for k in range(m - 1):
+            off = np.ones(live.size)
+            for kk in range(m - 1):
+                if kk != k:
+                    off = off * norms(kk, G[live, kk])
+            glast = last_factors(G[live])
+            for i in pos:
+                gk = G[live, k]
+                cands = gk[:, i, None] * factors
+                batch = np.repeat(gk[:, None, :], factors.size, axis=1)
+                batch[:, :, i] = cands
+                nk = norms(k, batch)
+                others = np.ones(live.size)
+                for kk in range(m - 1):
+                    if kk != k:
+                        others = others * G[live, kk, i]
+                lasts = np.repeat(glast[:, None, :], factors.size, axis=1)
+                lasts[:, :, i] = flat[i] / (cands * others[:, None])
+                nl = norms(m - 1, lasts)
+                vals = off[:, None] * nk * nl
+                j = np.argmin(vals, axis=1)
+                gain = vals[rows, j] < cur[live] * (1 - 1e-12)
+                if gain.any():
+                    cur[live[gain]] = vals[rows, j][gain]
+                    G[live[gain], k, i] = cands[rows, j][gain]
+                    glast[gain] = last_factors(G[live[gain]])
+                    improved |= gain
+        live = live[improved]
+        if not live.size:
+            break
+    return float(min(math.inf, *cur))  # a NaN restart never wins, as in min()
 
 
 def _orlicz_split(spaces: Sequence[Space], flat: np.ndarray, pos: np.ndarray):
     """Factor list from xi_j = Phi_j^{-1}(Phi(|xi|)), Phi^{-1} = prod Phi_j^{-1}."""
-    m = len(spaces)
     # solve prod Phi_j^{-1}(y) = v per positive atom by bisection in log y
     vals = flat[pos]
     ylo = np.full(vals.shape, 1e-300)
@@ -641,8 +699,11 @@ def _orlicz_split(spaces: Sequence[Space], flat: np.ndarray, pos: np.ndarray):
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         too_big = prod_inv(np.exp(mid)) > vals
-        hi = np.where(too_big, mid, hi)
-        lo = np.where(too_big, lo, mid)
+        new_hi = np.where(too_big, mid, hi)
+        new_lo = np.where(too_big, lo, mid)
+        if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
+            break  # a fixed point: further steps repeat it
+        lo, hi = new_lo, new_hi
     y = np.exp(0.5 * (lo + hi))
     gs = []
     for sp in spaces[:-1]:

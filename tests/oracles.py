@@ -12,7 +12,7 @@ import numpy as np
 
 from sparsedom.dyadic import grid_norm, level_averages, level_products, shifted_grids
 from sparsedom.maximal import lattice_maximal
-from sparsedom.spaces import harmonic_exponent, product_space
+from sparsedom.spaces import OrliczSpace, _nominal_exponent, harmonic_exponent, product_space
 from sparsedom.sparse import (
     CZParts,
     SparseFamily,
@@ -470,6 +470,175 @@ def product_norm_grid(norm1, norm2, xi, span=8.0, npoints=161, refine=4):
             if v < best:
                 best, best_u = v, u
         step /= 4
+    return float(best)
+
+
+# ---------------------------------------------------------------------------
+# sequential coordinate searches: one restart after another
+# ---------------------------------------------------------------------------
+
+def associate_norm_sequential(space, xi, seed=0, restarts=64, return_argmax=False):
+    """associate_norm's coordinate ascent, running its restarts one at a time.
+
+    The search path only (no Lebesgue closed form, no validation).  Each
+    restart sweeps the support until a sweep improves nothing or 40 sweeps
+    pass; the best restart wins, earlier ones on ties.
+    """
+    shape = space.atom_shape
+    xi = np.abs(np.asarray(xi, dtype=float))
+    xiw = (xi * space.mu).ravel()
+    n = xiw.size
+
+    def value(rows):
+        nrm = np.asarray(space.norm(rows.reshape(rows.shape[0], *shape)), dtype=float)
+        pair = rows @ xiw
+        out = np.zeros(rows.shape[0])
+        ok = nrm > 0
+        out[ok] = pair[ok] / nrm[ok]
+        return out
+
+    support = np.flatnonzero(xiw > 0)
+    if support.size == 0:
+        eta = np.ones(n)
+        eta /= space.norm(eta.reshape(shape))
+        return (0.0, eta.reshape(shape)) if return_argmax else 0.0
+
+    rng = np.random.default_rng(seed)
+    inits = [np.ones(n), xiw.copy(), np.sqrt(xiw)]
+    inits += [np.where(xiw > 0, rng.lognormal(size=n), 0.0) for _ in range(max(0, restarts - len(inits)))]
+
+    factors = np.exp(np.linspace(-3.0, 3.0, 25))
+    best_val, best_eta = 0.0, inits[0]
+    for eta0 in inits[:restarts]:
+        eta = eta0.copy()
+        cur = value(eta[None, :])[0]
+        for _ in range(40):
+            improved = False
+            for i in support:
+                base = eta[i] if eta[i] > 0 else (eta.max() or 1.0) * 1e-3
+                cands = np.concatenate([[0.0], base * factors])
+                batch = np.repeat(eta[None, :], cands.size, axis=0)
+                batch[:, i] = cands
+                vals = value(batch)
+                j = int(np.argmax(vals))
+                if vals[j] > cur * (1 + 1e-12):
+                    cur = vals[j]
+                    eta[i] = cands[j]
+                    improved = True
+            if not improved:
+                break
+        if cur > best_val:
+            best_val, best_eta = cur, eta.copy()
+
+    if return_argmax:
+        unit = best_eta / space.norm(best_eta.reshape(shape))
+        return float(best_val), unit.reshape(shape)
+    return float(best_val)
+
+
+def orlicz_split_fixed_steps(spaces, flat, pos):
+    """The inverse-Young factor list of product_norm, with 200 bisection steps."""
+    vals = flat[pos]
+
+    def prod_inv(y):
+        acc = np.ones_like(y)
+        for sp in spaces:
+            acc = acc * sp.phi_inv(y)
+        return acc
+
+    lo, hi = np.log(np.full(vals.shape, 1e-300)), np.log(np.full(vals.shape, 1e300))
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        too_big = prod_inv(np.exp(mid)) > vals
+        hi = np.where(too_big, mid, hi)
+        lo = np.where(too_big, lo, mid)
+    y = np.exp(0.5 * (lo + hi))
+    gs = []
+    for sp in spaces[:-1]:
+        g = np.zeros_like(flat)
+        g[pos] = sp.phi_inv(y)
+        gs.append(g)
+    return gs
+
+
+def product_norm_sequential(spaces, xi, seed=0, restarts=8):
+    """product_norm's coordinate descent, running its restarts one at a time.
+
+    The search path only (two or more factors, not all Lebesgue).  Each
+    restart sweeps factor by factor and atom by atom until a sweep improves
+    nothing or 30 sweeps pass; the smallest value over restarts wins.
+    """
+    spaces = list(spaces)
+    xi = np.abs(np.asarray(xi, dtype=float))
+    flat = xi.ravel()
+    pos = np.flatnonzero(flat > 0)
+    if pos.size == 0:
+        return 0.0
+    m = len(spaces)
+    shape = spaces[0].atom_shape
+
+    def norms_off(gs_fixed, skip):
+        acc = 1.0
+        for k, g in enumerate(gs_fixed):
+            if k != skip and k != m - 1:
+                acc *= float(spaces[k].norm(g.reshape(shape)))
+        return acc
+
+    def last_factor(gs):
+        g = flat.copy()
+        for k in range(m - 1):
+            g[pos] = g[pos] / gs[k][pos]
+        g[flat == 0] = 0.0
+        return g
+
+    def total(gs):
+        glast = last_factor(gs)
+        acc = float(spaces[m - 1].norm(glast.reshape(shape)))
+        for k in range(m - 1):
+            acc *= float(spaces[k].norm(gs[k].reshape(shape)))
+        return acc
+
+    inv = [1.0 / max(_nominal_exponent(sp), 1e-9) for sp in spaces]
+    theta_nominal = np.array(inv) / sum(inv)
+    splits = [theta_nominal, np.full(m, 1.0 / m)]
+    if all(isinstance(sp, OrliczSpace) for sp in spaces):
+        splits.append(orlicz_split_fixed_steps(spaces, flat, pos))
+    rng = np.random.default_rng(seed)
+    while len(splits) < restarts:
+        splits.append(rng.dirichlet(np.ones(m)))
+
+    factors = np.exp(np.linspace(-2.0, 2.0, 21))
+    best = np.inf
+    for split in splits[:restarts]:
+        if isinstance(split, list):
+            gs = [g.copy() for g in split[: m - 1]]
+        else:
+            gs = [np.where(flat > 0, flat ** float(split[k]), 0.0) for k in range(m - 1)]
+        cur = total(gs)
+        for _ in range(30):
+            improved = False
+            for k in range(m - 1):
+                off = norms_off(gs, k)
+                glast = last_factor(gs)
+                for i in pos:
+                    cands = gs[k][i] * factors
+                    batch = np.repeat(gs[k][None, :], cands.size, axis=0)
+                    batch[:, i] = cands
+                    nk = np.asarray(spaces[k].norm(batch.reshape(-1, *shape)))
+                    others = np.prod([gs[kk][i] for kk in range(m - 1) if kk != k])
+                    lasts = np.repeat(glast[None, :], cands.size, axis=0)
+                    lasts[:, i] = flat[i] / (cands * others)
+                    nl = np.asarray(spaces[m - 1].norm(lasts.reshape(-1, *shape)))
+                    vals = off * nk * nl
+                    j = int(np.argmin(vals))
+                    if vals[j] < cur * (1 - 1e-12):
+                        cur = vals[j]
+                        gs[k][i] = cands[j]
+                        glast = last_factor(gs)
+                        improved = True
+            if not improved:
+                break
+        best = min(best, cur)
     return float(best)
 
 

@@ -23,7 +23,14 @@ from sparsedom.spaces import (
     space_from_json,
     space_to_json,
 )
-from oracles import dual_norm_grid, product_norm_grid
+from sparsedom.spaces import _orlicz_split
+from oracles import (
+    associate_norm_sequential,
+    dual_norm_grid,
+    orlicz_split_fixed_steps,
+    product_norm_grid,
+    product_norm_sequential,
+)
 
 U2 = AtomicMeasure.unit(2)
 U3 = AtomicMeasure.unit(3)
@@ -453,3 +460,164 @@ def test_lebesgue_batched_norm_matches_one_row_calls(data, t):
     measure, X = data
     sp = LebesgueSpace(t, measure)
     assert np.array_equal(sp.norm(X), one_row_calls(sp, X))
+
+
+# ---------------------------------------------------------------------------
+# extreme magnitudes
+# ---------------------------------------------------------------------------
+
+def test_orlicz_norm_guards_the_bisection_midpoint():
+    sp = OrliczSpace.from_power(2.0, U3)
+    # lo * hi underflows below 1e-308 and overflows above 1e308
+    assert sp.norm([1e-200, 1e-200, 0.0]) == pytest.approx(math.sqrt(2) * 1e-200, rel=1e-12, abs=0.0)
+    assert sp.norm([1e160, 0.0, 0.0]) == pytest.approx(1e160, rel=1e-12, abs=0.0)
+    X = np.array([[1e-200, 1e-200, 0.0], [3.0, 4.0, 0.0], [1e160, 1e160, 0.0]])
+    assert sp.norm(X) == pytest.approx([math.sqrt(2) * 1e-200, 5.0, math.sqrt(2) * 1e160], rel=1e-12, abs=0.0)
+    assert np.array_equal(sp.norm(X), one_row_calls(sp, X))
+
+
+def test_lebesgue_norm_scales_rows_out_of_range():
+    for t in (1.5, 2.0, 3.0):
+        sp = LebesgueSpace(t, U3)
+        assert sp.norm([1e-300, 0.0, 0.0]) == pytest.approx(1e-300, rel=1e-12, abs=0.0)
+        assert sp.norm([1e160, 0.0, 0.0]) == pytest.approx(1e160, rel=1e-12, abs=0.0)
+        assert sp.norm([1e200, 1e200, 0.0]) == pytest.approx(2 ** (1 / t) * 1e200, rel=1e-12, abs=0.0)
+    weighted = LebesgueSpace(2.0, AtomicMeasure([4.0, 1.0, 1.0]))
+    assert weighted.norm([1e200, 0.0, 0.0]) == pytest.approx(2e200, rel=1e-12, abs=0.0)
+    X = np.array([[1e-300, 0.0, 0.0], [3.0, 4.0, 0.0], [0.0, 0.0, 0.0], [math.inf, 1.0, 0.0]])
+    out = LebesgueSpace(2.0, U3).norm(X)
+    assert out[:2] == pytest.approx([1e-300, 5.0], rel=1e-12, abs=0.0)
+    assert out[2] == 0.0 and out[3] == math.inf
+
+
+# ---------------------------------------------------------------------------
+# the searches run their restarts in lockstep
+# ---------------------------------------------------------------------------
+
+def test_associate_norm_refuses_zero_restarts():
+    sp = OrliczSpace.from_power(2.0, U3)
+    with pytest.raises(ValueError, match="restarts must be at least 1, got 0"):
+        associate_norm(sp, [1.0, 2.0, 0.5], restarts=0)
+
+
+def test_product_norm_refuses_zero_restarts():
+    pair = [OrliczSpace.from_power(2.0, U3), OrliczSpace(PIECEWISE, U3)]
+    with pytest.raises(ValueError, match="restarts must be at least 1, got 0"):
+        product_norm(pair, [1.0, 2.0, 0.5], restarts=0)
+
+
+@st.composite
+def convex_tables(draw):
+    """A (k x 2) Young-function table: a piecewise power law with exponents
+    non-decreasing and at least one, or an exact power."""
+    if draw(st.booleans()):
+        return OrliczSpace.from_power(draw(st.sampled_from([1.0, 1.5, 2.0, 3.0])), U2).table
+    k = draw(st.integers(2, 6))
+    steps = draw(st.lists(st.floats(0.2, 2.0), min_size=k - 1, max_size=k - 1))
+    slopes = sorted(draw(st.lists(st.floats(1.0, 4.0), min_size=k - 1, max_size=k - 1)))
+    lx = draw(st.floats(-3.0, 0.0)) + np.concatenate([[0.0], np.cumsum(steps)])
+    ly = draw(st.floats(-2.0, 2.0)) + np.concatenate([[0.0], np.cumsum(np.multiply(slopes, steps))])
+    return np.column_stack([np.exp(lx), np.exp(ly)])
+
+
+@st.composite
+def measures(draw, min_atoms, max_atoms):
+    n = draw(st.integers(min_atoms, max_atoms))
+    if draw(st.booleans()):
+        return AtomicMeasure.unit(n)
+    return AtomicMeasure(draw(st.lists(st.floats(0.25, 4.0), min_size=n, max_size=n)))
+
+
+def vectors(n):
+    # one entry in five is zero
+    entry = st.tuples(st.integers(0, 4), st.floats(0.05, 20.0)).map(lambda p: p[1] if p[0] else 0.0)
+    return st.lists(entry, min_size=n, max_size=n).map(np.array)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    data=st.data(),
+    table=convex_tables(),
+    measure=measures(1, 6),
+    restarts=st.integers(1, 16),
+    seed=st.integers(0, 2**16),
+    argmax=st.booleans(),
+)
+def test_associate_lockstep_matches_sequential_restarts(data, table, measure, restarts, seed, argmax):
+    sp = OrliczSpace(table, measure)
+    xi = data.draw(vectors(measure.n))
+    got = associate_norm(sp, xi, seed=seed, restarts=restarts, return_argmax=argmax)
+    want = associate_norm_sequential(sp, xi, seed=seed, restarts=restarts, return_argmax=argmax)
+    if argmax:
+        assert got[0] == want[0]
+        assert np.array_equal(got[1], want[1])
+    else:
+        assert got == want
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    data=st.data(),
+    tables=st.lists(convex_tables(), min_size=2, max_size=3),
+    measure=measures(2, 4),
+    restarts=st.integers(1, 8),
+    seed=st.integers(0, 2**16),
+)
+def test_product_lockstep_matches_sequential_restarts(data, tables, measure, restarts, seed):
+    factors = [OrliczSpace(tab, measure) for tab in tables]
+    xi = data.draw(vectors(measure.n))
+    got = product_norm(factors, xi, seed=seed, restarts=restarts)
+    assert got == product_norm_sequential(factors, xi, seed=seed, restarts=restarts)
+
+
+def test_product_lockstep_matches_sequential_on_piecewise_tuples():
+    # the orlicz-duality product at its input scale, as a pair and a triple
+    U4 = AtomicMeasure.unit(4)
+    pair = [OrliczSpace(PIECEWISE, U4), OrliczSpace.from_power(3.0, U4)]
+    triple = pair + [OrliczSpace.from_power(1.5, U4)]
+    for factors, seed in ((pair, 1), (pair, 4), (triple, 4)):
+        xi = np.random.default_rng(seed).uniform(0.25, 4.0, size=4)
+        got = product_norm(factors, xi, seed=seed, restarts=8)
+        assert got == product_norm_sequential(factors, xi, seed=seed, restarts=8)
+
+
+def test_associate_norm_calls_do_not_grow_with_restarts():
+    sp = OrliczSpace(PIECEWISE, AtomicMeasure.unit(6))
+    xi = np.array([0.5, 3.0, 0.0, 1.25, 2.0, 0.75])
+    support = np.count_nonzero(xi)
+    calls, norm = [0], sp.norm
+
+    def counted(x):
+        calls[0] += 1
+        return norm(x)
+
+    sp.norm = counted
+    for restarts, argmax in ((1, True), (16, False), (64, True)):
+        calls[0] = 0
+        associate_norm(sp, xi, restarts=restarts, return_argmax=argmax)
+        assert calls[0] <= 1 + 40 * support + argmax
+
+
+def test_orlicz_split_stops_at_its_fixed_point():
+    rng = np.random.default_rng(8)
+    cases = [
+        [OrliczSpace(PIECEWISE, U3), OrliczSpace.from_power(3.0, U3)],
+        [OrliczSpace.from_power(1.5, U3), OrliczSpace(PIECEWISE, U3), OrliczSpace.from_power(2.0, U3)],
+    ]
+    for spaces in cases:
+        for _ in range(5):
+            flat = rng.lognormal(sigma=2.0, size=3) * (rng.random(3) > 0.2)
+            pos = np.flatnonzero(flat > 0)
+            steps, phi_inv = [0], spaces[0].phi_inv
+
+            def counted(y):
+                steps[0] += 1
+                return phi_inv(y)
+
+            spaces[0].phi_inv = counted
+            got = _orlicz_split(spaces, flat, pos)
+            del spaces[0].phi_inv
+            want = orlicz_split_fixed_steps(spaces, flat, pos)
+            assert len(got) == len(want) == len(spaces) - 1
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+            assert steps[0] < 200  # one call per step, plus the final factors
