@@ -87,8 +87,6 @@ class AtomicMeasure:
 
 
 _TINY = np.finfo(float).tiny  # the smallest normal double
-_SQRT_TINY = math.sqrt(_TINY)
-_SQRT_HUGE = math.sqrt(np.finfo(float).max)
 
 
 def _as_scalar(x: np.ndarray):
@@ -150,8 +148,7 @@ class LebesgueSpace(Space):
         # matmul still sums a row in an order set by the batch size.
         total = a**self.t @ w
         out = np.power(total, 1.0 / self.t)
-        # one row's sum is a NumPy scalar, whose min() costs more than the norm
-        lo, hi = (total, total) if total.ndim == 0 else (total.min(), total.max())
+        lo, hi = np.min(total), np.max(total)
         if hi < math.inf and (_TINY <= lo or not a[total < _TINY].any()):
             return _as_scalar(out)  # every sum in range, or from a zero row
         # a power sum that overflows or leaves the normal range loses its
@@ -231,16 +228,6 @@ def _check_bracket(open_rows: np.ndarray) -> None:
             f"Luxemburg norm not bracketed within {_BRACKET_CAP} doublings; "
             "Phi grows too slowly for this vector"
         )
-
-
-def _midpoint(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """sqrt(lo * hi), taken as sqrt(lo) * sqrt(hi) where the product is not normal."""
-    with np.errstate(over="ignore", under="ignore"):
-        sq = lo * hi
-    mid = np.sqrt(sq)
-    odd = ~(sq >= _TINY) | np.isinf(sq)
-    mid[odd] = np.sqrt(lo[odd]) * np.sqrt(hi[odd])
-    return mid
 
 
 class OrliczSpace(Space):
@@ -328,6 +315,11 @@ class OrliczSpace(Space):
 
         sub = rows[active]
         if sub.size:
+            # norm each row divided by a power of two near its sup: exact
+            # for normal entries, so a row keeps its bits, and lo * hi below
+            # stays in range however large or small the row is
+            scale = np.ldexp(1.0, np.frexp(sub.max(axis=1))[1])
+            sub = sub / scale[:, None]
             # bracket the unit level set by doubling outward from the sup
             hi = sub.max(axis=1).copy()
             for _ in range(_BRACKET_CAP):
@@ -345,18 +337,15 @@ class OrliczSpace(Space):
                 lo[mask] *= 0.5
             else:
                 _check_bracket(excess(lo, sub) <= 0)
-            # lo * hi stays in [lo**2, hi**2] of the bracket; only norms
-            # beyond about 1e+-154 need the guarded midpoint
-            plain = lo.min() > _SQRT_TINY and hi.max() < _SQRT_HUGE
             for _ in range(120):
-                mid = np.sqrt(lo * hi) if plain else _midpoint(lo, hi)
+                mid = np.sqrt(lo * hi)
                 high = excess(mid, sub) > 0
                 new_lo = np.where(high, mid, lo)
                 new_hi = np.where(high, hi, mid)
                 if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
                     break  # a fixed point: further steps repeat it
                 lo, hi = new_lo, new_hi
-            out[active] = hi
+            out[active] = hi * scale
         return _as_scalar(out.reshape(lead))
 
     def params(self) -> dict:

@@ -5,6 +5,7 @@ dense grids.  None of it calls the library's fast paths for the quantity it
 checks, so agreement is evidence, not tautology.
 """
 
+import math
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -471,6 +472,39 @@ def product_norm_grid(norm1, norm2, xi, span=8.0, npoints=161, refine=4):
                 best, best_u = v, u
         step /= 4
     return float(best)
+
+
+# ---------------------------------------------------------------------------
+# Luxemburg norm of one row, bisected on its own unscaled bracket
+# ---------------------------------------------------------------------------
+
+def luxemburg_norm_unscaled(space, row, bracket_cap=100, steps=120):
+    """inf { lam : sum Phi(|row| / lam) mu <= 1 } by doubling out from the
+    sup, then geometric bisection with midpoint sqrt(lo * hi), one row at a
+    time.  Right wherever lo * hi stays a normal double."""
+    a = np.abs(np.asarray(row, dtype=float))
+    if not a.max() > 0:
+        return 0.0
+
+    def excess(lam):
+        return float(np.sum(space.phi(a / lam) * space.measure.weights)) - 1.0
+
+    hi = lo = float(a.max())
+    for _ in range(bracket_cap):
+        if excess(hi) <= 0:
+            break
+        hi *= 2.0
+    for _ in range(bracket_cap):
+        if excess(lo) > 0:
+            break
+        lo *= 0.5
+    for _ in range(steps):
+        mid = math.sqrt(lo * hi)
+        if excess(mid) > 0:
+            lo = mid
+        else:
+            hi = mid
+    return hi
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from sparsedom.spaces import _orlicz_split
 from oracles import (
     associate_norm_sequential,
     dual_norm_grid,
+    luxemburg_norm_unscaled,
     orlicz_split_fixed_steps,
     product_norm_grid,
     product_norm_sequential,
@@ -466,9 +467,10 @@ def test_lebesgue_batched_norm_matches_one_row_calls(data, t):
 # extreme magnitudes
 # ---------------------------------------------------------------------------
 
-def test_orlicz_norm_guards_the_bisection_midpoint():
+def test_orlicz_norm_at_extreme_magnitudes():
     sp = OrliczSpace.from_power(2.0, U3)
-    # lo * hi underflows below 1e-308 and overflows above 1e308
+    # an unscaled bisection's lo * hi underflows below 1e-308 and overflows
+    # above 1e308
     assert sp.norm([1e-200, 1e-200, 0.0]) == pytest.approx(math.sqrt(2) * 1e-200, rel=1e-12, abs=0.0)
     assert sp.norm([1e160, 0.0, 0.0]) == pytest.approx(1e160, rel=1e-12, abs=0.0)
     X = np.array([[1e-200, 1e-200, 0.0], [3.0, 4.0, 0.0], [1e160, 1e160, 0.0]])
@@ -494,16 +496,34 @@ def test_lebesgue_norm_scales_rows_out_of_range():
 # the searches run their restarts in lockstep
 # ---------------------------------------------------------------------------
 
-def test_associate_norm_refuses_zero_restarts():
-    sp = OrliczSpace.from_power(2.0, U3)
+# restarts is checked on entry, so the closed-form paths, which never read
+# it, refuse it too
+@pytest.mark.parametrize(
+    "space, argmax",
+    [
+        (OrliczSpace.from_power(2.0, U3), False),
+        (LebesgueSpace(2.0, U3), False),
+        (LebesgueSpace(2.0, U3), True),
+    ],
+    ids=["orlicz-search", "lebesgue-analytic", "lebesgue-search"],
+)
+def test_associate_norm_refuses_zero_restarts(space, argmax):
     with pytest.raises(ValueError, match="restarts must be at least 1, got 0"):
-        associate_norm(sp, [1.0, 2.0, 0.5], restarts=0)
+        associate_norm(space, [1.0, 2.0, 0.5], restarts=0, return_argmax=argmax)
 
 
-def test_product_norm_refuses_zero_restarts():
-    pair = [OrliczSpace.from_power(2.0, U3), OrliczSpace(PIECEWISE, U3)]
+@pytest.mark.parametrize(
+    "factors",
+    [
+        [OrliczSpace.from_power(2.0, U3), OrliczSpace(PIECEWISE, U3)],
+        [OrliczSpace(PIECEWISE, U3)],
+        [LebesgueSpace(2.0, U3), LebesgueSpace(3.0, U3)],
+    ],
+    ids=["orlicz-search", "one-factor", "lebesgue-closed-form"],
+)
+def test_product_norm_refuses_zero_restarts(factors):
     with pytest.raises(ValueError, match="restarts must be at least 1, got 0"):
-        product_norm(pair, [1.0, 2.0, 0.5], restarts=0)
+        product_norm(factors, [1.0, 2.0, 0.5], restarts=0)
 
 
 @st.composite
@@ -532,6 +552,17 @@ def vectors(n):
     # one entry in five is zero
     entry = st.tuples(st.integers(0, 4), st.floats(0.05, 20.0)).map(lambda p: p[1] if p[0] else 0.0)
     return st.lists(entry, min_size=n, max_size=n).map(np.array)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), table=convex_tables(), measure=measures(1, 6))
+def test_orlicz_norm_keeps_the_bits_of_the_unscaled_bisection(data, table, measure):
+    # rows from 1e-100 to 1e100: the power-of-two rescaling inside the norm
+    # must not move a bit where the unscaled bracket stays in range
+    sp = OrliczSpace(table, measure)
+    exps = data.draw(st.lists(st.integers(-100, 100), min_size=1, max_size=6))
+    X = np.array([data.draw(vectors(measure.n)) * 10.0**e for e in exps])
+    assert np.array_equal(sp.norm(X), [luxemburg_norm_unscaled(sp, row) for row in X])
 
 
 @settings(max_examples=20, deadline=None)
