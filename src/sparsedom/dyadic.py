@@ -19,8 +19,9 @@ decisions use exact rational arithmetic, so the covering suites are exact.
 ``level_averages`` is the one r-average kernel, for every lattice: it refines
 each axis with a nonzero shift digit into thirds, which makes every cube of a
 level one contiguous block of subcells, and reduces all blocks of a level in
-one zero-padded reshape.  ``average`` and ``cube_averages`` read single cubes
-off those level arrays.
+one zero-padded reshape.  On the shift-0 lattice the blocks tile the cells,
+so a level is a plain reshape-and-sum divided by one integer count.
+``average`` and ``cube_averages`` read single cubes off those level arrays.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ __all__ = [
     "level_averages",
     "level_products",
     "cube_averages",
-    "upsample",
     "grid_norm",
     "function_to_json",
     "function_from_json",
@@ -268,50 +268,52 @@ def level_averages(grid: Grid, f: np.ndarray, r: float) -> dict[int, np.ndarray]
 
     The r-average is <f>_{r,Q} = (|Q|^-1 int_Q |f|^r)^(1/r) with Q cut down
     to [0,1)^d; r = inf gives the essential supremum.  Each level is one
-    zero-padded block reshape of |f|^r on subcells (see the module notes),
-    summed per block and divided by the block's count of subcells inside the
-    unit cube.  Entry i along an axis is the cube with index
-    ``_axis_range(level, digit)[i]``; on shift 0 that is the index itself.
-    Trailing axes broadcast.
+    block reshape of |f|^r, summed per block and divided by the block's
+    count of subcells inside the unit cube.  On shift 0 the cubes of a level
+    tile the cells, so the reshape needs no padding and the count is one
+    integer; a shifted lattice works on subcells (see the module notes) and
+    zero-pads its protruding blocks.  At r = 1 the powers |f|^1 and s^(1/1)
+    are skipped: both are exact identities.  Entry i along an axis is the
+    cube with index ``_axis_range(level, digit)[i]``; on shift 0 that is the
+    index itself.  Trailing axes broadcast.
     """
     f = _check_cells(grid, f)
     if not (r > 0):
         raise ValueError(f"average exponent must be positive, got r={r}")
     trail = f.shape[grid.d:]
-    power = np.abs(f) if math.isinf(r) else np.abs(f) ** r
+    power = np.abs(f) if math.isinf(r) or r == 1 else np.abs(f) ** r
     for axis, a in enumerate(grid.digits):
         if a:
             power = np.repeat(power, 3, axis=axis)
     blocks = tuple(range(1, 2 * grid.d, 2))
     out: dict[int, np.ndarray] = {}
     for k in range(grid.depth + 1):
-        shape, padded, window, counts = (), (), [], np.ones(())
-        sign = 1 if k % 2 == 0 else -1
-        for axis, a in enumerate(grid.digits):
-            # in subcells: cube i of the axis is block i after ``lo`` zeros
-            rng, size = _axis_range(k, a), power.shape[axis]
-            ncubes, block = len(rng), (3 if a else 1) << (grid.depth - k)
-            lo = -(3 * rng.start + sign * a) << (grid.depth - k)
-            shape += (ncubes, block)
-            padded += (ncubes * block,)
-            window.append(slice(lo, lo + size))
-            # shift 0 needs no padding and has one count per level, which
-            # keeps it equal, bit for bit, to a plain block mean
-            if grid.shift:
+        if grid.shift:
+            shape, padded, window, counts = (), (), [], np.ones(())
+            sign = 1 if k % 2 == 0 else -1
+            for axis, a in enumerate(grid.digits):
+                # in subcells: cube i of the axis is block i after ``lo`` zeros
+                rng, size = _axis_range(k, a), power.shape[axis]
+                ncubes, block = len(rng), (3 if a else 1) << (grid.depth - k)
+                lo = -(3 * rng.start + sign * a) << (grid.depth - k)
+                shape += (ncubes, block)
+                padded += (ncubes * block,)
+                window.append(slice(lo, lo + size))
                 edges = np.clip(np.arange(ncubes + 1) * block - lo, 0, size)
                 counts = np.multiply.outer(counts, np.diff(edges))
-            else:
-                counts = counts * block
-        x = power
-        if grid.shift:
             x = np.zeros(padded + trail)
             x[tuple(window)] = power
-        x = x.reshape(shape + trail)
+            x = x.reshape(shape + trail)
+            counts = counts.reshape(counts.shape + (1,) * len(trail))
+        else:
+            block = 1 << (grid.depth - k)
+            x = power.reshape((1 << k, block) * grid.d + trail)
+            counts = block**grid.d
         if math.isinf(r):
             out[k] = x.max(axis=blocks)
         else:
-            counts = counts.reshape(counts.shape + (1,) * len(trail))
-            out[k] = (x.sum(axis=blocks) / counts) ** (1.0 / r)
+            mean = x.sum(axis=blocks) / counts
+            out[k] = mean if r == 1 else mean ** (1.0 / r)
     return out
 
 
@@ -365,15 +367,6 @@ def average(grid: Grid, f: np.ndarray, r: float, cube: Cube):
     not in its lattice's index range raises ValueError.
     """
     return next(cube_averages(grid, [f], [r], [cube]))
-
-
-def upsample(grid: Grid, arr: np.ndarray, level: int) -> np.ndarray:
-    """A shift-0 level array onto the finest cells; trailing axes ride along."""
-    b = 1 << (grid.depth - level)
-    out = np.repeat(arr, b, axis=0)
-    if grid.d == 2:
-        out = np.repeat(out, b, axis=1)
-    return out
 
 
 def grid_norm(grid: Grid, f: np.ndarray, p: float, weight: np.ndarray | None = None) -> float:

@@ -21,7 +21,6 @@ from .dyadic import (
     grid_norm,
     level_products,
     shifted_grids,
-    upsample,
 )
 from .spaces import Space, harmonic_exponent, product_space
 
@@ -82,18 +81,24 @@ def scalar_maximal(
 
     ``cubes`` defaults to the full shift-0 family of the grid; any explicit
     collection (including shifted cubes) is accepted and the result is
-    monotone in it.
+    monotone in it.  The full family is a top-down running max, kept in the
+    level arrays themselves: level k's max over levels 0..k, repeated twice
+    along each axis, is folded into level k+1's products in place.  Max is
+    exact, so this equals the max over every level upsampled to the cells
+    (the oracle in ``tests/oracles.py``) bit for bit.
     """
     if len(fs) != len(rs) or not fs:
         raise ValueError("need one exponent per function, at least one pair")
     fs, trail = check_tuple(grid, fs)
-    out = np.zeros(grid.cell_shape + trail)
     if cubes is None:
-        # block-reduction fast path over the full tree
-        for k, prods in level_products(grid, fs, rs).items():
-            np.maximum(out, upsample(grid, prods, k), out=out)
-        return out
+        levels = level_products(grid, fs, rs)
+        for k in range(1, grid.depth + 1):
+            fine = levels[k].reshape((1 << (k - 1), 2) * grid.d + trail)
+            coarse = levels[k - 1].reshape((1 << (k - 1), 1) * grid.d + trail)
+            np.maximum(fine, coarse, out=fine)
+        return levels[grid.depth]
 
+    out = np.zeros(grid.cell_shape + trail)
     cubes = list(cubes)
     for cube, val in zip(cubes, cube_averages(grid, fs, rs, cubes)):
         sl = contained_cells(grid, cube)

@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dyadic import Cube, Grid, cube_averages, grid_norm, upsample
+from .dyadic import Cube, Grid, _position, grid_norm, level_products
 from .maximal import check_tuple, contained_cells, scalar_maximal, tower
 from .sparse import SparseFamily, form_bound_from_pointwise
 from .spaces import (
@@ -90,6 +90,8 @@ class SparseOperator:
         if not self.rs or any(not r > 0 for r in self.rs):
             raise ValueError("averaging exponents must be positive")
         self.m = len(self.rs)
+        # (d, depth) -> [(shift, level, position, cell slices or None)]
+        self._plans: dict[tuple[int, int], list] = {}
 
     def hypothesis_constant(self, q: float) -> float | None:
         """eta^(-1/q), the certified scalar-domination constant for q <= 1.
@@ -102,15 +104,40 @@ class SparseOperator:
             return None
         return self.eta ** (-1.0 / q)
 
+    def _plan(self, grid: Grid) -> list:
+        """Each cube's lattice, level, array position and cells, in family order.
+
+        Built once per (d, depth): the positions are bounds-checked as in
+        ``cube_averages``, and the plan is stored only when every cube passes.
+        """
+        key = (grid.d, grid.depth)
+        if key not in self._plans:
+            self._plans[key] = [
+                (cube.shift, cube.level, _position(grid, cube), contained_cells(grid, cube))
+                for cube in self.cubes
+            ]
+        return self._plans[key]
+
     def apply(self, grid: Grid, fs: Sequence[np.ndarray]) -> np.ndarray:
+        """T(f) per finest cell; trailing atom axes broadcast.
+
+        Each cube adds its entry of the level products of its lattice (built
+        once per lattice that occurs, as ``cube_averages`` does) to its cells,
+        in family order.  A cell thus sums the same values in the same order
+        as the per-cube walk of ``cube_averages`` and ``contained_cells`` (the
+        oracle in ``tests/oracles.py``), so the result equals it bit for bit.
+        """
         if len(fs) != self.m:
             raise ValueError(f"model takes {self.m} functions, got {len(fs)}")
         fs, trail = check_tuple(grid, fs)
+        plan = self._plan(grid)
         out = np.zeros(grid.cell_shape + trail)
-        for cube, val in zip(self.cubes, cube_averages(grid, fs, self.rs, self.cubes)):
-            sl = contained_cells(grid, cube)
+        tables: dict[int, dict[int, np.ndarray]] = {}
+        for shift, level, pos, sl in plan:
+            if shift not in tables:
+                tables[shift] = level_products(Grid(grid.d, grid.depth, shift), fs, self.rs)
             if sl is not None:
-                out[sl] += val
+                out[sl] += tables[shift][level][pos]
         return out
 
     def __repr__(self) -> str:
@@ -154,6 +181,8 @@ class HaarTransform:
         self.rs = (1.0,)
         self.m = 1
         self.eta = None
+        # (d, depth) -> sign arrays eps_Q of levels 0..depth-1
+        self._plans: dict[tuple[int, int], list[np.ndarray]] = {}
 
     @classmethod
     def random(cls, grid: Grid, seed: int = 0) -> "HaarTransform":
@@ -181,25 +210,45 @@ class HaarTransform:
             if any(not 0 <= i < (1 << cube.level) for i in cube.index):
                 raise ValueError("sign cube lies outside the unit cube")
 
-    def _sign_array(self, k: int, d: int) -> np.ndarray:
-        s = np.ones((1 << k,) * d)
-        for cube, eps in self.signs.items():
-            if cube.level == k:
-                s[cube.index] = eps
-        return s
+    def _plan(self, grid: Grid) -> list[np.ndarray]:
+        """eps_Q of every cube, one array per level 0..depth-1.
+
+        Built once per (d, depth); the keys are validated first, and the plan
+        is stored only when they pass.
+        """
+        key = (grid.d, grid.depth)
+        if key not in self._plans:
+            self._validate_keys(grid)
+            signs = [np.ones((1 << k,) * grid.d) for k in range(grid.depth)]
+            for cube, eps in self.signs.items():
+                signs[cube.level][cube.index] = eps
+            self._plans[key] = signs
+        return self._plans[key]
 
     def apply(self, grid: Grid, fs: Sequence[np.ndarray]) -> np.ndarray:
+        """T f per finest cell; trailing atom axes broadcast.
+
+        A top-down running sum: the sum over levels 0..k, repeated twice
+        along each axis, gains eps_Q (E_{k+1} f - E_k f) on level k+1's
+        cells.  Every cell meets the same operands in the same order as when
+        each level is upsampled to the cells first (the oracle in
+        ``tests/oracles.py``), so the result equals that bit for bit.  The
+        signs come from the per-grid plan.
+        """
         if len(fs) != 1:
             raise ValueError("Haar transform supports m = 1 only")
         fs, trail = check_tuple(grid, fs)
-        self._validate_keys(grid)
-        f = fs[0]
-        means = _signed_means(grid, f)
-        out = upsample(grid, means[0], 0).copy()
-        for k in range(grid.depth):
-            detail = upsample(grid, means[k + 1], k + 1) - upsample(grid, means[k], k)
-            s = upsample(grid, self._sign_array(k, grid.d), k)
-            out += s.reshape(s.shape + (1,) * len(trail)) * detail
+        plan = self._plan(grid)
+        means = _signed_means(grid, fs[0])
+        out = means[0].copy()
+        for k, signs in enumerate(plan):
+            half = (1 << k, 1) * grid.d
+            fine = means[k + 1].reshape((1 << k, 2) * grid.d + trail)
+            # eps_Q * detail, then the sum so far plus it, in one new buffer
+            term = fine - means[k].reshape(half + trail)
+            np.multiply(signs.reshape(half + (1,) * len(trail)), term, out=term)
+            np.add(out.reshape(half + trail), term, out=term)
+            out = term.reshape(means[k + 1].shape)
         return out
 
     def __repr__(self) -> str:
@@ -539,9 +588,13 @@ def vv_transfer_check(
     against n stays at or below 0.05.  An inadmissible tuple downgrades the
     run to exploratory with a warning rather than refusing it.
 
-    Scalar profiles are drawn from one stream reseeded identically per n, so
-    one-hot trials (which reduce to the scalar bound exactly) repeat across
-    atom counts and anchor the fit.
+    Scalar profiles and g are drawn from one stream reseeded identically per
+    n, so every atom count sees the same profiles.  Their lifts to atoms come
+    from a stream of their own per n, and each factor draws its own lift
+    kind and, for a one-hot lift, its own atom.  A trial reduces to the
+    scalar bound only when every factor is one-hot on the same atom; for
+    m = 2 over n flat atoms that happens with probability 1/(9n), so the
+    worst ratios at different n come from different lifts.
     """
     make = specs if callable(specs) else (lambda n: space_tuple(specs, n))
     ns = tuple(int(n) for n in ns)

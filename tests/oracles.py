@@ -11,8 +11,16 @@ from itertools import combinations, product
 
 import numpy as np
 
-from sparsedom.dyadic import grid_norm, level_averages, level_products, shifted_grids
-from sparsedom.maximal import lattice_maximal
+from sparsedom.dyadic import (
+    _axis_range,
+    _check_cells,
+    cube_averages,
+    grid_norm,
+    level_averages,
+    level_products,
+    shifted_grids,
+)
+from sparsedom.maximal import check_tuple, contained_cells, lattice_maximal
 from sparsedom.spaces import OrliczSpace, _nominal_exponent, harmonic_exponent, product_space
 from sparsedom.sparse import (
     CZParts,
@@ -23,6 +31,7 @@ from sparsedom.sparse import (
     certificate_depth,
     verify_sparse,
 )
+from sparsedom.transfer import _signed_means
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +234,115 @@ def exhaustive_best_form(cube_values, eta, depth):
             if value > best:
                 best, best_family = value, list(sub)
     return best, best_family
+
+
+# ---------------------------------------------------------------------------
+# level arrays reduced and spread one level at a time, operators cube by cube
+# ---------------------------------------------------------------------------
+
+def signed_cells(rng, shape):
+    """Test input: lognormal magnitudes, random signs, about a fifth exact zeros."""
+    f = rng.lognormal(sigma=1.5, size=shape) * rng.choice([-1.0, 1.0], size=shape)
+    f[rng.random(shape) < 0.2] = 0.0
+    return f
+
+
+def level_averages_padded(grid, f, r):
+    """``dyadic.level_averages`` with one general block reduction for all lattices.
+
+    Every level builds per-axis shapes, a padding window and per-axis counts,
+    and shift 0 too goes through |f|^r and (.)^(1/r) at r = 1.
+    """
+    f = _check_cells(grid, f)
+    if not (r > 0):
+        raise ValueError(f"average exponent must be positive, got r={r}")
+    trail = f.shape[grid.d:]
+    power = np.abs(f) if math.isinf(r) else np.abs(f) ** r
+    for axis, a in enumerate(grid.digits):
+        if a:
+            power = np.repeat(power, 3, axis=axis)
+    blocks = tuple(range(1, 2 * grid.d, 2))
+    out = {}
+    for k in range(grid.depth + 1):
+        shape, padded, window, counts = (), (), [], np.ones(())
+        sign = 1 if k % 2 == 0 else -1
+        for axis, a in enumerate(grid.digits):
+            rng, size = _axis_range(k, a), power.shape[axis]
+            ncubes, block = len(rng), (3 if a else 1) << (grid.depth - k)
+            lo = -(3 * rng.start + sign * a) << (grid.depth - k)
+            shape += (ncubes, block)
+            padded += (ncubes * block,)
+            window.append(slice(lo, lo + size))
+            if grid.shift:
+                edges = np.clip(np.arange(ncubes + 1) * block - lo, 0, size)
+                counts = np.multiply.outer(counts, np.diff(edges))
+            else:
+                counts = counts * block
+        x = power
+        if grid.shift:
+            x = np.zeros(padded + trail)
+            x[tuple(window)] = power
+        x = x.reshape(shape + trail)
+        if math.isinf(r):
+            out[k] = x.max(axis=blocks)
+        else:
+            counts = counts.reshape(counts.shape + (1,) * len(trail))
+            out[k] = (x.sum(axis=blocks) / counts) ** (1.0 / r)
+    return out
+
+
+def upsample(grid, arr, level):
+    """A shift-0 level array onto the finest cells; trailing axes ride along."""
+    b = 1 << (grid.depth - level)
+    out = np.repeat(arr, b, axis=0)
+    if grid.d == 2:
+        out = np.repeat(out, b, axis=1)
+    return out
+
+
+def scalar_maximal_upsampled(grid, fs, rs):
+    """``maximal.scalar_maximal`` over the full shift-0 tree, every level spread to the cells."""
+    fs, trail = check_tuple(grid, fs)
+    out = np.zeros(grid.cell_shape + trail)
+    for k, prods in level_products(grid, fs, rs).items():
+        np.maximum(out, upsample(grid, prods, k), out=out)
+    return out
+
+
+def sparse_apply_walk(T, grid, fs):
+    """``SparseOperator.apply`` cube by cube: look up, bounds-check and slice each one."""
+    if len(fs) != T.m:
+        raise ValueError(f"model takes {T.m} functions, got {len(fs)}")
+    fs, trail = check_tuple(grid, fs)
+    out = np.zeros(grid.cell_shape + trail)
+    for cube, val in zip(T.cubes, cube_averages(grid, fs, T.rs, T.cubes)):
+        sl = contained_cells(grid, cube)
+        if sl is not None:
+            out[sl] += val
+    return out
+
+
+def haar_apply_loop(T, grid, fs):
+    """``HaarTransform.apply`` validating and building every sign array on each call.
+
+    Every level of means and of signs is spread to the cells before it is
+    differenced and summed.
+    """
+    if len(fs) != 1:
+        raise ValueError("Haar transform supports m = 1 only")
+    fs, trail = check_tuple(grid, fs)
+    T._validate_keys(grid)
+    means = _signed_means(grid, fs[0])
+    out = upsample(grid, means[0], 0).copy()
+    for k in range(grid.depth):
+        detail = upsample(grid, means[k + 1], k + 1) - upsample(grid, means[k], k)
+        signs = np.ones((1 << k,) * grid.d)
+        for cube, eps in T.signs.items():
+            if cube.level == k:
+                signs[cube.index] = eps
+        s = upsample(grid, signs, k)
+        out += s.reshape(s.shape + (1,) * len(trail)) * detail
+    return out
 
 
 # ---------------------------------------------------------------------------

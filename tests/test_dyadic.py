@@ -307,6 +307,23 @@ def test_level_averages_shift_zero_is_a_plain_block_mean(d, depth, atoms):
             assert np.array_equal(lv[k], want)
 
 
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_level_averages_match_the_padded_oracle(data):
+    # bit for bit: the shift-0 reshape and the skipped r = 1 powers are exact
+    d = data.draw(st.sampled_from([1, 2]))
+    shift = data.draw(st.one_of(st.just(0), st.integers(0, 3**d - 1)))
+    grid = Grid(d, data.draw(st.integers(0, 5)), shift)
+    atoms = tuple(data.draw(st.lists(st.integers(1, 3), max_size=2)))
+    r = data.draw(st.sampled_from([0.5, 1.0, 2.5, math.inf]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    f = oracles.signed_cells(rng, grid.cell_shape + atoms)
+    got, want = level_averages(grid, f, r), oracles.level_averages_padded(grid, f, r)
+    assert got.keys() == want.keys()
+    for k in want:
+        assert np.array_equal(got[k], want[k])
+
+
 def test_average_rejects_cube_outside_its_lattice():
     grid = Grid(1, 2)
     f = np.arange(4.0)

@@ -1,5 +1,7 @@
 """Scalar and lattice maximal operators against enumeration oracles."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +15,7 @@ from sparsedom.maximal import (
     scalar_maximal,
 )
 from sparsedom.spaces import AtomicMeasure, LebesgueSpace
+import oracles
 from oracles import naive_scalar_maximal
 
 TREE3 = [Cube(0, (0,), 0), Cube(1, (0,), 0), Cube(1, (1,), 0)]
@@ -62,6 +65,19 @@ def test_d2_fast_path_matches_cube_loop():
     fast = scalar_maximal(grid, [f], [1.5])
     explicit = scalar_maximal(grid, [f], [1.5], cubes=list(grid.cubes()))
     assert np.allclose(fast, explicit, rtol=1e-12)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_full_tree_matches_the_upsampled_oracle(data):
+    # bit for bit: the running max meets the same values as the cell-size max
+    grid = Grid(data.draw(st.sampled_from([1, 2])), data.draw(st.integers(0, 5)))
+    atoms = tuple(data.draw(st.lists(st.integers(1, 3), max_size=2)))
+    rs = data.draw(st.lists(st.sampled_from([0.5, 1.0, 2.5, math.inf]), min_size=1, max_size=3))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    fs = [oracles.signed_cells(rng, grid.cell_shape + atoms) for _ in rs]
+    got = scalar_maximal(grid, fs, rs)
+    assert np.array_equal(got, oracles.scalar_maximal_upsampled(grid, fs, rs))
 
 
 def test_shifted_cubes_only_count_contained_cells():

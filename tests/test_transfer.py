@@ -2,11 +2,13 @@
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sparsedom import cli, dyadic, maximal
 from sparsedom.dyadic import Cube, Grid, grid_norm
 from sparsedom.maximal import scalar_maximal
 from sparsedom.sparse import SparseFamily, verify_sparse
@@ -35,6 +37,8 @@ from sparsedom.transfer import (
     weighted_transfer_experiment,
 )
 
+import oracles
+
 INF = math.inf
 
 
@@ -43,6 +47,14 @@ def chain_family(levels: int, eta: float = 0.5) -> SparseFamily:
     fam = verify_sparse([Cube(k, (0,)) for k in range(levels)], eta=eta)
     assert isinstance(fam, SparseFamily)
     return fam
+
+
+@st.composite
+def cubes_of(draw, d, depth):
+    """One cube of a shift-0 grid (most draws) or of a shifted one, levels 0..depth."""
+    level = draw(st.integers(0, depth))
+    shift = draw(st.one_of(st.just(0), st.integers(0, 3**d - 1)))
+    return draw(st.sampled_from(Grid(d, depth, shift).level_cubes(level)))
 
 
 def slice_apply(T, grid, Fs):
@@ -120,6 +132,34 @@ class TestSparseOperator:
         with pytest.raises(ValueError, match="positive"):
             SparseOperator([Cube(0, (0,))], rs=(0.0,))
 
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_cube_walk(self, data):
+        # bit for bit, with duplicate cubes, unsorted levels and shifted cubes;
+        # applied on two depths twice, so the per-grid plans are reused
+        d, depth = data.draw(st.sampled_from([1, 2])), data.draw(st.integers(0, 4))
+        pool = data.draw(st.lists(cubes_of(d, depth), min_size=1, max_size=4))
+        family = data.draw(st.lists(st.sampled_from(pool), max_size=8))
+        rs = data.draw(st.lists(st.sampled_from([0.5, 1.0, 2.5, INF]), min_size=1, max_size=2))
+        atoms = tuple(data.draw(st.lists(st.integers(1, 3), max_size=2)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        T = SparseOperator(family, rs=rs)
+        for grid in [Grid(d, depth), Grid(d, depth + 1)] * 2:
+            fs = [oracles.signed_cells(rng, grid.cell_shape + atoms) for _ in rs]
+            assert np.array_equal(T.apply(grid, fs), oracles.sparse_apply_walk(T, grid, fs))
+
+    def test_cubes_are_validated_on_every_grid(self):
+        # a plan valid at depth 3 does not carry over to depth 2, and a
+        # failed check stores no plan, so it raises again
+        deep = SparseOperator([Cube(3, (0,))], rs=(1.0,))
+        deep.apply(Grid(1, 3), [np.ones(8)])
+        outside = SparseOperator([Cube(0, (0,)), Cube(1, (2,))], rs=(1.0,))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="lies off the d=1 lattices of depth 2"):
+                deep.apply(Grid(1, 2), [np.ones(4)])
+            with pytest.raises(ValueError, match=r"does not meet \[0,1\)\^1"):
+                outside.apply(Grid(1, 2), [np.ones(4)])
+
     def test_family_object_carries_eta(self):
         fam = chain_family(3)
         T = SparseOperator(fam, rs=(1.0,))
@@ -180,6 +220,31 @@ class TestHaarTransform:
         a = HaarTransform.random(grid, seed=11)
         b = HaarTransform.random(grid, seed=11)
         assert a.signs == b.signs
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_sign_loop(self, data):
+        # bit for bit; applied twice, so the per-grid plan is reused
+        grid = Grid(data.draw(st.sampled_from([1, 2])), data.draw(st.integers(0, 5)))
+        atoms = tuple(data.draw(st.lists(st.integers(1, 3), max_size=2)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        # a random subset of the cubes gets a random sign; the rest default to +1
+        signs = {
+            cube: float(rng.choice([-1.0, 1.0]))
+            for cube in Grid(grid.d, max(grid.depth - 1, 0)).cubes()
+            if grid.depth and rng.random() < 0.7
+        }
+        T = HaarTransform(signs)
+        for _ in range(2):
+            f = oracles.signed_cells(rng, grid.cell_shape + atoms)
+            assert np.array_equal(T.apply(grid, [f]), oracles.haar_apply_loop(T, grid, [f]))
+
+    def test_signs_are_validated_on_every_grid(self):
+        T = HaarTransform({Cube(2, (0,)): -1.0})
+        T.apply(Grid(1, 3), [np.ones(8)])
+        for _ in range(2):
+            with pytest.raises(ValueError, match="no children"):
+                T.apply(Grid(1, 2), [np.ones(4)])
 
     def test_two_inputs_unsupported(self):
         grid = Grid(1, 1)
@@ -618,3 +683,38 @@ class TestUnconditionalityProbe:
     def test_budget_validation(self):
         with pytest.raises(ValueError, match="strictly increasing"):
             haar_unconditionality_probe(Grid(1, 2), 2.0, 2.0, 2, budgets=(8, 4))
+
+
+# ---------------------------------------------------------------------------
+# the transfer battery against the oracle paths
+# ---------------------------------------------------------------------------
+
+
+def _bind_everywhere(monkeypatch, original, replacement):
+    """Replace ``original`` in every sparsedom namespace that binds it."""
+    for name, module in list(sys.modules.items()):
+        if name == "sparsedom" or name.startswith("sparsedom."):
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, replacement)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("dim, depth", [(1, 5), (2, 3)])
+def test_transfer_report_equals_the_oracle_paths(monkeypatch, dim, depth, seed):
+    # the report's floats must keep their bits, not only a tolerance: the
+    # fitted slopes are noise of size 1e-16 that an ulp moves
+    cfg = {"dim": dim, "depth": depth, "trials": 5, "seed": seed}
+    fast = cli.run("transfer", cfg)
+    fast_maximal = maximal.scalar_maximal
+
+    def maximal_oracle(grid, fs, rs, cubes=None):
+        if cubes is not None:
+            return fast_maximal(grid, fs, rs, cubes)
+        return oracles.scalar_maximal_upsampled(grid, fs, rs)
+
+    _bind_everywhere(monkeypatch, dyadic.level_averages, oracles.level_averages_padded)
+    _bind_everywhere(monkeypatch, fast_maximal, maximal_oracle)
+    monkeypatch.setattr(SparseOperator, "apply", oracles.sparse_apply_walk)
+    monkeypatch.setattr(HaarTransform, "apply", oracles.haar_apply_loop)
+    assert cli.run("transfer", cfg) == fast
