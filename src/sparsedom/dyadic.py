@@ -317,10 +317,17 @@ def level_averages(grid: Grid, f: np.ndarray, r: float) -> dict[int, np.ndarray]
     return out
 
 
+def _check_pairs(fs: Sequence, rs: Sequence[float]) -> None:
+    """Refuse function and exponent lists that do not pair up one to one."""
+    if len(fs) != len(rs) or not fs:
+        raise ValueError("need one exponent per function, at least one pair")
+
+
 def level_products(
     grid: Grid, fs: Sequence[np.ndarray], rs: Sequence[float]
 ) -> dict[int, np.ndarray]:
     """prod_j <f_j>_{r_j,Q} over every cube of ``grid``'s lattice, per level."""
+    _check_pairs(fs, rs)
     lvs = [level_averages(grid, f, r) for f, r in zip(fs, rs)]
     out = {}
     for k in range(grid.depth + 1):

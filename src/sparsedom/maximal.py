@@ -17,6 +17,7 @@ import numpy as np
 from .dyadic import (
     Cube,
     Grid,
+    _check_pairs,
     cube_averages,
     grid_norm,
     level_products,
@@ -87,8 +88,7 @@ def scalar_maximal(
     exact, so this equals the max over every level upsampled to the cells
     (the oracle in ``tests/oracles.py``) bit for bit.
     """
-    if len(fs) != len(rs) or not fs:
-        raise ValueError("need one exponent per function, at least one pair")
+    _check_pairs(fs, rs)
     fs, trail = check_tuple(grid, fs)
     if cubes is None:
         levels = level_products(grid, fs, rs)
@@ -136,6 +136,13 @@ def tower(rng, grid: Grid) -> np.ndarray:
     return f
 
 
+def _check_convexity(spaces: Sequence[Space], rs: Sequence[float]) -> None:
+    """Refuse a space whose declared convexity is below its exponent r_j."""
+    for sp, r in zip(spaces, rs):
+        if sp.convexity < r - 1e-12:
+            raise ValueError(f"space {sp!r} must be {r}-convex; declared {sp.convexity}")
+
+
 def maximal_opnorm_lower(
     grid: Grid,
     rs: Sequence[float],
@@ -153,13 +160,10 @@ def maximal_opnorm_lower(
     m = len(rs)
     if len(ps) != m or len(spaces) != m:
         raise ValueError("rs, ps and spaces must have one entry per component")
-    for r, p, sp in zip(rs, ps, spaces):
+    for r, p in zip(rs, ps):
         if not r < p:
             raise ValueError(f"need r < p componentwise, got r={r}, p={p}")
-        if sp.convexity < r - 1e-12:
-            raise ValueError(
-                f"space {sp!r} declares convexity {sp.convexity} below r={r}"
-            )
+    _check_convexity(spaces, rs)
     prod = product_space(spaces)
     p_out = harmonic_exponent(ps)
     n = spaces[0].measure.n

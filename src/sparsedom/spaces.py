@@ -15,6 +15,10 @@ lockstep, one batched norm call per coordinate step for all of them; with
 batch-independent norms that is bit-identical to running them one after
 another, while over Lebesgue factors (whose matmul is batch-dependent) the
 result may move by an ulp.
+
+The package's exponent arithmetic lives here too (1/inf = 0): ``recip``,
+``harmonic_exponent``, ``gap_exponent`` (1/e = 1/a - 1/b, and exactly a when
+b = inf) and the Holder ``conjugate`` t/(t - 1), with 1' = inf and inf' = 1.
 """
 
 from __future__ import annotations
@@ -44,6 +48,8 @@ __all__ = [
     "phi_table_from_csv",
     "recip",
     "harmonic_exponent",
+    "gap_exponent",
+    "conjugate",
 ]
 
 
@@ -59,6 +65,26 @@ def harmonic_exponent(ps: Iterable[float]) -> float:
     """The aggregate p with 1/p = sum_j 1/p_j (inf when every p_j is inf)."""
     total = sum(recip(p) for p in ps)
     return math.inf if total == 0.0 else 1.0 / total
+
+
+def gap_exponent(a, b) -> float:
+    """The e with 1/e = 1/a - 1/b: inf at gap 0, a itself at b = inf; a > b raises."""
+    gap = recip(a) - recip(b)
+    if gap < 0:
+        raise ValueError(f"need a <= b for 1/e = 1/a - 1/b, got a={a} > b={b}")
+    if math.isinf(b):
+        return float(a)
+    return math.inf if gap == 0.0 else 1.0 / gap
+
+
+def conjugate(t) -> float:
+    """The Holder conjugate t' = t/(t - 1) of t >= 1, with 1' = inf and inf' = 1."""
+    t = float(t)
+    if not t >= 1.0:
+        raise ValueError(f"conjugate exponent needs t >= 1, got {t}")
+    if math.isinf(t):
+        return 1.0
+    return math.inf if t == 1.0 else t / (t - 1.0)
 
 
 class AtomicMeasure:
@@ -475,14 +501,7 @@ def associate_norm(
         raise ValueError(f"expected a single vector of shape {shape}")
 
     if isinstance(space, LebesgueSpace) and not return_argmax:
-        t = space.t
-        if math.isinf(t):
-            tdual = 1.0
-        elif t == 1.0:
-            tdual = math.inf
-        else:
-            tdual = t / (t - 1.0)
-        return LebesgueSpace(tdual, space.measure).norm(xi)
+        return LebesgueSpace(conjugate(space.t), space.measure).norm(xi)
 
     xiw = (xi * space.mu).ravel()
     n = xiw.size
@@ -680,8 +699,11 @@ def _orlicz_split(spaces: Sequence[Space], flat: np.ndarray, pos: np.ndarray):
 
     def prod_inv(y):
         acc = np.ones_like(y)
-        for sp in spaces:
-            acc = acc * sp.phi_inv(y)
+        # near the top of the bracket the product can overflow to inf, which
+        # still compares above every finite target, so the split is unchanged
+        with np.errstate(over="ignore"):
+            for sp in spaces:
+                acc = acc * sp.phi_inv(y)
         return acc
 
     lo, hi = np.log(ylo), np.log(yhi)

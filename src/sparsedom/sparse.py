@@ -23,8 +23,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .dyadic import Cube, Grid, cube_averages, grid_norm, level_averages, level_products
-from .maximal import lattice_maximal, scalar_maximal
+from .dyadic import (
+    Cube, Grid, _check_pairs, cube_averages, grid_norm, level_averages, level_products,
+)
+from .maximal import _check_convexity, lattice_maximal, scalar_maximal
 from .spaces import Space, harmonic_exponent, product_space
 
 __all__ = [
@@ -392,6 +394,7 @@ def cz_decompose(
     """
     if not (lam > 0):
         raise ValueError(f"threshold must be positive, got {lam}")
+    _check_pairs(fs, rs)
     fs = [np.asarray(f, dtype=float) for f in fs]
     if norms is None:
         norms = [grid_norm(grid, f, r) for f, r in zip(fs, rs)]
@@ -524,16 +527,8 @@ def stopping_domination(
     Fs = [np.asarray(F, dtype=float) for F in Fs]
     if len(Fs) != len(rs) or len(spaces) != len(rs):
         raise ValueError("Fs, rs and spaces must align")
-    for sp, r in zip(spaces, rs):
-        if sp.convexity < r - 1e-12:
-            raise ValueError(
-                f"component space must be {r}-convex; declared {sp.convexity}"
-            )
     prod_space_X = product_space(spaces)
-    if prod_space_X.convexity < q - 1e-12:
-        raise ValueError(
-            f"product space must be {q}-convex; declared {prod_space_X.convexity}"
-        )
+    _check_convexity([*spaces, prod_space_X], [*rs, q])
 
     cellnorms = [np.asarray(sp.norm(F)) for sp, F in zip(spaces, Fs)]
     scalar_lp = level_products(grid, cellnorms, rs)

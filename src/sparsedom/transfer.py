@@ -29,12 +29,13 @@ import numpy as np
 
 from .dyadic import Cube, Grid, _position, grid_norm, level_products
 from .maximal import check_tuple, contained_cells, scalar_maximal, tower
-from .sparse import SparseFamily, form_bound_from_pointwise
+from .sparse import SparseFamily
 from .spaces import (
     AtomicMeasure,
     IteratedSpace,
     LebesgueSpace,
     Space,
+    gap_exponent,
     harmonic_exponent,
     product_space,
 )
@@ -349,33 +350,25 @@ def admissible_tuple(
 # ---------------------------------------------------------------------------
 
 
-def _dual_power_exponent(t: float, q: float) -> float:
-    if not t >= q:
-        raise ValueError(f"dual computations need a q-convex space: t={t} < q={q}")
-    if math.isinf(t):
-        return q
-    a = t / q
-    if a == 1.0:
-        return math.inf
-    return q * a / (a - 1.0)
+def _dual_layers(space: Space, q: float) -> list[LebesgueSpace]:
+    """The Lebesgue layers of a catalog space, outer first, each checked >= q."""
+    layers = lebesgue_layers(space)
+    if layers is None:
+        raise ValueError("closed-form duals cover Lebesgue layers only")
+    if not min(layers) >= q:
+        raise ValueError(f"dual computations need a q-convex space: t={min(layers)} < q={q}")
+    return [space] if isinstance(space, LebesgueSpace) else [space.outer, space.inner]
 
 
 def dual_power_space(space: Space, q: float) -> Space:
     """The space with norm || |v|^q ||_{(X^q)*}^(1/q), in closed form.
 
-    For X = l^t this is l^{q(t/q)'}; nested spaces dualize per layer.  Only
-    Lebesgue layers are supported, and each layer exponent must be >= q.
+    For X = l^t this is l^{q(t/q)'} = l^e with 1/e = 1/q - 1/t; nested spaces
+    dualize per layer.  Only Lebesgue layers are supported, and each layer
+    exponent must be >= q.
     """
-    if isinstance(space, LebesgueSpace):
-        return LebesgueSpace(_dual_power_exponent(space.t, q), space.measure)
-    layers = lebesgue_layers(space)
-    if layers is None:
-        raise ValueError("closed-form duals cover Lebesgue layers only")
-    assert isinstance(space, IteratedSpace)
-    return IteratedSpace(
-        LebesgueSpace(_dual_power_exponent(space.outer.t, q), space.outer.measure),
-        LebesgueSpace(_dual_power_exponent(space.inner.t, q), space.inner.measure),
-    )
+    duals = [LebesgueSpace(gap_exponent(q, sp.t), sp.measure) for sp in _dual_layers(space, q)]
+    return duals[0] if len(duals) == 1 else IteratedSpace(*duals)
 
 
 def _ellq_collapse(arr: np.ndarray, mu: np.ndarray, q: float) -> np.ndarray:
@@ -392,35 +385,18 @@ def _norming_field(space: Space, q: float, v: np.ndarray) -> np.ndarray:
     field, except when a layer exponent equals q, where the formula already
     degenerates to the constant one.
     """
-    v = np.abs(np.asarray(v, dtype=float))
-    u = v**q
-    if isinstance(space, LebesgueSpace):
-        if math.isinf(space.t):
-            raise ValueError("norming fields need finite layer exponents")
-        a = space.t / q
-        if not a >= 1.0:
-            raise ValueError(f"dual computations need a q-convex space: t={space.t} < q={q}")
-        w = space.measure.weights
-        nrm = np.sum(u**a * w, axis=-1, keepdims=True) ** (1.0 / a)
-        base = np.divide(u, nrm, out=np.zeros_like(u), where=nrm > 0)
-        return (base ** (a - 1.0)) ** (1.0 / q)
-    layers = lebesgue_layers(space)
-    if layers is None:
-        raise ValueError("closed-form duals cover Lebesgue layers only")
-    assert isinstance(space, IteratedSpace)
-    t1, t2 = layers
-    if math.isinf(t1) or math.isinf(t2):
+    lebs = _dual_layers(space, q)
+    if any(math.isinf(sp.t) for sp in lebs):
         raise ValueError("norming fields need finite layer exponents")
-    a1, a2 = t1 / q, t2 / q
-    if not (a1 >= 1.0 and a2 >= 1.0):
-        raise ValueError("dual computations need a q-convex space on every layer")
-    w1 = space.outer.measure.weights[:, None]
-    w2 = space.inner.measure.weights
-    A = np.sum(u**a2 * w2, axis=-1, keepdims=True) ** (1.0 / a2)
-    N = np.sum(A**a1 * w1, axis=-2, keepdims=True) ** (1.0 / a1)
-    outer_ratio = np.divide(A, N, out=np.zeros_like(A), where=N > 0)
-    inner_ratio = np.divide(u, A, out=np.zeros_like(u), where=A > 0)
-    vv = outer_ratio ** (a1 - 1.0) * inner_ratio ** (a2 - 1.0)
+    # innermost layer first: each norms the previous one's result over its axis
+    cur = np.abs(np.asarray(v, dtype=float)) ** q
+    vv = 1.0
+    for depth, sp in enumerate(reversed(lebs)):
+        a = sp.t / q
+        w = sp.measure.weights.reshape((-1,) + (1,) * depth)
+        nrm = np.sum(cur**a * w, axis=-1 - depth, keepdims=True) ** (1.0 / a)
+        vv = np.divide(cur, nrm, out=np.zeros_like(cur), where=nrm > 0) ** (a - 1.0) * vv
+        cur = nrm
     return vv ** (1.0 / q)
 
 
@@ -468,11 +444,10 @@ def _random_field(rng, grid: Grid, atom_shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _sigma(q: float, s: float) -> float:
-    if not q > 0:
-        raise ValueError(f"need q > 0, got {q}")
+    # gap_exponent refuses q <= 0 as a nonpositive exponent
     if not s > q:
         raise ValueError(f"need s > q, got s={s}, q={q}")
-    return q if math.isinf(s) else 1.0 / (1.0 / q - 1.0 / s)
+    return gap_exponent(q, s)
 
 
 def scalar_hypothesis_check(
@@ -490,15 +465,9 @@ def scalar_hypothesis_check(
     for _ in range(trials):
         fs = [_random_cells(rng, grid) for _ in range(T.m)]
         g = _random_cells(rng, grid)
-        out = np.abs(T.apply(grid, fs))
-        if math.isinf(s):
-            ratio = form_bound_from_pointwise(grid, out, fs, g, list(T.rs), q)
-        else:
-            num = grid_norm(grid, out * g, q)
-            M = scalar_maximal(grid, fs + [g], list(T.rs) + [sigma])
-            den = grid_norm(grid, M, q)
-            ratio = 0.0 if den == 0 else num / den
-        worst = max(worst, ratio)
+        num = grid_norm(grid, np.abs(T.apply(grid, fs)) * g, q)
+        den = grid_norm(grid, scalar_maximal(grid, fs + [g], list(T.rs) + [sigma]), q)
+        worst = max(worst, 0.0 if den == 0 else num / den)
     bound = T.hypothesis_constant(q)
     passed = worst <= bound * (1 + 1e-9) if bound is not None else math.isfinite(worst)
     return {
@@ -598,7 +567,7 @@ def vv_transfer_check(
     """
     make = specs if callable(specs) else (lambda n: space_tuple(specs, n))
     ns = tuple(int(n) for n in ns)
-    if len(ns) != len(set(ns)) or list(ns) != sorted(ns) or min(ns, default=1) < 1:
+    if not ns or len(ns) != len(set(ns)) or list(ns) != sorted(ns) or min(ns) < 1:
         raise ValueError("atom counts must be strictly increasing positive ints")
     rs = list(T.rs)
     spaces0 = make(ns[0])
@@ -684,8 +653,6 @@ def vv_equivalence_check(
     _sigma(q, s)
     spaces = list(spaces)
     X = product_space(spaces)
-    if lebesgue_layers(X) is None:
-        raise ValueError("equivalence check needs an iterated-Lebesgue product space")
     dual = dual_power_space(X, q)
     Fs = [np.asarray(F, dtype=float) for F in Fs]
     if len(Fs) != len(spaces):

@@ -7,25 +7,30 @@ pure arithmetic in reciprocal space with the convention 1/inf = 0: the
 weighted maximal exponent, the transfer exponent for sparse forms, the
 extrapolation exponent together with its loss-free composition identity, the
 two ell^t cases, and membership in the bilinear Hilbert transform region with
-explicit theta witnesses.
+explicit theta witnesses.  They build on the helpers re-exported from
+``spaces``: ``recip``, ``harmonic_exponent``, ``gap_exponent`` (1/e = 1/a - 1/b,
+with gap_exponent(a, inf) = a exactly) and the Holder ``conjugate``.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .dyadic import Cube, Grid, cube_averages, shifted_grids
-from .spaces import harmonic_exponent, recip
+from .spaces import conjugate, gap_exponent, harmonic_exponent, recip
 
 __all__ = [
     "WeightVector",
     "ExponentTuple",
     "recip",
     "harmonic_exponent",
+    "gap_exponent",
+    "conjugate",
     "encode_inf",
     "power_weight",
     "muckenhoupt_over_cubes",
@@ -87,33 +92,35 @@ def power_weight(grid: Grid, a: float) -> np.ndarray:
     return np.repeat(col[:, None], n, axis=1)
 
 
-def _dual_exponents(ps, rs, s, m):
-    """Reciprocal-gap exponents e_j = 1/(1/r_j - 1/p_j) and e = 1/(1/p - 1/s).
+# a claim x rel y on exponents as the comparison of 1/x with 1/y
+_IN_RECIPROCALS = {"<": operator.gt, "<=": operator.ge, ">": operator.lt}
+_FAILED = {"<": ">=", "<=": ">", ">": "<="}
 
-    A vanishing gap turns the corresponding average into an essential
-    supremum (the inf-average branch), which is the definition's limit case.
-    """
-    if not len(ps) == len(rs) == m:
-        raise ValueError("ps, rs, and the weight tuple must share one length")
-    ejs = []
-    for j, (p, r) in enumerate(zip(ps, rs)):
-        gap = recip(r) - recip(p)
-        if gap < 0:
-            raise ValueError(f"need r_{j + 1} <= p_{j + 1}, got r={r} > p={p}")
-        ejs.append(math.inf if gap == 0.0 else 1.0 / gap)
-    p = harmonic_exponent(ps)
-    gap = recip(p) - recip(s)
-    if gap < 0:
-        raise ValueError(f"need p <= s, got p={p} > s={s}")
-    return ejs, (math.inf if gap == 0.0 else 1.0 / gap)
+
+def _need(a: str, x: float, rel: str, b: str, y: float) -> None:
+    """Raise ValueError naming the claim ``a rel b`` unless x rel y holds,
+    compared in reciprocal space (1/inf = 0), where the formulas compute."""
+    if not _IN_RECIPROCALS[rel](recip(x), recip(y)):
+        raise ValueError(f"need {a} {rel} {b}, got {a}={x} {_FAILED[rel]} {b}={y}")
 
 
 def muckenhoupt_over_cubes(ws, ps, rs, s, grid: Grid, cubes: Iterable[Cube]) -> float:
-    """max over ``cubes`` of prod_j <w_j^-1>_{e_j,Q} * <w>_{e,Q}, exact."""
+    """max over ``cubes`` of prod_j <w_j^-1>_{e_j,Q} * <w>_{e,Q}, exact.
+
+    The exponents are e_j = gap_exponent(r_j, p_j) and e = gap_exponent(p, s).
+    A vanishing gap turns the corresponding average into an essential
+    supremum (the inf-average branch), which is the definition's limit case.
+    """
     wv = ws if isinstance(ws, WeightVector) else WeightVector(ws)
-    ejs, e0 = _dual_exponents(ps, rs, s, wv.m)
+    if not len(ps) == len(rs) == wv.m:
+        raise ValueError("ps, rs, and the weight tuple must share one length")
+    for j, (p, r) in enumerate(zip(ps, rs), 1):
+        _need(f"r_{j}", r, "<=", f"p_{j}", p)
+    p = harmonic_exponent(ps)
+    _need("p", p, "<=", "s", s)
+    ejs = [gap_exponent(r, pj) for r, pj in zip(rs, ps)]
     winv = [1.0 / w for w in wv.parts]
-    vals = cube_averages(grid, [wv.product, *winv], [e0, *ejs], cubes)
+    vals = cube_averages(grid, [wv.product, *winv], [gap_exponent(p, s), *ejs], cubes)
     return max((float(v) for v in vals), default=0.0)
 
 
@@ -180,33 +187,16 @@ class ExponentTuple:
         object.__setattr__(self, "q", float(self.q))
         if self.ts is not None:
             object.__setattr__(self, "ts", tuple(float(t) for t in self.ts))
-        if not self.rs:
-            raise ValueError("need at least one exponent component")
-        if len(self.ps) != len(self.rs):
-            raise ValueError("ps and rs must share one length")
-        for j, (r, p) in enumerate(zip(self.rs, self.ps)):
+        for j, r in enumerate(self.rs, 1):
             if not (0 < r < math.inf):
-                raise ValueError(f"need r_{j + 1} in (0, inf), got {r}")
-            if not recip(p) < recip(r):
-                raise ValueError(
-                    f"need r_{j + 1} < p_{j + 1}, got r_{j + 1}={r} >= p_{j + 1}={p}"
-                )
-        if not recip(self.s) < recip(self.r):
-            raise ValueError(f"need s > r, got s={self.s} <= r={self.r}")
-        if not recip(self.s) < recip(self.q):
-            raise ValueError(f"need q < s, got q={self.q} >= s={self.s}")
-        if not recip(self.s) < recip(self.p):
-            raise ValueError(f"need p < s, got p={self.p} >= s={self.s}")
+                raise ValueError(f"need r_{j} in (0, inf), got {r}")
+        # r_j < p_j and r_j <= t_j, componentwise
+        _r_side(self.ps, self.rs, (math.inf,) * self.m if self.ts is None else self.ts)
+        _need("s", self.s, ">", "r", self.r)
+        _need("q", self.q, "<", "s", self.s)
+        _need("p", self.p, "<", "s", self.s)
         if self.ts is not None:
-            if len(self.ts) != len(self.rs):
-                raise ValueError("ts and rs must share one length")
-            for j, (r, t) in enumerate(zip(self.rs, self.ts)):
-                if recip(t) > recip(r):
-                    raise ValueError(
-                        f"need r_{j + 1} <= t_{j + 1}, got t_{j + 1}={t} < r_{j + 1}={r}"
-                    )
-            if recip(self.t) < recip(self.s):
-                raise ValueError(f"need t <= s, got t={self.t} > s={self.s}")
+            _need("t", self.t, "<=", "s", self.s)
 
     @property
     def m(self) -> int:
@@ -233,24 +223,35 @@ class ExponentTuple:
         return rq / (recip(self.r) - recip(self.s) + rq)
 
 
-def maximal_weighted_exponent(ps, rs) -> float:
-    """Exponent of [w] in the weighted bound for the r-averaged maximal
-    operator: gamma = max_j (1/r_j)/(1/r_j - 1/p_j).  Requires r_j < p_j."""
-    if len(ps) != len(rs):
-        raise ValueError("ps and rs must share one length")
+def _r_side(ps, rs, ts) -> float:
+    """max_j (1/r_j - 1/t_j)/(1/r_j - 1/p_j); needs finite r_j < p_j, r_j <= t_j."""
+    if not len(ps) == len(ts) == len(rs):
+        raise ValueError("exponent tuples must share one length")
     if not ps:
         raise ValueError("need at least one exponent component")
     terms = []
-    for j, (p, r) in enumerate(zip(ps, rs)):
-        rr, rp = recip(r), recip(p)
+    for j, (p, t, r) in enumerate(zip(ps, ts, rs), 1):
+        rr = recip(r)
         if rr == 0.0:
-            raise ValueError(f"need r_{j + 1} finite, got {r}")
-        if rp >= rr:
-            raise ValueError(
-                f"need r_{j + 1} < p_{j + 1}, got r_{j + 1}={r} >= p_{j + 1}={p}"
-            )
-        terms.append(rr / (rr - rp))
+            raise ValueError(f"need r_{j} finite, got {r}")
+        _need(f"r_{j}", r, "<", f"p_{j}", p)
+        _need(f"r_{j}", r, "<=", f"t_{j}", t)
+        terms.append((rr - recip(t)) / (rr - recip(p)))
     return max(terms)
+
+
+def _s_side(a, p, s) -> float:
+    """(1/a - 1/s)/(1/p - 1/s); needs p < s."""
+    _need("p", p, "<", "s", s)
+    rs_ = recip(s)
+    return (recip(a) - rs_) / (recip(p) - rs_)
+
+
+def maximal_weighted_exponent(ps, rs) -> float:
+    """Exponent of [w] in the weighted bound for the r-averaged maximal
+    operator: gamma = max_j (1/r_j)/(1/r_j - 1/p_j), the r-side term with
+    every t_j = inf.  Requires r_j < p_j."""
+    return _r_side(ps, rs, (math.inf,) * len(rs))
 
 
 def encode_inf(x):
@@ -258,30 +259,26 @@ def encode_inf(x):
     return "inf" if isinstance(x, float) and math.isinf(x) else x
 
 
-def _enc_seq(xs):
-    return [encode_inf(float(x)) for x in xs]
-
-
-def _report(inputs: dict, r_side: float, s_side: float) -> dict:
+def _report(r_side: float, s_side: float, **inputs) -> dict:
+    """JSON record: the inputs (infinity as 'inf'), gamma and its binding term."""
+    encoded = {
+        k: [encode_inf(float(x)) for x in v] if np.ndim(v) else encode_inf(float(v))
+        for k, v in inputs.items()
+    }
     side = "r-side" if r_side >= s_side else "s-side"
-    return {"inputs": inputs, "gamma": max(r_side, s_side), "binding_term": side}
+    return {"inputs": encoded, "gamma": max(r_side, s_side), "binding_term": side}
 
 
 def maximal_report(ps, rs) -> dict:
     """JSON record for the maximal-operator exponent (always r-side)."""
-    gamma = maximal_weighted_exponent(ps, rs)
-    return _report({"ps": _enc_seq(ps), "rs": _enc_seq(rs)}, gamma, 0.0)
+    return _report(maximal_weighted_exponent(ps, rs), 0.0, ps=ps, rs=rs)
 
 
 def _transfer_terms(ps, q, rs, s) -> tuple[float, float]:
     r_side = maximal_weighted_exponent(ps, rs)
     p = harmonic_exponent(ps)
-    rq, rp, rs_ = recip(q), recip(p), recip(s)
-    if rq < rp:
-        raise ValueError(f"need q <= p, got q={q} > p={p}")
-    if rp <= rs_:
-        raise ValueError(f"need p < s, got p={p} >= s={s}")
-    return r_side, (rq - rs_) / (rp - rs_)
+    _need("q", q, "<=", "p", p)
+    return r_side, _s_side(q, p, s)
 
 
 def transfer_exponent(ps, q, rs, s) -> float:
@@ -295,43 +292,15 @@ def transfer_exponent(ps, q, rs, s) -> float:
 
 def transfer_report(ps, q, rs, s) -> dict:
     """JSON record for the transfer exponent, naming the binding family."""
-    r_side, s_side = _transfer_terms(ps, q, rs, s)
-    inputs = {
-        "ps": _enc_seq(ps),
-        "q": encode_inf(float(q)),
-        "rs": _enc_seq(rs),
-        "s": encode_inf(float(s)),
-    }
-    return _report(inputs, r_side, s_side)
+    return _report(*_transfer_terms(ps, q, rs, s), ps=ps, q=q, rs=rs, s=s)
 
 
 def _extrapolation_terms(ps, ts, rs, s) -> tuple[float, float]:
-    if not len(ps) == len(ts) == len(rs):
-        raise ValueError("ps, ts, and rs must share one length")
-    if not ps:
-        raise ValueError("need at least one exponent component")
-    r_terms = []
-    for j, (p, t, r) in enumerate(zip(ps, ts, rs)):
-        rr, rp, rt = recip(r), recip(p), recip(t)
-        if rr == 0.0:
-            raise ValueError(f"need r_{j + 1} finite, got {r}")
-        if rp >= rr:
-            raise ValueError(
-                f"need r_{j + 1} < p_{j + 1}, got r_{j + 1}={r} >= p_{j + 1}={p}"
-            )
-        if rt > rr:
-            raise ValueError(
-                f"need r_{j + 1} <= t_{j + 1}, got t_{j + 1}={t} < r_{j + 1}={r}"
-            )
-        r_terms.append((rr - rt) / (rr - rp))
-    p = harmonic_exponent(ps)
-    t = harmonic_exponent(ts)
-    rp, rt, rs_ = recip(p), recip(t), recip(s)
-    if rp <= rs_:
-        raise ValueError(f"need p < s, got p={p} >= s={s}")
-    if rt < rs_:
-        raise ValueError(f"need t <= s, got t={t} > s={s}")
-    return max(r_terms), (rt - rs_) / (rp - rs_)
+    r_side = _r_side(ps, rs, ts)
+    p, t = harmonic_exponent(ps), harmonic_exponent(ts)
+    s_side = _s_side(t, p, s)
+    _need("t", t, "<=", "s", s)
+    return r_side, s_side
 
 
 def extrapolation_exponent(ps, ts, rs, s) -> float:
@@ -345,14 +314,7 @@ def extrapolation_exponent(ps, ts, rs, s) -> float:
 
 def extrapolation_report(ps, ts, rs, s) -> dict:
     """JSON record for the extrapolation exponent."""
-    r_side, s_side = _extrapolation_terms(ps, ts, rs, s)
-    inputs = {
-        "ps": _enc_seq(ps),
-        "ts": _enc_seq(ts),
-        "rs": _enc_seq(rs),
-        "s": encode_inf(float(s)),
-    }
-    return _report(inputs, r_side, s_side)
+    return _report(*_extrapolation_terms(ps, ts, rs, s), ps=ps, ts=ts, rs=rs, s=s)
 
 
 def composed_transfer_exponent(ps, q, rs, s) -> float:
@@ -381,8 +343,7 @@ def _ellt_terms(ps, rs, q0, ts) -> tuple[float, float]:
         raise ValueError("need p < inf")
     if math.isinf(t):
         raise ValueError("need t < inf")
-    if t <= r:
-        raise ValueError(f"need t > r, got t={t} <= r={r}")
+    _need("t", t, ">", "r", r)
     return r_side, (p / q0 if t >= q0 else p / t)
 
 
@@ -398,14 +359,7 @@ def ellt_exponent(ps, rs, q0, ts) -> float:
 
 def ellt_report(ps, rs, q0, ts) -> dict:
     """JSON record for the ell^t exponent."""
-    r_side, s_side = _ellt_terms(ps, rs, q0, ts)
-    inputs = {
-        "ps": _enc_seq(ps),
-        "rs": _enc_seq(rs),
-        "q0": encode_inf(float(q0)),
-        "ts": _enc_seq(ts),
-    }
-    return _report(inputs, r_side, s_side)
+    return _report(*_ellt_terms(ps, rs, q0, ts), ps=ps, rs=rs, q0=q0, ts=ts)
 
 
 def bht_region(r1, r2, s):
@@ -424,7 +378,7 @@ def bht_region(r1, r2, s):
             raise ValueError(f"{name} must lie in (1, inf), got {x}")
         vals.append(x)
     r1, r2, s = vals
-    rhos = (r1, r2, s / (s - 1.0))
+    rhos = (r1, r2, conjugate(s))
     total = sum(max(1.0 / rho, 0.5) for rho in rhos)
     if total >= 2.0:
         return False, {"sum": total, "bound": 2.0}

@@ -694,8 +694,9 @@ def orlicz_split_fixed_steps(spaces, flat, pos):
 
     def prod_inv(y):
         acc = np.ones_like(y)
-        for sp in spaces:
-            acc = acc * sp.phi_inv(y)
+        with np.errstate(over="ignore"):  # inf still compares above every target
+            for sp in spaces:
+                acc = acc * sp.phi_inv(y)
         return acc
 
     lo, hi = np.log(np.full(vals.shape, 1e-300)), np.log(np.full(vals.shape, 1e300))

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -328,6 +329,16 @@ def test_product_validation():
             [LebesgueSpace(2, U2), LebesgueSpace(2, AtomicMeasure([1.0, 2.0]))],
             [1, 1],
         )
+
+
+def test_product_of_orlicz_factors_raises_no_overflow_warning():
+    # the split's bisection brackets y up to 1e300, where prod Phi_j^{-1}
+    # overflows to inf; that still orders correctly and must stay silent
+    m = AtomicMeasure.unit(3)
+    factors = [OrliczSpace.from_power(0.5, m, convexity=0.5), OrliczSpace.from_power(1.5, m)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert product_norm(factors, [0.5, 1, 2]) == 19.872850860879016
 
 
 def test_product_space_closed_form():

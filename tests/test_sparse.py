@@ -330,6 +330,11 @@ class TestOptimalExact:
         with pytest.raises(ValueError, match="mode"):
             optimal_sparse_form([np.ones(2)], [1.0], g, mode="best")
 
+    def test_refuses_a_function_without_exponent(self):
+        hs = [np.array([1.0, 2.0, 3.0, 4.0]), np.array([4.0, 0.0, 1.0, 1.0])]
+        with pytest.raises(ValueError, match="need one exponent per function"):
+            optimal_sparse_form(hs, [1.0], Grid(1, 2))
+
 
 class TestGreedy:
     def test_realizes_half_the_maximal_norm(self):
@@ -367,6 +372,11 @@ class TestGreedy:
         g = Grid(1, 2)
         _, fam = optimal_sparse_form([np.zeros(4)], [1.0], g, mode="greedy")
         assert ROOT in fam.cubes
+
+    def test_refuses_an_exponent_without_function(self):
+        # the greedy eta would be certified from both exponents
+        with pytest.raises(ValueError, match="need one exponent per function"):
+            optimal_sparse_form([np.ones(4)], [1.0, 1.0], Grid(1, 2), mode="greedy")
 
 
 # ---------------------------------------------------------------------------
@@ -475,6 +485,11 @@ class TestCZ:
             cz_decompose(g, [np.ones(2)], [1.0], lam=0.0)
         with pytest.raises(ValueError):
             cz_decompose(g, [np.zeros(2)], [1.0], lam=1.0)
+
+    def test_refuses_a_function_without_exponent(self):
+        fs = [np.arange(1.0, 9.0), np.ones(8)]
+        with pytest.raises(ValueError, match="need one exponent per function"):
+            cz_decompose(Grid(1, 3), fs, [1.0], 1.0)
 
 
 # ---------------------------------------------------------------------------

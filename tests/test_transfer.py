@@ -625,6 +625,8 @@ class TestVvTransferCheck:
         T = SparseOperator(chain_family(3), rs=(1.0,))
         with pytest.raises(ValueError, match="strictly increasing"):
             vv_transfer_check(T, grid, [2.0], 1.0, INF, ns=(4, 2))
+        with pytest.raises(ValueError, match="strictly increasing"):
+            vv_transfer_check(T, grid, [2.0], 1.0, INF, ns=())
         with pytest.raises(ValueError, match="model arity"):
             vv_transfer_check(T, grid, [2.0, 2.0], 1.0, INF)
 

@@ -14,10 +14,12 @@ from sparsedom.weights import (
     WeightVector,
     bht_region,
     composed_transfer_exponent,
+    conjugate,
     ellt_exponent,
     ellt_report,
     extrapolation_exponent,
     extrapolation_report,
+    gap_exponent,
     harmonic_exponent,
     maximal_report,
     maximal_weighted_exponent,
@@ -34,6 +36,7 @@ from sparsedom.weights import (
 from oracles import naive_average, theta_scan, theta_scan_full
 
 INF = math.inf
+EXPONENTS = st.floats(0.01, 100.0)
 
 
 def naive_muckenhoupt(ws, ejs, e0, depth):
@@ -67,6 +70,33 @@ class TestReciprocalHelpers:
         assert harmonic_exponent((4.0,)) == 4.0
         assert harmonic_exponent((INF, INF)) == INF
         assert np.isclose(harmonic_exponent((2.0, 3.0)), 1.2)
+
+    @given(EXPONENTS, EXPONENTS | st.just(INF))
+    def test_gap_exponent_inverts_the_reciprocal_gap(self, x, y):
+        a, b = min(x, y), max(x, y)
+        assert math.isclose(recip(gap_exponent(a, b)), recip(a) - recip(b), rel_tol=1e-15)
+
+    @given(st.floats(1e-6, 1e6))
+    def test_gap_exponent_at_infinity_is_exact(self, a):
+        assert gap_exponent(a, INF) == a
+        assert gap_exponent(a, a) == INF
+
+    @given(EXPONENTS, st.floats(1e-6, 100.0))
+    def test_gap_exponent_refuses_a_negative_gap(self, b, u):
+        with pytest.raises(ValueError, match="a <= b"):
+            gap_exponent(b * (1.0 + u), b)
+
+    # the round trip loses about t ulps, so t stays where rel 1e-15 holds
+    @given(st.floats(1.0, 4.0, exclude_min=True))
+    def test_conjugate_is_an_involution(self, t):
+        assert math.isclose(conjugate(conjugate(t)), t, rel_tol=1e-15)
+
+    def test_conjugate_endpoints(self):
+        assert conjugate(1.0) == INF
+        assert conjugate(INF) == 1.0
+        assert conjugate(2.0) == 2.0
+        with pytest.raises(ValueError, match="t >= 1"):
+            conjugate(0.5)
 
 
 class TestWeightVector:
@@ -280,6 +310,14 @@ class TestMaximalWeightedExponent:
     def test_infinite_p_tends_to_one(self):
         assert maximal_weighted_exponent((INF,), (1.0,)) == 1.0
         assert maximal_weighted_exponent((INF, INF), (2.0, 3.0)) == 1.0
+
+    @given(st.lists(st.tuples(EXPONENTS, st.floats(1e-3, 100.0)), min_size=1, max_size=3))
+    def test_is_the_extrapolation_r_side_at_infinite_t(self, pairs):
+        # with every t_j = s = inf (p < s needs p finite) the s-side is 0
+        rs = tuple(r for r, _ in pairs)
+        ps = tuple(r * (1.0 + u) for r, u in pairs)
+        ts = (INF,) * len(rs)
+        assert maximal_weighted_exponent(ps, rs) == extrapolation_exponent(ps, ts, rs, INF)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError, match="r_1 < p_1"):
