@@ -7,14 +7,18 @@ leading axes, so a (cells x atoms) array is normed per cell in one call.
 Orlicz and Lorentz norms give a row the same bits whatever rows share its
 call; the Lebesgue norm's BLAS matmul sums in an order set by the batch.
 
-The associate (Kothe dual) norm and the product-space norm have analytic
-paths for Lebesgue spaces and seeded coordinate-search paths otherwise; the
-searches are deterministic per seed and are cross-checked against dense-grid
-oracles in the test suite at low dimension.  A search runs its restarts in
-lockstep, one batched norm call per coordinate step for all of them; with
-batch-independent norms that is bit-identical to running them one after
-another, while over Lebesgue factors (whose matmul is batch-dependent) the
-result may move by an ulp.
+The associate (Kothe dual) norm is exact for Lebesgue spaces (the dual
+exponent) and for Orlicz spaces whose Phi is convex (log-slopes above one,
+non-decreasing): there it is the Orlicz norm of the complementary function,
+found by one bisection in k and certified by meeting the Amemiya upper bound
+inf_k (1 + sum Psi(k xi) mu) / k.  The product-space norm is exact for
+Lebesgue tuples.  Every other case runs a seeded coordinate search that
+returns a lower bound; the searches are deterministic per seed and are
+cross-checked against dense-grid oracles in the test suite at low
+dimension.  A search runs its restarts in lockstep, one batched norm call
+per coordinate step for all of them; with batch-independent norms that is
+bit-identical to running them one after another, while over Lebesgue
+factors (whose matmul is batch-dependent) the result may move by an ulp.
 
 The package's exponent arithmetic lives here too (1/inf = 0): ``recip``,
 ``harmonic_exponent``, ``gap_exponent`` (1/e = 1/a - 1/b, and exactly a when
@@ -171,8 +175,10 @@ class LebesgueSpace(Space):
             return _as_scalar(a.max(axis=-1))
         w = self.measure.weights
         # np.power: a NumPy scalar's ** rounds unlike the array loop.  The
-        # matmul still sums a row in an order set by the batch size.
-        total = a**self.t @ w
+        # matmul still sums a row in an order set by the batch size.  A power
+        # that overflows is renormed below, so it need not warn.
+        with np.errstate(over="ignore"):
+            total = a**self.t @ w
         out = np.power(total, 1.0 / self.t)
         lo, hi = np.min(total), np.max(total)
         if hi < math.inf and (_TINY <= lo or not a[total < _TINY].any()):
@@ -248,12 +254,48 @@ class LorentzSpace(Space):
 _BRACKET_CAP = 100
 
 
-def _check_bracket(open_rows: np.ndarray) -> None:
+def _check_bracket(open_rows: np.ndarray, what: str) -> None:
     if open_rows.any():
         raise ValueError(
-            f"Luxemburg norm not bracketed within {_BRACKET_CAP} doublings; "
+            f"{what} not bracketed within {_BRACKET_CAP} doublings; "
             "Phi grows too slowly for this vector"
         )
+
+
+def _bisect_level(excess, start: np.ndarray, what: str) -> np.ndarray:
+    """Per entry, the upper end of a tight bracket of the root of ``excess``.
+
+    excess(x) is decreasing, evaluated on whole arrays, and > 0 below the
+    root.  The bracket [lo, hi] is found by doubling and halving from
+    ``start`` (at most _BRACKET_CAP times, else a ValueError naming
+    ``what``), then narrowed by geometric midpoints, i.e. bisection in log x,
+    until no entry moves.
+    """
+    hi = start.copy()
+    for _ in range(_BRACKET_CAP):
+        mask = excess(hi) > 0
+        if not mask.any():
+            break
+        hi[mask] *= 2.0
+    else:
+        _check_bracket(excess(hi) > 0, what)
+    lo = start.copy()
+    for _ in range(_BRACKET_CAP):
+        mask = excess(lo) <= 0
+        if not mask.any():
+            break
+        lo[mask] *= 0.5
+    else:
+        _check_bracket(excess(lo) <= 0, what)
+    for _ in range(120):
+        mid = np.sqrt(lo * hi)
+        high = excess(mid) > 0
+        new_lo = np.where(high, mid, lo)
+        new_hi = np.where(high, hi, mid)
+        if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
+            break  # a fixed point: further steps repeat it
+        lo, hi = new_lo, new_hi
+    return hi
 
 
 class OrliczSpace(Space):
@@ -278,13 +320,11 @@ class OrliczSpace(Space):
         self.table = tab
         self._lx = np.log(tab[:, 0])
         self._ly = np.log(tab[:, 1])
-        slopes = np.diff(self._ly) / np.diff(self._lx)
-        self._slope_lo = slopes[0]
-        self._slope_hi = slopes[-1]
+        self._slopes = np.diff(self._ly) / np.diff(self._lx)
         if convexity is None:
             # the Luxemburg functional of a locally-power Phi is 1-convex
             # only when every segment exponent is at least one
-            convexity = float(min(1.0, slopes.min()))
+            convexity = float(min(1.0, self._slopes.min()))
         super().__init__(measure, convexity)
 
     @classmethod
@@ -312,7 +352,7 @@ class OrliczSpace(Space):
         out = np.zeros_like(x)
         pos = x > 0
         out[pos] = np.exp(
-            self._loglog(np.log(x[pos]), self._lx, self._ly, self._slope_lo, self._slope_hi)
+            self._loglog(np.log(x[pos]), self._lx, self._ly, self._slopes[0], self._slopes[-1])
         )
         return out
 
@@ -321,7 +361,37 @@ class OrliczSpace(Space):
         out = np.zeros_like(y)
         pos = y > 0
         out[pos] = np.exp(
-            self._loglog(np.log(y[pos]), self._ly, self._lx, 1 / self._slope_lo, 1 / self._slope_hi)
+            self._loglog(np.log(y[pos]), self._ly, self._lx, 1 / self._slopes[0], 1 / self._slopes[-1])
+        )
+        return out
+
+    def has_convex_phi(self) -> bool:
+        """Whether Phi' increases: every log-slope a_k > 1 and none decreasing.
+
+        The slopes of a tabulated power or convex piecewise power law wobble
+        by a few ulps, so a drop of up to 1e-12 relative counts as level.
+        """
+        a = self._slopes
+        return bool(a.min() > 1.0 and np.all(np.diff(a) >= -1e-12 * a[1:]))
+
+    def psi(self, s):
+        """(Phi')^{-1}, the derivative of the complementary Young function.
+
+        Defined for a convex Phi (``has_convex_phi``).  log Phi' is linear in
+        log x with slope a_k - 1 on segment k and jumps at knot k from
+        L_k = log a_(k-1) + ly_k - lx_k up to R_k = log a_k + ly_k - lx_k, so
+        log psi is flat at lx_k on [L_k, R_k] and linear in between; beyond
+        the table it has the slopes 1/(a_0 - 1) and 1/(a_last - 1).
+        """
+        a = np.concatenate([self._slopes[:1], self._slopes, self._slopes[-1:]])
+        base = self._ly - self._lx
+        # the rounding tolerance of has_convex_phi may put L_k above R_k
+        knots = np.maximum.accumulate(np.column_stack([np.log(a[:-1]) + base, np.log(a[1:]) + base]).ravel())
+        s = np.asarray(s, dtype=float)
+        out = np.zeros_like(s)
+        pos = s > 0
+        out[pos] = np.exp(
+            self._loglog(np.log(s[pos]), knots, np.repeat(self._lx, 2), 1 / (a[0] - 1), 1 / (a[-1] - 1))
         )
         return out
 
@@ -332,46 +402,22 @@ class OrliczSpace(Space):
         w = self.measure.weights
         out = np.zeros(rows.shape[0])
         active = rows.max(axis=1) > 0
-
-        def excess(lam, sub):
-            # sum Phi(a / lam) mu - 1, vectorized over rows; a row sum, not
-            # a matmul, so that a row's bits do not depend on its batch
-            ratio = sub / lam[:, None]
-            return np.sum(self.phi(ratio) * w, axis=-1) - 1.0
-
         sub = rows[active]
         if sub.size:
             # norm each row divided by a power of two near its sup: exact
-            # for normal entries, so a row keeps its bits, and lo * hi below
-            # stays in range however large or small the row is
+            # for normal entries, so a row keeps its bits, and lo * hi in the
+            # bisection stays in range however large or small the row is
             scale = np.ldexp(1.0, np.frexp(sub.max(axis=1))[1])
             sub = sub / scale[:, None]
-            # bracket the unit level set by doubling outward from the sup
-            hi = sub.max(axis=1).copy()
-            for _ in range(_BRACKET_CAP):
-                mask = excess(hi, sub) > 0
-                if not mask.any():
-                    break
-                hi[mask] *= 2.0
-            else:
-                _check_bracket(excess(hi, sub) > 0)
-            lo = sub.max(axis=1).copy()
-            for _ in range(_BRACKET_CAP):
-                mask = excess(lo, sub) <= 0
-                if not mask.any():
-                    break
-                lo[mask] *= 0.5
-            else:
-                _check_bracket(excess(lo, sub) <= 0)
-            for _ in range(120):
-                mid = np.sqrt(lo * hi)
-                high = excess(mid, sub) > 0
-                new_lo = np.where(high, mid, lo)
-                new_hi = np.where(high, hi, mid)
-                if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
-                    break  # a fixed point: further steps repeat it
-                lo, hi = new_lo, new_hi
-            out[active] = hi * scale
+
+            def excess(lam):
+                # sum Phi(a / lam) mu - 1, vectorized over rows; a row sum, not
+                # a matmul, so that a row's bits do not depend on its batch
+                ratio = sub / lam[:, None]
+                return np.sum(self.phi(ratio) * w, axis=-1) - 1.0
+
+            # bracket the unit level set outward from the sup
+            out[active] = _bisect_level(excess, sub.max(axis=1), "Luxemburg norm") * scale
         return _as_scalar(out.reshape(lead))
 
     def params(self) -> dict:
@@ -473,16 +519,21 @@ def associate_norm(
 ):
     """sup { sum |xi eta| mu : ||eta||_X <= 1 }, the Kothe dual norm.
 
-    Analytic for Lebesgue spaces (dual exponent), otherwise coordinate ascent
-    over the positive unit sphere with seeded random restarts.  Requires a
-    1-convex space (declared hint) so that the associate functional is a norm.
+    Requires a 1-convex space (declared hint) so that the associate
+    functional is a norm.  Three paths:
 
-    The restarts run in lockstep: each coordinate step norms the candidates
-    of every restart still improving in one call, and a restart drops out
-    after a sweep that improves nothing (or after 40 sweeps).  For norms
-    that give a row the same bits whatever its batch (Orlicz, Lorentz), the
-    result equals running the restarts one after another, bit for bit; over
-    Lebesgue factors (return_argmax, iterated spaces) it may move by an ulp.
+    - Lebesgue without return_argmax: the l^(t') norm, t' = conjugate(t).
+    - Orlicz with a convex Phi (``OrliczSpace.has_convex_phi``) and xi != 0:
+      the Orlicz norm of the complementary function Psi, which is the
+      Amemiya norm inf_k (1 + sum Psi(k xi) mu) / k.  One bisection in log k
+      finds the root of sum Phi(psi(k xi)) mu = 1, psi = (Phi')^{-1}; the
+      value is the pairing sum xi eta mu / ||eta|| at eta = psi(k xi), a
+      lower bound for any table.  On a convex table it is exact: by Young's
+      equality it meets the Amemiya upper bound at that k.  The argmax is
+      eta / ||eta||; seed and restarts are not read.
+    - Every other space, table and argmax request, and a zero xi: a seeded
+      coordinate ascent over the positive unit sphere that returns a lower
+      bound (``_associate_search``).
     """
     _check_restarts(restarts)
     if space.convexity < 1.0 - 1e-12:
@@ -496,13 +547,53 @@ def associate_norm(
             f"associate norm requires a Lebesgue exponent t >= 1, got {space.t}"
         )
     xi = np.abs(np.asarray(xi, dtype=float))
-    shape = space.atom_shape
-    if xi.shape != shape:
-        raise ValueError(f"expected a single vector of shape {shape}")
+    if xi.shape != space.atom_shape:
+        raise ValueError(f"expected a single vector of shape {space.atom_shape}")
+    if not np.all(np.isfinite(xi)):
+        raise ValueError("associate norm needs a finite vector")
 
     if isinstance(space, LebesgueSpace) and not return_argmax:
         return LebesgueSpace(conjugate(space.t), space.measure).norm(xi)
+    if isinstance(space, OrliczSpace) and space.has_convex_phi() and xi.any():
+        return _associate_orlicz(space, xi, return_argmax)
+    return _associate_search(space, xi, seed, restarts, return_argmax)
 
+
+def _associate_orlicz(space: OrliczSpace, xi: np.ndarray, return_argmax: bool):
+    """The closed-form associate norm of a convex Orlicz space at xi >= 0, xi != 0."""
+    w = space.measure.weights
+    # psi(k xi) = psi(c r) with r = xi over a power of two near its sup
+    r = xi / np.ldexp(1.0, np.frexp(xi.max())[1])
+    # start at c = Phi(x)/x <= Phi'(x) for the x with Phi(x) sum(mu) = 1:
+    # there psi(c r) <= x, so the modular is at most one
+    y = np.array([1.0 / w.sum()])
+    start = y / space.phi_inv(y)
+
+    def excess(c):
+        # on steep segments psi(c r) overflows to inf while the bracket is
+        # doubled; that reads as a modular above one, which it is
+        with np.errstate(over="ignore"):
+            return 1.0 - np.sum(space.phi(space.psi(c[:, None] * r)) * w, axis=-1)
+
+    c = _bisect_level(excess, start, "associate norm")[0]
+    eta = space.psi(c * r)
+    nrm = space.norm(eta)
+    value = float(np.sum(xi * eta * w) / nrm)
+    return (value, eta / nrm) if return_argmax else value
+
+
+def _associate_search(space: Space, xi: np.ndarray, seed: int, restarts: int, return_argmax: bool):
+    """associate_norm by coordinate ascent over the positive unit sphere.
+
+    A lower bound, from seeded random restarts.  The restarts run in
+    lockstep: each coordinate step norms the candidates of every restart
+    still improving in one call, and a restart drops out after a sweep that
+    improves nothing (or after 40 sweeps).  For norms that give a row the
+    same bits whatever its batch (Orlicz, Lorentz), the result equals
+    running the restarts one after another, bit for bit; over Lebesgue
+    factors (return_argmax, iterated spaces) it may move by an ulp.
+    """
+    shape = space.atom_shape
     xiw = (xi * space.mu).ravel()
     n = xiw.size
     support = np.flatnonzero(xiw > 0)

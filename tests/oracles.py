@@ -497,7 +497,8 @@ def stopping_domination_walk(grid, Fs, rs, q, spaces, c_stop=1.0, max_doublings=
 def dual_norm_grid(norm, xi, npoints=400, refine=3):
     """sup { sum xi_i eta_i mu_i : norm(eta) <= 1 } by dense direction scan.
 
-    norm must accept a numpy vector and include the measure weights itself;
+    norm must accept a numpy vector or a (k, n) batch of them and include
+    the measure weights itself;
     the pairing weights are passed separately by the caller via xi (already
     multiplied by mu), so here we just scan directions eta >= 0.
     """
@@ -517,21 +518,15 @@ def dual_norm_grid(norm, xi, npoints=400, refine=3):
         return value(e), e / norm(e)
     if n == 2:
         thetas = np.linspace(0.0, np.pi / 2, npoints)
-        for t in thetas:
-            direction = np.array([np.cos(t), np.sin(t)])
-            v = value(direction)
-            if v > best:
-                best, best_dir = v, direction
+        scan = np.column_stack([np.cos(thetas), np.sin(thetas)])
     else:
         ticks = np.linspace(0.0, 1.0, npoints // 6)
-        for u1 in ticks:
-            for u2 in ticks:
-                if u1 + u2 > 1.0:
-                    continue
-                direction = np.array([u1, u2, 1.0 - u1 - u2])
-                v = value(direction)
-                if v > best:
-                    best, best_dir = v, direction
+        scan = np.array([[u1, u2, 1.0 - u1 - u2] for u1 in ticks for u2 in ticks if u1 + u2 <= 1.0])
+    nrm = np.asarray(norm(scan), dtype=float)
+    vals = np.divide(scan @ xi, nrm, out=np.zeros(len(scan)), where=nrm > 0)
+    i = int(np.argmax(vals))  # the first maximum, as a scan keeping strict gains
+    if vals[i] > best:
+        best, best_dir = float(vals[i]), scan[i]
     if best_dir is None:
         return 0.0, np.ones(n) / norm(np.ones(n))
     # local refinement around the best direction
@@ -623,6 +618,60 @@ def luxemburg_norm_unscaled(space, row, bracket_cap=100, steps=120):
         else:
             hi = mid
     return hi
+
+
+# ---------------------------------------------------------------------------
+# the Amemiya norm of an Orlicz table, from the table alone
+# ---------------------------------------------------------------------------
+
+def young_conjugate(space, s):
+    """Psi(s) = sup_t (s t - Phi(t)) for a convex tabulated Phi, per entry of s.
+
+    Phi is Y (t/X)^a on each table segment and on the two extensions beyond
+    the table; s t - Phi(t) is concave there, so its sup on a segment sits at
+    the stationary point X (s X / (a Y))^(1/(a-1)) clipped to the segment.
+    No (Phi')^{-1} is used.  A sup beyond the double range reads inf.
+    """
+    x, y = space.table[:, 0], space.table[:, 1]
+    a = np.diff(np.log(y)) / np.diff(np.log(x))
+    X = np.concatenate([x[:1], x[:-1], x[-1:]])
+    Y = np.concatenate([y[:1], y[:-1], y[-1:]])
+    A = np.concatenate([a[:1], a, a[-1:]])
+    lo, hi = np.concatenate([[0.0], x]), np.concatenate([x, [math.inf]])
+    s = np.asarray(s, dtype=float)[..., None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = np.clip(X * (s * X / (A * Y)) ** (1.0 / (A - 1.0)), lo, hi)
+        gain = s * t - Y * (t / X) ** A
+    return np.where(np.isnan(gain), math.inf, gain).max(axis=-1)
+
+
+def amemiya_norm(space, xi, k_lo, k_hi):
+    """min over k in [k_lo, k_hi] of (1 + sum Psi(k |xi|) mu) / k.
+
+    Golden-section search in log k: the objective is convex in 1/k, so it
+    has one minimum on the interval.  Every value it takes is an upper
+    bound for the associate norm of the Luxemburg norm of Phi.
+    """
+    xi = np.abs(np.asarray(xi, dtype=float))
+
+    def amemiya(lk):
+        k = math.exp(lk)
+        return (1.0 + float(np.sum(young_conjugate(space, k * xi) * space.measure.weights))) / k
+
+    g = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = math.log(k_lo), math.log(k_hi)
+    c, d = b - g * (b - a), a + g * (b - a)
+    fc, fd = amemiya(c), amemiya(d)
+    for _ in range(100):
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - g * (b - a)
+            fc = amemiya(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + g * (b - a)
+            fd = amemiya(d)
+    return min(fc, fd)
 
 
 # ---------------------------------------------------------------------------

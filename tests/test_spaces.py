@@ -24,8 +24,10 @@ from sparsedom.spaces import (
     space_from_json,
     space_to_json,
 )
-from sparsedom.spaces import _orlicz_split
+import sparsedom.spaces as spaces_module
+from sparsedom.spaces import _associate_search, _orlicz_split, conjugate
 from oracles import (
+    amemiya_norm,
     associate_norm_sequential,
     dual_norm_grid,
     luxemburg_norm_unscaled,
@@ -228,6 +230,15 @@ def test_associate_refuses_quasi_norms():
     for argmax in (False, True):
         with pytest.raises(ValueError, match="Lebesgue exponent t >= 1, got 0.5"):
             associate_norm(sp, [1, 1], restarts=1, return_argmax=argmax)
+
+
+@pytest.mark.parametrize(
+    "space", [OrliczSpace.from_power(2.0, U3), OrliczSpace.from_power(1.0, U3), LebesgueSpace(2.0, U3)]
+)
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_associate_refuses_non_finite_vectors(space, bad):
+    with pytest.raises(ValueError, match="associate norm needs a finite vector"):
+        associate_norm(space, [bad, 1.0, 1.0], restarts=1)
 
 
 def test_associate_generic_matches_analytic():
@@ -489,6 +500,14 @@ def test_orlicz_norm_at_extreme_magnitudes():
     assert np.array_equal(sp.norm(X), one_row_calls(sp, X))
 
 
+def test_lebesgue_norm_renorms_overflowing_rows_silently():
+    # the power sum of [1e160, 0, 0] overflows before the row is renormed
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t in (2.0, 3.0):
+            assert LebesgueSpace(t, U3).norm([1e160, 0.0, 0.0]) == pytest.approx(1e160, rel=1e-12, abs=0.0)
+
+
 def test_lebesgue_norm_scales_rows_out_of_range():
     for t in (1.5, 2.0, 3.0):
         sp = LebesgueSpace(t, U3)
@@ -507,16 +526,23 @@ def test_lebesgue_norm_scales_rows_out_of_range():
 # the searches run their restarts in lockstep
 # ---------------------------------------------------------------------------
 
+# log-slopes 1, 3, 1: Phi' falls at the last knot
+NONCONVEX = np.array([[1.0, 1.0], [2.0, 2.0], [4.0, 16.0], [8.0, 32.0]])
+# log-slopes 3, 2, all above one but decreasing
+DECREASING = np.array([[1.0, 1.0], [2.0, 8.0], [4.0, 32.0]])
+
+
 # restarts is checked on entry, so the closed-form paths, which never read
 # it, refuse it too
 @pytest.mark.parametrize(
     "space, argmax",
     [
+        (OrliczSpace(NONCONVEX, U3, convexity=1.0), False),
         (OrliczSpace.from_power(2.0, U3), False),
         (LebesgueSpace(2.0, U3), False),
         (LebesgueSpace(2.0, U3), True),
     ],
-    ids=["orlicz-search", "lebesgue-analytic", "lebesgue-search"],
+    ids=["orlicz-search", "orlicz-closed-form", "lebesgue-analytic", "lebesgue-search"],
 )
 def test_associate_norm_refuses_zero_restarts(space, argmax):
     with pytest.raises(ValueError, match="restarts must be at least 1, got 0"):
@@ -588,7 +614,7 @@ def test_orlicz_norm_keeps_the_bits_of_the_unscaled_bisection(data, table, measu
 def test_associate_lockstep_matches_sequential_restarts(data, table, measure, restarts, seed, argmax):
     sp = OrliczSpace(table, measure)
     xi = data.draw(vectors(measure.n))
-    got = associate_norm(sp, xi, seed=seed, restarts=restarts, return_argmax=argmax)
+    got = _associate_search(sp, xi, seed, restarts, argmax)
     want = associate_norm_sequential(sp, xi, seed=seed, restarts=restarts, return_argmax=argmax)
     if argmax:
         assert got[0] == want[0]
@@ -623,20 +649,26 @@ def test_product_lockstep_matches_sequential_on_piecewise_tuples():
         assert got == product_norm_sequential(factors, xi, seed=seed, restarts=8)
 
 
-def test_associate_norm_calls_do_not_grow_with_restarts():
-    sp = OrliczSpace(PIECEWISE, AtomicMeasure.unit(6))
-    xi = np.array([0.5, 3.0, 0.0, 1.25, 2.0, 0.75])
-    support = np.count_nonzero(xi)
-    calls, norm = [0], sp.norm
+def count_norm_calls(space):
+    """Wrap space.norm; the returned one-item list counts its calls."""
+    calls, norm = [0], space.norm
 
     def counted(x):
         calls[0] += 1
         return norm(x)
 
-    sp.norm = counted
+    space.norm = counted
+    return calls
+
+
+def test_associate_norm_calls_do_not_grow_with_restarts():
+    sp = OrliczSpace(PIECEWISE, AtomicMeasure.unit(6))
+    xi = np.array([0.5, 3.0, 0.0, 1.25, 2.0, 0.75])
+    support = np.count_nonzero(xi)
+    calls = count_norm_calls(sp)
     for restarts, argmax in ((1, True), (16, False), (64, True)):
         calls[0] = 0
-        associate_norm(sp, xi, restarts=restarts, return_argmax=argmax)
+        _associate_search(sp, xi, 0, restarts, argmax)
         assert calls[0] <= 1 + 40 * support + argmax
 
 
@@ -663,3 +695,100 @@ def test_orlicz_split_stops_at_its_fixed_point():
             assert len(got) == len(want) == len(spaces) - 1
             assert all(np.array_equal(g, w) for g, w in zip(got, want))
             assert steps[0] < 200  # one call per step, plus the final factors
+
+
+# ---------------------------------------------------------------------------
+# the closed-form associate norm of a convex Orlicz space
+# ---------------------------------------------------------------------------
+
+def log_slopes(table):
+    return np.diff(np.log(table[:, 1])) / np.diff(np.log(table[:, 0]))
+
+
+steep_tables = convex_tables().filter(lambda tab: log_slopes(tab).min() > 1.0)
+
+
+def assert_certified(sp, xi):
+    """The closed form is a unit-norm pairing that meets the Amemiya bound."""
+    val, eta = associate_norm(sp, xi, return_argmax=True)
+    assert associate_norm(sp, xi) == val
+    assert sp.norm(eta) == pytest.approx(1.0, rel=1e-12)
+    assert float(np.sum(xi * eta * sp.mu)) == pytest.approx(val, rel=1e-12)
+    # the minimizing k lies in [min a, max a] / val; the bound and the value
+    # each carry rounding, a few ulps more on near-linear segments
+    a = log_slopes(sp.table)
+    upper = amemiya_norm(sp, xi, a.min() / (2 * val), 2 * a.max() / val)
+    assert val <= upper * (1 + 1e-13)
+    assert upper <= val * (1 + 1e-12)
+    return val
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), table=steep_tables, measure=measures(1, 6), seed=st.integers(0, 2**16))
+def test_associate_orlicz_closed_form_meets_the_amemiya_bound(data, table, measure, seed):
+    sp = OrliczSpace(table, measure)
+    assert sp.has_convex_phi()
+    xi = data.draw(vectors(measure.n).filter(np.any))
+    val = assert_certified(sp, xi)
+    assert _associate_search(sp, xi, seed, 4, False) <= val * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("exponent", [1 + 2.0**-45, 1 + 1e-9])
+def test_associate_orlicz_normalizes_eta_on_near_linear_tables(exponent):
+    # log psi has slope 1/(exponent - 1), so the last ulp of k in the
+    # bisection moves eta, and ||eta|| is off one by up to 0.7% here
+    sp = OrliczSpace.from_power(exponent, U3)
+    assert_certified(sp, np.array([1.0, 1.0, 0.7]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), p=st.sampled_from([1.5, 2.0, 3.0]), measure=measures(1, 6))
+def test_associate_orlicz_power_is_the_conjugate_lebesgue_norm(data, p, measure):
+    sp = OrliczSpace.from_power(p, measure)
+    xi = data.draw(vectors(measure.n))
+    want = LebesgueSpace(conjugate(p), measure).norm(xi)
+    assert associate_norm(sp, xi) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "space, argmax",
+    [
+        (LorentzSpace(3, 1, U3), False),
+        (IteratedSpace(LebesgueSpace(3.0, U3), LebesgueSpace(2.0, U3)), False),
+        (ConcavifiedSpace(OrliczSpace.from_power(3.0, U3, convexity=2.0), 2.0), False),
+        (OrliczSpace.from_power(1.0, U3), False),
+        (OrliczSpace(DECREASING, U3), False),
+        (OrliczSpace(NONCONVEX, U3, convexity=1.0), True),
+        (LebesgueSpace(2.0, U3), True),
+    ],
+    ids=["lorentz", "iterated", "concavified", "power-1", "decreasing", "nonconvex", "lebesgue-argmax"],
+)
+def test_associate_norm_takes_the_search(monkeypatch, space, argmax):
+    calls = []
+
+    def search(*args):
+        calls.append(args)
+        return _associate_search(*args)
+
+    monkeypatch.setattr(spaces_module, "_associate_search", search)
+    xi = np.arange(1.0, 1.0 + np.prod(space.atom_shape)).reshape(space.atom_shape)
+    associate_norm(space, xi, restarts=2, return_argmax=argmax)
+    assert len(calls) == 1
+    if isinstance(space, OrliczSpace):
+        assert not space.has_convex_phi()
+
+
+@pytest.mark.parametrize(
+    "table",
+    [OrliczSpace.from_power(p, U3).table for p in (1.5, 2.0, 3.0)] + [PIECEWISE],
+    ids=["power-1.5", "power-2", "power-3", "piecewise"],
+)
+def test_associate_norm_takes_the_closed_form(monkeypatch, table):
+    # the slopes of these tables wobble by a few ulps; they still count as convex
+    monkeypatch.setattr(spaces_module, "_associate_search", None)
+    sp = OrliczSpace(table, U3)
+    assert sp.has_convex_phi()
+    calls = count_norm_calls(sp)
+    for argmax in (False, True):
+        associate_norm(sp, [0.5, 2.0, 1.0], return_argmax=argmax)
+    assert calls[0] == 2  # one normalizing call each
