@@ -32,7 +32,7 @@ print("maximal function:", np.round(M, 3), "L1 norm", round(grid_norm(grid, M, 1
 
 # ---------------------------------------------------------------------
 # the sparse side: maximize sum |Q| <f1>_Q <f2>_Q over 1/2-sparse
-# subfamilies of the seven cubes; exhaustive search is the ground truth
+# subfamilies of the seven cubes, exactly by a knapsack on the dyadic tree
 # ---------------------------------------------------------------------
 exact_val, family = optimal_sparse_form(fs, rs, grid, mode="exact")
 greedy_val, greedy_fam = optimal_sparse_form(fs, rs, grid, mode="greedy")

@@ -148,12 +148,6 @@ def _validate(command: str, cfg: dict) -> None:
         )
     if not isinstance(cfg["shifts"], bool):
         raise ConfigError(f"shifts must be true or false, got {cfg['shifts']!r}")
-    if command in ("equivalence", "all"):
-        n = Grid(dim, depth).ncubes()
-        if n > 18:
-            raise ConfigError(
-                f"exact search needs at most 18 cubes; dim {dim} depth {depth} has {n}"
-            )
     if command in ("stopping", "transfer", "all") and not float(cfg["q"]) > 0:
         raise ConfigError(f"q must be positive, got {cfg['q']!r}")
     if command in ("exponents", "all"):
@@ -165,8 +159,8 @@ def _validate(command: str, cfg: dict) -> None:
     if command in ("stopping", "transfer", "all"):
         if not float(cfg["s"]) > float(cfg["q"]):
             raise ConfigError(f"need s > q, got s={cfg['s']}, q={cfg['q']}")
-    if command in ("transfer", "all"):
-        # the transfer battery certifies a chain of cubes down to ``depth``
+    if command in ("equivalence", "transfer", "all"):
+        # both batteries certify families with cubes down to ``depth``
         try:
             certificate_depth(dim, depth, eta)
         except ValueError as exc:

@@ -400,15 +400,15 @@ class OrliczSpace(Space):
         lead = a.shape[:-1]
         rows = a.reshape(-1, a.shape[-1])
         w = self.measure.weights
-        out = np.zeros(rows.shape[0])
-        active = rows.max(axis=1) > 0
-        sub = rows[active]
-        if sub.size:
+        top = rows.max(axis=1)
+        out = np.where(np.isfinite(top), 0.0, top)  # nan and inf rows as in l^t
+        active = (top > 0) & (top < math.inf)
+        if active.any():
             # norm each row divided by a power of two near its sup: exact
             # for normal entries, so a row keeps its bits, and lo * hi in the
             # bisection stays in range however large or small the row is
-            scale = np.ldexp(1.0, np.frexp(sub.max(axis=1))[1])
-            sub = sub / scale[:, None]
+            scale = np.ldexp(1.0, np.frexp(top[active])[1])
+            sub = rows[active] / scale[:, None]
 
             def excess(lam):
                 # sum Phi(a / lam) mu - 1, vectorized over rows; a row sum, not
@@ -706,8 +706,8 @@ def product_norm(spaces: Sequence[Space], xi, seed: int = 0, restarts: int = 8):
         raise ValueError(f"expected a single vector of shape {shape}")
     flat = xi.ravel()
     pos = np.flatnonzero(flat > 0)
-    if pos.size == 0:
-        return 0.0
+    if pos.size == 0 or not np.isfinite(flat).all():
+        return float(flat.max())  # 0, or nan and inf as in l^t
     m = len(spaces)
 
     def norms(k, g):

@@ -7,8 +7,10 @@ exist iff every family cube P packs: eta * sum_{Q subseteq P} |Q| <= |P|
 cube takes eta |Q| free finest cells of its own; a cube that finds too few
 refutes sparseness with itself and its family descendants as Hall violator.
 
-The optimizers target the sparse form sum_Q prod_j <f_j>_{r_j,Q} |Q|: an
-exhaustive branch-and-bound for small grids (the ground-truth oracle) and
+The optimizers target the sparse form sum_Q prod_j <f_j>_{r_j,Q} |Q|: the
+exact optimum, a knapsack on the dyadic tree over that same packing
+criterion (integer loads in finest cells, so feasibility is exact; see
+Hanninen, Ark. Mat. 2018, and Lerner & Nazarov, Expo. Math. 2019), and
 the greedy principal-cubes construction that realizes the maximal function's
 L^1 norm up to a factor of two.
 """
@@ -19,6 +21,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 from typing import Sequence
 
 import numpy as np
@@ -246,71 +249,33 @@ def optimal_sparse_form(
 ) -> tuple[float, SparseFamily]:
     """Maximize the pure sparse form over eta-sparse subfamilies of the grid.
 
-    exact: branch and bound over all subsets (cap 18 cubes), pruned by the
-    packing bound, which on one lattice is the exact feasibility criterion;
-    the winner is re-verified by ``verify_sparse`` for its certificate.
-    Each cube keeps an integer slack, den |P| less the num-weighted cells of
-    P and its chosen descendants (eta = num/den); a cube is admitted iff its
-    own slack and that of every taken ancestor stay nonnegative.
+    exact: a knapsack on the dyadic tree over the packing criterion, with
+    eta = num/den and loads in finest cells.  g_Q[b], the best value inside
+    Q with load b, is the max-plus of the children's tables; Q joins when
+    num (b + |Q|) <= den |Q|, also on a tie.  A taken Q packs at most |Q|/eta
+    cells and a finer level at most |Q|, so a table has at most
+    min(den/num, depth - level + 1) |Q| + 1 entries.  The root keeps its
+    smallest best load, so no cube of contribution 0 is taken.  The winner,
+    re-verified by ``verify_sparse``, lists its cubes by descending
+    contribution (ties in ``grid.cubes()`` order); the value sums them left
+    to right in that order.
     greedy: principal cubes; select a cube when its product of averages more
     than doubles that of the nearest selected ancestor.  The greedy family is
     sparse at a slightly smaller eta when sum 1/r_j > 1 (set on the result).
     """
     lp = level_products(grid, fs, rs)
-
-    def prod_avg(cube: Cube) -> float:
-        return float(lp[cube.level][cube.index])
-
-    cubes = list(grid.cubes())
-
     if mode == "exact":
-        if len(cubes) > 18:
-            raise ValueError(
-                f"exact mode enumerates subsets; {len(cubes)} cubes exceed the cap 18"
-            )
-        _require_standard(cubes)
-        etaf = Fraction(eta)
-        num, den = etaf.numerator, etaf.denominator
-        contrib = [(prod_avg(q) * q.measure, q) for q in cubes]
-        contrib.sort(key=lambda t: -t[0])
-        values = [c for c, _ in contrib]
-        suffix = np.concatenate([np.cumsum(values[::-1])[::-1], [0.0]])
-        pos = {q: k for k, (_, q) in enumerate(contrib)}
-        anc = [[pos[_ancestor(q, lv)] for lv in range(q.level)] for _, q in contrib]
-        # integer cell counts at a common depth keep packing checks exact
-        K = max(q.level for q in cubes)
-        icell = [2 ** (q.d * (K - q.level)) for _, q in contrib]
-        # slack[i] = den |P| - num (cells of P + cells of chosen cubes under P)
-        slack = [(den - num) * c for c in icell]
-        taken = [False] * len(contrib)
-        best_val, best_set = 0.0, []
-        chosen: list[int] = []
-
-        def dfs(i: int, cur: float):
-            nonlocal best_val, best_set
-            if cur > best_val:
-                best_val = cur
-                best_set = [contrib[k][1] for k in chosen]
-            if i == len(contrib) or cur + suffix[i] <= best_val:
-                return
-            cost = num * icell[i]
-            if slack[i] >= 0 and all(slack[k] >= cost for k in anc[i] if taken[k]):
-                for k in anc[i]:
-                    slack[k] -= cost
-                chosen.append(i)
-                taken[i] = True
-                dfs(i + 1, cur + contrib[i][0])
-                taken[i] = False
-                chosen.pop()
-                for k in anc[i]:
-                    slack[k] += cost
-            dfs(i + 1, cur)
-
-        dfs(0, 0.0)
-        family = verify_sparse(best_set, eta)
+        _require_standard(grid.level_cubes(0))
+        contrib = [lp[k] * 2.0 ** (-grid.d * k) for k in range(grid.depth + 1)]
+        picks = _knapsack_picks(contrib, grid.d, Fraction(eta))
+        level, index, _ = _selected(picks, grid.depth)
+        values = np.concatenate([c[sel] for c, sel in zip(contrib, picks)])
+        order = np.argsort(-values, kind="stable")
+        value = float(np.cumsum(np.r_[0.0, values[order]])[-1])  # left to right; np.sum pairs
+        family = verify_sparse(_cubes(level, index, order), eta)
         if not isinstance(family, SparseFamily):
             raise AssertionError("packing-feasible optimum failed sparseness verification")
-        return best_val, family
+        return value, family
 
     if mode == "greedy":
         rho = harmonic_exponent(rs)
@@ -323,11 +288,11 @@ def optimal_sparse_form(
             raise ValueError(f"greedy guarantee {bound} too small to certify")
         selected: list[Cube] = []
         root = grid.root
-        stack = [(root, prod_avg(root), True)]
+        stack = [(root, float(lp[0].flat[0]), True)]
         value = 0.0
         while stack:
             cube, anchor, select_now = stack.pop()
-            p = prod_avg(cube)
+            p = float(lp[cube.level][cube.index])
             if select_now or p > 2 * anchor:
                 selected.append(cube)
                 value += p * cube.measure
@@ -340,6 +305,45 @@ def optimal_sparse_form(
         return value, family
 
     raise ValueError(f"unknown mode {mode!r}")
+
+
+def _knapsack_picks(contrib: Sequence[np.ndarray], d: int, eta: Fraction) -> list[np.ndarray]:
+    """Per-level masks of the exact optimum of ``optimal_sparse_form``: the
+    leaves' children hold empty selections, and loads past |Q|/eta are cut."""
+    depth = len(contrib) - 1
+    kids = [tuple(slice(b, None, 2) for b in e) for e in product((0, 1), repeat=d)]
+    g, steps = np.zeros((2 << depth,) * d + (1,)), []
+    for k in range(depth, -1, -1):
+        cells = 1 << (d * (depth - k))
+        acc, args = g[kids[0]], []
+        for e in kids[1:]:
+            # max-plus with the next child, looping over its (shorter)
+            # table; a tie keeps the child's smaller load
+            n, child = acc.shape[-1], g[e]
+            out = np.full(acc.shape[:-1] + (n + child.shape[-1] - 1,), -np.inf)
+            args.append(np.zeros(out.shape, dtype=np.int32))
+            for i in range(child.shape[-1]):
+                cand = acc + child[..., i : i + 1]
+                better = cand > out[..., i : i + n]
+                np.copyto(out[..., i : i + n], cand, where=better)
+                np.copyto(args[-1][..., i : i + n], i, where=better)
+            acc = out
+        skip = np.concatenate([acc, np.full(acc.shape[:-1] + (cells,), -np.inf)], axis=-1)
+        # take[b] = skip[b - |Q|] + c_Q; the roll brings the -inf pad below |Q|
+        take = np.roll(skip, cells, axis=-1) + contrib[k][..., None]
+        top = eta.denominator * cells // eta.numerator + 1
+        chosen = (take >= skip)[..., :top]
+        g = np.where(chosen, take[..., :top], skip[..., :top])
+        steps.append((cells, chosen, args))
+    load, picks = np.full((1,) * d, np.argmax(g)), []
+    for cells, chosen, args in reversed(steps):
+        picks.append(np.take_along_axis(chosen, load[..., None], axis=-1)[..., 0])
+        rest, load = load - picks[-1] * cells, np.empty(tuple(2 * n for n in load.shape), dtype=int)
+        for e, arg in zip(kids[:0:-1], args[::-1]):
+            load[e] = np.take_along_axis(arg, rest[..., None], axis=-1)[..., 0]
+            rest = rest - load[e]
+        load[kids[0]] = rest
+    return picks
 
 
 # ---------------------------------------------------------------------------

@@ -68,11 +68,16 @@ class TestValidation:
         with pytest.raises(ConfigError, match="at most 6 for dim 2"):
             run("cz", {"dim": 2, "depth": 7})
 
-    def test_equivalence_cube_cap_named(self):
-        # depth 5 in d=1 is fine for cz but busts the exhaustive-search cap
-        with pytest.raises(ConfigError, match="at most 18 cubes"):
-            run("equivalence", {"depth": 5})
-        run("cz", {"depth": 5, "trials": 1})
+    def test_equivalence_certificate_depth_named(self):
+        # eta = 1/256 at depth 12 needs certificate cells at depth 20, past
+        # the d=1 resolution cap; cz certifies no family and runs
+        with pytest.raises(ConfigError, match="certificate depth 20"):
+            run("equivalence", {"depth": 12, "eta": 0.00390625})
+        run("cz", {"depth": 12, "eta": 0.00390625, "trials": 1})
+
+    def test_equivalence_runs_past_eight_cells(self):
+        rep = run("equivalence", {"dim": 1, "depth": 8, "trials": 2})
+        assert rep["passed"]
 
     def test_eta_window_and_resolution(self):
         with pytest.raises(ConfigError, match=r"eta must lie in \(0, 1\)"):
@@ -264,10 +269,10 @@ class TestMainEntry:
         capsys.readouterr()
 
     def test_config_error_exits_two(self, tmp_path, capsys):
-        code = main(["equivalence", "--depth", "9", "--out", str(tmp_path)])
+        code = main(["equivalence", "--depth", "12", "--eta", "0.00390625", "--out", str(tmp_path)])
         err = capsys.readouterr().err
         assert code == 2
-        assert "config error" in err and "18 cubes" in err
+        assert "config error" in err and "certificate depth 20" in err
         assert not (tmp_path / "report_equivalence.json").exists()
 
     def test_failing_run_exits_one_and_dumps_case(self, tmp_path, capsys):

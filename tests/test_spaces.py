@@ -241,6 +241,28 @@ def test_associate_refuses_non_finite_vectors(space, bad):
         associate_norm(space, [bad, 1.0, 1.0], restarts=1)
 
 
+@pytest.mark.parametrize(
+    "space",
+    [LebesgueSpace(2.0, U3), LebesgueSpace(math.inf, U3), LorentzSpace(2.0, 1.0, U3), OrliczSpace.from_power(2.0, U3)],
+    ids=["lebesgue", "lebesgue-inf", "lorentz", "orlicz"],
+)
+def test_norms_share_the_non_finite_rule(space):
+    # a NaN entry gives nan and an inf entry inf, row by row in a batch; a
+    # NaN wins over an inf, and the finite rows keep their one-row values
+    rows = np.array([[math.nan, 1.0, 1.0], [math.inf, 1.0, 1.0], [math.inf, math.nan, 1.0], [0.0, 0.0, 0.0], [1.0, 2.0, 3.0]])
+    out = np.asarray(space.norm(rows))
+    assert math.isnan(out[0]) and math.isnan(out[2])
+    assert out[1] == math.inf
+    assert out[3] == 0.0 and out[4] == space.norm(rows[4])
+    assert math.isnan(space.norm(rows[0])) and space.norm(rows[1]) == math.inf
+
+
+def test_product_norm_keeps_the_non_finite_rule():
+    factors = [OrliczSpace.from_power(2.0, U3), OrliczSpace.from_power(3.0, U3)]
+    assert math.isnan(product_norm(factors, [math.nan, 1.0, 1.0]))
+    assert product_norm(factors, [math.inf, 1.0, 1.0]) == math.inf
+
+
 def test_associate_generic_matches_analytic():
     # Lorentz(2,2) is l^2 in disguise; the search must find the dual l^2 norm
     sp = LorentzSpace(2, 2, U2, convexity=1.0)

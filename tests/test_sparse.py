@@ -310,11 +310,6 @@ class TestOptimalExact:
         best, _ = oracle_best(fs, [1.0], g, 0.5)
         assert val == pytest.approx(best, rel=1e-12)
 
-    def test_size_cap(self):
-        g = Grid(1, 4)
-        with pytest.raises(ValueError, match="cap"):
-            optimal_sparse_form([np.ones(16)], [1.0], g, mode="exact")
-
     def test_shifted_lattice_refused(self):
         # even an all-zero input, whose optimum is the empty family
         with pytest.raises(ValueError, match="standard lattice only"):
@@ -334,6 +329,54 @@ class TestOptimalExact:
         hs = [np.array([1.0, 2.0, 3.0, 4.0]), np.array([4.0, 0.0, 1.0, 1.0])]
         with pytest.raises(ValueError, match="need one exponent per function"):
             optimal_sparse_form(hs, [1.0], Grid(1, 2))
+
+
+EIGHTHS = [k / 8 for k in range(1, 8)]
+R_CASES = [(1.0,), (1.0, 1.0), (2.0, 1.0)]
+
+
+@st.composite
+def form_inputs(draw, shapes):
+    """A grid, an eta in eighths, exponents and inputs.  A third of the draws
+    take values in {0, 1, 2} and a sixth vanish, so that ties are reached;
+    nonzero real entries are floored at 1e-3, away from underflow."""
+    d, depth = draw(st.sampled_from(shapes))
+    g, rs = Grid(d, depth), list(draw(st.sampled_from(R_CASES)))
+    cell = draw(st.sampled_from([st.just(0.0)] + [st.integers(0, 2).map(float)] * 2 + [
+        st.one_of(st.just(0.0), st.floats(1e-3, 4.0))] * 3))
+    fs = [draw(arrays(np.float64, g.cell_shape, elements=cell)) for _ in rs]
+    return g, draw(st.sampled_from(EIGHTHS)), rs, fs
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=form_inputs([(1, 0), (1, 1), (1, 2), (2, 1)]))
+def test_knapsack_matches_the_exhaustive_oracle(case):
+    g, eta, rs, fs = case
+    val, fam = optimal_sparse_form(fs, rs, g, eta=eta)
+    best, _ = oracle_best(fs, rs, g, eta)
+    assert val == pytest.approx(best, rel=1e-12, abs=0.0)
+    assert fam.eta == eta and fam.check_certificate()
+    assert carleson_constant(fam) <= 1 / eta
+    # a cube of contribution 0 is never taken, so zero inputs give no cubes
+    assert all(sparse_form([q], g, fs, rs) > 0 for q in fam.cubes)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=form_inputs([(1, 4), (1, 5), (1, 6), (2, 2), (2, 3)]), other=st.sampled_from(EIGHTHS))
+def test_knapsack_metamorphic_bounds(case, other):
+    g, eta, rs, fs = case
+    val, fam = optimal_sparse_form(fs, rs, g, eta=eta)
+    assert val == pytest.approx(sparse_form(fam, g, fs, rs), rel=1e-12, abs=0.0)
+    # a looser sparseness admits every family a stricter one does
+    low, high = sorted([eta, other])
+    assert optimal_sparse_form(fs, rs, g, eta=high)[0] <= optimal_sparse_form(fs, rs, g, eta=low)[0] * (1 + 1e-12)
+    # packing bound: sum_Q c_Q |Q| <= (1/eta) sum_Q c_Q |E_Q| <= ||M f||_1 / eta
+    mnorm = grid_norm(g, scalar_maximal(g, fs, rs), 1.0)
+    assert val <= mnorm / eta * (1 + 1e-12)
+    # the greedy family is sparse at its own certified eta, so it is a
+    # candidate of the exact search there
+    gval, gfam = optimal_sparse_form(fs, rs, g, mode="greedy", eta=eta)
+    assert gval <= optimal_sparse_form(fs, rs, g, eta=gfam.eta)[0] * (1 + 1e-12)
 
 
 class TestGreedy:
