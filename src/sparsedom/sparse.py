@@ -259,52 +259,49 @@ def optimal_sparse_form(
     re-verified by ``verify_sparse``, lists its cubes by descending
     contribution (ties in ``grid.cubes()`` order); the value sums them left
     to right in that order.
-    greedy: principal cubes; select a cube when its product of averages more
-    than doubles that of the nearest selected ancestor.  The greedy family is
-    sparse at a slightly smaller eta when sum 1/r_j > 1 (set on the result).
+    greedy: principal cubes; the root is selected, and so is every cube whose
+    product of averages more than doubles that of its nearest selected
+    ancestor.  One top-down sweep over the levels carries that ancestor's
+    product as a level array.  The family lists the cubes in preorder of the
+    principal tree, children in descending Z-order (a stack walk's pop
+    order), and the value sums them left to right in that order.  The
+    greedy family is sparse at a slightly smaller eta when sum 1/r_j > 1
+    (set on the result).
+    Both modes refuse shifted grids: they optimize on the standard lattice.
     """
+    if grid.shift:
+        raise ValueError("sparse forms are optimized on the standard lattice only")
     lp = level_products(grid, fs, rs)
+    contrib = [lp[k] * 2.0 ** (-grid.d * k) for k in range(grid.depth + 1)]
     if mode == "exact":
-        _require_standard(grid.level_cubes(0))
-        contrib = [lp[k] * 2.0 ** (-grid.d * k) for k in range(grid.depth + 1)]
         picks = _knapsack_picks(contrib, grid.d, Fraction(eta))
-        level, index, _ = _selected(picks, grid.depth)
-        values = np.concatenate([c[sel] for c, sel in zip(contrib, picks)])
-        order = np.argsort(-values, kind="stable")
-        value = float(np.cumsum(np.r_[0.0, values[order]])[-1])  # left to right; np.sum pairs
-        family = verify_sparse(_cubes(level, index, order), eta)
-        if not isinstance(family, SparseFamily):
-            raise AssertionError("packing-feasible optimum failed sparseness verification")
-        return value, family
-
-    if mode == "greedy":
+    elif mode == "greedy":
         rho = harmonic_exponent(rs)
         bound = 1 - 2.0**-rho
         den = 16
         while math.floor(bound * den) == 0 and den < 1024:
             den *= 2
-        eta_g = min(eta, math.floor(bound * den) / den)
-        if eta_g <= 0:
+        eta = min(eta, math.floor(bound * den) / den)
+        if eta <= 0:
             raise ValueError(f"greedy guarantee {bound} too small to certify")
-        selected: list[Cube] = []
-        root = grid.root
-        stack = [(root, float(lp[0].flat[0]), True)]
-        value = 0.0
-        while stack:
-            cube, anchor, select_now = stack.pop()
-            p = float(lp[cube.level][cube.index])
-            if select_now or p > 2 * anchor:
-                selected.append(cube)
-                value += p * cube.measure
-                anchor = p
-            for child in grid.children(cube):
-                stack.append((child, anchor, False))
-        family = verify_sparse(selected, eta_g)
-        if not isinstance(family, SparseFamily):
-            raise AssertionError("greedy family failed its sparseness guarantee")
-        return value, family
-
-    raise ValueError(f"unknown mode {mode!r}")
+        anchor, picks = lp[0], [np.ones(lp[0].shape, dtype=bool)]
+        for k in range(1, grid.depth + 1):
+            anchor = _refine(anchor, grid.d)
+            picks.append(lp[k] > 2 * anchor)
+            anchor[picks[-1]] = lp[k][picks[-1]]
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    level, index, code = _selected(picks, grid.depth)
+    values = np.concatenate([c[sel] for c, sel in zip(contrib, picks)])
+    if mode == "exact":
+        order = np.argsort(-values, kind="stable")
+    else:  # descending Z-order of the last finest cell, then by level
+        order = np.lexsort((level, -(code + (1 << grid.d * (grid.depth - level)) - 1)))
+    value = float(np.cumsum(np.r_[0.0, values[order]])[-1])  # left to right; np.sum pairs
+    family = verify_sparse(_cubes(level, index, order), eta)
+    if not isinstance(family, SparseFamily):
+        raise AssertionError(f"{mode} family failed sparseness verification")
+    return value, family
 
 
 def _knapsack_picks(contrib: Sequence[np.ndarray], d: int, eta: Fraction) -> list[np.ndarray]:

@@ -1,15 +1,16 @@
 """Muckenhoupt characteristics and the exponent arithmetic of weighted bounds.
 
-Weights are strictly positive cell functions on a dyadic grid; the
-characteristic [w]_{p,(r,s)} is an exact maximum over the finitely many cubes
-of the supplied grids (one-third shifts optional).  The exponent helpers are
-pure arithmetic in reciprocal space with the convention 1/inf = 0: the
-weighted maximal exponent, the transfer exponent for sparse forms, the
-extrapolation exponent together with its loss-free composition identity, the
-two ell^t cases, and membership in the bilinear Hilbert transform region with
-explicit theta witnesses.  They build on the helpers re-exported from
-``spaces``: ``recip``, ``harmonic_exponent``, ``gap_exponent`` (1/e = 1/a - 1/b,
-with gap_exponent(a, inf) = a exactly) and the Holder ``conjugate``.
+Weights are finite, strictly positive cell functions on a dyadic grid; the
+characteristic [w]_{p,(r,s)} is the exact maximum of the level arrays of the
+supplied grids (one-third shifts optional), which must lie over the weights'
+cells.  The exponent helpers are pure arithmetic in reciprocal space with the
+convention 1/inf = 0: the weighted maximal exponent, the transfer exponent for
+sparse forms, the extrapolation exponent together with its loss-free
+composition identity, the two ell^t cases, and membership in the bilinear
+Hilbert transform region with explicit theta witnesses.  They build on the
+helpers re-exported from ``spaces``: ``recip``, ``harmonic_exponent``,
+``gap_exponent`` (1/e = 1/a - 1/b, with gap_exponent(a, inf) = a exactly) and
+the Holder ``conjugate``.
 """
 
 from __future__ import annotations
@@ -17,11 +18,11 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .dyadic import Cube, Grid, cube_averages, shifted_grids
+from .dyadic import Grid, level_products, shifted_grids
 from .spaces import conjugate, gap_exponent, harmonic_exponent, recip
 
 __all__ = [
@@ -33,7 +34,6 @@ __all__ = [
     "conjugate",
     "encode_inf",
     "power_weight",
-    "muckenhoupt_over_cubes",
     "muckenhoupt_constant",
     "stable_muckenhoupt_constant",
     "maximal_weighted_exponent",
@@ -51,7 +51,7 @@ __all__ = [
 
 
 class WeightVector:
-    """Strictly positive cell weights w_1, ..., w_m sharing one cell shape.
+    """Finite, strictly positive cell weights w_1, ..., w_m sharing one cell shape.
 
     The product weight w = prod_j w_j is formed exactly cellwise.
     """
@@ -63,8 +63,8 @@ class WeightVector:
         for w in arrays:
             if w.shape != arrays[0].shape:
                 raise ValueError("weight components must share one cell shape")
-            if not np.all(w > 0):
-                raise ValueError("weights must be strictly positive")
+            if not np.all(np.isfinite(w) & (w > 0)):
+                raise ValueError("weights must be finite and strictly positive")
         self.parts = tuple(arrays)
         self.m = len(arrays)
         self.product = np.prod(np.stack(arrays), axis=0)
@@ -104,12 +104,18 @@ def _need(a: str, x: float, rel: str, b: str, y: float) -> None:
         raise ValueError(f"need {a} {rel} {b}, got {a}={x} {_FAILED[rel]} {b}={y}")
 
 
-def muckenhoupt_over_cubes(ws, ps, rs, s, grid: Grid, cubes: Iterable[Cube]) -> float:
-    """max over ``cubes`` of prod_j <w_j^-1>_{e_j,Q} * <w>_{e,Q}, exact.
+def muckenhoupt_constant(ws, ps, rs, s, grids) -> float:
+    """[w]_{p,(r,s)}: max over every cube of ``grids`` of
+    prod_j <w_j^-1>_{e_j,Q} * <w>_{e,Q}, exact.
 
     The exponents are e_j = gap_exponent(r_j, p_j) and e = gap_exponent(p, s).
     A vanishing gap turns the corresponding average into an essential
     supremum (the inf-average branch), which is the definition's limit case.
+    ``grids`` is one Grid or a nonempty sequence of Grids over the weights'
+    cells (pass all 3^d shifted grids to include the shifted lattices in the
+    supremum).  The value is the largest entry of each lattice's level
+    arrays; averages over shifted cubes are taken over their part inside the
+    unit cube, so it is exact for the piecewise constant weight.
     """
     wv = ws if isinstance(ws, WeightVector) else WeightVector(ws)
     if not len(ps) == len(rs) == wv.m:
@@ -118,24 +124,16 @@ def muckenhoupt_over_cubes(ws, ps, rs, s, grid: Grid, cubes: Iterable[Cube]) -> 
         _need(f"r_{j}", r, "<=", f"p_{j}", p)
     p = harmonic_exponent(ps)
     _need("p", p, "<=", "s", s)
-    ejs = [gap_exponent(r, pj) for r, pj in zip(rs, ps)]
-    winv = [1.0 / w for w in wv.parts]
-    vals = cube_averages(grid, [wv.product, *winv], [gap_exponent(p, s), *ejs], cubes)
-    return max((float(v) for v in vals), default=0.0)
-
-
-def muckenhoupt_constant(ws, ps, rs, s, grids) -> float:
-    """[w]_{p,(r,s)} as the exact maximum over every cube of ``grids``.
-
-    ``grids`` is one Grid or a sequence of Grids over the same cells (pass
-    all 3^d shifted grids to include the shifted lattices in the supremum).
-    Averages over shifted cubes are taken over their part inside the unit
-    cube, so the value is exact for the piecewise constant weight.
-    """
     if isinstance(grids, Grid):
         grids = [grids]
-    cubes = (q for g in grids for q in g.cubes())
-    return muckenhoupt_over_cubes(ws, ps, rs, s, grids[0], cubes)
+    if not grids:
+        raise ValueError("need at least one grid")
+    for g in grids:
+        if g.cell_shape != wv.product.shape:
+            raise ValueError(f"{g} does not lie over the weights' cells {wv.product.shape}")
+    fs = [wv.product, *(1.0 / w for w in wv.parts)]
+    es = [gap_exponent(p, s), *(gap_exponent(r, pj) for r, pj in zip(rs, ps))]
+    return max(float(lv.max()) for g in grids for lv in level_products(g, fs, es).values())
 
 
 def stable_muckenhoupt_constant(

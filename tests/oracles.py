@@ -32,6 +32,7 @@ from sparsedom.sparse import (
     verify_sparse,
 )
 from sparsedom.transfer import _signed_means
+from sparsedom.weights import WeightVector, _need, gap_exponent
 
 
 # ---------------------------------------------------------------------------
@@ -346,8 +347,68 @@ def haar_apply_loop(T, grid, fs):
 
 
 # ---------------------------------------------------------------------------
-# stopping cubes by walking the tree one Cube at a time
+# Muckenhoupt characteristic over an explicit cube family
 # ---------------------------------------------------------------------------
+
+def muckenhoupt_over_cubes(ws, ps, rs, s, grid, cubes):
+    """max over ``cubes`` of prod_j <w_j^-1>_{e_j,Q} * <w>_{e,Q}, exact.
+
+    The exponents are e_j = gap_exponent(r_j, p_j) and e = gap_exponent(p, s).
+    A vanishing gap turns the corresponding average into an essential
+    supremum (the inf-average branch), which is the definition's limit case.
+    """
+    wv = ws if isinstance(ws, WeightVector) else WeightVector(ws)
+    if not len(ps) == len(rs) == wv.m:
+        raise ValueError("ps, rs, and the weight tuple must share one length")
+    for j, (p, r) in enumerate(zip(ps, rs), 1):
+        _need(f"r_{j}", r, "<=", f"p_{j}", p)
+    p = harmonic_exponent(ps)
+    _need("p", p, "<=", "s", s)
+    ejs = [gap_exponent(r, pj) for r, pj in zip(rs, ps)]
+    winv = [1.0 / w for w in wv.parts]
+    vals = cube_averages(grid, [wv.product, *winv], [gap_exponent(p, s), *ejs], cubes)
+    return max((float(v) for v in vals), default=0.0)
+
+
+# ---------------------------------------------------------------------------
+# principal and stopping cubes by walking the tree one Cube at a time
+# ---------------------------------------------------------------------------
+
+def greedy_walk(fs, rs, grid, eta=0.5):
+    """``optimal_sparse_form(mode="greedy")`` by a stack walk over
+    ``Grid.children``.
+
+    Pops the root first; a popped cube is selected when its product of
+    averages more than doubles that of its nearest selected ancestor.  The
+    family and the value's running sum follow the pop order.
+    """
+    lp = level_products(grid, fs, rs)
+    rho = harmonic_exponent(rs)
+    bound = 1 - 2.0**-rho
+    den = 16
+    while math.floor(bound * den) == 0 and den < 1024:
+        den *= 2
+    eta_g = min(eta, math.floor(bound * den) / den)
+    if eta_g <= 0:
+        raise ValueError(f"greedy guarantee {bound} too small to certify")
+    selected = []
+    root = grid.root
+    stack = [(root, float(lp[0].flat[0]), True)]
+    value = 0.0
+    while stack:
+        cube, anchor, select_now = stack.pop()
+        p = float(lp[cube.level][cube.index])
+        if select_now or p > 2 * anchor:
+            selected.append(cube)
+            value += p * cube.measure
+            anchor = p
+        for child in grid.children(cube):
+            stack.append((child, anchor, False))
+    family = verify_sparse(selected, eta_g)
+    if not isinstance(family, SparseFamily):
+        raise AssertionError("greedy family failed its sparseness guarantee")
+    return value, family
+
 
 def cz_decompose_walk(grid, fs, rs, lam, norms=None):
     """``sparse.cz_decompose`` by a stack walk over ``Grid.children``.

@@ -36,6 +36,7 @@ from oracles import (
     cz_decompose_walk,
     exhaustive_best_form,
     flow_sparse,
+    greedy_walk,
     hall_feasible,
     stopping_domination_walk,
 )
@@ -310,10 +311,11 @@ class TestOptimalExact:
         best, _ = oracle_best(fs, [1.0], g, 0.5)
         assert val == pytest.approx(best, rel=1e-12)
 
-    def test_shifted_lattice_refused(self):
-        # even an all-zero input, whose optimum is the empty family
+    @pytest.mark.parametrize("mode", ["exact", "greedy"])
+    def test_shifted_lattice_refused(self, mode):
+        # even an all-zero input, whose exact optimum is the empty family
         with pytest.raises(ValueError, match="standard lattice only"):
-            optimal_sparse_form([np.zeros(4)], [1.0], Grid(1, 2, 1), mode="exact")
+            optimal_sparse_form([np.zeros(4)], [1.0], Grid(1, 2, 1), mode=mode)
 
     def test_zero_function(self):
         g = Grid(1, 1)
@@ -377,6 +379,18 @@ def test_knapsack_metamorphic_bounds(case, other):
     # candidate of the exact search there
     gval, gfam = optimal_sparse_form(fs, rs, g, mode="greedy", eta=eta)
     assert gval <= optimal_sparse_form(fs, rs, g, eta=gfam.eta)[0] * (1 + 1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=form_inputs([(1, 0), (1, 3), (1, 6), (2, 1), (2, 3)]))
+def test_greedy_sweep_matches_the_walk(case):
+    g, eta, rs, fs = case
+    val, fam = optimal_sparse_form(fs, rs, g, mode="greedy", eta=eta)
+    want, wfam = greedy_walk(fs, rs, g, eta=eta)
+    assert val == want
+    assert fam.cubes == wfam.cubes
+    assert fam.eta == wfam.eta
+    assert fam.certificate == wfam.certificate
 
 
 class TestGreedy:
@@ -609,6 +623,7 @@ class TestStopping:
         # the cell norms, one call per level and attempt, the closing audit
         assert calls["norm"] == 1 + g.depth * (cert.doublings + 1) + 1
         cz_decompose(g, [F[:, 0]], [1.0], lam=1.0)
+        optimal_sparse_form([F[:, 0]], [1.0], g, mode="greedy")
         assert calls["children"] == 0
 
     def test_random_suite_produces_valid_certificates(self):

@@ -24,7 +24,6 @@ from sparsedom.weights import (
     maximal_report,
     maximal_weighted_exponent,
     muckenhoupt_constant,
-    muckenhoupt_over_cubes,
     power_envelope,
     power_weight,
     recip,
@@ -33,7 +32,7 @@ from sparsedom.weights import (
     transfer_report,
 )
 
-from oracles import naive_average, theta_scan, theta_scan_full
+from oracles import muckenhoupt_over_cubes, naive_average, theta_scan, theta_scan_full
 
 INF = math.inf
 EXPONENTS = st.floats(0.01, 100.0)
@@ -110,6 +109,12 @@ class TestWeightVector:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError, match="strictly positive"):
             WeightVector([np.array([1.0, 0.0])])
+
+    @pytest.mark.parametrize("bad", [INF, math.nan])
+    def test_rejects_nonfinite(self, bad):
+        # an infinite weight made the characteristic infinite, with a warning
+        with pytest.raises(ValueError, match="weights must be finite and strictly positive"):
+            WeightVector([np.array([1.0, bad])])
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError, match="cell shape"):
@@ -216,6 +221,45 @@ class TestMuckenhouptConstant:
         base = muckenhoupt_constant([w], (2.0,), (1.0,), INF, g)
         with_shifts = muckenhoupt_constant([w], (2.0,), (1.0,), INF, shifted_grids(1, 5))
         assert with_shifts >= base
+
+    @pytest.mark.parametrize("grids", [
+        [Grid(1, 3), Grid(1, 1, 1)],  # a shallower lattice among the grids
+        Grid(1, 4),  # a deeper lattice
+        Grid(2, 3),  # the other dimension
+    ])
+    def test_grids_must_lie_over_the_weight_cells(self, grids):
+        w = power_weight(Grid(1, 3), 0.25)
+        with pytest.raises(ValueError, match="does not lie over the weights' cells"):
+            muckenhoupt_constant([w], (2.0,), (1.0,), INF, grids)
+
+    def test_needs_a_grid(self):
+        w = power_weight(Grid(1, 3), 0.25)
+        with pytest.raises(ValueError, match="need at least one grid"):
+            muckenhoupt_constant([w], (2.0,), (1.0,), INF, [])
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        shape=st.sampled_from([(1, 0), (1, 3), (1, 5), (2, 1), (2, 3)]),
+        shifts=st.booleans(),
+        exps=st.lists(st.tuples(st.floats(1.1, 6.0), st.sampled_from([0.3, 0.7, 1.0])),
+                      min_size=1, max_size=2),
+        s_case=st.sampled_from(["inf", "p", "2p"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_level_maxima_equal_the_cube_walk(self, shape, shifts, exps, s_case, seed):
+        # r_j = p_j (fraction 1.0) and s = p are the gap-0 sup branches
+        d, depth = shape
+        ps = tuple(p for p, _ in exps)
+        rs = tuple(p * t for p, t in exps)
+        p = harmonic_exponent(ps)
+        s = {"inf": INF, "p": p, "2p": 2 * p}[s_case]
+        grids = shifted_grids(d, depth) if shifts else [Grid(d, depth)]
+        rng = np.random.default_rng(seed)
+        ws = [np.exp(rng.normal(scale=2.0, size=grids[0].cell_shape)) for _ in exps]
+        want = muckenhoupt_over_cubes(
+            ws, ps, rs, s, grids[0], (q for g in grids for q in g.cubes())
+        )
+        assert muckenhoupt_constant(ws, ps, rs, s, grids) == want
 
     def test_monotone_in_cube_family(self):
         g = Grid(1, 5)
