@@ -1,0 +1,87 @@
+"""The package's range and arity refusals, in one place and one wording.
+
+A refusal is a ValueError naming the parameter, its range and the bad value:
+``q must be in (0, inf), got inf``.  A check is one scalar comparison, made
+before the caller branches on the value; NaN lies in no range, and inf only
+in a range closed at inf.  ``need`` compares exponent claims through
+``recip`` (1/inf = 0), which ``spaces`` re-exports.
+"""
+
+from __future__ import annotations
+
+import math
+import operator
+from typing import Iterable, Sized
+
+
+def interval(lo: float, hi: float, lo_closed: bool = False, hi_closed: bool = False):
+    """A range of reals as (membership test, printed form)."""
+    holds = {
+        (False, False): lambda x: lo < x < hi,
+        (True, False): lambda x: lo <= x < hi,
+        (False, True): lambda x: lo < x <= hi,
+        (True, True): lambda x: lo <= x <= hi,
+    }[lo_closed, hi_closed]
+    return holds, f"{'[' if lo_closed else '('}{lo:g}, {hi:g}{']' if hi_closed else ')'}"
+
+
+EXPONENT = interval(0, math.inf, hi_closed=True)  # (0, inf]: an exponent where inf is legal
+FINITE = interval(0, math.inf)
+UNIT = interval(0, 1)  # the sparseness parameters
+
+
+def check(name: str, x, within):
+    """x itself when it lies in the interval ``within``; else a named refusal."""
+    holds, text = within
+    if not holds(x):
+        raise ValueError(f"{name} must be in {text}, got {x}")
+    return x
+
+
+def at_least(name: str, n, lo: int):
+    """n itself when n >= lo (counts such as trials); else a named refusal."""
+    if not n >= lo:
+        raise ValueError(f"{name} must be at least {lo}, got {n}")
+    return n
+
+
+def increasing(name: str, xs: Iterable) -> tuple[int, ...]:
+    """xs as ints when they are one or more strictly increasing positive ints."""
+    ns = tuple(int(x) for x in xs)
+    if not ns or ns[0] < 1 or any(a >= b for a, b in zip(ns, ns[1:])):
+        raise ValueError(f"{name} must be one or more strictly increasing positive ints, got {ns}")
+    return ns
+
+
+def one_per(each: str, per: str, xs: Sized, ys: Sized) -> int:
+    """The common length of xs and ys: one ``each`` per ``per``, at least one."""
+    if len(xs) != len(ys) or not len(ys):
+        raise ValueError(f"need one {each} per {per} and at least one, got {len(xs)} for {len(ys)}")
+    return len(ys)
+
+
+def nonempty(what: str, xs: Sized) -> int:
+    """len(xs) when it is at least one; else 'need at least one <what>'."""
+    if not len(xs):
+        raise ValueError(f"need at least one {what}, got none")
+    return len(xs)
+
+
+def recip(x) -> float:
+    """1/x for exponents, with 1/inf = 0."""
+    x = check("exponent", float(x), EXPONENT)
+    return 0.0 if math.isinf(x) else 1.0 / x
+
+
+# a claim x rel y on exponents as the comparison of 1/x with 1/y
+_IN_RECIPROCALS = {"<": operator.gt, "<=": operator.ge, ">": operator.lt}
+_FAILED = {"<": ">=", "<=": ">", ">": "<="}
+
+
+def need(a: str, x: float, rel: str, b: str, y: float) -> tuple[float, float]:
+    """(1/x, 1/y) when the claim ``a rel b`` holds for x and y, compared in
+    reciprocal space (1/inf = 0); else a ValueError naming the claim."""
+    rx, ry = recip(x), recip(y)
+    if not _IN_RECIPROCALS[rel](rx, ry):
+        raise ValueError(f"need {a} {rel} {b}, got {a}={x} {_FAILED[rel]} {b}={y}")
+    return rx, ry

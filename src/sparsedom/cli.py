@@ -22,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._checks import EXPONENT, FINITE, UNIT, at_least, check, interval, need
 from .dyadic import (
     MAX_DEPTH,
     Cube,
@@ -117,54 +118,47 @@ def parse_config_text(text: str) -> dict:
     return out
 
 
-def _int_field(cfg: dict, key: str, lo: int) -> int:
+def _field(cfg: dict, key: str, kind: type = int):
+    """cfg[key] as ``kind``: int takes integers, float any number, and no bool."""
     v = cfg[key]
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ConfigError(f"{key} must be an integer, got {v!r}")
-    if v < lo:
-        raise ConfigError(f"{key} must be at least {lo}, got {v}")
-    return v
+    if isinstance(v, bool) or not isinstance(v, (int, kind)):
+        raise ValueError(f"{key} must be {'an integer' if kind is int else 'a number'}, got {v!r}")
+    return kind(v)
 
 
 def _validate(command: str, cfg: dict) -> None:
+    """Raise ValueError naming the first key that breaks a precondition; a
+    command's q, s, p, r and m are checked only when it reads them."""
     dim = cfg["dim"]
     if isinstance(dim, bool) or not isinstance(dim, int) or dim not in (1, 2):
-        raise ConfigError(f"dim must be 1 or 2, got {dim!r}")
-    depth = _int_field(cfg, "depth", 0)
-    cap = MAX_DEPTH[dim]
-    if depth > cap:
-        raise ConfigError(f"depth must be at most {cap} for dim {dim}, got {depth}")
-    _int_field(cfg, "trials", 1)
-    _int_field(cfg, "seed", 0)
-    eta = cfg["eta"]
-    if not (isinstance(eta, (int, float)) and 0 < eta < 1):
-        raise ConfigError(f"eta must lie in (0, 1), got {eta!r}")
+        raise ValueError(f"dim must be 1 or 2, got {dim!r}")
+    depths = interval(0, MAX_DEPTH[dim], lo_closed=True, hi_closed=True)
+    depth = check(f"depth for dim {dim}", _field(cfg, "depth"), depths)
+    at_least("trials", _field(cfg, "trials"), 1)
+    at_least("seed", _field(cfg, "seed"), 0)
+    eta = check("eta", _field(cfg, "eta", float), UNIT)
     den = Fraction(eta).denominator
     if den & (den - 1) or den > 256:
         # sparseness certificates live on a dyadic refinement; a non-dyadic
         # or too-fine eta has no resolvable certificate depth
-        raise ConfigError(
+        raise ValueError(
             f"eta must be a dyadic rational with denominator at most 256, got {eta!r}"
         )
     if not isinstance(cfg["shifts"], bool):
-        raise ConfigError(f"shifts must be true or false, got {cfg['shifts']!r}")
-    if command in ("stopping", "transfer", "all") and not float(cfg["q"]) > 0:
-        raise ConfigError(f"q must be positive, got {cfg['q']!r}")
+        raise ValueError(f"shifts must be true or false, got {cfg['shifts']!r}")
+    if command in ("transfer", "exponents", "all"):
+        q = check("q", _field(cfg, "q", float), FINITE)
+        s = check("s", _field(cfg, "s", float), EXPONENT)
+        need("s", s, ">", "q", q)
     if command in ("exponents", "all"):
-        m = _int_field(cfg, "m", 1)
-        try:
-            transfer_exponent([float(cfg["p"])] * m, float(cfg["q"]), [float(cfg["r"])] * m, float(cfg["s"]))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(str(exc)) from exc
-    if command in ("stopping", "transfer", "all"):
-        if not float(cfg["s"]) > float(cfg["q"]):
-            raise ConfigError(f"need s > q, got s={cfg['s']}, q={cfg['q']}")
+        m = at_least("m", _field(cfg, "m"), 1)
+        transfer_exponent([_field(cfg, "p", float)] * m, q, [_field(cfg, "r", float)] * m, s)
     if command in ("equivalence", "transfer", "all"):
         # both batteries certify families with cubes down to ``depth``
         try:
             certificate_depth(dim, depth, eta)
         except ValueError as exc:
-            raise ConfigError(f"eta {eta!r} at depth {depth}: {exc}") from exc
+            raise ValueError(f"eta {eta!r} at depth {depth}: {exc}") from exc
 
 
 def _plain(obj):
@@ -541,7 +535,10 @@ def run(command: str, config: dict | None = None) -> dict:
     unknown = set(cfg) - set(DEFAULTS) - {"out"}
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    _validate(command, cfg)
+    try:
+        _validate(command, cfg)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     names = [command] if command != "all" else [c for c in COMMANDS if c != "all"]
     checks = []
     for name in names:

@@ -36,6 +36,8 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from ._checks import EXPONENT, check, interval, one_per
+
 __all__ = [
     "Cube",
     "Grid",
@@ -53,6 +55,9 @@ __all__ = [
 ]
 
 MAX_DEPTH = {1: 12, 2: 6}
+_DEPTHS = {d: interval(0, cap, lo_closed=True, hi_closed=True) for d, cap in MAX_DEPTH.items()}
+_SHIFTS = {d: interval(0, 3**d, lo_closed=True) for d in MAX_DEPTH}
+_SIDES = interval(0, 1, hi_closed=True)
 
 
 def _digits(shift: int, d: int) -> tuple[int, ...]:
@@ -131,12 +136,8 @@ class Grid:
     def __init__(self, d: int, depth: int, shift: int = 0):
         if d not in (1, 2):
             raise ValueError(f"dimension must be 1 or 2, got {d}")
-        if not 0 <= depth <= MAX_DEPTH[d]:
-            raise ValueError(
-                f"depth {depth} out of supported range [0, {MAX_DEPTH[d]}] for d={d}"
-            )
-        if not 0 <= shift < 3**d:
-            raise ValueError(f"shift index {shift} out of range [0, {3**d})")
+        check(f"depth at d={d}", depth, _DEPTHS[d])
+        check(f"shift at d={d}", shift, _SHIFTS[d])
         self.d = d
         self.depth = depth
         self.shift = shift
@@ -155,8 +156,7 @@ class Grid:
         return Cube(0, (0,) * self.d, 0)
 
     def level_cubes(self, level: int) -> list[Cube]:
-        if not 0 <= level <= self.depth:
-            raise ValueError(f"level {level} outside [0, {self.depth}]")
+        check("level", level, interval(0, self.depth, lo_closed=True, hi_closed=True))
         ranges = [_axis_range(level, a) for a in self.digits]
         return [Cube(level, index, self.shift) for index in product(*ranges)]
 
@@ -210,15 +210,15 @@ def cover_cube(lower: Sequence, side) -> tuple[int, Cube]:
     level is the largest k with 2^(-k) >= 3*side (so 2^(-k) < 6*side), and
     per axis at most one of the three digit classes has a grid endpoint
     cutting through Q, which leaves a containing cube in one of the others.
-    Sides longer than 1/3 are covered by the shift-0 root directly.
+    Sides longer than 1/3 are covered by the shift-0 root directly.  The
+    side lies in (0, 1].
     """
+    check("side", side, _SIDES)
     lower = [Fraction(x) for x in lower]
     side = Fraction(side)
     d = len(lower)
     if d not in (1, 2):
         raise ValueError(f"dimension must be 1 or 2, got {d}")
-    if side <= 0:
-        raise ValueError("side length must be positive")
     for x in lower:
         if x < 0 or x + side > 1:
             raise ValueError("cube must sit inside [0,1)^d")
@@ -277,9 +277,8 @@ def level_averages(grid: Grid, f: np.ndarray, r: float) -> dict[int, np.ndarray]
     cube with index ``_axis_range(level, digit)[i]``; on shift 0 that is the
     index itself.  Trailing axes broadcast.
     """
+    check("r", r, EXPONENT)
     f = _check_cells(grid, f)
-    if not (r > 0):
-        raise ValueError(f"average exponent must be positive, got r={r}")
     trail = f.shape[grid.d:]
     power = np.abs(f) if math.isinf(r) or r == 1 else np.abs(f) ** r
     for axis, a in enumerate(grid.digits):
@@ -317,17 +316,11 @@ def level_averages(grid: Grid, f: np.ndarray, r: float) -> dict[int, np.ndarray]
     return out
 
 
-def _check_pairs(fs: Sequence, rs: Sequence[float]) -> None:
-    """Refuse function and exponent lists that do not pair up one to one."""
-    if len(fs) != len(rs) or not fs:
-        raise ValueError("need one exponent per function, at least one pair")
-
-
 def level_products(
     grid: Grid, fs: Sequence[np.ndarray], rs: Sequence[float]
 ) -> dict[int, np.ndarray]:
     """prod_j <f_j>_{r_j,Q} over every cube of ``grid``'s lattice, per level."""
-    _check_pairs(fs, rs)
+    one_per("exponent", "function", rs, fs)
     lvs = [level_averages(grid, f, r) for f, r in zip(fs, rs)]
     out = {}
     for k in range(grid.depth + 1):
@@ -380,16 +373,15 @@ def grid_norm(grid: Grid, f: np.ndarray, p: float, weight: np.ndarray | None = N
     """L^p norm over the unit cube of a scalar cell function.
 
     A weight multiplies pointwise before the norm (the ||f w||_p convention).
-    p = inf gives the sup over cells.
+    p lies in (0, inf]; p = inf gives the sup over cells.
     """
+    check("p", p, EXPONENT)
     f = _check_cells(grid, f)
     if f.shape != grid.cell_shape:
         raise ValueError("grid_norm expects a scalar cell function")
     g = np.abs(f) if weight is None else np.abs(f) * np.asarray(weight, dtype=float)
     if math.isinf(p):
         return float(g.max())
-    if not (p > 0):
-        raise ValueError(f"norm exponent must be positive, got p={p}")
     return float((np.sum(g**p) * grid.cell_measure) ** (1.0 / p))
 
 

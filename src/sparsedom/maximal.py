@@ -14,15 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .dyadic import (
-    Cube,
-    Grid,
-    _check_pairs,
-    cube_averages,
-    grid_norm,
-    level_products,
-    shifted_grids,
-)
+from ._checks import at_least, need, one_per
+from .dyadic import Cube, Grid, cube_averages, grid_norm, level_products, shifted_grids
 from .spaces import Space, harmonic_exponent, product_space
 
 __all__ = [
@@ -88,7 +81,7 @@ def scalar_maximal(
     exact, so this equals the max over every level upsampled to the cells
     (the oracle in ``tests/oracles.py``) bit for bit.
     """
-    _check_pairs(fs, rs)
+    one_per("exponent", "function", rs, fs)
     fs, trail = check_tuple(grid, fs)
     if cubes is None:
         levels = level_products(grid, fs, rs)
@@ -155,14 +148,14 @@ def maximal_opnorm_lower(
 
     A certified lower bound for the operator norm on the given grid family,
     together with the maximizing input tuple.  The trial suite mixes the
-    constant input (ratio exactly 1), lognormal noise, and indicator towers.
+    constant input (ratio exactly 1), lognormal noise, and indicator towers;
+    ``trials`` is at least 1.
     """
-    m = len(rs)
-    if len(ps) != m or len(spaces) != m:
-        raise ValueError("rs, ps and spaces must have one entry per component")
-    for r, p in zip(rs, ps):
-        if not r < p:
-            raise ValueError(f"need r < p componentwise, got r={r}, p={p}")
+    m = one_per("p_j", "r_j", ps, rs)
+    one_per("space", "r_j", spaces, rs)
+    at_least("trials", trials, 1)
+    for j, (r, p) in enumerate(zip(rs, ps), 1):
+        need(f"r_{j}", r, "<", f"p_{j}", p)
     _check_convexity(spaces, rs)
     prod = product_space(spaces)
     p_out = harmonic_exponent(ps)

@@ -20,7 +20,8 @@ per coordinate step for all of them; with batch-independent norms that is
 bit-identical to running them one after another, while over Lebesgue
 factors (whose matmul is batch-dependent) the result may move by an ulp.
 
-The package's exponent arithmetic lives here too (1/inf = 0): ``recip``,
+The package's exponent arithmetic lives here too (1/inf = 0): ``recip``
+(re-exported from the range checks, which compare exponents through it),
 ``harmonic_exponent``, ``gap_exponent`` (1/e = 1/a - 1/b, and exactly a when
 b = inf) and the Holder ``conjugate`` t/(t - 1), with 1' = inf and inf' = 1.
 """
@@ -33,6 +34,8 @@ import math
 from typing import Iterable, Sequence
 
 import numpy as np
+
+from ._checks import EXPONENT, FINITE, at_least, check, interval, need, nonempty, recip
 
 __all__ = [
     "AtomicMeasure",
@@ -57,12 +60,8 @@ __all__ = [
 ]
 
 
-def recip(x) -> float:
-    """1/x for exponents, with 1/inf = 0."""
-    x = float(x)
-    if not x > 0:
-        raise ValueError(f"exponent must be positive, got {x}")
-    return 0.0 if math.isinf(x) else 1.0 / x
+# [1, inf]: the exponents of normed Lebesgue spaces, and of Holder pairs
+_NORMED = interval(1, math.inf, lo_closed=True, hi_closed=True)
 
 
 def harmonic_exponent(ps: Iterable[float]) -> float:
@@ -73,9 +72,8 @@ def harmonic_exponent(ps: Iterable[float]) -> float:
 
 def gap_exponent(a, b) -> float:
     """The e with 1/e = 1/a - 1/b: inf at gap 0, a itself at b = inf; a > b raises."""
-    gap = recip(a) - recip(b)
-    if gap < 0:
-        raise ValueError(f"need a <= b for 1/e = 1/a - 1/b, got a={a} > b={b}")
+    ra, rb = need("a", a, "<=", "b", b)
+    gap = ra - rb
     if math.isinf(b):
         return float(a)
     return math.inf if gap == 0.0 else 1.0 / gap
@@ -83,9 +81,7 @@ def gap_exponent(a, b) -> float:
 
 def conjugate(t) -> float:
     """The Holder conjugate t' = t/(t - 1) of t >= 1, with 1' = inf and inf' = 1."""
-    t = float(t)
-    if not t >= 1.0:
-        raise ValueError(f"conjugate exponent needs t >= 1, got {t}")
+    t = check("t", float(t), _NORMED)
     if math.isinf(t):
         return 1.0
     return math.inf if t == 1.0 else t / (t - 1.0)
@@ -163,8 +159,7 @@ class LebesgueSpace(Space):
     kind = "lebesgue"
 
     def __init__(self, t: float, measure: AtomicMeasure, convexity: float | None = None):
-        if not (t > 0):
-            raise ValueError(f"Lebesgue exponent must be positive, got {t}")
+        check("t", t, EXPONENT)
         # l^t is p-convex with constant one exactly for p <= t
         super().__init__(measure, t if convexity is None else convexity)
         self.t = float(t)
@@ -220,10 +215,8 @@ class LorentzSpace(Space):
         measure: AtomicMeasure,
         convexity: float | None = None,
     ):
-        if not (t > 0) or math.isinf(t):
-            raise ValueError(f"primary Lorentz exponent must be finite positive, got {t}")
-        if not (u > 0):
-            raise ValueError(f"secondary Lorentz exponent must be positive, got {u}")
+        check("t", t, FINITE)
+        check("u", u, EXPONENT)
         if convexity is None:
             convexity = min(t, u) if u <= t else (0.0 if math.isinf(u) else t / u)
         super().__init__(measure, convexity)
@@ -339,31 +332,26 @@ class OrliczSpace(Space):
         ts = np.logspace(-6, 6, 25)
         return cls(np.column_stack([ts, scale * ts**exponent]), measure, convexity)
 
-    def _loglog(self, logs_in, knots_x, knots_y, slope_lo, slope_hi):
-        out = np.interp(logs_in, knots_x, knots_y)
-        lo = logs_in < knots_x[0]
-        hi = logs_in > knots_x[-1]
-        out = np.where(lo, knots_y[0] + slope_lo * (logs_in - knots_x[0]), out)
-        out = np.where(hi, knots_y[-1] + slope_hi * (logs_in - knots_x[-1]), out)
-        return out
-
-    def phi(self, x):
+    @staticmethod
+    def _power_law(x, knots_x, knots_y, slope_lo, slope_hi):
+        """0 for x <= 0, else exp of the log-log interpolant (end slopes beyond the knots)."""
         x = np.asarray(x, dtype=float)
         out = np.zeros_like(x)
         pos = x > 0
-        out[pos] = np.exp(
-            self._loglog(np.log(x[pos]), self._lx, self._ly, self._slopes[0], self._slopes[-1])
-        )
+        logs_in = np.log(x[pos])
+        logs = np.interp(logs_in, knots_x, knots_y)
+        lo = logs_in < knots_x[0]
+        hi = logs_in > knots_x[-1]
+        logs = np.where(lo, knots_y[0] + slope_lo * (logs_in - knots_x[0]), logs)
+        logs = np.where(hi, knots_y[-1] + slope_hi * (logs_in - knots_x[-1]), logs)
+        out[pos] = np.exp(logs)
         return out
 
+    def phi(self, x):
+        return self._power_law(x, self._lx, self._ly, self._slopes[0], self._slopes[-1])
+
     def phi_inv(self, y):
-        y = np.asarray(y, dtype=float)
-        out = np.zeros_like(y)
-        pos = y > 0
-        out[pos] = np.exp(
-            self._loglog(np.log(y[pos]), self._ly, self._lx, 1 / self._slopes[0], 1 / self._slopes[-1])
-        )
-        return out
+        return self._power_law(y, self._ly, self._lx, 1 / self._slopes[0], 1 / self._slopes[-1])
 
     def has_convex_phi(self) -> bool:
         """Whether Phi' increases: every log-slope a_k > 1 and none decreasing.
@@ -387,13 +375,7 @@ class OrliczSpace(Space):
         base = self._ly - self._lx
         # the rounding tolerance of has_convex_phi may put L_k above R_k
         knots = np.maximum.accumulate(np.column_stack([np.log(a[:-1]) + base, np.log(a[1:]) + base]).ravel())
-        s = np.asarray(s, dtype=float)
-        out = np.zeros_like(s)
-        pos = s > 0
-        out[pos] = np.exp(
-            self._loglog(np.log(s[pos]), knots, np.repeat(self._lx, 2), 1 / (a[0] - 1), 1 / (a[-1] - 1))
-        )
-        return out
+        return self._power_law(s, knots, np.repeat(self._lx, 2), 1 / (a[0] - 1), 1 / (a[-1] - 1))
 
     def norm(self, xi):
         a = self._atoms(xi)
@@ -466,8 +448,7 @@ class ConcavifiedSpace(Space):
     kind = "concavified"
 
     def __init__(self, base: Space, p: float):
-        if not (p > 0):
-            raise ValueError(f"concavification exponent must be positive, got {p}")
+        check("p", p, FINITE)
         super().__init__(base.measure, base.convexity / p)
         self.base = base
         self.p = float(p)
@@ -489,9 +470,8 @@ class ConcavifiedSpace(Space):
 
 
 def concavify(space: Space, p: float) -> Space:
-    """The p-concavification X^p; Lebesgue and Lorentz stay in closed form."""
-    if not (p > 0):
-        raise ValueError(f"concavification exponent must be positive, got {p}")
+    """The p-concavification X^p, p in (0, inf); Lebesgue and Lorentz stay in closed form."""
+    check("p", p, FINITE)
     if p == 1:
         return space
     if isinstance(space, LebesgueSpace):
@@ -504,11 +484,6 @@ def concavify(space: Space, p: float) -> Space:
 # ---------------------------------------------------------------------------
 # associate (Kothe dual) norm
 # ---------------------------------------------------------------------------
-
-def _check_restarts(restarts: int) -> None:
-    if restarts < 1:
-        raise ValueError(f"restarts must be at least 1, got {restarts}")
-
 
 def associate_norm(
     space: Space,
@@ -535,17 +510,15 @@ def associate_norm(
       coordinate ascent over the positive unit sphere that returns a lower
       bound (``_associate_search``).
     """
-    _check_restarts(restarts)
+    at_least("restarts", restarts, 1)
     if space.convexity < 1.0 - 1e-12:
         raise ValueError(
             "associate norm requires a 1-convex space; "
             f"declared convexity is {space.convexity}"
         )
-    if isinstance(space, LebesgueSpace) and space.t < 1:
+    if isinstance(space, LebesgueSpace):
         # a declared convexity cannot make L^t with t < 1 a normed space
-        raise ValueError(
-            f"associate norm requires a Lebesgue exponent t >= 1, got {space.t}"
-        )
+        check("Lebesgue t", space.t, _NORMED)
     xi = np.abs(np.asarray(xi, dtype=float))
     if xi.shape != space.atom_shape:
         raise ValueError(f"expected a single vector of shape {space.atom_shape}")
@@ -688,10 +661,9 @@ def product_norm(spaces: Sequence[Space], xi, seed: int = 0, restarts: int = 8):
     another, bit for bit, when every factor's norm is batch-independent
     (Orlicz, Lorentz); a Lebesgue factor may move it by an ulp.
     """
-    _check_restarts(restarts)
+    at_least("restarts", restarts, 1)
     spaces = list(spaces)
-    if not spaces:
-        raise ValueError("need at least one factor space")
+    nonempty("factor space", spaces)
     _same_measure(spaces)
     if len(spaces) == 1:
         return spaces[0].norm(xi)

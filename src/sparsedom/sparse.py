@@ -26,9 +26,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .dyadic import (
-    Cube, Grid, _check_pairs, cube_averages, grid_norm, level_averages, level_products,
-)
+from ._checks import EXPONENT, FINITE, UNIT, check, one_per
+from .dyadic import Cube, Grid, cube_averages, grid_norm, level_averages, level_products
 from .maximal import _check_convexity, lattice_maximal, scalar_maximal
 from .spaces import Space, harmonic_exponent, product_space
 
@@ -73,8 +72,7 @@ class SparseFamily:
     certificate_depth: int = 0
 
     def __post_init__(self):
-        if not 0 < self.eta < 1:
-            raise ValueError(f"sparseness parameter must be in (0,1), got {self.eta}")
+        check("eta", self.eta, UNIT)
 
     def check_certificate(self) -> bool:
         """One witness set per family cube: disjoint, contained, large enough."""
@@ -131,9 +129,7 @@ def certificate_depth(d: int, level: int, eta: float) -> int:
     Raises ValueError when eta is not a dyadic rational in (0, 1) or when the
     depth passes the resolution cap of dimension d.
     """
-    frac = Fraction(eta)
-    if not 0 < frac < 1:
-        raise ValueError(f"sparseness parameter must be in (0,1), got {eta}")
+    frac = Fraction(check("eta", eta, UNIT))
     den = frac.denominator
     if den & (den - 1):
         raise ValueError(f"eta={eta} is not dyadic; no refinement depth resolves it")
@@ -223,17 +219,18 @@ def sparse_form(
     sigma: float | None = None,
     q: float = 1.0,
 ) -> float:
-    """( sum_Q (prod_j <f_j>_{r_j,Q})^q <g>_{sigma,Q}^q |Q| )^(1/q), exact."""
+    """( sum_Q (prod_j <f_j>_{r_j,Q})^q <g>_{sigma,Q}^q |Q| )^(1/q), exact.
+
+    q lies in (0, inf) and sigma, which defaults to q, in (0, inf].
+    """
     cubes = family.cubes if isinstance(family, SparseFamily) else list(family)
-    if not (q > 0):
-        raise ValueError(f"form exponent must be positive, got q={q}")
-    if g is not None and not (sigma is None or sigma > 0):
-        raise ValueError(f"dual exponent must be positive, got {sigma}")
+    check("q", q, FINITE)
+    if g is not None and sigma is not None:
+        check("sigma", sigma, EXPONENT)
     fs, rs = list(fs), list(rs)
-    if len(fs) != len(rs):
-        raise ValueError("need one exponent per function")
     if g is not None:
         fs, rs = fs + [g], rs + [q if sigma is None else sigma]
+    one_per("exponent", "function", rs, fs)
     total = 0.0
     for cube, term in zip(cubes, cube_averages(grid, fs, rs, cubes)):
         total += float(term) ** q * cube.measure
@@ -269,6 +266,7 @@ def optimal_sparse_form(
     (set on the result).
     Both modes refuse shifted grids: they optimize on the standard lattice.
     """
+    check("eta", eta, UNIT)
     if grid.shift:
         raise ValueError("sparse forms are optimized on the standard lattice only")
     lp = level_products(grid, fs, rs)
@@ -379,11 +377,12 @@ def cz_decompose(
     """Maximal-cube decomposition: <f_j>_{r_j,Q} > lam^{r/r_j} selection.
 
     Components are normalized to ||f_j||_{L^{r_j}} = 1 (using supplied norms
-    when given).  Selected cubes are the maximal ones exceeding the
-    component threshold; the averaged part freezes the cube average there.
-    They are found in one top-down sweep over the levels: at level k the
-    selection is the exceeding cubes not covered by a coarser selection,
-    and the cover and the frozen values are refined one level at a time.
+    when given); lam and every norm lie in (0, inf).  Selected cubes are the
+    maximal ones exceeding the component threshold; the averaged part
+    freezes the cube average there.  They are found in one top-down sweep
+    over the levels: at level k the selection is the exceeding cubes not
+    covered by a coarser selection, and the cover and the frozen values are
+    refined one level at a time.
     ``stopping_cubes`` lists the disjoint cubes in descending Z-order of
     their first finest cell (axis 0 as the high bit).
 
@@ -393,15 +392,12 @@ def cz_decompose(
     root * 2^(-k d / r_j); this keeps the doubling bound on the averaged
     part at every threshold, not just above 2^(-d/r).
     """
-    if not (lam > 0):
-        raise ValueError(f"threshold must be positive, got {lam}")
-    _check_pairs(fs, rs)
+    check("lam", lam, FINITE)
+    one_per("exponent", "function", rs, fs)
     fs = [np.asarray(f, dtype=float) for f in fs]
     if norms is None:
         norms = [grid_norm(grid, f, r) for f, r in zip(fs, rs)]
-    norms = [float(c) for c in norms]
-    if any(c <= 0 for c in norms):
-        raise ValueError("cannot normalize a vanishing component")
+    norms = [check(f"norm of f_{j}", float(c), FINITE) for j, c in enumerate(norms, 1)]
     fn = [f / c for f, c in zip(fs, norms)]
     r = harmonic_exponent(rs)
     thresholds = [lam ** (r / rj) for rj in rs]
@@ -525,9 +521,9 @@ def stopping_domination(
     Z-order: sorted by the Z-order code of the first finest cell (axis 0 as
     the high bit), then by level.
     """
+    one_per("exponent", "function", rs, Fs)
+    one_per("space", "function", spaces, Fs)
     Fs = [np.asarray(F, dtype=float) for F in Fs]
-    if len(Fs) != len(rs) or len(spaces) != len(rs):
-        raise ValueError("Fs, rs and spaces must align")
     prod_space_X = product_space(spaces)
     _check_convexity([*spaces, prod_space_X], [*rs, q])
 

@@ -27,6 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._checks import EXPONENT, FINITE, at_least, check, increasing, need, nonempty, one_per
 from .dyadic import Cube, Grid, _position, grid_norm, level_products
 from .maximal import check_tuple, contained_cells, scalar_maximal, tower
 from .sparse import SparseFamily
@@ -87,10 +88,8 @@ class SparseOperator:
         else:
             self.cubes = list(family)
             self.eta = None
-        self.rs = tuple(float(r) for r in rs)
-        if not self.rs or any(not r > 0 for r in self.rs):
-            raise ValueError("averaging exponents must be positive")
-        self.m = len(self.rs)
+        self.rs = tuple(check(f"r_{j}", float(r), EXPONENT) for j, r in enumerate(rs, 1))
+        self.m = nonempty("averaging exponent", self.rs)
         # (d, depth) -> [(shift, level, position, cell slices or None)]
         self._plans: dict[tuple[int, int], list] = {}
 
@@ -128,8 +127,7 @@ class SparseOperator:
         as the per-cube walk of ``cube_averages`` and ``contained_cells`` (the
         oracle in ``tests/oracles.py``), so the result equals it bit for bit.
         """
-        if len(fs) != self.m:
-            raise ValueError(f"model takes {self.m} functions, got {len(fs)}")
+        one_per("function", "averaging exponent", fs, self.rs)
         fs, trail = check_tuple(grid, fs)
         plan = self._plan(grid)
         out = np.zeros(grid.cell_shape + trail)
@@ -236,8 +234,7 @@ class HaarTransform:
         ``tests/oracles.py``), so the result equals that bit for bit.  The
         signs come from the per-grid plan.
         """
-        if len(fs) != 1:
-            raise ValueError("Haar transform supports m = 1 only")
+        one_per("function", "averaging exponent", fs, self.rs)
         fs, trail = check_tuple(grid, fs)
         plan = self._plan(grid)
         means = _signed_means(grid, fs[0])
@@ -322,8 +319,7 @@ def admissible_tuple(
     """
     spaces = list(spaces)
     rs = [float(r) for r in rs]
-    if len(spaces) != len(rs):
-        raise ValueError("need one space per averaging exponent")
+    one_per("space", "averaging exponent", spaces, rs)
     layer_lists = []
     for j, sp in enumerate(spaces):
         layers = lebesgue_layers(sp)
@@ -386,8 +382,8 @@ def _norming_field(space: Space, q: float, v: np.ndarray) -> np.ndarray:
     degenerates to the constant one.
     """
     lebs = _dual_layers(space, q)
-    if any(math.isinf(sp.t) for sp in lebs):
-        raise ValueError("norming fields need finite layer exponents")
+    for sp in lebs:
+        check("layer exponent t", sp.t, FINITE)
     # innermost layer first: each norms the previous one's result over its axis
     cur = np.abs(np.asarray(v, dtype=float)) ** q
     vv = 1.0
@@ -444,9 +440,7 @@ def _random_field(rng, grid: Grid, atom_shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _sigma(q: float, s: float) -> float:
-    # gap_exponent refuses q <= 0 as a nonpositive exponent
-    if not s > q:
-        raise ValueError(f"need s > q, got s={s}, q={q}")
+    need("s", s, ">", "q", q)
     return gap_exponent(q, s)
 
 
@@ -457,8 +451,10 @@ def scalar_hypothesis_check(
 
     The ratio is ||T(f) g||_q / ||M_{(r,sigma)}(f,g)||_q.  A sparse model
     carrying a sparseness parameter must stay below eta^(-1/q) when q <= 1;
-    other models just report the measured constant (pass = finite).
+    other models just report the measured constant (pass = finite).  The
+    exponents need 0 < q < s <= inf, and ``trials`` is at least 1.
     """
+    at_least("trials", trials, 1)
     sigma = _sigma(q, s)
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -551,7 +547,8 @@ def vv_transfer_check(
     """Does the scalar domination survive the lattice extension?
 
     ``specs`` is a callable n -> space tuple, or a list of per-factor
-    exponents (t, or (t_outer, t_inner) for one nested level).  Per atom
+    exponents (t, or (t_outer, t_inner) for one nested level).  ``ns`` are
+    strictly increasing positive ints and ``trials`` is at least 1.  Per atom
     count the worst ratio of the two transfer_sides over the trial suite is
     recorded; the verdict is PASS when the log-log slope of that worst ratio
     against n stays at or below 0.05.  An inadmissible tuple downgrades the
@@ -566,13 +563,11 @@ def vv_transfer_check(
     worst ratios at different n come from different lifts.
     """
     make = specs if callable(specs) else (lambda n: space_tuple(specs, n))
-    ns = tuple(int(n) for n in ns)
-    if not ns or len(ns) != len(set(ns)) or list(ns) != sorted(ns) or min(ns) < 1:
-        raise ValueError("atom counts must be strictly increasing positive ints")
+    ns = increasing("ns", ns)
+    at_least("trials", trials, 1)
     rs = list(T.rs)
     spaces0 = make(ns[0])
-    if len(spaces0) != T.m:
-        raise ValueError("space tuple size does not match the model arity")
+    one_per("space", "averaging exponent", spaces0, rs)
     ok, why = admissible_tuple(spaces0, rs, q, s)
     warnings = [] if ok else [f"inadmissible space tuple ({why}); run is exploratory"]
     scalar = scalar_hypothesis_check(T, grid, q, s, trials=min(trials, 50), seed=seed)
@@ -652,11 +647,10 @@ def vv_equivalence_check(
     """
     _sigma(q, s)
     spaces = list(spaces)
+    one_per("field", "space", Fs, spaces)
     X = product_space(spaces)
     dual = dual_power_space(X, q)
     Fs = [np.asarray(F, dtype=float) for F in Fs]
-    if len(Fs) != len(spaces):
-        raise ValueError("need one field per space")
     for F in Fs:
         if F.shape != grid.cell_shape + X.atom_shape:
             raise ValueError("fields must share the grid cells and the product atoms")
@@ -726,8 +720,7 @@ def weighted_transfer_experiment(
         raise ValueError("weighted experiments use the interval geometry")
     make = specs if callable(specs) else (lambda k: space_tuple(specs, k))
     spaces = make(n)
-    if len(spaces) != T.m:
-        raise ValueError("space tuple size does not match the model arity")
+    one_per("space", "averaging exponent", spaces, T.rs)
     rs = list(T.rs)
     ps = [float(p) for p in ps]
     p = harmonic_exponent(ps)
@@ -814,13 +807,12 @@ def haar_unconditionality_probe(
 ) -> dict:
     """Sup over random sign patterns of the sign-transform ratio in L^p(l^t).
 
-    One seeded stream serves every budget, so the curve is a running prefix
-    maximum: non-decreasing by construction, and its flattening (and
-    stability in n) is the evidence that the sup over all patterns is finite.
+    ``budgets`` are strictly increasing positive ints.  One seeded stream
+    serves every budget, so the curve is a running prefix maximum:
+    non-decreasing by construction, and its flattening (and stability in n)
+    is the evidence that the sup over all patterns is finite.
     """
-    budgets = tuple(int(b) for b in budgets)
-    if list(budgets) != sorted(set(budgets)) or min(budgets, default=1) < 1:
-        raise ValueError("budgets must be strictly increasing positive ints")
+    budgets = increasing("budgets", budgets)
     X = LebesgueSpace(t, AtomicMeasure.unit(n))
     rng = np.random.default_rng(seed)
     suite = [_random_field(rng, grid, (n,)) for _ in range(fields)]

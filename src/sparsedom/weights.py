@@ -16,12 +16,12 @@ the Holder ``conjugate``.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from ._checks import FINITE, at_least, check, interval, need, nonempty, one_per
 from .dyadic import Grid, level_products, shifted_grids
 from .spaces import conjugate, gap_exponent, harmonic_exponent, recip
 
@@ -58,8 +58,7 @@ class WeightVector:
 
     def __init__(self, parts: Sequence[np.ndarray]):
         arrays = [np.asarray(w, dtype=float) for w in parts]
-        if not arrays:
-            raise ValueError("need at least one weight component")
+        nonempty("weight component", arrays)
         for w in arrays:
             if w.shape != arrays[0].shape:
                 raise ValueError("weight components must share one cell shape")
@@ -78,9 +77,7 @@ def power_weight(grid: Grid, a: float) -> np.ndarray:
     Requires a > -1 (integrable at the origin); in d = 2 the weight depends
     on the first coordinate only.
     """
-    a = float(a)
-    if not a > -1:
-        raise ValueError(f"power weight needs a > -1, got a={a}")
+    a = check("a", float(a), interval(-1, math.inf))
     n = 1 << grid.depth
     if a == 0:
         col = np.ones(n)
@@ -90,18 +87,6 @@ def power_weight(grid: Grid, a: float) -> np.ndarray:
     if grid.d == 1:
         return col
     return np.repeat(col[:, None], n, axis=1)
-
-
-# a claim x rel y on exponents as the comparison of 1/x with 1/y
-_IN_RECIPROCALS = {"<": operator.gt, "<=": operator.ge, ">": operator.lt}
-_FAILED = {"<": ">=", "<=": ">", ">": "<="}
-
-
-def _need(a: str, x: float, rel: str, b: str, y: float) -> None:
-    """Raise ValueError naming the claim ``a rel b`` unless x rel y holds,
-    compared in reciprocal space (1/inf = 0), where the formulas compute."""
-    if not _IN_RECIPROCALS[rel](recip(x), recip(y)):
-        raise ValueError(f"need {a} {rel} {b}, got {a}={x} {_FAILED[rel]} {b}={y}")
 
 
 def muckenhoupt_constant(ws, ps, rs, s, grids) -> float:
@@ -118,16 +103,15 @@ def muckenhoupt_constant(ws, ps, rs, s, grids) -> float:
     unit cube, so it is exact for the piecewise constant weight.
     """
     wv = ws if isinstance(ws, WeightVector) else WeightVector(ws)
-    if not len(ps) == len(rs) == wv.m:
-        raise ValueError("ps, rs, and the weight tuple must share one length")
+    one_per("p_j", "weight component", ps, wv.parts)
+    one_per("r_j", "weight component", rs, wv.parts)
     for j, (p, r) in enumerate(zip(ps, rs), 1):
-        _need(f"r_{j}", r, "<=", f"p_{j}", p)
+        need(f"r_{j}", r, "<=", f"p_{j}", p)
     p = harmonic_exponent(ps)
-    _need("p", p, "<=", "s", s)
+    need("p", p, "<=", "s", s)
     if isinstance(grids, Grid):
         grids = [grids]
-    if not grids:
-        raise ValueError("need at least one grid")
+    nonempty("grid", grids)
     for g in grids:
         if g.cell_shape != wv.product.shape:
             raise ValueError(f"{g} does not lie over the weights' cells {wv.product.shape}")
@@ -146,8 +130,7 @@ def stable_muckenhoupt_constant(
     on its cells.  Disagreement beyond ``rtol`` (relative) means the
     supremum is still moving with resolution, and no constant is reported.
     """
-    if depth < 1:
-        raise ValueError("stabilization check needs depth >= 1")
+    at_least("depth", depth, 1)
     vals = []
     for level in (depth - 1, depth):
         base = Grid(d, level)
@@ -185,16 +168,13 @@ class ExponentTuple:
         object.__setattr__(self, "q", float(self.q))
         if self.ts is not None:
             object.__setattr__(self, "ts", tuple(float(t) for t in self.ts))
-        for j, r in enumerate(self.rs, 1):
-            if not (0 < r < math.inf):
-                raise ValueError(f"need r_{j} in (0, inf), got {r}")
-        # r_j < p_j and r_j <= t_j, componentwise
+        # r_j in (0, inf), r_j < p_j and r_j <= t_j, componentwise
         _r_side(self.ps, self.rs, (math.inf,) * self.m if self.ts is None else self.ts)
-        _need("s", self.s, ">", "r", self.r)
-        _need("q", self.q, "<", "s", self.s)
-        _need("p", self.p, "<", "s", self.s)
+        need("s", self.s, ">", "r", self.r)
+        need("q", self.q, "<", "s", self.s)
+        need("p", self.p, "<", "s", self.s)
         if self.ts is not None:
-            _need("t", self.t, "<=", "s", self.s)
+            need("t", self.t, "<=", "s", self.s)
 
     @property
     def m(self) -> int:
@@ -222,25 +202,21 @@ class ExponentTuple:
 
 
 def _r_side(ps, rs, ts) -> float:
-    """max_j (1/r_j - 1/t_j)/(1/r_j - 1/p_j); needs finite r_j < p_j, r_j <= t_j."""
-    if not len(ps) == len(ts) == len(rs):
-        raise ValueError("exponent tuples must share one length")
-    if not ps:
-        raise ValueError("need at least one exponent component")
+    """max_j (1/r_j - 1/t_j)/(1/r_j - 1/p_j); needs r_j in (0, inf), r_j < p_j, r_j <= t_j."""
+    one_per("p_j", "r_j", ps, rs)
+    one_per("t_j", "r_j", ts, rs)
     terms = []
     for j, (p, t, r) in enumerate(zip(ps, ts, rs), 1):
-        rr = recip(r)
-        if rr == 0.0:
-            raise ValueError(f"need r_{j} finite, got {r}")
-        _need(f"r_{j}", r, "<", f"p_{j}", p)
-        _need(f"r_{j}", r, "<=", f"t_{j}", t)
+        rr = recip(check(f"r_{j}", r, FINITE))
+        need(f"r_{j}", r, "<", f"p_{j}", p)
+        need(f"r_{j}", r, "<=", f"t_{j}", t)
         terms.append((rr - recip(t)) / (rr - recip(p)))
     return max(terms)
 
 
 def _s_side(a, p, s) -> float:
     """(1/a - 1/s)/(1/p - 1/s); needs p < s."""
-    _need("p", p, "<", "s", s)
+    need("p", p, "<", "s", s)
     rs_ = recip(s)
     return (recip(a) - rs_) / (recip(p) - rs_)
 
@@ -275,7 +251,7 @@ def maximal_report(ps, rs) -> dict:
 def _transfer_terms(ps, q, rs, s) -> tuple[float, float]:
     r_side = maximal_weighted_exponent(ps, rs)
     p = harmonic_exponent(ps)
-    _need("q", q, "<=", "p", p)
+    need("q", q, "<=", "p", p)
     return r_side, _s_side(q, p, s)
 
 
@@ -297,7 +273,7 @@ def _extrapolation_terms(ps, ts, rs, s) -> tuple[float, float]:
     r_side = _r_side(ps, rs, ts)
     p, t = harmonic_exponent(ps), harmonic_exponent(ts)
     s_side = _s_side(t, p, s)
-    _need("t", t, "<=", "s", s)
+    need("t", t, "<=", "s", s)
     return r_side, s_side
 
 
@@ -330,18 +306,12 @@ def composed_transfer_exponent(ps, q, rs, s) -> float:
 
 
 def _ellt_terms(ps, rs, q0, ts) -> tuple[float, float]:
-    q0 = float(q0)
-    if not (0 < q0 < math.inf):
-        raise ValueError(f"need q0 in (0, inf), got {q0}")
+    q0 = check("q0", float(q0), FINITE)
     r_side = maximal_weighted_exponent(ps, rs)
-    p = harmonic_exponent(ps)
-    t = harmonic_exponent(ts)
+    p = check("p", harmonic_exponent(ps), FINITE)
+    t = check("t", harmonic_exponent(ts), FINITE)
     r = harmonic_exponent(rs)
-    if math.isinf(p):
-        raise ValueError("need p < inf")
-    if math.isinf(t):
-        raise ValueError("need t < inf")
-    _need("t", t, ">", "r", r)
+    need("t", t, ">", "r", r)
     return r_side, (p / q0 if t >= q0 else p / t)
 
 
@@ -369,13 +339,8 @@ def bht_region(r1, r2, s):
     satisfying 1/r1 < (1+theta_1)/2, 1/r2 < (1+theta_2)/2,
     1/s > (1-theta_3)/2; non-members come with the offending sum.
     """
-    vals = []
-    for name, x in (("r1", r1), ("r2", r2), ("s", s)):
-        x = float(x)
-        if not (1.0 < x < math.inf):
-            raise ValueError(f"{name} must lie in (1, inf), got {x}")
-        vals.append(x)
-    r1, r2, s = vals
+    above_one = interval(1, math.inf)
+    r1, r2, s = (check(name, float(x), above_one) for name, x in (("r1", r1), ("r2", r2), ("s", s)))
     rhos = (r1, r2, conjugate(s))
     total = sum(max(1.0 / rho, 0.5) for rho in rhos)
     if total >= 2.0:

@@ -11,6 +11,7 @@ from itertools import combinations, product
 
 import numpy as np
 
+from sparsedom._checks import need
 from sparsedom.dyadic import (
     _axis_range,
     _check_cells,
@@ -32,7 +33,7 @@ from sparsedom.sparse import (
     verify_sparse,
 )
 from sparsedom.transfer import _signed_means
-from sparsedom.weights import WeightVector, _need, gap_exponent
+from sparsedom.weights import WeightVector, gap_exponent
 
 
 # ---------------------------------------------------------------------------
@@ -361,9 +362,9 @@ def muckenhoupt_over_cubes(ws, ps, rs, s, grid, cubes):
     if not len(ps) == len(rs) == wv.m:
         raise ValueError("ps, rs, and the weight tuple must share one length")
     for j, (p, r) in enumerate(zip(ps, rs), 1):
-        _need(f"r_{j}", r, "<=", f"p_{j}", p)
+        need(f"r_{j}", r, "<=", f"p_{j}", p)
     p = harmonic_exponent(ps)
-    _need("p", p, "<=", "s", s)
+    need("p", p, "<=", "s", s)
     ejs = [gap_exponent(r, pj) for r, pj in zip(rs, ps)]
     winv = [1.0 / w for w in wv.parts]
     vals = cube_averages(grid, [wv.product, *winv], [gap_exponent(p, s), *ejs], cubes)

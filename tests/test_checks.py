@@ -1,0 +1,106 @@
+"""One refusal table: every range and arity check, worded as name, range and value."""
+
+import math
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from sparsedom.cli import ConfigError, main, run
+from sparsedom.dyadic import Cube, Grid, cover_cube, grid_norm, level_averages
+from sparsedom.maximal import maximal_opnorm_lower
+from sparsedom.spaces import AtomicMeasure, LebesgueSpace, LorentzSpace, OrliczSpace, concavify
+from sparsedom.sparse import SparseFamily, certificate_depth, cz_decompose, sparse_form
+from sparsedom.transfer import (
+    SparseOperator,
+    _norming_field,
+    admissible_tuple,
+    haar_unconditionality_probe,
+)
+from sparsedom.weights import (
+    bht_region,
+    conjugate,
+    muckenhoupt_constant,
+    power_weight,
+    stable_muckenhoupt_constant,
+)
+
+INF, NAN = math.inf, math.nan
+G = Grid(1, 2)
+ONES = np.ones(G.cell_shape)
+U2 = AtomicMeasure.unit(2)
+
+# (id, call, message): the message names the parameter, its range and the value
+REFUSALS = [
+    # (0, inf], where inf is legal
+    ("grid_norm-p", lambda: grid_norm(G, ONES, -INF), r"p must be in \(0, inf\], got -inf"),
+    ("level_averages-r", lambda: level_averages(G, ONES, NAN), r"r must be in \(0, inf\], got nan"),
+    ("sparse_form-sigma", lambda: sparse_form([Cube(0, (0,))], G, [ONES], [1.0], g=ONES, sigma=NAN),
+     r"sigma must be in \(0, inf\], got nan"),
+    ("SparseOperator-r", lambda: SparseOperator([Cube(0, (0,))], rs=(NAN,)), r"r_1 must be in \(0, inf\], got nan"),
+    # (0, inf)
+    ("sparse_form-q", lambda: sparse_form([Cube(0, (0,))], G, [ONES], [1.0], q=INF),
+     r"q must be in \(0, inf\), got inf"),
+    ("cz_decompose-norms", lambda: cz_decompose(G, [ONES], [1.0], 1.0, norms=[NAN]),
+     r"norm of f_1 must be in \(0, inf\), got nan"),
+    ("cz_decompose-lam", lambda: cz_decompose(G, [ONES], [1.0], INF), r"lam must be in \(0, inf\), got inf"),
+    ("concavify-orlicz", lambda: concavify(OrliczSpace.from_power(2.0, U2), INF), r"p must be in \(0, inf\), got inf"),
+    ("concavify-lebesgue", lambda: concavify(LebesgueSpace(2.0, U2), INF), r"p must be in \(0, inf\), got inf"),
+    ("lorentz-t", lambda: LorentzSpace(INF, 2.0, U2), r"t must be in \(0, inf\), got inf"),
+    ("norming-field-t", lambda: _norming_field(LebesgueSpace(INF, U2), 1.0, np.ones((4, 2))),
+     r"layer exponent t must be in \(0, inf\), got inf"),
+    # (0, 1), (1, inf), [1, inf], (-1, inf) and (0, 1]
+    ("eta-nan", lambda: certificate_depth(1, 0, NAN), r"eta must be in \(0, 1\), got nan"),
+    ("family-eta", lambda: SparseFamily([], eta=1.0), r"eta must be in \(0, 1\), got 1.0"),
+    ("bht-s", lambda: bht_region(2.0, 2.0, NAN), r"s must be in \(1, inf\), got nan"),
+    ("conjugate-t", lambda: conjugate(NAN), r"t must be in \[1, inf\], got nan"),
+    ("power_weight-a", lambda: power_weight(G, INF), r"a must be in \(-1, inf\), got inf"),
+    ("cover_cube-side", lambda: cover_cube([Fraction(0)], 2), r"side must be in \(0, 1\], got 2"),
+    # integer ranges
+    ("grid-depth", lambda: Grid(1, 13), r"depth at d=1 must be in \[0, 12\], got 13"),
+    ("grid-shift", lambda: Grid(2, 2, 9), r"shift at d=2 must be in \[0, 9\), got 9"),
+    ("grid-level", lambda: G.level_cubes(3), r"level must be in \[0, 2\], got 3"),
+    ("stable-depth", lambda: stable_muckenhoupt_constant(lambda g: [np.ones(g.cell_shape)], (2.0,), (1.0,), INF, 1, 0),
+     "depth must be at least 1, got 0"),
+    ("opnorm-trials", lambda: maximal_opnorm_lower(G, [1.0], [2.0], [LebesgueSpace(2.0, U2)], trials=0),
+     "trials must be at least 1, got 0"),
+    ("budgets", lambda: haar_unconditionality_probe(G, 2.0, 2.0, 2, budgets=()),
+     r"budgets must be one or more strictly increasing positive ints, got \(\)"),
+    # arity and exponent claims
+    ("one-per", lambda: admissible_tuple([], [], 1.0, INF),
+     "need one space per averaging exponent and at least one, got 0 for 0"),
+    ("nonempty", lambda: muckenhoupt_constant([ONES], (2.0,), (1.0,), INF, []), "need at least one grid, got none"),
+    ("need", lambda: maximal_opnorm_lower(G, [2.0], [2.0], [LebesgueSpace(2.0, U2)]),
+     "need r_1 < p_1, got r_1=2.0 >= p_1=2.0"),
+]
+
+
+@pytest.mark.parametrize("call, message", [c[1:] for c in REFUSALS], ids=[c[0] for c in REFUSALS])
+def test_refusal_names_parameter_range_and_value(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+@pytest.mark.parametrize("key", ["q", "s", "p", "r"])
+@pytest.mark.parametrize("value", [True, "abc"])
+def test_cli_float_keys_refuse_bools_and_words(key, value):
+    # a bool is no exponent, and a word must fail naming its key
+    with pytest.raises(ConfigError, match=f"{key} must be a number, got {value!r}"):
+        run("exponents", {key: value})
+
+
+def test_cli_config_q_true_exits_two(tmp_path, capsys):
+    cfg = tmp_path / "q.cfg"
+    cfg.write_text("q = true\n")
+    assert main(["transfer", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert "q must be a number, got True" in capsys.readouterr().err
+
+
+def test_cli_stopping_reads_neither_q_nor_s(tmp_path, capsys):
+    # stopping fixes q = 1 and never reads s, so s = 0.5 is no precondition
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("s = 0.5\nq = 0\ndepth = 1\n")
+    assert main(["stopping", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    with pytest.raises(ConfigError, match=r"need s > q, got s=0.5 <= q=1.0"):
+        run("transfer", {"s": 0.5})

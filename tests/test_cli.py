@@ -65,7 +65,7 @@ class TestValidation:
             run("cz", {"dim": 3})
 
     def test_depth_cap_by_dimension(self):
-        with pytest.raises(ConfigError, match="at most 6 for dim 2"):
+        with pytest.raises(ConfigError, match=r"depth for dim 2 must be in \[0, 6\], got 7"):
             run("cz", {"dim": 2, "depth": 7})
 
     def test_equivalence_certificate_depth_named(self):
@@ -80,7 +80,7 @@ class TestValidation:
         assert rep["passed"]
 
     def test_eta_window_and_resolution(self):
-        with pytest.raises(ConfigError, match=r"eta must lie in \(0, 1\)"):
+        with pytest.raises(ConfigError, match=r"eta must be in \(0, 1\), got 1.5"):
             run("cz", {"eta": 1.5})
         with pytest.raises(ConfigError, match="dyadic rational"):
             run("equivalence", {"eta": 0.3})
@@ -99,9 +99,9 @@ class TestValidation:
             run("cz", {"dim": True})
 
     def test_q_must_be_positive(self):
-        for command in ("stopping", "transfer", "all"):
+        for command in ("transfer", "exponents", "all"):
             for q in (0, -1.0):
-                with pytest.raises(ConfigError, match=f"q must be positive, got {q}"):
+                with pytest.raises(ConfigError, match=rf"q must be in \(0, inf\), got {q}"):
                     run(command, {"q": q})
 
     def test_transfer_certificate_depth_cap_named(self):
@@ -226,7 +226,7 @@ class TestMainEntry:
         assert "dim must be 1 or 2, got True" in capsys.readouterr().err
         cfg.write_text("q = 0\n")
         assert main(["transfer", "--config", str(cfg), "--out", str(tmp_path)]) == 2
-        assert "q must be positive, got 0" in capsys.readouterr().err
+        assert "q must be in (0, inf), got 0.0" in capsys.readouterr().err
         assert not list(tmp_path.glob("report_*.json"))
 
     def test_exponents_end_to_end(self, tmp_path, capsys):

@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sparsedom.spaces import (
     AtomicMeasure,
@@ -228,7 +228,7 @@ def test_associate_refuses_quasi_norms():
     # a declared convexity does not make L^t with t < 1 a normed space
     sp = LebesgueSpace(0.5, U2, convexity=1.0)
     for argmax in (False, True):
-        with pytest.raises(ValueError, match="Lebesgue exponent t >= 1, got 0.5"):
+        with pytest.raises(ValueError, match=r"Lebesgue t must be in \[1, inf\], got 0.5"):
             associate_norm(sp, [1, 1], restarts=1, return_argmax=argmax)
 
 
@@ -501,6 +501,15 @@ def test_orlicz_rows_that_settle_early_keep_their_bits():
 )
 @settings(max_examples=80, deadline=None)
 @given(data=row_stacks(), t=st.sampled_from([1.0, 1.5, 2.0, 3.0]))
+# a known counterexample: Hypothesis raises a failing explicit example before
+# it generates, so the test fails at once instead of searching and shrinking
+@example(
+    data=(
+        AtomicMeasure([2.88467697828505, 1, 2.3012938660245585, 1]),
+        np.array([[0.0, 0.0, 0.0, 0.0], [2.5, 0.0, 177.4375, 0.0]]),
+    ),
+    t=3.0,
+)
 def test_lebesgue_batched_norm_matches_one_row_calls(data, t):
     measure, X = data
     sp = LebesgueSpace(t, measure)

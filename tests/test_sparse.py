@@ -655,7 +655,7 @@ class TestStopping:
 
     def test_alignment_validation(self):
         g = Grid(1, 1)
-        with pytest.raises(ValueError, match="align"):
+        with pytest.raises(ValueError, match="need one exponent per function and at least one, got 2 for 1"):
             stopping_domination(g, [np.ones((2, 1))], [1.0, 1.0], 1.0,
                                 [LebesgueSpace(1.0, AtomicMeasure.unit(1))])
 

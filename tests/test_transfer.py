@@ -127,9 +127,9 @@ class TestSparseOperator:
     def test_arity_and_exponent_errors(self):
         grid = Grid(1, 1)
         T = SparseOperator([Cube(0, (0,))], rs=(1.0, 1.0))
-        with pytest.raises(ValueError, match="takes 2 functions"):
+        with pytest.raises(ValueError, match="need one function per averaging exponent and at least one, got 1 for 2"):
             T.apply(grid, [np.ones(2)])
-        with pytest.raises(ValueError, match="positive"):
+        with pytest.raises(ValueError, match=r"r_1 must be in \(0, inf\], got 0.0"):
             SparseOperator([Cube(0, (0,))], rs=(0.0,))
 
     @settings(max_examples=80, deadline=None)
@@ -248,7 +248,7 @@ class TestHaarTransform:
 
     def test_two_inputs_unsupported(self):
         grid = Grid(1, 1)
-        with pytest.raises(ValueError, match="m = 1"):
+        with pytest.raises(ValueError, match="need one function per averaging exponent and at least one, got 2 for 1"):
             HaarTransform().apply(grid, [np.ones(2), np.ones(2)])
 
     def test_sign_validation(self):
@@ -533,6 +533,9 @@ class TestScalarHypothesis:
         T = SparseOperator(chain_family(2), rs=(1.0,))
         with pytest.raises(ValueError, match="need s > q"):
             scalar_hypothesis_check(T, Grid(1, 1), 2.0, s=2.0)
+        # a run with no trials measures nothing
+        with pytest.raises(ValueError, match="trials must be at least 1, got 0"):
+            scalar_hypothesis_check(T, Grid(1, 1), 1.0, trials=0)
 
 
 # ---------------------------------------------------------------------------
@@ -627,8 +630,11 @@ class TestVvTransferCheck:
             vv_transfer_check(T, grid, [2.0], 1.0, INF, ns=(4, 2))
         with pytest.raises(ValueError, match="strictly increasing"):
             vv_transfer_check(T, grid, [2.0], 1.0, INF, ns=())
-        with pytest.raises(ValueError, match="model arity"):
+        with pytest.raises(ValueError, match="need one space per averaging exponent and at least one, got 2 for 1"):
             vv_transfer_check(T, grid, [2.0, 2.0], 1.0, INF)
+        # with no trials there is no worst ratio to take
+        with pytest.raises(ValueError, match="trials must be at least 1, got 0"):
+            vv_transfer_check(T, grid, [2.0], 1.0, INF, trials=0)
 
 
 # ---------------------------------------------------------------------------

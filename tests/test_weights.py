@@ -59,9 +59,9 @@ class TestReciprocalHelpers:
         assert recip(0.25) == 4.0
 
     def test_recip_rejects_nonpositive(self):
-        with pytest.raises(ValueError, match="positive"):
+        with pytest.raises(ValueError, match=r"exponent must be in \(0, inf\], got 0.0"):
             recip(0.0)
-        with pytest.raises(ValueError, match="positive"):
+        with pytest.raises(ValueError, match=r"exponent must be in \(0, inf\], got -3.0"):
             recip(-3.0)
 
     def test_harmonic(self):
@@ -94,7 +94,7 @@ class TestReciprocalHelpers:
         assert conjugate(1.0) == INF
         assert conjugate(INF) == 1.0
         assert conjugate(2.0) == 2.0
-        with pytest.raises(ValueError, match="t >= 1"):
+        with pytest.raises(ValueError, match=r"t must be in \[1, inf\], got 0.5"):
             conjugate(0.5)
 
 
@@ -143,7 +143,7 @@ class TestPowerWeight:
         assert np.all(np.diff(w) > 0)
 
     def test_requires_integrable(self):
-        with pytest.raises(ValueError, match="a > -1"):
+        with pytest.raises(ValueError, match=r"a must be in \(-1, inf\), got -1.0"):
             power_weight(Grid(1, 3), -1.0)
 
     def test_two_dimensional_depends_on_first_axis(self):
@@ -298,7 +298,7 @@ class TestMuckenhouptConstant:
             muckenhoupt_constant([w], (1.0,), (2.0,), INF, g)
         with pytest.raises(ValueError, match="p <= s"):
             muckenhoupt_constant([w], (2.0,), (1.0,), 1.5, g)
-        with pytest.raises(ValueError, match="length"):
+        with pytest.raises(ValueError, match="need one p_j per weight component and at least one, got 2 for 1"):
             muckenhoupt_constant([w], (2.0, 2.0), (1.0,), INF, g)
 
 
@@ -336,7 +336,7 @@ class TestExponentTuple:
             ExponentTuple(rs=(1.0, 1.0), s=INF, q=1.0, ps=(4.0, 4.0), ts=(2.0, 0.5))
         with pytest.raises(ValueError, match="t <= s"):
             ExponentTuple(rs=(1.0,), s=3.0, q=1.0, ps=(2.0,), ts=(4.0,))
-        with pytest.raises(ValueError, match="r_1 in"):
+        with pytest.raises(ValueError, match=r"r_1 must be in \(0, inf\), got inf"):
             ExponentTuple(rs=(INF,), s=INF, q=1.0, ps=(INF,))
 
     def test_infinite_p_component_is_legal(self):
@@ -368,9 +368,9 @@ class TestMaximalWeightedExponent:
             maximal_weighted_exponent((1.0,), (1.0,))
         with pytest.raises(ValueError, match="r_2 < p_2"):
             maximal_weighted_exponent((3.0, 2.0), (1.0, 2.0))
-        with pytest.raises(ValueError, match="r_1 finite"):
+        with pytest.raises(ValueError, match=r"r_1 must be in \(0, inf\), got inf"):
             maximal_weighted_exponent((INF,), (INF,))
-        with pytest.raises(ValueError, match="length"):
+        with pytest.raises(ValueError, match="need one p_j per r_j and at least one, got 1 for 2"):
             maximal_weighted_exponent((2.0,), (1.0, 1.0))
 
     def test_report_shape(self):
@@ -502,11 +502,11 @@ class TestElltExponent:
     def test_domain_errors(self):
         with pytest.raises(ValueError, match="t > r"):
             ellt_exponent((2.0, 2.0), (1.0, 1.0), 1.0, (1.0, 1.0))
-        with pytest.raises(ValueError, match="p < inf"):
+        with pytest.raises(ValueError, match=r"p must be in \(0, inf\), got inf"):
             ellt_exponent((INF,), (1.0,), 1.0, (2.0,))
-        with pytest.raises(ValueError, match="t < inf"):
+        with pytest.raises(ValueError, match=r"t must be in \(0, inf\), got inf"):
             ellt_exponent((2.0,), (1.0,), 1.0, (INF,))
-        with pytest.raises(ValueError, match="q0 in"):
+        with pytest.raises(ValueError, match=r"q0 must be in \(0, inf\), got inf"):
             ellt_exponent((2.0,), (1.0,), INF, (2.0,))
 
     def test_report(self):
