@@ -10,6 +10,7 @@ in a range closed at inf.  ``need`` compares exponent claims through
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from typing import Iterable, Sized
 
@@ -30,9 +31,12 @@ FINITE = interval(0, math.inf)
 UNIT = interval(0, 1)  # the sparseness parameters
 
 
-def check(name: str, x, within):
-    """x itself when it lies in the interval ``within``; else a named refusal."""
+def check(name: str, x, within, integer: bool = False):
+    """x itself when it lies in the interval ``within`` and, with ``integer``,
+    is an int (Python or NumPy, not bool); else a named refusal."""
     holds, text = within
+    if integer and (isinstance(x, bool) or not isinstance(x, numbers.Integral)):
+        raise ValueError(f"{name} must be an integer in {text}, got {x}")
     if not holds(x):
         raise ValueError(f"{name} must be in {text}, got {x}")
     return x

@@ -2,11 +2,12 @@
 
 Every subcommand runs a deterministic battery (the seed is part of the
 config), prints one verdict line per check, and writes a ``schema: 1`` JSON
-report plus CSV tables into the output directory.  Exit status: 0 when every
-check passes, 1 when a check fails (the failing case is serialized next to
-the report for replay) or the stopping constant never stabilizes, 2 when the
-config or a library call violates a named precondition or the subcommand is
-unknown.
+report plus CSV tables into the output directory.  A failed check whose
+failure one input shows carries that input as ``failing_case`` and writes it
+to ``failing_<check>.json``; replaying the case fails that same check.
+Exit status: 0 when every check passes, 1 when a check fails or the stopping
+constant never stabilizes, 2 when the config or a library call violates a
+named precondition or the subcommand is unknown.
 """
 
 from __future__ import annotations
@@ -185,6 +186,16 @@ def _positive_inputs(rng, grid: Grid, m: int) -> list[np.ndarray]:
     return [rng.uniform(0.25, 4.0, size=grid.cell_shape) for _ in range(m)]
 
 
+def _record(name: str, passed, detail: str, witness=None, **extra) -> dict:
+    """One check record: name, verdict, detail, then ``extra`` in order.  A
+    failed check carries ``witness`` as its ``failing_case``: an input on
+    which that very check fails, so replaying it reproduces the failure."""
+    record = {"name": name, "passed": passed, "detail": detail, **extra}
+    if witness is not None and not passed:
+        record["failing_case"] = witness
+    return record
+
+
 def _equivalence_checks(cfg: dict) -> list[dict]:
     # ratio = ||M||_1 / (eta * best form): at least 1 for every eta by the
     # packing bound (the form never beats eta^{-1} times the maximal
@@ -192,129 +203,93 @@ def _equivalence_checks(cfg: dict) -> list[dict]:
     grid = Grid(cfg["dim"], cfg["depth"])
     rng = np.random.default_rng(cfg["seed"])
     eta = float(cfg["eta"])
-    r_cases = [(1.0,), (1.0, 1.0), (2.0, 1.0)]
     min_ratio, max_ratio, min_greedy = math.inf, 0.0, math.inf
     worst_family, table = None, []
-    high_case = low_case = None
-    for rs in r_cases:
+    high_case = low_case = greedy_case = None
+    for rs in [(1.0,), (1.0, 1.0), (2.0, 1.0)]:
         case_max = 0.0
         for trial in range(cfg["trials"]):
             fs = _positive_inputs(rng, grid, len(rs))
             exact_val, exact_fam = optimal_sparse_form(fs, list(rs), grid, mode="exact", eta=eta)
             greedy_val, _ = optimal_sparse_form(fs, list(rs), grid, mode="greedy", eta=eta)
             mnorm = grid_norm(grid, scalar_maximal(grid, fs, list(rs)), 1.0)
-            ratio = mnorm / (eta * exact_val)
-            witness = {
-                "rs": list(rs),
-                "trial": trial,
-                "fs": [json.loads(function_to_json(grid, f)) for f in fs],
-                "ratio": ratio,
-                "raw_ratio": mnorm / exact_val,
-            }
+            ratio, raw = mnorm / (eta * exact_val), mnorm / exact_val
+            fjs = [json.loads(function_to_json(grid, f)) for f in fs]
+            witness = dict(rs=list(rs), trial=trial, fs=fjs, ratio=ratio, raw_ratio=raw)
             if ratio < min_ratio:
                 min_ratio, low_case = ratio, witness
-            min_greedy = min(min_greedy, greedy_val / exact_val)
+            if greedy_val / exact_val < min_greedy:
+                min_greedy, greedy_case = greedy_val / exact_val, witness
             if ratio > max_ratio:
                 max_ratio, worst_family, high_case = ratio, exact_fam, witness
             case_max = max(case_max, ratio)
         table.append({"rs": " ".join(str(r) for r in rs), "max_ratio": case_max})
-    checks = [
-        {
-            "name": "equivalence_ratio_at_least_one",
-            "passed": min_ratio >= 1.0 - 1e-9,
-            "detail": f"min maximal/(eta*form) ratio {min_ratio:.6f} (needs >= 1)",
-            "min_ratio": float(min_ratio),
-            "failing_case": low_case,
-        },
-        {
-            "name": "equivalence_ratio_at_most_eight",
-            "passed": max_ratio <= 8.0 + 1e-9,
-            "detail": f"max maximal/(eta*form) ratio {max_ratio:.6f} (allows <= 8)",
-            "max_ratio": float(max_ratio),
-            "maximizing_family": json.loads(family_to_json(worst_family)),
-            "table": table,
-            "failing_case": high_case,
-        },
-        {
-            "name": "greedy_captures_quarter",
-            "passed": min_greedy >= 0.25 - 1e-9,
-            "detail": f"min greedy/exact {min_greedy:.6f} (needs >= 1/4)",
-            "min_ratio": float(min_greedy),
-            "failing_case": low_case,
-        },
+    return [
+        _record(
+            "equivalence_ratio_at_least_one",
+            min_ratio >= 1.0 - 1e-9,
+            f"min maximal/(eta*form) ratio {min_ratio:.6f} (needs >= 1)",
+            low_case,
+            min_ratio=float(min_ratio),
+        ),
+        _record(
+            "equivalence_ratio_at_most_eight",
+            max_ratio <= 8.0 + 1e-9,
+            f"max maximal/(eta*form) ratio {max_ratio:.6f} (allows <= 8)",
+            high_case,
+            max_ratio=float(max_ratio),
+            maximizing_family=json.loads(family_to_json(worst_family)),
+            table=table,
+        ),
+        _record(
+            "greedy_captures_quarter",
+            min_greedy >= 0.25 - 1e-9,
+            f"min greedy/exact {min_greedy:.6f} (needs >= 1/4)",
+            greedy_case,
+            min_ratio=float(min_greedy),
+        ),
     ]
-    for check in checks:
-        if check["passed"]:
-            del check["failing_case"]
-    return checks
 
 
 def _cz_checks(cfg: dict) -> list[dict]:
     grid = Grid(cfg["dim"], cfg["depth"])
     rng = np.random.default_rng(cfg["seed"])
-    d = grid.d
-    flat_m, avg_m, bad_m = 0.0, 0.0, 0.0
-    failing = None
+    d, tol = grid.d, 1 + 1e-12
+    # per check (flat, averaged, bad): the worst margin and its first failing trial
+    worst, cases = [0.0, 0.0, 0.0], [None, None, None]
     for rs in [(1.0,), (1.0, 2.0)]:
         r = harmonic_exponent(rs)
         for _ in range(cfg["trials"]):
             fs = _positive_inputs(rng, grid, len(rs))
             lam = float(rng.uniform(0.3, 2.0))
             parts = cz_decompose(grid, fs, list(rs), lam)
-            here = 0.0
-            for j, rj in enumerate(rs):
-                thr = lam ** (r / rj)
-                fm = float(np.max(np.abs(parts.flat[j]))) / thr
-                am = float(np.max(np.abs(parts.averaged[j]))) / (2 ** (d / rj) * thr)
-                flat_m, avg_m = max(flat_m, fm), max(avg_m, am)
-                here = max(here, fm, am)
+            thrs = [lam ** (r / rj) for rj in rs]
+            flat = max(float(np.max(np.abs(fj))) / t for fj, t in zip(parts.flat, thrs))
+            avg = max(
+                float(np.max(np.abs(aj))) / (2 ** (d / rj) * t)
+                for aj, rj, t in zip(parts.averaged, rs, thrs)
+            )
             exceed = float(np.sum(np.abs(parts.bad) > lam)) * grid.cell_measure
-            bm = exceed / (len(rs) / lam**r)
-            bad_m = max(bad_m, bm)
-            here = max(here, bm)
-            if here > 1 + 1e-12 and failing is None:
-                failing = {
-                    "rs": list(rs),
-                    "lam": lam,
-                    "fs": [json.loads(function_to_json(grid, f)) for f in fs],
-                }
-    tol = 1 + 1e-12
-    checks = [
-        {
-            "name": "cz_flat_part_below_threshold",
-            "passed": flat_m <= tol,
-            "detail": f"worst margin {flat_m:.6f} of 1",
-            "worst_margin": float(flat_m),
-        },
-        {
-            "name": "cz_averaged_part_doubling_bound",
-            "passed": avg_m <= tol,
-            "detail": f"worst margin {avg_m:.6f} of 1",
-            "worst_margin": float(avg_m),
-        },
-        {
-            "name": "cz_bad_level_set_small",
-            "passed": bad_m <= tol,
-            "detail": f"worst margin {bad_m:.6f} of 1",
-            "worst_margin": float(bad_m),
-        },
+            for k, margin in enumerate((flat, avg, exceed / (len(rs) / lam**r))):
+                worst[k] = max(worst[k], margin)
+                if margin > tol and cases[k] is None:
+                    fjs = [json.loads(function_to_json(grid, f)) for f in fs]
+                    cases[k] = {"rs": list(rs), "lam": lam, "fs": fjs}
+    names = (
+        "cz_flat_part_below_threshold", "cz_averaged_part_doubling_bound", "cz_bad_level_set_small"
+    )
+    return [
+        _record(name, m <= tol, f"worst margin {m:.6f} of 1", case, worst_margin=float(m))
+        for name, m, case in zip(names, worst, cases)
     ]
-    for check in checks:
-        if not check["passed"] and failing is not None:
-            check["failing_case"] = failing
-    return checks
 
 
 def _stopping_checks(cfg: dict) -> list[dict]:
     grid = Grid(cfg["dim"], cfg["depth"])
     rng = np.random.default_rng(cfg["seed"])
-    cases = [
-        ("l2", (1.0,), (2.0,), 1.0),
-        ("l4_pair", (1.0, 1.0), (4.0, 4.0 / 3.0), 1.0),
-    ]
-    sparse_ok, pointwise_ok = True, True
+    cases = [("l2", (1.0,), (2.0,), 1.0), ("l4_pair", (1.0, 1.0), (4.0, 4.0 / 3.0), 1.0)]
     spread, table = 0.0, []
-    failing = None
+    bad_family = bad_pointwise = None  # the first run failing each check
     for label, rs, ts, q in cases:
         consts = []
         for n in (2, 8):
@@ -323,38 +298,39 @@ def _stopping_checks(cfg: dict) -> list[dict]:
             cert = stopping_domination(grid, Fs, list(rs), q, spaces)
             verified = verify_sparse(cert.family.cubes, 0.5)
             good_family = isinstance(verified, SparseFamily) and cert.family.check_certificate()
-            if not good_family:
-                sparse_ok = False
-            if not cert.pointwise_ok:
-                pointwise_ok = False
-            if not (good_family and cert.pointwise_ok) and failing is None:
+            if not (good_family and cert.pointwise_ok):
                 failing = {"case": label, "n": n, "family": json.loads(family_to_json(cert.family))}
+                bad_family = bad_family or (None if good_family else failing)
+                bad_pointwise = bad_pointwise or (None if cert.pointwise_ok else failing)
             consts.append(cert.c_stop)
             table.append({"case": label, "n": n, "c_stop": cert.c_stop, "cubes": len(cert.family.cubes)})
         spread = max(spread, max(consts) / min(consts))
-    checks = [
-        {
-            "name": "stopping_families_half_sparse",
-            "passed": sparse_ok,
-            "detail": "flow verification and certificates hold" if sparse_ok else "a family failed verification",
-        },
-        {
-            "name": "stopping_pointwise_domination",
-            "passed": pointwise_ok,
-            "detail": "lattice maximal bounded on every selected cube" if pointwise_ok else "a cell ratio exceeded 1",
-        },
-        {
-            "name": "stopping_constant_stable_in_atoms",
-            "passed": spread <= 2.0 + 1e-9,
-            "detail": f"constant spread {spread:.4f} across atom counts (allows <= 2)",
-            "spread": float(spread),
-            "table": table,
-        },
+    family_ok, pointwise_ok = bad_family is None, bad_pointwise is None
+    return [
+        _record(
+            "stopping_families_half_sparse",
+            family_ok,
+            "flow verification and certificates hold"
+            if family_ok
+            else "a family failed verification",
+            bad_family,
+        ),
+        _record(
+            "stopping_pointwise_domination",
+            pointwise_ok,
+            "lattice maximal bounded on every selected cube"
+            if pointwise_ok
+            else "a cell ratio exceeded 1",
+            bad_pointwise,
+        ),
+        _record(
+            "stopping_constant_stable_in_atoms",
+            spread <= 2.0 + 1e-9,
+            f"constant spread {spread:.4f} across atom counts (allows <= 2)",
+            spread=float(spread),
+            table=table,
+        ),
     ]
-    for check in checks:
-        if not check["passed"] and failing is not None:
-            check["failing_case"] = failing
-    return checks
 
 
 def _weights_checks(cfg: dict) -> list[dict]:
@@ -363,20 +339,16 @@ def _weights_checks(cfg: dict) -> list[dict]:
     ps, rs, s = (2.0,), (1.0,), math.inf
     p = ps[0]
     gamma = maximal_weighted_exponent(ps, rs)
-    a_values = (0.0, 0.15, 0.3, 0.45)
+    first = np.zeros(grid.cell_shape)
+    first[(0,) * grid.d] = 1.0
     consts, bests, table = [], [], []
-    for a in a_values:
+    for a in (0.0, 0.15, 0.3, 0.45):
         w = power_weight(grid, a)
         const = muckenhoupt_constant([w], ps, rs, s, grids)
         best = 0.0
-        battery = [np.ones(grid.cell_shape), 1.0 / w]
-        first = np.zeros(grid.cell_shape)
-        first[(0,) * grid.d] = 1.0
-        battery.append(first)
-        for f in battery:
+        for f in (np.ones(grid.cell_shape), 1.0 / w, first):
+            # every input is nonzero and w > 0 on every cell, so den > 0
             den = grid_norm(grid, f, p, weight=w)
-            if den == 0:
-                continue
             num = grid_norm(grid, scalar_maximal(grid, [f], [rs[0]]), p, weight=w)
             best = max(best, num / den)
         consts.append(const)
@@ -385,27 +357,26 @@ def _weights_checks(cfg: dict) -> list[dict]:
     C, slope = power_envelope(consts, bests, gamma)
     for row in table:
         row["bound"] = C * row["constant"] ** gamma
-    checks = [
-        {
-            "name": "unit_weight_has_constant_one",
-            "passed": abs(consts[0] - 1.0) < 1e-12,
-            "detail": f"constant at a=0 is {consts[0]:.12f}",
-        },
-        {
-            "name": "weight_constants_at_least_one",
-            "passed": all(c >= 1.0 - 1e-12 and math.isfinite(c) for c in consts),
-            "detail": f"constants {['%.4f' % c for c in consts]}",
-        },
-        {
-            "name": "weighted_maximal_envelope",
-            "passed": slope <= gamma + 0.1,
-            "detail": f"free slope {slope:.4f} against exponent {gamma} (allows {gamma + 0.1})",
-            "slope": float(slope),
-            "fitted_constant": float(C),
-            "table": table,
-        },
+    return [
+        _record(
+            "unit_weight_has_constant_one",
+            abs(consts[0] - 1.0) < 1e-12,
+            f"constant at a=0 is {consts[0]:.12f}",
+        ),
+        _record(
+            "weight_constants_at_least_one",
+            all(c >= 1.0 - 1e-12 and math.isfinite(c) for c in consts),
+            f"constants {['%.4f' % c for c in consts]}",
+        ),
+        _record(
+            "weighted_maximal_envelope",
+            slope <= gamma + 0.1,
+            f"free slope {slope:.4f} against exponent {gamma} (allows {gamma + 0.1})",
+            slope=float(slope),
+            fitted_constant=float(C),
+            table=table,
+        ),
     ]
-    return checks
 
 
 def _exponents_checks(cfg: dict) -> list[dict]:
@@ -424,46 +395,37 @@ def _exponents_checks(cfg: dict) -> list[dict]:
         ss = math.inf if rng.random() < 0.5 else harmonic_exponent(pp) * float(rng.uniform(1.5, 4.0))
         direct = transfer_exponent(pp, qq, rr, ss)
         composed = composed_transfer_exponent(pp, qq, rr, ss)
-        if not np.isclose(direct, composed, rtol=1e-12):
-            comp_bad += 1
+        comp_bad += not np.isclose(direct, composed, rtol=1e-12)
     classical_bad = 0
     for pv in np.linspace(1.1, 6.0, 25):
         got = ellt_exponent([float(pv)], [1.0], 1.0, [2.0])
-        want = max(pv / (pv - 1.0), pv)
-        if not np.isclose(got, want, rtol=1e-12):
-            classical_bad += 1
-    table = [
-        {"quantity": "transfer_gamma", "value": encode_inf(gamma)},
-        {"quantity": "pinned_identity_gamma", "value": pinned},
-        {"quantity": "m", "value": m},
-        {"quantity": "r", "value": encode_inf(r)},
-        {"quantity": "s", "value": encode_inf(s)},
-        {"quantity": "q", "value": q},
-        {"quantity": "p", "value": encode_inf(p)},
-    ]
+        classical_bad += not np.isclose(got, max(pv / (pv - 1.0), pv), rtol=1e-12)
+    # _plain writes an infinite value as "inf"
+    quantities = dict(transfer_gamma=gamma, pinned_identity_gamma=pinned, m=m, r=r, s=s, q=q, p=p)
+    table = [{"quantity": k, "value": v} for k, v in quantities.items()]
     return [
-        {
-            "name": "transfer_exponent",
-            "passed": math.isfinite(gamma) and gamma >= 1.0,
-            "detail": f"gamma = {gamma}",
-            "gamma": float(gamma),
-            "table": table,
-        },
-        {
-            "name": "pinned_identity_case",
-            "passed": pinned == 2.0,
-            "detail": f"m=1 r=1 s=inf q=1 p=2 gives {pinned} (needs exactly 2)",
-        },
-        {
-            "name": "composition_identity",
-            "passed": comp_bad == 0,
-            "detail": f"{comp_bad} mismatches over seeded tuples at rtol 1e-12",
-        },
-        {
-            "name": "classical_sharp_exponents",
-            "passed": classical_bad == 0,
-            "detail": f"{classical_bad} mismatches against max(p', p) on the line",
-        },
+        _record(
+            "transfer_exponent",
+            math.isfinite(gamma) and gamma >= 1.0,
+            f"gamma = {gamma}",
+            gamma=float(gamma),
+            table=table,
+        ),
+        _record(
+            "pinned_identity_case",
+            pinned == 2.0,
+            f"m=1 r=1 s=inf q=1 p=2 gives {pinned} (needs exactly 2)",
+        ),
+        _record(
+            "composition_identity",
+            comp_bad == 0,
+            f"{comp_bad} mismatches over seeded tuples at rtol 1e-12",
+        ),
+        _record(
+            "classical_sharp_exponents",
+            classical_bad == 0,
+            f"{classical_bad} mismatches against max(p', p) on the line",
+        ),
     ]
 
 
@@ -481,27 +443,22 @@ def _transfer_checks(cfg: dict) -> list[dict]:
         ("transfer_sparse_l2", SparseOperator(family, rs=(1.0,)), [2.0]),
         ("transfer_sparse_pair", SparseOperator(family, rs=(1.0, 1.0)), [4.0, 4.0 / 3.0]),
     ]
-    checks = []
-    table = []
+    checks, table = [], []
     for name, model, specs in models:
-        rep = vv_transfer_check(
-            model, grid, specs, q, s, trials=cfg["trials"], seed=cfg["seed"]
-        )
+        rep = vv_transfer_check(model, grid, specs, q, s, trials=cfg["trials"], seed=cfg["seed"])
         ok = rep.passed and rep.scalar["passed"] and rep.admissible
-        check = {
-            "name": name,
-            "passed": ok,
-            "detail": (
+        checks.append(
+            _record(
+                name,
+                ok,
                 f"slope {rep.slope:.4f} over atoms {list(rep.ns)}, "
-                f"scalar constant {rep.scalar['max_ratio']:.4f}"
-            ),
-            "slope": float(rep.slope),
-            "worst": {str(n): float(v) for n, v in rep.worst.items()},
-            "scalar": rep.scalar,
-        }
-        if not ok:
-            check["failing_case"] = rep.as_dict()
-        checks.append(check)
+                f"scalar constant {rep.scalar['max_ratio']:.4f}",
+                None if ok else rep.as_dict(),
+                slope=float(rep.slope),
+                worst={str(n): float(v) for n, v in rep.worst.items()},
+                scalar=rep.scalar,
+            )
+        )
         for n in rep.ns:
             table.append({"model": name, "atoms": n, "worst_ratio": rep.worst[n]})
     checks[-1]["table"] = table
@@ -555,30 +512,22 @@ def run(command: str, config: dict | None = None) -> dict:
 
 def _write_artifacts(report: dict, out_dir: Path) -> list[Path]:
     out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-    path = out_dir / f"report_{report['command']}.json"
-    path.write_text(json.dumps(report, indent=2) + "\n")
-    written.append(path)
+    command = report["command"]
+    written = [out_dir / f"report_{command}.json"]
+    written[0].write_text(json.dumps(report, indent=2) + "\n")
     for check in report["checks"]:
         table = check.get("table")
         if table:
-            tpath = out_dir / f"{report['command']}_{check['name']}.csv"
+            tpath = out_dir / f"{command}_{check['name']}.csv"
             with tpath.open("w", newline="") as fh:
                 writer = csv.DictWriter(fh, fieldnames=list(table[0].keys()))
                 writer.writeheader()
                 writer.writerows(table)
             written.append(tpath)
-        case = check.get("failing_case")
-        if case is not None and not check["passed"]:
-            fpath = out_dir / f"failing_{check['name']}.json"
-            fpath.write_text(
-                json.dumps(
-                    {"command": report["command"], "config": report["config"], "case": case},
-                    indent=2,
-                )
-                + "\n"
-            )
-            written.append(fpath)
+        if "failing_case" in check:
+            replay = {"command": command, "config": report["config"], "case": check["failing_case"]}
+            written.append(out_dir / f"failing_{check['name']}.json")
+            written[-1].write_text(json.dumps(replay, indent=2) + "\n")
     return written
 
 

@@ -58,6 +58,7 @@ MAX_DEPTH = {1: 12, 2: 6}
 _DEPTHS = {d: interval(0, cap, lo_closed=True, hi_closed=True) for d, cap in MAX_DEPTH.items()}
 _SHIFTS = {d: interval(0, 3**d, lo_closed=True) for d in MAX_DEPTH}
 _SIDES = interval(0, 1, hi_closed=True)
+_CORNERS = interval(0, 1, lo_closed=True)
 
 
 def _digits(shift: int, d: int) -> tuple[int, ...]:
@@ -136,8 +137,8 @@ class Grid:
     def __init__(self, d: int, depth: int, shift: int = 0):
         if d not in (1, 2):
             raise ValueError(f"dimension must be 1 or 2, got {d}")
-        check(f"depth at d={d}", depth, _DEPTHS[d])
-        check(f"shift at d={d}", shift, _SHIFTS[d])
+        check(f"depth at d={d}", depth, _DEPTHS[d], integer=True)
+        check(f"shift at d={d}", shift, _SHIFTS[d], integer=True)
         self.d = d
         self.depth = depth
         self.shift = shift
@@ -156,7 +157,7 @@ class Grid:
         return Cube(0, (0,) * self.d, 0)
 
     def level_cubes(self, level: int) -> list[Cube]:
-        check("level", level, interval(0, self.depth, lo_closed=True, hi_closed=True))
+        check("level", level, interval(0, self.depth, lo_closed=True, hi_closed=True), integer=True)
         ranges = [_axis_range(level, a) for a in self.digits]
         return [Cube(level, index, self.shift) for index in product(*ranges)]
 
@@ -211,16 +212,16 @@ def cover_cube(lower: Sequence, side) -> tuple[int, Cube]:
     per axis at most one of the three digit classes has a grid endpoint
     cutting through Q, which leaves a containing cube in one of the others.
     Sides longer than 1/3 are covered by the shift-0 root directly.  The
-    side lies in (0, 1].
+    side lies in (0, 1] and each lower-corner coordinate in [0, 1).
     """
     check("side", side, _SIDES)
-    lower = [Fraction(x) for x in lower]
+    lower = [Fraction(check(f"lower corner x_{i}", x, _CORNERS)) for i, x in enumerate(lower, 1)]
     side = Fraction(side)
     d = len(lower)
     if d not in (1, 2):
         raise ValueError(f"dimension must be 1 or 2, got {d}")
     for x in lower:
-        if x < 0 or x + side > 1:
+        if x + side > 1:
             raise ValueError("cube must sit inside [0,1)^d")
 
     # exact standard-grid cubes cover themselves at ratio 1

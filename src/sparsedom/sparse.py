@@ -75,13 +75,13 @@ class SparseFamily:
         check("eta", self.eta, UNIT)
 
     def check_certificate(self) -> bool:
-        """One witness set per family cube: disjoint, contained, large enough."""
+        """One witness set of distinct cells per family cube: disjoint, contained, large enough."""
         if set(self.certificate) != set(self.cubes):
             return False
         seen: set[int] = set()
         eta = Fraction(self.eta)
         for cube, cells in self.certificate.items():
-            if seen.intersection(cells):
+            if seen.intersection(cells) or len(set(cells)) < len(cells):
                 return False
             seen.update(cells)
             owned = _cells_under(cube, self.certificate_depth)

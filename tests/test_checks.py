@@ -56,10 +56,16 @@ REFUSALS = [
     ("conjugate-t", lambda: conjugate(NAN), r"t must be in \[1, inf\], got nan"),
     ("power_weight-a", lambda: power_weight(G, INF), r"a must be in \(-1, inf\), got inf"),
     ("cover_cube-side", lambda: cover_cube([Fraction(0)], 2), r"side must be in \(0, 1\], got 2"),
+    ("cover_cube-corner-nan", lambda: cover_cube([NAN], 0.5), r"lower corner x_1 must be in \[0, 1\), got nan"),
+    ("cover_cube-corner-inf", lambda: cover_cube([0.5, INF], 0.25), r"lower corner x_2 must be in \[0, 1\), got inf"),
     # integer ranges
     ("grid-depth", lambda: Grid(1, 13), r"depth at d=1 must be in \[0, 12\], got 13"),
     ("grid-shift", lambda: Grid(2, 2, 9), r"shift at d=2 must be in \[0, 9\), got 9"),
     ("grid-level", lambda: G.level_cubes(3), r"level must be in \[0, 2\], got 3"),
+    ("grid-depth-float", lambda: Grid(1, 2.5), r"depth at d=1 must be an integer in \[0, 12\], got 2.5"),
+    ("grid-depth-whole-float", lambda: Grid(1, 2.0), r"depth at d=1 must be an integer in \[0, 12\], got 2.0"),
+    ("grid-shift-float", lambda: Grid(1, 2, 1.0), r"shift at d=1 must be an integer in \[0, 3\), got 1.0"),
+    ("grid-level-float", lambda: G.level_cubes(1.5), r"level must be an integer in \[0, 2\], got 1.5"),
     ("stable-depth", lambda: stable_muckenhoupt_constant(lambda g: [np.ones(g.cell_shape)], (2.0,), (1.0,), INF, 1, 0),
      "depth must be at least 1, got 0"),
     ("opnorm-trials", lambda: maximal_opnorm_lower(G, [1.0], [2.0], [LebesgueSpace(2.0, U2)], trials=0),
@@ -79,6 +85,15 @@ REFUSALS = [
 def test_refusal_names_parameter_range_and_value(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+def test_integer_ranges_take_python_and_numpy_ints():
+    grid = Grid(2, np.int64(3), np.int32(4))
+    assert (grid.depth, grid.shift, grid.cell_shape) == (3, 4, (8, 8))
+    assert G.level_cubes(np.int64(1)) == G.level_cubes(1)
+    # a corner on the boundary is refused by the fit check, not the corner range
+    with pytest.raises(ValueError, match=r"cube must sit inside \[0,1\)\^d"):
+        cover_cube([0.875], 0.25)
 
 
 @pytest.mark.parametrize("key", ["q", "s", "p", "r"])

@@ -1,5 +1,6 @@
 """Command-line front end: config handling, batteries, artifacts, exit codes."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -214,6 +215,20 @@ class TestBatteries:
         mnorm = grid_norm(grid, scalar_maximal(grid, fs, rs), 1.0)
         assert np.isclose(case["ratio"], mnorm / (eta * value), rtol=1e-12)
 
+    def test_greedy_case_replays_its_own_share(self):
+        # the case dumped for greedy_captures_quarter is the trial with the
+        # smallest greedy/exact share, not the one with the smallest ratio
+        eta = 1.0 / 32.0
+        rep = run("equivalence", {"depth": 3, "eta": eta})
+        check = {c["name"]: c for c in rep["checks"]}["greedy_captures_quarter"]
+        assert not check["passed"] and check["min_ratio"] < 0.25
+        case = check["failing_case"]
+        grid = Grid(1, 3)
+        fs = [function_from_json(json.dumps(p))[1] for p in case["fs"]]
+        exact, _ = optimal_sparse_form(fs, case["rs"], grid, mode="exact", eta=eta)
+        greedy, _ = optimal_sparse_form(fs, case["rs"], grid, mode="greedy", eta=eta)
+        assert greedy / exact == check["min_ratio"]
+
 
 class TestMainEntry:
     def test_precondition_failures_exit_two_with_names(self, tmp_path, capsys):
@@ -348,6 +363,73 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert code == 2
         assert "cannot read" in err
+
+
+class TestFailingCases:
+    """A record carries ``failing_case`` exactly when it failed and has a
+    witness, and that case is an input on which this very check fails."""
+
+    @pytest.mark.parametrize(
+        "command, config, failing",
+        [
+            ("all", {}, set()),
+            ("equivalence", {"depth": 3, "eta": 1 / 32}, {"equivalence_ratio_at_most_eight", "greedy_captures_quarter"}),
+            ("transfer", {"seed": 3}, {"transfer_haar_l2"}),
+        ],
+    )
+    def test_cases_and_files_exactly_for_failed_checks(self, tmp_path, command, config, failing):
+        report = run(command, config)
+        assert {c["name"] for c in report["checks"] if not c["passed"]} == failing
+        assert {c["name"] for c in report["checks"] if "failing_case" in c} == failing
+        written = cli._write_artifacts(report, tmp_path)
+        dumped = {f"failing_{name}.json" for name in failing}
+        assert {p.name for p in tmp_path.glob("failing_*.json")} == dumped
+        assert {p.name for p in written} >= dumped
+
+    def test_each_cz_margin_keeps_its_first_failing_trial(self, monkeypatch):
+        # trial 1 breaks the averaged-part margin, trial 2 the flat-part margin
+        lams = []
+
+        def broken(grid, fs, rs, lam):
+            parts = sparse.cz_decompose(grid, fs, rs, lam)
+            lams.append(lam)
+            if len(lams) == 1:
+                return dataclasses.replace(parts, averaged=[a + 10.0 for a in parts.averaged])
+            if len(lams) == 2:
+                return dataclasses.replace(parts, flat=[f + 10.0 for f in parts.flat])
+            return parts
+
+        monkeypatch.setattr(cli, "cz_decompose", broken)
+        by_name = {c["name"]: c for c in run("cz", {"trials": 3})["checks"]}
+        assert by_name["cz_averaged_part_doubling_bound"]["failing_case"]["lam"] == lams[0]
+        assert by_name["cz_flat_part_below_threshold"]["failing_case"]["lam"] == lams[1]
+        assert by_name["cz_bad_level_set_small"]["passed"]
+        assert "failing_case" not in by_name["cz_bad_level_set_small"]
+
+    def test_stopping_checks_keep_their_own_cases(self, monkeypatch):
+        # run 1 loses its witness sets, run 2 its pointwise bound, run 3 its
+        # constant; the spread fails across runs, so it carries no case
+        runs = []
+
+        def broken(grid, Fs, rs, q, spaces):
+            cert = sparse.stopping_domination(grid, Fs, rs, q, spaces)
+            runs.append(cert)
+            if len(runs) == 1:
+                return dataclasses.replace(cert, family=sparse.SparseFamily(cert.family.cubes))
+            if len(runs) == 2:
+                return dataclasses.replace(cert, pointwise_ok=False)
+            if len(runs) == 3:
+                return dataclasses.replace(cert, c_stop=10 * cert.c_stop)
+            return cert
+
+        monkeypatch.setattr(cli, "stopping_domination", broken)
+        by_name = {c["name"]: c for c in run("stopping")["checks"]}
+        family = by_name["stopping_families_half_sparse"]["failing_case"]
+        pointwise = by_name["stopping_pointwise_domination"]["failing_case"]
+        assert (family["case"], family["n"]) == ("l2", 2)
+        assert (pointwise["case"], pointwise["n"]) == ("l2", 8)
+        spread = by_name["stopping_constant_stable_in_atoms"]
+        assert not spread["passed"] and "failing_case" not in spread
 
 
 def test_cli_import_loads_no_scipy():

@@ -120,6 +120,11 @@ class TestVerifySparse:
         extra[Cube(2, (0,), 0)] = []
         assert not SparseFamily(TREE1, 0.5, extra, depth).check_certificate()
 
+    def test_certificate_counts_a_repeated_cell_once(self):
+        # at depth 2 the root needs eta |Q| = 2 cells; listing cell 0 twice is one cell
+        assert SparseFamily([ROOT], 0.5, {ROOT: [0, 1]}, 2).check_certificate()
+        assert not SparseFamily([ROOT], 0.5, {ROOT: [0, 0]}, 2).check_certificate()
+
     @pytest.mark.parametrize("eta", [0.25, 0.5, 0.625, 0.75])
     def test_matches_hall_oracle(self, eta):
         rng = np.random.default_rng(7)
