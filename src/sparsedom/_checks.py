@@ -31,11 +31,16 @@ FINITE = interval(0, math.inf)
 UNIT = interval(0, 1)  # the sparseness parameters
 
 
+def _is_int(x) -> bool:
+    """Whether x is an int, Python or NumPy; a bool is not."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
 def check(name: str, x, within, integer: bool = False):
     """x itself when it lies in the interval ``within`` and, with ``integer``,
     is an int (Python or NumPy, not bool); else a named refusal."""
     holds, text = within
-    if integer and (isinstance(x, bool) or not isinstance(x, numbers.Integral)):
+    if integer and not _is_int(x):
         raise ValueError(f"{name} must be an integer in {text}, got {x}")
     if not holds(x):
         raise ValueError(f"{name} must be in {text}, got {x}")
@@ -43,18 +48,22 @@ def check(name: str, x, within, integer: bool = False):
 
 
 def at_least(name: str, n, lo: int):
-    """n itself when n >= lo (counts such as trials); else a named refusal."""
+    """n itself when it is an int (not bool) >= lo, such as a count of
+    trials; else a named refusal."""
+    if not _is_int(n):
+        raise ValueError(f"{name} must be an integer at least {lo}, got {n}")
     if not n >= lo:
         raise ValueError(f"{name} must be at least {lo}, got {n}")
     return n
 
 
 def increasing(name: str, xs: Iterable) -> tuple[int, ...]:
-    """xs as ints when they are one or more strictly increasing positive ints."""
-    ns = tuple(int(x) for x in xs)
-    if not ns or ns[0] < 1 or any(a >= b for a, b in zip(ns, ns[1:])):
+    """xs as ints when they are one or more strictly increasing positive ints
+    (Python or NumPy, not bool)."""
+    ns = tuple(xs)
+    if not ns or not all(map(_is_int, ns)) or ns[0] < 1 or any(a >= b for a, b in zip(ns, ns[1:])):
         raise ValueError(f"{name} must be one or more strictly increasing positive ints, got {ns}")
-    return ns
+    return tuple(int(n) for n in ns)
 
 
 def one_per(each: str, per: str, xs: Sized, ys: Sized) -> int:

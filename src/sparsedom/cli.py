@@ -214,8 +214,7 @@ def _equivalence_checks(cfg: dict) -> list[dict]:
             greedy_val, _ = optimal_sparse_form(fs, list(rs), grid, mode="greedy", eta=eta)
             mnorm = grid_norm(grid, scalar_maximal(grid, fs, list(rs)), 1.0)
             ratio, raw = mnorm / (eta * exact_val), mnorm / exact_val
-            fjs = [json.loads(function_to_json(grid, f)) for f in fs]
-            witness = dict(rs=list(rs), trial=trial, fs=fjs, ratio=ratio, raw_ratio=raw)
+            witness = (rs, trial, fs, ratio, raw)  # serialized only if reported
             if ratio < min_ratio:
                 min_ratio, low_case = ratio, witness
             if greedy_val / exact_val < min_greedy:
@@ -224,19 +223,25 @@ def _equivalence_checks(cfg: dict) -> list[dict]:
                 max_ratio, worst_family, high_case = ratio, exact_fam, witness
             case_max = max(case_max, ratio)
         table.append({"rs": " ".join(str(r) for r in rs), "max_ratio": case_max})
+
+    def case(witness):
+        rs, trial, fs, ratio, raw = witness
+        fjs = [json.loads(function_to_json(grid, f)) for f in fs]
+        return dict(rs=list(rs), trial=trial, fs=fjs, ratio=ratio, raw_ratio=raw)
+
     return [
         _record(
             "equivalence_ratio_at_least_one",
             min_ratio >= 1.0 - 1e-9,
             f"min maximal/(eta*form) ratio {min_ratio:.6f} (needs >= 1)",
-            low_case,
+            case(low_case),
             min_ratio=float(min_ratio),
         ),
         _record(
             "equivalence_ratio_at_most_eight",
             max_ratio <= 8.0 + 1e-9,
             f"max maximal/(eta*form) ratio {max_ratio:.6f} (allows <= 8)",
-            high_case,
+            case(high_case),
             max_ratio=float(max_ratio),
             maximizing_family=json.loads(family_to_json(worst_family)),
             table=table,
@@ -245,7 +250,7 @@ def _equivalence_checks(cfg: dict) -> list[dict]:
             "greedy_captures_quarter",
             min_greedy >= 0.25 - 1e-9,
             f"min greedy/exact {min_greedy:.6f} (needs >= 1/4)",
-            greedy_case,
+            case(greedy_case),
             min_ratio=float(min_greedy),
         ),
     ]

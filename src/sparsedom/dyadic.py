@@ -55,6 +55,7 @@ __all__ = [
 ]
 
 MAX_DEPTH = {1: 12, 2: 6}
+_DIMENSIONS = interval(1, 2, lo_closed=True, hi_closed=True)
 _DEPTHS = {d: interval(0, cap, lo_closed=True, hi_closed=True) for d, cap in MAX_DEPTH.items()}
 _SHIFTS = {d: interval(0, 3**d, lo_closed=True) for d in MAX_DEPTH}
 _SIDES = interval(0, 1, hi_closed=True)
@@ -135,8 +136,7 @@ class Grid:
     """
 
     def __init__(self, d: int, depth: int, shift: int = 0):
-        if d not in (1, 2):
-            raise ValueError(f"dimension must be 1 or 2, got {d}")
+        check("dimension", d, _DIMENSIONS, integer=True)
         check(f"depth at d={d}", depth, _DEPTHS[d], integer=True)
         check(f"shift at d={d}", shift, _SHIFTS[d], integer=True)
         self.d = d

@@ -10,15 +10,21 @@ call; the Lebesgue norm's BLAS matmul sums in an order set by the batch.
 The associate (Kothe dual) norm is exact for Lebesgue spaces (the dual
 exponent) and for Orlicz spaces whose Phi is convex (log-slopes above one,
 non-decreasing): there it is the Orlicz norm of the complementary function,
-found by one bisection in k and certified by meeting the Amemiya upper bound
-inf_k (1 + sum Psi(k xi) mu) / k.  The product-space norm is exact for
-Lebesgue tuples.  Every other case runs a seeded coordinate search that
-returns a lower bound; the searches are deterministic per seed and are
-cross-checked against dense-grid oracles in the test suite at low
-dimension.  A search runs its restarts in lockstep, one batched norm call
-per coordinate step for all of them; with batch-independent norms that is
-bit-identical to running them one after another, while over Lebesgue
-factors (whose matmul is batch-dependent) the result may move by an ulp.
+certified by meeting the Amemiya upper bound inf_k (1 + sum Psi(k xi) mu) / k.
+Every Orlicz level set, the Luxemburg norm's lam and the associate norm's
+k, comes from one solver (``_solve_level``): safeguarded Newton steps in
+log x on the log of the modular, finished by single-ulp steps to the
+smallest double where the excess of the modular over one is <= 0.  That is
+the double a geometric bisection reaches on the same predicate; the
+bisection lives on as a test oracle, and the tests require the same bits.
+The product-space norm is exact for Lebesgue tuples.  Every other case runs
+a seeded coordinate search that returns a lower bound; the searches are
+deterministic per seed and are cross-checked against dense-grid oracles in
+the test suite at low dimension.  A search runs its restarts in lockstep,
+one batched norm call per coordinate step for all of them; with
+batch-independent norms that is bit-identical to running them one after
+another, while over Lebesgue factors (whose matmul is batch-dependent) the
+result may move by an ulp.
 
 The package's exponent arithmetic lives here too (1/inf = 0): ``recip``
 (re-exported from the range checks, which compare exponents through it),
@@ -245,49 +251,69 @@ class LorentzSpace(Space):
 
 
 _BRACKET_CAP = 100
+_NEWTON_CAP = 16  # safeguarded Newton steps per row; a row still open after them bisects
 
 
-def _check_bracket(open_rows: np.ndarray, what: str) -> None:
-    if open_rows.any():
-        raise ValueError(
-            f"{what} not bracketed within {_BRACKET_CAP} doublings; "
-            "Phi grows too slowly for this vector"
-        )
+def _modular_step(terms: np.ndarray, slopes: np.ndarray):
+    """Row sums M of ``terms`` and the Newton step -log M / (d log M / d log x)
+    toward M = 1, where ``slopes`` holds d log term / d log x per term."""
+    modular = np.sum(terms, axis=-1)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return modular, -np.log(modular) * modular / np.sum(terms * slopes, axis=-1)
 
 
-def _bisect_level(excess, start: np.ndarray, what: str) -> np.ndarray:
-    """Per entry, the upper end of a tight bracket of the root of ``excess``.
+def _solve_level(level, start: np.ndarray, what: str) -> np.ndarray:
+    """Per row, the smallest double x with excess(x) <= 0.
 
-    excess(x) is decreasing, evaluated on whole arrays, and > 0 below the
-    root.  The bracket [lo, hi] is found by doubling and halving from
-    ``start`` (at most _BRACKET_CAP times, else a ValueError naming
-    ``what``), then narrowed by geometric midpoints, i.e. bisection in log x,
-    until no entry moves.
+    ``level(x, rows)`` evaluates the given rows at the points x and returns
+    (excess, step): excess is decreasing in x and > 0 below the root, and
+    step is the Newton increment toward the root in log x.  The root is
+    bracketed by doubling or halving from ``start`` (at most _BRACKET_CAP
+    times, else a ValueError naming ``what``).  Then each row takes
+    safeguarded Newton steps in log x: a step landing in the closed bracket
+    [lo, hi] is kept, any other is replaced by the geometric midpoint, and
+    the point is clipped strictly inside, so each evaluation shrinks the
+    bracket by at least one double and, near the root, walks single ulps on
+    excess itself.  After _NEWTON_CAP steps a row only bisects.  A row stops
+    when lo and hi are adjacent doubles with excess(lo) > 0 >= excess(hi)
+    and returns hi, the double a bisection in log x reaches when excess is
+    monotone.  Rows are evaluated only while open, so a row's path never
+    depends on the rows that share its call.
     """
-    hi = start.copy()
-    for _ in range(_BRACKET_CAP):
-        mask = excess(hi) > 0
-        if not mask.any():
+    x = start.copy()
+    lo, hi = np.zeros_like(x), np.full_like(x, np.inf)
+    rows = np.arange(x.size)
+    excess, step = level(x, rows)
+    up = excess > 0  # the root lies above start: double, else halve
+    for doublings in range(_BRACKET_CAP + 1):
+        above = excess > 0
+        lo[rows[above]] = x[rows[above]]
+        hi[rows[~above]] = x[rows[~above]]
+        rows = rows[above == up[rows]]
+        if not rows.size:
             break
-        hi[mask] *= 2.0
-    else:
-        _check_bracket(excess(hi) > 0, what)
-    lo = start.copy()
-    for _ in range(_BRACKET_CAP):
-        mask = excess(lo) <= 0
-        if not mask.any():
-            break
-        lo[mask] *= 0.5
-    else:
-        _check_bracket(excess(lo) <= 0, what)
-    for _ in range(120):
-        mid = np.sqrt(lo * hi)
-        high = excess(mid) > 0
-        new_lo = np.where(high, mid, lo)
-        new_hi = np.where(high, hi, mid)
-        if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
-            break  # a fixed point: further steps repeat it
-        lo, hi = new_lo, new_hi
+        if doublings == _BRACKET_CAP:
+            raise ValueError(
+                f"{what} not bracketed within {_BRACKET_CAP} doublings; "
+                "Phi grows too slowly for this vector"
+            )
+        x[rows] = np.where(up[rows], x[rows] * 2.0, x[rows] * 0.5)
+        excess, step[rows] = level(x[rows], rows)
+    rows = np.flatnonzero(np.nextafter(lo, np.inf) < hi)
+    steps = 0
+    while rows.size:
+        a, b = lo[rows], hi[rows]
+        with np.errstate(over="ignore", invalid="ignore"):
+            t = x[rows] * np.exp(step[rows])
+        kept = (t >= a) & (t <= b) & (steps < _NEWTON_CAP)
+        t = np.clip(np.where(kept, t, np.sqrt(a) * np.sqrt(b)), np.nextafter(a, np.inf), np.nextafter(b, 0.0))
+        excess, step[rows] = level(t, rows)
+        x[rows] = t
+        above = excess > 0
+        lo[rows[above]] = t[above]
+        hi[rows[~above]] = t[~above]
+        rows = rows[np.nextafter(lo[rows], np.inf) < hi[rows]]
+        steps += 1
     return hi
 
 
@@ -297,7 +323,9 @@ class OrliczSpace(Space):
     The table is interpolated log-linearly (piecewise power law) and extended
     beyond its range with the boundary slopes, so pure powers are represented
     exactly.  The norm inf { lam > 0 : sum Phi(|xi_i|/lam) mu_i <= 1 } is
-    found by bisection.
+    the smallest double lam where the modular is at most one, found by
+    ``_solve_level``: Newton steps in log lam (the log-modular has slope
+    minus the Phi mu-weighted mean log-slope of Phi), then single ulps.
     """
 
     kind = "orlicz"
@@ -314,6 +342,8 @@ class OrliczSpace(Space):
         self._lx = np.log(tab[:, 0])
         self._ly = np.log(tab[:, 1])
         self._slopes = np.diff(self._ly) / np.diff(self._lx)
+        # the log-slope on each of the k + 1 pieces, the end slopes outside
+        self._pieces = np.concatenate([self._slopes[:1], self._slopes, self._slopes[-1:]])
         if convexity is None:
             # the Luxemburg functional of a locally-power Phi is 1-convex
             # only when every segment exponent is at least one
@@ -347,6 +377,13 @@ class OrliczSpace(Space):
         out[pos] = np.exp(logs)
         return out
 
+    @staticmethod
+    def _log_slope(x, knots_x, pieces):
+        """d log f / d log x of a power law at x > 0 (one-sided at a knot):
+        pieces[i] on the i-th piece that the knots (in log x) cut out."""
+        with np.errstate(divide="ignore"):
+            return pieces[np.searchsorted(knots_x, np.log(x), side="right")]
+
     def phi(self, x):
         return self._power_law(x, self._lx, self._ly, self._slopes[0], self._slopes[-1])
 
@@ -371,11 +408,15 @@ class OrliczSpace(Space):
         log psi is flat at lx_k on [L_k, R_k] and linear in between; beyond
         the table it has the slopes 1/(a_0 - 1) and 1/(a_last - 1).
         """
-        a = np.concatenate([self._slopes[:1], self._slopes, self._slopes[-1:]])
+        return self._power_law(s, *self._psi_law())
+
+    def _psi_law(self):
+        """psi as a power law: knots in log s, log psi there, the end slopes."""
+        a = self._pieces
         base = self._ly - self._lx
         # the rounding tolerance of has_convex_phi may put L_k above R_k
         knots = np.maximum.accumulate(np.column_stack([np.log(a[:-1]) + base, np.log(a[1:]) + base]).ravel())
-        return self._power_law(s, knots, np.repeat(self._lx, 2), 1 / (a[0] - 1), 1 / (a[-1] - 1))
+        return knots, np.repeat(self._lx, 2), 1 / (a[0] - 1), 1 / (a[-1] - 1)
 
     def norm(self, xi):
         a = self._atoms(xi)
@@ -387,19 +428,20 @@ class OrliczSpace(Space):
         active = (top > 0) & (top < math.inf)
         if active.any():
             # norm each row divided by a power of two near its sup: exact
-            # for normal entries, so a row keeps its bits, and lo * hi in the
-            # bisection stays in range however large or small the row is
+            # for normal entries, so a row keeps its bits, and the solver
+            # works near one however large or small the row is
             scale = np.ldexp(1.0, np.frexp(top[active])[1])
             sub = rows[active] / scale[:, None]
 
-            def excess(lam):
-                # sum Phi(a / lam) mu - 1, vectorized over rows; a row sum, not
-                # a matmul, so that a row's bits do not depend on its batch
-                ratio = sub / lam[:, None]
-                return np.sum(self.phi(ratio) * w, axis=-1) - 1.0
+            def level(lam, which):
+                # sum Phi(a / lam) mu - 1 for the rows ``which``; a row sum,
+                # not a matmul, so that a row's bits do not depend on its batch
+                ratio = sub[which] / lam[:, None]
+                modular, step = _modular_step(self.phi(ratio) * w, -self._log_slope(ratio, self._lx, self._pieces))
+                return modular - 1.0, step
 
             # bracket the unit level set outward from the sup
-            out[active] = _bisect_level(excess, sub.max(axis=1), "Luxemburg norm") * scale
+            out[active] = _solve_level(level, sub.max(axis=1), "Luxemburg norm") * scale
         return _as_scalar(out.reshape(lead))
 
     def params(self) -> dict:
@@ -500,8 +542,9 @@ def associate_norm(
     - Lebesgue without return_argmax: the l^(t') norm, t' = conjugate(t).
     - Orlicz with a convex Phi (``OrliczSpace.has_convex_phi``) and xi != 0:
       the Orlicz norm of the complementary function Psi, which is the
-      Amemiya norm inf_k (1 + sum Psi(k xi) mu) / k.  One bisection in log k
-      finds the root of sum Phi(psi(k xi)) mu = 1, psi = (Phi')^{-1}; the
+      Amemiya norm inf_k (1 + sum Psi(k xi) mu) / k.  ``_solve_level``
+      finds the root of sum Phi(psi(k xi)) mu = 1 in log k, psi = (Phi')^{-1},
+      with Newton slopes from the segment log-slopes of Phi and psi; the
       value is the pairing sum xi eta mu / ||eta|| at eta = psi(k xi), a
       lower bound for any table.  On a convex table it is exact: by Young's
       equality it meets the Amemiya upper bound at that k.  The argmax is
@@ -542,13 +585,23 @@ def _associate_orlicz(space: OrliczSpace, xi: np.ndarray, return_argmax: bool):
     y = np.array([1.0 / w.sum()])
     start = y / space.phi_inv(y)
 
-    def excess(c):
-        # on steep segments psi(c r) overflows to inf while the bracket is
-        # doubled; that reads as a modular above one, which it is
-        with np.errstate(over="ignore"):
-            return 1.0 - np.sum(space.phi(space.psi(c[:, None] * r)) * w, axis=-1)
+    knots, logs, slope_lo, slope_hi = law = space._psi_law()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        psi_pieces = np.concatenate([[slope_lo], np.diff(logs) / np.diff(knots), [slope_hi]])
 
-    c = _bisect_level(excess, start, "associate norm")[0]
+    def level(c, _which):
+        # one row; on steep segments psi(c r) overflows to inf while the bracket is
+        # doubled; that reads as a modular above one, which it is
+        s = c[:, None] * r
+        with np.errstate(over="ignore"):
+            eta = space._power_law(s, *law)
+            terms = space.phi(eta) * w
+        # d log Phi(psi(s)) / d log s: the log-slopes of Phi and psi multiply
+        slopes = space._log_slope(eta, space._lx, space._pieces) * space._log_slope(s, knots, psi_pieces)
+        modular, step = _modular_step(terms, slopes)
+        return 1.0 - modular, step
+
+    c = _solve_level(level, start, "associate norm")[0]
     eta = space.psi(c * r)
     nrm = space.norm(eta)
     value = float(np.sum(xi * eta * w) / nrm)

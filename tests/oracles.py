@@ -6,6 +6,7 @@ checks, so agreement is evidence, not tautology.
 """
 
 import math
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -21,6 +22,7 @@ from sparsedom.dyadic import (
     level_products,
     shifted_grids,
 )
+from sparsedom import spaces
 from sparsedom.maximal import check_tuple, contained_cells, lattice_maximal
 from sparsedom.spaces import OrliczSpace, _nominal_exponent, harmonic_exponent, product_space
 from sparsedom.sparse import (
@@ -647,6 +649,68 @@ def product_norm_grid(norm1, norm2, xi, span=8.0, npoints=161, refine=4):
                 best, best_u = v, u
         step /= 4
     return float(best)
+
+
+# ---------------------------------------------------------------------------
+# the Orlicz level sets by geometric bisection
+# ---------------------------------------------------------------------------
+
+def bisect_level(excess, start, what):
+    """Per entry, the upper end of a tight bracket of the root of ``excess``.
+
+    excess(x) is decreasing, evaluated on whole arrays, and > 0 below the
+    root.  The bracket [lo, hi] is found by doubling and halving from
+    ``start`` (at most spaces._BRACKET_CAP times, else the ValueError of
+    spaces naming ``what``), then narrowed by geometric midpoints, i.e.
+    bisection in log x, until no entry moves.
+    """
+    cap = spaces._BRACKET_CAP
+
+    def check_bracket(open_rows):
+        if open_rows.any():
+            raise ValueError(f"{what} not bracketed within {cap} doublings; Phi grows too slowly for this vector")
+
+    hi = start.copy()
+    for _ in range(cap):
+        mask = excess(hi) > 0
+        if not mask.any():
+            break
+        hi[mask] *= 2.0
+    else:
+        check_bracket(excess(hi) > 0)
+    lo = start.copy()
+    for _ in range(cap):
+        mask = excess(lo) <= 0
+        if not mask.any():
+            break
+        lo[mask] *= 0.5
+    else:
+        check_bracket(excess(lo) <= 0)
+    for _ in range(120):
+        mid = np.sqrt(lo * hi)
+        high = excess(mid) > 0
+        new_lo = np.where(high, mid, lo)
+        new_hi = np.where(high, hi, mid)
+        if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
+            break  # a fixed point: further steps repeat it
+        lo, hi = new_lo, new_hi
+    return hi
+
+
+@contextmanager
+def bisected_levels():
+    """Within the block, spaces solves every Orlicz level set (the Luxemburg
+    norm and the associate norm's k) by ``bisect_level`` on the same excess."""
+
+    def solve(level, start, what):
+        return bisect_level(lambda x: level(x, np.arange(x.size))[0], start, what)
+
+    saved = spaces._solve_level
+    spaces._solve_level = solve
+    try:
+        yield
+    finally:
+        spaces._solve_level = saved
 
 
 # ---------------------------------------------------------------------------

@@ -6,16 +6,28 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from sparsedom._checks import at_least, increasing
 from sparsedom.cli import ConfigError, main, run
 from sparsedom.dyadic import Cube, Grid, cover_cube, grid_norm, level_averages
 from sparsedom.maximal import maximal_opnorm_lower
-from sparsedom.spaces import AtomicMeasure, LebesgueSpace, LorentzSpace, OrliczSpace, concavify
+from sparsedom.spaces import (
+    AtomicMeasure,
+    LebesgueSpace,
+    LorentzSpace,
+    OrliczSpace,
+    associate_norm,
+    concavify,
+    product_norm,
+)
 from sparsedom.sparse import SparseFamily, certificate_depth, cz_decompose, sparse_form
 from sparsedom.transfer import (
+    HaarTransform,
     SparseOperator,
     _norming_field,
     admissible_tuple,
     haar_unconditionality_probe,
+    scalar_hypothesis_check,
+    vv_transfer_check,
 )
 from sparsedom.weights import (
     bht_region,
@@ -29,6 +41,8 @@ INF, NAN = math.inf, math.nan
 G = Grid(1, 2)
 ONES = np.ones(G.cell_shape)
 U2 = AtomicMeasure.unit(2)
+HAAR = HaarTransform.random(G, seed=3)
+ORLICZ_PAIR = [OrliczSpace.from_power(2.0, U2), OrliczSpace.from_power(3.0, U2)]
 
 # (id, call, message): the message names the parameter, its range and the value
 REFUSALS = [
@@ -66,10 +80,26 @@ REFUSALS = [
     ("grid-depth-whole-float", lambda: Grid(1, 2.0), r"depth at d=1 must be an integer in \[0, 12\], got 2.0"),
     ("grid-shift-float", lambda: Grid(1, 2, 1.0), r"shift at d=1 must be an integer in \[0, 3\), got 1.0"),
     ("grid-level-float", lambda: G.level_cubes(1.5), r"level must be an integer in \[0, 2\], got 1.5"),
+    ("grid-dimension", lambda: Grid(3, 2), r"dimension must be in \[1, 2\], got 3"),
+    ("grid-dimension-float", lambda: Grid(1.0, 2), r"dimension must be an integer in \[1, 2\], got 1.0"),
+    ("grid-dimension-bool", lambda: Grid(True, 2), r"dimension must be an integer in \[1, 2\], got True"),
+    # counts: ints at least a bound, Python or NumPy, not floats or bools
     ("stable-depth", lambda: stable_muckenhoupt_constant(lambda g: [np.ones(g.cell_shape)], (2.0,), (1.0,), INF, 1, 0),
      "depth must be at least 1, got 0"),
     ("opnorm-trials", lambda: maximal_opnorm_lower(G, [1.0], [2.0], [LebesgueSpace(2.0, U2)], trials=0),
      "trials must be at least 1, got 0"),
+    ("scalar-trials-float", lambda: scalar_hypothesis_check(HAAR, G, 1.0, trials=2.5),
+     "trials must be an integer at least 1, got 2.5"),
+    ("vv-trials-float", lambda: vv_transfer_check(HAAR, G, [2.0], 1.0, INF, ns=(2, 4), trials=2.5),
+     "trials must be an integer at least 1, got 2.5"),
+    ("associate-restarts-float", lambda: associate_norm(LorentzSpace(3.0, 1.0, U2), [1.0, 2.0], restarts=2.5),
+     "restarts must be an integer at least 1, got 2.5"),
+    ("product-restarts-float", lambda: product_norm(ORLICZ_PAIR, [1.0, 2.0], restarts=2.5),
+     "restarts must be an integer at least 1, got 2.5"),
+    ("product-restarts-bool", lambda: product_norm(ORLICZ_PAIR, [1.0, 2.0], restarts=True),
+     "restarts must be an integer at least 1, got True"),
+    ("ns-float", lambda: vv_transfer_check(HAAR, G, [2.0], 1.0, INF, ns=(2.5, 8)),
+     r"ns must be one or more strictly increasing positive ints, got \(2.5, 8\)"),
     ("budgets", lambda: haar_unconditionality_probe(G, 2.0, 2.0, 2, budgets=()),
      r"budgets must be one or more strictly increasing positive ints, got \(\)"),
     # arity and exponent claims
@@ -94,6 +124,14 @@ def test_integer_ranges_take_python_and_numpy_ints():
     # a corner on the boundary is refused by the fit check, not the corner range
     with pytest.raises(ValueError, match=r"cube must sit inside \[0,1\)\^d"):
         cover_cube([0.875], 0.25)
+
+
+def test_counts_take_python_and_numpy_ints():
+    assert Grid(np.int64(2), 1).d == 2
+    assert at_least("trials", np.int64(3), 1) == 3
+    assert increasing("ns", np.array([2, 4])) == (2, 4)
+    xi = [1.0, 2.0]
+    assert product_norm(ORLICZ_PAIR, xi, restarts=np.int32(2)) == product_norm(ORLICZ_PAIR, xi, restarts=2)
 
 
 @pytest.mark.parametrize("key", ["q", "s", "p", "r"])

@@ -29,6 +29,7 @@ from sparsedom.spaces import _associate_search, _orlicz_split, conjugate
 from oracles import (
     amemiya_norm,
     associate_norm_sequential,
+    bisected_levels,
     dual_norm_grid,
     luxemburg_norm_unscaled,
     orlicz_split_fixed_steps,
@@ -474,23 +475,67 @@ def test_lorentz_batched_norm_matches_one_row_calls(data, t, u):
     assert np.array_equal(sp.norm(X), one_row_calls(sp, X))
 
 
-def test_orlicz_rows_that_settle_early_keep_their_bits():
-    # the bisection runs until no row moves; a row at its fixed point stays
+def count_level_evaluations(monkeypatch):
+    """Wrap the level-set solver; the returned list gets, per solve, its
+    (what, number of level evaluations), the most any of its rows took."""
+    solves, solve = [], spaces_module._solve_level
+
+    def counted(level, start, what):
+        solves.append([what, 0])
+
+        def counted_level(x, rows):
+            solves[-1][1] += 1
+            return level(x, rows)
+
+        return solve(counted_level, start, what)
+
+    monkeypatch.setattr(spaces_module, "_solve_level", counted)
+    return solves
+
+
+def test_orlicz_rows_that_settle_early_keep_their_bits(monkeypatch):
+    # each row is evaluated until its own bracket closes, then frozen
     sp = OrliczSpace(PIECEWISE, U3)
     X = np.array([[1.0, 0.0, 0.0], [3.0, 4.0, 0.5], [0.3, 0.1, 0.0], [0.0, 0.0, 0.0]])
-    steps, phi = [], sp.phi
-
-    def counted(x):
-        steps[-1] += 1
-        return phi(x)
-
-    sp.phi = counted
-    single = []
-    for x in X:
-        steps.append(0)
-        single.append(sp.norm(x))
-    assert len(set(steps[:3])) == 3 and steps[3] == 0
+    solves = count_level_evaluations(monkeypatch)
+    single = [sp.norm(x) for x in X]
+    steps = [n for _, n in solves]
+    assert len(steps) == 3 and len(set(steps)) == 3  # the zero row is never solved
     assert np.array_equal(sp.norm(X), single)
+
+
+@pytest.mark.parametrize("step", [0.0, math.nan, 1e3], ids=["stalled", "undefined", "wild"])
+def test_orlicz_solver_closes_brackets_without_newton(monkeypatch, step):
+    # with useless Newton steps the clip into the open bracket, the midpoint
+    # and the plain bisection after _NEWTON_CAP steps still give the same bits
+    sp = OrliczSpace(PIECEWISE, U3)
+    X = np.array([[1.0, 0.0, 0.0], [3.0, 4.0, 0.5], [0.3, 0.1, 0.0], [1e-200, 3e-201, 0.0]])
+    with bisected_levels():
+        want = sp.norm(X)
+    solve = spaces_module._solve_level
+
+    def useless(level, start, what):
+        def level_without_newton(x, rows):
+            excess, _ = level(x, rows)
+            return excess, np.full_like(x, step)
+
+        return solve(level_without_newton, start, what)
+
+    monkeypatch.setattr(spaces_module, "_solve_level", useless)
+    assert np.array_equal(sp.norm(X), want)
+
+
+def test_luxemburg_solves_take_at_most_twelve_evaluations(monkeypatch):
+    # the benchmark's product_norm on its piecewise table at seed 3 (the
+    # orlicz-duality workload): 57 evaluations a solve by bisection
+    rng = np.random.default_rng(3)
+    rng.uniform(0.25, 4.0, size=6), rng.uniform(0.25, 4.0, size=3)
+    xi = rng.uniform(0.25, 4.0, size=4)
+    factors = [OrliczSpace(PIECEWISE, AtomicMeasure.unit(4)), OrliczSpace.from_power(3.0, AtomicMeasure.unit(4))]
+    solves = count_level_evaluations(monkeypatch)
+    product_norm(factors, xi, restarts=8)
+    assert solves and {what for what, _ in solves} == {"Luxemburg norm"}
+    assert max(n for _, n in solves) <= 12
 
 
 @pytest.mark.xfail(
@@ -609,6 +654,20 @@ def convex_tables(draw):
 
 
 @st.composite
+def increasing_tables(draw):
+    """A (k x 2) strictly increasing table with log-slopes in any order."""
+    k = draw(st.integers(2, 6))
+    steps = draw(st.lists(st.floats(0.05, 2.0), min_size=k - 1, max_size=k - 1))
+    slopes = draw(st.lists(st.floats(0.25, 4.0), min_size=k - 1, max_size=k - 1))
+    lx = draw(st.floats(-3.0, 0.0)) + np.concatenate([[0.0], np.cumsum(steps)])
+    ly = draw(st.floats(-2.0, 2.0)) + np.concatenate([[0.0], np.cumsum(np.multiply(slopes, steps))])
+    return np.column_stack([np.exp(lx), np.exp(ly)])
+
+
+power_tables = st.floats(1.1, 4.0).map(lambda p: OrliczSpace.from_power(p, U2).table)
+
+
+@st.composite
 def measures(draw, min_atoms, max_atoms):
     n = draw(st.integers(min_atoms, max_atoms))
     if draw(st.booleans()):
@@ -631,6 +690,28 @@ def test_orlicz_norm_keeps_the_bits_of_the_unscaled_bisection(data, table, measu
     exps = data.draw(st.lists(st.integers(-100, 100), min_size=1, max_size=6))
     X = np.array([data.draw(vectors(measure.n)) * 10.0**e for e in exps])
     assert np.array_equal(sp.norm(X), [luxemburg_norm_unscaled(sp, row) for row in X])
+
+
+def norms_or_refusal(sp, X):
+    try:
+        return sp.norm(X)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), table=st.one_of(convex_tables(), power_tables, increasing_tables()), measure=measures(1, 6))
+def test_orlicz_norm_equals_the_bisection(data, table, measure):
+    # the solver finishes on the bisection's own predicate: the same bits on
+    # every row, a zero row and rows from 1e-320 to 2e307 included, and the
+    # same refusal where a root is not bracketed
+    sp = OrliczSpace(table, measure)
+    exps = data.draw(st.lists(st.integers(-320, 306), min_size=1, max_size=6))
+    X = np.array([data.draw(vectors(measure.n)) * 10.0**e for e in exps] + [np.zeros(measure.n)])
+    with bisected_levels():
+        want = norms_or_refusal(sp, X)
+    got = norms_or_refusal(sp, X)
+    assert got == want if isinstance(want, str) else np.array_equal(got, want)
 
 
 @settings(max_examples=20, deadline=None)
@@ -762,6 +843,21 @@ def test_associate_orlicz_closed_form_meets_the_amemiya_bound(data, table, measu
     xi = data.draw(vectors(measure.n).filter(np.any))
     val = assert_certified(sp, xi)
     assert _associate_search(sp, xi, seed, 4, False) <= val * (1 + 1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), table=st.one_of(steep_tables, power_tables), measure=measures(1, 6), argmax=st.booleans())
+def test_associate_orlicz_equals_the_bisection(data, table, measure, argmax):
+    sp = OrliczSpace(table, measure)
+    assert sp.has_convex_phi()
+    xi = data.draw(vectors(measure.n).filter(np.any)) * 10.0 ** data.draw(st.integers(-100, 100))
+    with bisected_levels():
+        want = associate_norm(sp, xi, return_argmax=argmax)
+    got = associate_norm(sp, xi, return_argmax=argmax)
+    if argmax:
+        assert got[0] == want[0] and np.array_equal(got[1], want[1])
+    else:
+        assert got == want
 
 
 @pytest.mark.parametrize("exponent", [1 + 2.0**-45, 1 + 1e-9])
