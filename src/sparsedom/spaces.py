@@ -427,11 +427,12 @@ class OrliczSpace(Space):
         out = np.where(np.isfinite(top), 0.0, top)  # nan and inf rows as in l^t
         active = (top > 0) & (top < math.inf)
         if active.any():
-            # norm each row divided by a power of two near its sup: exact
-            # for normal entries, so a row keeps its bits, and the solver
-            # works near one however large or small the row is
-            scale = np.ldexp(1.0, np.frexp(top[active])[1])
-            sub = rows[active] / scale[:, None]
+            # norm each row times the reciprocal of a power of two near its
+            # sup (ldexp, so a sup from 2^1023 up does not overflow the scale):
+            # exact for normal entries, so a row keeps its bits, and the
+            # solver works near one however large or small the row is
+            scale = np.frexp(top[active])[1]
+            sub = np.ldexp(rows[active], -scale[:, None])
 
             def level(lam, which):
                 # sum Phi(a / lam) mu - 1 for the rows ``which``; a row sum,
@@ -441,7 +442,7 @@ class OrliczSpace(Space):
                 return modular - 1.0, step
 
             # bracket the unit level set outward from the sup
-            out[active] = _solve_level(level, sub.max(axis=1), "Luxemburg norm") * scale
+            out[active] = np.ldexp(_solve_level(level, sub.max(axis=1), "Luxemburg norm"), scale)
         return _as_scalar(out.reshape(lead))
 
     def params(self) -> dict:
@@ -579,7 +580,7 @@ def _associate_orlicz(space: OrliczSpace, xi: np.ndarray, return_argmax: bool):
     """The closed-form associate norm of a convex Orlicz space at xi >= 0, xi != 0."""
     w = space.measure.weights
     # psi(k xi) = psi(c r) with r = xi over a power of two near its sup
-    r = xi / np.ldexp(1.0, np.frexp(xi.max())[1])
+    r = np.ldexp(xi, -np.frexp(xi.max())[1])
     # start at c = Phi(x)/x <= Phi'(x) for the x with Phi(x) sum(mu) = 1:
     # there psi(c r) <= x, so the modular is at most one
     y = np.array([1.0 / w.sum()])

@@ -1,11 +1,15 @@
 """Sparse families: exact verification, forms, optimization, CZ, stopping.
 
-Sparseness of a cube family is decided exactly by one bottom-up pass over
-the dyadic tree.  On one lattice, disjoint subsets E_Q with |E_Q| >= eta |Q|
-exist iff every family cube P packs: eta * sum_{Q subseteq P} |Q| <= |P|
-(the Carleson condition with constant 1/eta).  Deepest cubes first, each
-cube takes eta |Q| free finest cells of its own; a cube that finds too few
-refutes sparseness with itself and its family descendants as Hall violator.
+Sparseness of a family of distinct standard-lattice cubes is decided
+exactly by one bottom-up sweep over the levels that hold family cubes.
+Disjoint subsets E_Q with |E_Q| >= eta |Q| exist iff every family cube P
+packs: eta * sum_{Q subseteq P} |Q| <= |P| (the Carleson condition with
+constant 1/eta).  In finest cells at a depth where every demand eta |Q| is
+whole, P's free cells are |P| less the demands of its family descendants.
+The sweep takes all cubes of a level at once: it counts each block's free
+cells and gives each cube its demand in the block's lowest free cells.  A
+cube left short refutes sparseness with itself and its family descendants
+as Hall violator.
 
 The optimizers target the sparse form sum_Q prod_j <f_j>_{r_j,Q} |Q|: the
 exact optimum, a knapsack on the dyadic tree over that same packing
@@ -21,14 +25,14 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 from typing import Sequence
 
 import numpy as np
 
-from ._checks import EXPONENT, FINITE, UNIT, check, one_per
+from ._checks import EXPONENT, FINITE, UNIT, check, interval, one_per
 from .dyadic import Cube, Grid, cube_averages, grid_norm, level_averages, level_products
-from .maximal import _check_convexity, lattice_maximal, scalar_maximal
+from .maximal import _check_convexity, lattice_maximal
 from .spaces import Space, harmonic_exponent, product_space
 
 __all__ = [
@@ -39,13 +43,11 @@ __all__ = [
     "StoppingFailure",
     "verify_sparse",
     "certificate_depth",
-    "carleson_constant",
     "sparse_form",
     "optimal_sparse_form",
     "GREEDY_FACTOR",
     "cz_decompose",
     "stopping_domination",
-    "form_bound_from_pointwise",
     "family_to_json",
     "family_from_json",
 ]
@@ -56,14 +58,16 @@ __all__ = [
 GREEDY_FACTOR = 0.5
 
 _VERIFY_DEPTH_CAP = {1: 18, 2: 9}
+_CELL_DEPTHS = interval(0, 31, lo_closed=True, hi_closed=True)  # d * depth < 63: int64 cell ids
 
 
 @dataclass
 class SparseFamily:
     """A cube family with sparseness parameter and optional cell certificate.
 
-    certificate maps each cube to the flat ids of finest cells (at
-    ``certificate_depth``) forming its disjoint witness set E_Q.
+    certificate maps each cube to the flat ids (row-major ints) of finest
+    cells at ``certificate_depth`` (at most 31) forming its disjoint witness
+    set E_Q.
     """
 
     cubes: list[Cube]
@@ -73,24 +77,44 @@ class SparseFamily:
 
     def __post_init__(self):
         check("eta", self.eta, UNIT)
+        check("certificate_depth", self.certificate_depth, _CELL_DEPTHS, integer=True)
 
     def check_certificate(self) -> bool:
-        """One witness set of distinct cells per family cube: disjoint, contained, large enough."""
-        if set(self.certificate) != set(self.cubes):
+        """One witness set of distinct cells per family cube: disjoint, contained, large enough.
+
+        False unless the certificate's keys are the family's cubes, each once,
+        and these are shift-0 cubes of one dimension inside the unit cube, no
+        finer than ``certificate_depth``.  All witness cells are checked in one
+        pass: int ids in range, one sort for repeats within and across the
+        sets, containment as cell >> (depth - level) == index axis by axis,
+        and each set's size against its demand ceil(eta |Q|) in cells, as
+        integers.
+        """
+        cert, depth = self.certificate, self.certificate_depth
+        if len(cert) != len(self.cubes) or set(cert) != set(self.cubes):
             return False
-        seen: set[int] = set()
+        if not cert:
+            return True
+        try:
+            table = np.array(_family_rows(list(cert)))
+        except ValueError:
+            return False
+        d, level, index, n = table.shape[1] - 1, table[:, 0], table[:, 1:].T, 1 << depth
+        cells = np.array(list(chain.from_iterable(cert.values())))  # float64 when there are none
+        if level.max() > depth or cells.dtype.kind != "i" or cells.min() < 0 or cells.max() >= n**d:
+            return False
+        sizes = np.array([len(c) for c in cert.values()])
+        owner = np.repeat(np.arange(len(sizes)), sizes)
+        for axis, m in enumerate(index):
+            coord = cells >> depth * (d - 1 - axis) & n - 1
+            if np.any(coord >> depth - level[owner] != m[owner]):
+                return False
+        ordered = np.sort(cells)
+        if np.any(ordered[1:] == ordered[:-1]):  # a cell in two sets, or twice in one
+            return False
         eta = Fraction(self.eta)
-        for cube, cells in self.certificate.items():
-            if seen.intersection(cells) or len(set(cells)) < len(cells):
-                return False
-            seen.update(cells)
-            owned = _cells_under(cube, self.certificate_depth)
-            if not set(cells) <= owned:
-                return False
-            need = eta * Fraction(2 ** (cube.d * (self.certificate_depth - cube.level)))
-            if Fraction(len(cells)) < need:
-                return False
-        return True
+        need = [-(-(eta.numerator << d * (depth - k)) // eta.denominator) for k in range(depth + 1)]
+        return bool(np.all(sizes >= np.array(need)[level]))
 
 
 @dataclass
@@ -104,23 +128,21 @@ class SparseRefutation:
     depth: int
 
 
-def _cells_under(cube: Cube, depth: int) -> set[int]:
-    """Flat ids of depth-``depth`` cells inside a shift-0 cube."""
-    block = 1 << (depth - cube.level)
-    n = 1 << depth
-    ranges = [range(m * block, (m + 1) * block) for m in cube.index]
-    if cube.d == 1:
-        return set(ranges[0])
-    return {i * n + j for i in ranges[0] for j in ranges[1]}
-
-
-def _require_standard(cubes: Sequence[Cube]) -> int:
-    if any(q.shift != 0 for q in cubes):
+def _family_rows(cubes: Sequence[Cube]) -> list[tuple[int, ...]]:
+    """(level, *index) per cube when the cubes are distinct shift-0 cubes of
+    one dimension inside the unit cube; else a named refusal."""
+    rows = [(q.level, *q.index) for q in cubes if not q.shift]
+    if len(rows) < len(cubes):
         raise ValueError("sparseness verification supports the standard lattice only")
-    ds = {q.d for q in cubes}
-    if len(ds) != 1:
+    if len({len(r) for r in rows}) != 1:
         raise ValueError("cubes must share one dimension")
-    return ds.pop()
+    if min(map(min, rows)) < 0 or any(m >> r[0] for r in rows for m in r[1:]):
+        bad = next(q for q, r in zip(cubes, rows) if min(r) < 0 or any(m >> r[0] for m in r[1:]))
+        raise ValueError(f"cube indices must be in [0, 2^level), got {bad}")
+    if len(set(rows)) < len(rows):
+        again = next(q for i, q in enumerate(cubes) if q in cubes[:i])
+        raise ValueError(f"cubes must be distinct, got {again} more than once")
+    return rows
 
 
 def certificate_depth(d: int, level: int, eta: float) -> int:
@@ -135,79 +157,64 @@ def certificate_depth(d: int, level: int, eta: float) -> int:
         raise ValueError(f"eta={eta} is not dyadic; no refinement depth resolves it")
     depth = level + (den.bit_length() - 1 + d - 1) // d
     if depth > _VERIFY_DEPTH_CAP[d]:
-        raise ValueError(
-            f"certificate depth {depth} exceeds the d={d} resolution cap"
-        )
+        raise ValueError(f"certificate depth {depth} exceeds the d={d} resolution cap")
     return depth
 
 
 def verify_sparse(cubes: Sequence[Cube], eta: float = 0.5):
     """Decide eta-sparseness exactly; SparseFamily or SparseRefutation.
 
-    The demand eta |Q| must be an integer number of cells at the working
-    depth, which is refined automatically for dyadic eta; other eta values
-    cannot be resolved on any dyadic refinement and raise.
+    The cubes must be distinct shift-0 cubes of one dimension inside the
+    unit cube.  The demand eta |Q| must be an integer number of cells at the
+    working depth, which is refined automatically for dyadic eta; other eta
+    values cannot be resolved on any dyadic refinement and raise.
 
-    Certificate rule: cubes are visited deepest level first (input order
-    within a level), and each takes the eta |Q| lowest-indexed finest cells
-    of its block that no earlier cube took.  The first cube P that finds
-    fewer free cells than its demand is refuted together with its family
-    descendants: their demand exceeds |P|, which contains all their cells.
+    One sweep visits the levels that hold family cubes, deepest first, and
+    treats a level's cubes at once: a row per cube holds its block's flat
+    ids (row-major, so increasing), a cumsum counts the row's free cells,
+    and the cube takes the lowest eta |Q| = num 2^(d k) / den of them (k
+    levels above the cells).  As the deeper levels all packed, a block's
+    count is |P| less its family descendants' demands: the packing
+    condition.  The first cube of the level, in input order, that falls
+    short is refuted together with its family descendants: their demand
+    exceeds |P|, which contains all their cells.  Cubes of one level are
+    disjoint, so this is the family, certificate and refutation of a walk
+    over the cubes one at a time, deepest level first and input order
+    within a level (the oracle in ``tests/oracles.py``).
     """
     cubes = list(cubes)
     if not cubes:
         return SparseFamily([], eta, {}, 0)
-    d = _require_standard(cubes)
-    frac = Fraction(eta)
-    depth = certificate_depth(d, max(q.level for q in cubes), eta)
+    rows = _family_rows(cubes)
+    d, frac = len(rows[0]) - 1, Fraction(eta)
+    depth = certificate_depth(d, max(r[0] for r in rows), eta)
+    at_level: dict[int, list[tuple[int, int]]] = {}  # each cube's position and first cell
+    for i, (k, *index) in enumerate(rows):
+        first = 0
+        for m in index:
+            first = first << depth | m << depth - k
+        at_level.setdefault(k, []).append((i, first))
 
-    free = np.ones((1 << depth,) * d, dtype=bool)
-    taken: dict[int, list[int]] = {}
-    for i in sorted(range(len(cubes)), key=lambda i: -cubes[i].level):
-        P = cubes[i]
-        k = depth - P.level
-        demand = int(frac * 2 ** (d * k))
-        block = tuple(slice(m << k, (m + 1) << k) for m in P.index)
-        # nonzero lists the free cells of the block in row-major order,
-        # which is increasing flat id
-        cells = tuple(
-            axis[:demand] + (m << k) for axis, m in zip(np.nonzero(free[block]), P.index)
-        )
-        if len(cells[0]) < demand:
-            violator = [
-                Q for Q in cubes if Q.level >= P.level and _ancestor(Q, P.level) == P
-            ]
-            total = sum(frac * Fraction(1, 2 ** (d * Q.level)) for Q in violator)
-            return SparseRefutation(
-                violator, total, Fraction(1, 2 ** (d * P.level)), eta, depth
-            )
-        free[cells] = False
-        taken[i] = np.ravel_multi_index(cells, free.shape).tolist()
-    certificate = {q: taken[i] for i, q in enumerate(cubes)}
-    return SparseFamily(cubes, eta, certificate, depth)
-
-
-def _ancestor(Q: Cube, level: int) -> Cube:
-    """The standard-lattice cube at ``level`` (<= Q.level) containing Q."""
-    return Cube(level, tuple(m >> (Q.level - level) for m in Q.index))
-
-
-def carleson_constant(cubes: Sequence[Cube] | SparseFamily) -> float:
-    """max_P sum_{Q subseteq P} |Q| / |P| over the family (packing constant)."""
-    if isinstance(cubes, SparseFamily):
-        cubes = cubes.cubes
-    cubes = list(cubes)
-    if not cubes:
-        return 0.0
-    _require_standard(cubes)
-    # each cube adds its measure to every family ancestor, itself included
-    packed = {P: 0.0 for P in cubes}
-    for Q in cubes:
-        for level in range(Q.level + 1):
-            P = _ancestor(Q, level)
-            if P in packed:
-                packed[P] += Q.measure
-    return max(tot / P.measure for P, tot in packed.items())
+    free = np.ones(1 << d * depth, dtype=bool)  # by flat id
+    flat = np.arange(free.size).reshape((1 << depth,) * d)
+    taken = [None] * len(cubes)
+    for k in sorted(at_level, reverse=True):
+        (at, firsts), b = zip(*at_level[k]), depth - k
+        demand = (frac.numerator << d * b) // frac.denominator
+        ids = np.add.outer(firsts, flat[(slice(1 << b),) * d].ravel())
+        ok = free[ids]
+        count = np.add.accumulate(ok, axis=1, dtype=int)  # ok.cumsum, less overhead
+        mine = ids[ok & (count <= demand)]
+        if mine.size < len(at) * demand:  # a cube short of its demand
+            top = rows[at[np.argmax(count[:, -1] < demand)]]
+            inside = [i for i, (j, *ix) in enumerate(rows) if j >= k and [m >> j - k for m in ix] == [*top[1:]]]
+            owned = sum(1 << d * (depth - rows[i][0]) for i in inside)
+            violator, total = [cubes[i] for i in inside], frac * Fraction(owned, 1 << d * depth)
+            return SparseRefutation(violator, total, Fraction(1, 1 << d * k), eta, depth)
+        free[mine] = False
+        for i, own in zip(at, mine.reshape(len(at), demand).tolist()):
+            taken[i] = own
+    return SparseFamily(cubes, eta, dict(zip(cubes, taken)), depth)
 
 
 def sparse_form(
@@ -295,7 +302,7 @@ def optimal_sparse_form(
         order = np.argsort(-values, kind="stable")
     else:  # descending Z-order of the last finest cell, then by level
         order = np.lexsort((level, -(code + (1 << grid.d * (grid.depth - level)) - 1)))
-    value = float(np.cumsum(np.r_[0.0, values[order]])[-1])  # left to right; np.sum pairs
+    value = float(np.cumsum(np.concatenate(([0.0], values[order])))[-1])  # left to right; np.sum pairs
     family = verify_sparse(_cubes(level, index, order), eta)
     if not isinstance(family, SparseFamily):
         raise AssertionError(f"{mode} family failed sparseness verification")
@@ -451,7 +458,7 @@ def _selected(picks: Sequence[np.ndarray], depth: int):
     interleaves the bits of the cube's first finest cell, axis 0 high.
     """
     found = [np.nonzero(sel) for sel in picks]
-    level = np.concatenate([np.full(len(f[0]), k) for k, f in enumerate(found)])
+    level = np.repeat(np.arange(len(found)), [len(f[0]) for f in found])
     index = [np.concatenate(axis) for axis in zip(*found)]
     d = len(index)
     code = np.zeros(len(level), dtype=np.int64)
@@ -519,7 +526,9 @@ def stopping_domination(
     ``_stopping_sweep``), with one X-norm call per level.  The family lists
     the cubes in the preorder of the stopping tree, children in ascending
     Z-order: sorted by the Z-order code of the first finest cell (axis 0 as
-    the high bit), then by level.
+    the high bit), then by level.  The audit reads level arrays as well:
+    a cell's sum of A(Q)^q is a running sum down the selection masks, and a
+    cube's worst ratio the maximum over its block.
     """
     one_per("exponent", "function", rs, Fs)
     one_per("space", "function", spaces, Fs)
@@ -547,22 +556,31 @@ def stopping_domination(
             {"c_stop": c, "rs": list(rs), "q": q, "depth": grid.depth},
         )
 
-    selected = _cubes(level, index, np.lexsort((level, code)))
+    order = np.lexsort((level, code))
+    selected = _cubes(level, index, order)
     family = verify_sparse(selected, 0.5)
     if not isinstance(family, SparseFamily):
         raise AssertionError("stopping family failed sparseness verification")
 
     M = lattice_maximal(grid, Fs, rs)
     lhs = np.asarray(prod_space_X.norm(M))
-    rhs_q = np.zeros(grid.cell_shape)
-    for Q in selected:
-        rhs_q[grid.cube_slices(Q)] += float(scalar_lp[Q.level][Q.index]) ** q
+    # a cell sums A(Q)^q over its selected cubes top down, the order in
+    # which the preorder lists them; Python's powers, not np.power's
+    rhs_q = np.zeros((1,) * grid.d)
+    for k, sel in enumerate(picks):
+        if k:
+            rhs_q = _refine(rhs_q, grid.d)
+        rhs_q[sel] += [v**q for v in scalar_lp[k][sel].tolist()]
     rhs = rhs_q ** (1.0 / q)
     with np.errstate(invalid="ignore", divide="ignore"):
         cell_ratio = np.where(lhs > 0, lhs / (c * rhs), 0.0)
-    ratios = {
-        Q: float(cell_ratio[grid.cube_slices(Q)].max()) for Q in selected
-    }
+    # each selected cube's worst cell: block maxima, finest level first
+    worst, top = [], cell_ratio
+    for k in range(grid.depth, -1, -1):
+        worst.append(top[picks[k]])
+        if k:
+            top = top.reshape(sum(((n // 2, 2) for n in top.shape), ())).max(axis=tuple(range(1, 2 * grid.d, 2)))
+    ratios = dict(zip(selected, np.concatenate(worst[::-1])[order].tolist()))
     pointwise_ok = bool(np.all(cell_ratio <= 1 + 1e-9))
     return StoppingCertificate(family, c, doubling, ratios, pointwise_ok)
 
@@ -593,25 +611,6 @@ def _stopping_sweep(grid: Grid, scalar_lp, vector_lp, space: Space, c: float):
         chain[sel] = vector_lp[k][sel]
         picks.append(sel)
     return picks, np.concatenate(parent)
-
-
-def form_bound_from_pointwise(
-    grid: Grid,
-    T_values: np.ndarray,
-    fs: Sequence[np.ndarray],
-    g: np.ndarray,
-    rs: Sequence[float],
-    q: float,
-) -> float:
-    """||T(f) g||_{L^q} divided by ||M_{(r,q)}(f,g)||_{L^q}."""
-    num = grid_norm(grid, np.asarray(T_values, dtype=float) * np.asarray(g), q)
-    M = scalar_maximal(grid, list(fs) + [np.asarray(g, dtype=float)], list(rs) + [q])
-    den = grid_norm(grid, M, q)
-    if den == 0:
-        if num == 0:
-            return 0.0
-        raise ValueError("maximal side vanishes while the operator side does not")
-    return num / den
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ import numpy as np
 
 from sparsedom._checks import need
 from sparsedom.dyadic import (
+    Cube,
     _axis_range,
     _check_cells,
     cube_averages,
@@ -32,7 +33,6 @@ from sparsedom.sparse import (
     StoppingCertificate,
     StoppingFailure,
     certificate_depth,
-    verify_sparse,
 )
 from sparsedom.transfer import _signed_means
 from sparsedom.weights import WeightVector, gap_exponent
@@ -222,6 +222,105 @@ def flow_sparse(cubes, eta):
     return SparseRefutation(violator, demand, Fraction(len(union), ncells), eta, depth)
 
 
+def _require_standard(cubes):
+    if any(q.shift != 0 for q in cubes):
+        raise ValueError("sparseness verification supports the standard lattice only")
+    ds = {q.d for q in cubes}
+    if len(ds) != 1:
+        raise ValueError("cubes must share one dimension")
+    return ds.pop()
+
+
+def _ancestor(Q, level):
+    """The standard-lattice cube at ``level`` (<= Q.level) containing Q."""
+    return Cube(level, tuple(m >> (Q.level - level) for m in Q.index))
+
+
+def verify_sparse_walk(cubes, eta=0.5):
+    """``sparse.verify_sparse`` one cube at a time, with one ``np.nonzero``
+    per block and a ``Fraction`` demand per cube.
+
+    Cubes are visited deepest level first (input order within a level), and
+    each takes the eta |Q| lowest-indexed finest cells of its block that no
+    earlier cube took.  The first cube P that finds fewer free cells than its
+    demand is refuted together with its family descendants.  Repeated cubes
+    are not refused: each copy takes its own cells, and the certificate
+    keeps the last copy's.
+    """
+    cubes = list(cubes)
+    if not cubes:
+        return SparseFamily([], eta, {}, 0)
+    d = _require_standard(cubes)
+    frac = Fraction(eta)
+    depth = certificate_depth(d, max(q.level for q in cubes), eta)
+
+    free = np.ones((1 << depth,) * d, dtype=bool)
+    taken = {}
+    for i in sorted(range(len(cubes)), key=lambda i: -cubes[i].level):
+        P = cubes[i]
+        k = depth - P.level
+        demand = int(frac * 2 ** (d * k))
+        block = tuple(slice(m << k, (m + 1) << k) for m in P.index)
+        # nonzero lists the free cells of the block in row-major order,
+        # which is increasing flat id
+        cells = tuple(
+            axis[:demand] + (m << k) for axis, m in zip(np.nonzero(free[block]), P.index)
+        )
+        if len(cells[0]) < demand:
+            violator = [
+                Q for Q in cubes if Q.level >= P.level and _ancestor(Q, P.level) == P
+            ]
+            total = sum(frac * Fraction(1, 2 ** (d * Q.level)) for Q in violator)
+            return SparseRefutation(
+                violator, total, Fraction(1, 2 ** (d * P.level)), eta, depth
+            )
+        free[cells] = False
+        taken[i] = np.ravel_multi_index(cells, free.shape).tolist()
+    certificate = {q: taken[i] for i, q in enumerate(cubes)}
+    return SparseFamily(cubes, eta, certificate, depth)
+
+
+def check_certificate_sets(family):
+    """``SparseFamily.check_certificate`` by Python sets, one cube at a time.
+
+    Checks shift-0 geometry only: a shifted cube is compared with the cells
+    of the shift-0 cube of its index, and a depth below a cube's level
+    raises.
+    """
+    if set(family.certificate) != set(family.cubes):
+        return False
+    seen = set()
+    eta = Fraction(family.eta)
+    for cube, cells in family.certificate.items():
+        if seen.intersection(cells) or len(set(cells)) < len(cells):
+            return False
+        seen.update(cells)
+        if not set(cells) <= _cube_cells(cube, family.certificate_depth):
+            return False
+        need = eta * Fraction(2 ** (cube.d * (family.certificate_depth - cube.level)))
+        if Fraction(len(cells)) < need:
+            return False
+    return True
+
+
+def carleson_constant(cubes):
+    """max_P sum_{Q subseteq P} |Q| / |P| over the family (packing constant)."""
+    if isinstance(cubes, SparseFamily):
+        cubes = cubes.cubes
+    cubes = list(cubes)
+    if not cubes:
+        return 0.0
+    _require_standard(cubes)
+    # each cube adds its measure to every family ancestor, itself included
+    packed = {P: 0.0 for P in cubes}
+    for Q in cubes:
+        for level in range(Q.level + 1):
+            P = _ancestor(Q, level)
+            if P in packed:
+                packed[P] += Q.measure
+    return max(tot / P.measure for P, tot in packed.items())
+
+
 def exhaustive_best_form(cube_values, eta, depth):
     """Maximize sum of per-cube values over eta-sparse subfamilies.
 
@@ -407,7 +506,7 @@ def greedy_walk(fs, rs, grid, eta=0.5):
             anchor = p
         for child in grid.children(cube):
             stack.append((child, anchor, False))
-    family = verify_sparse(selected, eta_g)
+    family = verify_sparse_walk(selected, eta_g)
     if not isinstance(family, SparseFamily):
         raise AssertionError("greedy family failed its sparseness guarantee")
     return value, family
@@ -535,7 +634,7 @@ def stopping_domination_walk(grid, Fs, rs, q, spaces, c_stop=1.0, max_doublings=
             {"c_stop": c, "rs": list(rs), "q": q, "depth": grid.depth},
         )
 
-    family = verify_sparse(selected, 0.5)
+    family = verify_sparse_walk(selected, 0.5)
     if not isinstance(family, SparseFamily):
         raise AssertionError("stopping family failed sparseness verification")
 

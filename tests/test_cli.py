@@ -22,7 +22,12 @@ from sparsedom.dyadic import Grid, function_from_json, grid_norm
 from sparsedom.maximal import scalar_maximal
 from sparsedom.sparse import StoppingFailure, family_from_json, optimal_sparse_form
 
-from oracles import cz_decompose_walk, stopping_domination_walk
+from oracles import (
+    check_certificate_sets,
+    cz_decompose_walk,
+    stopping_domination_walk,
+    verify_sparse_walk,
+)
 
 
 class TestConfigParsing:
@@ -455,3 +460,20 @@ def test_reports_match_the_stack_walks(monkeypatch, command, dim, depth, seed):
         monkeypatch.setattr(module, "stopping_domination", stopping_domination_walk)
         monkeypatch.setattr(module, "cz_decompose", cz_decompose_walk)
     assert json.dumps(run(command, config), indent=2) == swept
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize(
+    "command, dim, depth",
+    [("stopping", 1, 6), ("stopping", 2, 3), ("cz", 2, 3), ("equivalence", 1, 3), ("equivalence", 2, 2)],
+)
+def test_stopping_cz_equivalence_reports_equal_the_oracle_paths(monkeypatch, command, dim, depth, seed):
+    """The level-array verification, certificate check and stopping audit
+    leave the reports of the per-cube walks, loops and set checks."""
+    config = {"dim": dim, "depth": depth, "seed": seed}
+    fast = run(command, config)
+    for module in (sparse, cli):
+        monkeypatch.setattr(module, "verify_sparse", verify_sparse_walk)
+        monkeypatch.setattr(module, "stopping_domination", stopping_domination_walk)
+    monkeypatch.setattr(sparse.SparseFamily, "check_certificate", check_certificate_sets)
+    assert run(command, config) == fast

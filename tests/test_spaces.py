@@ -125,6 +125,15 @@ def test_orlicz_norm_raises_at_bracket_cap():
     assert slow.norm([1.0, 0.0, 0.0]) == pytest.approx(1.0, rel=1e-10)
 
 
+def test_orlicz_rows_near_the_double_limit_keep_their_norm():
+    # the rescale by a power of two near the sup must not overflow from 2^1023 up
+    sp = OrliczSpace.from_power(2, U2)
+    assert sp.norm([1e308, 0.0]) == 1e308
+    assert sp.norm([8e307, 0.0]) == 8e307
+    assert sp.norm([np.finfo(float).max, 0.0]) == np.finfo(float).max
+    assert associate_norm(sp, np.array([1e308, 0.0])) == 1e308
+
+
 def test_orlicz_phi_roundtrip_and_validation():
     tab = np.array([[0.5, 0.3], [1.0, 1.0], [2.0, 5.0], [4.0, 40.0]])
     sp = OrliczSpace(tab, U2)

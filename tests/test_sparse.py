@@ -20,12 +20,10 @@ from sparsedom.sparse import (
     SparseFamily,
     SparseRefutation,
     StoppingFailure,
-    carleson_constant,
     certificate_depth,
     cz_decompose,
     family_from_json,
     family_to_json,
-    form_bound_from_pointwise,
     optimal_sparse_form,
     sparse_form,
     stopping_domination,
@@ -33,12 +31,15 @@ from sparsedom.sparse import (
 )
 
 from oracles import (
+    carleson_constant,
+    check_certificate_sets,
     cz_decompose_walk,
     exhaustive_best_form,
     flow_sparse,
     greedy_walk,
     hall_feasible,
     stopping_domination_walk,
+    verify_sparse_walk,
 )
 
 ROOT = Cube(0, (0,), 0)
@@ -125,6 +126,34 @@ class TestVerifySparse:
         assert SparseFamily([ROOT], 0.5, {ROOT: [0, 1]}, 2).check_certificate()
         assert not SparseFamily([ROOT], 0.5, {ROOT: [0, 0]}, 2).check_certificate()
 
+    def test_certificate_below_a_cube_level_is_false(self):
+        Q = Cube(2, (1,), 0)
+        with pytest.raises(TypeError):  # the set oracle asks for half a cell
+            check_certificate_sets(SparseFamily([Q], 0.5, {Q: [1]}, 1))
+        assert not SparseFamily([Q], 0.5, {Q: [1]}, 1).check_certificate()
+
+    def test_certificate_of_a_shifted_cube_is_false(self):
+        # shift-0 cell 0 is not a witness for a shifted cube
+        Q = Cube(1, (0,), 1)
+        assert check_certificate_sets(SparseFamily([Q], 0.5, {Q: [0]}, 2))
+        assert not SparseFamily([Q], 0.5, {Q: [0]}, 2).check_certificate()
+
+    def test_repeated_cubes_are_refused(self):
+        again = r"cubes must be distinct, got Cube\(level=1, index=\(0,\), shift=0\) more than once"
+        with pytest.raises(ValueError, match=again):
+            verify_sparse([LEFT, RIGHT, LEFT], 0.5)
+        # one witness set cannot serve two copies
+        assert not SparseFamily([LEFT, LEFT], 0.5, {LEFT: [0]}, 2).check_certificate()
+
+    @pytest.mark.parametrize("cube", [Cube(1, (2,), 0), Cube(1, (-1,), 0), Cube(2, (1, 4), 0)])
+    def test_cubes_outside_the_unit_cube_are_refused(self, cube):
+        with pytest.raises(ValueError, match=r"cube indices must be in \[0, 2\^level\), got Cube"):
+            verify_sparse([ROOT if cube.d == 1 else Cube(0, (0, 0)), cube], 0.5)
+
+    def test_certificate_depth_range(self):
+        with pytest.raises(ValueError, match=r"certificate_depth must be in \[0, 31\], got 32"):
+            SparseFamily([], 0.5, {}, 32)
+
     @pytest.mark.parametrize("eta", [0.25, 0.5, 0.625, 0.75])
     def test_matches_hall_oracle(self, eta):
         rng = np.random.default_rng(7)
@@ -197,6 +226,94 @@ class TestPackingEquivalence:
             assert not hall_feasible(out.cubes, eta, out.depth)
             depth = out.depth
         assert isinstance(out, SparseFamily) == hall_feasible(cubes, eta, depth)
+
+
+@st.composite
+def nested_families(draw):
+    """Cubes nested under one anchor cube, up to three levels below it, plus a
+    few anywhere: dense nests refute often, also several siblings at once.
+    Grids reach the benchmark depths (d=1 L=12, d=2 L=6)."""
+    d = draw(st.sampled_from([1, 2]))
+    depth = draw(st.integers(0, 12 if d == 1 else 6))
+
+    def under(top, anchor, span, min_size, max_size):
+        offsets = st.integers(0, span).flatmap(
+            lambda k: st.tuples(st.just(k), st.tuples(*[st.integers(0, (1 << k) - 1)] * d))
+        )
+        picks = draw(st.lists(offsets, min_size=min_size, max_size=max_size, unique=True))
+        return [Cube(top + k, tuple((m << k) + o for m, o in zip(anchor, off))) for k, off in picks]
+
+    top = draw(st.integers(0, depth))
+    anchor = [draw(st.integers(0, (1 << top) - 1)) for _ in range(d)]
+    cubes = under(top, anchor, min(3, depth - top), 1, 14) + under(0, [0] * d, depth, 0, 4)
+    order = draw(st.permutations(range(len(cubes))))
+    return list(dict.fromkeys(cubes[i] for i in order))
+
+
+DYADIC_ETAS = [1 / 8, 1 / 4, 3 / 8, 1 / 2, 5 / 8, 3 / 4, 15 / 16]
+
+
+def _eta_fits(cubes, eta):
+    try:
+        certificate_depth(cubes[0].d, max(q.level for q in cubes), eta)
+    except ValueError:  # past the resolution cap
+        return False
+    return True
+
+
+@settings(max_examples=200, deadline=None)
+@given(cubes=nested_families(), eta=st.sampled_from(DYADIC_ETAS))
+def test_level_sweep_equals_the_walk(cubes, eta):
+    # families (certificates in input order) and refutations under ==
+    assume(_eta_fits(cubes, eta))
+    swept, walked = verify_sparse(cubes, eta), verify_sparse_walk(cubes, eta)
+    assert swept == walked
+    if isinstance(walked, SparseFamily):
+        assert list(swept.certificate.items()) == list(walked.certificate.items())
+
+
+def test_level_sweep_refutes_the_first_short_cube_of_the_deepest_level():
+    # at eta 3/4 both level-1 halves fail (each holds two level-2 cubes); the
+    # walk refutes the first in input order, not the last
+    quarters = [Cube(2, (i,)) for i in range(4)]
+    cubes = [ROOT, RIGHT, LEFT] + quarters
+    out = verify_sparse(cubes, 0.75)
+    assert out == verify_sparse_walk(cubes, 0.75)
+    assert out.cubes == [RIGHT, Cube(2, (2,)), Cube(2, (3,))]
+
+
+def _mutate(family, data):
+    """The family with one of its witness sets altered."""
+    cert = {q: list(c) for q, c in family.certificate.items()}
+    cubes, n = list(cert), 1 << family.certificate_depth * family.cubes[0].d
+    q = data.draw(st.sampled_from(cubes))
+    kind = data.draw(st.sampled_from(["drop", "share", "outside", "below", "extra"]))
+    if kind == "drop":  # one cell fewer: short of an exact demand
+        cert[q].pop(data.draw(st.integers(0, len(cert[q]) - 1)))
+    elif kind == "share":  # a cell of another cube, or its own again
+        other = data.draw(st.sampled_from(cubes))
+        cert[q].append(data.draw(st.sampled_from(cert[other])))
+    elif kind == "outside":  # a cell outside the cube, maybe outside the grid
+        own = set(cert[q])
+        cell = data.draw(st.integers(-2, n + 1).filter(lambda c: c not in own))
+        cert[q][data.draw(st.integers(0, len(cert[q]) - 1))] = cell
+    elif kind == "below":
+        del cert[q][data.draw(st.integers(0, len(cert[q]) - 1)):]
+    else:  # a free cell more: valid when it lies in the cube
+        used = {c for cells in cert.values() for c in cells}
+        cert[q].append(data.draw(st.integers(0, n - 1).filter(lambda c: c not in used)))
+    return SparseFamily(family.cubes, family.eta, cert, family.certificate_depth)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cubes=nested_families(), eta=st.sampled_from(DYADIC_ETAS), data=st.data())
+def test_certificate_check_equals_the_set_check(cubes, eta, data):
+    assume(_eta_fits(cubes, eta))
+    family = verify_sparse(cubes, eta)
+    assume(isinstance(family, SparseFamily))
+    assert family.check_certificate() and check_certificate_sets(family)
+    mutated = _mutate(family, data)
+    assert mutated.check_certificate() == check_certificate_sets(mutated)
 
 
 # ---------------------------------------------------------------------------
@@ -631,6 +748,16 @@ class TestStopping:
         optimal_sparse_form([F[:, 0]], [1.0], g, mode="greedy")
         assert calls["children"] == 0
 
+    @pytest.mark.parametrize("d, depth", [(1, 6), (2, 3)])
+    def test_audit_reads_level_arrays_not_cube_slices(self, monkeypatch, d, depth):
+        calls = []
+        slices = Grid.cube_slices
+        monkeypatch.setattr(Grid, "cube_slices", lambda self, Q: calls.append(Q) or slices(self, Q))
+        g = Grid(d, depth)
+        F = np.random.default_rng(67).lognormal(sigma=2.0, size=g.cell_shape + (3,))
+        cert = stopping_domination(g, [F], [1.0], 1.0, [LebesgueSpace(2.0, AtomicMeasure.unit(3))])
+        assert len(cert.family.cubes) > 3 and calls == []
+
     def test_random_suite_produces_valid_certificates(self):
         rng = np.random.default_rng(53)
         for n in (2, 8):
@@ -764,36 +891,6 @@ def test_cz_sweep_matches_the_walk(data, d, m):
     rs = [data.draw(st.sampled_from([0.5, 1.0, 2.0, 3.0])) for _ in range(m)]
     lam = data.draw(st.floats(0.05, 4.0))
     assert_identical(cz_decompose(grid, fs, rs, lam), cz_decompose_walk(grid, fs, rs, lam))
-
-
-class TestFormBound:
-    def test_single_cube_all_ones(self):
-        g = Grid(1, 1)
-        ones = np.ones(2)
-        T = np.ones(2)
-        assert form_bound_from_pointwise(g, T, [ones], ones, [1.0], 1.0) <= 1 + 1e-12
-
-    @pytest.mark.parametrize("q", [1.0, 0.5])
-    def test_tree_operator_bounded_by_hypothesis_constant(self, q):
-        rng = np.random.default_rng(61)
-        g = Grid(1, 2)
-        for _ in range(10):
-            fs = [rng.uniform(0.1, 2.0, size=4)]
-            gg = rng.uniform(0.1, 2.0, size=4)
-            T = np.zeros(4)
-            from sparsedom.dyadic import average
-
-            for Q in TREE1:
-                T[g.cube_slices(Q)] += float(average(g, fs[0], 1.0, Q))
-            ratio = form_bound_from_pointwise(g, T, fs, gg, [1.0], q)
-            assert ratio <= 0.5 ** (-1.0 / min(q, 1.0)) + 1e-9
-
-    def test_zero_cases(self):
-        g = Grid(1, 1)
-        z = np.zeros(2)
-        assert form_bound_from_pointwise(g, z, [z], z, [1.0], 1.0) == 0.0
-        with pytest.raises(ValueError):
-            form_bound_from_pointwise(g, np.ones(2), [z], np.ones(2), [1.0], 1.0)
 
 
 # ---------------------------------------------------------------------------
