@@ -412,12 +412,20 @@ def function_to_csv(grid: Grid, f: np.ndarray, path) -> None:
 
 
 def function_from_csv(path, grid: Grid) -> np.ndarray:
+    """The cell function of a ``function_to_csv`` file, which lists each cell once."""
     values = np.zeros(grid.ncells)
+    listed = np.zeros(grid.ncells, dtype=bool)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         if header[:2] != ["cell", "value"]:
             raise ValueError("expected header 'cell,value'")
         for row in reader:
-            values[int(row[0])] = float(row[1])
+            i = check("cell", int(row[0]), interval(0, grid.ncells, lo_closed=True))
+            if listed[i]:
+                raise ValueError(f"cell must be listed once, got {i} again")
+            listed[i] = True
+            values[i] = float(row[1])
+    if not listed.all():
+        raise ValueError(f"need one row per cell, got {np.count_nonzero(listed)} for {grid.ncells}")
     return values.reshape(grid.cell_shape)

@@ -15,12 +15,11 @@ from typing import Sequence
 import numpy as np
 
 from ._checks import at_least, need, one_per
-from .dyadic import Cube, Grid, cube_averages, grid_norm, level_products, shifted_grids
+from .dyadic import Cube, Grid, cube_averages, grid_norm, level_products
 from .spaces import Space, harmonic_exponent, product_space
 
 __all__ = [
     "contained_cells",
-    "all_cubes",
     "scalar_maximal",
     "lattice_maximal",
     "maximal_opnorm_lower",
@@ -47,12 +46,6 @@ def contained_cells(grid: Grid, cube: Cube) -> tuple[slice, ...] | None:
             return None
         out.append(slice(start, stop))
     return tuple(out)
-
-
-def all_cubes(d: int, depth: int, shifts: bool = False) -> list[Cube]:
-    """The full depth-``depth`` cube family, optionally over all 3^d shifts."""
-    grids = shifted_grids(d, depth) if shifts else [Grid(d, depth)]
-    return [q for g in grids for q in g.cubes()]
 
 
 def check_tuple(grid: Grid, fs: Sequence[np.ndarray]):

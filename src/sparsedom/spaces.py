@@ -11,12 +11,13 @@ The associate (Kothe dual) norm is exact for Lebesgue spaces (the dual
 exponent) and for Orlicz spaces whose Phi is convex (log-slopes above one,
 non-decreasing): there it is the Orlicz norm of the complementary function,
 certified by meeting the Amemiya upper bound inf_k (1 + sum Psi(k xi) mu) / k.
-Every Orlicz level set, the Luxemburg norm's lam and the associate norm's
-k, comes from one solver (``_solve_level``): safeguarded Newton steps in
-log x on the log of the modular, finished by single-ulp steps to the
-smallest double where the excess of the modular over one is <= 0.  That is
-the double a geometric bisection reaches on the same predicate; the
-bisection lives on as a test oracle, and the tests require the same bits.
+Every Orlicz level set, the Luxemburg norm's lam, the associate norm's k
+and the product norm's inverse-Young split, comes from one solver
+(``_solve_level``): safeguarded Newton steps in log x, finished by
+single-ulp steps to the smallest double where the excess (of the modular
+over one, or of log |xi| over the split's log) is <= 0.  That is the double
+a geometric bisection reaches on the same predicate; the bisection lives on
+as a test oracle, and the tests require the same bits of both norms.
 The product-space norm is exact for Lebesgue tuples.  Every other case runs
 a seeded coordinate search that returns a lower bound; the searches are
 deterministic per seed and are cross-checked against dense-grid oracles in
@@ -548,7 +549,9 @@ def associate_norm(
       with Newton slopes from the segment log-slopes of Phi and psi; the
       value is the pairing sum xi eta mu / ||eta|| at eta = psi(k xi), a
       lower bound for any table.  On a convex table it is exact: by Young's
-      equality it meets the Amemiya upper bound at that k.  The argmax is
+      equality it meets the Amemiya upper bound at that k.  Where Phi' is
+      flat, psi jumps between adjacent doubles of k, and eta is the point
+      of the jump where the modular is one.  The argmax is
       eta / ||eta||; seed and restarts are not read.
     - Every other space, table and argmax request, and a zero xi: a seeded
       coordinate ascent over the positive unit sphere that returns a lower
@@ -604,6 +607,13 @@ def _associate_orlicz(space: OrliczSpace, xi: np.ndarray, return_argmax: bool):
 
     c = _solve_level(level, start, "associate norm")[0]
     eta = space.psi(c * r)
+    modular = float(np.sum(space.phi(eta) * w))
+    if modular > 1.0 + 1e-12:
+        # more than rounding above one: psi jumps over a flat piece of Phi' between c and
+        # the double below; Phi is linear there and Young's equality holds, so a secant finds one
+        below = space.psi(np.nextafter(c, 0.0) * r)
+        low = float(np.sum(space.phi(below) * w))
+        eta = below + (1.0 - low) / (modular - low) * (eta - below)
     nrm = space.norm(eta)
     value = float(np.sum(xi * eta * w) / nrm)
     return (value, eta / nrm) if return_argmax else value
@@ -809,35 +819,24 @@ def product_norm(spaces: Sequence[Space], xi, seed: int = 0, restarts: int = 8):
 
 def _orlicz_split(spaces: Sequence[Space], flat: np.ndarray, pos: np.ndarray):
     """Factor list from xi_j = Phi_j^{-1}(Phi(|xi|)), Phi^{-1} = prod Phi_j^{-1}."""
-    # solve prod Phi_j^{-1}(y) = v per positive atom by bisection in log y
-    vals = flat[pos]
-    ylo = np.full(vals.shape, 1e-300)
-    yhi = np.full(vals.shape, 1e300)
+    # per positive atom, the y with sum_j log Phi_j^{-1}(y) = log |xi| from
+    # _solve_level; log Phi_j^{-1} has log-slope 1/a_j at x_j = Phi_j^{-1}(y)
+    target = np.log(flat[pos])
 
-    def prod_inv(y):
-        acc = np.ones_like(y)
-        # near the top of the bracket the product can overflow to inf, which
-        # still compares above every finite target, so the split is unchanged
-        with np.errstate(over="ignore"):
-            for sp in spaces:
-                acc = acc * sp.phi_inv(y)
-        return acc
+    def level(y, rows):
+        xs = [sp.phi_inv(y) for sp in spaces]  # x = 0 or inf reads as below or above the root
+        excess = target[rows] - sum(np.log(x) for x in xs)
+        return excess, excess / sum(1.0 / sp._log_slope(x, sp._lx, sp._pieces) for sp, x in zip(spaces, xs))
 
-    lo, hi = np.log(ylo), np.log(yhi)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        too_big = prod_inv(np.exp(mid)) > vals
-        new_hi = np.where(too_big, mid, hi)
-        new_lo = np.where(too_big, lo, mid)
-        if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
-            break  # a fixed point: further steps repeat it
-        lo, hi = new_lo, new_hi
-    y = np.exp(0.5 * (lo + hi))
-    gs = []
-    for sp in spaces[:-1]:
-        g = np.zeros_like(flat)
+    # the root lies between the least and largest Phi_j(|xi|^(1/m)); start at their
+    # geometric mean, kept in the normal range (a root beyond it solves to inf or 0)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        bounds = np.log([sp.phi(np.exp(target / len(spaces))) for sp in spaces])
+        start = np.clip(np.exp(np.nan_to_num(bounds.mean(axis=0))), _TINY, np.finfo(float).max)
+        y = _solve_level(level, start, "inverse-Young split")
+    gs = [np.zeros_like(flat) for _ in spaces[:-1]]
+    for g, sp in zip(gs, spaces):
         g[pos] = sp.phi_inv(y)
-        gs.append(g)
     return gs
 
 

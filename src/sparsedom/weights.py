@@ -7,7 +7,8 @@ cells.  The exponent helpers are pure arithmetic in reciprocal space with the
 convention 1/inf = 0: the weighted maximal exponent, the transfer exponent for
 sparse forms, the extrapolation exponent together with its loss-free
 composition identity, the two ell^t cases, and membership in the bilinear
-Hilbert transform region with explicit theta witnesses.  They build on the
+Hilbert transform region with explicit theta witnesses.  Each exponent is one
+float, the larger of its r-side and s-side terms.  They build on the
 helpers re-exported from ``spaces``: ``recip``, ``harmonic_exponent``,
 ``gap_exponent`` (1/e = 1/a - 1/b, with gap_exponent(a, inf) = a exactly) and
 the Holder ``conjugate``.
@@ -37,14 +38,10 @@ __all__ = [
     "muckenhoupt_constant",
     "stable_muckenhoupt_constant",
     "maximal_weighted_exponent",
-    "maximal_report",
     "transfer_exponent",
-    "transfer_report",
     "extrapolation_exponent",
-    "extrapolation_report",
     "composed_transfer_exponent",
     "ellt_exponent",
-    "ellt_report",
     "bht_region",
     "power_envelope",
 ]
@@ -233,48 +230,16 @@ def encode_inf(x):
     return "inf" if isinstance(x, float) and math.isinf(x) else x
 
 
-def _report(r_side: float, s_side: float, **inputs) -> dict:
-    """JSON record: the inputs (infinity as 'inf'), gamma and its binding term."""
-    encoded = {
-        k: [encode_inf(float(x)) for x in v] if np.ndim(v) else encode_inf(float(v))
-        for k, v in inputs.items()
-    }
-    side = "r-side" if r_side >= s_side else "s-side"
-    return {"inputs": encoded, "gamma": max(r_side, s_side), "binding_term": side}
-
-
-def maximal_report(ps, rs) -> dict:
-    """JSON record for the maximal-operator exponent (always r-side)."""
-    return _report(maximal_weighted_exponent(ps, rs), 0.0, ps=ps, rs=rs)
-
-
-def _transfer_terms(ps, q, rs, s) -> tuple[float, float]:
-    r_side = maximal_weighted_exponent(ps, rs)
-    p = harmonic_exponent(ps)
-    need("q", q, "<=", "p", p)
-    return r_side, _s_side(q, p, s)
-
-
 def transfer_exponent(ps, q, rs, s) -> float:
     """Exponent of [w] when a sparse form bound transfers to weighted norms.
 
     gamma = max{max_j (1/r_j)/(1/r_j - 1/p_j), (1/q - 1/s)/(1/p - 1/s)};
     requires r_j < p_j componentwise and q <= p < s.
     """
-    return max(_transfer_terms(ps, q, rs, s))
-
-
-def transfer_report(ps, q, rs, s) -> dict:
-    """JSON record for the transfer exponent, naming the binding family."""
-    return _report(*_transfer_terms(ps, q, rs, s), ps=ps, q=q, rs=rs, s=s)
-
-
-def _extrapolation_terms(ps, ts, rs, s) -> tuple[float, float]:
-    r_side = _r_side(ps, rs, ts)
-    p, t = harmonic_exponent(ps), harmonic_exponent(ts)
-    s_side = _s_side(t, p, s)
-    need("t", t, "<=", "s", s)
-    return r_side, s_side
+    r_side = maximal_weighted_exponent(ps, rs)
+    p = harmonic_exponent(ps)
+    need("q", q, "<=", "p", p)
+    return max(r_side, _s_side(q, p, s))
 
 
 def extrapolation_exponent(ps, ts, rs, s) -> float:
@@ -283,12 +248,11 @@ def extrapolation_exponent(ps, ts, rs, s) -> float:
     gamma = max{max_j (1/r_j - 1/t_j)/(1/r_j - 1/p_j), (1/t - 1/s)/(1/p - 1/s)};
     requires r_j < p_j, r_j <= t_j, p < s, t <= s.  t = p gives 1.
     """
-    return max(_extrapolation_terms(ps, ts, rs, s))
-
-
-def extrapolation_report(ps, ts, rs, s) -> dict:
-    """JSON record for the extrapolation exponent."""
-    return _report(*_extrapolation_terms(ps, ts, rs, s), ps=ps, ts=ts, rs=rs, s=s)
+    r_side = _r_side(ps, rs, ts)
+    p, t = harmonic_exponent(ps), harmonic_exponent(ts)
+    s_side = _s_side(t, p, s)
+    need("t", t, "<=", "s", s)
+    return max(r_side, s_side)
 
 
 def composed_transfer_exponent(ps, q, rs, s) -> float:
@@ -305,16 +269,6 @@ def composed_transfer_exponent(ps, q, rs, s) -> float:
     return extrapolation_exponent(ps, ts, rs, s) / (1.0 - tau)
 
 
-def _ellt_terms(ps, rs, q0, ts) -> tuple[float, float]:
-    q0 = check("q0", float(q0), FINITE)
-    r_side = maximal_weighted_exponent(ps, rs)
-    p = check("p", harmonic_exponent(ps), FINITE)
-    t = check("t", harmonic_exponent(ts), FINITE)
-    r = harmonic_exponent(rs)
-    need("t", t, ">", "r", r)
-    return r_side, (p / q0 if t >= q0 else p / t)
-
-
 def ellt_exponent(ps, rs, q0, ts) -> float:
     """Exponent of [w] for sequence-valued extensions into ell^t spaces.
 
@@ -322,12 +276,13 @@ def ellt_exponent(ps, rs, q0, ts) -> float:
     p/q0 replaced by p/t for t in (r, q0]; the cases agree at t = q0.
     Requires r_j < p_j and finite p, t with t > r.
     """
-    return max(_ellt_terms(ps, rs, q0, ts))
-
-
-def ellt_report(ps, rs, q0, ts) -> dict:
-    """JSON record for the ell^t exponent."""
-    return _report(*_ellt_terms(ps, rs, q0, ts), ps=ps, rs=rs, q0=q0, ts=ts)
+    q0 = check("q0", float(q0), FINITE)
+    r_side = maximal_weighted_exponent(ps, rs)
+    p = check("p", harmonic_exponent(ps), FINITE)
+    t = check("t", harmonic_exponent(ts), FINITE)
+    r = harmonic_exponent(rs)
+    need("t", t, ">", "r", r)
+    return max(r_side, p / q0 if t >= q0 else p / t)
 
 
 def bht_region(r1, r2, s):

@@ -25,7 +25,7 @@ from sparsedom.dyadic import (
 )
 from sparsedom import spaces
 from sparsedom.maximal import check_tuple, contained_cells, lattice_maximal
-from sparsedom.spaces import OrliczSpace, _nominal_exponent, harmonic_exponent, product_space
+from sparsedom.spaces import OrliczSpace, _nominal_exponent, _orlicz_split, harmonic_exponent, product_space
 from sparsedom.sparse import (
     CZParts,
     SparseFamily,
@@ -993,7 +993,9 @@ def product_norm_sequential(spaces, xi, seed=0, restarts=8):
 
     The search path only (two or more factors, not all Lebesgue).  Each
     restart sweeps factor by factor and atom by atom until a sweep improves
-    nothing or 30 sweeps pass; the smallest value over restarts wins.
+    nothing or 30 sweeps pass; the smallest value over restarts wins.  The
+    inverse-Young split comes from the code under test: this oracle checks
+    the restart schedule, and ``orlicz_split_fixed_steps`` checks the split.
     """
     spaces = list(spaces)
     xi = np.abs(np.asarray(xi, dtype=float))
@@ -1029,7 +1031,7 @@ def product_norm_sequential(spaces, xi, seed=0, restarts=8):
     theta_nominal = np.array(inv) / sum(inv)
     splits = [theta_nominal, np.full(m, 1.0 / m)]
     if all(isinstance(sp, OrliczSpace) for sp in spaces):
-        splits.append(orlicz_split_fixed_steps(spaces, flat, pos))
+        splits.append(_orlicz_split(spaces, flat, pos))
     rng = np.random.default_rng(seed)
     while len(splits) < restarts:
         splits.append(rng.dirichlet(np.ones(m)))

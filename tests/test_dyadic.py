@@ -387,3 +387,30 @@ def test_csv_round_trip_exact(tmp_path):
     function_to_csv(grid, f, path)
     f2 = function_from_csv(path, grid)
     assert np.array_equal(f, f2)
+
+
+def write_rows(path, rows):
+    path.write_text("cell,value\n" + "".join(f"{i},{v}\n" for i, v in rows))
+    return path
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([(0, 1.0), (1, 2.0), (2, 3.0)], r"need one row per cell, got 3 for 4"),
+        ([(0, 1.0), (1, 2.0), (2, 3.0), (3, 4.0), (-1, 5.0)], r"cell must be in \[0, 4\), got -1"),
+        ([(0, 1.0), (1, 2.0), (1, 2.0), (2, 3.0), (3, 4.0)], r"cell must be listed once, got 1 again"),
+        ([(i, float(i)) for i in range(8)], r"cell must be in \[0, 4\), got 4"),
+    ],
+    ids=["truncated", "negative", "repeated", "deeper-grid"],
+)
+def test_csv_refuses_files_that_miss_or_repeat_cells(tmp_path, rows, message):
+    with pytest.raises(ValueError, match=message):
+        function_from_csv(write_rows(tmp_path / "f.csv", rows), Grid(1, 2))
+
+
+def test_csv_refuses_an_empty_file(tmp_path):
+    path = tmp_path / "f.csv"
+    path.write_text("")
+    with pytest.raises(ValueError, match="expected header 'cell,value'"):
+        function_from_csv(path, Grid(1, 2))

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from sparsedom.dyadic import Cube, Grid, shifted_grids
 from sparsedom.maximal import (
-    all_cubes,
     contained_cells,
     lattice_maximal,
     maximal_opnorm_lower,
@@ -19,6 +18,8 @@ import oracles
 from oracles import naive_scalar_maximal
 
 TREE3 = [Cube(0, (0,), 0), Cube(1, (0,), 0), Cube(1, (1,), 0)]
+# every cube of the depth-3 family, over all three shifts
+SHIFTED3 = [q for g in shifted_grids(1, 3) for q in g.cubes()]
 
 
 def test_constant_is_fixed_point():
@@ -26,7 +27,7 @@ def test_constant_is_fixed_point():
     f = np.ones(grid.cell_shape)
     out = scalar_maximal(grid, [f], [1.0])
     assert np.allclose(out, 1.0)
-    out = scalar_maximal(grid, [f, f], [2.0, np.inf], cubes=all_cubes(1, 3, shifts=True))
+    out = scalar_maximal(grid, [f, f], [2.0, np.inf], cubes=SHIFTED3)
     assert np.allclose(out, 1.0)
 
 
@@ -97,7 +98,7 @@ def test_monotone_in_family():
     grid = Grid(1, 3)
     rng = np.random.default_rng(3)
     f = rng.exponential(size=grid.cell_shape)
-    full = all_cubes(1, 3, shifts=True)
+    full = SHIFTED3
     for _ in range(10):
         k = rng.integers(1, len(full))
         subset = [full[i] for i in rng.choice(len(full), size=k, replace=False)]

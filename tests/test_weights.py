@@ -1,6 +1,5 @@
 """Muckenhoupt constants, exponent arithmetic, and the BHT region."""
 
-import json
 import math
 
 import numpy as np
@@ -16,12 +15,9 @@ from sparsedom.weights import (
     composed_transfer_exponent,
     conjugate,
     ellt_exponent,
-    ellt_report,
     extrapolation_exponent,
-    extrapolation_report,
     gap_exponent,
     harmonic_exponent,
-    maximal_report,
     maximal_weighted_exponent,
     muckenhoupt_constant,
     power_envelope,
@@ -29,7 +25,6 @@ from sparsedom.weights import (
     recip,
     stable_muckenhoupt_constant,
     transfer_exponent,
-    transfer_report,
 )
 
 from oracles import muckenhoupt_over_cubes, naive_average, theta_scan, theta_scan_full
@@ -373,15 +368,6 @@ class TestMaximalWeightedExponent:
         with pytest.raises(ValueError, match="need one p_j per r_j and at least one, got 1 for 2"):
             maximal_weighted_exponent((2.0,), (1.0, 1.0))
 
-    def test_report_shape(self):
-        rep = maximal_report((2.0,), (1.0,))
-        assert rep == {
-            "inputs": {"ps": [2.0], "rs": [1.0]},
-            "gamma": 2.0,
-            "binding_term": "r-side",
-        }
-        json.dumps(rep)
-
 
 class TestTransferExponent:
     def test_linear_czo_value(self):
@@ -397,6 +383,10 @@ class TestTransferExponent:
             got = transfer_exponent(ps, p, rs, INF)
             assert got == maximal_weighted_exponent(ps, rs)
 
+    def test_s_side_value(self):
+        # r close to p: r-side (1)/(1 - 1/8) = 8/7; s-side 1/(1/8) = 8 binds
+        assert np.isclose(transfer_exponent((8.0,), 1.0, (1.0,), INF), 8.0)
+
     def test_classical_ap_family(self):
         # m=1, r=1, q=1, s=inf reduces to max{p, p'}
         for p in (1.5, 2.0, 3.0, 4.0):
@@ -408,18 +398,6 @@ class TestTransferExponent:
             transfer_exponent((2.0,), 3.0, (1.0,), INF)
         with pytest.raises(ValueError, match="p < s"):
             transfer_exponent((2.0,), 1.0, (1.0,), 2.0)
-
-    def test_report_binding_and_encoding(self):
-        rep = transfer_report((2.0,), 1.0, (1.0,), INF)
-        assert rep["gamma"] == 2.0
-        assert rep["binding_term"] == "r-side"  # tie resolves to the r family
-        assert rep["inputs"]["s"] == "inf"
-        json.dumps(rep)
-        # genuinely s-side: r close to p makes the first family huge, so flip
-        rep2 = transfer_report((8.0,), 1.0, (1.0,), INF)
-        # r-side: (1)/(1 - 1/8) = 8/7; s-side: 1/(1/8) = 8
-        assert rep2["binding_term"] == "s-side"
-        assert np.isclose(rep2["gamma"], 8.0)
 
 
 class TestExtrapolationExponent:
@@ -438,12 +416,6 @@ class TestExtrapolationExponent:
             extrapolation_exponent((2.0,), (5.0,), (1.0,), 4.0)
         with pytest.raises(ValueError, match="p < s"):
             extrapolation_exponent((4.0,), (2.0,), (1.0,), 4.0)
-
-    def test_report(self):
-        rep = extrapolation_report((2.0,), (3.0,), (1.0,), INF)
-        assert np.isclose(rep["gamma"], 4.0 / 3.0)
-        assert rep["binding_term"] == "r-side"
-        json.dumps(rep)
 
 
 class TestCompositionIdentity:
@@ -508,11 +480,6 @@ class TestElltExponent:
             ellt_exponent((2.0,), (1.0,), 1.0, (INF,))
         with pytest.raises(ValueError, match=r"q0 must be in \(0, inf\), got inf"):
             ellt_exponent((2.0,), (1.0,), INF, (2.0,))
-
-    def test_report(self):
-        rep = ellt_report((2.0, 3.0), (1.0, 1.0), 1.0, (2.0, 2.0))
-        assert np.isclose(rep["gamma"], 2.0)
-        json.dumps(rep)
 
 
 class TestBhtRegion:
