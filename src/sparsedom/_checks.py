@@ -9,10 +9,11 @@ in a range closed at inf.  ``need`` compares exponent claims through
 
 from __future__ import annotations
 
+import csv
 import math
 import numbers
 import operator
-from typing import Iterable, Sized
+from typing import Iterable, Iterator, Sequence, Sized
 
 
 def interval(lo: float, hi: float, lo_closed: bool = False, hi_closed: bool = False):
@@ -78,6 +79,19 @@ def nonempty(what: str, xs: Sized) -> int:
     if not len(xs):
         raise ValueError(f"need at least one {what}, got none")
     return len(xs)
+
+
+def csv_rows(fh, header: Sequence[str]) -> Iterator[list[str]]:
+    """The rows of an open CSV file after its header line, each with at least
+    one field per header name; else a named refusal.  Rows are numbered by
+    line, the header being row 1."""
+    reader = csv.reader(fh)
+    if next(reader, [])[: len(header)] != list(header):
+        raise ValueError(f"expected header '{','.join(header)}'")
+    for row in reader:
+        if len(row) < len(header):
+            raise ValueError(f"row {reader.line_num} must have at least {len(header)} fields, got {len(row)}")
+        yield row
 
 
 def recip(x) -> float:

@@ -36,7 +36,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from ._checks import EXPONENT, check, interval, one_per
+from ._checks import EXPONENT, check, csv_rows, interval, one_per
 
 __all__ = [
     "Cube",
@@ -373,13 +373,16 @@ def average(grid: Grid, f: np.ndarray, r: float, cube: Cube):
 def grid_norm(grid: Grid, f: np.ndarray, p: float, weight: np.ndarray | None = None) -> float:
     """L^p norm over the unit cube of a scalar cell function.
 
-    A weight multiplies pointwise before the norm (the ||f w||_p convention).
+    A weight, of the cells' shape, multiplies pointwise before the norm (the
+    ||f w||_p convention).
     p lies in (0, inf]; p = inf gives the sup over cells.
     """
     check("p", p, EXPONENT)
     f = _check_cells(grid, f)
     if f.shape != grid.cell_shape:
         raise ValueError("grid_norm expects a scalar cell function")
+    if weight is not None and np.shape(weight) != grid.cell_shape:
+        raise ValueError(f"weight shape {np.shape(weight)} must be the cell shape {grid.cell_shape}")
     g = np.abs(f) if weight is None else np.abs(f) * np.asarray(weight, dtype=float)
     if math.isinf(p):
         return float(g.max())
@@ -416,11 +419,7 @@ def function_from_csv(path, grid: Grid) -> np.ndarray:
     values = np.zeros(grid.ncells)
     listed = np.zeros(grid.ncells, dtype=bool)
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        if header[:2] != ["cell", "value"]:
-            raise ValueError("expected header 'cell,value'")
-        for row in reader:
+        for row in csv_rows(fh, ("cell", "value")):
             i = check("cell", int(row[0]), interval(0, grid.ncells, lo_closed=True))
             if listed[i]:
                 raise ValueError(f"cell must be listed once, got {i} again")

@@ -1,55 +1,37 @@
-"""Multisublinear maximal operators over finite dyadic cube families.
+"""Multisublinear maximal operators over the shift-0 dyadic tree of a grid.
 
-The scalar operator takes the sup over cubes of the product of r_j-averages;
-the lattice variant is the same computation with a trailing atom axis, which
-makes the per-atom slice identity hold by construction (and it is still
-asserted in the tests).  Operator norms are probed from below by randomized
-and structured inputs; upper bounds belong to the sparse-domination route.
+The scalar operator takes the sup over the tree's cubes of the product of
+r_j-averages; the lattice variant is the same computation with a trailing
+atom axis, which makes the per-atom slice identity hold by construction (and
+it is still asserted in the tests).  Operator norms are probed from below by
+randomized and structured inputs; upper bounds belong to the sparse-domination
+route.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 import numpy as np
 
 from ._checks import at_least, need, one_per
-from .dyadic import Cube, Grid, cube_averages, grid_norm, level_products
+from .dyadic import Grid, grid_norm, level_products
 from .spaces import Space, harmonic_exponent, product_space
 
 __all__ = [
-    "contained_cells",
     "scalar_maximal",
     "lattice_maximal",
     "maximal_opnorm_lower",
 ]
 
 
-def contained_cells(grid: Grid, cube: Cube) -> tuple[slice, ...] | None:
-    """Slices of the finest cells lying entirely inside ``cube``, or None.
-
-    For shift-0 cubes this is the exact cell block; a shifted cube has
-    thirds-rational boundaries, so only fully covered cells count (the
-    operator is resolved at cell scale).
-    """
-    if cube.level > grid.depth:
-        raise ValueError(f"cube level {cube.level} exceeds grid depth {grid.depth}")
-    if cube.shift == 0:
-        return grid.cube_slices(cube)
-    n = 1 << grid.depth
-    out = []
-    for lo, hi in cube.support_exact():
-        start = max(0, math.ceil(lo * n))
-        stop = min(n, math.floor(hi * n))
-        if stop <= start:
-            return None
-        out.append(slice(start, stop))
-    return tuple(out)
-
-
 def check_tuple(grid: Grid, fs: Sequence[np.ndarray]):
-    """The functions as float arrays, plus their common trailing atom shape."""
+    """The functions as float arrays, plus their common trailing atom shape.
+
+    Cell functions live on the shift-0 grid, so a shifted grid is refused.
+    """
+    if grid.shift:
+        raise ValueError(f"cell functions live on the shift-0 grid, got {grid}")
     fs = [np.asarray(f, dtype=float) for f in fs]
     trail = fs[0].shape[grid.d:]
     for f in fs:
@@ -58,47 +40,26 @@ def check_tuple(grid: Grid, fs: Sequence[np.ndarray]):
     return fs, trail
 
 
-def scalar_maximal(
-    grid: Grid,
-    fs: Sequence[np.ndarray],
-    rs: Sequence[float],
-    cubes: Sequence[Cube] | None = None,
-) -> np.ndarray:
+def scalar_maximal(grid: Grid, fs: Sequence[np.ndarray], rs: Sequence[float]) -> np.ndarray:
     """sup_{Q} prod_j <f_j>_{r_j,Q} 1_Q per finest cell, exactly.
 
-    ``cubes`` defaults to the full shift-0 family of the grid; any explicit
-    collection (including shifted cubes) is accepted and the result is
-    monotone in it.  The full family is a top-down running max, kept in the
-    level arrays themselves: level k's max over levels 0..k, repeated twice
-    along each axis, is folded into level k+1's products in place.  Max is
-    exact, so this equals the max over every level upsampled to the cells
-    (the oracle in ``tests/oracles.py``) bit for bit.
+    Q runs over the full shift-0 tree of the grid, in a top-down running max
+    kept in the level arrays themselves: level k's max over levels 0..k,
+    repeated twice along each axis, is folded into level k+1's products in
+    place.  Max is exact, so this equals the max over every level upsampled
+    to the cells (the oracle in ``tests/oracles.py``) bit for bit.
     """
     one_per("exponent", "function", rs, fs)
     fs, trail = check_tuple(grid, fs)
-    if cubes is None:
-        levels = level_products(grid, fs, rs)
-        for k in range(1, grid.depth + 1):
-            fine = levels[k].reshape((1 << (k - 1), 2) * grid.d + trail)
-            coarse = levels[k - 1].reshape((1 << (k - 1), 1) * grid.d + trail)
-            np.maximum(fine, coarse, out=fine)
-        return levels[grid.depth]
-
-    out = np.zeros(grid.cell_shape + trail)
-    cubes = list(cubes)
-    for cube, val in zip(cubes, cube_averages(grid, fs, rs, cubes)):
-        sl = contained_cells(grid, cube)
-        if sl is not None:
-            np.maximum(out[sl], val, out=out[sl])
-    return out
+    levels = level_products(grid, fs, rs)
+    for k in range(1, grid.depth + 1):
+        fine = levels[k].reshape((1 << (k - 1), 2) * grid.d + trail)
+        coarse = levels[k - 1].reshape((1 << (k - 1), 1) * grid.d + trail)
+        np.maximum(fine, coarse, out=fine)
+    return levels[grid.depth]
 
 
-def lattice_maximal(
-    grid: Grid,
-    Fs: Sequence[np.ndarray],
-    rs: Sequence[float],
-    cubes: Sequence[Cube] | None = None,
-) -> np.ndarray:
+def lattice_maximal(grid: Grid, Fs: Sequence[np.ndarray], rs: Sequence[float]) -> np.ndarray:
     """The lattice maximal operator: scalar_maximal on every atom slice.
 
     Inputs are (cells x atoms) arrays over one shared atom count; the lattice
@@ -109,7 +70,7 @@ def lattice_maximal(
     atoms = {F.shape[grid.d:] for F in Fs}
     if len(atoms) != 1 or Fs[0].ndim == grid.d:
         raise ValueError("lattice inputs need one common nonempty atom shape")
-    return scalar_maximal(grid, Fs, rs, cubes)
+    return scalar_maximal(grid, Fs, rs)
 
 
 def tower(rng, grid: Grid) -> np.ndarray:

@@ -42,7 +42,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._checks import EXPONENT, FINITE, at_least, check, interval, need, nonempty, recip
+from ._checks import EXPONENT, FINITE, at_least, check, csv_rows, interval, need, nonempty, recip
 
 __all__ = [
     "AtomicMeasure",
@@ -921,12 +921,6 @@ def phi_table_to_csv(table, path) -> None:
 
 
 def phi_table_from_csv(path) -> np.ndarray:
-    rows = []
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header[:2] != ["t", "phi"]:
-            raise ValueError("expected header 't,phi'")
-        for row in reader:
-            rows.append((float(row[0]), float(row[1])))
+        rows = [(float(row[0]), float(row[1])) for row in csv_rows(fh, ("t", "phi"))]
     return np.asarray(rows)

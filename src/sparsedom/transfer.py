@@ -29,7 +29,7 @@ import numpy as np
 
 from ._checks import EXPONENT, FINITE, at_least, check, increasing, need, nonempty, one_per
 from .dyadic import Cube, Grid, _position, grid_norm, level_products
-from .maximal import check_tuple, contained_cells, scalar_maximal, tower
+from .maximal import check_tuple, scalar_maximal, tower
 from .sparse import SparseFamily
 from .spaces import (
     AtomicMeasure,
@@ -74,38 +74,36 @@ __all__ = [
 class SparseOperator:
     """Positive averaging model: T(f)(x) = sum_Q prod_j <f_j>_{r_j,Q} 1_Q(x).
 
-    ``family`` is a SparseFamily (its sparseness parameter then certifies the
-    scalar hypothesis constant) or a bare cube collection.  Averages take
-    absolute values, so the operator is positive and m-sublinear.
+    ``family`` is a SparseFamily on the standard (shift-0) lattice; its
+    sparseness parameter certifies the scalar hypothesis constant, and a
+    shifted cube is refused.  Averages take absolute values, so the operator
+    is positive and m-sublinear.
     """
 
     kind = "sparse"
 
-    def __init__(self, family, rs: Sequence[float]):
-        if isinstance(family, SparseFamily):
-            self.cubes = list(family.cubes)
-            self.eta: float | None = float(family.eta)
-        else:
-            self.cubes = list(family)
-            self.eta = None
+    def __init__(self, family: SparseFamily, rs: Sequence[float]):
+        self.cubes = list(family.cubes)
+        for cube in self.cubes:
+            if cube.shift != 0:
+                raise ValueError(f"SparseOperator acts on shift-0 cubes, got {cube}")
+        self.eta = float(family.eta)
         self.rs = tuple(check(f"r_{j}", float(r), EXPONENT) for j, r in enumerate(rs, 1))
         self.m = nonempty("averaging exponent", self.rs)
-        # (d, depth) -> [(shift, level, position, cell slices or None)]
+        # (d, depth) -> [(level, position, cell slices)]
         self._plans: dict[tuple[int, int], list] = {}
 
     def hypothesis_constant(self, q: float) -> float | None:
         """eta^(-1/q), the certified scalar-domination constant for q <= 1.
 
         Disjoint witness sets of measure eta |Q| turn the cube sum into an
-        integral of the maximal function; q-subadditivity needs q <= 1 and an
-        unknown eta gives no certificate, so both cases return None.
+        integral of the maximal function; q-subadditivity needs q <= 1, so
+        q > 1 returns None.
         """
-        if self.eta is None or q > 1.0:
-            return None
-        return self.eta ** (-1.0 / q)
+        return None if q > 1.0 else self.eta ** (-1.0 / q)
 
     def _plan(self, grid: Grid) -> list:
-        """Each cube's lattice, level, array position and cells, in family order.
+        """Each cube's level, array position and cells, in family order.
 
         Built once per (d, depth): the positions are bounds-checked as in
         ``cube_averages``, and the plan is stored only when every cube passes.
@@ -113,30 +111,26 @@ class SparseOperator:
         key = (grid.d, grid.depth)
         if key not in self._plans:
             self._plans[key] = [
-                (cube.shift, cube.level, _position(grid, cube), contained_cells(grid, cube))
-                for cube in self.cubes
+                (cube.level, _position(grid, cube), grid.cube_slices(cube)) for cube in self.cubes
             ]
         return self._plans[key]
 
     def apply(self, grid: Grid, fs: Sequence[np.ndarray]) -> np.ndarray:
         """T(f) per finest cell; trailing atom axes broadcast.
 
-        Each cube adds its entry of the level products of its lattice (built
-        once per lattice that occurs, as ``cube_averages`` does) to its cells,
+        Each cube adds its entry of the grid's level products to its cells,
         in family order.  A cell thus sums the same values in the same order
-        as the per-cube walk of ``cube_averages`` and ``contained_cells`` (the
-        oracle in ``tests/oracles.py``), so the result equals it bit for bit.
+        as the per-cube walk of ``cube_averages`` and ``Grid.cube_slices``
+        (the oracle in ``tests/oracles.py``), so the result equals it bit for
+        bit.
         """
         one_per("function", "averaging exponent", fs, self.rs)
         fs, trail = check_tuple(grid, fs)
         plan = self._plan(grid)
+        products = level_products(grid, fs, self.rs)
         out = np.zeros(grid.cell_shape + trail)
-        tables: dict[int, dict[int, np.ndarray]] = {}
-        for shift, level, pos, sl in plan:
-            if shift not in tables:
-                tables[shift] = level_products(Grid(grid.d, grid.depth, shift), fs, self.rs)
-            if sl is not None:
-                out[sl] += tables[shift][level][pos]
+        for level, pos, sl in plan:
+            out[sl] += products[level][pos]
         return out
 
     def __repr__(self) -> str:
@@ -145,17 +139,11 @@ class SparseOperator:
 
 def _signed_means(grid: Grid, f: np.ndarray) -> list[np.ndarray]:
     """Plain block means per level, no absolute value; trailing axes ride."""
-    out: list[np.ndarray] = [None] * (grid.depth + 1)  # type: ignore[list-item]
-    out[grid.depth] = f
-    cur = f
-    for k in range(grid.depth, 0, -1):
-        if grid.d == 1:
-            cur = cur.reshape((cur.shape[0] // 2, 2) + cur.shape[1:]).mean(axis=1)
-        else:
-            a, b = cur.shape[0] // 2, cur.shape[1] // 2
-            cur = cur.reshape((a, 2, b, 2) + cur.shape[2:]).mean(axis=(1, 3))
-        out[k - 1] = cur
-    return out
+    pairs = tuple(range(1, 2 * grid.d, 2))
+    out = [f]
+    for k in range(grid.depth - 1, -1, -1):
+        out.append(out[-1].reshape((1 << k, 2) * grid.d + f.shape[grid.d:]).mean(axis=pairs))
+    return out[::-1]
 
 
 class HaarTransform:

@@ -24,7 +24,7 @@ from sparsedom.dyadic import (
     shifted_grids,
 )
 from sparsedom import spaces
-from sparsedom.maximal import check_tuple, contained_cells, lattice_maximal
+from sparsedom.maximal import check_tuple, lattice_maximal
 from sparsedom.spaces import OrliczSpace, _nominal_exponent, _orlicz_split, harmonic_exponent, product_space
 from sparsedom.sparse import (
     CZParts,
@@ -60,7 +60,7 @@ def minimal_container(lower, side, d, max_depth):
 
 
 # ---------------------------------------------------------------------------
-# naive averages (any lattice) and maximal function (d=1, shift-0 cubes)
+# naive averages (any lattice) and maximal function (shift-0 cubes)
 # ---------------------------------------------------------------------------
 
 def naive_average(values, r, level, m, depth):
@@ -74,18 +74,26 @@ def naive_average(values, r, level, m, depth):
 
 
 def naive_scalar_maximal(fs, rs, cubes, depth):
-    """Pointwise sup over cubes of the product of r_j-averages, d=1."""
-    ncells = 2**depth
-    out = [0.0] * ncells
-    for i in range(ncells):
+    """Pointwise sup over shift-0 cubes of the product of r_j-averages, d in {1, 2}."""
+    fs = [np.asarray(f, dtype=float) for f in fs]
+    out = np.zeros(fs[0].shape)
+    for cell in np.ndindex(*out.shape):
         for cube in cubes:
             block = 2 ** (depth - cube.level)
-            if i // block != cube.index[0]:
+            if any(i // block != m for i, m in zip(cell, cube.index)):
                 continue
+            inside = [
+                tuple(m * block + o for m, o in zip(cube.index, offset))
+                for offset in np.ndindex(*(block,) * len(cell))
+            ]
             prod = 1.0
             for f, r in zip(fs, rs):
-                prod *= naive_average(f, r, cube.level, cube.index[0], depth)
-            out[i] = max(out[i], prod)
+                vals = [abs(f[c]) for c in inside]
+                if r == math.inf:
+                    prod *= max(vals)
+                else:
+                    prod *= (sum(v**r for v in vals) / len(vals)) ** (1.0 / r)
+            out[cell] = max(out[cell], prod)
     return out
 
 
@@ -419,9 +427,7 @@ def sparse_apply_walk(T, grid, fs):
     fs, trail = check_tuple(grid, fs)
     out = np.zeros(grid.cell_shape + trail)
     for cube, val in zip(T.cubes, cube_averages(grid, fs, T.rs, T.cubes)):
-        sl = contained_cells(grid, cube)
-        if sl is not None:
-            out[sl] += val
+        out[grid.cube_slices(cube)] += val
     return out
 
 

@@ -51,7 +51,7 @@ REFUSALS = [
     ("level_averages-r", lambda: level_averages(G, ONES, NAN), r"r must be in \(0, inf\], got nan"),
     ("sparse_form-sigma", lambda: sparse_form([Cube(0, (0,))], G, [ONES], [1.0], g=ONES, sigma=NAN),
      r"sigma must be in \(0, inf\], got nan"),
-    ("SparseOperator-r", lambda: SparseOperator([Cube(0, (0,))], rs=(NAN,)), r"r_1 must be in \(0, inf\], got nan"),
+    ("SparseOperator-r", lambda: SparseOperator(SparseFamily([Cube(0, (0,))]), rs=(NAN,)), r"r_1 must be in \(0, inf\], got nan"),
     # (0, inf)
     ("sparse_form-q", lambda: sparse_form([Cube(0, (0,))], G, [ONES], [1.0], q=INF),
      r"q must be in \(0, inf\), got inf"),

@@ -363,6 +363,14 @@ def test_grid_norm_basics():
     assert grid_norm(grid, f, 1, weight=w) == pytest.approx(0.5)
 
 
+@pytest.mark.parametrize("shape", [(2,), (2, 1), (1, 2), ()])
+def test_grid_norm_refuses_a_weight_off_the_cells(shape):
+    # broadcasting would otherwise give a number (2.9155 for (2,) and (2, 1))
+    grid = Grid(2, 1)
+    with pytest.raises(ValueError, match=r"weight shape \(.*\) must be the cell shape \(2, 2\)"):
+        grid_norm(grid, np.arange(4.0).reshape(2, 2), 2, weight=np.ones(shape))
+
+
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
@@ -413,4 +421,11 @@ def test_csv_refuses_an_empty_file(tmp_path):
     path = tmp_path / "f.csv"
     path.write_text("")
     with pytest.raises(ValueError, match="expected header 'cell,value'"):
+        function_from_csv(path, Grid(1, 2))
+
+
+def test_csv_refuses_a_row_with_one_field(tmp_path):
+    path = tmp_path / "f.csv"
+    path.write_text("cell,value\n0,1.0\n1\n")
+    with pytest.raises(ValueError, match="row 3 must have at least 2 fields, got 1"):
         function_from_csv(path, Grid(1, 2))

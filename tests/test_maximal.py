@@ -6,20 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sparsedom.dyadic import Cube, Grid, shifted_grids
-from sparsedom.maximal import (
-    contained_cells,
-    lattice_maximal,
-    maximal_opnorm_lower,
-    scalar_maximal,
-)
+from sparsedom.dyadic import Grid
+from sparsedom.maximal import lattice_maximal, maximal_opnorm_lower, scalar_maximal
 from sparsedom.spaces import AtomicMeasure, LebesgueSpace
 import oracles
 from oracles import naive_scalar_maximal
-
-TREE3 = [Cube(0, (0,), 0), Cube(1, (0,), 0), Cube(1, (1,), 0)]
-# every cube of the depth-3 family, over all three shifts
-SHIFTED3 = [q for g in shifted_grids(1, 3) for q in g.cubes()]
 
 
 def test_constant_is_fixed_point():
@@ -27,17 +18,15 @@ def test_constant_is_fixed_point():
     f = np.ones(grid.cell_shape)
     out = scalar_maximal(grid, [f], [1.0])
     assert np.allclose(out, 1.0)
-    out = scalar_maximal(grid, [f, f], [2.0, np.inf], cubes=SHIFTED3)
+    out = scalar_maximal(grid, [f, f], [2.0, np.inf])
     assert np.allclose(out, 1.0)
 
 
 def test_halved_indicator_values():
     grid = Grid(1, 1)
     f = np.array([1.0, 0.0])
-    assert np.allclose(scalar_maximal(grid, [f], [1.0], cubes=TREE3), [1.0, 0.5])
-    assert np.allclose(
-        scalar_maximal(grid, [f, f], [1.0, 1.0], cubes=TREE3), [1.0, 0.25]
-    )
+    assert np.allclose(scalar_maximal(grid, [f], [1.0]), [1.0, 0.5])
+    assert np.allclose(scalar_maximal(grid, [f, f], [1.0, 1.0]), [1.0, 0.25])
 
 
 def test_default_family_equals_explicit():
@@ -45,8 +34,8 @@ def test_default_family_equals_explicit():
     rng = np.random.default_rng(0)
     f, g = rng.exponential(size=(2,) + grid.cell_shape)
     fast = scalar_maximal(grid, [f, g], [1.0, 2.0])
-    explicit = scalar_maximal(grid, [f, g], [1.0, 2.0], cubes=list(grid.cubes()))
-    assert np.allclose(fast, explicit, rtol=1e-12)
+    oracle = naive_scalar_maximal([f, g], [1.0, 2.0], list(grid.cubes()), grid.depth)
+    assert np.allclose(fast, oracle, rtol=1e-12)
 
 
 def test_matches_naive_oracle_d1():
@@ -64,8 +53,8 @@ def test_d2_fast_path_matches_cube_loop():
     rng = np.random.default_rng(2)
     f = rng.exponential(size=grid.cell_shape)
     fast = scalar_maximal(grid, [f], [1.5])
-    explicit = scalar_maximal(grid, [f], [1.5], cubes=list(grid.cubes()))
-    assert np.allclose(fast, explicit, rtol=1e-12)
+    oracle = naive_scalar_maximal([f], [1.5], list(grid.cubes()), grid.depth)
+    assert np.allclose(fast, oracle, rtol=1e-12)
 
 
 @settings(max_examples=80, deadline=None)
@@ -81,32 +70,6 @@ def test_full_tree_matches_the_upsampled_oracle(data):
     assert np.array_equal(got, oracles.scalar_maximal_upsampled(grid, fs, rs))
 
 
-def test_shifted_cubes_only_count_contained_cells():
-    grid = Grid(1, 2)
-    for g in shifted_grids(1, 2):
-        for cube in g.cubes():
-            sl = contained_cells(grid, cube)
-            if sl is None:
-                continue
-            lo, hi = cube.support_exact()[0]
-            n = 1 << grid.depth
-            for i in range(*sl[0].indices(n)):
-                assert lo * n <= i and i + 1 <= hi * n
-
-
-def test_monotone_in_family():
-    grid = Grid(1, 3)
-    rng = np.random.default_rng(3)
-    f = rng.exponential(size=grid.cell_shape)
-    full = SHIFTED3
-    for _ in range(10):
-        k = rng.integers(1, len(full))
-        subset = [full[i] for i in rng.choice(len(full), size=k, replace=False)]
-        sub = scalar_maximal(grid, [f], [1.0], cubes=subset)
-        sup = scalar_maximal(grid, [f], [1.0], cubes=full)
-        assert np.all(sub <= sup + 1e-12)
-
-
 def test_lattice_single_atom_matches_scalar():
     grid = Grid(1, 2)
     rng = np.random.default_rng(4)
@@ -118,7 +81,7 @@ def test_lattice_single_atom_matches_scalar():
 def test_lattice_two_atom_example():
     grid = Grid(1, 1)
     F = np.array([[1.0, 0.0], [0.0, 1.0]])
-    out = lattice_maximal(grid, [F], [1.0], cubes=TREE3)
+    out = lattice_maximal(grid, [F], [1.0])
     assert np.allclose(out[:, 0], [1.0, 0.5])
     assert np.allclose(out[:, 1], [0.5, 1.0])
 

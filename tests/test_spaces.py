@@ -441,6 +441,18 @@ def test_phi_table_csv_roundtrip(tmp_path):
         phi_table_from_csv(path2)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [("", "expected header 't,phi'"), ("t,phi\n1.0\n", "row 2 must have at least 2 fields, got 1")],
+    ids=["empty", "one-field"],
+)
+def test_phi_table_csv_refuses_malformed_files(tmp_path, text, message):
+    path = tmp_path / "phi.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=message):
+        phi_table_from_csv(path)
+
+
 # ---------------------------------------------------------------------------
 # a batched norm gives each row the bits of its one-row call
 # ---------------------------------------------------------------------------

@@ -51,10 +51,9 @@ def chain_family(levels: int, eta: float = 0.5) -> SparseFamily:
 
 @st.composite
 def cubes_of(draw, d, depth):
-    """One cube of a shift-0 grid (most draws) or of a shifted one, levels 0..depth."""
+    """One cube of the shift-0 grid, levels 0..depth."""
     level = draw(st.integers(0, depth))
-    shift = draw(st.one_of(st.just(0), st.integers(0, 3**d - 1)))
-    return draw(st.sampled_from(Grid(d, depth, shift).level_cubes(level)))
+    return draw(st.sampled_from(Grid(d, depth).level_cubes(level)))
 
 
 def slice_apply(T, grid, Fs):
@@ -75,14 +74,12 @@ def slice_apply(T, grid, Fs):
 class TestSparseOperator:
     def test_root_only_fixes_constants(self):
         grid = Grid(1, 2)
-        T = SparseOperator([Cube(0, (0,))], rs=(1.0,))
+        T = SparseOperator(SparseFamily([Cube(0, (0,))]), rs=(1.0,))
         assert np.array_equal(T.apply(grid, [np.ones(4)]), np.ones(4))
 
     def test_depth_one_tree_pinned(self):
         grid = Grid(1, 1)
-        T = SparseOperator(
-            [Cube(0, (0,)), Cube(1, (0,)), Cube(1, (1,))], rs=(1.0,)
-        )
+        T = SparseOperator(SparseFamily([Cube(0, (0,)), Cube(1, (0,)), Cube(1, (1,))]), rs=(1.0,))
         out = T.apply(grid, [np.array([1.0, 0.0])])
         assert np.allclose(out, [1.5, 0.5], atol=1e-15)
 
@@ -93,7 +90,7 @@ class TestSparseOperator:
         cubes = [Cube(0, (0,)), Cube(1, (1,)), Cube(2, (0,)), Cube(3, (5,))]
         rs = (1.0, 2.0)
         fs = [rng.lognormal(size=8), rng.lognormal(size=8)]
-        T = SparseOperator(cubes, rs=rs)
+        T = SparseOperator(SparseFamily(cubes), rs=rs)
         expected = np.zeros(8)
         for cube in cubes:
             sl = grid.cube_slices(cube)
@@ -118,24 +115,24 @@ class TestSparseOperator:
         f = rng.lognormal(size=4)
         a = [Cube(0, (0,)), Cube(2, (3,))]
         b = [Cube(1, (0,))]
-        whole = SparseOperator(a + b, rs=(1.0,)).apply(grid, [f])
-        parts = SparseOperator(a, rs=(1.0,)).apply(grid, [f]) + SparseOperator(
-            b, rs=(1.0,)
+        whole = SparseOperator(SparseFamily(a + b), rs=(1.0,)).apply(grid, [f])
+        parts = SparseOperator(SparseFamily(a), rs=(1.0,)).apply(grid, [f]) + SparseOperator(
+            SparseFamily(b), rs=(1.0,)
         ).apply(grid, [f])
         assert np.allclose(whole, parts, rtol=1e-13)
 
     def test_arity_and_exponent_errors(self):
         grid = Grid(1, 1)
-        T = SparseOperator([Cube(0, (0,))], rs=(1.0, 1.0))
+        T = SparseOperator(SparseFamily([Cube(0, (0,))]), rs=(1.0, 1.0))
         with pytest.raises(ValueError, match="need one function per averaging exponent and at least one, got 1 for 2"):
             T.apply(grid, [np.ones(2)])
         with pytest.raises(ValueError, match=r"r_1 must be in \(0, inf\], got 0.0"):
-            SparseOperator([Cube(0, (0,))], rs=(0.0,))
+            SparseOperator(SparseFamily([Cube(0, (0,))]), rs=(0.0,))
 
     @settings(max_examples=80, deadline=None)
     @given(data=st.data())
     def test_matches_the_cube_walk(self, data):
-        # bit for bit, with duplicate cubes, unsorted levels and shifted cubes;
+        # bit for bit, with duplicate cubes and unsorted levels;
         # applied on two depths twice, so the per-grid plans are reused
         d, depth = data.draw(st.sampled_from([1, 2])), data.draw(st.integers(0, 4))
         pool = data.draw(st.lists(cubes_of(d, depth), min_size=1, max_size=4))
@@ -143,7 +140,7 @@ class TestSparseOperator:
         rs = data.draw(st.lists(st.sampled_from([0.5, 1.0, 2.5, INF]), min_size=1, max_size=2))
         atoms = tuple(data.draw(st.lists(st.integers(1, 3), max_size=2)))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        T = SparseOperator(family, rs=rs)
+        T = SparseOperator(SparseFamily(family), rs=rs)
         for grid in [Grid(d, depth), Grid(d, depth + 1)] * 2:
             fs = [oracles.signed_cells(rng, grid.cell_shape + atoms) for _ in rs]
             assert np.array_equal(T.apply(grid, fs), oracles.sparse_apply_walk(T, grid, fs))
@@ -151,9 +148,9 @@ class TestSparseOperator:
     def test_cubes_are_validated_on_every_grid(self):
         # a plan valid at depth 3 does not carry over to depth 2, and a
         # failed check stores no plan, so it raises again
-        deep = SparseOperator([Cube(3, (0,))], rs=(1.0,))
+        deep = SparseOperator(SparseFamily([Cube(3, (0,))]), rs=(1.0,))
         deep.apply(Grid(1, 3), [np.ones(8)])
-        outside = SparseOperator([Cube(0, (0,)), Cube(1, (2,))], rs=(1.0,))
+        outside = SparseOperator(SparseFamily([Cube(0, (0,)), Cube(1, (2,))]), rs=(1.0,))
         for _ in range(2):
             with pytest.raises(ValueError, match="lies off the d=1 lattices of depth 2"):
                 deep.apply(Grid(1, 2), [np.ones(4)])
@@ -167,7 +164,22 @@ class TestSparseOperator:
         assert T.hypothesis_constant(1.0) == 2.0
         assert T.hypothesis_constant(0.5) == 4.0
         assert T.hypothesis_constant(1.5) is None
-        assert SparseOperator([Cube(0, (0,))], rs=(1.0,)).hypothesis_constant(1.0) is None
+
+    def test_shifted_cubes_are_refused(self):
+        with pytest.raises(ValueError, match="shift-0 cubes, got Cube"):
+            SparseOperator(SparseFamily([Cube(0, (0,)), Cube(1, (0,), shift=1)]), rs=(1.0,))
+
+    def test_operators_refuse_a_shifted_grid(self):
+        # cell functions live on the shift-0 grid; the level products of a
+        # shifted one would be read at shift-0 positions
+        grid, f = Grid(1, 2, 1), np.ones(4)
+        for call in (
+            lambda: SparseOperator(chain_family(2), rs=(1.0,)).apply(grid, [f]),
+            lambda: HaarTransform().apply(grid, [f]),
+            lambda: scalar_maximal(grid, [f], [1.0]),
+        ):
+            with pytest.raises(ValueError, match=r"shift-0 grid, got Grid\(d=1, depth=2, shift=1\)"):
+                call()
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +315,7 @@ class TestTensorExtend:
 
     def test_needs_an_atom_axis(self):
         grid = Grid(1, 2)
-        T = SparseOperator([Cube(0, (0,))], rs=(1.0,))
+        T = SparseOperator(SparseFamily([Cube(0, (0,))]), rs=(1.0,))
         with pytest.raises(ValueError, match="atom axis"):
             tensor_extend(T, grid, [np.ones(4)])
 
@@ -511,9 +523,9 @@ class TestScalarHypothesis:
         )
         assert res["passed"] and res["bound"] == 4.0
 
-    def test_unknown_eta_reports_only(self):
+    def test_q_above_one_reports_only(self):
         res = scalar_hypothesis_check(
-            SparseOperator([Cube(0, (0,))], rs=(1.0,)), Grid(1, 2), 1.0
+            SparseOperator(chain_family(3), rs=(1.0,)), Grid(1, 2), 1.5
         )
         assert res["bound"] is None and res["passed"]
 
@@ -662,7 +674,7 @@ class TestWeightedTransfer:
         assert res["gamma"] == 2.0 and res["passed"]
 
     def test_interval_geometry_required(self):
-        T = SparseOperator([Cube(0, (0, 0))], rs=(1.0,))
+        T = SparseOperator(SparseFamily([Cube(0, (0, 0))]), rs=(1.0,))
         with pytest.raises(ValueError, match="interval"):
             weighted_transfer_experiment(T, Grid(2, 2), [2.0], ps=(2.0,), q=1.0)
 
@@ -714,15 +726,8 @@ def test_transfer_report_equals_the_oracle_paths(monkeypatch, dim, depth, seed):
     # fitted slopes are noise of size 1e-16 that an ulp moves
     cfg = {"dim": dim, "depth": depth, "trials": 5, "seed": seed}
     fast = cli.run("transfer", cfg)
-    fast_maximal = maximal.scalar_maximal
-
-    def maximal_oracle(grid, fs, rs, cubes=None):
-        if cubes is not None:
-            return fast_maximal(grid, fs, rs, cubes)
-        return oracles.scalar_maximal_upsampled(grid, fs, rs)
-
     _bind_everywhere(monkeypatch, dyadic.level_averages, oracles.level_averages_padded)
-    _bind_everywhere(monkeypatch, fast_maximal, maximal_oracle)
+    _bind_everywhere(monkeypatch, maximal.scalar_maximal, oracles.scalar_maximal_upsampled)
     monkeypatch.setattr(SparseOperator, "apply", oracles.sparse_apply_walk)
     monkeypatch.setattr(HaarTransform, "apply", oracles.haar_apply_loop)
     assert cli.run("transfer", cfg) == fast
