@@ -379,17 +379,15 @@ def cz_decompose(
     fs: Sequence[np.ndarray],
     rs: Sequence[float],
     lam: float,
-    norms: Sequence[float] | None = None,
 ) -> CZParts:
     """Maximal-cube decomposition: <f_j>_{r_j,Q} > lam^{r/r_j} selection.
 
-    Components are normalized to ||f_j||_{L^{r_j}} = 1 (using supplied norms
-    when given); lam and every norm lie in (0, inf).  Selected cubes are the
-    maximal ones exceeding the component threshold; the averaged part
-    freezes the cube average there.  They are found in one top-down sweep
-    over the levels: at level k the selection is the exceeding cubes not
-    covered by a coarser selection, and the cover and the frozen values are
-    refined one level at a time.
+    Components are normalized to ||f_j||_{L^{r_j}} = 1; lam and every norm
+    lie in (0, inf).  Selected cubes are the maximal ones exceeding the
+    component threshold; the averaged part freezes the cube average there.
+    They are found in one top-down sweep over the levels: at level k the
+    selection is the exceeding cubes not covered by a coarser selection, and
+    the cover and the frozen values are refined one level at a time.
     ``stopping_cubes`` lists the disjoint cubes in descending Z-order of
     their first finest cell (axis 0 as the high bit).
 
@@ -402,9 +400,7 @@ def cz_decompose(
     check("lam", lam, FINITE)
     one_per("exponent", "function", rs, fs)
     fs = [np.asarray(f, dtype=float) for f in fs]
-    if norms is None:
-        norms = [grid_norm(grid, f, r) for f, r in zip(fs, rs)]
-    norms = [check(f"norm of f_{j}", float(c), FINITE) for j, c in enumerate(norms, 1)]
+    norms = [check(f"norm of f_{j}", grid_norm(grid, f, r), FINITE) for j, (f, r) in enumerate(zip(fs, rs), 1)]
     fn = [f / c for f, c in zip(fs, norms)]
     r = harmonic_exponent(rs)
     thresholds = [lam ** (r / rj) for rj in rs]

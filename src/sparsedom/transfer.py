@@ -74,10 +74,11 @@ __all__ = [
 class SparseOperator:
     """Positive averaging model: T(f)(x) = sum_Q prod_j <f_j>_{r_j,Q} 1_Q(x).
 
-    ``family`` is a SparseFamily on the standard (shift-0) lattice; its
-    sparseness parameter certifies the scalar hypothesis constant, and a
-    shifted cube is refused.  Averages take absolute values, so the operator
-    is positive and m-sublinear.
+    ``family`` is a SparseFamily on the standard (shift-0) lattice whose
+    certificate checks, so that its sparseness parameter certifies the
+    scalar hypothesis constant; a shifted cube or an uncertified family is
+    refused.  Averages take absolute values, so the operator is positive and
+    m-sublinear.
     """
 
     kind = "sparse"
@@ -90,6 +91,8 @@ class SparseOperator:
         self.eta = float(family.eta)
         self.rs = tuple(check(f"r_{j}", float(r), EXPONENT) for j, r in enumerate(rs, 1))
         self.m = nonempty("averaging exponent", self.rs)
+        if not family.check_certificate():
+            raise ValueError("SparseOperator needs a family whose certificate checks, as from verify_sparse")
         # (d, depth) -> [(level, position, cell slices)]
         self._plans: dict[tuple[int, int], list] = {}
 
@@ -259,12 +262,12 @@ def tensor_extend(T, grid: Grid, Fs: Sequence[np.ndarray]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def space_tuple(specs: Sequence, n: int, n_inner: int = 2) -> tuple[Space, ...]:
+def space_tuple(specs: Sequence, n: int) -> tuple[Space, ...]:
     """Build a space tuple at atom count n; a spec is t or (t_outer, t_inner).
 
-    Nested specs scale their outer axis with n and keep ``n_inner`` inner
-    atoms.  All factors share the unit atomic measure, as the pointwise
-    product structure requires.
+    Nested specs scale their outer axis with n and keep two inner atoms.
+    All factors share the unit atomic measure, as the pointwise product
+    structure requires.
     """
     meas = AtomicMeasure.unit(n)
     out = []
@@ -274,7 +277,7 @@ def space_tuple(specs: Sequence, n: int, n_inner: int = 2) -> tuple[Space, ...]:
             out.append(
                 IteratedSpace(
                     LebesgueSpace(float(t_outer), meas),
-                    LebesgueSpace(float(t_inner), AtomicMeasure.unit(n_inner)),
+                    LebesgueSpace(float(t_inner), AtomicMeasure.unit(2)),
                 )
             )
         else:
@@ -536,10 +539,11 @@ def vv_transfer_check(
 
     ``specs`` is a callable n -> space tuple, or a list of per-factor
     exponents (t, or (t_outer, t_inner) for one nested level).  ``ns`` are
-    strictly increasing positive ints and ``trials`` is at least 1.  Per atom
-    count the worst ratio of the two transfer_sides over the trial suite is
-    recorded; the verdict is PASS when the log-log slope of that worst ratio
-    against n stays at or below 0.05.  An inadmissible tuple downgrades the
+    two or more strictly increasing positive ints, the points of the slope
+    fit, and ``trials`` is at least 1.  Per atom count the worst ratio of
+    the two transfer_sides over the trial suite is recorded; the verdict is
+    PASS when the log-log slope of that worst ratio against n stays at or
+    below 0.05.  An inadmissible tuple downgrades the
     run to exploratory with a warning rather than refusing it.
 
     Scalar profiles and g are drawn from one stream reseeded identically per
@@ -552,6 +556,8 @@ def vv_transfer_check(
     """
     make = specs if callable(specs) else (lambda n: space_tuple(specs, n))
     ns = increasing("ns", ns)
+    if len(ns) < 2:
+        raise ValueError(f"need at least two atom counts to fit a slope, got {ns}")
     at_least("trials", trials, 1)
     rs = list(T.rs)
     spaces0 = make(ns[0])
@@ -580,7 +586,7 @@ def vv_transfer_check(
         worst[n] = max(rat)
 
     ys = [worst[n] for n in ns]
-    if len(ns) < 2 or min(ys) <= 0:
+    if min(ys) <= 0:
         slope = 0.0
     else:
         slope = float(np.polyfit(np.log(ns), np.log(ys), 1)[0])

@@ -1,13 +1,15 @@
 """Muckenhoupt characteristics and the exponent arithmetic of weighted bounds.
 
-Weights are finite, strictly positive cell functions on a dyadic grid; the
-characteristic [w]_{p,(r,s)} is the exact maximum of the level arrays of the
-supplied grids (one-third shifts optional), which must lie over the weights'
-cells.  The exponent helpers are pure arithmetic in reciprocal space with the
-convention 1/inf = 0: the weighted maximal exponent, the transfer exponent for
-sparse forms, the extrapolation exponent together with its loss-free
-composition identity, the two ell^t cases, and membership in the bilinear
-Hilbert transform region with explicit theta witnesses.  Each exponent is one
+Weights are plain arrays: finite, strictly positive cell functions of one
+shape on a dyadic grid.  The characteristic [w]_{p,(r,s)} is the exact
+maximum of the level arrays of the supplied grids (one-third shifts
+optional), which must lie over the weights' cells.  The exponent helpers are
+pure arithmetic in reciprocal space with the convention 1/inf = 0: the
+weighted maximal exponent, the transfer exponent for sparse forms, the
+extrapolation exponent together with its loss-free composition identity,
+the two ell^t cases, and membership in the bilinear Hilbert transform region
+with explicit theta witnesses.  Each function checks the weights or standing
+inequalities it uses, by name, before computing.  Each exponent is one
 float, the larger of its r-side and s-side terms.  They build on the
 helpers re-exported from ``spaces``: ``recip``, ``harmonic_exponent``,
 ``gap_exponent`` (1/e = 1/a - 1/b, with gap_exponent(a, inf) = a exactly) and
@@ -17,8 +19,6 @@ the Holder ``conjugate``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -27,8 +27,6 @@ from .dyadic import Grid, level_products, shifted_grids
 from .spaces import conjugate, gap_exponent, harmonic_exponent, recip
 
 __all__ = [
-    "WeightVector",
-    "ExponentTuple",
     "recip",
     "harmonic_exponent",
     "gap_exponent",
@@ -45,25 +43,6 @@ __all__ = [
     "bht_region",
     "power_envelope",
 ]
-
-
-class WeightVector:
-    """Finite, strictly positive cell weights w_1, ..., w_m sharing one cell shape.
-
-    The product weight w = prod_j w_j is formed exactly cellwise.
-    """
-
-    def __init__(self, parts: Sequence[np.ndarray]):
-        arrays = [np.asarray(w, dtype=float) for w in parts]
-        nonempty("weight component", arrays)
-        for w in arrays:
-            if w.shape != arrays[0].shape:
-                raise ValueError("weight components must share one cell shape")
-            if not np.all(np.isfinite(w) & (w > 0)):
-                raise ValueError("weights must be finite and strictly positive")
-        self.parts = tuple(arrays)
-        self.m = len(arrays)
-        self.product = np.prod(np.stack(arrays), axis=0)
 
 
 def power_weight(grid: Grid, a: float) -> np.ndarray:
@@ -90,6 +69,8 @@ def muckenhoupt_constant(ws, ps, rs, s, grids) -> float:
     """[w]_{p,(r,s)}: max over every cube of ``grids`` of
     prod_j <w_j^-1>_{e_j,Q} * <w>_{e,Q}, exact.
 
+    ``ws`` is a nonempty sequence of arrays w_1, ..., w_m of one cell shape,
+    finite and strictly positive; w = prod_j w_j is their cellwise product.
     The exponents are e_j = gap_exponent(r_j, p_j) and e = gap_exponent(p, s).
     A vanishing gap turns the corresponding average into an essential
     supremum (the inf-average branch), which is the definition's limit case.
@@ -99,9 +80,16 @@ def muckenhoupt_constant(ws, ps, rs, s, grids) -> float:
     arrays; averages over shifted cubes are taken over their part inside the
     unit cube, so it is exact for the piecewise constant weight.
     """
-    wv = ws if isinstance(ws, WeightVector) else WeightVector(ws)
-    one_per("p_j", "weight component", ps, wv.parts)
-    one_per("r_j", "weight component", rs, wv.parts)
+    parts = [np.asarray(w, dtype=float) for w in ws]
+    nonempty("weight component", parts)
+    for w in parts:
+        if w.shape != parts[0].shape:
+            raise ValueError("weight components must share one cell shape")
+        if not np.all(np.isfinite(w) & (w > 0)):
+            raise ValueError("weights must be finite and strictly positive")
+    product = np.prod(np.stack(parts), axis=0)
+    one_per("p_j", "weight component", ps, parts)
+    one_per("r_j", "weight component", rs, parts)
     for j, (p, r) in enumerate(zip(ps, rs), 1):
         need(f"r_{j}", r, "<=", f"p_{j}", p)
     p = harmonic_exponent(ps)
@@ -110,9 +98,9 @@ def muckenhoupt_constant(ws, ps, rs, s, grids) -> float:
         grids = [grids]
     nonempty("grid", grids)
     for g in grids:
-        if g.cell_shape != wv.product.shape:
-            raise ValueError(f"{g} does not lie over the weights' cells {wv.product.shape}")
-    fs = [wv.product, *(1.0 / w for w in wv.parts)]
+        if g.cell_shape != product.shape:
+            raise ValueError(f"{g} does not lie over the weights' cells {product.shape}")
+    fs = [product, *(1.0 / w for w in parts)]
     es = [gap_exponent(p, s), *(gap_exponent(r, pj) for r, pj in zip(rs, ps))]
     return max(float(lv.max()) for g in grids for lv in level_products(g, fs, es).values())
 
@@ -139,63 +127,6 @@ def stable_muckenhoupt_constant(
             f"{depth - 1} vs {vals[1]:.6g} at depth {depth}"
         )
     return vals[1]
-
-
-@dataclass(frozen=True)
-class ExponentTuple:
-    """Validated exponent data (r, s, q, p, optional t), reciprocal space.
-
-    The standing inequalities r_j < p_j, s > r, q < s, p < s (and, when t is
-    present, r_j <= t_j and t <= s) are checked at construction; infinity is
-    legal wherever 1/inf = 0 makes the formulas finite.  ``tau`` is the
-    intermediate exponent of the composition identity, defined by
-    1/tau = (1/r - 1/s + 1/q)/(1/q).
-    """
-
-    rs: tuple[float, ...]
-    s: float
-    q: float
-    ps: tuple[float, ...]
-    ts: tuple[float, ...] | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "rs", tuple(float(r) for r in self.rs))
-        object.__setattr__(self, "ps", tuple(float(p) for p in self.ps))
-        object.__setattr__(self, "s", float(self.s))
-        object.__setattr__(self, "q", float(self.q))
-        if self.ts is not None:
-            object.__setattr__(self, "ts", tuple(float(t) for t in self.ts))
-        # r_j in (0, inf), r_j < p_j and r_j <= t_j, componentwise
-        _r_side(self.ps, self.rs, (math.inf,) * self.m if self.ts is None else self.ts)
-        need("s", self.s, ">", "r", self.r)
-        need("q", self.q, "<", "s", self.s)
-        need("p", self.p, "<", "s", self.s)
-        if self.ts is not None:
-            need("t", self.t, "<=", "s", self.s)
-
-    @property
-    def m(self) -> int:
-        return len(self.rs)
-
-    @property
-    def p(self) -> float:
-        return harmonic_exponent(self.ps)
-
-    @property
-    def r(self) -> float:
-        return harmonic_exponent(self.rs)
-
-    @property
-    def t(self) -> float:
-        if self.ts is None:
-            raise ValueError("no t components supplied")
-        return harmonic_exponent(self.ts)
-
-    @property
-    def tau(self) -> float:
-        # in (0, 1): 1/r - 1/s > 0 by the standing inequality s > r
-        rq = recip(self.q)
-        return rq / (recip(self.r) - recip(self.s) + rq)
 
 
 def _r_side(ps, rs, ts) -> float:
@@ -261,11 +192,22 @@ def composed_transfer_exponent(ps, q, rs, s) -> float:
     With tau = (1/q)/(1/r - 1/s + 1/q) and t_j = r_j/tau, the extrapolation
     exponent comes out as (1 - tau) times the transfer exponent; dividing
     the factor back out must reproduce transfer_exponent, an identity this
-    function realizes numerically.
+    function realizes numerically.  Requires r_j in (0, inf) with
+    r_j < p_j componentwise, s > r, q < s, p < s and q <= p.
     """
-    et = ExponentTuple(rs=tuple(rs), s=s, q=q, ps=tuple(ps))
-    tau = et.tau
-    ts = tuple(r / tau for r in et.rs)
+    rs, ps = tuple(float(r) for r in rs), tuple(float(p) for p in ps)
+    s, q = float(s), float(q)
+    maximal_weighted_exponent(ps, rs)  # r_j in (0, inf) and r_j < p_j
+    r = harmonic_exponent(rs)
+    need("s", s, ">", "r", r)
+    need("q", q, "<", "s", s)
+    p = harmonic_exponent(ps)
+    need("p", p, "<", "s", s)
+    need("q", q, "<=", "p", p)
+    # tau in (0, 1): 1/r - 1/s > 0 by s > r
+    rq = recip(q)
+    tau = rq / (recip(r) - recip(s) + rq)
+    ts = tuple(r_j / tau for r_j in rs)
     return extrapolation_exponent(ps, ts, rs, s) / (1.0 - tau)
 
 

@@ -35,7 +35,7 @@ from sparsedom.sparse import (
     certificate_depth,
 )
 from sparsedom.transfer import _signed_means
-from sparsedom.weights import WeightVector, gap_exponent
+from sparsedom.weights import gap_exponent
 
 
 # ---------------------------------------------------------------------------
@@ -461,20 +461,22 @@ def haar_apply_loop(T, grid, fs):
 def muckenhoupt_over_cubes(ws, ps, rs, s, grid, cubes):
     """max over ``cubes`` of prod_j <w_j^-1>_{e_j,Q} * <w>_{e,Q}, exact.
 
+    ``ws`` are positive cell arrays of one shape, and w is their product.
     The exponents are e_j = gap_exponent(r_j, p_j) and e = gap_exponent(p, s).
     A vanishing gap turns the corresponding average into an essential
     supremum (the inf-average branch), which is the definition's limit case.
     """
-    wv = ws if isinstance(ws, WeightVector) else WeightVector(ws)
-    if not len(ps) == len(rs) == wv.m:
+    ws = [np.asarray(w, dtype=float) for w in ws]
+    if not len(ps) == len(rs) == len(ws):
         raise ValueError("ps, rs, and the weight tuple must share one length")
     for j, (p, r) in enumerate(zip(ps, rs), 1):
         need(f"r_{j}", r, "<=", f"p_{j}", p)
     p = harmonic_exponent(ps)
     need("p", p, "<=", "s", s)
     ejs = [gap_exponent(r, pj) for r, pj in zip(rs, ps)]
-    winv = [1.0 / w for w in wv.parts]
-    vals = cube_averages(grid, [wv.product, *winv], [gap_exponent(p, s), *ejs], cubes)
+    winv = [1.0 / w for w in ws]
+    product = np.prod(np.stack(ws), axis=0)
+    vals = cube_averages(grid, [product, *winv], [gap_exponent(p, s), *ejs], cubes)
     return max((float(v) for v in vals), default=0.0)
 
 
@@ -518,7 +520,7 @@ def greedy_walk(fs, rs, grid, eta=0.5):
     return value, family
 
 
-def cz_decompose_walk(grid, fs, rs, lam, norms=None):
+def cz_decompose_walk(grid, fs, rs, lam):
     """``sparse.cz_decompose`` by a stack walk over ``Grid.children``.
 
     Pops the root, keeps a cube above its threshold, else pushes its
@@ -527,9 +529,7 @@ def cz_decompose_walk(grid, fs, rs, lam, norms=None):
     if not (lam > 0):
         raise ValueError(f"threshold must be positive, got {lam}")
     fs = [np.asarray(f, dtype=float) for f in fs]
-    if norms is None:
-        norms = [grid_norm(grid, f, r) for f, r in zip(fs, rs)]
-    norms = [float(c) for c in norms]
+    norms = [grid_norm(grid, f, r) for f, r in zip(fs, rs)]
     if any(c <= 0 for c in norms):
         raise ValueError("cannot normalize a vanishing component")
     fn = [f / c for f, c in zip(fs, norms)]

@@ -31,6 +31,7 @@ from sparsedom.transfer import (
 )
 from sparsedom.weights import (
     bht_region,
+    composed_transfer_exponent,
     conjugate,
     muckenhoupt_constant,
     power_weight,
@@ -55,7 +56,7 @@ REFUSALS = [
     # (0, inf)
     ("sparse_form-q", lambda: sparse_form([Cube(0, (0,))], G, [ONES], [1.0], q=INF),
      r"q must be in \(0, inf\), got inf"),
-    ("cz_decompose-norms", lambda: cz_decompose(G, [ONES], [1.0], 1.0, norms=[NAN]),
+    ("cz_decompose-norms", lambda: cz_decompose(G, [np.full(G.cell_shape, NAN)], [1.0], 1.0),
      r"norm of f_1 must be in \(0, inf\), got nan"),
     ("cz_decompose-lam", lambda: cz_decompose(G, [ONES], [1.0], INF), r"lam must be in \(0, inf\), got inf"),
     ("concavify-orlicz", lambda: concavify(OrliczSpace.from_power(2.0, U2), INF), r"p must be in \(0, inf\), got inf"),
@@ -108,6 +109,18 @@ REFUSALS = [
     ("nonempty", lambda: muckenhoupt_constant([ONES], (2.0,), (1.0,), INF, []), "need at least one grid, got none"),
     ("need", lambda: maximal_opnorm_lower(G, [2.0], [2.0], [LebesgueSpace(2.0, U2)]),
      "need r_1 < p_1, got r_1=2.0 >= p_1=2.0"),
+    ("composed-q-above-p", lambda: composed_transfer_exponent([2.0], 3.0, [1.0], INF),
+     "need q <= p, got q=3.0 > p=2.0"),
+    ("vv-one-atom-count", lambda: vv_transfer_check(HAAR, G, [2.0], 1.0, INF, ns=(4,)),
+     r"need at least two atom counts to fit a slope, got \(4,\)"),
+    # weights and families
+    ("weights-none", lambda: muckenhoupt_constant([], (), (), INF, G), "need at least one weight component, got none"),
+    ("weights-shapes", lambda: muckenhoupt_constant([ONES, np.ones(8)], (4.0, 4.0), (1.0, 1.0), INF, G),
+     "weight components must share one cell shape"),
+    ("weights-zero", lambda: muckenhoupt_constant([np.zeros(G.cell_shape)], (2.0,), (1.0,), INF, G),
+     "weights must be finite and strictly positive"),
+    ("SparseOperator-uncertified", lambda: SparseOperator(SparseFamily(list(Grid(1, 3).cubes())), rs=(1.0,)),
+     "SparseOperator needs a family whose certificate checks, as from verify_sparse"),
 ]
 
 

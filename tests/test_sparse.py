@@ -652,12 +652,6 @@ class TestCZ:
             np.prod(fn, axis=0), np.prod(parts.good, axis=0) + parts.bad, atol=1e-12
         )
 
-    def test_supplied_norms_respected(self):
-        g = Grid(1, 2)
-        f = np.array([4.0, 0.0, 0.0, 0.0])
-        parts = cz_decompose(g, [f], [1.0], lam=0.5, norms=[2.0])
-        np.testing.assert_allclose(parts.good[0] + parts.bad, f / 2.0)
-
     def test_domain_errors(self):
         g = Grid(1, 1)
         with pytest.raises(ValueError):

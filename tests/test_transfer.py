@@ -42,11 +42,16 @@ import oracles
 INF = math.inf
 
 
-def chain_family(levels: int, eta: float = 0.5) -> SparseFamily:
-    """Nested left-edge chain; feasible at eta = 1/2 for any length."""
-    fam = verify_sparse([Cube(k, (0,)) for k in range(levels)], eta=eta)
+def certified(cubes, eta: float = 0.5) -> SparseFamily:
+    """The family verify_sparse certifies for eta-sparse ``cubes``."""
+    fam = verify_sparse(cubes, eta=eta)
     assert isinstance(fam, SparseFamily)
     return fam
+
+
+def chain_family(levels: int, eta: float = 0.5) -> SparseFamily:
+    """Nested left-edge chain; feasible at eta = 1/2 for any length."""
+    return certified([Cube(k, (0,)) for k in range(levels)], eta)
 
 
 @st.composite
@@ -74,12 +79,12 @@ def slice_apply(T, grid, Fs):
 class TestSparseOperator:
     def test_root_only_fixes_constants(self):
         grid = Grid(1, 2)
-        T = SparseOperator(SparseFamily([Cube(0, (0,))]), rs=(1.0,))
+        T = SparseOperator(certified([Cube(0, (0,))]), rs=(1.0,))
         assert np.array_equal(T.apply(grid, [np.ones(4)]), np.ones(4))
 
     def test_depth_one_tree_pinned(self):
         grid = Grid(1, 1)
-        T = SparseOperator(SparseFamily([Cube(0, (0,)), Cube(1, (0,)), Cube(1, (1,))]), rs=(1.0,))
+        T = SparseOperator(certified([Cube(0, (0,)), Cube(1, (0,)), Cube(1, (1,))]), rs=(1.0,))
         out = T.apply(grid, [np.array([1.0, 0.0])])
         assert np.allclose(out, [1.5, 0.5], atol=1e-15)
 
@@ -90,7 +95,7 @@ class TestSparseOperator:
         cubes = [Cube(0, (0,)), Cube(1, (1,)), Cube(2, (0,)), Cube(3, (5,))]
         rs = (1.0, 2.0)
         fs = [rng.lognormal(size=8), rng.lognormal(size=8)]
-        T = SparseOperator(SparseFamily(cubes), rs=rs)
+        T = SparseOperator(certified(cubes), rs=rs)
         expected = np.zeros(8)
         for cube in cubes:
             sl = grid.cube_slices(cube)
@@ -115,32 +120,33 @@ class TestSparseOperator:
         f = rng.lognormal(size=4)
         a = [Cube(0, (0,)), Cube(2, (3,))]
         b = [Cube(1, (0,))]
-        whole = SparseOperator(SparseFamily(a + b), rs=(1.0,)).apply(grid, [f])
-        parts = SparseOperator(SparseFamily(a), rs=(1.0,)).apply(grid, [f]) + SparseOperator(
-            SparseFamily(b), rs=(1.0,)
+        whole = SparseOperator(certified(a + b), rs=(1.0,)).apply(grid, [f])
+        parts = SparseOperator(certified(a), rs=(1.0,)).apply(grid, [f]) + SparseOperator(
+            certified(b), rs=(1.0,)
         ).apply(grid, [f])
         assert np.allclose(whole, parts, rtol=1e-13)
 
     def test_arity_and_exponent_errors(self):
         grid = Grid(1, 1)
-        T = SparseOperator(SparseFamily([Cube(0, (0,))]), rs=(1.0, 1.0))
+        T = SparseOperator(certified([Cube(0, (0,))]), rs=(1.0, 1.0))
         with pytest.raises(ValueError, match="need one function per averaging exponent and at least one, got 1 for 2"):
             T.apply(grid, [np.ones(2)])
         with pytest.raises(ValueError, match=r"r_1 must be in \(0, inf\], got 0.0"):
-            SparseOperator(SparseFamily([Cube(0, (0,))]), rs=(0.0,))
+            SparseOperator(certified([Cube(0, (0,))]), rs=(0.0,))
 
     @settings(max_examples=80, deadline=None)
     @given(data=st.data())
     def test_matches_the_cube_walk(self, data):
-        # bit for bit, with duplicate cubes and unsorted levels;
-        # applied on two depths twice, so the per-grid plans are reused
+        # bit for bit, with unsorted levels; applied on two depths twice,
+        # so the per-grid plans are reused.  At most four distinct cubes
+        # are 1/4-sparse, whatever they are.
         d, depth = data.draw(st.sampled_from([1, 2])), data.draw(st.integers(0, 4))
         pool = data.draw(st.lists(cubes_of(d, depth), min_size=1, max_size=4))
-        family = data.draw(st.lists(st.sampled_from(pool), max_size=8))
+        family = data.draw(st.lists(st.sampled_from(pool), max_size=8, unique=True))
         rs = data.draw(st.lists(st.sampled_from([0.5, 1.0, 2.5, INF]), min_size=1, max_size=2))
         atoms = tuple(data.draw(st.lists(st.integers(1, 3), max_size=2)))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        T = SparseOperator(SparseFamily(family), rs=rs)
+        T = SparseOperator(certified(family, eta=0.25), rs=rs)
         for grid in [Grid(d, depth), Grid(d, depth + 1)] * 2:
             fs = [oracles.signed_cells(rng, grid.cell_shape + atoms) for _ in rs]
             assert np.array_equal(T.apply(grid, fs), oracles.sparse_apply_walk(T, grid, fs))
@@ -148,14 +154,20 @@ class TestSparseOperator:
     def test_cubes_are_validated_on_every_grid(self):
         # a plan valid at depth 3 does not carry over to depth 2, and a
         # failed check stores no plan, so it raises again
-        deep = SparseOperator(SparseFamily([Cube(3, (0,))]), rs=(1.0,))
+        deep = SparseOperator(certified([Cube(3, (0,))]), rs=(1.0,))
         deep.apply(Grid(1, 3), [np.ones(8)])
-        outside = SparseOperator(SparseFamily([Cube(0, (0,)), Cube(1, (2,))]), rs=(1.0,))
         for _ in range(2):
             with pytest.raises(ValueError, match="lies off the d=1 lattices of depth 2"):
                 deep.apply(Grid(1, 2), [np.ones(4)])
-            with pytest.raises(ValueError, match=r"does not meet \[0,1\)\^1"):
-                outside.apply(Grid(1, 2), [np.ones(4)])
+
+    def test_uncertified_families_are_refused(self):
+        # no witness sets at all, then a cube outside [0,1) and a repeated
+        # cube, which no certificate can hold (tests/test_checks.py refuses
+        # a family that is not 1/2-sparse)
+        root = Cube(0, (0,))
+        for family in (SparseFamily([root]), SparseFamily([root, Cube(1, (2,))]), SparseFamily([root, root])):
+            with pytest.raises(ValueError, match="SparseOperator needs a family whose certificate checks"):
+                SparseOperator(family, rs=(1.0,))
 
     def test_family_object_carries_eta(self):
         fam = chain_family(3)
@@ -166,6 +178,7 @@ class TestSparseOperator:
         assert T.hypothesis_constant(1.5) is None
 
     def test_shifted_cubes_are_refused(self):
+        # named before the certificate is checked
         with pytest.raises(ValueError, match="shift-0 cubes, got Cube"):
             SparseOperator(SparseFamily([Cube(0, (0,)), Cube(1, (0,), shift=1)]), rs=(1.0,))
 
@@ -315,7 +328,7 @@ class TestTensorExtend:
 
     def test_needs_an_atom_axis(self):
         grid = Grid(1, 2)
-        T = SparseOperator(SparseFamily([Cube(0, (0,))]), rs=(1.0,))
+        T = SparseOperator(certified([Cube(0, (0,))]), rs=(1.0,))
         with pytest.raises(ValueError, match="atom axis"):
             tensor_extend(T, grid, [np.ones(4)])
 
@@ -674,7 +687,7 @@ class TestWeightedTransfer:
         assert res["gamma"] == 2.0 and res["passed"]
 
     def test_interval_geometry_required(self):
-        T = SparseOperator(SparseFamily([Cube(0, (0, 0))]), rs=(1.0,))
+        T = SparseOperator(certified([Cube(0, (0, 0))]), rs=(1.0,))
         with pytest.raises(ValueError, match="interval"):
             weighted_transfer_experiment(T, Grid(2, 2), [2.0], ps=(2.0,), q=1.0)
 

@@ -9,8 +9,6 @@ from hypothesis import given, settings, strategies as st
 from sparsedom.dyadic import Grid, grid_norm, shifted_grids
 from sparsedom.maximal import scalar_maximal
 from sparsedom.weights import (
-    ExponentTuple,
-    WeightVector,
     bht_region,
     composed_transfer_exponent,
     conjugate,
@@ -94,30 +92,34 @@ class TestReciprocalHelpers:
 
 
 class TestWeightVector:
+    """The weight components as muckenhoupt_constant checks and multiplies them."""
+
     def test_product_is_cellwise(self):
+        # r_j = p_j and s = p make every average a sup: at the root
+        # max(w1 w2) max(1/w1) max(1/w2) = 3 * 1 * 4, where the product of
+        # the sups max(w1) max(w2) would give 32
         w1 = np.array([1.0, 2.0, 3.0, 4.0])
         w2 = np.array([2.0, 0.5, 1.0, 0.25])
-        wv = WeightVector([w1, w2])
-        assert wv.m == 2
-        np.testing.assert_allclose(wv.product, w1 * w2)
+        assert muckenhoupt_constant([w1, w2], (2.0, 2.0), (2.0, 2.0), 1.0, Grid(1, 2)) == 12.0
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError, match="strictly positive"):
-            WeightVector([np.array([1.0, 0.0])])
+            muckenhoupt_constant([np.array([1.0, 0.0])], (2.0,), (1.0,), INF, Grid(1, 1))
 
     @pytest.mark.parametrize("bad", [INF, math.nan])
     def test_rejects_nonfinite(self, bad):
         # an infinite weight made the characteristic infinite, with a warning
         with pytest.raises(ValueError, match="weights must be finite and strictly positive"):
-            WeightVector([np.array([1.0, bad])])
+            muckenhoupt_constant([np.array([1.0, bad])], (2.0,), (1.0,), INF, Grid(1, 1))
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError, match="cell shape"):
-            WeightVector([np.ones(4), np.ones(8)])
+            muckenhoupt_constant([np.ones(4), np.ones(8)], (4.0, 4.0), (1.0, 1.0), INF, Grid(1, 2))
 
     def test_rejects_empty(self):
-        with pytest.raises(ValueError, match="at least one"):
-            WeightVector([])
+        # the weights are checked before the exponents are matched to them
+        with pytest.raises(ValueError, match="need at least one weight component, got none"):
+            muckenhoupt_constant([], (), (), INF, Grid(1, 1))
 
 
 class TestPowerWeight:
@@ -298,45 +300,35 @@ class TestMuckenhouptConstant:
 
 
 class TestExponentTuple:
+    """The standing inequalities and tau as composed_transfer_exponent checks and uses them."""
+
     def test_derived_fields(self):
-        et = ExponentTuple(rs=(1.0, 1.0), s=INF, q=1.0, ps=(2.0, 2.0))
-        assert et.m == 2
-        assert et.p == 1.0
-        assert et.r == 0.5
-        # tau = (1/q) / (1/r - 1/s + 1/q) = 1 / (2 + 1)
-        assert np.isclose(et.tau, 1.0 / 3.0)
+        # r = 1/2, p = 1, tau = (1/q)/(1/r - 1/s + 1/q) = 1/3 and t_j = 3:
+        # extrapolation gives max{4/3, 2/3}, and 4/3 / (1 - tau) = 2
+        got = composed_transfer_exponent((2.0, 2.0), 1.0, (1.0, 1.0), INF)
+        assert np.isclose(got, 2.0, rtol=1e-14)
+        assert np.isclose(got, transfer_exponent((2.0, 2.0), 1.0, (1.0, 1.0), INF), rtol=1e-14)
 
     def test_tau_half_in_linear_case(self):
-        et = ExponentTuple(rs=(1.0,), s=INF, q=1.0, ps=(2.0,))
-        assert np.isclose(et.tau, 0.5)
-        assert 0.0 < et.tau < 1.0
-
-    def test_t_components(self):
-        et = ExponentTuple(rs=(1.0,), s=INF, q=1.0, ps=(2.0,), ts=(3.0,))
-        assert et.t == 3.0
-        bare = ExponentTuple(rs=(1.0,), s=INF, q=1.0, ps=(2.0,))
-        with pytest.raises(ValueError, match="no t components"):
-            bare.t
+        # tau = 1/2 gives t = p, so the extrapolation exponent is exactly 1
+        assert extrapolation_exponent((2.0,), (2.0,), (1.0,), INF) == 1.0
+        assert composed_transfer_exponent((2.0,), 1.0, (1.0,), INF) == 2.0
 
     def test_standing_inequalities(self):
         with pytest.raises(ValueError, match="r_1 < p_1"):
-            ExponentTuple(rs=(2.0,), s=INF, q=1.0, ps=(2.0,))
+            composed_transfer_exponent((2.0,), 1.0, (2.0,), INF)
         with pytest.raises(ValueError, match="s > r"):
-            ExponentTuple(rs=(2.0, 2.0), s=1.0, q=0.5, ps=(3.0, 3.0))
+            composed_transfer_exponent((3.0, 3.0), 0.5, (2.0, 2.0), 1.0)
         with pytest.raises(ValueError, match="q < s"):
-            ExponentTuple(rs=(1.0,), s=4.0, q=4.0, ps=(2.0,))
+            composed_transfer_exponent((2.0,), 4.0, (1.0,), 4.0)
         with pytest.raises(ValueError, match="p < s"):
-            ExponentTuple(rs=(1.0,), s=2.0, q=1.0, ps=(3.0,))
-        with pytest.raises(ValueError, match="r_2 <= t_2"):
-            ExponentTuple(rs=(1.0, 1.0), s=INF, q=1.0, ps=(4.0, 4.0), ts=(2.0, 0.5))
-        with pytest.raises(ValueError, match="t <= s"):
-            ExponentTuple(rs=(1.0,), s=3.0, q=1.0, ps=(2.0,), ts=(4.0,))
+            composed_transfer_exponent((3.0,), 1.0, (1.0,), 2.0)
         with pytest.raises(ValueError, match=r"r_1 must be in \(0, inf\), got inf"):
-            ExponentTuple(rs=(INF,), s=INF, q=1.0, ps=(INF,))
+            composed_transfer_exponent((INF,), 1.0, (INF,), INF)
 
     def test_infinite_p_component_is_legal(self):
-        et = ExponentTuple(rs=(1.0, 1.0), s=INF, q=1.0, ps=(2.0, INF))
-        assert et.p == 2.0
+        got = composed_transfer_exponent((2.0, INF), 1.0, (1.0, 1.0), INF)
+        assert np.isclose(got, transfer_exponent((2.0, INF), 1.0, (1.0, 1.0), INF), rtol=1e-14)
 
 
 class TestMaximalWeightedExponent:
