@@ -359,7 +359,8 @@ class CZParts:
 
     good[j] = flat[j] + averaged[j]: the original function off the level set
     plus its r_j-average frozen on each selected maximal cube.  bad is the
-    product remainder prod f_j - prod good[j].
+    product remainder prod f_j - prod good[j].  selections[j][k] masks
+    component j's selected cubes at level k; ``stopping_cubes`` builds them.
     """
 
     good: list[np.ndarray]
@@ -367,11 +368,18 @@ class CZParts:
     averaged: list[np.ndarray]
     bad: np.ndarray
     level_sets: list[np.ndarray]
-    stopping_cubes: list[list[Cube]]
+    selections: list[list[np.ndarray]]
     threshold: float
     r: float
     component_thresholds: list[float]
     norms: list[float]
+
+    @property
+    def stopping_cubes(self) -> list[list[Cube]]:
+        """Each component's disjoint selected cubes, built from ``selections``
+        on every read, in descending Z-order of their first finest cell."""
+        found = (_selected(picks, len(picks) - 1) for picks in self.selections)
+        return [_cubes(level, index, np.argsort(-code, kind="stable")) for level, index, code in found]
 
 
 def cz_decompose(
@@ -387,9 +395,9 @@ def cz_decompose(
     component threshold; the averaged part freezes the cube average there.
     They are found in one top-down sweep over the levels: at level k the
     selection is the exceeding cubes not covered by a coarser selection, and
-    the cover and the frozen values are refined one level at a time.
-    ``stopping_cubes`` lists the disjoint cubes in descending Z-order of
-    their first finest cell (axis 0 as the high bit).
+    the cover and the frozen values are refined one level at a time.  The
+    masks are kept; ``stopping_cubes`` builds the disjoint cubes from them on
+    read, in descending Z-order of their first finest cell (axis 0 high).
 
     The lattice is the full one of the zero extension beyond the window, so
     when the root average exceeds the threshold the selected cube is the
@@ -406,7 +414,7 @@ def cz_decompose(
     thresholds = [lam ** (r / rj) for rj in rs]
     d = grid.d
 
-    flat, averaged, good, level_sets, stop_cubes = [], [], [], [], []
+    flat, averaged, good, level_sets, selections = [], [], [], [], []
     for f, rj, thr in zip(fn, rs, thresholds):
         lv = level_averages(grid, f, rj)
         covered = np.zeros((1,) * d, dtype=bool)
@@ -426,17 +434,16 @@ def cz_decompose(
             while a0 * 2.0 ** (-(k + 1) * d / rj) > thr:
                 k += 1
             frozen = np.full(grid.cell_shape, a0 * 2.0 ** (-k * d / rj))
-        level, index, code = _selected(picks, grid.depth)
         g1 = np.where(covered, 0.0, f)
         flat.append(g1)
         averaged.append(frozen)
         good.append(g1 + frozen)
         level_sets.append(covered)
-        stop_cubes.append(_cubes(level, index, np.argsort(-code, kind="stable")))
+        selections.append(picks)
 
     bad = np.prod(fn, axis=0) - np.prod(good, axis=0)
     return CZParts(
-        good, flat, averaged, bad, level_sets, stop_cubes, lam, r, thresholds, norms
+        good, flat, averaged, bad, level_sets, selections, lam, r, thresholds, norms
     )
 
 
@@ -539,7 +546,7 @@ def stopping_domination(
     c = float(c_stop)
     for doubling in range(max_doublings + 1):
         picks, parent = _stopping_sweep(grid, scalar_lp, vector_lp, prod_space_X, c)
-        level, index, code = _selected(picks, grid.depth)
+        level = np.repeat(np.arange(len(picks)), [np.count_nonzero(sel) for sel in picks])
         # each cube's children may cover at most half of it, in finest cells
         cells = 1 << (grid.d * (grid.depth - level))
         covered = np.bincount(parent, weights=cells[1:], minlength=len(cells))
@@ -552,6 +559,7 @@ def stopping_domination(
             {"c_stop": c, "rs": list(rs), "q": q, "depth": grid.depth},
         )
 
+    _, index, code = _selected(picks, grid.depth)
     order = np.lexsort((level, code))
     selected = _cubes(level, index, order)
     family = verify_sparse(selected, 0.5)

@@ -85,14 +85,11 @@ class SparseOperator:
 
     def __init__(self, family: SparseFamily, rs: Sequence[float]):
         self.cubes = list(family.cubes)
-        for cube in self.cubes:
-            if cube.shift != 0:
-                raise ValueError(f"SparseOperator acts on shift-0 cubes, got {cube}")
         self.eta = float(family.eta)
         self.rs = tuple(check(f"r_{j}", float(r), EXPONENT) for j, r in enumerate(rs, 1))
         self.m = nonempty("averaging exponent", self.rs)
         if not family.check_certificate():
-            raise ValueError("SparseOperator needs a family whose certificate checks, as from verify_sparse")
+            raise ValueError("SparseOperator needs a shift-0 family whose certificate checks, as from verify_sparse")
         # (d, depth) -> [(level, position, cell slices)]
         self._plans: dict[tuple[int, int], list] = {}
 

@@ -521,10 +521,16 @@ def greedy_walk(fs, rs, grid, eta=0.5):
 
 
 def cz_decompose_walk(grid, fs, rs, lam):
-    """``sparse.cz_decompose`` by a stack walk over ``Grid.children``.
+    """``sparse.cz_decompose`` by a stack walk over ``Grid.children``."""
+    return cz_stack_walk(grid, fs, rs, lam)[0]
+
+
+def cz_stack_walk(grid, fs, rs, lam):
+    """The CZParts of a stack walk over ``Grid.children``, and its stopping
+    cubes per component in the walk's own pop order.
 
     Pops the root, keeps a cube above its threshold, else pushes its
-    children; the stopping cubes come out in that pop order.
+    children.  The selection masks are set from the kept cubes.
     """
     if not (lam > 0):
         raise ValueError(f"threshold must be positive, got {lam}")
@@ -536,7 +542,7 @@ def cz_decompose_walk(grid, fs, rs, lam):
     r = harmonic_exponent(rs)
     thresholds = [lam ** (r / rj) for rj in rs]
 
-    flat, averaged, good, level_sets, stop_cubes = [], [], [], [], []
+    flat, averaged, good, level_sets, selections, stop_cubes = [], [], [], [], [], []
     for f, rj, thr in zip(fn, rs, thresholds):
         lv = level_averages(grid, f, rj)
         selected = []
@@ -557,21 +563,25 @@ def cz_decompose_walk(grid, fs, rs, lam):
             frozen[grid.root] = a0 * 2.0 ** (-k * grid.d / rj)
         mask = np.zeros(grid.cell_shape, dtype=bool)
         g2 = np.zeros(grid.cell_shape)
+        picks = [np.zeros((1 << k,) * grid.d, dtype=bool) for k in range(grid.depth + 1)]
         for cube in selected:
             sl = grid.cube_slices(cube)
             mask[sl] = True
             g2[sl] = frozen[cube]
+            picks[cube.level][cube.index] = True
         g1 = np.where(mask, 0.0, f)
         flat.append(g1)
         averaged.append(g2)
         good.append(g1 + g2)
         level_sets.append(mask)
+        selections.append(picks)
         stop_cubes.append(selected)
 
     bad = np.prod(fn, axis=0) - np.prod(good, axis=0)
-    return CZParts(
-        good, flat, averaged, bad, level_sets, stop_cubes, lam, r, thresholds, norms
+    parts = CZParts(
+        good, flat, averaged, bad, level_sets, selections, lam, r, thresholds, norms
     )
+    return parts, stop_cubes
 
 
 def stopping_domination_walk(grid, Fs, rs, q, spaces, c_stop=1.0, max_doublings=20):

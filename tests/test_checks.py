@@ -120,7 +120,7 @@ REFUSALS = [
     ("weights-zero", lambda: muckenhoupt_constant([np.zeros(G.cell_shape)], (2.0,), (1.0,), INF, G),
      "weights must be finite and strictly positive"),
     ("SparseOperator-uncertified", lambda: SparseOperator(SparseFamily(list(Grid(1, 3).cubes())), rs=(1.0,)),
-     "SparseOperator needs a family whose certificate checks, as from verify_sparse"),
+     "SparseOperator needs a shift-0 family whose certificate checks, as from verify_sparse"),
 ]
 
 

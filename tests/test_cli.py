@@ -462,6 +462,26 @@ def test_reports_match_the_stack_walks(monkeypatch, command, dim, depth, seed):
     assert json.dumps(run(command, config), indent=2) == swept
 
 
+def test_cz_battery_builds_no_cubes(monkeypatch):
+    """The cz battery reads the level arrays only; reading stopping_cubes
+    builds one list of cubes per component."""
+    built, parts, cubes = [], [], sparse._cubes
+
+    def counted(*args):
+        built.append(args)
+        return cubes(*args)
+
+    def kept(*args):
+        parts.append(sparse.cz_decompose(*args))
+        return parts[-1]
+
+    monkeypatch.setattr(sparse, "_cubes", counted)
+    monkeypatch.setattr(cli, "cz_decompose", kept)
+    run("cz", {"dim": 2, "depth": 4, "seed": 0})
+    assert parts and not built
+    assert len(parts[-1].stopping_cubes) == len(built) == len(parts[-1].selections) == 2
+
+
 @pytest.mark.parametrize("seed", [0, 1])
 @pytest.mark.parametrize(
     "command, dim, depth",

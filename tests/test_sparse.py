@@ -33,7 +33,7 @@ from sparsedom.sparse import (
 from oracles import (
     carleson_constant,
     check_certificate_sets,
-    cz_decompose_walk,
+    cz_stack_walk,
     exhaustive_best_form,
     flow_sparse,
     greedy_walk,
@@ -818,14 +818,20 @@ def assert_identical(a, b):
             assert list(x.certificate.items()) == list(y.certificate.items())
         elif isinstance(x, dict):
             assert list(x.items()) == list(y.items()), f.name
-        elif isinstance(x, np.ndarray):
-            assert x.dtype == y.dtype and np.array_equal(x, y), f.name
-        elif isinstance(x, list) and x and isinstance(x[0], np.ndarray):
-            assert len(x) == len(y), f.name
-            for u, v in zip(x, y):
-                assert u.dtype == v.dtype and np.array_equal(u, v), f.name
         else:
-            assert x == y, f.name
+            assert_same(x, y, f.name)
+
+
+def assert_same(x, y, name):
+    """== for values, arrays bitwise, lists (of lists) of them item by item."""
+    if isinstance(x, np.ndarray):
+        assert x.dtype == y.dtype and np.array_equal(x, y), name
+    elif isinstance(x, list):
+        assert isinstance(y, list) and len(x) == len(y), name
+        for u, v in zip(x, y):
+            assert_same(u, v, name)
+    else:
+        assert x == y, name
 
 
 @st.composite
@@ -884,7 +890,29 @@ def test_cz_sweep_matches_the_walk(data, d, m):
     assume(all(f.any() for f in fs))
     rs = [data.draw(st.sampled_from([0.5, 1.0, 2.0, 3.0])) for _ in range(m)]
     lam = data.draw(st.floats(0.05, 4.0))
-    assert_identical(cz_decompose(grid, fs, rs, lam), cz_decompose_walk(grid, fs, rs, lam))
+    swept = cz_decompose(grid, fs, rs, lam)
+    walked, popped = cz_stack_walk(grid, fs, rs, lam)
+    assert_identical(swept, walked)
+    # stopping_cubes is a property, not a field: it is held against the
+    # walk's own pop order, not against cubes built from the walk's masks
+    assert swept.stopping_cubes == popped
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), d=st.sampled_from([1, 2]), m=st.integers(1, 2))
+def test_cz_stopping_cubes_tile_the_level_sets(data, d, m):
+    # lam < 1 selects the root, whose normalized average is 1
+    grid = Grid(d, data.draw(st.integers(0, 6 if d == 1 else 4)))
+    fs = [data.draw(cell_arrays(grid.cell_shape)) for _ in range(m)]
+    assume(all(f.any() for f in fs))
+    rs = [data.draw(st.sampled_from([0.5, 1.0, 2.0, 3.0])) for _ in range(m)]
+    parts = cz_decompose(grid, fs, rs, data.draw(st.floats(0.05, 4.0)))
+    for cubes, level_set in zip(parts.stopping_cubes, parts.level_sets):
+        count = np.zeros(grid.cell_shape, dtype=int)
+        for cube in cubes:
+            count[grid.cube_slices(cube)] += 1
+        # each cell of the level set lies in exactly one cube, no other cell in any
+        assert np.array_equal(count, level_set)
 
 
 # ---------------------------------------------------------------------------

@@ -166,7 +166,7 @@ class TestSparseOperator:
         # a family that is not 1/2-sparse)
         root = Cube(0, (0,))
         for family in (SparseFamily([root]), SparseFamily([root, Cube(1, (2,))]), SparseFamily([root, root])):
-            with pytest.raises(ValueError, match="SparseOperator needs a family whose certificate checks"):
+            with pytest.raises(ValueError, match="SparseOperator needs a shift-0 family whose certificate checks"):
                 SparseOperator(family, rs=(1.0,))
 
     def test_family_object_carries_eta(self):
@@ -178,9 +178,15 @@ class TestSparseOperator:
         assert T.hypothesis_constant(1.5) is None
 
     def test_shifted_cubes_are_refused(self):
-        # named before the certificate is checked
-        with pytest.raises(ValueError, match="shift-0 cubes, got Cube"):
-            SparseOperator(SparseFamily([Cube(0, (0,)), Cube(1, (0,), shift=1)]), rs=(1.0,))
+        # the witness cells that certify the shift-0 cube certify no shifted
+        # one, so the certificate refusal names both conditions
+        cube, shifted = Cube(1, (0,)), Cube(1, (0,), shift=1)
+        SparseOperator(SparseFamily([cube], 0.5, {cube: [0, 1]}, 3), rs=(1.0,))
+        with pytest.raises(ValueError, match="needs a shift-0 family whose certificate checks"):
+            SparseOperator(SparseFamily([shifted], 0.5, {shifted: [0, 1]}, 3), rs=(1.0,))
+        # the exponents are checked first
+        with pytest.raises(ValueError, match=r"r_1 must be in \(0, inf\], got nan"):
+            SparseOperator(SparseFamily([shifted], 0.5, {shifted: [0, 1]}, 3), rs=(math.nan,))
 
     def test_operators_refuse_a_shifted_grid(self):
         # cell functions live on the shift-0 grid; the level products of a
