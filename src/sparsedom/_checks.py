@@ -74,6 +74,15 @@ def one_per(each: str, per: str, xs: Sized, ys: Sized) -> int:
     return len(ys)
 
 
+def distinct(name: str, xs: Iterable) -> None:
+    """Refuse a repeat among the hashable xs, naming the first one seen again."""
+    seen = set()
+    for x in xs:
+        if x in seen:
+            raise ValueError(f"{name} must be distinct, got {x} more than once")
+        seen.add(x)
+
+
 def nonempty(what: str, xs: Sized) -> int:
     """len(xs) when it is at least one; else 'need at least one <what>'."""
     if not len(xs):

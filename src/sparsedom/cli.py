@@ -308,7 +308,7 @@ def _stopping_checks(cfg: dict) -> list[dict]:
                 bad_family = bad_family or (None if good_family else failing)
                 bad_pointwise = bad_pointwise or (None if cert.pointwise_ok else failing)
             consts.append(cert.c_stop)
-            table.append({"case": label, "n": n, "c_stop": cert.c_stop, "cubes": len(cert.family.cubes)})
+            table.append({"case": label, "n": n, "c_stop": cert.c_stop, "cubes": len(cert.family.level)})
         spread = max(spread, max(consts) / min(consts))
     family_ok, pointwise_ok = bad_family is None, bad_pointwise is None
     return [

@@ -331,19 +331,6 @@ def level_products(
     return out
 
 
-def _position(grid: Grid, cube: Cube) -> tuple[int, ...]:
-    """Where ``cube`` sits in the level arrays of its lattice, bounds-checked."""
-    if cube.d != grid.d or not 0 <= cube.level <= grid.depth:
-        raise ValueError(f"{cube} lies off the d={grid.d} lattices of depth {grid.depth}")
-    pos = []
-    for m, a in zip(cube.index, cube.shift_digits):
-        rng = _axis_range(cube.level, a)
-        if m not in rng:
-            raise ValueError(f"{cube} does not meet [0,1)^{grid.d}")
-        pos.append(m - rng.start)
-    return tuple(pos)
-
-
 def cube_averages(
     grid: Grid, fs: Sequence[np.ndarray], rs: Sequence[float], cubes: Iterable[Cube]
 ) -> Iterator[np.ndarray]:
@@ -354,11 +341,14 @@ def cube_averages(
     """
     tables: dict[int, dict[int, np.ndarray]] = {}
     for cube in cubes:
-        pos = _position(grid, cube)
+        if cube.d != grid.d or not 0 <= cube.level <= grid.depth:
+            raise ValueError(f"{cube} lies off the d={grid.d} lattices of depth {grid.depth}")
+        ranges = [_axis_range(cube.level, a) for a in cube.shift_digits]
+        if any(m not in rng for m, rng in zip(cube.index, ranges)):
+            raise ValueError(f"{cube} does not meet [0,1)^{grid.d}")
         if cube.shift not in tables:
-            lattice = Grid(grid.d, grid.depth, cube.shift)
-            tables[cube.shift] = level_products(lattice, fs, rs)
-        yield tables[cube.shift][cube.level][pos]
+            tables[cube.shift] = level_products(Grid(grid.d, grid.depth, cube.shift), fs, rs)
+        yield tables[cube.shift][cube.level][tuple(m - rng.start for m, rng in zip(cube.index, ranges))]
 
 
 def average(grid: Grid, f: np.ndarray, r: float, cube: Cube):

@@ -23,14 +23,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import chain, product
 from typing import Sequence
 
 import numpy as np
 
-from ._checks import EXPONENT, FINITE, UNIT, check, interval, one_per
+from ._checks import EXPONENT, FINITE, UNIT, _is_int, check, distinct, interval, one_per
 from .dyadic import Cube, Grid, cube_averages, grid_norm, level_averages, level_products
 from .maximal import _check_convexity, lattice_maximal
 from .spaces import Space, harmonic_exponent, product_space
@@ -63,49 +63,92 @@ _CELL_DEPTHS = interval(0, 31, lo_closed=True, hi_closed=True)  # d * depth < 63
 
 @dataclass
 class SparseFamily:
-    """A cube family with sparseness parameter and optional cell certificate.
+    """Distinct standard-lattice cubes with a sparseness parameter and a cell
+    certificate, held as arrays in family order.
 
-    certificate maps each cube to the flat ids (row-major ints) of finest
-    cells at ``certificate_depth`` (at most 31) forming its disjoint witness
-    set E_Q.
+    Cube i is 2^(-level[i]) * ([0,1)^d + index[i]), with ``index`` n x d.  Its
+    witness set E_Q is cells[offsets[i]:offsets[i + 1]]: flat ids (row-major
+    ints) of finest cells at ``certificate_depth`` (at most 31), empty for a
+    cube without witnesses.  ``from_cubes`` builds a family from a cube list;
+    ``cubes`` and ``certificate`` build the ``Cube`` views on every read.
     """
 
-    cubes: list[Cube]
-    eta: float = 0.5
-    certificate: dict[Cube, list[int]] = field(default_factory=dict)
-    certificate_depth: int = 0
+    level: np.ndarray
+    index: np.ndarray
+    cells: np.ndarray
+    offsets: np.ndarray
+    eta: float
+    certificate_depth: int
 
     def __post_init__(self):
         check("eta", self.eta, UNIT)
         check("certificate_depth", self.certificate_depth, _CELL_DEPTHS, integer=True)
 
+    @classmethod
+    def from_cubes(cls, cubes: Sequence[Cube], eta: float = 0.5, certificate: dict | None = None,
+                   certificate_depth: int = 0) -> SparseFamily:
+        """The family of ``cubes`` in list order, each with its cells in
+        ``certificate`` (none when it has no entry).
+
+        The cubes must be distinct shift-0 cubes of one dimension inside the
+        unit cube, the certificate's keys family cubes and its cells ints;
+        else a named refusal.
+        """
+        cubes, certificate = list(cubes), dict(certificate or {})
+        rows = [(q.level, *q.index) for q in cubes if not q.shift]
+        if len(rows) < len(cubes):
+            raise ValueError("sparseness verification supports the standard lattice only")
+        if len({len(r) for r in rows}) > 1:
+            raise ValueError("cubes must share one dimension")
+        bad = next((q for q, r in zip(cubes, rows) if min(r) < 0 or any(m >> r[0] for m in r[1:])), None)
+        if bad is not None:
+            raise ValueError(f"cube indices must be in [0, 2^level), got {bad}")
+        distinct("cubes", cubes)
+        stray = set(certificate) - set(cubes)
+        if stray:
+            raise ValueError(f"certificate keys must be family cubes, got {stray.pop()}")
+        sets = [list(certificate.get(q, ())) for q in cubes]
+        flat = list(chain.from_iterable(sets))
+        wrong = next((c for c in flat if not _is_int(c) or not -(1 << 63) <= c < 1 << 63), None)
+        if wrong is not None:  # int64 cell ids
+            raise ValueError(f"certificate cells must be ints in [-2^63, 2^63), got {wrong}")
+        table = np.array(rows, dtype=np.int64).reshape(len(rows), -1 if rows else 1)
+        offsets = np.cumsum([0] + [len(s) for s in sets])
+        return cls(table[:, 0], table[:, 1:], np.array(flat, dtype=np.int64), offsets, eta, certificate_depth)
+
+    @property
+    def cubes(self) -> list[Cube]:
+        """The cubes in family order, built on every read."""
+        return _cubes(self.level, self.index)
+
+    @property
+    def certificate(self) -> dict[Cube, list[int]]:
+        """Each cube with witness cells -> its cells, in family order, built on every read."""
+        cells, bounds = self.cells.tolist(), self.offsets.tolist()
+        return {q: cells[a:b] for q, a, b in zip(self.cubes, bounds, bounds[1:]) if b > a}
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, SparseFamily) and all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self)
+        )
+
     def check_certificate(self) -> bool:
         """One witness set of distinct cells per family cube: disjoint, contained, large enough.
 
-        False unless the certificate's keys are the family's cubes, each once,
-        and these are shift-0 cubes of one dimension inside the unit cube, no
-        finer than ``certificate_depth``.  All witness cells are checked in one
-        pass: int ids in range, one sort for repeats within and across the
-        sets, containment as cell >> (depth - level) == index axis by axis,
-        and each set's size against its demand ceil(eta |Q|) in cells, as
-        integers.
+        False when a cube is finer than ``certificate_depth``.  All witness
+        cells are checked in one pass: ids in range, one sort for repeats
+        within and across the sets, containment as cell >> (depth - level) ==
+        index axis by axis, and each set's size against its demand
+        ceil(eta |Q|) in cells, as integers.
         """
-        cert, depth = self.certificate, self.certificate_depth
-        if len(cert) != len(self.cubes) or set(cert) != set(self.cubes):
-            return False
-        if not cert:
+        level, cells, depth = self.level, self.cells, self.certificate_depth
+        if not len(level):
             return True
-        try:
-            table = np.array(_family_rows(list(cert)))
-        except ValueError:
+        d, n, sizes = self.index.shape[1], 1 << depth, np.diff(self.offsets)
+        if level.max() > depth or cells.min(initial=0) < 0 or cells.max(initial=0) >= n**d:
             return False
-        d, level, index, n = table.shape[1] - 1, table[:, 0], table[:, 1:].T, 1 << depth
-        cells = np.array(list(chain.from_iterable(cert.values())))  # float64 when there are none
-        if level.max() > depth or cells.dtype.kind != "i" or cells.min() < 0 or cells.max() >= n**d:
-            return False
-        sizes = np.array([len(c) for c in cert.values()])
         owner = np.repeat(np.arange(len(sizes)), sizes)
-        for axis, m in enumerate(index):
+        for axis, m in enumerate(self.index.T):
             coord = cells >> depth * (d - 1 - axis) & n - 1
             if np.any(coord >> depth - level[owner] != m[owner]):
                 return False
@@ -128,23 +171,6 @@ class SparseRefutation:
     depth: int
 
 
-def _family_rows(cubes: Sequence[Cube]) -> list[tuple[int, ...]]:
-    """(level, *index) per cube when the cubes are distinct shift-0 cubes of
-    one dimension inside the unit cube; else a named refusal."""
-    rows = [(q.level, *q.index) for q in cubes if not q.shift]
-    if len(rows) < len(cubes):
-        raise ValueError("sparseness verification supports the standard lattice only")
-    if len({len(r) for r in rows}) != 1:
-        raise ValueError("cubes must share one dimension")
-    if min(map(min, rows)) < 0 or any(m >> r[0] for r in rows for m in r[1:]):
-        bad = next(q for q, r in zip(cubes, rows) if min(r) < 0 or any(m >> r[0] for m in r[1:]))
-        raise ValueError(f"cube indices must be in [0, 2^level), got {bad}")
-    if len(set(rows)) < len(rows):
-        again = next(q for i, q in enumerate(cubes) if q in cubes[:i])
-        raise ValueError(f"cubes must be distinct, got {again} more than once")
-    return rows
-
-
 def certificate_depth(d: int, level: int, eta: float) -> int:
     """Cell depth at which eta |Q| is a whole number of cells down to ``level``.
 
@@ -165,56 +191,56 @@ def verify_sparse(cubes: Sequence[Cube], eta: float = 0.5):
     """Decide eta-sparseness exactly; SparseFamily or SparseRefutation.
 
     The cubes must be distinct shift-0 cubes of one dimension inside the
-    unit cube.  The demand eta |Q| must be an integer number of cells at the
-    working depth, which is refined automatically for dyadic eta; other eta
-    values cannot be resolved on any dyadic refinement and raise.
+    unit cube, as ``SparseFamily.from_cubes`` requires.  The demand eta |Q|
+    must be an integer number of cells at the working depth, which is
+    refined automatically for dyadic eta; other eta values cannot be
+    resolved on any dyadic refinement and raise.
 
-    One sweep visits the levels that hold family cubes, deepest first, and
-    treats a level's cubes at once: a row per cube holds its block's flat
-    ids (row-major, so increasing), a cumsum counts the row's free cells,
-    and the cube takes the lowest eta |Q| = num 2^(d k) / den of them (k
-    levels above the cells).  As the deeper levels all packed, a block's
-    count is |P| less its family descendants' demands: the packing
-    condition.  The first cube of the level, in input order, that falls
-    short is refuted together with its family descendants: their demand
-    exceeds |P|, which contains all their cells.  Cubes of one level are
-    disjoint, so this is the family, certificate and refutation of a walk
-    over the cubes one at a time, deepest level first and input order
-    within a level (the oracle in ``tests/oracles.py``).
+    One sweep over the level and index arrays visits the levels that hold
+    family cubes, deepest first, and treats a level's cubes at once: a row
+    per cube holds its block's flat ids (row-major, so increasing), a cumsum
+    counts the row's free cells, and the cube takes the lowest eta |Q| =
+    num 2^(d k) / den of them (k levels above the cells).  As the deeper
+    levels all packed, a block's count is |P| less its family descendants'
+    demands: the packing condition.  The first cube of the level, in input
+    order, that falls short is refuted together with its family
+    descendants: their demand exceeds |P|, which contains all their cells.
+    Cubes of one level are disjoint, so this is the family (in input order),
+    certificate and refutation of a walk over the cubes one at a time,
+    deepest level first and input order within a level (the oracle in
+    ``tests/oracles.py``).
     """
-    cubes = list(cubes)
-    if not cubes:
-        return SparseFamily([], eta, {}, 0)
-    rows = _family_rows(cubes)
-    d, frac = len(rows[0]) - 1, Fraction(eta)
-    depth = certificate_depth(d, max(r[0] for r in rows), eta)
-    at_level: dict[int, list[tuple[int, int]]] = {}  # each cube's position and first cell
-    for i, (k, *index) in enumerate(rows):
-        first = 0
-        for m in index:
-            first = first << depth | m << depth - k
-        at_level.setdefault(k, []).append((i, first))
+    family = SparseFamily.from_cubes(cubes, eta)
+    return _pack(family.level, family.index, eta)
 
+
+def _pack(level: np.ndarray, index: np.ndarray, eta: float):
+    """The sweep of ``verify_sparse`` on level and index arrays in family order."""
+    (n, d), frac = index.shape, Fraction(eta)
+    depth = certificate_depth(d, int(level.max()), eta) if n else 0
+    demands = [(frac.numerator << d * (depth - k)) // frac.denominator for k in range(depth + 1)]
+    offsets = np.concatenate(([0], np.cumsum(np.array(demands)[level])))
+    first = np.zeros(n, dtype=np.int64)  # each cube's first cell
+    for m in index.T:
+        first = first << depth | m << depth - level
+
+    cells = np.empty(offsets[-1], dtype=np.int64)
     free = np.ones(1 << d * depth, dtype=bool)  # by flat id
     flat = np.arange(free.size).reshape((1 << depth,) * d)
-    taken = [None] * len(cubes)
-    for k in sorted(at_level, reverse=True):
-        (at, firsts), b = zip(*at_level[k]), depth - k
-        demand = (frac.numerator << d * b) // frac.denominator
-        ids = np.add.outer(firsts, flat[(slice(1 << b),) * d].ravel())
+    for k in sorted(set(level.tolist()), reverse=True):
+        at, b, demand = np.flatnonzero(level == k), depth - k, demands[k]
+        ids = np.add.outer(first[at], flat[(slice(1 << b),) * d].ravel())
         ok = free[ids]
         count = np.add.accumulate(ok, axis=1, dtype=int)  # ok.cumsum, less overhead
         mine = ids[ok & (count <= demand)]
         if mine.size < len(at) * demand:  # a cube short of its demand
-            top = rows[at[np.argmax(count[:, -1] < demand)]]
-            inside = [i for i, (j, *ix) in enumerate(rows) if j >= k and [m >> j - k for m in ix] == [*top[1:]]]
-            owned = sum(1 << d * (depth - rows[i][0]) for i in inside)
-            violator, total = [cubes[i] for i in inside], frac * Fraction(owned, 1 << d * depth)
-            return SparseRefutation(violator, total, Fraction(1, 1 << d * k), eta, depth)
+            top, deeper = at[np.argmax(count[:, -1] < demand)], np.flatnonzero(level >= k)
+            inside = deeper[np.all(index[deeper] >> (level[deeper] - k)[:, None] == index[top], axis=1)]
+            owned = frac * Fraction(int(np.sum(1 << d * (depth - level[inside]))), 1 << d * depth)
+            return SparseRefutation(_cubes(level[inside], index[inside]), owned, Fraction(1, 1 << d * k), eta, depth)
         free[mine] = False
-        for i, own in zip(at, mine.reshape(len(at), demand).tolist()):
-            taken[i] = own
-    return SparseFamily(cubes, eta, dict(zip(cubes, taken)), depth)
+        cells[offsets[at, None] + np.arange(demand)] = mine.reshape(len(at), demand)
+    return SparseFamily(level, index, cells, offsets, eta, depth)
 
 
 def sparse_form(
@@ -303,7 +329,7 @@ def optimal_sparse_form(
     else:  # descending Z-order of the last finest cell, then by level
         order = np.lexsort((level, -(code + (1 << grid.d * (grid.depth - level)) - 1)))
     value = float(np.cumsum(np.concatenate(([0.0], values[order])))[-1])  # left to right; np.sum pairs
-    family = verify_sparse(_cubes(level, index, order), eta)
+    family = _pack(level[order], index[order], eta)
     if not isinstance(family, SparseFamily):
         raise AssertionError(f"{mode} family failed sparseness verification")
     return value, family
@@ -378,8 +404,12 @@ class CZParts:
     def stopping_cubes(self) -> list[list[Cube]]:
         """Each component's disjoint selected cubes, built from ``selections``
         on every read, in descending Z-order of their first finest cell."""
-        found = (_selected(picks, len(picks) - 1) for picks in self.selections)
-        return [_cubes(level, index, np.argsort(-code, kind="stable")) for level, index, code in found]
+        out = []
+        for picks in self.selections:
+            level, index, code = _selected(picks, len(picks) - 1)
+            order = np.argsort(-code, kind="stable")
+            out.append(_cubes(level[order], index[order]))
+        return out
 
 
 def cz_decompose(
@@ -455,26 +485,26 @@ def _refine(a: np.ndarray, d: int) -> np.ndarray:
 
 
 def _selected(picks: Sequence[np.ndarray], depth: int):
-    """Levels, indices and first-cell Z-order codes of per-level masks.
+    """Levels, n x d indices and first-cell Z-order codes of per-level masks.
 
     Cubes come level by level, row-major within a level.  The Z-order code
     interleaves the bits of the cube's first finest cell, axis 0 high.
     """
     found = [np.nonzero(sel) for sel in picks]
     level = np.repeat(np.arange(len(found)), [len(f[0]) for f in found])
-    index = [np.concatenate(axis) for axis in zip(*found)]
-    d = len(index)
+    index = np.column_stack([np.concatenate(axis) for axis in zip(*found)])
+    d = index.shape[1]
     code = np.zeros(len(level), dtype=np.int64)
-    for axis, m in enumerate(index):
+    for axis, m in enumerate(index.T):
         cell = m << (depth - level)
         for b in range(depth):
             code |= ((cell >> b) & 1) << (d * b + d - 1 - axis)
     return level, index, code
 
 
-def _cubes(level: np.ndarray, index: Sequence[np.ndarray], order: np.ndarray) -> list[Cube]:
-    indices = zip(*(m[order].tolist() for m in index))
-    return [Cube(k, i) for k, i in zip(level[order].tolist(), indices)]
+def _cubes(level: np.ndarray, index: np.ndarray) -> list[Cube]:
+    """Shift-0 cubes of level and n x d index arrays, with Python ints."""
+    return [Cube(k, tuple(m)) for k, m in zip(level.tolist(), index.tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -494,16 +524,17 @@ class StoppingFailure(RuntimeError):
 class StoppingCertificate:
     """The sparse family built by the stopping recursion, plus its audit.
 
-    ratios maps each selected cube to the worst cell ratio of the lattice
-    maximal function's X-norm against c_stop times the q-aggregated sparse
-    bound; all ratios are <= 1 when pointwise_ok.  c_stop is also the
-    adaptive stand-in for the nonconstructive weak-type constant.
+    ratios holds, in family order, each selected cube's worst cell ratio of
+    the lattice maximal function's X-norm against c_stop times the
+    q-aggregated sparse bound; all ratios are <= 1 when pointwise_ok.
+    c_stop is also the adaptive stand-in for the nonconstructive weak-type
+    constant.
     """
 
     family: SparseFamily
     c_stop: float
     doublings: int
-    ratios: dict[Cube, float]
+    ratios: np.ndarray
     pointwise_ok: bool
 
 
@@ -561,8 +592,7 @@ def stopping_domination(
 
     _, index, code = _selected(picks, grid.depth)
     order = np.lexsort((level, code))
-    selected = _cubes(level, index, order)
-    family = verify_sparse(selected, 0.5)
+    family = _pack(level[order], index[order], 0.5)
     if not isinstance(family, SparseFamily):
         raise AssertionError("stopping family failed sparseness verification")
 
@@ -584,7 +614,7 @@ def stopping_domination(
         worst.append(top[picks[k]])
         if k:
             top = top.reshape(sum(((n // 2, 2) for n in top.shape), ())).max(axis=tuple(range(1, 2 * grid.d, 2)))
-    ratios = dict(zip(selected, np.concatenate(worst[::-1])[order].tolist()))
+    ratios = np.concatenate(worst[::-1])[order]
     pointwise_ok = bool(np.all(cell_ratio <= 1 + 1e-9))
     return StoppingCertificate(family, c, doubling, ratios, pointwise_ok)
 
@@ -623,28 +653,23 @@ def _stopping_sweep(grid: Grid, scalar_lp, vector_lp, space: Space, c: float):
 
 
 def family_to_json(family: SparseFamily) -> str:
-    cubes = family.cubes
-    payload = {
-        "eta": float(family.eta),
-        "cubes": [
-            {"level": q.level, "index": list(q.index), "shift": q.shift}
-            for q in cubes
-        ],
-        "certificate": [
-            {"cube": cubes.index(q), "cells": list(cells)}
-            for q, cells in family.certificate.items()
-        ],
-        "depth": family.certificate_depth,
-    }
-    return json.dumps(payload)
+    """JSON of a family: eta, its cubes in family order (all shift 0), one
+    certificate entry per cube with witness cells, in family order, and the
+    certificate depth."""
+    cells, bounds = family.cells.tolist(), family.offsets.tolist()
+    cubes = [{"level": k, "index": m, "shift": 0} for k, m in zip(family.level.tolist(), family.index.tolist())]
+    certificate = [{"cube": i, "cells": cells[a:b]} for i, (a, b) in enumerate(zip(bounds, bounds[1:])) if b > a]
+    depth = int(family.certificate_depth)
+    return json.dumps({"eta": float(family.eta), "cubes": cubes, "certificate": certificate, "depth": depth})
 
 
 def family_from_json(text: str) -> SparseFamily:
+    """The family of a ``family_to_json`` text; a certificate entry must name
+    a listed cube by its position, at most once."""
     obj = json.loads(text)
-    cubes = [
-        Cube(c["level"], tuple(c["index"]), c["shift"]) for c in obj["cubes"]
-    ]
-    certificate = {
-        cubes[entry["cube"]]: list(entry["cells"]) for entry in obj["certificate"]
-    }
-    return SparseFamily(cubes, obj["eta"], certificate, obj["depth"])
+    cubes = [Cube(c["level"], tuple(c["index"]), c["shift"]) for c in obj["cubes"]]
+    positions = interval(0, len(cubes), lo_closed=True)
+    at = [check("certificate cube", entry["cube"], positions, integer=True) for entry in obj["certificate"]]
+    distinct("certificate cubes", at)
+    certificate = {cubes[i]: entry["cells"] for i, entry in zip(at, obj["certificate"])}
+    return SparseFamily.from_cubes(cubes, obj["eta"], certificate, obj["depth"])

@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from ._checks import EXPONENT, FINITE, at_least, check, increasing, need, nonempty, one_per
-from .dyadic import Cube, Grid, _position, grid_norm, level_products
+from .dyadic import Cube, Grid, grid_norm, level_products
 from .maximal import check_tuple, scalar_maximal, tower
 from .sparse import SparseFamily
 from .spaces import (
@@ -84,14 +84,12 @@ class SparseOperator:
     kind = "sparse"
 
     def __init__(self, family: SparseFamily, rs: Sequence[float]):
-        self.cubes = list(family.cubes)
+        self.family = family
         self.eta = float(family.eta)
         self.rs = tuple(check(f"r_{j}", float(r), EXPONENT) for j, r in enumerate(rs, 1))
         self.m = nonempty("averaging exponent", self.rs)
         if not family.check_certificate():
             raise ValueError("SparseOperator needs a shift-0 family whose certificate checks, as from verify_sparse")
-        # (d, depth) -> [(level, position, cell slices)]
-        self._plans: dict[tuple[int, int], list] = {}
 
     def hypothesis_constant(self, q: float) -> float | None:
         """eta^(-1/q), the certified scalar-domination constant for q <= 1.
@@ -102,39 +100,29 @@ class SparseOperator:
         """
         return None if q > 1.0 else self.eta ** (-1.0 / q)
 
-    def _plan(self, grid: Grid) -> list:
-        """Each cube's level, array position and cells, in family order.
-
-        Built once per (d, depth): the positions are bounds-checked as in
-        ``cube_averages``, and the plan is stored only when every cube passes.
-        """
-        key = (grid.d, grid.depth)
-        if key not in self._plans:
-            self._plans[key] = [
-                (cube.level, _position(grid, cube), grid.cube_slices(cube)) for cube in self.cubes
-            ]
-        return self._plans[key]
-
     def apply(self, grid: Grid, fs: Sequence[np.ndarray]) -> np.ndarray:
         """T(f) per finest cell; trailing atom axes broadcast.
 
         Each cube adds its entry of the grid's level products to its cells,
-        in family order.  A cell thus sums the same values in the same order
-        as the per-cube walk of ``cube_averages`` and ``Grid.cube_slices``
-        (the oracle in ``tests/oracles.py``), so the result equals it bit for
-        bit.
+        in family order, read off the family's level and index arrays.  A
+        cell thus sums the same values in the same order as the per-cube
+        walk of ``cube_averages`` and ``Grid.cube_slices`` (the oracle in
+        ``tests/oracles.py``), so the result equals it bit for bit.
         """
         one_per("function", "averaging exponent", fs, self.rs)
         fs, trail = check_tuple(grid, fs)
-        plan = self._plan(grid)
+        level, index = self.family.level, self.family.index
+        if len(level) and (index.shape[1] != grid.d or level.max() > grid.depth):
+            raise ValueError(f"a family cube lies off the d={grid.d} lattices of depth {grid.depth}")
         products = level_products(grid, fs, self.rs)
         out = np.zeros(grid.cell_shape + trail)
-        for level, pos, sl in plan:
-            out[sl] += products[level][pos]
+        for k, m in zip(level.tolist(), index.tolist()):
+            b = 1 << grid.depth - k
+            out[tuple(slice(i * b, i * b + b) for i in m)] += products[k][tuple(m)]
         return out
 
     def __repr__(self) -> str:
-        return f"SparseOperator(cubes={len(self.cubes)}, rs={self.rs})"
+        return f"SparseOperator(cubes={len(self.family.level)}, rs={self.rs})"
 
 
 def _signed_means(grid: Grid, f: np.ndarray) -> list[np.ndarray]:
@@ -158,59 +146,36 @@ class HaarTransform:
     kind = "haar"
 
     def __init__(self, signs: dict[Cube, float] | None = None):
-        signs = dict(signs or {})
-        for cube, eps in signs.items():
+        # eps_Q as one array per level, levels 0 to the deepest signed cube
+        self.signs: list[np.ndarray] = []
+        for cube, eps in (signs or {}).items():
             if float(eps) not in (1.0, -1.0):
                 raise ValueError(f"Haar signs must be +1 or -1, got {eps}")
             if cube.shift != 0:
                 raise ValueError("Haar signs attach to shift-0 cubes")
-        self.signs = {cube: float(eps) for cube, eps in signs.items()}
+            if self.signs and cube.d != self.signs[0].ndim:
+                raise ValueError("sign cubes must share one dimension")
+            if any(not 0 <= i < (1 << cube.level) for i in cube.index):
+                raise ValueError("sign cube lies outside the unit cube")
+            while len(self.signs) <= cube.level:
+                self.signs.append(np.ones((1 << len(self.signs),) * cube.d))
+            self.signs[cube.level][cube.index] = float(eps)
         self.rs = (1.0,)
         self.m = 1
         self.eta = None
-        # (d, depth) -> sign arrays eps_Q of levels 0..depth-1
-        self._plans: dict[tuple[int, int], list[np.ndarray]] = {}
 
     @classmethod
     def random(cls, grid: Grid, seed: int = 0) -> "HaarTransform":
-        rng = np.random.default_rng(seed)
-        signs = {}
+        """A sign per cube of levels 0..depth-1, drawn level by level in row-major order."""
+        rng, T = np.random.default_rng(seed), cls()
         for k in range(grid.depth):
-            for idx in np.ndindex(*(1 << k,) * grid.d):
-                signs[Cube(k, tuple(int(i) for i in idx))] = float(
-                    rng.choice([-1.0, 1.0])
-                )
-        return cls(signs)
+            draws = [rng.choice([-1.0, 1.0]) for _ in range(1 << grid.d * k)]
+            T.signs.append(np.reshape(draws, (1 << k,) * grid.d))
+        return T
 
     def hypothesis_constant(self, q: float) -> None:
         # no a-priori certificate; the scalar check reports the measured one
         return None
-
-    def _validate_keys(self, grid: Grid) -> None:
-        for cube in self.signs:
-            if cube.d != grid.d:
-                raise ValueError("sign cube dimension does not match the grid")
-            if cube.level >= grid.depth:
-                raise ValueError(
-                    f"sign at level {cube.level} has no children at depth {grid.depth}"
-                )
-            if any(not 0 <= i < (1 << cube.level) for i in cube.index):
-                raise ValueError("sign cube lies outside the unit cube")
-
-    def _plan(self, grid: Grid) -> list[np.ndarray]:
-        """eps_Q of every cube, one array per level 0..depth-1.
-
-        Built once per (d, depth); the keys are validated first, and the plan
-        is stored only when they pass.
-        """
-        key = (grid.d, grid.depth)
-        if key not in self._plans:
-            self._validate_keys(grid)
-            signs = [np.ones((1 << k,) * grid.d) for k in range(grid.depth)]
-            for cube, eps in self.signs.items():
-                signs[cube.level][cube.index] = eps
-            self._plans[key] = signs
-        return self._plans[key]
 
     def apply(self, grid: Grid, fs: Sequence[np.ndarray]) -> np.ndarray:
         """T f per finest cell; trailing atom axes broadcast.
@@ -219,26 +184,30 @@ class HaarTransform:
         along each axis, gains eps_Q (E_{k+1} f - E_k f) on level k+1's
         cells.  Every cell meets the same operands in the same order as when
         each level is upsampled to the cells first (the oracle in
-        ``tests/oracles.py``), so the result equals that bit for bit.  The
-        signs come from the per-grid plan.
+        ``tests/oracles.py``), so the result equals that bit for bit.  Levels
+        past the deepest signed one keep eps_Q = +1 and skip the product.
         """
         one_per("function", "averaging exponent", fs, self.rs)
         fs, trail = check_tuple(grid, fs)
-        plan = self._plan(grid)
+        if self.signs and self.signs[0].ndim != grid.d:
+            raise ValueError("sign cube dimension does not match the grid")
+        if len(self.signs) > grid.depth:
+            raise ValueError(f"sign at level {len(self.signs) - 1} has no children at depth {grid.depth}")
         means = _signed_means(grid, fs[0])
         out = means[0].copy()
-        for k, signs in enumerate(plan):
+        for k in range(grid.depth):
             half = (1 << k, 1) * grid.d
             fine = means[k + 1].reshape((1 << k, 2) * grid.d + trail)
             # eps_Q * detail, then the sum so far plus it, in one new buffer
             term = fine - means[k].reshape(half + trail)
-            np.multiply(signs.reshape(half + (1,) * len(trail)), term, out=term)
+            if k < len(self.signs):
+                np.multiply(self.signs[k].reshape(half + (1,) * len(trail)), term, out=term)
             np.add(out.reshape(half + trail), term, out=term)
             out = term.reshape(means[k + 1].shape)
         return out
 
     def __repr__(self) -> str:
-        return f"HaarTransform(signs={len(self.signs)})"
+        return f"HaarTransform(levels={len(self.signs)})"
 
 
 def tensor_extend(T, grid: Grid, Fs: Sequence[np.ndarray]) -> np.ndarray:

@@ -5,6 +5,7 @@ dense grids.  None of it calls the library's fast paths for the quantity it
 checks, so agreement is evidence, not tautology.
 """
 
+import json
 import math
 from contextlib import contextmanager
 from fractions import Fraction
@@ -212,7 +213,7 @@ def flow_sparse(cubes, eta):
             certificate[q] = sorted(
                 int(j) - 1 - C for j, fl in zip(row.indices, row.data) if fl > 0
             )
-        return SparseFamily(cubes, eta, certificate, depth)
+        return SparseFamily.from_cubes(cubes, eta, certificate, depth)
 
     residual = graph - result.flow
     reach = {0}
@@ -251,13 +252,12 @@ def verify_sparse_walk(cubes, eta=0.5):
     Cubes are visited deepest level first (input order within a level), and
     each takes the eta |Q| lowest-indexed finest cells of its block that no
     earlier cube took.  The first cube P that finds fewer free cells than its
-    demand is refuted together with its family descendants.  Repeated cubes
-    are not refused: each copy takes its own cells, and the certificate
-    keeps the last copy's.
+    demand is refuted together with its family descendants.  The family is
+    built by ``SparseFamily.from_cubes``, which refuses repeated cubes.
     """
     cubes = list(cubes)
     if not cubes:
-        return SparseFamily([], eta, {}, 0)
+        return SparseFamily.from_cubes([], eta)
     d = _require_standard(cubes)
     frac = Fraction(eta)
     depth = certificate_depth(d, max(q.level for q in cubes), eta)
@@ -285,15 +285,13 @@ def verify_sparse_walk(cubes, eta=0.5):
         free[cells] = False
         taken[i] = np.ravel_multi_index(cells, free.shape).tolist()
     certificate = {q: taken[i] for i, q in enumerate(cubes)}
-    return SparseFamily(cubes, eta, certificate, depth)
+    return SparseFamily.from_cubes(cubes, eta, certificate, depth)
 
 
 def check_certificate_sets(family):
     """``SparseFamily.check_certificate`` by Python sets, one cube at a time.
 
-    Checks shift-0 geometry only: a shifted cube is compared with the cells
-    of the shift-0 cube of its index, and a depth below a cube's level
-    raises.
+    A depth below a cube's level raises.
     """
     if set(family.certificate) != set(family.cubes):
         return False
@@ -309,6 +307,25 @@ def check_certificate_sets(family):
         if Fraction(len(cells)) < need:
             return False
     return True
+
+
+def family_to_json_cubes(family):
+    """``sparse.family_to_json`` from the ``Cube`` views: each certificate
+    entry finds its cube by ``list.index``."""
+    cubes = family.cubes
+    payload = {
+        "eta": float(family.eta),
+        "cubes": [
+            {"level": q.level, "index": list(q.index), "shift": q.shift}
+            for q in cubes
+        ],
+        "certificate": [
+            {"cube": cubes.index(q), "cells": list(cells)}
+            for q, cells in family.certificate.items()
+        ],
+        "depth": family.certificate_depth,
+    }
+    return json.dumps(payload)
 
 
 def carleson_constant(cubes):
@@ -426,29 +443,28 @@ def sparse_apply_walk(T, grid, fs):
         raise ValueError(f"model takes {T.m} functions, got {len(fs)}")
     fs, trail = check_tuple(grid, fs)
     out = np.zeros(grid.cell_shape + trail)
-    for cube, val in zip(T.cubes, cube_averages(grid, fs, T.rs, T.cubes)):
+    cubes = T.family.cubes
+    for cube, val in zip(cubes, cube_averages(grid, fs, T.rs, cubes)):
         out[grid.cube_slices(cube)] += val
     return out
 
 
 def haar_apply_loop(T, grid, fs):
-    """``HaarTransform.apply`` validating and building every sign array on each call.
+    """``HaarTransform.apply`` with every level of means and of signs
+    spread to the cells before it is differenced and summed.
 
-    Every level of means and of signs is spread to the cells before it is
-    differenced and summed.
+    Levels past the transform's sign arrays get an array of +1 each.
     """
     if len(fs) != 1:
         raise ValueError("Haar transform supports m = 1 only")
     fs, trail = check_tuple(grid, fs)
-    T._validate_keys(grid)
+    if len(T.signs) > grid.depth:
+        raise ValueError(f"sign at level {len(T.signs) - 1} has no children at depth {grid.depth}")
     means = _signed_means(grid, fs[0])
     out = upsample(grid, means[0], 0).copy()
     for k in range(grid.depth):
         detail = upsample(grid, means[k + 1], k + 1) - upsample(grid, means[k], k)
-        signs = np.ones((1 << k,) * grid.d)
-        for cube, eps in T.signs.items():
-            if cube.level == k:
-                signs[cube.index] = eps
+        signs = T.signs[k] if k < len(T.signs) else np.ones((1 << k,) * grid.d)
         s = upsample(grid, signs, k)
         out += s.reshape(s.shape + (1,) * len(trail)) * detail
     return out
@@ -662,9 +678,7 @@ def stopping_domination_walk(grid, Fs, rs, q, spaces, c_stop=1.0, max_doublings=
     rhs = rhs_q ** (1.0 / q)
     with np.errstate(invalid="ignore", divide="ignore"):
         cell_ratio = np.where(lhs > 0, lhs / (c * rhs), 0.0)
-    ratios = {
-        Q: float(cell_ratio[grid.cube_slices(Q)].max()) for Q in selected
-    }
+    ratios = np.array([cell_ratio[grid.cube_slices(Q)].max() for Q in selected])
     pointwise_ok = bool(np.all(cell_ratio <= 1 + 1e-9))
     return StoppingCertificate(family, c, doubling, ratios, pointwise_ok)
 

@@ -52,7 +52,7 @@ REFUSALS = [
     ("level_averages-r", lambda: level_averages(G, ONES, NAN), r"r must be in \(0, inf\], got nan"),
     ("sparse_form-sigma", lambda: sparse_form([Cube(0, (0,))], G, [ONES], [1.0], g=ONES, sigma=NAN),
      r"sigma must be in \(0, inf\], got nan"),
-    ("SparseOperator-r", lambda: SparseOperator(SparseFamily([Cube(0, (0,))]), rs=(NAN,)), r"r_1 must be in \(0, inf\], got nan"),
+    ("SparseOperator-r", lambda: SparseOperator(SparseFamily.from_cubes([Cube(0, (0,))]), rs=(NAN,)), r"r_1 must be in \(0, inf\], got nan"),
     # (0, inf)
     ("sparse_form-q", lambda: sparse_form([Cube(0, (0,))], G, [ONES], [1.0], q=INF),
      r"q must be in \(0, inf\), got inf"),
@@ -66,7 +66,7 @@ REFUSALS = [
      r"layer exponent t must be in \(0, inf\), got inf"),
     # (0, 1), (1, inf), [1, inf], (-1, inf) and (0, 1]
     ("eta-nan", lambda: certificate_depth(1, 0, NAN), r"eta must be in \(0, 1\), got nan"),
-    ("family-eta", lambda: SparseFamily([], eta=1.0), r"eta must be in \(0, 1\), got 1.0"),
+    ("family-eta", lambda: SparseFamily.from_cubes([], eta=1.0), r"eta must be in \(0, 1\), got 1.0"),
     ("bht-s", lambda: bht_region(2.0, 2.0, NAN), r"s must be in \(1, inf\), got nan"),
     ("conjugate-t", lambda: conjugate(NAN), r"t must be in \[1, inf\], got nan"),
     ("power_weight-a", lambda: power_weight(G, INF), r"a must be in \(-1, inf\), got inf"),
@@ -119,7 +119,7 @@ REFUSALS = [
      "weight components must share one cell shape"),
     ("weights-zero", lambda: muckenhoupt_constant([np.zeros(G.cell_shape)], (2.0,), (1.0,), INF, G),
      "weights must be finite and strictly positive"),
-    ("SparseOperator-uncertified", lambda: SparseOperator(SparseFamily(list(Grid(1, 3).cubes())), rs=(1.0,)),
+    ("SparseOperator-uncertified", lambda: SparseOperator(SparseFamily.from_cubes(list(Grid(1, 3).cubes())), rs=(1.0,)),
      "SparseOperator needs a shift-0 family whose certificate checks, as from verify_sparse"),
 ]
 

@@ -18,9 +18,16 @@ from sparsedom.cli import (
     parse_config_text,
     run,
 )
-from sparsedom.dyadic import Grid, function_from_json, grid_norm
+from sparsedom.dyadic import Cube, Grid, function_from_json, grid_norm
 from sparsedom.maximal import scalar_maximal
-from sparsedom.sparse import StoppingFailure, family_from_json, optimal_sparse_form
+from sparsedom.spaces import AtomicMeasure, LebesgueSpace
+from sparsedom.sparse import (
+    StoppingFailure,
+    family_from_json,
+    family_to_json,
+    optimal_sparse_form,
+    stopping_domination,
+)
 
 from oracles import (
     check_certificate_sets,
@@ -420,7 +427,7 @@ class TestFailingCases:
             cert = sparse.stopping_domination(grid, Fs, rs, q, spaces)
             runs.append(cert)
             if len(runs) == 1:
-                return dataclasses.replace(cert, family=sparse.SparseFamily(cert.family.cubes))
+                return dataclasses.replace(cert, family=sparse.SparseFamily.from_cubes(cert.family.cubes))
             if len(runs) == 2:
                 return dataclasses.replace(cert, pointwise_ok=False)
             if len(runs) == 3:
@@ -482,6 +489,42 @@ def test_cz_battery_builds_no_cubes(monkeypatch):
     assert len(parts[-1].stopping_cubes) == len(built) == len(parts[-1].selections) == 2
 
 
+def test_sparse_families_build_no_cubes_until_read(monkeypatch):
+    """The equivalence battery, both optimizer modes and the stopping
+    recursion keep their families as level and index arrays, and the JSON
+    writer reads those: no Cube is built or compared until ``cubes`` or
+    ``certificate`` is read."""
+    calls = {"init": 0, "eq": 0}
+    init, eq = Cube.__init__, Cube.__eq__
+
+    def counted_init(self, *args, **kwargs):
+        calls["init"] += 1
+        init(self, *args, **kwargs)
+
+    def counted_eq(self, other):
+        calls["eq"] += 1
+        return eq(self, other)
+
+    monkeypatch.setattr(Cube, "__init__", counted_init)
+    monkeypatch.setattr(Cube, "__eq__", counted_eq)
+    for dim, depth in [(1, 6), (2, 3)]:
+        run("equivalence", {"dim": dim, "depth": depth, "seed": 0})
+    rng = np.random.default_rng(0)
+    grid = Grid(1, 12)
+    f = rng.lognormal(size=grid.cell_shape)
+    exact = optimal_sparse_form([f], [1.0], grid)[1]
+    greedy = optimal_sparse_form([f], [1.0], grid, mode="greedy")[1]
+    grid = Grid(2, 4)
+    F = rng.lognormal(sigma=2.0, size=grid.cell_shape + (2,))
+    cert = stopping_domination(grid, [F], [1.0], 1.0, [LebesgueSpace(2.0, AtomicMeasure.unit(2))])
+    text = family_to_json(exact)
+    assert len(exact.level) > 1000 and len(greedy.level) > 1 and len(cert.family.level) > 1
+    assert calls == {"init": 0, "eq": 0}
+    # each read of a view builds one cube per family cube
+    assert len(exact.certificate) == len(exact.level) == calls["init"]
+    assert family_from_json(text).cubes == exact.cubes
+
+
 @pytest.mark.parametrize("seed", [0, 1])
 @pytest.mark.parametrize(
     "command, dim, depth",
@@ -495,5 +538,7 @@ def test_stopping_cz_equivalence_reports_equal_the_oracle_paths(monkeypatch, com
     for module in (sparse, cli):
         monkeypatch.setattr(module, "verify_sparse", verify_sparse_walk)
         monkeypatch.setattr(module, "stopping_domination", stopping_domination_walk)
+    # the optimizers pack their level and index arrays without verify_sparse
+    monkeypatch.setattr(sparse, "_pack", lambda level, index, eta: verify_sparse_walk(sparse._cubes(level, index), eta))
     monkeypatch.setattr(sparse.SparseFamily, "check_certificate", check_certificate_sets)
     assert run(command, config) == fast

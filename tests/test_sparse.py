@@ -35,6 +35,7 @@ from oracles import (
     check_certificate_sets,
     cz_stack_walk,
     exhaustive_best_form,
+    family_to_json_cubes,
     flow_sparse,
     greedy_walk,
     hall_feasible,
@@ -111,39 +112,41 @@ class TestVerifySparse:
         fam = verify_sparse(TREE1, 0.5)
         partial = dict(fam.certificate)
         del partial[ROOT]
-        assert not SparseFamily(TREE1, 0.5, partial, fam.certificate_depth).check_certificate()
+        assert not SparseFamily.from_cubes(TREE1, 0.5, partial, fam.certificate_depth).check_certificate()
         # two disjoint cubes, a witness set for only one of them
         depth = fam.certificate_depth
         lone = {RIGHT: fam.certificate[RIGHT]}
-        assert not SparseFamily([LEFT, RIGHT], 0.5, lone, depth).check_certificate()
-        # and a witness set for a cube outside the family
+        assert not SparseFamily.from_cubes([LEFT, RIGHT], 0.5, lone, depth).check_certificate()
+        # and a witness set for a cube outside the family, refused when built
         extra = dict(fam.certificate)
         extra[Cube(2, (0,), 0)] = []
-        assert not SparseFamily(TREE1, 0.5, extra, depth).check_certificate()
+        with pytest.raises(ValueError, match=r"certificate keys must be family cubes, got Cube\(level=2"):
+            SparseFamily.from_cubes(TREE1, 0.5, extra, depth)
 
     def test_certificate_counts_a_repeated_cell_once(self):
         # at depth 2 the root needs eta |Q| = 2 cells; listing cell 0 twice is one cell
-        assert SparseFamily([ROOT], 0.5, {ROOT: [0, 1]}, 2).check_certificate()
-        assert not SparseFamily([ROOT], 0.5, {ROOT: [0, 0]}, 2).check_certificate()
+        assert SparseFamily.from_cubes([ROOT], 0.5, {ROOT: [0, 1]}, 2).check_certificate()
+        assert not SparseFamily.from_cubes([ROOT], 0.5, {ROOT: [0, 0]}, 2).check_certificate()
 
     def test_certificate_below_a_cube_level_is_false(self):
         Q = Cube(2, (1,), 0)
         with pytest.raises(TypeError):  # the set oracle asks for half a cell
-            check_certificate_sets(SparseFamily([Q], 0.5, {Q: [1]}, 1))
-        assert not SparseFamily([Q], 0.5, {Q: [1]}, 1).check_certificate()
+            check_certificate_sets(SparseFamily.from_cubes([Q], 0.5, {Q: [1]}, 1))
+        assert not SparseFamily.from_cubes([Q], 0.5, {Q: [1]}, 1).check_certificate()
 
     def test_certificate_of_a_shifted_cube_is_false(self):
-        # shift-0 cell 0 is not a witness for a shifted cube
+        # no family holds a shifted cube: shift-0 cell 0 witnesses none
         Q = Cube(1, (0,), 1)
-        assert check_certificate_sets(SparseFamily([Q], 0.5, {Q: [0]}, 2))
-        assert not SparseFamily([Q], 0.5, {Q: [0]}, 2).check_certificate()
+        with pytest.raises(ValueError, match="standard lattice only"):
+            SparseFamily.from_cubes([Q], 0.5, {Q: [0]}, 2)
 
     def test_repeated_cubes_are_refused(self):
         again = r"cubes must be distinct, got Cube\(level=1, index=\(0,\), shift=0\) more than once"
         with pytest.raises(ValueError, match=again):
             verify_sparse([LEFT, RIGHT, LEFT], 0.5)
-        # one witness set cannot serve two copies
-        assert not SparseFamily([LEFT, LEFT], 0.5, {LEFT: [0]}, 2).check_certificate()
+        # one witness set cannot serve two copies: no family holds both
+        with pytest.raises(ValueError, match=again):
+            SparseFamily.from_cubes([LEFT, LEFT], 0.5, {LEFT: [0]}, 2)
 
     @pytest.mark.parametrize("cube", [Cube(1, (2,), 0), Cube(1, (-1,), 0), Cube(2, (1, 4), 0)])
     def test_cubes_outside_the_unit_cube_are_refused(self, cube):
@@ -152,7 +155,7 @@ class TestVerifySparse:
 
     def test_certificate_depth_range(self):
         with pytest.raises(ValueError, match=r"certificate_depth must be in \[0, 31\], got 32"):
-            SparseFamily([], 0.5, {}, 32)
+            SparseFamily.from_cubes([], 0.5, {}, 32)
 
     @pytest.mark.parametrize("eta", [0.25, 0.5, 0.625, 0.75])
     def test_matches_hall_oracle(self, eta):
@@ -302,7 +305,7 @@ def _mutate(family, data):
     else:  # a free cell more: valid when it lies in the cube
         used = {c for cells in cert.values() for c in cells}
         cert[q].append(data.draw(st.integers(0, n - 1).filter(lambda c: c not in used)))
-    return SparseFamily(family.cubes, family.eta, cert, family.certificate_depth)
+    return SparseFamily.from_cubes(family.cubes, family.eta, cert, family.certificate_depth)
 
 
 @settings(max_examples=200, deadline=None)
@@ -687,7 +690,7 @@ class TestStopping:
         assert cert.c_stop == 1.0
         assert cert.doublings == 0
         assert cert.pointwise_ok
-        assert all(v <= 1 + 1e-12 for v in cert.ratios.values())
+        assert np.all(cert.ratios <= 1 + 1e-12)
 
     def test_scalar_principal_tree(self):
         g = Grid(1, 2)
@@ -762,7 +765,7 @@ class TestStopping:
             cert = stopping_domination(g, Fs, [1.0, 1.0], 1.0, X)
             assert cert.pointwise_ok
             assert cert.family.check_certificate()
-            assert all(v <= 1 + 1e-9 for v in cert.ratios.values())
+            assert len(cert.ratios) == len(cert.family.level) and np.all(cert.ratios <= 1 + 1e-9)
 
     def test_q_convex_aggregation(self):
         rng = np.random.default_rng(59)
@@ -935,3 +938,66 @@ class TestFamilyJSON:
         obj = json.loads(family_to_json(fam))
         assert set(obj) == {"eta", "cubes", "certificate", "depth"}
         assert obj["cubes"][0] == {"level": 0, "index": [0], "shift": 0}
+
+    @pytest.mark.parametrize("cubes, eta", [
+        (TREE1, 0.5),
+        ([Cube(k, (np.int64(0),)) for k in range(3)], 0.5),  # NumPy ints in the indices
+        ([Cube(np.int64(1), (i, j)) for i in range(2) for j in range(2)], 0.75),
+        ([], 0.25),
+    ])
+    def test_verified_families_serialize(self, cubes, eta):
+        fam = verify_sparse(cubes, eta)
+        text = family_to_json(fam)
+        assert text == family_to_json_cubes(fam)
+        assert family_from_json(text) == fam and family_from_json(text).check_certificate()
+        # the same cubes without witness sets write no certificate entry
+        bare = SparseFamily.from_cubes(cubes, eta)
+        assert family_to_json(bare) == family_to_json_cubes(bare)
+        assert json.loads(family_to_json(bare))["certificate"] == []
+
+    def test_certificate_entries_name_each_listed_cube_once(self):
+        obj = json.loads(family_to_json(verify_sparse(TREE1, 0.5)))
+        entries = obj["certificate"]
+        # -1 would index the last cube, and a second entry would overwrite the first
+        for certificate, message in [
+            (entries[:2] + [dict(entries[2], cube=-1)], r"certificate cube must be in \[0, 3\), got -1"),
+            (entries[:2] + [dict(entries[2], cube=3)], r"certificate cube must be in \[0, 3\), got 3"),
+            (entries[:2] + [dict(entries[2], cube=2.0)], r"certificate cube must be an integer in \[0, 3\), got 2.0"),
+            (entries + [entries[2]], "certificate cubes must be distinct, got 2 more than once"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                family_from_json(json.dumps(dict(obj, certificate=certificate)))
+
+    @pytest.mark.parametrize("cell", [1.0, True, 2**70])
+    def test_certificate_cells_must_be_int64_ints(self, cell):
+        with pytest.raises(ValueError, match=rf"certificate cells must be ints in \[-2\^63, 2\^63\), got {cell}"):
+            SparseFamily.from_cubes([ROOT], 0.5, {ROOT: [0, cell]}, 2)
+
+
+@st.composite
+def written_families(draw):
+    """A family from verify_sparse, from either optimizer mode at eta 1/2,
+    1/4 or 1/32, or from the stopping recursion."""
+    source = draw(st.sampled_from(["verify", "exact", "greedy", "stopping"]))
+    if source == "verify":
+        cubes, eta = draw(nested_families()), draw(st.sampled_from(DYADIC_ETAS))
+        assume(_eta_fits(cubes, eta))
+        family = verify_sparse(cubes, eta)
+        assume(isinstance(family, SparseFamily))
+        return family
+    if source == "stopping":
+        grid, Fs, rs, q, spaces, c_stop, max_doublings = draw(stopping_cases())
+        try:
+            return stopping_domination(grid, Fs, rs, q, spaces, c_stop, max_doublings).family
+        except StoppingFailure:
+            assume(False)
+    g, _, rs, fs = draw(form_inputs([(1, 0), (1, 3), (1, 6), (2, 1), (2, 3)]))
+    return optimal_sparse_form(fs, rs, g, mode=source, eta=draw(st.sampled_from([1 / 2, 1 / 4, 1 / 32])))[1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(family=written_families())
+def test_family_json_equals_the_cube_list_writer(family):
+    text = family_to_json(family)
+    assert text == family_to_json_cubes(family)
+    assert family_to_json(family_from_json(text)) == text

@@ -137,9 +137,8 @@ class TestSparseOperator:
     @settings(max_examples=80, deadline=None)
     @given(data=st.data())
     def test_matches_the_cube_walk(self, data):
-        # bit for bit, with unsorted levels; applied on two depths twice,
-        # so the per-grid plans are reused.  At most four distinct cubes
-        # are 1/4-sparse, whatever they are.
+        # bit for bit, with unsorted levels, on two depths twice.  At most
+        # four distinct cubes are 1/4-sparse, whatever they are.
         d, depth = data.draw(st.sampled_from([1, 2])), data.draw(st.integers(0, 4))
         pool = data.draw(st.lists(cubes_of(d, depth), min_size=1, max_size=4))
         family = data.draw(st.lists(st.sampled_from(pool), max_size=8, unique=True))
@@ -152,8 +151,7 @@ class TestSparseOperator:
             assert np.array_equal(T.apply(grid, fs), oracles.sparse_apply_walk(T, grid, fs))
 
     def test_cubes_are_validated_on_every_grid(self):
-        # a plan valid at depth 3 does not carry over to depth 2, and a
-        # failed check stores no plan, so it raises again
+        # cubes that fit depth 3 are checked again at depth 2, on every call
         deep = SparseOperator(certified([Cube(3, (0,))]), rs=(1.0,))
         deep.apply(Grid(1, 3), [np.ones(8)])
         for _ in range(2):
@@ -161,13 +159,16 @@ class TestSparseOperator:
                 deep.apply(Grid(1, 2), [np.ones(4)])
 
     def test_uncertified_families_are_refused(self):
-        # no witness sets at all, then a cube outside [0,1) and a repeated
-        # cube, which no certificate can hold (tests/test_checks.py refuses
-        # a family that is not 1/2-sparse)
+        # no witness sets at all (tests/test_checks.py refuses a family that
+        # is not 1/2-sparse); a cube outside [0,1) or a repeated cube makes
+        # no family at all
         root = Cube(0, (0,))
-        for family in (SparseFamily([root]), SparseFamily([root, Cube(1, (2,))]), SparseFamily([root, root])):
-            with pytest.raises(ValueError, match="SparseOperator needs a shift-0 family whose certificate checks"):
-                SparseOperator(family, rs=(1.0,))
+        with pytest.raises(ValueError, match="SparseOperator needs a shift-0 family whose certificate checks"):
+            SparseOperator(SparseFamily.from_cubes([root]), rs=(1.0,))
+        with pytest.raises(ValueError, match=r"cube indices must be in \[0, 2\^level\)"):
+            SparseFamily.from_cubes([root, Cube(1, (2,))])
+        with pytest.raises(ValueError, match="cubes must be distinct"):
+            SparseFamily.from_cubes([root, root])
 
     def test_family_object_carries_eta(self):
         fam = chain_family(3)
@@ -178,15 +179,15 @@ class TestSparseOperator:
         assert T.hypothesis_constant(1.5) is None
 
     def test_shifted_cubes_are_refused(self):
-        # the witness cells that certify the shift-0 cube certify no shifted
-        # one, so the certificate refusal names both conditions
+        # the witness cells that certify the shift-0 cube make no family of
+        # the shifted one
         cube, shifted = Cube(1, (0,)), Cube(1, (0,), shift=1)
-        SparseOperator(SparseFamily([cube], 0.5, {cube: [0, 1]}, 3), rs=(1.0,))
-        with pytest.raises(ValueError, match="needs a shift-0 family whose certificate checks"):
-            SparseOperator(SparseFamily([shifted], 0.5, {shifted: [0, 1]}, 3), rs=(1.0,))
-        # the exponents are checked first
+        SparseOperator(SparseFamily.from_cubes([cube], 0.5, {cube: [0, 1]}, 3), rs=(1.0,))
+        with pytest.raises(ValueError, match="sparseness verification supports the standard lattice only"):
+            SparseFamily.from_cubes([shifted], 0.5, {shifted: [0, 1]}, 3)
+        # the exponents are checked before the certificate
         with pytest.raises(ValueError, match=r"r_1 must be in \(0, inf\], got nan"):
-            SparseOperator(SparseFamily([shifted], 0.5, {shifted: [0, 1]}, 3), rs=(math.nan,))
+            SparseOperator(SparseFamily.from_cubes([cube]), rs=(math.nan,))
 
     def test_operators_refuse_a_shifted_grid(self):
         # cell functions live on the shift-0 grid; the level products of a
@@ -250,12 +251,13 @@ class TestHaarTransform:
         grid = Grid(1, 3)
         a = HaarTransform.random(grid, seed=11)
         b = HaarTransform.random(grid, seed=11)
-        assert a.signs == b.signs
+        assert len(a.signs) == len(b.signs) == grid.depth
+        assert all(np.array_equal(x, y) for x, y in zip(a.signs, b.signs))
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_matches_the_sign_loop(self, data):
-        # bit for bit; applied twice, so the per-grid plan is reused
+        # bit for bit, applied twice
         grid = Grid(data.draw(st.sampled_from([1, 2])), data.draw(st.integers(0, 5)))
         atoms = tuple(data.draw(st.lists(st.integers(1, 3), max_size=2)))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
@@ -266,6 +268,9 @@ class TestHaarTransform:
             if grid.depth and rng.random() < 0.7
         }
         T = HaarTransform(signs)
+        # the constructor puts each cube's sign at its level and index, +1 elsewhere
+        assert all(T.signs[cube.level][cube.index] == eps for cube, eps in signs.items())
+        assert sum(int(np.sum(s == -1.0)) for s in T.signs) == list(signs.values()).count(-1.0)
         for _ in range(2):
             f = oracles.signed_cells(rng, grid.cell_shape + atoms)
             assert np.array_equal(T.apply(grid, [f]), oracles.haar_apply_loop(T, grid, [f]))
@@ -291,9 +296,12 @@ class TestHaarTransform:
         deep = HaarTransform({Cube(2, (0,)): -1.0})
         with pytest.raises(ValueError, match="no children"):
             deep.apply(grid, [np.ones(4)])
-        outside = HaarTransform({Cube(1, (2,)): -1.0})
         with pytest.raises(ValueError, match="outside"):
-            outside.apply(grid, [np.ones(4)])
+            HaarTransform({Cube(1, (2,)): -1.0})
+        with pytest.raises(ValueError, match="one dimension"):
+            HaarTransform({Cube(0, (0,)): 1.0, Cube(1, (0, 1)): -1.0})
+        with pytest.raises(ValueError, match="dimension does not match"):
+            HaarTransform({Cube(0, (0, 0)): -1.0}).apply(grid, [np.ones(4)])
 
 
 # ---------------------------------------------------------------------------
