@@ -7,25 +7,22 @@ leading axes, so a (cells x atoms) array is normed per cell in one call.
 Orlicz and Lorentz norms give a row the same bits whatever rows share its
 call; the Lebesgue norm's BLAS matmul sums in an order set by the batch.
 
-The associate (Kothe dual) norm is exact for Lebesgue spaces (the dual
-exponent) and for Orlicz spaces whose Phi is convex (log-slopes above one,
-non-decreasing): there it is the Orlicz norm of the complementary function,
-certified by meeting the Amemiya upper bound inf_k (1 + sum Psi(k xi) mu) / k.
-Every Orlicz level set, the Luxemburg norm's lam, the associate norm's k
-and the product norm's inverse-Young split, comes from one solver
-(``_solve_level``): safeguarded Newton steps in log x, finished by
-single-ulp steps to the smallest double where the excess (of the modular
-over one, or of log |xi| over the split's log) is <= 0.  That is the double
-a geometric bisection reaches on the same predicate; the bisection lives on
-as a test oracle, and the tests require the same bits of both norms.
-The product-space norm is exact for Lebesgue tuples.  Every other case runs
-a seeded coordinate search that returns a lower bound; the searches are
-deterministic per seed and are cross-checked against dense-grid oracles in
-the test suite at low dimension.  A search runs its restarts in lockstep,
-one batched norm call per coordinate step for all of them; with
-batch-independent norms that is bit-identical to running them one after
-another, while over Lebesgue factors (whose matmul is batch-dependent) the
-result may move by an ulp.
+The Kothe dual has one home, ``associate_space``: l^t(mu) gives l^(t')(mu),
+an iterated space dualizes layer by layer, and ``_norming`` gives the unit
+element that attains the pairing for finite Lebesgue layers.  The associate
+norm is exact there and for an Orlicz Phi that is convex (log-slopes above
+one, non-decreasing): the Orlicz norm of the complementary function, which
+meets the Amemiya upper bound inf_k (1 + sum Psi(k xi) mu) / k.  Every
+Orlicz level set, the Luxemburg norm's lam, the associate norm's k and the
+product norm's inverse-Young split, comes from one solver (``_solve_level``):
+safeguarded Newton steps in log x, finished by single-ulp steps to the
+smallest double where the excess (of the modular over one, or of log |xi|
+over the split's log) is <= 0, the double a geometric bisection reaches on
+the same predicate; the bisection is a test oracle, and the tests require
+the same bits.  The product norm is exact for Lebesgue tuples.  Every other
+associate norm (Lorentz, non-convex Orlicz, concavified, mixed iterated) and
+product norm is a seeded coordinate search, its restarts in lockstep, that
+returns a lower bound, cross-checked against dense-grid oracles in the tests.
 
 The package's exponent arithmetic lives here too (1/inf = 0): ``recip``
 (re-exported from the range checks, which compare exponents through it),
@@ -53,6 +50,7 @@ __all__ = [
     "IteratedSpace",
     "ConcavifiedSpace",
     "concavify",
+    "associate_space",
     "associate_norm",
     "product_norm",
     "product_space",
@@ -178,11 +176,12 @@ class LebesgueSpace(Space):
         w = self.measure.weights
         # np.power: a NumPy scalar's ** rounds unlike the array loop.  The
         # matmul still sums a row in an order set by the batch size.  A power
-        # that overflows is renormed below, so it need not warn.
+        # that overflows is renormed below, so it need not warn.  An empty
+        # batch reads as in range through the initial values.
         with np.errstate(over="ignore"):
             total = a**self.t @ w
         out = np.power(total, 1.0 / self.t)
-        lo, hi = np.min(total), np.max(total)
+        lo, hi = np.min(total, initial=math.inf), np.max(total, initial=0.0)
         if hi < math.inf and (_TINY <= lo or not a[total < _TINY].any()):
             return _as_scalar(out)  # every sum in range, or from a zero row
         # a power sum that overflows or leaves the normal range loses its
@@ -514,10 +513,12 @@ class ConcavifiedSpace(Space):
 
 
 def concavify(space: Space, p: float) -> Space:
-    """The p-concavification X^p, p in (0, inf); Lebesgue and Lorentz stay in closed form."""
+    """The p-concavification X^p, p in (0, inf): closed for Lebesgue and Lorentz, per layer if iterated."""
     check("p", p, FINITE)
     if p == 1:
         return space
+    if isinstance(space, IteratedSpace):
+        return IteratedSpace(concavify(space.outer, p), concavify(space.inner, p))
     if isinstance(space, LebesgueSpace):
         return LebesgueSpace(space.t / p, space.measure)
     if isinstance(space, LorentzSpace):
@@ -526,8 +527,39 @@ def concavify(space: Space, p: float) -> Space:
 
 
 # ---------------------------------------------------------------------------
-# associate (Kothe dual) norm
+# associate (Kothe dual) space and norm
 # ---------------------------------------------------------------------------
+
+def _layers(space: Space) -> list[Space]:
+    return [space.outer, space.inner] if isinstance(space, IteratedSpace) else [space]
+
+
+def associate_space(space: Space) -> Space | None:
+    """The Kothe dual X' as a Space, or None where no closed form is known.
+
+    l^t(mu), t in [1, inf], gives l^(t')(mu), t' = conjugate(t); X(Y) gives
+    X'(Y') when both layers have one (Benedek & Panzone, 1961)."""
+    if isinstance(space, LebesgueSpace):
+        return LebesgueSpace(conjugate(space.t), space.measure)
+    if isinstance(space, IteratedSpace):
+        outer, inner = associate_space(space.outer), associate_space(space.inner)
+        return None if outer is None or inner is None else IteratedSpace(outer, inner)
+    return None
+
+
+def _norming(space: Space, v: np.ndarray) -> np.ndarray:
+    """Per row of v >= 0, the eta >= 0 with ||eta||_(X') <= 1 and sum v eta mu
+    = ||v||_X, for finite Lebesgue layers: each l^t maps its blocks, innermost
+    first, to (v / ||v||_t)^(t - 1), zero on a zero block unless t = 1."""
+    cur, eta = v, 1.0
+    for depth, sp in enumerate(reversed(_layers(space))):
+        t = check("layer exponent t", sp.t, FINITE)
+        w = sp.measure.weights.reshape((-1,) + (1,) * depth)
+        nrm = np.sum(cur**t * w, axis=-1 - depth, keepdims=True) ** (1.0 / t)
+        eta = np.divide(cur, nrm, out=np.zeros_like(cur), where=nrm > 0) ** (t - 1.0) * eta
+        cur = nrm
+    return eta
+
 
 def associate_norm(
     space: Space,
@@ -539,9 +571,11 @@ def associate_norm(
     """sup { sum |xi eta| mu : ||eta||_X <= 1 }, the Kothe dual norm.
 
     Requires a 1-convex space (declared hint) so that the associate
-    functional is a norm.  Three paths:
+    functional is a norm.  Three paths; only the last reads seed and restarts:
 
-    - Lebesgue without return_argmax: the l^(t') norm, t' = conjugate(t).
+    - Lebesgue and iterated Lebesgue (``associate_space``): exact, the dual
+      norm of xi.  The argmax is ``_norming`` of the dual at xi when every
+      dual layer is finite and xi != 0, else it takes the search.
     - Orlicz with a convex Phi (``OrliczSpace.has_convex_phi``) and xi != 0:
       the Orlicz norm of the complementary function Psi, which is the
       Amemiya norm inf_k (1 + sum Psi(k xi) mu) / k.  ``_solve_level``
@@ -551,11 +585,10 @@ def associate_norm(
       lower bound for any table.  On a convex table it is exact: by Young's
       equality it meets the Amemiya upper bound at that k.  Where Phi' is
       flat, psi jumps between adjacent doubles of k, and eta is the point
-      of the jump where the modular is one.  The argmax is
-      eta / ||eta||; seed and restarts are not read.
-    - Every other space, table and argmax request, and a zero xi: a seeded
-      coordinate ascent over the positive unit sphere that returns a lower
-      bound (``_associate_search``).
+      of the jump where the modular is one.  The argmax is eta / ||eta||.
+    - Everything else (Lorentz, non-convex Orlicz, concavified, mixed
+      iterated): a seeded coordinate ascent over the positive unit sphere
+      (``_associate_search``) that returns a lower bound.
     """
     at_least("restarts", restarts, 1)
     if space.convexity < 1.0 - 1e-12:
@@ -563,17 +596,21 @@ def associate_norm(
             "associate norm requires a 1-convex space; "
             f"declared convexity is {space.convexity}"
         )
-    if isinstance(space, LebesgueSpace):
-        # a declared convexity cannot make L^t with t < 1 a normed space
-        check("Lebesgue t", space.t, _NORMED)
+    for sp in _layers(space):
+        if isinstance(sp, LebesgueSpace):
+            # a declared convexity cannot make L^t with t < 1 a normed space
+            check("Lebesgue t", sp.t, _NORMED)
     xi = np.abs(np.asarray(xi, dtype=float))
     if xi.shape != space.atom_shape:
         raise ValueError(f"expected a single vector of shape {space.atom_shape}")
     if not np.all(np.isfinite(xi)):
         raise ValueError("associate norm needs a finite vector")
 
-    if isinstance(space, LebesgueSpace) and not return_argmax:
-        return LebesgueSpace(conjugate(space.t), space.measure).norm(xi)
+    dual = associate_space(space)
+    if dual is not None and not return_argmax:
+        return dual.norm(xi)
+    if dual is not None and xi.any() and all(sp.t < math.inf for sp in _layers(dual)):
+        return dual.norm(xi), _norming(dual, xi)
     if isinstance(space, OrliczSpace) and space.has_convex_phi() and xi.any():
         return _associate_orlicz(space, xi, return_argmax)
     return _associate_search(space, xi, seed, restarts, return_argmax)
@@ -627,8 +664,8 @@ def _associate_search(space: Space, xi: np.ndarray, seed: int, restarts: int, re
     still improving in one call, and a restart drops out after a sweep that
     improves nothing (or after 40 sweeps).  For norms that give a row the
     same bits whatever its batch (Orlicz, Lorentz), the result equals
-    running the restarts one after another, bit for bit; over Lebesgue
-    factors (return_argmax, iterated spaces) it may move by an ulp.
+    running the restarts one after another, bit for bit; over a Lebesgue
+    layer it may move by an ulp.
     """
     shape = space.atom_shape
     xiw = (xi * space.mu).ravel()
@@ -700,9 +737,7 @@ def _same_measure(spaces: Sequence[Space]) -> None:
 
 
 def _nominal_exponent(space: Space) -> float:
-    if isinstance(space, LebesgueSpace):
-        return space.t
-    if isinstance(space, LorentzSpace):
+    if isinstance(space, (LebesgueSpace, LorentzSpace)):
         return space.t
     if isinstance(space, OrliczSpace):
         return float((space._ly[-1] - space._ly[0]) / (space._lx[-1] - space._lx[0]))
@@ -727,14 +762,9 @@ def product_norm(spaces: Sequence[Space], xi, seed: int = 0, restarts: int = 8):
     """
     at_least("restarts", restarts, 1)
     spaces = list(spaces)
-    nonempty("factor space", spaces)
+    if len(spaces) == 1 or all(isinstance(sp, LebesgueSpace) for sp in spaces):
+        return product_space(spaces).norm(xi)
     _same_measure(spaces)
-    if len(spaces) == 1:
-        return spaces[0].norm(xi)
-
-    if all(isinstance(sp, LebesgueSpace) for sp in spaces):
-        t = harmonic_exponent(sp.t for sp in spaces)
-        return LebesgueSpace(t, spaces[0].measure).norm(xi)
 
     xi = np.abs(np.asarray(xi, dtype=float))
     shape = spaces[0].atom_shape
@@ -843,14 +873,13 @@ def _orlicz_split(spaces: Sequence[Space], flat: np.ndarray, pos: np.ndarray):
 def product_space(spaces: Sequence[Space]) -> Space:
     """The product space as a Space object; closed form for Lebesgue tuples."""
     spaces = list(spaces)
+    nonempty("factor space", spaces)
     _same_measure(spaces)
     if len(spaces) == 1:
         return spaces[0]
     if all(isinstance(sp, LebesgueSpace) for sp in spaces):
         return LebesgueSpace(harmonic_exponent(sp.t for sp in spaces), spaces[0].measure)
-    raise ValueError(
-        "no closed-form product for these kinds; evaluate product_norm directly"
-    )
+    raise ValueError("no closed-form product for these kinds; evaluate product_norm directly")
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._checks import EXPONENT, FINITE, at_least, check, increasing, need, nonempty, one_per
+from ._checks import EXPONENT, at_least, check, increasing, need, nonempty, one_per
 from .dyadic import Cube, Grid, grid_norm, level_products
 from .maximal import check_tuple, scalar_maximal, tower
 from .sparse import SparseFamily
@@ -36,6 +36,10 @@ from .spaces import (
     IteratedSpace,
     LebesgueSpace,
     Space,
+    _layers,
+    _norming,
+    associate_space,
+    concavify,
     gap_exponent,
     harmonic_exponent,
     product_space,
@@ -253,15 +257,8 @@ def space_tuple(specs: Sequence, n: int) -> tuple[Space, ...]:
 
 def lebesgue_layers(space: Space) -> list[float] | None:
     """Exponent layers [t] or [t_outer, t_inner] for catalog members, else None."""
-    if isinstance(space, LebesgueSpace):
-        return [space.t]
-    if (
-        isinstance(space, IteratedSpace)
-        and isinstance(space.outer, LebesgueSpace)
-        and isinstance(space.inner, LebesgueSpace)
-    ):
-        return [space.outer.t, space.inner.t]
-    return None
+    layers = _layers(space)
+    return [sp.t for sp in layers] if all(isinstance(sp, LebesgueSpace) for sp in layers) else None
 
 
 def admissible_tuple(
@@ -303,25 +300,16 @@ def admissible_tuple(
 # ---------------------------------------------------------------------------
 
 
-def _dual_layers(space: Space, q: float) -> list[LebesgueSpace]:
-    """The Lebesgue layers of a catalog space, outer first, each checked >= q."""
-    layers = lebesgue_layers(space)
-    if layers is None:
-        raise ValueError("closed-form duals cover Lebesgue layers only")
-    if not min(layers) >= q:
-        raise ValueError(f"dual computations need a q-convex space: t={min(layers)} < q={q}")
-    return [space] if isinstance(space, LebesgueSpace) else [space.outer, space.inner]
-
-
 def dual_power_space(space: Space, q: float) -> Space:
-    """The space with norm || |v|^q ||_{(X^q)*}^(1/q), in closed form.
-
-    For X = l^t this is l^{q(t/q)'} = l^e with 1/e = 1/q - 1/t; nested spaces
-    dualize per layer.  Only Lebesgue layers are supported, and each layer
-    exponent must be >= q.
-    """
-    duals = [LebesgueSpace(gap_exponent(q, sp.t), sp.measure) for sp in _dual_layers(space, q)]
-    return duals[0] if len(duals) == 1 else IteratedSpace(*duals)
+    """The space with norm || |v|^q ||_{(X^q)'}^(1/q), the associate space of
+    X^q concavified back by 1/q: l^e with 1/e = 1/q - 1/t for X = l^t, per
+    layer when nested.  X must be q-convex, with Lebesgue layers."""
+    if not space.convexity >= q:
+        raise ValueError(f"dual computations need a q-convex space: convexity {space.convexity} < q={q}")
+    dual = associate_space(concavify(space, q))
+    if dual is None:
+        raise ValueError("closed-form duals cover Lebesgue layers only")
+    return concavify(dual, 1.0 / q)
 
 
 def _ellq_collapse(arr: np.ndarray, mu: np.ndarray, q: float) -> np.ndarray:
@@ -331,26 +319,10 @@ def _ellq_collapse(arr: np.ndarray, mu: np.ndarray, q: float) -> np.ndarray:
 
 
 def _norming_field(space: Space, q: float, v: np.ndarray) -> np.ndarray:
-    """Unit dual field H with (sum |v H|^q mu)^(1/q) = ||v||_X on every cell.
-
-    Closed form for Lebesgue layers: |H|^q is the norming functional of
-    |v|^q in X^q.  Cells where v vanishes get a zero (still admissible)
-    field, except when a layer exponent equals q, where the formula already
-    degenerates to the constant one.
-    """
-    lebs = _dual_layers(space, q)
-    for sp in lebs:
-        check("layer exponent t", sp.t, FINITE)
-    # innermost layer first: each norms the previous one's result over its axis
-    cur = np.abs(np.asarray(v, dtype=float)) ** q
-    vv = 1.0
-    for depth, sp in enumerate(reversed(lebs)):
-        a = sp.t / q
-        w = sp.measure.weights.reshape((-1,) + (1,) * depth)
-        nrm = np.sum(cur**a * w, axis=-1 - depth, keepdims=True) ** (1.0 / a)
-        vv = np.divide(cur, nrm, out=np.zeros_like(cur), where=nrm > 0) ** (a - 1.0) * vv
-        cur = nrm
-    return vv ** (1.0 / q)
+    """Unit dual field H with (sum |v H|^q mu)^(1/q) = ||v||_X on every cell:
+    |H|^q is ``_norming`` of |v|^q in X^q, for finite Lebesgue layers.  H is
+    zero (still admissible) where v vanishes, or one if a layer's t is q."""
+    return _norming(concavify(space, q), np.abs(np.asarray(v, dtype=float)) ** q) ** (1.0 / q)
 
 
 # ---------------------------------------------------------------------------
@@ -503,8 +475,8 @@ def vv_transfer_check(
 ) -> TransferReport:
     """Does the scalar domination survive the lattice extension?
 
-    ``specs`` is a callable n -> space tuple, or a list of per-factor
-    exponents (t, or (t_outer, t_inner) for one nested level).  ``ns`` are
+    ``specs`` lists per-factor exponents (t, or (t_outer, t_inner) for one
+    nested level), built at each atom count by ``space_tuple``.  ``ns`` are
     two or more strictly increasing positive ints, the points of the slope
     fit, and ``trials`` is at least 1.  Per atom count the worst ratio of
     the two transfer_sides over the trial suite is recorded; the verdict is
@@ -520,13 +492,12 @@ def vv_transfer_check(
     m = 2 over n flat atoms that happens with probability 1/(9n), so the
     worst ratios at different n come from different lifts.
     """
-    make = specs if callable(specs) else (lambda n: space_tuple(specs, n))
     ns = increasing("ns", ns)
     if len(ns) < 2:
         raise ValueError(f"need at least two atom counts to fit a slope, got {ns}")
     at_least("trials", trials, 1)
     rs = list(T.rs)
-    spaces0 = make(ns[0])
+    spaces0 = space_tuple(specs, ns[0])
     one_per("space", "averaging exponent", spaces0, rs)
     ok, why = admissible_tuple(spaces0, rs, q, s)
     warnings = [] if ok else [f"inadmissible space tuple ({why}); run is exploratory"]
@@ -535,7 +506,7 @@ def vv_transfer_check(
     ratios: dict[int, list[float]] = {}
     worst: dict[int, float] = {}
     for n in ns:
-        spaces = make(n)
+        spaces = space_tuple(specs, n)
         rng_prof = np.random.default_rng((seed, 1))
         rng_dir = np.random.default_rng((seed, 2, n))
         rat = []
@@ -675,11 +646,11 @@ def weighted_transfer_experiment(
     weight w = prod w_j) is maximized over a deterministic battery plus
     seeded random fields, then fitted under one constant times [w]^gamma with
     gamma = transfer_exponent(ps, q, rs, s).  Rows give the log-log table.
+    ``specs`` lists per-factor exponents, built at n atoms by ``space_tuple``.
     """
     if grid.d != 1:
         raise ValueError("weighted experiments use the interval geometry")
-    make = specs if callable(specs) else (lambda k: space_tuple(specs, k))
-    spaces = make(n)
+    spaces = space_tuple(specs, n)
     one_per("space", "averaging exponent", spaces, T.rs)
     rs = list(T.rs)
     ps = [float(p) for p in ps]

@@ -18,6 +18,7 @@ from sparsedom.spaces import (
     associate_norm,
     concavify,
     product_norm,
+    product_space,
 )
 from sparsedom.sparse import SparseFamily, certificate_depth, cz_decompose, sparse_form
 from sparsedom.transfer import (
@@ -107,6 +108,7 @@ REFUSALS = [
     ("one-per", lambda: admissible_tuple([], [], 1.0, INF),
      "need one space per averaging exponent and at least one, got 0 for 0"),
     ("nonempty", lambda: muckenhoupt_constant([ONES], (2.0,), (1.0,), INF, []), "need at least one grid, got none"),
+    ("product_space-empty", lambda: product_space([]), "need at least one factor space, got none"),
     ("need", lambda: maximal_opnorm_lower(G, [2.0], [2.0], [LebesgueSpace(2.0, U2)]),
      "need r_1 < p_1, got r_1=2.0 >= p_1=2.0"),
     ("composed-q-above-p", lambda: composed_transfer_exponent([2.0], 3.0, [1.0], INF),

@@ -2,7 +2,8 @@
 
 A name in a module's ``__all__`` counts as called when some module of
 ``src/sparsedom``, ``demos`` or ``perfbench`` loads it (as a bare name or
-an attribute) outside its own top-level definition.  Tests do not count:
+an attribute) outside its own top-level definition.  Tests do not count,
+``perfbench/test_*.py`` included:
 a name only tests reach is dead weight, unless it is kept below for a
 reason that holds without a caller.
 """
@@ -31,7 +32,7 @@ KEPT = {
     "maximal_opnorm_lower": "ROADMAP item 6 gives it a battery caller",
     "haar_unconditionality_probe": "ROADMAP item 6 gives it a battery caller",
     "vv_equivalence_check": "ROADMAP items 7 and 11 give it a battery caller",
-    "concavify": "ROADMAP items 7 and 11 call it",
+    "average": "the perfbench tracer wraps it (ROADMAP items 1 and 3)",
     "stable_muckenhoupt_constant": "ROADMAP item 4 calls it if it needs it",
 }
 
@@ -66,7 +67,7 @@ def callers() -> dict[str, frozenset[str]]:
     names = exported_names()
     out: dict[str, set[str]] = {name: set() for name in names}
     for directory in CALLER_DIRS:
-        for path in sorted(directory.glob("*.py")):
+        for path in sorted(set(directory.glob("*.py")) - set(directory.glob("test_*.py"))):
             for node in ast.parse(path.read_text()).body:
                 # a public def or class loading its own name is not a caller
                 own = getattr(node, "name", None)

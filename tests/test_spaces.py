@@ -16,6 +16,7 @@ from sparsedom.spaces import (
     LorentzSpace,
     OrliczSpace,
     associate_norm,
+    associate_space,
     concavify,
     phi_table_from_csv,
     phi_table_to_csv,
@@ -25,7 +26,7 @@ from sparsedom.spaces import (
     space_to_json,
 )
 import sparsedom.spaces as spaces_module
-from sparsedom.spaces import _associate_search, _orlicz_split, conjugate
+from sparsedom.spaces import _associate_search, _norming, _orlicz_split, conjugate
 from oracles import (
     amemiya_norm,
     associate_norm_sequential,
@@ -164,6 +165,9 @@ def test_concavify_closed_forms():
     assert isinstance(lo, LorentzSpace)
     assert (lo.t, lo.u) == (pytest.approx(2.0), pytest.approx(1.0))
     assert concavify(le, 1) is le
+    it = concavify(IteratedSpace(LebesgueSpace(3, U2), LorentzSpace(4, 2, U3)), 2)
+    assert isinstance(it.outer, LebesgueSpace) and isinstance(it.inner, LorentzSpace)
+    assert (it.outer.t, it.inner.t, it.inner.u) == (1.5, 2.0, 1.0)
 
 
 def test_concavify_norm_identity():
@@ -240,6 +244,8 @@ def test_associate_refuses_quasi_norms():
     for argmax in (False, True):
         with pytest.raises(ValueError, match=r"Lebesgue t must be in \[1, inf\], got 0.5"):
             associate_norm(sp, [1, 1], restarts=1, return_argmax=argmax)
+        with pytest.raises(ValueError, match=r"Lebesgue t must be in \[1, inf\], got 0.5"):
+            associate_norm(IteratedSpace(LebesgueSpace(2.0, U2), sp), np.ones((2, 2)), restarts=1, return_argmax=argmax)
 
 
 @pytest.mark.parametrize(
@@ -930,14 +936,14 @@ def test_associate_orlicz_power_is_the_conjugate_lebesgue_norm(data, p, measure)
     "space, argmax",
     [
         (LorentzSpace(3, 1, U3), False),
-        (IteratedSpace(LebesgueSpace(3.0, U3), LebesgueSpace(2.0, U3)), False),
+        (IteratedSpace(LebesgueSpace(3.0, U3), OrliczSpace.from_power(2.0, U3)), False),
         (ConcavifiedSpace(OrliczSpace.from_power(3.0, U3, convexity=2.0), 2.0), False),
         (OrliczSpace.from_power(1.0, U3), False),
         (OrliczSpace(DECREASING, U3), False),
         (OrliczSpace(NONCONVEX, U3, convexity=1.0), True),
-        (LebesgueSpace(2.0, U3), True),
+        (LebesgueSpace(1.0, U3), True),
     ],
-    ids=["lorentz", "iterated", "concavified", "power-1", "decreasing", "nonconvex", "lebesgue-argmax"],
+    ids=["lorentz", "mixed-iterated", "concavified", "power-1", "decreasing", "nonconvex", "lebesgue-1-argmax"],
 )
 def test_associate_norm_takes_the_search(monkeypatch, space, argmax):
     calls = []
@@ -968,3 +974,122 @@ def test_associate_norm_takes_the_closed_form(monkeypatch, table):
     for argmax in (False, True):
         associate_norm(sp, [0.5, 2.0, 1.0], return_argmax=argmax)
     assert calls[0] == 2  # one normalizing call each
+
+
+# ---------------------------------------------------------------------------
+# the closed-form associate space of Lebesgue and iterated Lebesgue spaces
+# ---------------------------------------------------------------------------
+
+lebesgue_exponents = st.one_of(st.floats(1.1, 5.0), st.just(math.inf))
+
+
+@st.composite
+def lebesgue_spaces(draw, iterated=st.booleans()):
+    """l^t or l^a(l^b) over drawn measures, every exponent in [1.1, 5] or inf."""
+    if not draw(iterated):
+        return LebesgueSpace(draw(lebesgue_exponents), draw(measures(1, 6)))
+    outer = LebesgueSpace(draw(lebesgue_exponents), draw(measures(1, 4)))
+    return IteratedSpace(outer, LebesgueSpace(draw(lebesgue_exponents), draw(measures(1, 3))))
+
+
+def draw_vector(data, space):
+    return data.draw(vectors(int(np.prod(space.atom_shape)))).reshape(space.atom_shape)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), space=lebesgue_spaces())
+def test_associate_space_satisfies_holder(data, space):
+    # sum |xi eta| mu <= ||xi||_X' ||eta||_X on random pairs
+    xi, eta = draw_vector(data, space), draw_vector(data, space)
+    val = associate_norm(space, xi)
+    assert float(np.sum(xi * eta * space.mu)) <= val * space.norm(eta) * (1 + 1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), space=lebesgue_spaces())
+def test_associate_space_attains_its_pairing(data, space):
+    xi = data.draw(vectors(int(np.prod(space.atom_shape))).filter(np.any)).reshape(space.atom_shape)
+    val, eta = associate_norm(space, xi, return_argmax=True)
+    assert associate_norm(space, xi) == val
+    assert space.norm(eta) == pytest.approx(1.0, rel=1e-12)
+    assert float(np.sum(xi * eta * space.mu)) == pytest.approx(val, rel=1e-12)
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data(), space=lebesgue_spaces(iterated=st.just(True)), seed=st.integers(0, 2**16))
+def test_associate_space_bounds_the_search(data, space, seed):
+    xi = draw_vector(data, space)
+    assert _associate_search(space, xi, seed, 8, False) <= associate_norm(space, xi) * (1 + 1e-12)
+
+
+def certifies(space, dual, xi, etas):
+    """Whether dual.norm(xi) meets Holder against etas and is attained by the
+    norming element of dual at xi, a unit vector of space."""
+    def pair(e):
+        return float(np.sum(xi * e * space.mu))
+
+    val, eta = dual.norm(xi), _norming(dual, xi)
+    holder = all(pair(e) <= val * space.norm(e) * (1 + 1e-12) for e in etas)
+    return holder and math.isclose(space.norm(eta), 1.0, rel_tol=1e-12) and math.isclose(pair(eta), val, rel_tol=1e-12)
+
+
+def test_associate_space_mutants_fail_the_certificate():
+    outer, inner = LebesgueSpace(3.0, AtomicMeasure([1.0, 0.5, 3.0])), LebesgueSpace(1.5, AtomicMeasure([0.5, 2.0]))
+    space = IteratedSpace(outer, inner)
+    rng = np.random.default_rng(11)
+    xi, etas = rng.lognormal(size=(3, 2)), rng.lognormal(size=(20, 3, 2))
+    dual = associate_space(space)
+    assert (dual.outer.t, dual.inner.t) == (conjugate(3.0), conjugate(1.5))
+    assert certifies(space, dual, xi, etas)
+    swapped = IteratedSpace(LebesgueSpace(dual.inner.t, outer.measure), LebesgueSpace(dual.outer.t, inner.measure))
+    unweighted = IteratedSpace(dual.outer, LebesgueSpace(dual.inner.t, AtomicMeasure.unit(2)))
+    for mutant in (swapped, unweighted):
+        assert not certifies(space, mutant, xi, etas)
+
+
+def test_associate_space_is_none_without_a_closed_form():
+    assert associate_space(LorentzSpace(3, 1, U3)) is None
+    assert associate_space(OrliczSpace.from_power(2.0, U3)) is None
+    assert associate_space(IteratedSpace(LebesgueSpace(2.0, U2), OrliczSpace.from_power(2.0, U3))) is None
+    assert associate_space(LebesgueSpace(math.inf, U3)).t == 1.0
+
+
+def refused_search(*args):
+    raise AssertionError("associate_norm took the search")
+
+
+@pytest.mark.parametrize(
+    "space, argmax",
+    [
+        (LebesgueSpace(3.0, AtomicMeasure([0.5, 2.0, 1.0])), False),
+        (LebesgueSpace(2.0, U3), True),
+        (LebesgueSpace(math.inf, U3), True),
+        (IteratedSpace(LebesgueSpace(3.0, U3), LebesgueSpace(2.0, U3)), False),
+        (IteratedSpace(LebesgueSpace(1.0, U3), LebesgueSpace(2.0, AtomicMeasure([0.5, 2.0]))), False),
+        (IteratedSpace(LebesgueSpace(3.0, U2), LebesgueSpace(1.5, AtomicMeasure([0.5, 2.0]))), True),
+    ],
+    ids=["lebesgue", "lebesgue-argmax", "lebesgue-inf-argmax", "iterated", "iterated-1", "iterated-argmax"],
+)
+def test_associate_space_takes_the_closed_form(monkeypatch, space, argmax):
+    monkeypatch.setattr(spaces_module, "_associate_search", refused_search)
+    xi = np.arange(1.0, 1.0 + np.prod(space.atom_shape)).reshape(space.atom_shape)
+    got = associate_norm(space, xi, restarts=2, return_argmax=argmax)
+    assert (got[0] if argmax else got) == associate_space(space).norm(xi)
+
+
+@pytest.mark.parametrize(
+    "space",
+    [
+        LebesgueSpace(2.0, U3),
+        LebesgueSpace(math.inf, U3),
+        LorentzSpace(2.0, 1.0, U3),
+        LorentzSpace(2.0, math.inf, U3),
+        OrliczSpace.from_power(2.0, U3),
+        ConcavifiedSpace(OrliczSpace.from_power(2.0, U3), 2.0),
+        IteratedSpace(LebesgueSpace(2.0, U2), LebesgueSpace(3.0, U3)),
+    ],
+    ids=["lebesgue", "lebesgue-inf", "lorentz", "lorentz-inf", "orlicz", "concavified", "iterated"],
+)
+def test_norm_of_an_empty_batch_is_empty(space):
+    out = space.norm(np.zeros((0, *space.atom_shape)))
+    assert isinstance(out, np.ndarray) and out.shape == (0,)

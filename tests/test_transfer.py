@@ -420,9 +420,7 @@ class TestDualPower:
         rng = np.random.default_rng(12)
         for _ in range(5):
             v = rng.lognormal(size=4)
-            assert np.isclose(
-                dual_power_space(X, 1.0).norm(v), associate_norm(X, v), rtol=1e-12
-            )
+            assert dual_power_space(X, 1.0).norm(v) == associate_norm(X, v)
 
     def test_matches_associate_norm_iterated(self):
         X = IteratedSpace(
@@ -431,9 +429,7 @@ class TestDualPower:
         )
         rng = np.random.default_rng(13)
         v = rng.lognormal(size=(2, 2))
-        closed = float(dual_power_space(X, 1.0).norm(v))
-        ascent = associate_norm(X, v, restarts=64)
-        assert np.isclose(closed, ascent, rtol=1e-3)
+        assert dual_power_space(X, 1.0).norm(v) == associate_norm(X, v)
 
     def test_norming_field_attains_lebesgue(self):
         X = LebesgueSpace(2.5, AtomicMeasure.unit(3))
