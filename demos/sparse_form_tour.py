@@ -63,8 +63,7 @@ lam = 0.8
 parts = cz_decompose(grid, fs, rs, lam)
 r = parts.r
 print(f"\nCZ split at lambda={lam} (r={r})")
-for j, rj in enumerate(rs):
-    thr = lam ** (r / rj)
+for j, (rj, thr) in enumerate(zip(rs, parts.component_thresholds)):
     print(f"  component {j}: sup|flat| {np.max(np.abs(parts.flat[j])):.4f}"
           f" <= {thr:.4f}; sup|averaged| {np.max(np.abs(parts.averaged[j])):.4f}"
           f" <= {2 ** (grid.d / rj) * thr:.4f}")

@@ -21,7 +21,8 @@ each axis with a nonzero shift digit into thirds, which makes every cube of a
 level one contiguous block of subcells, and reduces all blocks of a level in
 one zero-padded reshape.  On the shift-0 lattice the blocks tile the cells,
 so a level is a plain reshape-and-sum divided by one integer count.
-``average`` and ``cube_averages`` read single cubes off those level arrays.
+``average`` reads one cube, shifted or not, off its lattice's level arrays.
+Sparse families index level arrays by their own level and index arrays.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -46,7 +47,6 @@ __all__ = [
     "average",
     "level_averages",
     "level_products",
-    "cube_averages",
     "grid_norm",
     "function_to_json",
     "function_from_json",
@@ -166,7 +166,7 @@ class Grid:
             yield from self.level_cubes(level)
 
     def ncubes(self) -> int:
-        return sum(len(self.level_cubes(k)) for k in range(self.depth + 1))
+        return sum(math.prod(len(_axis_range(k, a)) for a in self.digits) for k in range(self.depth + 1))
 
     def children(self, cube: Cube) -> list[Cube]:
         """The up-to-2^d subcubes at the next level meeting [0,1)^d."""
@@ -331,33 +331,20 @@ def level_products(
     return out
 
 
-def cube_averages(
-    grid: Grid, fs: Sequence[np.ndarray], rs: Sequence[float], cubes: Iterable[Cube]
-) -> Iterator[np.ndarray]:
-    """Yield prod_j <f_j>_{r_j,Q} for each cube Q, looked up in level arrays.
-
-    The cubes may come from any of the 3^d lattices; level products are
-    built once for each lattice that occurs.
-    """
-    tables: dict[int, dict[int, np.ndarray]] = {}
-    for cube in cubes:
-        if cube.d != grid.d or not 0 <= cube.level <= grid.depth:
-            raise ValueError(f"{cube} lies off the d={grid.d} lattices of depth {grid.depth}")
-        ranges = [_axis_range(cube.level, a) for a in cube.shift_digits]
-        if any(m not in rng for m, rng in zip(cube.index, ranges)):
-            raise ValueError(f"{cube} does not meet [0,1)^{grid.d}")
-        if cube.shift not in tables:
-            tables[cube.shift] = level_products(Grid(grid.d, grid.depth, cube.shift), fs, rs)
-        yield tables[cube.shift][cube.level][tuple(m - rng.start for m, rng in zip(cube.index, ranges))]
-
-
 def average(grid: Grid, f: np.ndarray, r: float, cube: Cube):
     """The r-average <f>_{r,Q} of one cube, exact (see level_averages).
 
-    Trailing axes of ``f`` broadcast (one average per atom).  A cube that is
-    not in its lattice's index range raises ValueError.
+    The cube may come from any of the 3^d lattices.  Trailing axes of ``f``
+    broadcast (one average per atom).  A cube that is not in its lattice's
+    index range raises ValueError.
     """
-    return next(cube_averages(grid, [f], [r], [cube]))
+    if cube.d != grid.d or not 0 <= cube.level <= grid.depth:
+        raise ValueError(f"{cube} lies off the d={grid.d} lattices of depth {grid.depth}")
+    ranges = [_axis_range(cube.level, a) for a in cube.shift_digits]
+    if any(m not in rng for m, rng in zip(cube.index, ranges)):
+        raise ValueError(f"{cube} does not meet [0,1)^{grid.d}")
+    lv = level_averages(Grid(grid.d, grid.depth, cube.shift), f, r)[cube.level]
+    return lv[tuple(m - rng.start for m, rng in zip(cube.index, ranges))]
 
 
 def grid_norm(grid: Grid, f: np.ndarray, p: float, weight: np.ndarray | None = None) -> float:

@@ -9,7 +9,7 @@ call; the Lebesgue norm's BLAS matmul sums in an order set by the batch.
 
 The Kothe dual has one home, ``associate_space``: l^t(mu) gives l^(t')(mu),
 an iterated space dualizes layer by layer, and ``_norming`` gives the unit
-element that attains the pairing for finite Lebesgue layers.  The associate
+element that attains the pairing for Lebesgue layers.  The associate
 norm is exact there and for an Orlicz Phi that is convex (log-slopes above
 one, non-decreasing): the Orlicz norm of the complementary function, which
 meets the Amemiya upper bound inf_k (1 + sum Psi(k xi) mu) / k.  Every
@@ -478,9 +478,6 @@ class IteratedSpace(Space):
         a = self._atoms(xi)
         return self.outer.norm(self.inner.norm(a))
 
-    def params(self) -> dict:
-        return {}
-
     def __repr__(self) -> str:
         return f"IteratedSpace({self.outer!r}, {self.inner!r})"
 
@@ -507,9 +504,6 @@ class ConcavifiedSpace(Space):
     def norm(self, xi):
         a = self._atoms(xi)
         return np.asarray(self.base.norm(a ** (1.0 / self.p))) ** self.p
-
-    def params(self) -> dict:
-        return {"p": self.p}
 
 
 def concavify(space: Space, p: float) -> Space:
@@ -549,14 +543,21 @@ def associate_space(space: Space) -> Space | None:
 
 def _norming(space: Space, v: np.ndarray) -> np.ndarray:
     """Per row of v >= 0, the eta >= 0 with ||eta||_(X') <= 1 and sum v eta mu
-    = ||v||_X, for finite Lebesgue layers: each l^t maps its blocks, innermost
-    first, to (v / ||v||_t)^(t - 1), zero on a zero block unless t = 1."""
+    = ||v||_X, for Lebesgue layers: each l^t maps its blocks, innermost
+    first, to (v / ||v||_t)^(t - 1), zero on a zero block unless t = 1; l^inf
+    maps a block to 1/mu at its first largest entry and zero elsewhere, zero
+    on a zero block."""
     cur, eta = v, 1.0
     for depth, sp in enumerate(reversed(_layers(space))):
-        t = check("layer exponent t", sp.t, FINITE)
+        t, axis = sp.t, -1 - depth
         w = sp.measure.weights.reshape((-1,) + (1,) * depth)
-        nrm = np.sum(cur**t * w, axis=-1 - depth, keepdims=True) ** (1.0 / t)
-        eta = np.divide(cur, nrm, out=np.zeros_like(cur), where=nrm > 0) ** (t - 1.0) * eta
+        if math.isinf(t):
+            nrm = np.max(cur, axis=axis, keepdims=True)
+            first = np.arange(len(w)).reshape(w.shape) == np.argmax(cur, axis=axis, keepdims=True)
+            eta = np.where(first & (nrm > 0), 1.0 / w, 0.0) * eta
+        else:
+            nrm = np.sum(cur**t * w, axis=axis, keepdims=True) ** (1.0 / t)
+            eta = np.divide(cur, nrm, out=np.zeros_like(cur), where=nrm > 0) ** (t - 1.0) * eta
         cur = nrm
     return eta
 
@@ -574,8 +575,8 @@ def associate_norm(
     functional is a norm.  Three paths; only the last reads seed and restarts:
 
     - Lebesgue and iterated Lebesgue (``associate_space``): exact, the dual
-      norm of xi.  The argmax is ``_norming`` of the dual at xi when every
-      dual layer is finite and xi != 0, else it takes the search.
+      norm of xi.  The argmax is ``_norming`` of the dual at xi when
+      xi != 0, else it takes the search.
     - Orlicz with a convex Phi (``OrliczSpace.has_convex_phi``) and xi != 0:
       the Orlicz norm of the complementary function Psi, which is the
       Amemiya norm inf_k (1 + sum Psi(k xi) mu) / k.  ``_solve_level``
@@ -609,7 +610,7 @@ def associate_norm(
     dual = associate_space(space)
     if dual is not None and not return_argmax:
         return dual.norm(xi)
-    if dual is not None and xi.any() and all(sp.t < math.inf for sp in _layers(dual)):
+    if dual is not None and xi.any():
         return dual.norm(xi), _norming(dual, xi)
     if isinstance(space, OrliczSpace) and space.has_convex_phi() and xi.any():
         return _associate_orlicz(space, xi, return_argmax)

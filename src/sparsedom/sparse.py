@@ -31,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from ._checks import EXPONENT, FINITE, UNIT, _is_int, check, distinct, interval, one_per
-from .dyadic import Cube, Grid, cube_averages, grid_norm, level_averages, level_products
+from .dyadic import Cube, Grid, grid_norm, level_averages, level_products
 from .maximal import _check_convexity, lattice_maximal
 from .spaces import Space, harmonic_exponent, product_space
 
@@ -254,9 +254,13 @@ def sparse_form(
 ) -> float:
     """( sum_Q (prod_j <f_j>_{r_j,Q})^q <g>_{sigma,Q}^q |Q| )^(1/q), exact.
 
-    q lies in (0, inf) and sigma, which defaults to q, in (0, inf].
+    q lies in (0, inf) and sigma, which defaults to q, in (0, inf].  A cube
+    list goes through ``SparseFamily.from_cubes``.  The terms are the level
+    products at the family's level and index arrays, as in
+    ``SparseOperator.apply``, summed left to right in family order.
     """
-    cubes = family.cubes if isinstance(family, SparseFamily) else list(family)
+    if not isinstance(family, SparseFamily):
+        family = SparseFamily.from_cubes(family)
     check("q", q, FINITE)
     if g is not None and sigma is not None:
         check("sigma", sigma, EXPONENT)
@@ -264,10 +268,19 @@ def sparse_form(
     if g is not None:
         fs, rs = fs + [g], rs + [q if sigma is None else sigma]
     one_per("exponent", "function", rs, fs)
+    _check_on_grid(family, grid)
+    products = level_products(Grid(grid.d, grid.depth), fs, rs)  # the family's shift-0 lattice
     total = 0.0
-    for cube, term in zip(cubes, cube_averages(grid, fs, rs, cubes)):
-        total += float(term) ** q * cube.measure
+    for k, m in zip(family.level.tolist(), family.index.tolist()):
+        total += float(products[k][tuple(m)]) ** q * 2.0 ** (-k * grid.d)
     return total ** (1.0 / q)
+
+
+def _check_on_grid(family: SparseFamily, grid: Grid) -> None:
+    """Refuse a family with a cube of another dimension or finer than the grid."""
+    level, index = family.level, family.index
+    if len(level) and (index.shape[1] != grid.d or level.max() > grid.depth):
+        raise ValueError(f"a family cube lies off the d={grid.d} lattices of depth {grid.depth}")
 
 
 def optimal_sparse_form(
@@ -553,8 +566,10 @@ def stopping_domination(
     chain supremum sup_{Q' <= P <= Q} prod_j <F_j>_{r_j,P} exceeds
     c_stop * prod_j <||F_j||_{X_j}>_{r_j,Q}.  The constant doubles until
     every selected cube keeps at least half its measure free of children,
-    which makes the family 1/2-sparse by construction (still re-verified by
-    ``verify_sparse``) and the pointwise bound holds cell by cell.
+    which makes the family 1/2-sparse by construction; the packing sweep of
+    ``verify_sparse`` runs on its arrays and builds the certificate (an
+    AssertionError if it ever refutes).  The pointwise bound holds cell by
+    cell.
 
     Every generation is found in one top-down sweep over the levels (see
     ``_stopping_sweep``), with one X-norm call per level.  The family lists
@@ -562,7 +577,7 @@ def stopping_domination(
     Z-order: sorted by the Z-order code of the first finest cell (axis 0 as
     the high bit), then by level.  The audit reads level arrays as well:
     a cell's sum of A(Q)^q is a running sum down the selection masks, and a
-    cube's worst ratio the maximum over its block.
+    cube's worst ratio its entry of ``level_averages`` at r = inf.
     """
     one_per("exponent", "function", rs, Fs)
     one_per("space", "function", spaces, Fs)
@@ -608,13 +623,9 @@ def stopping_domination(
     rhs = rhs_q ** (1.0 / q)
     with np.errstate(invalid="ignore", divide="ignore"):
         cell_ratio = np.where(lhs > 0, lhs / (c * rhs), 0.0)
-    # each selected cube's worst cell: block maxima, finest level first
-    worst, top = [], cell_ratio
-    for k in range(grid.depth, -1, -1):
-        worst.append(top[picks[k]])
-        if k:
-            top = top.reshape(sum(((n // 2, 2) for n in top.shape), ())).max(axis=tuple(range(1, 2 * grid.d, 2)))
-    ratios = np.concatenate(worst[::-1])[order]
+    # each selected cube's worst cell: its block maximum (cell_ratio >= 0)
+    worst = level_averages(grid, cell_ratio, math.inf)
+    ratios = np.concatenate([worst[k][sel] for k, sel in enumerate(picks)])[order]
     pointwise_ok = bool(np.all(cell_ratio <= 1 + 1e-9))
     return StoppingCertificate(family, c, doubling, ratios, pointwise_ok)
 

@@ -30,7 +30,7 @@ import numpy as np
 from ._checks import EXPONENT, at_least, check, increasing, need, nonempty, one_per
 from .dyadic import Cube, Grid, grid_norm, level_products
 from .maximal import check_tuple, scalar_maximal, tower
-from .sparse import SparseFamily
+from .sparse import SparseFamily, _check_on_grid
 from .spaces import (
     AtomicMeasure,
     IteratedSpace,
@@ -108,19 +108,18 @@ class SparseOperator:
         """T(f) per finest cell; trailing atom axes broadcast.
 
         Each cube adds its entry of the grid's level products to its cells,
-        in family order, read off the family's level and index arrays.  A
-        cell thus sums the same values in the same order as the per-cube
-        walk of ``cube_averages`` and ``Grid.cube_slices`` (the oracle in
-        ``tests/oracles.py``), so the result equals it bit for bit.
+        in family order, read off the family's level and index arrays, as
+        ``sparse_form`` reads them.  A cell thus sums the same values in the
+        same order as a per-cube walk that looks each ``Cube`` up and slices
+        it (the oracle in ``tests/oracles.py``), so the result equals it bit
+        for bit.  A cube off the grid is refused.
         """
         one_per("function", "averaging exponent", fs, self.rs)
         fs, trail = check_tuple(grid, fs)
-        level, index = self.family.level, self.family.index
-        if len(level) and (index.shape[1] != grid.d or level.max() > grid.depth):
-            raise ValueError(f"a family cube lies off the d={grid.d} lattices of depth {grid.depth}")
+        _check_on_grid(self.family, grid)
         products = level_products(grid, fs, self.rs)
         out = np.zeros(grid.cell_shape + trail)
-        for k, m in zip(level.tolist(), index.tolist()):
+        for k, m in zip(self.family.level.tolist(), self.family.index.tolist()):
             b = 1 << grid.depth - k
             out[tuple(slice(i * b, i * b + b) for i in m)] += products[k][tuple(m)]
         return out
@@ -320,7 +319,7 @@ def _ellq_collapse(arr: np.ndarray, mu: np.ndarray, q: float) -> np.ndarray:
 
 def _norming_field(space: Space, q: float, v: np.ndarray) -> np.ndarray:
     """Unit dual field H with (sum |v H|^q mu)^(1/q) = ||v||_X on every cell:
-    |H|^q is ``_norming`` of |v|^q in X^q, for finite Lebesgue layers.  H is
+    |H|^q is ``_norming`` of |v|^q in X^q, for Lebesgue layers.  H is
     zero (still admissible) where v vanishes, or one if a layer's t is q."""
     return _norming(concavify(space, q), np.abs(np.asarray(v, dtype=float)) ** q) ** (1.0 / q)
 
@@ -335,9 +334,10 @@ def _random_cells(rng, grid: Grid) -> np.ndarray:
     kind = int(rng.integers(3))
     if kind == 0:
         k = int(rng.integers(grid.depth + 1))
-        idx = tuple(int(rng.integers(1 << k)) for _ in range(grid.d))
+        b = 1 << grid.depth - k
+        corner = [b * int(rng.integers(1 << k)) for _ in range(grid.d)]
         f = np.zeros(grid.cell_shape)
-        f[grid.cube_slices(Cube(k, idx))] = float(rng.exponential()) + 0.1
+        f[tuple(slice(m, m + b) for m in corner)] = float(rng.exponential()) + 0.1
         return f
     if kind == 1:
         return tower(rng, grid)

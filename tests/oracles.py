@@ -16,9 +16,9 @@ import numpy as np
 from sparsedom._checks import need
 from sparsedom.dyadic import (
     Cube,
+    Grid,
     _axis_range,
     _check_cells,
-    cube_averages,
     grid_norm,
     level_averages,
     level_products,
@@ -435,6 +435,36 @@ def scalar_maximal_upsampled(grid, fs, rs):
     for k, prods in level_products(grid, fs, rs).items():
         np.maximum(out, upsample(grid, prods, k), out=out)
     return out
+
+
+def cube_averages(grid, fs, rs, cubes):
+    """Yield prod_j <f_j>_{r_j,Q} for each cube Q, looked up in level arrays.
+
+    The cubes may come from any of the 3^d lattices; level products are
+    built once for each lattice that occurs.
+    """
+    tables = {}
+    for cube in cubes:
+        if cube.d != grid.d or not 0 <= cube.level <= grid.depth:
+            raise ValueError(f"{cube} lies off the d={grid.d} lattices of depth {grid.depth}")
+        ranges = [_axis_range(cube.level, a) for a in cube.shift_digits]
+        if any(m not in rng for m, rng in zip(cube.index, ranges)):
+            raise ValueError(f"{cube} does not meet [0,1)^{grid.d}")
+        if cube.shift not in tables:
+            tables[cube.shift] = level_products(Grid(grid.d, grid.depth, cube.shift), fs, rs)
+        yield tables[cube.shift][cube.level][tuple(m - rng.start for m, rng in zip(cube.index, ranges))]
+
+
+def sparse_form_walk(family, grid, fs, rs, g=None, sigma=None, q=1.0):
+    """``sparse.sparse_form`` cube by cube: each ``Cube`` of the family looked
+    up by ``cube_averages``, its term times ``Cube.measure`` summed in order."""
+    if g is not None:
+        fs, rs = list(fs) + [g], list(rs) + [q if sigma is None else sigma]
+    total = 0.0
+    cubes = family.cubes
+    for cube, term in zip(cubes, cube_averages(grid, fs, rs, cubes)):
+        total += float(term) ** q * cube.measure
+    return total ** (1.0 / q)
 
 
 def sparse_apply_walk(T, grid, fs):

@@ -63,8 +63,6 @@ REFUSALS = [
     ("concavify-orlicz", lambda: concavify(OrliczSpace.from_power(2.0, U2), INF), r"p must be in \(0, inf\), got inf"),
     ("concavify-lebesgue", lambda: concavify(LebesgueSpace(2.0, U2), INF), r"p must be in \(0, inf\), got inf"),
     ("lorentz-t", lambda: LorentzSpace(INF, 2.0, U2), r"t must be in \(0, inf\), got inf"),
-    ("norming-field-t", lambda: _norming_field(LebesgueSpace(INF, U2), 1.0, np.ones((4, 2))),
-     r"layer exponent t must be in \(0, inf\), got inf"),
     # (0, 1), (1, inf), [1, inf], (-1, inf) and (0, 1]
     ("eta-nan", lambda: certificate_depth(1, 0, NAN), r"eta must be in \(0, 1\), got nan"),
     ("family-eta", lambda: SparseFamily.from_cubes([], eta=1.0), r"eta must be in \(0, 1\), got 1.0"),
@@ -130,6 +128,18 @@ REFUSALS = [
 def test_refusal_names_parameter_range_and_value(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+def test_norming_field_attains_the_sup_norm():
+    # l^inf is normed, not refused: mu^(-1/q) at each cell's first largest
+    # atom and zero elsewhere, zero on a zero cell
+    X = LebesgueSpace(INF, AtomicMeasure([0.5, 2.0]))
+    V = np.array([[1.0, 3.0], [2.0, 2.0], [0.0, 0.0], [4.0, 1.0]])
+    for q in (1.0, 2.0):
+        H = _norming_field(X, q, V)
+        assert np.array_equal(H, np.array([[0.0, 0.5], [2.0, 0.0], [0.0, 0.0], [2.0, 0.0]]) ** (1.0 / q))
+        pairing = np.sum((V * H) ** q * X.mu, axis=-1) ** (1.0 / q)
+        assert np.allclose(pairing, X.norm(V), rtol=1e-12, atol=0.0)
 
 
 def test_integer_ranges_take_python_and_numpy_ints():

@@ -525,6 +525,29 @@ def test_sparse_families_build_no_cubes_until_read(monkeypatch):
     assert family_from_json(text).cubes == exact.cubes
 
 
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        ("stopping", {"dim": 1, "depth": 12}),
+        ("stopping", {"dim": 2, "depth": 6}),
+        ("cz", {"dim": 2, "depth": 4}),
+        ("equivalence", {"dim": 1, "depth": 3}),
+        ("weights", {"dim": 2, "depth": 3, "shifts": True}),
+        ("transfer", {"dim": 1, "depth": 4}),
+        ("transfer", {"dim": 2, "depth": 3}),
+    ],
+    ids=["stopping-d1", "stopping-d2", "cz", "equivalence", "weights-shifts", "transfer-d1", "transfer-d2"],
+)
+def test_batteries_build_cubes_only_for_the_transfer_chain(monkeypatch, command, config):
+    """The batteries compute with level and index arrays: the only Cube
+    objects built are the transfer battery's input chain, one per level."""
+    calls = []
+    init = Cube.__init__
+    monkeypatch.setattr(Cube, "__init__", lambda self, *args: calls.append(args) or init(self, *args))
+    run(command, {**config, "seed": 3})
+    assert len(calls) == (config["depth"] + 1 if command == "transfer" else 0)
+
+
 @pytest.mark.parametrize("seed", [0, 1])
 @pytest.mark.parametrize(
     "command, dim, depth",

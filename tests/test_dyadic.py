@@ -34,6 +34,11 @@ def test_grid_counts():
     assert Grid(1, 0, 0).ncubes() == 1
     assert Grid(1, 2, 0).ncubes() == 7  # 1 + 2 + 4
     assert Grid(2, 1, 0).ncubes() == 5  # 1 + 4
+    # the count builds no cube, yet matches the enumeration on every lattice
+    for d in (1, 2):
+        for depth in (2, 3):
+            for grid in shifted_grids(d, depth):
+                assert grid.ncubes() == len(list(grid.cubes()))
 
 
 def test_grid_validation():

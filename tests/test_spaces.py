@@ -941,9 +941,8 @@ def test_associate_orlicz_power_is_the_conjugate_lebesgue_norm(data, p, measure)
         (OrliczSpace.from_power(1.0, U3), False),
         (OrliczSpace(DECREASING, U3), False),
         (OrliczSpace(NONCONVEX, U3, convexity=1.0), True),
-        (LebesgueSpace(1.0, U3), True),
     ],
-    ids=["lorentz", "mixed-iterated", "concavified", "power-1", "decreasing", "nonconvex", "lebesgue-1-argmax"],
+    ids=["lorentz", "mixed-iterated", "concavified", "power-1", "decreasing", "nonconvex"],
 )
 def test_associate_norm_takes_the_search(monkeypatch, space, argmax):
     calls = []
@@ -980,12 +979,12 @@ def test_associate_norm_takes_the_closed_form(monkeypatch, table):
 # the closed-form associate space of Lebesgue and iterated Lebesgue spaces
 # ---------------------------------------------------------------------------
 
-lebesgue_exponents = st.one_of(st.floats(1.1, 5.0), st.just(math.inf))
+lebesgue_exponents = st.one_of(st.floats(1.1, 5.0), st.sampled_from([1.0, math.inf]))
 
 
 @st.composite
 def lebesgue_spaces(draw, iterated=st.booleans()):
-    """l^t or l^a(l^b) over drawn measures, every exponent in [1.1, 5] or inf."""
+    """l^t or l^a(l^b) over drawn measures, every exponent in [1.1, 5], 1 or inf."""
     if not draw(iterated):
         return LebesgueSpace(draw(lebesgue_exponents), draw(measures(1, 6)))
     outer = LebesgueSpace(draw(lebesgue_exponents), draw(measures(1, 4)))
@@ -1067,14 +1066,37 @@ def refused_search(*args):
         (IteratedSpace(LebesgueSpace(3.0, U3), LebesgueSpace(2.0, U3)), False),
         (IteratedSpace(LebesgueSpace(1.0, U3), LebesgueSpace(2.0, AtomicMeasure([0.5, 2.0]))), False),
         (IteratedSpace(LebesgueSpace(3.0, U2), LebesgueSpace(1.5, AtomicMeasure([0.5, 2.0]))), True),
+        (LebesgueSpace(1.0, AtomicMeasure([0.5, 2.0, 1.0])), True),
+        (IteratedSpace(LebesgueSpace(2.0, U3), LebesgueSpace(1.0, AtomicMeasure([0.5, 2.0]))), True),
+        (IteratedSpace(LebesgueSpace(1.0, AtomicMeasure([0.5, 2.0, 1.0])), LebesgueSpace(3.0, U2)), True),
     ],
-    ids=["lebesgue", "lebesgue-argmax", "lebesgue-inf-argmax", "iterated", "iterated-1", "iterated-argmax"],
+    ids=[
+        "lebesgue", "lebesgue-argmax", "lebesgue-inf-argmax", "iterated", "iterated-1", "iterated-argmax",
+        "lebesgue-1-argmax", "iterated-inner-1-argmax", "iterated-outer-1-argmax",
+    ],
 )
 def test_associate_space_takes_the_closed_form(monkeypatch, space, argmax):
+    # an l^1 layer has an l^inf dual layer, which _norming maps in closed form too
     monkeypatch.setattr(spaces_module, "_associate_search", refused_search)
     xi = np.arange(1.0, 1.0 + np.prod(space.atom_shape)).reshape(space.atom_shape)
     got = associate_norm(space, xi, restarts=2, return_argmax=argmax)
     assert (got[0] if argmax else got) == associate_space(space).norm(xi)
+    if argmax:
+        val, eta = got
+        assert space.norm(eta) == pytest.approx(1.0, rel=1e-12)
+        assert float(np.sum(xi * eta * space.mu)) == pytest.approx(val, rel=1e-12)
+
+
+def test_sup_dual_layer_norms_at_the_first_largest_entry():
+    # l^1(mu) has the dual l^inf(mu): 1/mu_j at the first largest entry, 0 on a tie's others
+    space = LebesgueSpace(1.0, AtomicMeasure([1.0, 0.5, 2.0, 0.25, 3.0, 1.5]))
+    xi = np.array([1.0, 4.0, 2.0, 4.0, 0.5, 3.0])
+    val, eta = associate_norm(space, xi, return_argmax=True)
+    assert val == 4.0 and eta.tolist() == [0.0, 2.0, 0.0, 0.0, 0.0, 0.0]
+    # a zero inner block maps to zero under l^2(l^1)'s dual l^2(l^inf)
+    space = IteratedSpace(LebesgueSpace(2.0, U2), LebesgueSpace(1.0, AtomicMeasure([0.5, 2.0])))
+    val, eta = associate_norm(space, np.array([[0.0, 0.0], [3.0, 1.0]]), return_argmax=True)
+    assert val == 3.0 and eta.tolist() == [[0.0, 0.0], [2.0, 0.0]]
 
 
 @pytest.mark.parametrize(

@@ -39,6 +39,7 @@ from oracles import (
     flow_sparse,
     greedy_walk,
     hall_feasible,
+    sparse_form_walk,
     stopping_domination_walk,
     verify_sparse_walk,
 )
@@ -366,6 +367,16 @@ class TestSparseForm:
         with pytest.raises(ValueError):
             sparse_form([ROOT], g, [np.ones(2)], [1.0], q=0.0)
 
+    def test_refuses_a_family_off_the_grid(self):
+        # finer than the grid, or of another dimension, as SparseOperator.apply refuses it
+        fam = verify_sparse([ROOT, Cube(3, (5,))], 0.5)
+        for cubes in (fam, fam.cubes):
+            with pytest.raises(ValueError, match="a family cube lies off the d=1 lattices of depth 2"):
+                sparse_form(cubes, Grid(1, 2), [np.ones(4)], [1.0])
+            with pytest.raises(ValueError, match="a family cube lies off the d=2 lattices of depth 3"):
+                sparse_form(cubes, Grid(2, 3), [np.ones((8, 8))], [1.0])
+        assert sparse_form(fam, Grid(1, 3), [np.ones(8)], [1.0]) == 1.125
+
 
 # ---------------------------------------------------------------------------
 # optimal_sparse_form
@@ -516,6 +527,42 @@ def test_greedy_sweep_matches_the_walk(case):
     assert fam.cubes == wfam.cubes
     assert fam.eta == wfam.eta
     assert fam.certificate == wfam.certificate
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    case=form_inputs([(1, 2), (1, 6), (2, 1), (2, 3)]),
+    source=st.sampled_from(["verify", "exact", "greedy"]),
+    q=st.sampled_from([0.5, 1.0, 2.0]),
+    sigma=st.sampled_from([None, 1.0, 3.0, math.inf]),
+    weighted=st.booleans(),
+    data=st.data(),
+)
+def test_sparse_form_equals_the_cube_walk(case, source, q, sigma, weighted, data):
+    # bit for bit: the same level-product entries, times |Q|, summed in family order
+    g, eta, rs, fs = case
+    if source == "verify":
+        cubes = data.draw(st.lists(st.sampled_from(list(g.cubes())), max_size=10, unique=True))
+        fam = verify_sparse(cubes, eta)
+        assume(isinstance(fam, SparseFamily))
+    else:
+        fam = optimal_sparse_form(fs, rs, g, mode=source, eta=eta)[1]
+    kw = {"q": q}
+    if weighted:
+        kw.update(g=data.draw(arrays(np.float64, g.cell_shape, elements=st.floats(0.0, 4.0))), sigma=sigma)
+    assert sparse_form(fam, g, fs, rs, **kw) == sparse_form_walk(fam, g, fs, rs, **kw)
+
+
+def test_sparse_form_sums_in_family_order():
+    # the exact optimum lists its cubes by contribution, not by level; at
+    # this input the two orders round apart, and sparse_form keeps the family's
+    g = Grid(1, 8)
+    f = np.random.default_rng(0).lognormal(size=g.cell_shape)
+    fam = optimal_sparse_form([f], [1.0], g)[1]
+    cubes = fam.cubes
+    by_level = SparseFamily.from_cubes([cubes[i] for i in np.argsort(fam.level, kind="stable")])
+    value = sparse_form(fam, g, [f], [1.0])
+    assert value == sparse_form_walk(fam, g, [f], [1.0]) != sparse_form(by_level, g, [f], [1.0])
 
 
 class TestGreedy:
