@@ -22,7 +22,8 @@ level one contiguous block of subcells, and reduces all blocks of a level in
 one zero-padded reshape.  On the shift-0 lattice the blocks tile the cells,
 so a level is a plain reshape-and-sum divided by one integer count.
 ``average`` reads one cube, shifted or not, off its lattice's level arrays.
-Sparse families index level arrays by their own level and index arrays.
+A sparse family reads its cubes' blocks only (``_family_products``), summed
+in the full reshape's order, so its values equal the level arrays' entries.
 """
 
 from __future__ import annotations
@@ -150,12 +151,6 @@ class Grid:
     def __repr__(self) -> str:
         return f"Grid(d={self.d}, depth={self.depth}, shift={self.shift})"
 
-    @property
-    def root(self) -> Cube:
-        if self.shift != 0:
-            raise ValueError("shifted grids have no single root over [0,1)^d")
-        return Cube(0, (0,) * self.d, 0)
-
     def level_cubes(self, level: int) -> list[Cube]:
         check("level", level, interval(0, self.depth, lo_closed=True, hi_closed=True), integer=True)
         ranges = [_axis_range(level, a) for a in self.digits]
@@ -180,23 +175,6 @@ class Grid:
             rng = _axis_range(k1, a)
             axes.append([b for b in (base, base + 1) if b in rng])
         return [Cube(k1, index, self.shift) for index in product(*axes)]
-
-    def parent(self, cube: Cube) -> Cube | None:
-        if cube.level == 0:
-            return None
-        k0 = cube.level - 1
-        sign0 = 1 if k0 % 2 == 0 else -1
-        index = tuple(
-            (m - sign0 * a) // 2 for m, a in zip(cube.index, cube.shift_digits)
-        )
-        return Cube(k0, index, self.shift)
-
-    def cube_slices(self, cube: Cube) -> tuple[slice, ...]:
-        """Cell-array slices covered by a shift-0 cube."""
-        if cube.shift != 0:
-            raise ValueError("cell slices are defined for shift-0 cubes only")
-        b = 1 << (self.depth - cube.level)
-        return tuple(slice(m * b, (m + 1) * b) for m in cube.index)
 
 
 def shifted_grids(d: int, depth: int) -> list[Grid]:
@@ -264,6 +242,11 @@ def _check_cells(grid: Grid, f: np.ndarray) -> np.ndarray:
     return f
 
 
+def _power(f: np.ndarray, r: float) -> np.ndarray:
+    """|f|^r, with the exact identity |f| at r = 1 and for the r = inf maximum."""
+    return np.abs(f) if math.isinf(r) or r == 1 else np.abs(f) ** r
+
+
 def level_averages(grid: Grid, f: np.ndarray, r: float) -> dict[int, np.ndarray]:
     """r-averages over every cube of ``grid``'s lattice, one array per level.
 
@@ -281,7 +264,7 @@ def level_averages(grid: Grid, f: np.ndarray, r: float) -> dict[int, np.ndarray]
     check("r", r, EXPONENT)
     f = _check_cells(grid, f)
     trail = f.shape[grid.d:]
-    power = np.abs(f) if math.isinf(r) or r == 1 else np.abs(f) ** r
+    power = _power(f, r)
     for axis, a in enumerate(grid.digits):
         if a:
             power = np.repeat(power, 3, axis=axis)
@@ -328,6 +311,65 @@ def level_products(
         out[k] = lvs[0][k]
         for lv in lvs[1:]:
             out[k] = out[k] * lv[k]
+    return out
+
+
+def _family_products(
+    grid: Grid, fs: Sequence[np.ndarray], rs: Sequence[float], level: np.ndarray, index: np.ndarray
+) -> np.ndarray:
+    """prod_j <f_j>_{r_j,Q} for the shift-0 cubes Q = (level[i], index[i]), one row each.
+
+    Only the blocks of |f_j|^{r_j} under the cubes are read.  The cubes are
+    grouped by level: a level's blocks are gathered from its reshape in
+    ``level_averages``, or viewed there if the level holds one cube, and
+    reduced together.  Every row equals its ``level_products`` entry bit for
+    bit, because each block is summed in the full reshape's order:
+    - with more than one atom, NumPy adds the block's cells one by one in
+      row-major order, atom-wise; a plain block sum does the same;
+    - without, it sums the innermost block axis pairwise.  A d = 1 block
+      is one pairwise sum, and so is the d = 2 root, whose rows are one
+      contiguous run; a d = 2 block below the root sums each row pairwise
+      and adds the row sums left to right.
+    The division by the cell count and the power 1/r are taken on the rows'
+    array, as on the level arrays; a 0-d power would round differently.
+    The grid's shift is ignored: families live on the shift-0 lattice.
+    The callers check that there is one exponent per function.
+    """
+    d, depth = grid.d, grid.depth
+    rows_of: dict[int, list[int]] = {}
+    for i, k in enumerate(level.tolist()):
+        rows_of.setdefault(k, []).append(i)
+    groups = []  # per level: its rows, and where its blocks sit in the level's reshape
+    for k, sel in rows_of.items():
+        if len(sel) == 1:  # a view of shape (1, block, ...), as a gather of one cube
+            m = index[sel[0]].tolist()
+            sel, ix = slice(sel[0], sel[0] + 1), [slice(m[0], m[0] + 1)] + m[1:]
+        else:
+            ix = list(index[sel].T)
+        groups.append((k, sel, (ix[0],) if d == 1 else (ix[0], slice(None), ix[1])))
+    counts = np.ldexp(1.0, d * (depth - level))
+    axes = tuple(range(1, d + 1))
+    out = None
+    for f, r in zip(fs, rs):
+        check("r", r, EXPONENT)
+        f = _check_cells(grid, f)
+        trail = f.shape[d:]
+        power = _power(f, r)
+        by_rows = d == 2 and math.prod(trail) == 1
+        rows = np.empty((len(level),) + trail)
+        for k, sel, take in groups:
+            blk = power.reshape((1 << k, 1 << (depth - k)) * d + trail)[take]
+            if math.isinf(r):
+                rows[sel] = blk.max(axis=axes)
+            elif by_rows and k:
+                rows[sel] = np.cumsum(blk.sum(axis=2), axis=1)[:, -1]
+            else:
+                rows[sel] = blk.sum(axis=axes)
+        if not math.isinf(r):
+            rows /= counts.reshape(counts.shape + (1,) * len(trail))
+            if r != 1:
+                rows = rows ** (1.0 / r)
+        out = rows if out is None else out * rows
     return out
 
 

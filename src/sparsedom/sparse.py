@@ -31,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from ._checks import EXPONENT, FINITE, UNIT, _is_int, check, distinct, interval, one_per
-from .dyadic import Cube, Grid, grid_norm, level_averages, level_products
+from .dyadic import Cube, Grid, _family_products, grid_norm, level_averages, level_products
 from .maximal import _check_convexity, lattice_maximal
 from .spaces import Space, harmonic_exponent, product_space
 
@@ -255,9 +255,11 @@ def sparse_form(
     """( sum_Q (prod_j <f_j>_{r_j,Q})^q <g>_{sigma,Q}^q |Q| )^(1/q), exact.
 
     q lies in (0, inf) and sigma, which defaults to q, in (0, inf].  A cube
-    list goes through ``SparseFamily.from_cubes``.  The terms are the level
-    products at the family's level and index arrays, as in
-    ``SparseOperator.apply``, summed left to right in family order.
+    list goes through ``SparseFamily.from_cubes``.  The terms are read off
+    the family's level and index arrays by ``dyadic._family_products``, as
+    in ``SparseOperator.apply``: only the blocks under the family's cubes are
+    reduced, each product equals its ``level_products`` entry bit for bit,
+    and the terms are summed left to right in family order.
     """
     if not isinstance(family, SparseFamily):
         family = SparseFamily.from_cubes(family)
@@ -269,10 +271,10 @@ def sparse_form(
         fs, rs = fs + [g], rs + [q if sigma is None else sigma]
     one_per("exponent", "function", rs, fs)
     _check_on_grid(family, grid)
-    products = level_products(Grid(grid.d, grid.depth), fs, rs)  # the family's shift-0 lattice
+    products = _family_products(grid, fs, rs, family.level, family.index)
     total = 0.0
-    for k, m in zip(family.level.tolist(), family.index.tolist()):
-        total += float(products[k][tuple(m)]) ** q * 2.0 ** (-k * grid.d)
+    for k, p in zip(family.level.tolist(), products):
+        total += float(p) ** q * 2.0 ** (-k * grid.d)
     return total ** (1.0 / q)
 
 

@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from ._checks import EXPONENT, at_least, check, increasing, need, nonempty, one_per
-from .dyadic import Cube, Grid, grid_norm, level_products
+from .dyadic import Cube, Grid, _family_products, grid_norm
 from .maximal import check_tuple, scalar_maximal, tower
 from .sparse import SparseFamily, _check_on_grid
 from .spaces import (
@@ -107,21 +107,29 @@ class SparseOperator:
     def apply(self, grid: Grid, fs: Sequence[np.ndarray]) -> np.ndarray:
         """T(f) per finest cell; trailing atom axes broadcast.
 
-        Each cube adds its entry of the grid's level products to its cells,
-        in family order, read off the family's level and index arrays, as
-        ``sparse_form`` reads them.  A cell thus sums the same values in the
-        same order as a per-cube walk that looks each ``Cube`` up and slices
-        it (the oracle in ``tests/oracles.py``), so the result equals it bit
-        for bit.  A cube off the grid is refused.
+        Each cube adds prod_j <f_j>_{r_j,Q} to its cells, in family order.
+        The products are read off the family's level and index arrays by
+        ``dyadic._family_products``, as ``sparse_form`` reads them: only the
+        blocks under the family's cubes are reduced, and each value equals
+        its entry of ``level_products`` bit for bit.  A cell thus sums the
+        same values in the same order as a per-cube walk that looks each
+        ``Cube`` up and slices it (the oracle in ``tests/oracles.py``), so
+        the result equals it bit for bit.  A cube off the grid is refused.
+
+        The family is eta-sparse: disjoint witness sets E_Q in Q with
+        |E_Q| >= eta |Q| give sum_Q |Q| <= 1/eta, so the blocks read cover at
+        most cells/eta cells per factor, against (depth + 1) cells for all
+        level products.
         """
         one_per("function", "averaging exponent", fs, self.rs)
         fs, trail = check_tuple(grid, fs)
         _check_on_grid(self.family, grid)
-        products = level_products(grid, fs, self.rs)
+        level, index = self.family.level, self.family.index
+        products = _family_products(grid, fs, self.rs, level, index)
         out = np.zeros(grid.cell_shape + trail)
-        for k, m in zip(self.family.level.tolist(), self.family.index.tolist()):
+        for k, m, p in zip(level.tolist(), index.tolist(), products):
             b = 1 << grid.depth - k
-            out[tuple(slice(i * b, i * b + b) for i in m)] += products[k][tuple(m)]
+            out[tuple(slice(i * b, i * b + b) for i in m)] += p
         return out
 
     def __repr__(self) -> str:

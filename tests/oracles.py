@@ -40,6 +40,35 @@ from sparsedom.weights import gap_exponent
 
 
 # ---------------------------------------------------------------------------
+# tree geometry of single cubes (the library works on level arrays)
+# ---------------------------------------------------------------------------
+
+def root(grid):
+    """The level-0 cube of a shift-0 grid."""
+    if grid.shift != 0:
+        raise ValueError("shifted grids have no single root over [0,1)^d")
+    return Cube(0, (0,) * grid.d, 0)
+
+
+def parent(grid, cube):
+    """The cube one level up on the cube's lattice, or None for level 0."""
+    if cube.level == 0:
+        return None
+    k0 = cube.level - 1
+    sign0 = 1 if k0 % 2 == 0 else -1
+    index = tuple((m - sign0 * a) // 2 for m, a in zip(cube.index, cube.shift_digits))
+    return Cube(k0, index, grid.shift)
+
+
+def cube_slices(grid, cube):
+    """Cell-array slices covered by a shift-0 cube."""
+    if cube.shift != 0:
+        raise ValueError("cell slices are defined for shift-0 cubes only")
+    b = 1 << (grid.depth - cube.level)
+    return tuple(slice(m * b, (m + 1) * b) for m in cube.index)
+
+
+# ---------------------------------------------------------------------------
 # covering oracle: minimal containing cube over all shifted grids
 # ---------------------------------------------------------------------------
 
@@ -475,7 +504,7 @@ def sparse_apply_walk(T, grid, fs):
     out = np.zeros(grid.cell_shape + trail)
     cubes = T.family.cubes
     for cube, val in zip(cubes, cube_averages(grid, fs, T.rs, cubes)):
-        out[grid.cube_slices(cube)] += val
+        out[cube_slices(grid, cube)] += val
     return out
 
 
@@ -548,8 +577,7 @@ def greedy_walk(fs, rs, grid, eta=0.5):
     if eta_g <= 0:
         raise ValueError(f"greedy guarantee {bound} too small to certify")
     selected = []
-    root = grid.root
-    stack = [(root, float(lp[0].flat[0]), True)]
+    stack = [(root(grid), float(lp[0].flat[0]), True)]
     value = 0.0
     while stack:
         cube, anchor, select_now = stack.pop()
@@ -592,7 +620,7 @@ def cz_stack_walk(grid, fs, rs, lam):
     for f, rj, thr in zip(fn, rs, thresholds):
         lv = level_averages(grid, f, rj)
         selected = []
-        stack = [grid.root]
+        stack = [root(grid)]
         while stack:
             cube = stack.pop()
             if float(lv[cube.level][cube.index]) > thr:
@@ -600,18 +628,18 @@ def cz_stack_walk(grid, fs, rs, lam):
             else:
                 stack.extend(grid.children(cube))
         frozen = {q: float(lv[q.level][q.index]) for q in selected}
-        if selected == [grid.root]:
+        if selected == [root(grid)]:
             # climb the zero extension: each ancestor divides the average
             # by 2^(d/r_j); stop on the last level still above threshold
-            a0, k = frozen[grid.root], 0
+            a0, k = frozen[root(grid)], 0
             while a0 * 2.0 ** (-(k + 1) * grid.d / rj) > thr:
                 k += 1
-            frozen[grid.root] = a0 * 2.0 ** (-k * grid.d / rj)
+            frozen[root(grid)] = a0 * 2.0 ** (-k * grid.d / rj)
         mask = np.zeros(grid.cell_shape, dtype=bool)
         g2 = np.zeros(grid.cell_shape)
         picks = [np.zeros((1 << k,) * grid.d, dtype=bool) for k in range(grid.depth + 1)]
         for cube in selected:
-            sl = grid.cube_slices(cube)
+            sl = cube_slices(grid, cube)
             mask[sl] = True
             g2[sl] = frozen[cube]
             picks[cube.level][cube.index] = True
@@ -668,7 +696,7 @@ def stopping_domination_walk(grid, Fs, rs, q, spaces, c_stop=1.0, max_doublings=
     for doubling in range(max_doublings + 1):
         selected = []
         ok = True
-        frontier = [grid.root]
+        frontier = [root(grid)]
         while frontier and ok:
             Q = frontier.pop()
             selected.append(Q)
@@ -704,11 +732,11 @@ def stopping_domination_walk(grid, Fs, rs, q, spaces, c_stop=1.0, max_doublings=
     lhs = np.asarray(prod_space_X.norm(M))
     rhs_q = np.zeros(grid.cell_shape)
     for Q in selected:
-        rhs_q[grid.cube_slices(Q)] += A(Q) ** q
+        rhs_q[cube_slices(grid, Q)] += A(Q) ** q
     rhs = rhs_q ** (1.0 / q)
     with np.errstate(invalid="ignore", divide="ignore"):
         cell_ratio = np.where(lhs > 0, lhs / (c * rhs), 0.0)
-    ratios = np.array([cell_ratio[grid.cube_slices(Q)].max() for Q in selected])
+    ratios = np.array([cell_ratio[cube_slices(grid, Q)].max() for Q in selected])
     pointwise_ok = bool(np.all(cell_ratio <= 1 + 1e-9))
     return StoppingCertificate(family, c, doubling, ratios, pointwise_ok)
 

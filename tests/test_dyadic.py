@@ -6,12 +6,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sparsedom.dyadic import (
     Cube,
     Grid,
+    _family_products,
     average,
     cover_cube,
     function_from_csv,
@@ -20,6 +21,7 @@ from sparsedom.dyadic import (
     function_to_json,
     grid_norm,
     level_averages,
+    level_products,
     shifted_grids,
 )
 
@@ -79,7 +81,7 @@ def test_children_tile_parent_exactly(d, alpha_axis):
         clipped = Fraction(1, (2**cube.level) ** d) - total
         assert 0 <= clipped <= Fraction(1, (2**cube.level) ** d)
         for kid in kids:
-            assert grid.parent(kid) == cube
+            assert oracles.parent(grid, kid) == cube
             for (plo, phi), (klo, khi) in zip(
                 cube.support_exact(), kid.support_exact()
             ):
@@ -165,15 +167,15 @@ def test_average_constant():
     grid = Grid(1, 3, 0)
     f = np.full(grid.cell_shape, 2.5)
     for r in (0.5, 1, 2, math.inf):
-        assert average(grid, f, r, grid.root) == pytest.approx(2.5)
+        assert average(grid, f, r, oracles.root(grid)) == pytest.approx(2.5)
 
 
 def test_average_half_indicator():
     grid = Grid(1, 1, 0)
     f = np.array([1.0, 0.0])
-    assert average(grid, f, 1, grid.root) == pytest.approx(0.5, abs=1e-9)
-    assert average(grid, f, 2, grid.root) == pytest.approx(0.5**0.5, abs=1e-9)
-    assert average(grid, f, math.inf, grid.root) == 1.0
+    assert average(grid, f, 1, oracles.root(grid)) == pytest.approx(0.5, abs=1e-9)
+    assert average(grid, f, 2, oracles.root(grid)) == pytest.approx(0.5**0.5, abs=1e-9)
+    assert average(grid, f, math.inf, oracles.root(grid)) == 1.0
 
 
 def test_average_shifted_cube_against_direct_sum():
@@ -213,9 +215,9 @@ def test_average_bad_exponent():
     grid = Grid(1, 1, 0)
     f = np.ones(grid.cell_shape)
     with pytest.raises(ValueError):
-        average(grid, f, 0, grid.root)
+        average(grid, f, 0, oracles.root(grid))
     with pytest.raises(ValueError):
-        average(grid, f, -1, grid.root)
+        average(grid, f, -1, oracles.root(grid))
 
 
 @settings(max_examples=60, deadline=None)
@@ -244,10 +246,10 @@ def test_average_nesting_identity(vals, r):
     # average(f 1_Q, r, P)^r |P| == average(f, r, Q)^r |Q| for Q inside P
     grid = Grid(1, 3, 0)
     f = np.array(vals)
-    P = grid.root
+    P = oracles.root(grid)
     for Q in grid.cubes():
         restricted = np.zeros_like(f)
-        sl = grid.cube_slices(Q)
+        sl = oracles.cube_slices(grid, Q)
         restricted[sl] = f[sl]
         lhs = average(grid, restricted, r, P) ** r * P.measure
         rhs = average(grid, f, r, Q) ** r * Q.measure
@@ -327,6 +329,43 @@ def test_level_averages_match_the_padded_oracle(data):
     assert got.keys() == want.keys()
     for k in want:
         assert np.array_equal(got[k], want[k])
+
+
+@st.composite
+def family_cases(draw):
+    """(d, depth, trail, rs, seed): every depth of the caps used here, atom
+    trails with and without real axes, one or two factors."""
+    d = draw(st.sampled_from([1, 2]))
+    depth = draw(st.integers(0, 8 if d == 1 else 6))
+    trail = draw(st.sampled_from([(), (1,), (1, 1), (1, 3), (3, 1), (2,), (32,)]))
+    rs = draw(st.lists(st.sampled_from([0.5, 1.0, 2.5, math.inf]), min_size=1, max_size=2))
+    return d, depth, trail, rs, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=family_cases())
+# atom axes: each block adds its cells one by one in row-major order
+@example(case=(2, 5, (32,), [1.0], 0))
+# d = 2 without atoms, below the root: rows pairwise, row sums left to right
+@example(case=(2, 6, (), [1.0], 0))
+# the d = 2 root without atoms (here a trail of ones): one pairwise sum
+@example(case=(2, 6, (1,), [2.5], 0))
+def test_family_products_equal_the_level_products(case):
+    # ==, entry by entry: the whole tree shuffled, then a random subfamily,
+    # whose levels hold one cube or several
+    d, depth, trail, rs, seed = case
+    grid = Grid(d, depth)
+    rng = np.random.default_rng(seed)
+    fs = [oracles.signed_cells(rng, grid.cell_shape + trail) for _ in rs]
+    lp = level_products(grid, fs, rs)
+    cubes = list(grid.cubes())
+    for keep in (1.0, rng.uniform(0.0, 0.5)):
+        picked = [cubes[i] for i in rng.permutation(len(cubes)) if rng.random() < keep]
+        level = np.array([q.level for q in picked], dtype=int)
+        index = np.array([q.index for q in picked], dtype=int).reshape(-1, d)
+        got = _family_products(grid, fs, rs, level, index)
+        want = np.array([lp[q.level][q.index] for q in picked]).reshape(got.shape)
+        assert np.array_equal(got, want)
 
 
 def test_average_rejects_cube_outside_its_lattice():

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from sparsedom import sparse as sparse_module
 from sparsedom.dyadic import Cube, Grid, grid_norm
 from sparsedom.maximal import scalar_maximal
 from sparsedom.spaces import AtomicMeasure, LebesgueSpace, OrliczSpace, harmonic_exponent
@@ -33,6 +34,7 @@ from sparsedom.sparse import (
 from oracles import (
     carleson_constant,
     check_certificate_sets,
+    cube_slices,
     cz_stack_walk,
     exhaustive_best_form,
     family_to_json_cubes,
@@ -794,13 +796,16 @@ class TestStopping:
 
     @pytest.mark.parametrize("d, depth", [(1, 6), (2, 3)])
     def test_audit_reads_level_arrays_not_cube_slices(self, monkeypatch, d, depth):
+        # the library has no per-cube slicer (it lives in tests/oracles.py);
+        # every worst ratio comes from the one r = inf call of level_averages
         calls = []
-        slices = Grid.cube_slices
-        monkeypatch.setattr(Grid, "cube_slices", lambda self, Q: calls.append(Q) or slices(self, Q))
+        averages = sparse_module.level_averages
+        monkeypatch.setattr(sparse_module, "level_averages", lambda g, f, r: calls.append(r) or averages(g, f, r))
         g = Grid(d, depth)
         F = np.random.default_rng(67).lognormal(sigma=2.0, size=g.cell_shape + (3,))
         cert = stopping_domination(g, [F], [1.0], 1.0, [LebesgueSpace(2.0, AtomicMeasure.unit(3))])
-        assert len(cert.family.cubes) > 3 and calls == []
+        assert len(cert.family.cubes) > 3 and calls == [math.inf]
+        assert not hasattr(Grid, "cube_slices")
 
     def test_random_suite_produces_valid_certificates(self):
         rng = np.random.default_rng(53)
@@ -960,7 +965,7 @@ def test_cz_stopping_cubes_tile_the_level_sets(data, d, m):
     for cubes, level_set in zip(parts.stopping_cubes, parts.level_sets):
         count = np.zeros(grid.cell_shape, dtype=int)
         for cube in cubes:
-            count[grid.cube_slices(cube)] += 1
+            count[cube_slices(grid, cube)] += 1
         # each cell of the level set lies in exactly one cube, no other cell in any
         assert np.array_equal(count, level_set)
 

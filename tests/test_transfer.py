@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from sparsedom import cli, dyadic, maximal
 from sparsedom.dyadic import Cube, Grid, grid_norm
 from sparsedom.maximal import scalar_maximal
-from sparsedom.sparse import SparseFamily, verify_sparse
+from sparsedom.sparse import SparseFamily, sparse_form, verify_sparse
 from sparsedom.spaces import (
     AtomicMeasure,
     IteratedSpace,
@@ -76,6 +76,10 @@ def slice_apply(T, grid, Fs):
 # ---------------------------------------------------------------------------
 
 
+def refused_level_arrays(*args):
+    raise AssertionError("built the level arrays of every cube")
+
+
 class TestSparseOperator:
     def test_root_only_fixes_constants(self):
         grid = Grid(1, 2)
@@ -98,7 +102,7 @@ class TestSparseOperator:
         T = SparseOperator(certified(cubes), rs=rs)
         expected = np.zeros(8)
         for cube in cubes:
-            sl = grid.cube_slices(cube)
+            sl = oracles.cube_slices(grid, cube)
             val = 1.0
             for f, r in zip(fs, rs):
                 val *= float(np.mean(f[sl] ** r) ** (1.0 / r))
@@ -149,6 +153,22 @@ class TestSparseOperator:
         for grid in [Grid(d, depth), Grid(d, depth + 1)] * 2:
             fs = [oracles.signed_cells(rng, grid.cell_shape + atoms) for _ in rs]
             assert np.array_equal(T.apply(grid, fs), oracles.sparse_apply_walk(T, grid, fs))
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_apply_and_sparse_form_build_no_level_array(self, monkeypatch, d):
+        # both read only their family's blocks, and still equal the cube walks
+        grid = Grid(d, 4)
+        fam = certified([Cube(k, (k % 2,) * d) for k in range(1, 5)] + [Cube(0, (0,) * d)])
+        rs = (1.0, 2.5)
+        rng = np.random.default_rng(71)
+        Fs = [oracles.signed_cells(rng, grid.cell_shape + (3,)) for _ in rs]
+        fs = [oracles.signed_cells(rng, grid.cell_shape) for _ in rs]
+        T = SparseOperator(fam, rs=rs)
+        want = oracles.sparse_apply_walk(T, grid, Fs), oracles.sparse_form_walk(fam, grid, fs, rs)
+        _bind_everywhere(monkeypatch, dyadic.level_averages, refused_level_arrays)
+        _bind_everywhere(monkeypatch, dyadic.level_products, refused_level_arrays)
+        assert np.array_equal(T.apply(grid, Fs), want[0])
+        assert sparse_form(fam, grid, fs, rs) == want[1]
 
     def test_cubes_are_validated_on_every_grid(self):
         # cubes that fit depth 3 are checked again at depth 2, on every call
