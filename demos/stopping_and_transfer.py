@@ -51,8 +51,9 @@ print(f"\nHaar isometry: ||Tf||_2={grid_norm(grid, T_haar.apply(grid, [f]), 2.0)
       f" vs ||f||_2={grid_norm(grid, f, 2.0):.6f}")
 
 # scalar hypothesis first: form bounds against the (r,q)-maximal function
-for name, T in (("sparse", T_sparse), ("haar", T_haar)):
-    res = scalar_hypothesis_check(T, grid, q=1.0, trials=25)
+models = (("sparse", T_sparse), ("haar", T_haar))
+results = scalar_hypothesis_check([T for _, T in models], grid, q=1.0, trials=25)
+for (name, _), res in zip(models, results):
     bound = res["bound"] if res["bound"] is not None else "measured"
     print(f"scalar check [{name}]: worst ratio {res['max_ratio']:.4f}, "
           f"certified bound {bound}, passed={res['passed']}")
@@ -61,8 +62,8 @@ for name, T in (("sparse", T_sparse), ("haar", T_haar)):
 # the transfer experiment: extend both models to ell^2-valued inputs
 # and watch the worst form ratio stay flat as atoms are added
 # ---------------------------------------------------------------------
-for name, T in (("sparse", T_sparse), ("haar", T_haar)):
-    rep = vv_transfer_check(T, grid, [2.0], q=1.0, s=float("inf"), trials=40)
+reports = vv_transfer_check([T for _, T in models], grid, [2.0], q=1.0, s=float("inf"), trials=40)
+for (name, _), rep in zip(models, reports):
     worst = {n: round(v, 4) for n, v in rep.worst.items()}
     print(f"\ntransfer [{name}] into ell^2: admissible={rep.admissible}")
     print(f"  worst ratios per atom count {worst}")

@@ -259,7 +259,8 @@ def sparse_form(
     the family's level and index arrays by ``dyadic._family_products``, as
     in ``SparseOperator.apply``: only the blocks under the family's cubes are
     reduced, each product equals its ``level_products`` entry bit for bit,
-    and the terms are summed left to right in family order.
+    and the terms are summed left to right in family order.  The functions
+    are scalar cell functions: one with atom axes is refused.
     """
     if not isinstance(family, SparseFamily):
         family = SparseFamily.from_cubes(family)
@@ -270,6 +271,9 @@ def sparse_form(
     if g is not None:
         fs, rs = fs + [g], rs + [q if sigma is None else sigma]
     one_per("exponent", "function", rs, fs)
+    for f in fs:
+        if np.shape(f) != grid.cell_shape:
+            raise ValueError(f"sparse_form takes scalar functions of shape {grid.cell_shape}, got shape {np.shape(f)}")
     _check_on_grid(family, grid)
     products = _family_products(grid, fs, rs, family.level, family.index)
     total = 0.0

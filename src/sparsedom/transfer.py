@@ -381,53 +381,77 @@ def _sigma(q: float, s: float) -> float:
     return gap_exponent(q, s)
 
 
+def _shared_rs(Ts) -> list[float]:
+    """The averaging exponents of a group of models that share m and rs."""
+    nonempty("model", Ts)
+    m, rs = Ts[0].m, list(Ts[0].rs)
+    for T in Ts[1:]:
+        if T.m != m or list(T.rs) != rs:
+            raise ValueError(
+                f"grouped models must share m and rs, got m={m}, rs={tuple(rs)} and m={T.m}, rs={tuple(T.rs)}"
+            )
+    return rs
+
+
 def scalar_hypothesis_check(
-    T, grid: Grid, q: float, s: float = math.inf, trials: int = 50, seed: int = 0
-) -> dict:
-    """Measure the scalar-domination constant of a model over a seeded suite.
+    Ts, grid: Grid, q: float, s: float = math.inf, trials: int = 50, seed: int = 0
+) -> list[dict]:
+    """Measure the scalar-domination constant of models over a seeded suite.
 
     The ratio is ||T(f) g||_q / ||M_{(r,sigma)}(f,g)||_q.  A sparse model
     carrying a sparseness parameter must stay below eta^(-1/q) when q <= 1;
     other models just report the measured constant (pass = finite).  The
     exponents need 0 < q < s <= inf, and ``trials`` is at least 1.
+
+    ``Ts`` is a nonempty sequence of models sharing m and rs; one dict comes
+    back per model.  Each trial draws f and g once and takes the maximal
+    side once, and every model divides its own T(f) by it, so a model's
+    dict equals the one it gets alone bit for bit.
     """
+    rs = _shared_rs(Ts)
     at_least("trials", trials, 1)
     sigma = _sigma(q, s)
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    worst = [0.0] * len(Ts)
     for _ in range(trials):
-        fs = [_random_cells(rng, grid) for _ in range(T.m)]
+        fs = [_random_cells(rng, grid) for _ in rs]
         g = _random_cells(rng, grid)
-        num = grid_norm(grid, np.abs(T.apply(grid, fs)) * g, q)
-        den = grid_norm(grid, scalar_maximal(grid, fs + [g], list(T.rs) + [sigma]), q)
-        worst = max(worst, 0.0 if den == 0 else num / den)
-    bound = T.hypothesis_constant(q)
-    passed = worst <= bound * (1 + 1e-9) if bound is not None else math.isfinite(worst)
-    return {
-        "max_ratio": float(worst),
-        "bound": None if bound is None else float(bound),
-        "passed": bool(passed),
-        "trials": int(trials),
-    }
+        nums = [grid_norm(grid, np.abs(T.apply(grid, fs)) * g, q) for T in Ts]
+        den = grid_norm(grid, scalar_maximal(grid, fs + [g], rs + [sigma]), q)
+        worst = [max(w, 0.0 if den == 0 else num / den) for w, num in zip(worst, nums)]
+    out = []
+    for T, w in zip(Ts, worst):
+        bound = T.hypothesis_constant(q)
+        passed = w <= bound * (1 + 1e-9) if bound is not None else math.isfinite(w)
+        out.append({
+            "max_ratio": float(w),
+            "bound": None if bound is None else float(bound),
+            "passed": bool(passed),
+            "trials": int(trials),
+        })
+    return out
 
 
 def transfer_sides(
-    T, grid: Grid, Fs: Sequence[np.ndarray], g, spaces: Sequence[Space], q: float, s: float
-) -> tuple[float, float]:
-    """One evaluation of the vector bound: (lattice side, maximal side).
+    Ts, grid: Grid, Fs: Sequence[np.ndarray], g, spaces: Sequence[Space], X: Space, q: float, s: float
+) -> list[tuple[float, float]]:
+    """One evaluation of the vector bound: (lattice side, maximal side) per model.
 
-    Lattice side: || ||T~(F)||_X g ||_{L^q} with X the product space.
+    Lattice side: || ||T~(F)||_X g ||_{L^q} with X = product_space(spaces),
+    which the caller builds once for its atom count.
     Maximal side: || M_{(r,sigma)}(||F_1||_{X_1},...,||F_m||_{X_m}, g) ||_{L^q}.
+
+    ``Ts`` is a nonempty sequence of models sharing m and rs.  The maximal
+    side does not depend on the model, so the factor norms and M are
+    computed once; only T~(F) and its norm in X are taken per model.
     """
+    rs = _shared_rs(Ts)
     sigma = _sigma(q, s)
-    spaces = list(spaces)
     g = np.abs(np.asarray(g, dtype=float))
-    out = tensor_extend(T, grid, Fs)
-    lhs = grid_norm(grid, np.asarray(product_space(spaces).norm(out)) * g, q)
+    lhs = [grid_norm(grid, np.asarray(X.norm(tensor_extend(T, grid, Fs))) * g, q) for T in Ts]
     scalars = [np.asarray(sp.norm(F)) for sp, F in zip(spaces, Fs)]
-    M = scalar_maximal(grid, scalars + [g], list(T.rs) + [sigma])
-    rhs = grid_norm(grid, M, q)
-    return lhs, rhs
+    rhs = grid_norm(grid, scalar_maximal(grid, scalars + [g], rs + [sigma]), q)
+    return [(side, rhs) for side in lhs]
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +496,7 @@ class TransferReport:
 
 
 def vv_transfer_check(
-    T,
+    Ts,
     grid: Grid,
     specs,
     q: float,
@@ -480,83 +504,85 @@ def vv_transfer_check(
     ns: Sequence[int] = (2, 8, 32),
     trials: int = 200,
     seed: int = 0,
-) -> TransferReport:
+) -> list[TransferReport]:
     """Does the scalar domination survive the lattice extension?
 
-    ``specs`` lists per-factor exponents (t, or (t_outer, t_inner) for one
-    nested level), built at each atom count by ``space_tuple``.  ``ns`` are
-    two or more strictly increasing positive ints, the points of the slope
-    fit, and ``trials`` is at least 1.  Per atom count the worst ratio of
-    the two transfer_sides over the trial suite is recorded; the verdict is
-    PASS when the log-log slope of that worst ratio against n stays at or
-    below 0.05.  An inadmissible tuple downgrades the
-    run to exploratory with a warning rather than refusing it.
+    ``Ts`` is a nonempty sequence of models sharing m and rs; one report
+    comes back per model, equal to the one it gets alone.  ``specs`` lists
+    per-factor exponents (t, or (t_outer, t_inner) for one nested level),
+    built at each atom count by ``space_tuple``.  ``ns`` are two or more
+    strictly increasing positive ints, the points of the slope fit, and
+    ``trials`` is at least 1.  Per atom count the worst ratio of the two
+    transfer_sides over the trial suite is recorded; the verdict is PASS
+    when the log-log slope of that worst ratio against n stays at or below
+    0.05.  An inadmissible tuple downgrades the run to exploratory with a
+    warning rather than refusing it.
 
-    Scalar profiles and g are drawn from one stream reseeded identically per
-    n, so every atom count sees the same profiles.  Their lifts to atoms come
-    from a stream of their own per n, and each factor draws its own lift
-    kind and, for a one-hot lift, its own atom.  A trial reduces to the
-    scalar bound only when every factor is one-hot on the same atom; for
-    m = 2 over n flat atoms that happens with probability 1/(9n), so the
-    worst ratios at different n come from different lifts.
+    Each trial draws its scalar profiles and g once, from one stream, and
+    every atom count lifts the same profiles.  The lifts to atoms come from
+    a stream of their own per n, and each factor draws its own lift kind
+    and, for a one-hot lift, its own atom.  A trial reduces to the scalar
+    bound only when every factor is one-hot on the same atom; for m = 2
+    over n flat atoms that happens with probability 1/(9n), so the worst
+    ratios at different n come from different lifts.  Trials run on the
+    outside and atom counts on the inside; the streams are independent, so
+    this draws what a loop over n, each with the profile stream reseeded,
+    would draw.  The space tuple and its product are built once per n.
     """
+    rs = _shared_rs(Ts)
     ns = increasing("ns", ns)
     if len(ns) < 2:
         raise ValueError(f"need at least two atom counts to fit a slope, got {ns}")
     at_least("trials", trials, 1)
-    rs = list(T.rs)
-    spaces0 = space_tuple(specs, ns[0])
-    one_per("space", "averaging exponent", spaces0, rs)
-    ok, why = admissible_tuple(spaces0, rs, q, s)
+    spaces = {n: space_tuple(specs, n) for n in ns}
+    one_per("space", "averaging exponent", spaces[ns[0]], rs)
+    ok, why = admissible_tuple(spaces[ns[0]], rs, q, s)
     warnings = [] if ok else [f"inadmissible space tuple ({why}); run is exploratory"]
-    scalar = scalar_hypothesis_check(T, grid, q, s, trials=min(trials, 50), seed=seed)
+    scalars = scalar_hypothesis_check(Ts, grid, q, s, trials=min(trials, 50), seed=seed)
 
-    ratios: dict[int, list[float]] = {}
-    worst: dict[int, float] = {}
-    for n in ns:
-        spaces = space_tuple(specs, n)
-        rng_prof = np.random.default_rng((seed, 1))
-        rng_dir = np.random.default_rng((seed, 2, n))
-        rat = []
-        for _ in range(trials):
-            profs = [_random_cells(rng_prof, grid) for _ in range(T.m)]
-            g = np.abs(_random_cells(rng_prof, grid))
-            Fs = [
-                _vectorize(rng_dir, prof, sp.atom_shape)
-                for prof, sp in zip(profs, spaces)
-            ]
-            lhs, rhs = transfer_sides(T, grid, Fs, g, spaces, q, s)
-            rat.append(0.0 if rhs == 0 else lhs / rhs)
-        ratios[n] = rat
-        worst[n] = max(rat)
-
-    ys = [worst[n] for n in ns]
-    if min(ys) <= 0:
-        slope = 0.0
-    else:
-        slope = float(np.polyfit(np.log(ns), np.log(ys), 1)[0])
-    passed = slope <= 0.05
-    return TransferReport(
-        kind=T.kind,
-        ns=ns,
-        ratios=ratios,
-        worst=worst,
-        slope=slope,
-        passed=bool(passed),
-        admissible=ok,
-        exploratory=not ok,
-        warnings=warnings,
-        scalar=scalar,
-        config={
-            "q": float(q),
-            "s": float(s),
-            "rs": rs,
-            "trials": int(trials),
-            "seed": int(seed),
-            "d": grid.d,
-            "depth": grid.depth,
-        },
-    )
+    products = {n: product_space(spaces[n]) for n in ns}
+    rng_prof = np.random.default_rng((seed, 1))
+    rng_dir = {n: np.random.default_rng((seed, 2, n)) for n in ns}
+    ratios = [{n: [] for n in ns} for _ in Ts]
+    for _ in range(trials):
+        profs = [_random_cells(rng_prof, grid) for _ in rs]
+        g = np.abs(_random_cells(rng_prof, grid))
+        for n in ns:
+            Fs = [_vectorize(rng_dir[n], prof, sp.atom_shape) for prof, sp in zip(profs, spaces[n])]
+            sides = transfer_sides(Ts, grid, Fs, g, spaces[n], products[n], q, s)
+            for rat, (lhs, rhs) in zip(ratios, sides):
+                rat[n].append(0.0 if rhs == 0 else lhs / rhs)
+    reports = []
+    for T, rat, scalar in zip(Ts, ratios, scalars):
+        worst = {n: max(rat[n]) for n in ns}
+        ys = [worst[n] for n in ns]
+        if min(ys) <= 0:
+            slope = 0.0
+        else:
+            slope = float(np.polyfit(np.log(ns), np.log(ys), 1)[0])
+        passed = slope <= 0.05
+        reports.append(TransferReport(
+            kind=T.kind,
+            ns=ns,
+            ratios=rat,
+            worst=worst,
+            slope=slope,
+            passed=bool(passed),
+            admissible=ok,
+            exploratory=not ok,
+            warnings=list(warnings),
+            scalar=scalar,
+            config={
+                "q": float(q),
+                "s": float(s),
+                "rs": list(rs),
+                "trials": int(trials),
+                "seed": int(seed),
+                "d": grid.d,
+                "depth": grid.depth,
+            },
+        ))
+    return reports
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from sparsedom.dyadic import (
     shifted_grids,
 )
 from sparsedom import spaces
-from sparsedom.maximal import check_tuple, lattice_maximal
+from sparsedom.maximal import check_tuple, lattice_maximal, scalar_maximal
 from sparsedom.spaces import OrliczSpace, _nominal_exponent, _orlicz_split, harmonic_exponent, product_space
 from sparsedom.sparse import (
     CZParts,
@@ -35,7 +35,7 @@ from sparsedom.sparse import (
     StoppingFailure,
     certificate_depth,
 )
-from sparsedom.transfer import _signed_means
+from sparsedom.transfer import _random_cells, _signed_means, _vectorize, space_tuple
 from sparsedom.weights import gap_exponent
 
 
@@ -526,6 +526,31 @@ def haar_apply_loop(T, grid, fs):
         signs = T.signs[k] if k < len(T.signs) else np.ones((1 << k,) * grid.d)
         s = upsample(grid, signs, k)
         out += s.reshape(s.shape + (1,) * len(trail)) * detail
+    return out
+
+
+def transfer_ratios_per_atom_count(T, grid, specs, q, s, ns, trials, seed):
+    """The ratios of ``vv_transfer_check`` for one model, drawn atom count by
+    atom count: the profile stream is reseeded for every n and the product
+    space is rebuilt for every trial.  It checks the order of the draws, so
+    it uses the library's draws, norms and maximal function as they are.
+    """
+    sigma = gap_exponent(q, s)
+    out = {}
+    for n in ns:
+        factors = space_tuple(specs, n)
+        rng_prof = np.random.default_rng((seed, 1))
+        rng_dir = np.random.default_rng((seed, 2, n))
+        ratios = []
+        for _ in range(trials):
+            profs = [_random_cells(rng_prof, grid) for _ in range(T.m)]
+            g = np.abs(_random_cells(rng_prof, grid))
+            Fs = [_vectorize(rng_dir, prof, sp.atom_shape) for prof, sp in zip(profs, factors)]
+            lhs = grid_norm(grid, np.asarray(product_space(factors).norm(T.apply(grid, Fs))) * g, q)
+            norms = [np.asarray(sp.norm(F)) for sp, F in zip(factors, Fs)]
+            rhs = grid_norm(grid, scalar_maximal(grid, norms + [g], list(T.rs) + [sigma]), q)
+            ratios.append(0.0 if rhs == 0 else lhs / rhs)
+        out[n] = ratios
     return out
 
 

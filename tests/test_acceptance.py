@@ -264,7 +264,7 @@ def test_criterion_6_vector_valued_transfer():
     all_ok = True
     details = []
     for label, T, specs in models:
-        rep = vv_transfer_check(T, grid, specs, 1.0, INF, trials=60)
+        [rep] = vv_transfer_check([T], grid, specs, 1.0, INF, trials=60)
         ok = rep.admissible and rep.scalar["passed"] and rep.passed
         all_ok = all_ok and ok
         details.append(f"{label}: slope {rep.slope:.3f}")

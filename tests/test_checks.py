@@ -20,7 +20,7 @@ from sparsedom.spaces import (
     product_norm,
     product_space,
 )
-from sparsedom.sparse import SparseFamily, certificate_depth, cz_decompose, sparse_form
+from sparsedom.sparse import SparseFamily, certificate_depth, cz_decompose, sparse_form, verify_sparse
 from sparsedom.transfer import (
     HaarTransform,
     SparseOperator,
@@ -28,6 +28,7 @@ from sparsedom.transfer import (
     admissible_tuple,
     haar_unconditionality_probe,
     scalar_hypothesis_check,
+    transfer_sides,
     vv_transfer_check,
 )
 from sparsedom.weights import (
@@ -44,6 +45,7 @@ G = Grid(1, 2)
 ONES = np.ones(G.cell_shape)
 U2 = AtomicMeasure.unit(2)
 HAAR = HaarTransform.random(G, seed=3)
+ROOT_ONLY = verify_sparse([Cube(0, (0,))], 0.5)
 ORLICZ_PAIR = [OrliczSpace.from_power(2.0, U2), OrliczSpace.from_power(3.0, U2)]
 
 # (id, call, message): the message names the parameter, its range and the value
@@ -88,9 +90,9 @@ REFUSALS = [
      "depth must be at least 1, got 0"),
     ("opnorm-trials", lambda: maximal_opnorm_lower(G, [1.0], [2.0], [LebesgueSpace(2.0, U2)], trials=0),
      "trials must be at least 1, got 0"),
-    ("scalar-trials-float", lambda: scalar_hypothesis_check(HAAR, G, 1.0, trials=2.5),
+    ("scalar-trials-float", lambda: scalar_hypothesis_check([HAAR], G, 1.0, trials=2.5),
      "trials must be an integer at least 1, got 2.5"),
-    ("vv-trials-float", lambda: vv_transfer_check(HAAR, G, [2.0], 1.0, INF, ns=(2, 4), trials=2.5),
+    ("vv-trials-float", lambda: vv_transfer_check([HAAR], G, [2.0], 1.0, INF, ns=(2, 4), trials=2.5),
      "trials must be an integer at least 1, got 2.5"),
     ("associate-restarts-float", lambda: associate_norm(LorentzSpace(3.0, 1.0, U2), [1.0, 2.0], restarts=2.5),
      "restarts must be an integer at least 1, got 2.5"),
@@ -98,7 +100,7 @@ REFUSALS = [
      "restarts must be an integer at least 1, got 2.5"),
     ("product-restarts-bool", lambda: product_norm(ORLICZ_PAIR, [1.0, 2.0], restarts=True),
      "restarts must be an integer at least 1, got True"),
-    ("ns-float", lambda: vv_transfer_check(HAAR, G, [2.0], 1.0, INF, ns=(2.5, 8)),
+    ("ns-float", lambda: vv_transfer_check([HAAR], G, [2.0], 1.0, INF, ns=(2.5, 8)),
      r"ns must be one or more strictly increasing positive ints, got \(2.5, 8\)"),
     ("budgets", lambda: haar_unconditionality_probe(G, 2.0, 2.0, 2, budgets=()),
      r"budgets must be one or more strictly increasing positive ints, got \(\)"),
@@ -111,8 +113,17 @@ REFUSALS = [
      "need r_1 < p_1, got r_1=2.0 >= p_1=2.0"),
     ("composed-q-above-p", lambda: composed_transfer_exponent([2.0], 3.0, [1.0], INF),
      "need q <= p, got q=3.0 > p=2.0"),
-    ("vv-one-atom-count", lambda: vv_transfer_check(HAAR, G, [2.0], 1.0, INF, ns=(4,)),
+    ("vv-one-atom-count", lambda: vv_transfer_check([HAAR], G, [2.0], 1.0, INF, ns=(4,)),
      r"need at least two atom counts to fit a slope, got \(4,\)"),
+    ("sparse_form-atoms", lambda: sparse_form([Cube(0, (0,))], G, [np.ones((4, 2))], [1.0]),
+     r"sparse_form takes scalar functions of shape \(4,\), got shape \(4, 2\)"),
+    # a group of models sharing one trial suite
+    ("models-none", lambda: vv_transfer_check([], G, [2.0], 1.0, INF), "need at least one model, got none"),
+    ("models-m", lambda: scalar_hypothesis_check([HAAR, SparseOperator(ROOT_ONLY, rs=(1.0, 1.0))], G, 1.0),
+     r"grouped models must share m and rs, got m=1, rs=\(1.0,\) and m=2, rs=\(1.0, 1.0\)"),
+    ("models-rs", lambda: transfer_sides([HAAR, SparseOperator(ROOT_ONLY, rs=(2.0,))], G, [np.ones((4, 2))], ONES,
+                                         [LebesgueSpace(2.0, U2)], LebesgueSpace(2.0, U2), 1.0, INF),
+     r"grouped models must share m and rs, got m=1, rs=\(1.0,\) and m=1, rs=\(2.0,\)"),
     # weights and families
     ("weights-none", lambda: muckenhoupt_constant([], (), (), INF, G), "need at least one weight component, got none"),
     ("weights-shapes", lambda: muckenhoupt_constant([ONES, np.ones(8)], (4.0, 4.0), (1.0, 1.0), INF, G),

@@ -10,6 +10,7 @@ reason that holds without a caller.
 
 import ast
 import functools
+import importlib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -88,3 +89,28 @@ def test_kept_names_are_public_and_still_uncalled():
     assert sorted(set(KEPT) - set(found)) == [], "kept names that are no longer public"
     called = {name: sorted(found[name]) for name in KEPT if found[name]}
     assert not called, f"kept names that gained a caller; drop them from KEPT: {called}"
+
+
+def traced_names() -> dict[str, tuple[str, str]]:
+    """``TRACED`` of perfbench/tracing.py: span name -> (module, attribute path)."""
+    for node in ast.parse((ROOT / "perfbench" / "tracing.py").read_text()).body:
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/tracing.py assigns no TRACED")
+
+
+def test_every_traced_name_resolves():
+    # the tracer looks each name up with getattr (a method in its class's own
+    # __dict__), so a rename shows here and not only in a traced bench run
+    unresolved = []
+    for span, (modname, attr) in traced_names().items():
+        owner = importlib.import_module(modname)
+        cls_name, _, name = attr.rpartition(".")
+        if cls_name:
+            owner = getattr(owner, cls_name, None)
+            found = vars(owner).get(name) if owner is not None else None
+        else:
+            found = getattr(owner, name, None)
+        if not callable(found):
+            unresolved.append(span)
+    assert not unresolved, f"traced names that no longer resolve: {unresolved}"

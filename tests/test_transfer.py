@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sparsedom import cli, dyadic, maximal
+from sparsedom import cli, dyadic, maximal, transfer
 from sparsedom.dyadic import Cube, Grid, grid_norm
 from sparsedom.maximal import scalar_maximal
 from sparsedom.sparse import SparseFamily, sparse_form, verify_sparse
@@ -18,6 +18,7 @@ from sparsedom.spaces import (
     LebesgueSpace,
     LorentzSpace,
     associate_norm,
+    product_space,
 )
 from sparsedom.transfer import (
     HaarTransform,
@@ -554,43 +555,43 @@ class TestEquivalence:
 
 class TestScalarHypothesis:
     def test_sparse_chain_respects_certificate_q1(self):
-        res = scalar_hypothesis_check(
-            SparseOperator(chain_family(4), rs=(1.0,)), Grid(1, 3), 1.0
+        [res] = scalar_hypothesis_check(
+            [SparseOperator(chain_family(4), rs=(1.0,))], Grid(1, 3), 1.0
         )
         assert res["passed"] and res["bound"] == 2.0
         assert 0 < res["max_ratio"] <= 2.0 * (1 + 1e-9)
 
     def test_sparse_chain_respects_certificate_subunit_q(self):
-        res = scalar_hypothesis_check(
-            SparseOperator(chain_family(3), rs=(1.0,)), Grid(1, 2), 0.5
+        [res] = scalar_hypothesis_check(
+            [SparseOperator(chain_family(3), rs=(1.0,))], Grid(1, 2), 0.5
         )
         assert res["passed"] and res["bound"] == 4.0
 
     def test_q_above_one_reports_only(self):
-        res = scalar_hypothesis_check(
-            SparseOperator(chain_family(3), rs=(1.0,)), Grid(1, 2), 1.5
+        [res] = scalar_hypothesis_check(
+            [SparseOperator(chain_family(3), rs=(1.0,))], Grid(1, 2), 1.5
         )
         assert res["bound"] is None and res["passed"]
 
     def test_haar_reports_measured_constant(self):
-        res = scalar_hypothesis_check(HaarTransform.random(Grid(1, 3), 1), Grid(1, 3), 1.0)
+        [res] = scalar_hypothesis_check([HaarTransform.random(Grid(1, 3), 1)], Grid(1, 3), 1.0)
         assert res["bound"] is None and res["passed"] and res["max_ratio"] > 0
 
     def test_finite_s_shrinks_the_ratio(self):
         T = SparseOperator(chain_family(4), rs=(1.0,))
         grid = Grid(1, 3)
-        loose = scalar_hypothesis_check(T, grid, 1.0, s=INF, seed=5)
-        tight = scalar_hypothesis_check(T, grid, 1.0, s=4.0, seed=5)
+        [loose] = scalar_hypothesis_check([T], grid, 1.0, s=INF, seed=5)
+        [tight] = scalar_hypothesis_check([T], grid, 1.0, s=4.0, seed=5)
         # same seeded trials; a larger auxiliary exponent only grows the majorant
         assert tight["max_ratio"] <= loose["max_ratio"] + 1e-12
 
     def test_exponent_window_validated(self):
         T = SparseOperator(chain_family(2), rs=(1.0,))
         with pytest.raises(ValueError, match="need s > q"):
-            scalar_hypothesis_check(T, Grid(1, 1), 2.0, s=2.0)
+            scalar_hypothesis_check([T], Grid(1, 1), 2.0, s=2.0)
         # a run with no trials measures nothing
         with pytest.raises(ValueError, match="trials must be at least 1, got 0"):
-            scalar_hypothesis_check(T, Grid(1, 1), 1.0, trials=0)
+            scalar_hypothesis_check([T], Grid(1, 1), 1.0, trials=0)
 
 
 # ---------------------------------------------------------------------------
@@ -602,12 +603,13 @@ class TestTransferSides:
     def test_zero_g_gives_zero_on_both_sides(self):
         grid = Grid(1, 3)
         spaces = space_tuple([2.0], 3)
-        lhs, rhs = transfer_sides(
-            HaarTransform.random(grid, 1),
+        [(lhs, rhs)] = transfer_sides(
+            [HaarTransform.random(grid, 1)],
             grid,
             [np.ones((8, 3))],
             np.zeros(8),
             spaces,
+            product_space(spaces),
             1.0,
             INF,
         )
@@ -621,7 +623,9 @@ class TestTransferSides:
         direction = np.zeros(3)
         direction[1] = 1.0
         spaces = space_tuple([2.5], 3)
-        lhs, rhs = transfer_sides(T, grid, [np.multiply.outer(f, direction)], g, spaces, 1.0, INF)
+        [(lhs, rhs)] = transfer_sides(
+            [T], grid, [np.multiply.outer(f, direction)], g, spaces, product_space(spaces), 1.0, INF
+        )
         num = grid_norm(grid, T.apply(grid, [f]) * g, 1.0)
         den = grid_norm(grid, scalar_maximal(grid, [f, g], [1.0, 1.0]), 1.0)
         assert np.isclose(lhs, num, rtol=1e-12) and np.isclose(rhs, den, rtol=1e-12)
@@ -630,8 +634,8 @@ class TestTransferSides:
 class TestVvTransferCheck:
     def test_haar_l2_passes(self):
         grid = Grid(1, 3)
-        rep = vv_transfer_check(
-            HaarTransform.random(grid, seed=1), grid, [2.0], 1.0, INF, trials=120
+        [rep] = vv_transfer_check(
+            [HaarTransform.random(grid, seed=1)], grid, [2.0], 1.0, INF, trials=120
         )
         assert rep.verdict == "PASS"
         assert rep.passed and rep.admissible and not rep.exploratory
@@ -642,29 +646,29 @@ class TestVvTransferCheck:
     def test_sparse_product_pair_passes(self):
         grid = Grid(1, 3)
         T = SparseOperator(chain_family(4), rs=(1.0, 1.0))
-        rep = vv_transfer_check(T, grid, [4.0, 4.0 / 3.0], 1.0, INF, trials=120)
+        [rep] = vv_transfer_check([T], grid, [4.0, 4.0 / 3.0], 1.0, INF, trials=120)
         assert rep.passed and rep.admissible
         assert rep.scalar["bound"] == 2.0 and rep.scalar["passed"]
 
     def test_iterated_single_factor_passes(self):
         grid = Grid(1, 3)
-        rep = vv_transfer_check(
-            HaarTransform.random(grid, seed=2), grid, [(3.0, 2.0)], 1.0, INF, trials=80
+        [rep] = vv_transfer_check(
+            [HaarTransform.random(grid, seed=2)], grid, [(3.0, 2.0)], 1.0, INF, trials=80
         )
         assert rep.passed and rep.admissible
 
     def test_inadmissible_tuple_runs_exploratory(self):
         grid = Grid(1, 2)
         T = SparseOperator(chain_family(3), rs=(1.0,))
-        rep = vv_transfer_check(T, grid, [1.0], 1.0, INF, trials=20)
+        [rep] = vv_transfer_check([T], grid, [1.0], 1.0, INF, trials=20)
         assert not rep.admissible and rep.exploratory
         assert any("exploratory" in w for w in rep.warnings)
         assert all(len(rep.ratios[n]) == 20 for n in rep.ns)
 
     def test_report_serializes(self):
         grid = Grid(1, 2)
-        rep = vv_transfer_check(
-            HaarTransform.random(grid, seed=3), grid, [2.0], 1.0, INF, ns=(2, 4), trials=10
+        [rep] = vv_transfer_check(
+            [HaarTransform.random(grid, seed=3)], grid, [2.0], 1.0, INF, ns=(2, 4), trials=10
         )
         payload = json.loads(json.dumps(rep.as_dict()))
         assert payload["verdict"] in ("PASS", "FAIL")
@@ -674,22 +678,91 @@ class TestVvTransferCheck:
     def test_deterministic_replay(self):
         grid = Grid(1, 2)
         T = SparseOperator(chain_family(3), rs=(1.0,))
-        a = vv_transfer_check(T, grid, [2.0], 1.0, INF, ns=(2, 4), trials=15, seed=9)
-        b = vv_transfer_check(T, grid, [2.0], 1.0, INF, ns=(2, 4), trials=15, seed=9)
+        [a] = vv_transfer_check([T], grid, [2.0], 1.0, INF, ns=(2, 4), trials=15, seed=9)
+        [b] = vv_transfer_check([T], grid, [2.0], 1.0, INF, ns=(2, 4), trials=15, seed=9)
         assert a.worst == b.worst and a.ratios == b.ratios
 
     def test_input_validation(self):
         grid = Grid(1, 2)
         T = SparseOperator(chain_family(3), rs=(1.0,))
         with pytest.raises(ValueError, match="strictly increasing"):
-            vv_transfer_check(T, grid, [2.0], 1.0, INF, ns=(4, 2))
+            vv_transfer_check([T], grid, [2.0], 1.0, INF, ns=(4, 2))
         with pytest.raises(ValueError, match="strictly increasing"):
-            vv_transfer_check(T, grid, [2.0], 1.0, INF, ns=())
+            vv_transfer_check([T], grid, [2.0], 1.0, INF, ns=())
         with pytest.raises(ValueError, match="need one space per averaging exponent and at least one, got 2 for 1"):
-            vv_transfer_check(T, grid, [2.0, 2.0], 1.0, INF)
+            vv_transfer_check([T], grid, [2.0, 2.0], 1.0, INF)
         # with no trials there is no worst ratio to take
         with pytest.raises(ValueError, match="trials must be at least 1, got 0"):
-            vv_transfer_check(T, grid, [2.0], 1.0, INF, trials=0)
+            vv_transfer_check([T], grid, [2.0], 1.0, INF, trials=0)
+
+
+# ---------------------------------------------------------------------------
+# one trial suite shared by a group of models
+# ---------------------------------------------------------------------------
+
+
+def model_groups(grid: Grid) -> dict[str, tuple[list, list]]:
+    """Groups of two and three models sharing m and rs, with their specs."""
+    origin = (0,) * grid.d
+    chain = certified([Cube(k, origin) for k in range(grid.depth + 1)])
+    root = certified([Cube(0, origin)])
+    haar = [HaarTransform.random(grid, seed) for seed in (1, 2)]
+    return {
+        "haar-sparse": ([haar[0], SparseOperator(chain, rs=(1.0,))], [2.0]),
+        "haar-sparse-haar": ([haar[0], SparseOperator(chain, rs=(1.0,)), haar[1]], [2.0]),
+        "sparse-r2": ([SparseOperator(root, rs=(2.0,)), SparseOperator(chain, rs=(2.0,))], [(3.0, 2.5)]),
+        "pair": ([SparseOperator(chain, rs=(1.0, 1.0)), SparseOperator(root, rs=(1.0, 1.0))], [4.0, 4.0 / 3.0]),
+        "pair-three": (
+            [SparseOperator(chain, rs=(1.0, 2.0)), SparseOperator(root, rs=(1.0, 2.0)),
+             SparseOperator(chain, rs=(1.0, 2.0))],
+            [4.0, 4.0 / 3.0],
+        ),
+    }
+
+
+@pytest.mark.parametrize("group", ["haar-sparse", "haar-sparse-haar", "sparse-r2", "pair", "pair-three"])
+@pytest.mark.parametrize("s", [INF, 4.0])
+@pytest.mark.parametrize("d, depth", [(1, 3), (2, 2)])
+def test_grouped_models_equal_each_model_alone(d, depth, s, group):
+    # the group shares each trial's draws and maximal side; every model's
+    # report and scalar dict must keep their bits, not only a tolerance
+    grid = Grid(d, depth)
+    models, specs = model_groups(grid)[group]
+    grouped = vv_transfer_check(models, grid, specs, 1.0, s, ns=(2, 4), trials=6, seed=d)
+    alone = [vv_transfer_check([T], grid, specs, 1.0, s, ns=(2, 4), trials=6, seed=d)[0] for T in models]
+    assert [rep.as_dict() for rep in grouped] == [rep.as_dict() for rep in alone]
+    scalars = scalar_hypothesis_check(models, grid, 1.0, s, trials=6, seed=d)
+    assert scalars == [scalar_hypothesis_check([T], grid, 1.0, s, trials=6, seed=d)[0] for T in models]
+
+
+@pytest.mark.parametrize("group", ["haar-sparse", "pair"])
+@pytest.mark.parametrize("d, depth", [(1, 3), (2, 2)])
+def test_ratios_follow_the_per_atom_count_streams(d, depth, group):
+    # trials outside and atom counts inside draw what a loop over n with the
+    # profile stream reseeded draws, bit for bit
+    grid = Grid(d, depth)
+    models, specs = model_groups(grid)[group]
+    reports = vv_transfer_check(models, grid, specs, 1.0, 8.0, ns=(2, 3, 8), trials=9, seed=4)
+    for T, rep in zip(models, reports):
+        assert rep.ratios == oracles.transfer_ratios_per_atom_count(T, grid, specs, 1.0, 8.0, (2, 3, 8), 9, 4)
+
+
+@pytest.mark.parametrize("size", [1, 2, 3])
+def test_one_maximal_side_per_trial_and_atom_count(monkeypatch, size):
+    grid = Grid(1, 2)
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return scalar_maximal(*args)
+
+    monkeypatch.setattr(transfer, "scalar_maximal", counted)
+    models = [HaarTransform.random(grid, seed) for seed in range(size)]
+    ns, trials = (2, 4, 8), 7
+    vv_transfer_check(models, grid, [2.0], 1.0, INF, ns=ns, trials=trials)
+    # min(trials, 50) scalar-check denominators, then one maximal side per
+    # (trial, atom count), whatever the group size
+    assert len(calls) == min(trials, 50) + trials * len(ns)
 
 
 # ---------------------------------------------------------------------------
