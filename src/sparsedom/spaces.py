@@ -19,10 +19,10 @@ safeguarded Newton steps in log x, finished by single-ulp steps to the
 smallest double where the excess (of the modular over one, or of log |xi|
 over the split's log) is <= 0, the double a geometric bisection reaches on
 the same predicate; the bisection is a test oracle, and the tests require
-the same bits.  The product norm is exact for Lebesgue tuples.  Every other
-associate norm (Lorentz, non-convex Orlicz, concavified, mixed iterated) and
+the same bits.  Every other kind's associate norm is refused.  Lebesgue and
+iterated Lebesgue tuples have a closed-form ``product_space``; every other
 product norm is a seeded coordinate search, its restarts in lockstep, that
-returns a lower bound, cross-checked against dense-grid oracles in the tests.
+returns an upper bound, cross-checked against a dense-grid oracle in the tests.
 
 The package's exponent arithmetic lives here too (1/inf = 0): ``recip``
 (re-exported from the range checks, which compare exponents through it),
@@ -190,7 +190,8 @@ class LebesgueSpace(Space):
         odd = ~((total >= _TINY) & (total < math.inf)) & (top > 0) & (top < math.inf)
         if np.any(odd):
             out, scale = np.array(out), top[odd]
-            out[odd] = scale * np.power((a[odd] / scale[:, None]) ** self.t @ w, 1.0 / self.t)
+            with np.errstate(over="ignore"):  # a norm past the largest double is inf
+                out[odd] = scale * np.power((a[odd] / scale[:, None]) ** self.t @ w, 1.0 / self.t)
         return _as_scalar(out)
 
     def params(self) -> dict:
@@ -209,7 +210,8 @@ class LorentzSpace(Space):
 
     For u <= t the functional is min(t, u)-convex with constant one; for
     u > t it is only a quasi-norm, so the declared convexity defaults to
-    t/u < 1 as a flag (associate_norm then refuses the space).
+    t/u < 1 as a flag.  associate_norm refuses every Lorentz space, as no
+    closed-form dual is implemented (L^(t,1)'s is a Marcinkiewicz space).
     """
 
     kind = "lorentz"
@@ -441,8 +443,9 @@ class OrliczSpace(Space):
                 modular, step = _modular_step(self.phi(ratio) * w, -self._log_slope(ratio, self._lx, self._pieces))
                 return modular - 1.0, step
 
-            # bracket the unit level set outward from the sup
-            out[active] = np.ldexp(_solve_level(level, sub.max(axis=1), "Luxemburg norm"), scale)
+            lam = _solve_level(level, sub.max(axis=1), "Luxemburg norm")  # bracketed outward from the sup
+            with np.errstate(over="ignore"):  # a norm past the largest double is inf
+                out[active] = np.ldexp(lam, scale)
         return _as_scalar(out.reshape(lead))
 
     def params(self) -> dict:
@@ -562,34 +565,28 @@ def _norming(space: Space, v: np.ndarray) -> np.ndarray:
     return eta
 
 
-def associate_norm(
-    space: Space,
-    xi,
-    seed: int = 0,
-    restarts: int = 64,
-    return_argmax: bool = False,
-):
+def associate_norm(space: Space, xi, restarts: int = 64, return_argmax: bool = False):
     """sup { sum |xi eta| mu : ||eta||_X <= 1 }, the Kothe dual norm.
 
     Requires a 1-convex space (declared hint) so that the associate
-    functional is a norm.  Three paths; only the last reads seed and restarts:
+    functional is a norm.  Exact on two paths; every other kind (Lorentz,
+    non-convex Orlicz, concavified, mixed iterated) raises a ValueError:
 
-    - Lebesgue and iterated Lebesgue (``associate_space``): exact, the dual
-      norm of xi.  The argmax is ``_norming`` of the dual at xi when
-      xi != 0, else it takes the search.
-    - Orlicz with a convex Phi (``OrliczSpace.has_convex_phi``) and xi != 0:
-      the Orlicz norm of the complementary function Psi, which is the
-      Amemiya norm inf_k (1 + sum Psi(k xi) mu) / k.  ``_solve_level``
-      finds the root of sum Phi(psi(k xi)) mu = 1 in log k, psi = (Phi')^{-1},
-      with Newton slopes from the segment log-slopes of Phi and psi; the
-      value is the pairing sum xi eta mu / ||eta|| at eta = psi(k xi), a
-      lower bound for any table.  On a convex table it is exact: by Young's
-      equality it meets the Amemiya upper bound at that k.  Where Phi' is
-      flat, psi jumps between adjacent doubles of k, and eta is the point
-      of the jump where the modular is one.  The argmax is eta / ||eta||.
-    - Everything else (Lorentz, non-convex Orlicz, concavified, mixed
-      iterated): a seeded coordinate ascent over the positive unit sphere
-      (``_associate_search``) that returns a lower bound.
+    - Lebesgue and iterated Lebesgue (``associate_space``): the dual norm of
+      xi.  The argmax is ``_norming`` of the dual at xi.
+    - Orlicz with a convex Phi (``OrliczSpace.has_convex_phi``): the Orlicz
+      norm of the complementary function Psi, which is the Amemiya norm
+      inf_k (1 + sum Psi(k xi) mu) / k.  ``_solve_level`` finds the root of
+      sum Phi(psi(k xi)) mu = 1 in log k, psi = (Phi')^{-1}, with Newton
+      slopes from the segment log-slopes of Phi and psi; the value is the
+      pairing sum xi eta mu / ||eta|| at eta = psi(k xi), a lower bound for
+      any table.  On a convex table it is exact: by Young's equality it
+      meets the Amemiya upper bound at that k.  Where Phi' is flat, psi
+      jumps between adjacent doubles of k, and eta is the point of the jump
+      where the modular is one.  The argmax is eta / ||eta||.
+
+    At xi = 0 both give 0, with the argmax ones / ||ones||_X.  No path reads
+    ``restarts``; it is checked and kept until ``product_norm``'s goes.
     """
     at_least("restarts", restarts, 1)
     if space.convexity < 1.0 - 1e-12:
@@ -608,13 +605,14 @@ def associate_norm(
         raise ValueError("associate norm needs a finite vector")
 
     dual = associate_space(space)
-    if dual is not None and not return_argmax:
-        return dual.norm(xi)
-    if dual is not None and xi.any():
-        return dual.norm(xi), _norming(dual, xi)
-    if isinstance(space, OrliczSpace) and space.has_convex_phi() and xi.any():
+    if dual is None and not (isinstance(space, OrliczSpace) and space.has_convex_phi()):
+        raise ValueError(f"no closed-form associate norm for this {space.kind} space")
+    if not xi.any():
+        ones = np.ones(space.atom_shape)
+        return (0.0, ones / space.norm(ones)) if return_argmax else 0.0
+    if dual is None:
         return _associate_orlicz(space, xi, return_argmax)
-    return _associate_search(space, xi, seed, restarts, return_argmax)
+    return (dual.norm(xi), _norming(dual, xi)) if return_argmax else dual.norm(xi)
 
 
 def _associate_orlicz(space: OrliczSpace, xi: np.ndarray, return_argmax: bool):
@@ -657,85 +655,9 @@ def _associate_orlicz(space: OrliczSpace, xi: np.ndarray, return_argmax: bool):
     return (value, eta / nrm) if return_argmax else value
 
 
-def _associate_search(space: Space, xi: np.ndarray, seed: int, restarts: int, return_argmax: bool):
-    """associate_norm by coordinate ascent over the positive unit sphere.
-
-    A lower bound, from seeded random restarts.  The restarts run in
-    lockstep: each coordinate step norms the candidates of every restart
-    still improving in one call, and a restart drops out after a sweep that
-    improves nothing (or after 40 sweeps).  For norms that give a row the
-    same bits whatever its batch (Orlicz, Lorentz), the result equals
-    running the restarts one after another, bit for bit; over a Lebesgue
-    layer it may move by an ulp.
-    """
-    shape = space.atom_shape
-    xiw = (xi * space.mu).ravel()
-    n = xiw.size
-    support = np.flatnonzero(xiw > 0)
-    if support.size == 0:
-        eta = np.ones(n)
-        eta /= space.norm(eta.reshape(shape))
-        return (0.0, eta.reshape(shape)) if return_argmax else 0.0
-
-    def value(rows: np.ndarray) -> np.ndarray:
-        # rows: (restarts, batch, N) nonnegative directions; each restart's
-        # block is paired as its own matmul, as a one-restart call would
-        nrm = np.asarray(space.norm(rows.reshape(-1, *shape)), dtype=float)
-        nrm = nrm.reshape(rows.shape[:2])
-        pair = rows @ xiw
-        out = np.zeros(nrm.shape)
-        ok = nrm > 0
-        out[ok] = pair[ok] / nrm[ok]
-        return out
-
-    rng = np.random.default_rng(seed)
-    inits = [np.ones(n), xiw.copy(), np.sqrt(xiw)]
-    inits += [np.where(xiw > 0, rng.lognormal(size=n), 0.0) for _ in range(max(0, restarts - len(inits)))]
-
-    factors = np.exp(np.linspace(-3.0, 3.0, 25))
-    eta = np.array(inits[:restarts])
-    cur = value(eta[:, None, :])[:, 0]
-    live = np.arange(len(eta))  # restarts whose last sweep improved
-    for _ in range(40):
-        improved = np.zeros(live.size, dtype=bool)
-        rows = np.arange(live.size)
-        for i in support:
-            sub = eta[live]
-            top = sub.max(axis=1)
-            base = np.where(sub[:, i] > 0, sub[:, i], np.where(top != 0, top, 1.0) * 1e-3)
-            cands = np.concatenate([np.zeros((live.size, 1)), base[:, None] * factors], axis=1)
-            batch = np.repeat(sub[:, None, :], cands.shape[1], axis=1)
-            batch[:, :, i] = cands
-            vals = value(batch)
-            j = np.argmax(vals, axis=1)
-            gain = vals[rows, j] > cur[live] * (1 + 1e-12)
-            cur[live[gain]] = vals[rows, j][gain]
-            eta[live[gain], i] = cands[rows, j][gain]
-            improved |= gain
-        live = live[improved]
-        if not live.size:
-            break
-
-    best_val, best_eta = 0.0, inits[0]
-    for r in range(len(eta)):  # restart order: the first of equal values wins
-        if cur[r] > best_val:
-            best_val, best_eta = cur[r], eta[r]
-    if return_argmax:
-        unit = best_eta / space.norm(best_eta.reshape(shape))
-        return float(best_val), unit.reshape(shape)
-    return float(best_val)
-
-
 # ---------------------------------------------------------------------------
 # product spaces
 # ---------------------------------------------------------------------------
-
-def _same_measure(spaces: Sequence[Space]) -> None:
-    first = spaces[0]
-    for sp in spaces[1:]:
-        if sp.atom_shape != first.atom_shape or not np.allclose(sp.mu, first.mu):
-            raise ValueError("product factors must share one atomic measure")
-
 
 def _nominal_exponent(space: Space) -> float:
     if isinstance(space, (LebesgueSpace, LorentzSpace)):
@@ -750,22 +672,22 @@ def _nominal_exponent(space: Space) -> float:
 def product_norm(spaces: Sequence[Space], xi, seed: int = 0, restarts: int = 8):
     """inf { prod ||xi_j||_(X_j) : |xi| = prod xi_j }, the product-space norm.
 
-    Exact for Lebesgue tuples (power factorization, 1/t = sum 1/t_j);
-    otherwise alternating coordinate descent over factorizations, seeded by
-    power splits and, for Orlicz tuples, by the inverse-Young factorization.
+    Exact wherever ``product_space`` has a closed form (one factor, Lebesgue
+    and iterated Lebesgue tuples); otherwise alternating coordinate descent
+    over factorizations, seeded by power splits and, for Orlicz tuples, by
+    the inverse-Young factorization.
 
-    The restarts run in lockstep, as in associate_norm: each coordinate step
-    norms the candidates of every restart still improving in one call per
-    factor, and a restart drops out after a sweep that improves nothing (or
-    after 30 sweeps).  The result equals running the restarts one after
+    The restarts run in lockstep: each coordinate step norms the candidates
+    of every restart still improving in one call per factor, and a restart
+    drops out after a sweep that improves nothing (or after 30 sweeps).  The result equals running the restarts one after
     another, bit for bit, when every factor's norm is batch-independent
     (Orlicz, Lorentz); a Lebesgue factor may move it by an ulp.
     """
     at_least("restarts", restarts, 1)
     spaces = list(spaces)
-    if len(spaces) == 1 or all(isinstance(sp, LebesgueSpace) for sp in spaces):
-        return product_space(spaces).norm(xi)
-    _same_measure(spaces)
+    closed = _closed_product(spaces)
+    if closed is not None:
+        return closed.norm(xi)
 
     xi = np.abs(np.asarray(xi, dtype=float))
     shape = spaces[0].atom_shape
@@ -871,16 +793,31 @@ def _orlicz_split(spaces: Sequence[Space], flat: np.ndarray, pos: np.ndarray):
     return gs
 
 
-def product_space(spaces: Sequence[Space]) -> Space:
-    """The product space as a Space object; closed form for Lebesgue tuples."""
-    spaces = list(spaces)
+def _closed_product(spaces: list[Space]) -> Space | None:
+    """The product space, or None: l^t with 1/t = sum 1/t_j for Lebesgue tuples,
+    and l^a(l^b) layer by layer for iterated ones, which Holder bounds and
+    xi_j = n^(a/a_j) (|xi| / n)^(b/b_j), n the inner l^b norms, attains."""
     nonempty("factor space", spaces)
-    _same_measure(spaces)
+    if any(sp.atom_shape != spaces[0].atom_shape or not np.allclose(sp.mu, spaces[0].mu) for sp in spaces):
+        raise ValueError("product factors must share one atomic measure")
     if len(spaces) == 1:
         return spaces[0]
     if all(isinstance(sp, LebesgueSpace) for sp in spaces):
         return LebesgueSpace(harmonic_exponent(sp.t for sp in spaces), spaces[0].measure)
-    raise ValueError("no closed-form product for these kinds; evaluate product_norm directly")
+    if all(isinstance(sp, IteratedSpace) for sp in spaces):
+        outer = _closed_product([sp.outer for sp in spaces])
+        inner = _closed_product([sp.inner for sp in spaces])
+        if outer is not None and inner is not None:
+            return IteratedSpace(outer, inner)
+    return None
+
+
+def product_space(spaces: Sequence[Space]) -> Space:
+    """The product space as a Space object, where ``_closed_product`` has one."""
+    closed = _closed_product(list(spaces))
+    if closed is None:
+        raise ValueError("no closed-form product for these kinds; evaluate product_norm directly")
+    return closed
 
 
 # ---------------------------------------------------------------------------

@@ -1013,67 +1013,8 @@ def amemiya_norm(space, xi, k_lo, k_hi):
 
 
 # ---------------------------------------------------------------------------
-# sequential coordinate searches: one restart after another
+# the product search: its split by bisection, its restarts one after another
 # ---------------------------------------------------------------------------
-
-def associate_norm_sequential(space, xi, seed=0, restarts=64, return_argmax=False):
-    """associate_norm's coordinate ascent, running its restarts one at a time.
-
-    The search path only (no Lebesgue closed form, no validation).  Each
-    restart sweeps the support until a sweep improves nothing or 40 sweeps
-    pass; the best restart wins, earlier ones on ties.
-    """
-    shape = space.atom_shape
-    xi = np.abs(np.asarray(xi, dtype=float))
-    xiw = (xi * space.mu).ravel()
-    n = xiw.size
-
-    def value(rows):
-        nrm = np.asarray(space.norm(rows.reshape(rows.shape[0], *shape)), dtype=float)
-        pair = rows @ xiw
-        out = np.zeros(rows.shape[0])
-        ok = nrm > 0
-        out[ok] = pair[ok] / nrm[ok]
-        return out
-
-    support = np.flatnonzero(xiw > 0)
-    if support.size == 0:
-        eta = np.ones(n)
-        eta /= space.norm(eta.reshape(shape))
-        return (0.0, eta.reshape(shape)) if return_argmax else 0.0
-
-    rng = np.random.default_rng(seed)
-    inits = [np.ones(n), xiw.copy(), np.sqrt(xiw)]
-    inits += [np.where(xiw > 0, rng.lognormal(size=n), 0.0) for _ in range(max(0, restarts - len(inits)))]
-
-    factors = np.exp(np.linspace(-3.0, 3.0, 25))
-    best_val, best_eta = 0.0, inits[0]
-    for eta0 in inits[:restarts]:
-        eta = eta0.copy()
-        cur = value(eta[None, :])[0]
-        for _ in range(40):
-            improved = False
-            for i in support:
-                base = eta[i] if eta[i] > 0 else (eta.max() or 1.0) * 1e-3
-                cands = np.concatenate([[0.0], base * factors])
-                batch = np.repeat(eta[None, :], cands.size, axis=0)
-                batch[:, i] = cands
-                vals = value(batch)
-                j = int(np.argmax(vals))
-                if vals[j] > cur * (1 + 1e-12):
-                    cur = vals[j]
-                    eta[i] = cands[j]
-                    improved = True
-            if not improved:
-                break
-        if cur > best_val:
-            best_val, best_eta = cur, eta.copy()
-
-    if return_argmax:
-        unit = best_eta / space.norm(best_eta.reshape(shape))
-        return float(best_val), unit.reshape(shape)
-    return float(best_val)
-
 
 def orlicz_split_fixed_steps(spaces, flat, pos):
     """The inverse-Young factor list of product_norm, with 200 bisection steps."""

@@ -12,6 +12,8 @@ from sparsedom.dyadic import Cube, Grid, cover_cube, grid_norm, level_averages
 from sparsedom.maximal import maximal_opnorm_lower
 from sparsedom.spaces import (
     AtomicMeasure,
+    ConcavifiedSpace,
+    IteratedSpace,
     LebesgueSpace,
     LorentzSpace,
     OrliczSpace,
@@ -47,6 +49,16 @@ U2 = AtomicMeasure.unit(2)
 HAAR = HaarTransform.random(G, seed=3)
 ROOT_ONLY = verify_sparse([Cube(0, (0,))], 0.5)
 ORLICZ_PAIR = [OrliczSpace.from_power(2.0, U2), OrliczSpace.from_power(3.0, U2)]
+# the 1-convex kinds whose associate norm has no closed form here; the
+# Orlicz tables have log-slopes 1, 3, 1 (Phi' falls) and 3, 2 (decreasing)
+NO_CLOSED_DUAL = [
+    ("lorentz", LorentzSpace(3.0, 1.0, U2)),
+    ("nonconvex", OrliczSpace(np.array([[1.0, 1.0], [2.0, 2.0], [4.0, 16.0], [8.0, 32.0]]), U2, convexity=1.0)),
+    ("decreasing", OrliczSpace(np.array([[1.0, 1.0], [2.0, 8.0], [4.0, 32.0]]), U2)),
+    ("power-1", OrliczSpace.from_power(1.0, U2)),
+    ("concavified", ConcavifiedSpace(OrliczSpace.from_power(3.0, U2, convexity=2.0), 2.0)),
+    ("mixed-iterated", IteratedSpace(LebesgueSpace(3.0, U2), OrliczSpace.from_power(2.0, U2))),
+]
 
 # (id, call, message): the message names the parameter, its range and the value
 REFUSALS = [
@@ -124,6 +136,14 @@ REFUSALS = [
     ("models-rs", lambda: transfer_sides([HAAR, SparseOperator(ROOT_ONLY, rs=(2.0,))], G, [np.ones((4, 2))], ONES,
                                          [LebesgueSpace(2.0, U2)], LebesgueSpace(2.0, U2), 1.0, INF),
      r"grouped models must share m and rs, got m=1, rs=\(1.0,\) and m=1, rs=\(2.0,\)"),
+    # associate norms are exact or refused, naming the kind
+    *[
+        (f"associate-{name}{'-argmax' if argmax else ''}",
+         lambda sp=sp, argmax=argmax: associate_norm(sp, np.ones(sp.atom_shape), return_argmax=argmax),
+         f"no closed-form associate norm for this {sp.kind} space")
+        for name, sp in NO_CLOSED_DUAL
+        for argmax in (False, True)
+    ],
     # weights and families
     ("weights-none", lambda: muckenhoupt_constant([], (), (), INF, G), "need at least one weight component, got none"),
     ("weights-shapes", lambda: muckenhoupt_constant([ONES, np.ones(8)], (4.0, 4.0), (1.0, 1.0), INF, G),

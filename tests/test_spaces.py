@@ -18,6 +18,7 @@ from sparsedom.spaces import (
     associate_norm,
     associate_space,
     concavify,
+    harmonic_exponent,
     phi_table_from_csv,
     phi_table_to_csv,
     product_norm,
@@ -26,10 +27,9 @@ from sparsedom.spaces import (
     space_to_json,
 )
 import sparsedom.spaces as spaces_module
-from sparsedom.spaces import _associate_search, _norming, _orlicz_split, conjugate
+from sparsedom.spaces import _norming, _orlicz_split, conjugate
 from oracles import (
     amemiya_norm,
-    associate_norm_sequential,
     bisected_levels,
     dual_norm_grid,
     luxemburg_norm_unscaled,
@@ -133,6 +133,25 @@ def test_orlicz_rows_near_the_double_limit_keep_their_norm():
     assert sp.norm([8e307, 0.0]) == 8e307
     assert sp.norm([np.finfo(float).max, 0.0]) == np.finfo(float).max
     assert associate_norm(sp, np.array([1e308, 0.0])) == 1e308
+
+
+@pytest.mark.parametrize(
+    "space",
+    [
+        LebesgueSpace(1.0, U2),
+        LebesgueSpace(2.0, U2),
+        IteratedSpace(LebesgueSpace(2.0, U2), LebesgueSpace(2.0, AtomicMeasure.unit(1))),
+        IteratedSpace(LebesgueSpace(2.0, AtomicMeasure.unit(1)), LebesgueSpace(2.0, U2)),
+        OrliczSpace.from_power(2.0, U2),
+    ],
+    ids=["l1", "l2", "l2-of-l2-outer", "l2-of-l2-inner", "orlicz-2"],
+)
+def test_norms_past_the_largest_double_are_inf_without_a_warning(space):
+    xi = np.full(space.atom_shape, 1.7e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert space.norm(xi) == math.inf
+        assert np.array_equal(space.norm(np.stack([xi, xi / 2**1000])), [math.inf, space.norm(xi / 2**1000)])
 
 
 def test_orlicz_phi_roundtrip_and_validation():
@@ -279,16 +298,6 @@ def test_product_norm_keeps_the_non_finite_rule():
     assert product_norm(factors, [math.inf, 1.0, 1.0]) == math.inf
 
 
-def test_associate_generic_matches_analytic():
-    # Lorentz(2,2) is l^2 in disguise; the search must find the dual l^2 norm
-    sp = LorentzSpace(2, 2, U2, convexity=1.0)
-    val, eta = associate_norm(sp, [3, 4], restarts=16, return_argmax=True)
-    assert val == pytest.approx(5.0, rel=1e-6)
-    assert sp.norm(eta) == pytest.approx(1.0, rel=1e-9)
-    pair = float(np.sum(np.array([3.0, 4.0]) * eta * sp.mu))
-    assert pair == pytest.approx(val, rel=1e-9)
-
-
 def test_associate_orlicz_matches_grid_oracle():
     sp = OrliczSpace.from_power(1.5, U3)
     xi = np.array([1.0, 2.0, 0.5])
@@ -299,18 +308,10 @@ def test_associate_orlicz_matches_grid_oracle():
     assert val == pytest.approx(LebesgueSpace(3, U3).norm(xi), rel=1e-4)
 
 
-def test_associate_lorentz_matches_grid_oracle():
-    sp = LorentzSpace(3, 1, U3)
-    xi = np.array([1.0, 2.0, 0.5])
-    val = associate_norm(sp, xi, restarts=32)
-    grid, _ = dual_norm_grid(sp.norm, xi)
-    assert val == pytest.approx(grid, rel=1e-4)
-
-
 def test_associate_deterministic():
     sp = OrliczSpace.from_power(1.5, U2)
-    a = associate_norm(sp, [1.0, 2.0], seed=7, restarts=8)
-    b = associate_norm(sp, [1.0, 2.0], seed=7, restarts=8)
+    a = associate_norm(sp, [1.0, 2.0], restarts=8)
+    b = associate_norm(sp, [1.0, 2.0], restarts=8)
     assert a == b
 
 
@@ -398,8 +399,16 @@ def test_product_of_orlicz_factors_raises_no_overflow_warning():
 def test_product_space_closed_form():
     sp = product_space([LebesgueSpace(4, U2), LebesgueSpace(4, U2)])
     assert isinstance(sp, LebesgueSpace) and sp.t == pytest.approx(2.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="no closed-form product"):
         product_space([OrliczSpace.from_power(2, U2), LebesgueSpace(2, U2)])
+    # iterated tuples close layer by layer over Lebesgue layers only
+    sp = product_space([IteratedSpace(LebesgueSpace(4, U2), LebesgueSpace(3, U3))] * 2)
+    assert (sp.outer.t, sp.inner.t) == (2.0, 1.5)
+    mixed = IteratedSpace(LebesgueSpace(4, U2), OrliczSpace.from_power(2, U3))
+    with pytest.raises(ValueError, match="no closed-form product"):
+        product_space([mixed, mixed])
+    with pytest.raises(ValueError, match="share one atomic measure"):
+        product_space([IteratedSpace(LebesgueSpace(4, U2), LebesgueSpace(3, U3)), LebesgueSpace(2, U2)])
 
 
 def test_space_json_roundtrip():
@@ -634,17 +643,15 @@ def test_lebesgue_norm_scales_rows_out_of_range():
 
 
 # ---------------------------------------------------------------------------
-# the searches run their restarts in lockstep
+# the product search runs its restarts in lockstep
 # ---------------------------------------------------------------------------
 
 # log-slopes 1, 3, 1: Phi' falls at the last knot
 NONCONVEX = np.array([[1.0, 1.0], [2.0, 2.0], [4.0, 16.0], [8.0, 32.0]])
-# log-slopes 3, 2, all above one but decreasing
-DECREASING = np.array([[1.0, 1.0], [2.0, 8.0], [4.0, 32.0]])
 
 
-# restarts is checked on entry, so the closed-form paths, which never read
-# it, refuse it too
+# restarts is checked on entry, before a kind without a closed form is
+# refused, so every path refuses it, though none reads it
 @pytest.mark.parametrize(
     "space, argmax",
     [
@@ -752,27 +759,6 @@ def test_orlicz_norm_equals_the_bisection(data, table, measure):
 @settings(max_examples=20, deadline=None)
 @given(
     data=st.data(),
-    table=convex_tables(),
-    measure=measures(1, 6),
-    restarts=st.integers(1, 16),
-    seed=st.integers(0, 2**16),
-    argmax=st.booleans(),
-)
-def test_associate_lockstep_matches_sequential_restarts(data, table, measure, restarts, seed, argmax):
-    sp = OrliczSpace(table, measure)
-    xi = data.draw(vectors(measure.n))
-    got = _associate_search(sp, xi, seed, restarts, argmax)
-    want = associate_norm_sequential(sp, xi, seed=seed, restarts=restarts, return_argmax=argmax)
-    if argmax:
-        assert got[0] == want[0]
-        assert np.array_equal(got[1], want[1])
-    else:
-        assert got == want
-
-
-@settings(max_examples=20, deadline=None)
-@given(
-    data=st.data(),
     tables=st.lists(convex_tables(), min_size=2, max_size=3),
     measure=measures(2, 4),
     restarts=st.integers(1, 8),
@@ -806,17 +792,6 @@ def count_norm_calls(space):
 
     space.norm = counted
     return calls
-
-
-def test_associate_norm_calls_do_not_grow_with_restarts():
-    sp = OrliczSpace(PIECEWISE, AtomicMeasure.unit(6))
-    xi = np.array([0.5, 3.0, 0.0, 1.25, 2.0, 0.75])
-    support = np.count_nonzero(xi)
-    calls = count_norm_calls(sp)
-    for restarts, argmax in ((1, True), (16, False), (64, True)):
-        calls[0] = 0
-        _associate_search(sp, xi, 0, restarts, argmax)
-        assert calls[0] <= 1 + 40 * support + argmax
 
 
 def test_orlicz_split_stops_at_its_fixed_point(monkeypatch):
@@ -877,13 +852,11 @@ def assert_certified(sp, xi):
 
 
 @settings(max_examples=40, deadline=None)
-@given(data=st.data(), table=steep_tables, measure=measures(1, 6), seed=st.integers(0, 2**16))
-def test_associate_orlicz_closed_form_meets_the_amemiya_bound(data, table, measure, seed):
+@given(data=st.data(), table=steep_tables, measure=measures(1, 6))
+def test_associate_orlicz_closed_form_meets_the_amemiya_bound(data, table, measure):
     sp = OrliczSpace(table, measure)
     assert sp.has_convex_phi()
-    xi = data.draw(vectors(measure.n).filter(np.any))
-    val = assert_certified(sp, xi)
-    assert _associate_search(sp, xi, seed, 4, False) <= val * (1 + 1e-12)
+    assert_certified(sp, data.draw(vectors(measure.n).filter(np.any)))
 
 
 @settings(max_examples=40, deadline=None)
@@ -912,15 +885,13 @@ def test_associate_orlicz_normalizes_eta_on_near_linear_tables(exponent):
 def test_associate_orlicz_attains_the_norm_where_phi_prime_is_flat():
     # the first segment has log-slope 1 up to rounding, so Phi' is flat on
     # it and psi jumps across it between adjacent doubles of k; normalizing
-    # psi at the upper double read 0.21% below the 64-restart search
+    # psi at the upper double read the norm 0.21% low
     steps, slopes = [1.4392041150276922, 1.0, 1.0], [1.0, 2.0, 2.0]
     lx = -1.8332357280626885 + np.concatenate([[0.0], np.cumsum(steps)])
     ly = -1.4596139799103551 + np.concatenate([[0.0], np.cumsum(np.multiply(slopes, steps))])
     sp = OrliczSpace(np.column_stack([np.exp(lx), np.exp(ly)]), U2)
     assert sp.has_convex_phi()
-    xi = np.array([1.0, 2.0])
-    val = assert_certified(sp, xi)
-    assert _associate_search(sp, xi, 0, 64, False) <= val
+    assert_certified(sp, np.array([1.0, 2.0]))
 
 
 @settings(max_examples=40, deadline=None)
@@ -933,40 +904,12 @@ def test_associate_orlicz_power_is_the_conjugate_lebesgue_norm(data, p, measure)
 
 
 @pytest.mark.parametrize(
-    "space, argmax",
-    [
-        (LorentzSpace(3, 1, U3), False),
-        (IteratedSpace(LebesgueSpace(3.0, U3), OrliczSpace.from_power(2.0, U3)), False),
-        (ConcavifiedSpace(OrliczSpace.from_power(3.0, U3, convexity=2.0), 2.0), False),
-        (OrliczSpace.from_power(1.0, U3), False),
-        (OrliczSpace(DECREASING, U3), False),
-        (OrliczSpace(NONCONVEX, U3, convexity=1.0), True),
-    ],
-    ids=["lorentz", "mixed-iterated", "concavified", "power-1", "decreasing", "nonconvex"],
-)
-def test_associate_norm_takes_the_search(monkeypatch, space, argmax):
-    calls = []
-
-    def search(*args):
-        calls.append(args)
-        return _associate_search(*args)
-
-    monkeypatch.setattr(spaces_module, "_associate_search", search)
-    xi = np.arange(1.0, 1.0 + np.prod(space.atom_shape)).reshape(space.atom_shape)
-    associate_norm(space, xi, restarts=2, return_argmax=argmax)
-    assert len(calls) == 1
-    if isinstance(space, OrliczSpace):
-        assert not space.has_convex_phi()
-
-
-@pytest.mark.parametrize(
     "table",
     [OrliczSpace.from_power(p, U3).table for p in (1.5, 2.0, 3.0)] + [PIECEWISE],
     ids=["power-1.5", "power-2", "power-3", "piecewise"],
 )
-def test_associate_norm_takes_the_closed_form(monkeypatch, table):
+def test_associate_norm_takes_the_closed_form(table):
     # the slopes of these tables wobble by a few ulps; they still count as convex
-    monkeypatch.setattr(spaces_module, "_associate_search", None)
     sp = OrliczSpace(table, U3)
     assert sp.has_convex_phi()
     calls = count_norm_calls(sp)
@@ -1014,13 +957,6 @@ def test_associate_space_attains_its_pairing(data, space):
     assert float(np.sum(xi * eta * space.mu)) == pytest.approx(val, rel=1e-12)
 
 
-@settings(max_examples=20, deadline=None)
-@given(data=st.data(), space=lebesgue_spaces(iterated=st.just(True)), seed=st.integers(0, 2**16))
-def test_associate_space_bounds_the_search(data, space, seed):
-    xi = draw_vector(data, space)
-    assert _associate_search(space, xi, seed, 8, False) <= associate_norm(space, xi) * (1 + 1e-12)
-
-
 def certifies(space, dual, xi, etas):
     """Whether dual.norm(xi) meets Holder against etas and is attained by the
     norming element of dual at xi, a unit vector of space."""
@@ -1053,10 +989,6 @@ def test_associate_space_is_none_without_a_closed_form():
     assert associate_space(LebesgueSpace(math.inf, U3)).t == 1.0
 
 
-def refused_search(*args):
-    raise AssertionError("associate_norm took the search")
-
-
 @pytest.mark.parametrize(
     "space, argmax",
     [
@@ -1075,9 +1007,8 @@ def refused_search(*args):
         "lebesgue-1-argmax", "iterated-inner-1-argmax", "iterated-outer-1-argmax",
     ],
 )
-def test_associate_space_takes_the_closed_form(monkeypatch, space, argmax):
+def test_associate_space_takes_the_closed_form(space, argmax):
     # an l^1 layer has an l^inf dual layer, which _norming maps in closed form too
-    monkeypatch.setattr(spaces_module, "_associate_search", refused_search)
     xi = np.arange(1.0, 1.0 + np.prod(space.atom_shape)).reshape(space.atom_shape)
     got = associate_norm(space, xi, restarts=2, return_argmax=argmax)
     assert (got[0] if argmax else got) == associate_space(space).norm(xi)
@@ -1097,6 +1028,91 @@ def test_sup_dual_layer_norms_at_the_first_largest_entry():
     space = IteratedSpace(LebesgueSpace(2.0, U2), LebesgueSpace(1.0, AtomicMeasure([0.5, 2.0])))
     val, eta = associate_norm(space, np.array([[0.0, 0.0], [3.0, 1.0]]), return_argmax=True)
     assert val == 3.0 and eta.tolist() == [[0.0, 0.0], [2.0, 0.0]]
+
+
+@pytest.mark.parametrize(
+    "space",
+    [
+        LebesgueSpace(3.0, AtomicMeasure([0.5, 2.0, 1.0])),
+        LebesgueSpace(1.0, U3),
+        LebesgueSpace(math.inf, U3),
+        IteratedSpace(LebesgueSpace(3.0, U2), LebesgueSpace(1.5, AtomicMeasure([0.5, 2.0, 1.0]))),
+        OrliczSpace.from_power(2.0, AtomicMeasure([0.5, 2.0, 1.0])),
+        OrliczSpace(PIECEWISE, U3),
+    ],
+    ids=["lebesgue", "lebesgue-1", "lebesgue-inf", "iterated", "orlicz-power", "orlicz-piecewise"],
+)
+def test_associate_norm_of_zero_is_zero_at_the_normed_ones(space):
+    xi, ones = np.zeros(space.atom_shape), np.ones(space.atom_shape)
+    val = associate_norm(space, xi)
+    assert val == 0.0 and isinstance(val, float)
+    val, eta = associate_norm(space, xi, return_argmax=True)
+    assert val == 0.0 and isinstance(val, float)
+    assert np.array_equal(eta, ones / space.norm(ones))
+
+
+# ---------------------------------------------------------------------------
+# the closed-form product of iterated Lebesgue tuples
+# ---------------------------------------------------------------------------
+
+@st.composite
+def iterated_tuples(draw):
+    """Two or three l^(a_j)(l^(b_j)) factors over one drawn outer and inner measure."""
+    outer, inner = draw(measures(1, 4)), draw(measures(1, 3))
+    exponents = st.floats(1.2, 6.0)
+    return [
+        IteratedSpace(LebesgueSpace(draw(exponents), outer), LebesgueSpace(draw(exponents), inner))
+        for _ in range(draw(st.integers(2, 3)))
+    ]
+
+
+def factorization(factors, xi):
+    """xi_j = n^(a/a_j) (xi / n)^(b/b_j), n the inner l^b norms of xi > 0:
+    a factorization of xi whose factor norms multiply to ||xi||_(l^a(l^b))."""
+    a = harmonic_exponent(sp.outer.t for sp in factors)
+    b = harmonic_exponent(sp.inner.t for sp in factors)
+    n = LebesgueSpace(b, factors[0].inner.measure).norm(xi)[:, None]
+    return [n ** (a / sp.outer.t) * (xi / n) ** (b / sp.inner.t) for sp in factors]
+
+
+def product_certifies(product, factors, xi, pairs):
+    """Whether product meets Holder on pairs (one vector per factor) and its
+    norm at xi > 0 is attained by the factorization of xi."""
+    def norms(vs):
+        return math.prod(sp.norm(v) for sp, v in zip(factors, vs))
+
+    holder = all(product.norm(np.prod(vs, axis=0)) <= norms(vs) * (1 + 1e-12) for vs in pairs)
+    return holder and math.isclose(product.norm(xi), norms(factorization(factors, xi)), rel_tol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), factors=iterated_tuples())
+def test_iterated_product_satisfies_holder_and_is_attained(data, factors):
+    shape = factors[0].atom_shape
+    positive = st.lists(st.floats(0.05, 20.0), min_size=int(np.prod(shape)), max_size=int(np.prod(shape)))
+    xi = np.array(data.draw(positive)).reshape(shape)
+    pairs = [[draw_vector(data, sp) for sp in factors] for _ in range(5)]
+    product = product_space(factors)
+    assert product_certifies(product, factors, xi, pairs)
+    assert np.allclose(np.prod(factorization(factors, xi), axis=0), xi, rtol=1e-12, atol=0.0)
+    assert product_norm(factors, xi) == product.norm(xi)
+
+
+def test_iterated_product_mutants_fail_the_certificate():
+    outer, inner = AtomicMeasure([1.0, 0.5, 3.0]), AtomicMeasure([0.5, 2.0])
+    factors = [
+        IteratedSpace(LebesgueSpace(3.0, outer), LebesgueSpace(1.5, inner)),
+        IteratedSpace(LebesgueSpace(4.0, outer), LebesgueSpace(5.0, inner)),
+    ]
+    rng = np.random.default_rng(12)
+    xi, pairs = rng.lognormal(size=(3, 2)), rng.lognormal(size=(20, 2, 3, 2))
+    product = product_space(factors)
+    assert (product.outer.t, product.inner.t) == (harmonic_exponent([3.0, 4.0]), harmonic_exponent([1.5, 5.0]))
+    assert product_certifies(product, factors, xi, pairs)
+    swapped = IteratedSpace(LebesgueSpace(product.inner.t, outer), LebesgueSpace(product.outer.t, inner))
+    unweighted = IteratedSpace(product.outer, LebesgueSpace(product.inner.t, AtomicMeasure.unit(2)))
+    for mutant in (swapped, unweighted):
+        assert not product_certifies(mutant, factors, xi, pairs)
 
 
 @pytest.mark.parametrize(

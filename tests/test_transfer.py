@@ -657,6 +657,18 @@ class TestVvTransferCheck:
         )
         assert rep.passed and rep.admissible
 
+    def test_iterated_product_pair_reports(self):
+        # an admissible m = 2 tuple of iterated factors: its product space is
+        # l^2(l^(3/2)) in closed form, so the run reports instead of refusing
+        grid = Grid(1, 4)
+        T = SparseOperator(chain_family(5), rs=(1.0, 1.0))
+        specs = [(4.0, 3.0), (4.0, 3.0)]
+        X = product_space(space_tuple(specs, 2))
+        assert (X.outer.t, X.inner.t) == (2.0, 1.5)
+        [rep] = vv_transfer_check([T], grid, specs, 1.0, INF, trials=20)
+        assert rep.admissible and not rep.exploratory
+        assert all(len(rep.ratios[n]) == 20 and 0 < rep.worst[n] < INF for n in rep.ns)
+
     def test_inadmissible_tuple_runs_exploratory(self):
         grid = Grid(1, 2)
         T = SparseOperator(chain_family(3), rs=(1.0,))
