@@ -90,6 +90,15 @@ def nonempty(what: str, xs: Sized) -> int:
     return len(xs)
 
 
+def entries(what: str, obj, *keys: str) -> list:
+    """obj[key] per key when obj is a JSON object holding every key; else
+    "<what> payload needs a '<key>' entry", naming the first key missing."""
+    for key in keys:
+        if not isinstance(obj, dict) or key not in obj:
+            raise ValueError(f"{what} payload needs a {key!r} entry")
+    return [obj[key] for key in keys]
+
+
 def csv_rows(fh, header: Sequence[str]) -> Iterator[list[str]]:
     """The rows of an open CSV file after its header line, each with at least
     one field per header name; else a named refusal.  Rows are numbered by

@@ -38,7 +38,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from ._checks import EXPONENT, check, csv_rows, interval, one_per
+from ._checks import EXPONENT, check, csv_rows, entries, interval, one_per
 
 __all__ = [
     "Cube",
@@ -415,10 +415,9 @@ def function_to_json(grid: Grid, f: np.ndarray) -> str:
 
 
 def function_from_json(text: str) -> tuple[Grid, np.ndarray]:
-    obj = json.loads(text)
-    grid = Grid(int(obj["d"]), int(obj["L"]))
-    f = np.asarray(obj["values"], dtype=float)
-    return grid, _check_cells(grid, f)
+    d, depth, values = entries("function", json.loads(text), "d", "L", "values")
+    grid = Grid(int(d), int(depth))
+    return grid, _check_cells(grid, np.asarray(values, dtype=float))
 
 
 def function_to_csv(grid: Grid, f: np.ndarray, path) -> None:

@@ -84,10 +84,10 @@ def tower(rng, grid: Grid) -> np.ndarray:
 
 
 def _check_convexity(spaces: Sequence[Space], rs: Sequence[float]) -> None:
-    """Refuse a space whose declared convexity is below its exponent r_j."""
+    """Refuse a space whose convexity is below its exponent r_j."""
     for sp, r in zip(spaces, rs):
         if sp.convexity < r - 1e-12:
-            raise ValueError(f"space {sp!r} must be {r}-convex; declared {sp.convexity}")
+            raise ValueError(f"space {sp!r} must be {r}-convex; its convexity is {sp.convexity}")
 
 
 def maximal_opnorm_lower(

@@ -2,8 +2,11 @@
 
 Four kinds: weighted Lebesgue, Lorentz via the decreasing rearrangement,
 Orlicz with a tabulated Young function and the Luxemburg norm, and one level
-of iteration (outer space of inner norms).  All norms are vectorized over
-leading axes, so a (cells x atoms) array is normed per cell in one call.
+of iteration (outer space of inner norms).  A space is what its parameters
+say: its convexity is derived from them, never declared, and ``concavify``
+maps each kind to a space of the same kind (an Orlicz table (x, Phi) to
+(x^p, Phi)).  All norms are vectorized over leading axes, so a (cells x
+atoms) array is normed per cell in one call.
 Orlicz and Lorentz norms give a row the same bits whatever rows share its
 call; the Lebesgue norm's BLAS matmul sums in an order set by the batch.
 
@@ -39,7 +42,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._checks import EXPONENT, FINITE, at_least, check, csv_rows, interval, need, nonempty, recip
+from ._checks import EXPONENT, FINITE, at_least, check, csv_rows, entries, interval, need, nonempty, recip
 
 __all__ = [
     "AtomicMeasure",
@@ -48,7 +51,6 @@ __all__ = [
     "LorentzSpace",
     "OrliczSpace",
     "IteratedSpace",
-    "ConcavifiedSpace",
     "concavify",
     "associate_space",
     "associate_norm",
@@ -163,10 +165,10 @@ class LebesgueSpace(Space):
 
     kind = "lebesgue"
 
-    def __init__(self, t: float, measure: AtomicMeasure, convexity: float | None = None):
+    def __init__(self, t: float, measure: AtomicMeasure):
         check("t", t, EXPONENT)
         # l^t is p-convex with constant one exactly for p <= t
-        super().__init__(measure, t if convexity is None else convexity)
+        super().__init__(measure, t)
         self.t = float(t)
 
     def norm(self, xi):
@@ -209,25 +211,17 @@ class LorentzSpace(Space):
     max_j xi_(j) S_j^(1/t).  LorentzSpace(t, t) coincides with l^t.
 
     For u <= t the functional is min(t, u)-convex with constant one; for
-    u > t it is only a quasi-norm, so the declared convexity defaults to
-    t/u < 1 as a flag.  associate_norm refuses every Lorentz space, as no
+    u > t it is only a quasi-norm, so its convexity is t/u < 1 (0 at
+    u = inf), a flag.  associate_norm refuses every Lorentz space, as no
     closed-form dual is implemented (L^(t,1)'s is a Marcinkiewicz space).
     """
 
     kind = "lorentz"
 
-    def __init__(
-        self,
-        t: float,
-        u: float,
-        measure: AtomicMeasure,
-        convexity: float | None = None,
-    ):
+    def __init__(self, t: float, u: float, measure: AtomicMeasure):
         check("t", t, FINITE)
         check("u", u, EXPONENT)
-        if convexity is None:
-            convexity = min(t, u) if u <= t else (0.0 if math.isinf(u) else t / u)
-        super().__init__(measure, convexity)
+        super().__init__(measure, min(t, u) if u <= t else (0.0 if math.isinf(u) else t / u))
         self.t = float(t)
         self.u = float(u)
 
@@ -332,12 +326,12 @@ class OrliczSpace(Space):
 
     kind = "orlicz"
 
-    def __init__(self, table, measure: AtomicMeasure, convexity: float | None = None):
+    def __init__(self, table, measure: AtomicMeasure):
         tab = np.asarray(table, dtype=float)
         if tab.ndim != 2 or tab.shape[1] != 2 or tab.shape[0] < 2:
             raise ValueError("Phi table must be a (k >= 2) x 2 array")
-        if np.any(tab <= 0):
-            raise ValueError("Phi table entries must be strictly positive")
+        if not np.all(np.isfinite(tab)) or np.any(tab <= 0):
+            raise ValueError("Phi table entries must be finite and strictly positive")
         if np.any(np.diff(tab[:, 0]) <= 0) or np.any(np.diff(tab[:, 1]) <= 0):
             raise ValueError("Phi table must be strictly increasing in both columns")
         self.table = tab
@@ -346,23 +340,15 @@ class OrliczSpace(Space):
         self._slopes = np.diff(self._ly) / np.diff(self._lx)
         # the log-slope on each of the k + 1 pieces, the end slopes outside
         self._pieces = np.concatenate([self._slopes[:1], self._slopes, self._slopes[-1:]])
-        if convexity is None:
-            # the Luxemburg functional of a locally-power Phi is 1-convex
-            # only when every segment exponent is at least one
-            convexity = float(min(1.0, self._slopes.min()))
-        super().__init__(measure, convexity)
+        # the Luxemburg functional of a locally-power Phi is 1-convex
+        # only when every segment exponent is at least one
+        super().__init__(measure, float(min(1.0, self._slopes.min())))
 
     @classmethod
-    def from_power(
-        cls,
-        exponent: float,
-        measure: AtomicMeasure,
-        scale: float = 1.0,
-        convexity: float | None = None,
-    ) -> "OrliczSpace":
+    def from_power(cls, exponent: float, measure: AtomicMeasure, scale: float = 1.0) -> "OrliczSpace":
         """Exact table for Phi(t) = scale * t^exponent."""
         ts = np.logspace(-6, 6, 25)
-        return cls(np.column_stack([ts, scale * ts**exponent]), measure, convexity)
+        return cls(np.column_stack([ts, scale * ts**exponent]), measure)
 
     @staticmethod
     def _power_law(x, knots_x, knots_y, slope_lo, slope_hi):
@@ -460,12 +446,10 @@ class IteratedSpace(Space):
 
     kind = "iterated"
 
-    def __init__(self, outer: Space, inner: Space, convexity: float | None = None):
+    def __init__(self, outer: Space, inner: Space):
         if isinstance(outer, IteratedSpace) or isinstance(inner, IteratedSpace):
             raise ValueError("iterated spaces nest exactly one level")
-        if convexity is None:
-            convexity = min(outer.convexity, inner.convexity)
-        super().__init__(outer.measure, convexity)
+        super().__init__(outer.measure, min(outer.convexity, inner.convexity))
         self.outer = outer
         self.inner = inner
 
@@ -481,36 +465,20 @@ class IteratedSpace(Space):
         a = self._atoms(xi)
         return self.outer.norm(self.inner.norm(a))
 
+    def params(self) -> dict:
+        return {"outer": _space_payload(self.outer), "inner": _space_payload(self.inner)}
+
     def __repr__(self) -> str:
         return f"IteratedSpace({self.outer!r}, {self.inner!r})"
 
 
-class ConcavifiedSpace(Space):
-    """Norm ||xi||_(X^p) = || |xi|^(1/p) ||_X^p for kinds with no closed form."""
-
-    kind = "concavified"
-
-    def __init__(self, base: Space, p: float):
-        check("p", p, FINITE)
-        super().__init__(base.measure, base.convexity / p)
-        self.base = base
-        self.p = float(p)
-
-    @property
-    def atom_shape(self) -> tuple[int, ...]:
-        return self.base.atom_shape
-
-    @property
-    def mu(self) -> np.ndarray:
-        return self.base.mu
-
-    def norm(self, xi):
-        a = self._atoms(xi)
-        return np.asarray(self.base.norm(a ** (1.0 / self.p))) ** self.p
-
-
 def concavify(space: Space, p: float) -> Space:
-    """The p-concavification X^p, p in (0, inf): closed for Lebesgue and Lorentz, per layer if iterated."""
+    """The p-concavification X^p, ||xi||_(X^p) = || |xi|^(1/p) ||_X^p for p
+    in (0, inf), as a space of the same kind: l^t gives l^(t/p), L^(t,u)
+    gives L^(t/p,u/p), an iterated space concavifies per layer, and the
+    Orlicz table (x, Phi) gives (x^p, Phi): its Young function Phi(s^(1/p))
+    at s = |xi| / lam^p is Phi(|xi|^(1/p) / lam).  A knot that x^p pushes
+    past the double range is refused with the table."""
     check("p", p, FINITE)
     if p == 1:
         return space
@@ -520,7 +488,10 @@ def concavify(space: Space, p: float) -> Space:
         return LebesgueSpace(space.t / p, space.measure)
     if isinstance(space, LorentzSpace):
         return LorentzSpace(space.t / p, space.u / p, space.measure)
-    return ConcavifiedSpace(space, p)
+    if isinstance(space, OrliczSpace):
+        with np.errstate(over="ignore", under="ignore"):
+            return OrliczSpace(np.column_stack([space.table[:, 0] ** p, space.table[:, 1]]), space.measure)
+    raise ValueError(f"no concavification for a {space.kind} space")
 
 
 # ---------------------------------------------------------------------------
@@ -568,9 +539,11 @@ def _norming(space: Space, v: np.ndarray) -> np.ndarray:
 def associate_norm(space: Space, xi, restarts: int = 64, return_argmax: bool = False):
     """sup { sum |xi eta| mu : ||eta||_X <= 1 }, the Kothe dual norm.
 
-    Requires a 1-convex space (declared hint) so that the associate
-    functional is a norm.  Exact on two paths; every other kind (Lorentz,
-    non-convex Orlicz, concavified, mixed iterated) raises a ValueError:
+    Requires a 1-convex space, so that the associate functional is a norm;
+    ``convexity`` follows from the space's parameters, so l^t with t < 1 and
+    any iterated space with such a layer are refused here.  Exact on two
+    paths; every other kind (Lorentz, non-convex Orlicz, mixed iterated)
+    raises a ValueError:
 
     - Lebesgue and iterated Lebesgue (``associate_space``): the dual norm of
       xi.  The argmax is ``_norming`` of the dual at xi.
@@ -592,12 +565,8 @@ def associate_norm(space: Space, xi, restarts: int = 64, return_argmax: bool = F
     if space.convexity < 1.0 - 1e-12:
         raise ValueError(
             "associate norm requires a 1-convex space; "
-            f"declared convexity is {space.convexity}"
+            f"its convexity is {space.convexity}"
         )
-    for sp in _layers(space):
-        if isinstance(sp, LebesgueSpace):
-            # a declared convexity cannot make L^t with t < 1 a normed space
-            check("Lebesgue t", sp.t, _NORMED)
     xi = np.abs(np.asarray(xi, dtype=float))
     if xi.shape != space.atom_shape:
         raise ValueError(f"expected a single vector of shape {space.atom_shape}")
@@ -664,8 +633,6 @@ def _nominal_exponent(space: Space) -> float:
         return space.t
     if isinstance(space, OrliczSpace):
         return float((space._ly[-1] - space._ly[0]) / (space._lx[-1] - space._lx[0]))
-    if isinstance(space, ConcavifiedSpace):
-        return _nominal_exponent(space.base) / space.p
     return 1.0
 
 
@@ -829,52 +796,24 @@ def space_to_json(space: Space) -> str:
 
 
 def _space_payload(space: Space) -> dict:
-    if isinstance(space, IteratedSpace):
-        return {
-            "kind": space.kind,
-            "parameters": {
-                "outer": _space_payload(space.outer),
-                "inner": _space_payload(space.inner),
-            },
-            "atoms": space.outer.measure.weights.tolist(),
-            "convexity": space.convexity,
-        }
-    if isinstance(space, ConcavifiedSpace):
-        return {
-            "kind": space.kind,
-            "parameters": {"p": space.p, "base": _space_payload(space.base)},
-            "atoms": space.measure.weights.tolist(),
-        }
-    return {
-        "kind": space.kind,
-        "parameters": space.params(),
-        "atoms": space.measure.weights.tolist(),
-        "convexity": space.convexity,
-    }
+    return {"kind": space.kind, "parameters": space.params(), "atoms": space.measure.weights.tolist()}
 
 
 def space_from_json(text: str) -> Space:
     return _space_from_payload(json.loads(text))
 
 
-def _space_from_payload(obj: dict) -> Space:
-    kind = obj["kind"]
-    measure = AtomicMeasure(obj["atoms"])
-    params = obj["parameters"]
-    # a concavified space derives its convexity from its base
-    conv = obj.get("convexity")
+def _space_from_payload(obj) -> Space:
+    kind, atoms, params = entries("space", obj, "kind", "atoms", "parameters")
+    measure = AtomicMeasure(atoms)
     if kind == "lebesgue":
-        return LebesgueSpace(params["t"], measure, conv)
+        return LebesgueSpace(*entries("lebesgue", params, "t"), measure)
     if kind == "lorentz":
-        return LorentzSpace(params["t"], params["u"], measure, conv)
+        return LorentzSpace(*entries("lorentz", params, "t", "u"), measure)
     if kind == "orlicz":
-        return OrliczSpace(np.asarray(params["table"]), measure, conv)
+        return OrliczSpace(*entries("orlicz", params, "table"), measure)
     if kind == "iterated":
-        return IteratedSpace(
-            _space_from_payload(params["outer"]), _space_from_payload(params["inner"]), conv
-        )
-    if kind == "concavified":
-        return ConcavifiedSpace(_space_from_payload(params["base"]), params["p"])
+        return IteratedSpace(*map(_space_from_payload, entries("iterated", params, "outer", "inner")))
     raise ValueError(f"unknown space kind {kind!r}")
 
 

@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._checks import EXPONENT, FINITE, UNIT, _is_int, check, distinct, interval, one_per
+from ._checks import EXPONENT, FINITE, UNIT, _is_int, check, distinct, entries, interval, one_per
 from .dyadic import Cube, Grid, _family_products, grid_norm, level_averages, level_products
 from .maximal import _check_convexity, lattice_maximal
 from .spaces import Space, harmonic_exponent, product_space
@@ -683,10 +683,11 @@ def family_to_json(family: SparseFamily) -> str:
 def family_from_json(text: str) -> SparseFamily:
     """The family of a ``family_to_json`` text; a certificate entry must name
     a listed cube by its position, at most once."""
-    obj = json.loads(text)
-    cubes = [Cube(c["level"], tuple(c["index"]), c["shift"]) for c in obj["cubes"]]
+    eta, listed, entered, depth = entries("family", json.loads(text), "eta", "cubes", "certificate", "depth")
+    cubes = [Cube(k, tuple(m), s) for k, m, s in (entries("cube", c, "level", "index", "shift") for c in listed)]
     positions = interval(0, len(cubes), lo_closed=True)
-    at = [check("certificate cube", entry["cube"], positions, integer=True) for entry in obj["certificate"]]
+    pairs = [entries("certificate", entry, "cube", "cells") for entry in entered]
+    at = [check("certificate cube", i, positions, integer=True) for i, _ in pairs]
     distinct("certificate cubes", at)
-    certificate = {cubes[i]: entry["cells"] for i, entry in zip(at, obj["certificate"])}
-    return SparseFamily.from_cubes(cubes, obj["eta"], certificate, obj["depth"])
+    certificate = {cubes[i]: cells for i, (_, cells) in zip(at, pairs)}
+    return SparseFamily.from_cubes(cubes, eta, certificate, depth)

@@ -696,12 +696,12 @@ def stopping_domination_walk(grid, Fs, rs, q, spaces, c_stop=1.0, max_doublings=
     for sp, r in zip(spaces, rs):
         if sp.convexity < r - 1e-12:
             raise ValueError(
-                f"component space must be {r}-convex; declared {sp.convexity}"
+                f"component space must be {r}-convex; its convexity is {sp.convexity}"
             )
     prod_space_X = product_space(spaces)
     if prod_space_X.convexity < q - 1e-12:
         raise ValueError(
-            f"product space must be {q}-convex; declared {prod_space_X.convexity}"
+            f"product space must be {q}-convex; its convexity is {prod_space_X.convexity}"
         )
 
     cellnorms = [np.asarray(sp.norm(F)) for sp, F in zip(spaces, Fs)]
@@ -956,6 +956,15 @@ def luxemburg_norm_unscaled(space, row, bracket_cap=100, steps=120):
         else:
             hi = mid
     return hi
+
+
+# ---------------------------------------------------------------------------
+# the p-concavification, by its definition
+# ---------------------------------------------------------------------------
+
+def concavified_norm(space, p, xi):
+    """||xi||_(X^p) = || |xi|^(1/p) ||_X^p, through the norm of X itself."""
+    return np.asarray(space.norm(np.abs(np.asarray(xi, dtype=float)) ** (1.0 / p))) ** p
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,10 @@ import pytest
 
 from sparsedom._checks import at_least, increasing
 from sparsedom.cli import ConfigError, main, run
-from sparsedom.dyadic import Cube, Grid, cover_cube, grid_norm, level_averages
+from sparsedom.dyadic import Cube, Grid, cover_cube, function_from_json, grid_norm, level_averages
 from sparsedom.maximal import maximal_opnorm_lower
 from sparsedom.spaces import (
     AtomicMeasure,
-    ConcavifiedSpace,
     IteratedSpace,
     LebesgueSpace,
     LorentzSpace,
@@ -21,8 +20,9 @@ from sparsedom.spaces import (
     concavify,
     product_norm,
     product_space,
+    space_from_json,
 )
-from sparsedom.sparse import SparseFamily, certificate_depth, cz_decompose, sparse_form, verify_sparse
+from sparsedom.sparse import SparseFamily, certificate_depth, cz_decompose, family_from_json, sparse_form, verify_sparse
 from sparsedom.transfer import (
     HaarTransform,
     SparseOperator,
@@ -53,10 +53,9 @@ ORLICZ_PAIR = [OrliczSpace.from_power(2.0, U2), OrliczSpace.from_power(3.0, U2)]
 # Orlicz tables have log-slopes 1, 3, 1 (Phi' falls) and 3, 2 (decreasing)
 NO_CLOSED_DUAL = [
     ("lorentz", LorentzSpace(3.0, 1.0, U2)),
-    ("nonconvex", OrliczSpace(np.array([[1.0, 1.0], [2.0, 2.0], [4.0, 16.0], [8.0, 32.0]]), U2, convexity=1.0)),
+    ("nonconvex", OrliczSpace(np.array([[1.0, 1.0], [2.0, 2.0], [4.0, 16.0], [8.0, 32.0]]), U2)),
     ("decreasing", OrliczSpace(np.array([[1.0, 1.0], [2.0, 8.0], [4.0, 32.0]]), U2)),
     ("power-1", OrliczSpace.from_power(1.0, U2)),
-    ("concavified", ConcavifiedSpace(OrliczSpace.from_power(3.0, U2, convexity=2.0), 2.0)),
     ("mixed-iterated", IteratedSpace(LebesgueSpace(3.0, U2), OrliczSpace.from_power(2.0, U2))),
 ]
 
@@ -144,6 +143,22 @@ REFUSALS = [
         for name, sp in NO_CLOSED_DUAL
         for argmax in (False, True)
     ],
+    # Orlicz tables: an inf knot or value and a NaN are refused, as is a
+    # knot that concavification pushes past the double range (1e6^80)
+    ("orlicz-inf-knot", lambda: OrliczSpace([[1.0, 1.0], [INF, 2.0]], U2), "Phi table entries must be finite and strictly positive"),
+    ("orlicz-inf-value", lambda: OrliczSpace([[1.0, 1.0], [2.0, INF]], U2), "Phi table entries must be finite and strictly positive"),
+    ("orlicz-nan-value", lambda: OrliczSpace([[1.0, 1.0], [2.0, NAN]], U2), "Phi table entries must be finite and strictly positive"),
+    ("concavify-orlicz-overflow", lambda: concavify(OrliczSpace.from_power(2.0, U2), 80.0),
+     "Phi table entries must be finite and strictly positive"),
+    # JSON payloads name the entry they lack
+    ("space-json-atoms", lambda: space_from_json('{"kind": "lebesgue"}'), "space payload needs a 'atoms' entry"),
+    ("space-json-list", lambda: space_from_json("[1, 2]"), "space payload needs a 'kind' entry"),
+    ("space-json-t", lambda: space_from_json('{"kind": "lebesgue", "atoms": [1.0], "parameters": {}}'),
+     "lebesgue payload needs a 't' entry"),
+    ("family-json-cubes", lambda: family_from_json('{"eta": 0.5}'), "family payload needs a 'cubes' entry"),
+    ("family-json-shift", lambda: family_from_json('{"eta": 0.5, "cubes": [{"level": 0, "index": [0]}], "certificate": [], "depth": 0}'),
+     "cube payload needs a 'shift' entry"),
+    ("function-json-L", lambda: function_from_json('{"d": 1, "values": [1.0]}'), "function payload needs a 'L' entry"),
     # weights and families
     ("weights-none", lambda: muckenhoupt_constant([], (), (), INF, G), "need at least one weight component, got none"),
     ("weights-shapes", lambda: muckenhoupt_constant([ONES, np.ones(8)], (4.0, 4.0), (1.0, 1.0), INF, G),

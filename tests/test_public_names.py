@@ -6,11 +6,23 @@ an attribute) outside its own top-level definition.  Tests do not count,
 ``perfbench/test_*.py`` included:
 a name only tests reach is dead weight, unless it is kept below for a
 reason that holds without a caller.
+
+The same rule holds for private functions by reach: one whose own name has
+a single leading underscore must run in the reach configs (every CLI
+battery, the demos and one pass of each perfbench workload), or be kept in
+``UNREACHED_KEPT`` for a reason.
 """
 
 import ast
+import contextlib
 import functools
 import importlib
+import importlib.util
+import io
+import os
+import runpy
+import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -114,3 +126,91 @@ def test_every_traced_name_resolves():
         if not callable(found):
             unresolved.append(span)
     assert not unresolved, f"traced names that no longer resolve: {unresolved}"
+
+
+UNREACHED_KEPT = {
+    "cli._parse_value": "reads --config files, which the reach configs do not pass; tests/test_cli.py runs it",
+    "spaces._norming": "the argmax of associate_norm and _norming_field's map; ROADMAP items 7 and 11",
+    "spaces._space_payload": SERIALIZATION,
+    "spaces._space_from_payload": SERIALIZATION,
+    "transfer._ellq_collapse": "vv_equivalence_check's pairing, which ROADMAP items 7 and 11 give a battery caller",
+    "transfer._norming_field": "vv_equivalence_check's norming field, which ROADMAP items 7 and 11 give a battery caller",
+}
+
+# the reach configs of ROADMAP.md's Baseline: every CLI battery at seed 0,
+# then the demos and one pass of each perfbench workload
+REACH_BATTERIES = [
+    ["all"],
+    ["transfer", "--dim", "1", "--depth", "8"],
+    ["transfer", "--dim", "2", "--depth", "5"],
+    ["stopping", "--dim", "2", "--depth", "6"],
+    ["cz", "--dim", "2", "--depth", "6"],
+    ["weights", "--dim", "2", "--depth", "5", "--shifts"],
+    ["equivalence", "--dim", "1", "--depth", "3"],
+    ["exponents"],
+]
+REACH_WORKLOAD_SEED = 3
+
+
+def private_functions() -> dict[tuple[str, int], str]:
+    """(file, first line) of each def in the package whose own name has one
+    leading underscore -> module.qualified name.  The first line is the
+    code object's: the first decorator's line for a decorated def."""
+    out = {}
+
+    def visit(node, path, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = prefix + child.name
+                if not isinstance(child, ast.ClassDef) and child.name.startswith("_") and not child.name.startswith("__"):
+                    first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                    out[path, first] = name
+                visit(child, path, name + ".")
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text()), os.path.realpath(path), path.stem + ".")
+    return out
+
+
+@functools.cache
+def reached() -> frozenset[str]:
+    """The private functions that run in the reach configs, traced by call."""
+    from sparsedom import cli
+
+    seen = set()
+
+    def tracer(frame, event, arg):
+        code = frame.f_code
+        seen.add((code.co_filename, code.co_firstlineno))
+
+    spec = importlib.util.spec_from_file_location("reach_workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # dataclasses look the module up
+    previous = sys.gettrace()
+    try:
+        spec.loader.exec_module(workloads)
+        sys.settrace(tracer)
+        with contextlib.redirect_stdout(io.StringIO()), tempfile.TemporaryDirectory() as out:
+            for argv in REACH_BATTERIES:
+                cli.main([*argv, "--seed", "0", "--out", out])
+            for script in sorted((ROOT / "demos").glob("*.py")):
+                runpy.run_path(str(script), run_name="__main__")
+            for build in workloads.WORKLOADS.values():
+                for op in build(REACH_WORKLOAD_SEED):
+                    op.call()
+    finally:
+        sys.settrace(previous)
+        del sys.modules[spec.name]
+    names, real = private_functions(), functools.cache(os.path.realpath)
+    return frozenset(names[real(f), line] for f, line in seen if (real(f), line) in names)
+
+
+def test_every_private_function_runs_or_has_a_kept_reason():
+    unreached = sorted(set(private_functions().values()) - reached() - set(UNREACHED_KEPT))
+    assert not unreached, f"private functions no reach config runs: {unreached}"
+
+
+def test_kept_private_functions_exist_and_still_do_not_run():
+    assert sorted(set(UNREACHED_KEPT) - set(private_functions().values())) == [], "kept functions that are gone"
+    ran = sorted(set(UNREACHED_KEPT) & reached())
+    assert not ran, f"kept functions that now run; drop them from UNREACHED_KEPT: {ran}"

@@ -10,7 +10,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from sparsedom.spaces import (
     AtomicMeasure,
-    ConcavifiedSpace,
     IteratedSpace,
     LebesgueSpace,
     LorentzSpace,
@@ -31,6 +30,7 @@ from sparsedom.spaces import _norming, _orlicz_split, conjugate
 from oracles import (
     amemiya_norm,
     bisected_levels,
+    concavified_norm,
     dual_norm_grid,
     luxemburg_norm_unscaled,
     orlicz_split_fixed_steps,
@@ -40,6 +40,7 @@ from oracles import (
 
 U2 = AtomicMeasure.unit(2)
 U3 = AtomicMeasure.unit(3)
+WEIGHTED3 = AtomicMeasure([0.5, 2.0, 1.25])
 
 # exact zeros stay; nonzero entries floored so table-driven norms keep precision
 finite_vec = st.lists(
@@ -191,25 +192,55 @@ def test_concavify_closed_forms():
 
 def test_concavify_norm_identity():
     rng = np.random.default_rng(2)
-    base = LorentzSpace(4, 2, U3)
-    for p in (0.5, 2.0, 3.0):
-        closed = concavify(base, p)
-        wrapped = ConcavifiedSpace(base, p)
-        for _ in range(15):
-            v = rng.exponential(size=3)
-            assert closed.norm(v) == pytest.approx(wrapped.norm(v), rel=1e-10)
-            assert wrapped.norm(v) == pytest.approx(
-                base.norm(v ** (1.0 / p)) ** p, rel=1e-12
-            )
+    w = WEIGHTED3
+    for base in (LebesgueSpace(3, w), LorentzSpace(4, 2, w), IteratedSpace(LebesgueSpace(3, U2), LorentzSpace(4, 2, w))):
+        for p in (0.5, 2.0, 3.0):
+            v = rng.exponential(size=(15, *base.atom_shape))
+            assert concavify(base, p).norm(v) == pytest.approx(concavified_norm(base, p, v), rel=1e-10)
 
 
-def test_declared_convexity_defaults():
-    assert LebesgueSpace(1.7, U2).convexity == pytest.approx(1.7)
-    assert LorentzSpace(3, 1.5, U2).convexity == pytest.approx(1.5)
-    assert LorentzSpace(2, 4, U2).convexity == pytest.approx(0.5)
-    assert LorentzSpace(2, math.inf, U2).convexity == 0.0
-    assert OrliczSpace.from_power(2, U2).convexity == pytest.approx(1.0)
-    assert OrliczSpace.from_power(0.5, U2).convexity == pytest.approx(0.5)
+@pytest.mark.parametrize("p", [0.25, 0.5, 1.5, 2.0, 3.0])
+@pytest.mark.parametrize("name", ["piecewise", "power", "nonconvex"])
+def test_concavified_orlicz_is_the_table_x_to_the_p(name, p):
+    # X^p of L^Phi is the Orlicz space of the table (x^p, Phi), not (x^(1/p), Phi);
+    # the tables: a convex piecewise power law, t^2.5, and log-slopes 1, 3, 1
+    table = {"piecewise": PIECEWISE, "power": OrliczSpace.from_power(2.5, U3).table, "nonconvex": NONCONVEX}[name]
+    base = OrliczSpace(table, WEIGHTED3)
+    closed = concavify(base, p)
+    assert isinstance(closed, OrliczSpace)
+    v = np.random.default_rng(7).lognormal(sigma=2.0, size=(40, 3))
+    assert closed.norm(v) == pytest.approx(concavified_norm(base, p, v), rel=1e-12, abs=0.0)
+
+
+def test_concavified_convex_orlicz_has_the_exact_associate_norm():
+    # (t^3)^2 is Phi(s) = s^1.5, so X^2 is l^1.5(mu) and its associate l^3(mu)
+    sp = concavify(OrliczSpace.from_power(3.0, WEIGHTED3), 2.0)
+    assert sp.has_convex_phi() and sp.convexity == 1.0
+    for xi in np.random.default_rng(8).lognormal(size=(20, 3)):
+        assert associate_norm(sp, xi) == pytest.approx(LebesgueSpace(3.0, WEIGHTED3).norm(xi), rel=1e-12, abs=0.0)
+
+
+def test_convexity_is_derived():
+    # every kind, before and after a JSON round trip, whose payload carries none
+    derived = [
+        (LebesgueSpace(1.7, U2), 1.7),
+        (LebesgueSpace(math.inf, U2), math.inf),
+        (LorentzSpace(3, 1.5, U2), 1.5),
+        (LorentzSpace(2, 4, U2), 0.5),
+        (LorentzSpace(2, math.inf, U2), 0.0),
+        (OrliczSpace.from_power(2, U2), 1.0),
+        (OrliczSpace.from_power(0.5, U2), 0.5),
+        # (t^3)^2 is l^1.5, which is 1-convex; (t^2)^4 is l^0.5
+        (concavify(OrliczSpace.from_power(3, U2), 2.0), 1.0),
+        (concavify(OrliczSpace.from_power(2, U2), 4.0), 0.5),
+        (IteratedSpace(LebesgueSpace(1, U2), LebesgueSpace(2, U2)), 1.0),
+        (IteratedSpace(LebesgueSpace(2, U2), LebesgueSpace(0.5, U2)), 0.5),
+    ]
+    for space, convexity in derived:
+        text = space_to_json(space)
+        assert "convexity" not in text
+        for sp in (space, space_from_json(text)):
+            assert sp.convexity == pytest.approx(convexity, rel=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
@@ -256,15 +287,13 @@ def test_associate_lebesgue_values():
 def test_associate_refuses_quasi_norms():
     with pytest.raises(ValueError):
         associate_norm(LorentzSpace(2, 4, U2), [1, 1])
-    with pytest.raises(ValueError):
-        associate_norm(LebesgueSpace(0.5, U2), [1, 1])
-    # a declared convexity does not make L^t with t < 1 a normed space
-    sp = LebesgueSpace(0.5, U2, convexity=1.0)
+    # l^t with t < 1 has convexity t, alone or as a layer, so it is refused
+    sp = LebesgueSpace(0.5, U2)
     for argmax in (False, True):
-        with pytest.raises(ValueError, match=r"Lebesgue t must be in \[1, inf\], got 0.5"):
-            associate_norm(sp, [1, 1], restarts=1, return_argmax=argmax)
-        with pytest.raises(ValueError, match=r"Lebesgue t must be in \[1, inf\], got 0.5"):
-            associate_norm(IteratedSpace(LebesgueSpace(2.0, U2), sp), np.ones((2, 2)), restarts=1, return_argmax=argmax)
+        with pytest.raises(ValueError, match="requires a 1-convex space; its convexity is 0.5"):
+            associate_norm(sp, [1, 1], return_argmax=argmax)
+        with pytest.raises(ValueError, match="requires a 1-convex space; its convexity is 0.5"):
+            associate_norm(IteratedSpace(LebesgueSpace(2.0, U2), sp), np.ones((2, 2)), return_argmax=argmax)
 
 
 @pytest.mark.parametrize(
@@ -386,7 +415,7 @@ def test_product_of_orlicz_factors_raises_no_overflow_warning():
     # or halve it until it underflows to 0; both order correctly and must
     # stay silent, also where the root lies beyond the double range
     m = AtomicMeasure.unit(3)
-    factors = [OrliczSpace.from_power(0.5, m, convexity=0.5), OrliczSpace.from_power(1.5, m)]
+    factors = [OrliczSpace.from_power(0.5, m), OrliczSpace.from_power(1.5, m)]
     U4 = AtomicMeasure.unit(4)
     pair = [OrliczSpace(PIECEWISE, U4), OrliczSpace.from_power(3.0, U4)]
     with warnings.catch_warnings():
@@ -417,14 +446,11 @@ def test_space_json_roundtrip():
         LorentzSpace(3, 1.5, U3),
         OrliczSpace.from_power(2, U2),
         IteratedSpace(LebesgueSpace(1, U2), LebesgueSpace(2, U2)),
-        ConcavifiedSpace(OrliczSpace.from_power(2, U2), 2.0),
-        # declared convexities off the defaults, each flipping associate_norm's
-        # acceptance against the default
-        LebesgueSpace(0.5, U2, convexity=1.0),
-        LorentzSpace(3, 4, U3, convexity=1.0),
-        OrliczSpace.from_power(2, U2, convexity=0.5),
-        IteratedSpace(LebesgueSpace(1, U2), LebesgueSpace(2, U2), convexity=0.5),
-        ConcavifiedSpace(OrliczSpace.from_power(2, U2, convexity=2.0), 2.0),
+        IteratedSpace(LebesgueSpace(2, U2), LebesgueSpace(0.5, U2)),
+        concavify(OrliczSpace.from_power(2, U2), 2.0),
+        concavify(OrliczSpace.from_power(3, U2), 2.0),
+        LebesgueSpace(0.5, U2),
+        LorentzSpace(3, 4, U3),
     ]
     rng = np.random.default_rng(5)
     for sp in spaces:
@@ -655,7 +681,7 @@ NONCONVEX = np.array([[1.0, 1.0], [2.0, 2.0], [4.0, 16.0], [8.0, 32.0]])
 @pytest.mark.parametrize(
     "space, argmax",
     [
-        (OrliczSpace(NONCONVEX, U3, convexity=1.0), False),
+        (OrliczSpace(NONCONVEX, U3), False),
         (OrliczSpace.from_power(2.0, U3), False),
         (LebesgueSpace(2.0, U3), False),
         (LebesgueSpace(2.0, U3), True),
@@ -1123,7 +1149,7 @@ def test_iterated_product_mutants_fail_the_certificate():
         LorentzSpace(2.0, 1.0, U3),
         LorentzSpace(2.0, math.inf, U3),
         OrliczSpace.from_power(2.0, U3),
-        ConcavifiedSpace(OrliczSpace.from_power(2.0, U3), 2.0),
+        concavify(OrliczSpace.from_power(2.0, U3), 2.0),
         IteratedSpace(LebesgueSpace(2.0, U2), LebesgueSpace(3.0, U3)),
     ],
     ids=["lebesgue", "lebesgue-inf", "lorentz", "lorentz-inf", "orlicz", "concavified", "iterated"],
