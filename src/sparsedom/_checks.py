@@ -15,6 +15,8 @@ import numbers
 import operator
 from typing import Iterable, Iterator, Sequence, Sized
 
+import numpy as np
+
 
 def interval(lo: float, hi: float, lo_closed: bool = False, hi_closed: bool = False):
     """A range of reals as (membership test, printed form)."""
@@ -37,12 +39,20 @@ def _is_int(x) -> bool:
     return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
+# the real numbers, Python or NumPy; float and int first, the common cases
+_REAL = (float, int, numbers.Real, np.bool_)
+
+
 def check(name: str, x, within, integer: bool = False):
     """x itself when it lies in the interval ``within`` and, with ``integer``,
-    is an int (Python or NumPy, not bool); else a named refusal."""
+    is an int (Python or NumPy, not bool); else a named refusal.  A value
+    that is no real number (Python or NumPy), such as a string read from
+    JSON, is refused before any comparison."""
     holds, text = within
     if integer and not _is_int(x):
         raise ValueError(f"{name} must be an integer in {text}, got {x}")
+    if not isinstance(x, _REAL):
+        raise ValueError(f"{name} must be in {text}, got {x!r}")
     if not holds(x):
         raise ValueError(f"{name} must be in {text}, got {x}")
     return x

@@ -30,16 +30,17 @@ from .dyadic import (
     Grid,
     function_to_json,
     grid_norm,
+    level_products,
     shifted_grids,
 )
-from .maximal import scalar_maximal
+from .maximal import _running_max, scalar_maximal
 from .sparse import (
     SparseFamily,
     StoppingFailure,
+    _optimize_form,
     certificate_depth,
     cz_decompose,
     family_to_json,
-    optimal_sparse_form,
     stopping_domination,
     verify_sparse,
 )
@@ -210,9 +211,11 @@ def _equivalence_checks(cfg: dict) -> list[dict]:
         case_max = 0.0
         for trial in range(cfg["trials"]):
             fs = _positive_inputs(rng, grid, len(rs))
-            exact_val, exact_fam = optimal_sparse_form(fs, list(rs), grid, mode="exact", eta=eta)
-            greedy_val, _ = optimal_sparse_form(fs, list(rs), grid, mode="greedy", eta=eta)
-            mnorm = grid_norm(grid, scalar_maximal(grid, fs, list(rs)), 1.0)
+            # one pyramid for the three; the running max overwrites it, so last
+            lp = level_products(grid, fs, rs)
+            exact_val, exact_fam = _optimize_form(grid, lp, rs, "exact", eta)
+            greedy_val, _ = _optimize_form(grid, lp, rs, "greedy", eta)
+            mnorm = grid_norm(grid, _running_max(grid, lp), 1.0)
             ratio, raw = mnorm / (eta * exact_val), mnorm / exact_val
             witness = (rs, trial, fs, ratio, raw)  # serialized only if reported
             if ratio < min_ratio:

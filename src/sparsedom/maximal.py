@@ -43,15 +43,24 @@ def check_tuple(grid: Grid, fs: Sequence[np.ndarray]):
 def scalar_maximal(grid: Grid, fs: Sequence[np.ndarray], rs: Sequence[float]) -> np.ndarray:
     """sup_{Q} prod_j <f_j>_{r_j,Q} 1_Q per finest cell, exactly.
 
-    Q runs over the full shift-0 tree of the grid, in a top-down running max
-    kept in the level arrays themselves: level k's max over levels 0..k,
-    repeated twice along each axis, is folded into level k+1's products in
-    place.  Max is exact, so this equals the max over every level upsampled
-    to the cells (the oracle in ``tests/oracles.py``) bit for bit.
+    Q runs over the full shift-0 tree of the grid: ``_running_max`` of the
+    ``level_products`` pyramid.  Max is exact, so this equals the max over
+    every level upsampled to the cells (the oracle in ``tests/oracles.py``)
+    bit for bit.
     """
     one_per("exponent", "function", rs, fs)
-    fs, trail = check_tuple(grid, fs)
-    levels = level_products(grid, fs, rs)
+    fs, _ = check_tuple(grid, fs)
+    return _running_max(grid, level_products(grid, fs, rs))
+
+
+def _running_max(grid: Grid, levels: dict[int, np.ndarray]) -> np.ndarray:
+    """The finest level of a running max taken top down through ``levels``.
+
+    Level k's max over levels 0..k, repeated twice along each axis, is
+    folded into level k+1 in place, so every level below the root is
+    overwritten: a caller that still reads the pyramid runs this last.
+    """
+    trail = levels[0].shape[grid.d:]
     for k in range(1, grid.depth + 1):
         fine = levels[k].reshape((1 << (k - 1), 2) * grid.d + trail)
         coarse = levels[k - 1].reshape((1 << (k - 1), 1) * grid.d + trail)

@@ -813,7 +813,11 @@ def _space_from_payload(obj) -> Space:
     if kind == "orlicz":
         return OrliczSpace(*entries("orlicz", params, "table"), measure)
     if kind == "iterated":
-        return IteratedSpace(*map(_space_from_payload, entries("iterated", params, "outer", "inner")))
+        space = IteratedSpace(*map(_space_from_payload, entries("iterated", params, "outer", "inner")))
+        if space.measure != measure:
+            raise ValueError(f"iterated payload atoms must equal the outer layer's {space.measure.weights.tolist()}, "
+                             f"got {measure.weights.tolist()}")
+        return space
     raise ValueError(f"unknown space kind {kind!r}")
 
 

@@ -32,7 +32,7 @@ import numpy as np
 
 from ._checks import EXPONENT, FINITE, UNIT, _is_int, check, distinct, entries, interval, one_per
 from .dyadic import Cube, Grid, _family_products, grid_norm, level_averages, level_products
-from .maximal import _check_convexity, lattice_maximal
+from .maximal import _check_convexity, _running_max, check_tuple
 from .spaces import Space, harmonic_exponent, product_space
 
 __all__ = [
@@ -317,11 +317,22 @@ def optimal_sparse_form(
     greedy family is sparse at a slightly smaller eta when sum 1/r_j > 1
     (set on the result).
     Both modes refuse shifted grids: they optimize on the standard lattice.
+    Both read the ``level_products`` pyramid of (fs, rs) through
+    ``_optimize_form``, which a caller holding that pyramid calls directly.
+    """
+    return _optimize_form(grid, level_products(grid, fs, rs), rs, mode, eta)
+
+
+def _optimize_form(
+    grid: Grid, lp: dict[int, np.ndarray], rs: Sequence[float], mode: str, eta: float
+) -> tuple[float, SparseFamily]:
+    """``optimal_sparse_form`` on the pyramid lp = ``level_products(grid, fs, rs)``.
+
+    lp is only read: the greedy sweep writes fresh ``_refine`` copies.
     """
     check("eta", eta, UNIT)
     if grid.shift:
         raise ValueError("sparse forms are optimized on the standard lattice only")
-    lp = level_products(grid, fs, rs)
     contrib = [lp[k] * 2.0 ** (-grid.d * k) for k in range(grid.depth + 1)]
     if mode == "exact":
         picks = _knapsack_picks(contrib, grid.d, Fraction(eta))
@@ -582,12 +593,15 @@ def stopping_domination(
     the cubes in the preorder of the stopping tree, children in ascending
     Z-order: sorted by the Z-order code of the first finest cell (axis 0 as
     the high bit), then by level.  The audit reads level arrays as well:
-    a cell's sum of A(Q)^q is a running sum down the selection masks, and a
-    cube's worst ratio its entry of ``level_averages`` at r = inf.
+    the lattice maximal function is the running max of the vector pyramid
+    the sweeps read (``maximal._running_max``, bit for bit
+    ``lattice_maximal``), a cell's sum of A(Q)^q is a running sum down the
+    selection masks, and a cube's worst ratio its entry of
+    ``level_averages`` at r = inf.
     """
     one_per("exponent", "function", rs, Fs)
     one_per("space", "function", spaces, Fs)
-    Fs = [np.asarray(F, dtype=float) for F in Fs]
+    Fs, _ = check_tuple(grid, Fs)
     prod_space_X = product_space(spaces)
     _check_convexity([*spaces, prod_space_X], [*rs, q])
 
@@ -617,7 +631,7 @@ def stopping_domination(
     if not isinstance(family, SparseFamily):
         raise AssertionError("stopping family failed sparseness verification")
 
-    M = lattice_maximal(grid, Fs, rs)
+    M = _running_max(grid, vector_lp)  # overwrites the pyramid the sweeps read
     lhs = np.asarray(prod_space_X.norm(M))
     # a cell sums A(Q)^q over its selected cubes top down, the order in
     # which the preorder lists them; Python's powers, not np.power's

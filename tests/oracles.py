@@ -753,17 +753,24 @@ def stopping_domination_walk(grid, Fs, rs, q, spaces, c_stop=1.0, max_doublings=
     if not isinstance(family, SparseFamily):
         raise AssertionError("stopping family failed sparseness verification")
 
-    M = lattice_maximal(grid, Fs, rs)
-    lhs = np.asarray(prod_space_X.norm(M))
+    ratios, pointwise_ok = stopping_audit(grid, Fs, rs, q, spaces, selected, c)
+    return StoppingCertificate(family, c, doubling, ratios, pointwise_ok)
+
+
+def stopping_audit(grid, Fs, rs, q, spaces, cubes, c):
+    """(ratios, pointwise_ok) of a stopping family's cubes at constant c, by
+    cube slices, from the X-norm of ``lattice_maximal`` built afresh."""
+    prod_space_X = product_space(spaces)
+    lhs = np.asarray(prod_space_X.norm(lattice_maximal(grid, Fs, rs)))
+    scalar_lp = level_products(grid, [np.asarray(sp.norm(F)) for sp, F in zip(spaces, Fs)], rs)
     rhs_q = np.zeros(grid.cell_shape)
-    for Q in selected:
-        rhs_q[cube_slices(grid, Q)] += A(Q) ** q
+    for Q in cubes:  # top down along every chain, as the preorder lists them
+        rhs_q[cube_slices(grid, Q)] += float(scalar_lp[Q.level][Q.index]) ** q
     rhs = rhs_q ** (1.0 / q)
     with np.errstate(invalid="ignore", divide="ignore"):
         cell_ratio = np.where(lhs > 0, lhs / (c * rhs), 0.0)
-    ratios = np.array([cell_ratio[cube_slices(grid, Q)].max() for Q in selected])
-    pointwise_ok = bool(np.all(cell_ratio <= 1 + 1e-9))
-    return StoppingCertificate(family, c, doubling, ratios, pointwise_ok)
+    ratios = np.array([cell_ratio[cube_slices(grid, Q)].max() for Q in cubes])
+    return ratios, bool(np.all(cell_ratio <= 1 + 1e-9))
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,42 @@
+"""The benchmark's correctness gate on ``sparse-certify``, inside the tier-1 suite.
+
+The four ``sparse-certify`` operations of ``perfbench/workloads.py`` run at
+seeds 0 and 1, and ``perfbench/gate.judge`` compares each output with its
+stored reference in ``perfbench/refs/sparse-certify.json``, which is only
+read.  A speed change that moves a report past the gate fails here before
+the benchmark runs.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load(name: str):
+    """A perfbench module by file, registered so its dataclasses resolve."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+gate, workloads = _load("gate"), _load("workloads")
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_sparse_certify_passes_the_benchmark_gate(seed):
+    refs = gate.load_refs("sparse-certify")[str(seed)]["outputs"]
+    ops = workloads.sparse_certify(seed)
+    assert len(ops) == len(refs) == 4
+    for op, ref in zip(ops, refs):
+        try:
+            result, error = op.call(), None
+        except Exception as exc:  # the gate counts a raise as a failure
+            result, error = None, exc
+        _, problems = gate.judge(op, result, error, ref)
+        assert problems == [], (op.label, problems)

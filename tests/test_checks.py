@@ -1,12 +1,13 @@
 """One refusal table: every range and arity check, worded as name, range and value."""
 
+import json
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from sparsedom._checks import at_least, increasing
+from sparsedom._checks import EXPONENT, FINITE, at_least, check, increasing
 from sparsedom.cli import ConfigError, main, run
 from sparsedom.dyadic import Cube, Grid, cover_cube, function_from_json, grid_norm, level_averages
 from sparsedom.maximal import maximal_opnorm_lower
@@ -21,8 +22,17 @@ from sparsedom.spaces import (
     product_norm,
     product_space,
     space_from_json,
+    space_to_json,
 )
-from sparsedom.sparse import SparseFamily, certificate_depth, cz_decompose, family_from_json, sparse_form, verify_sparse
+from sparsedom.sparse import (
+    SparseFamily,
+    certificate_depth,
+    cz_decompose,
+    family_from_json,
+    sparse_form,
+    stopping_domination,
+    verify_sparse,
+)
 from sparsedom.transfer import (
     HaarTransform,
     SparseOperator,
@@ -58,6 +68,7 @@ NO_CLOSED_DUAL = [
     ("power-1", OrliczSpace.from_power(1.0, U2)),
     ("mixed-iterated", IteratedSpace(LebesgueSpace(3.0, U2), OrliczSpace.from_power(2.0, U2))),
 ]
+ITERATED_PAYLOAD = space_to_json(IteratedSpace(LebesgueSpace(2.0, AtomicMeasure([1.0, 2.0])), LebesgueSpace(3.0, U2)))
 
 # (id, call, message): the message names the parameter, its range and the value
 REFUSALS = [
@@ -126,6 +137,8 @@ REFUSALS = [
      "need q <= p, got q=3.0 > p=2.0"),
     ("vv-one-atom-count", lambda: vv_transfer_check([HAAR], G, [2.0], 1.0, INF, ns=(4,)),
      r"need at least two atom counts to fit a slope, got \(4,\)"),
+    ("stopping-shifted", lambda: stopping_domination(Grid(1, 2, 1), [np.ones((4, 2))], [1.0], 1.0, [LebesgueSpace(2.0, U2)]),
+     r"cell functions live on the shift-0 grid, got Grid\(d=1, depth=2, shift=1\)"),
     ("sparse_form-atoms", lambda: sparse_form([Cube(0, (0,))], G, [np.ones((4, 2))], [1.0]),
      r"sparse_form takes scalar functions of shape \(4,\), got shape \(4, 2\)"),
     # a group of models sharing one trial suite
@@ -159,6 +172,18 @@ REFUSALS = [
     ("family-json-shift", lambda: family_from_json('{"eta": 0.5, "cubes": [{"level": 0, "index": [0]}], "certificate": [], "depth": 0}'),
      "cube payload needs a 'shift' entry"),
     ("function-json-L", lambda: function_from_json('{"d": 1, "values": [1.0]}'), "function payload needs a 'L' entry"),
+    # an iterated payload's atoms are its outer layer's
+    ("space-json-iterated-atoms", lambda: space_from_json(json.dumps({**json.loads(ITERATED_PAYLOAD), "atoms": [7.0]})),
+     r"iterated payload atoms must equal the outer layer's \[1.0, 2.0\], got \[7.0\]"),
+    # a value that is no real number is refused before it is compared
+    ("space-json-t-word", lambda: space_from_json('{"kind": "lebesgue", "atoms": [1.0], "parameters": {"t": "abc"}}'),
+     r"t must be in \(0, inf\], got 'abc'"),
+    ("space-json-u-null", lambda: space_from_json('{"kind": "lorentz", "atoms": [1.0], "parameters": {"t": 2.0, "u": null}}'),
+     r"u must be in \(0, inf\], got None"),
+    ("family-json-eta-word", lambda: family_from_json('{"eta": "0.5", "cubes": [], "certificate": [], "depth": 0}'),
+     r"eta must be in \(0, 1\), got '0.5'"),
+    ("check-list", lambda: check("q", [2.0], FINITE), r"q must be in \(0, inf\), got \[2.0\]"),
+    ("check-complex", lambda: check("q", 2j, FINITE), r"q must be in \(0, inf\), got 2j"),
     # weights and families
     ("weights-none", lambda: muckenhoupt_constant([], (), (), INF, G), "need at least one weight component, got none"),
     ("weights-shapes", lambda: muckenhoupt_constant([ONES, np.ones(8)], (4.0, 4.0), (1.0, 1.0), INF, G),
@@ -195,6 +220,24 @@ def test_integer_ranges_take_python_and_numpy_ints():
     # a corner on the boundary is refused by the fit check, not the corner range
     with pytest.raises(ValueError, match=r"cube must sit inside \[0,1\)\^d"):
         cover_cube([0.875], 0.25)
+
+
+def test_check_takes_python_and_numpy_reals_as_before():
+    # every real scalar, bools included, is compared as it was; NaN and an
+    # out-of-range NumPy value keep their printed forms
+    for x in (2, 2.5, Fraction(5, 2), True, np.float64(2.5), np.float32(2.5), np.int64(2), np.bool_(True)):
+        assert check("q", x, EXPONENT) is x
+    with pytest.raises(ValueError, match=r"^q must be in \(0, inf\], got nan$"):
+        check("q", np.float64(NAN), EXPONENT)
+    with pytest.raises(ValueError, match=r"^q must be in \(0, inf\), got -1.5$"):
+        check("q", np.float32(-1.5), FINITE)
+    with pytest.raises(ValueError, match=r"^q must be in \(0, inf\), got False$"):
+        check("q", np.bool_(False), FINITE)
+
+
+def test_iterated_payload_with_its_outer_atoms_round_trips():
+    space = space_from_json(ITERATED_PAYLOAD)
+    assert space.measure == AtomicMeasure([1.0, 2.0]) and space_to_json(space) == ITERATED_PAYLOAD
 
 
 def test_counts_take_python_and_numpy_ints():

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sparsedom import cli, sparse
+from sparsedom import cli, dyadic, sparse
 from sparsedom.cli import (
     COMMANDS,
     ConfigError,
@@ -565,3 +565,12 @@ def test_stopping_cz_equivalence_reports_equal_the_oracle_paths(monkeypatch, com
     monkeypatch.setattr(sparse, "_pack", lambda level, index, eta: verify_sparse_walk(sparse._cubes(level, index), eta))
     monkeypatch.setattr(sparse.SparseFamily, "check_certificate", check_certificate_sets)
     assert run(command, config) == fast
+
+
+def test_equivalence_builds_one_pyramid_per_trial(bind_everywhere):
+    """The exact optimum, the greedy family and ||M||_1 of one trial read one
+    level_products pyramid: one call per (rs, trial)."""
+    calls, products = [], dyadic.level_products
+    bind_everywhere(products, lambda g, fs, rs: calls.append(tuple(rs)) or products(g, fs, rs))
+    run("equivalence", {"dim": 1, "depth": 3, "trials": 4, "seed": 0})
+    assert calls == [rs for rs in [(1.0,), (1.0, 1.0), (2.0, 1.0)] for _ in range(4)]

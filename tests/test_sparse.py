@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from sparsedom import sparse as sparse_module
+from sparsedom import dyadic, sparse as sparse_module
 from sparsedom.dyadic import Cube, Grid, grid_norm
 from sparsedom.maximal import scalar_maximal
 from sparsedom.spaces import AtomicMeasure, LebesgueSpace, OrliczSpace, harmonic_exponent
@@ -42,6 +42,7 @@ from oracles import (
     greedy_walk,
     hall_feasible,
     sparse_form_walk,
+    stopping_audit,
     stopping_domination_walk,
     verify_sparse_walk,
 )
@@ -449,6 +450,19 @@ class TestOptimalExact:
         best, _ = oracle_best(fs, [1.0], g, 0.5)
         assert val == pytest.approx(best, rel=1e-12)
 
+    @pytest.mark.parametrize("d, depth", [(1, 4), (2, 3)])
+    def test_optimizers_only_read_the_pyramid(self, d, depth):
+        # a caller reuses the pyramid after both modes, so neither writes it
+        grid, rs = Grid(d, depth), [1.0, 2.0]
+        rng = np.random.default_rng(79)
+        fs = [rng.lognormal(size=grid.cell_shape) for _ in rs]
+        lp = dyadic.level_products(grid, fs, rs)
+        kept = {k: v.copy() for k, v in lp.items()}
+        for mode in ("exact", "greedy"):
+            value, family = sparse_module._optimize_form(grid, lp, rs, mode, 0.5)
+            assert all(np.array_equal(lp[k], kept[k]) for k in kept)
+            assert (value, family) == optimal_sparse_form(fs, rs, grid, mode=mode)
+
     @pytest.mark.parametrize("mode", ["exact", "greedy"])
     def test_shifted_lattice_refused(self, mode):
         # even an all-zero input, whose exact optimum is the empty family
@@ -795,16 +809,21 @@ class TestStopping:
         assert calls["children"] == 0
 
     @pytest.mark.parametrize("d, depth", [(1, 6), (2, 3)])
-    def test_audit_reads_level_arrays_not_cube_slices(self, monkeypatch, d, depth):
-        # the library has no per-cube slicer (it lives in tests/oracles.py);
-        # every worst ratio comes from the one r = inf call of level_averages
+    def test_audit_reads_level_arrays_not_cube_slices(self, bind_everywhere, d, depth):
+        # the library has no per-cube slicer (it lives in tests/oracles.py).
+        # Two pyramids are built, each once: the cell norms', then the
+        # fields', which the sweeps read and the audit's maximal function
+        # reuses.  Every worst ratio comes from the one r = inf call of
+        # level_averages.
         calls = []
-        averages = sparse_module.level_averages
-        monkeypatch.setattr(sparse_module, "level_averages", lambda g, f, r: calls.append(r) or averages(g, f, r))
+        products, averages = dyadic.level_products, dyadic.level_averages
+        bind_everywhere(products, lambda g, fs, rs: calls.append([np.shape(f) for f in fs]) or products(g, fs, rs))
+        bind_everywhere(averages, lambda g, f, r: calls.append(r) or averages(g, f, r))
         g = Grid(d, depth)
         F = np.random.default_rng(67).lognormal(sigma=2.0, size=g.cell_shape + (3,))
         cert = stopping_domination(g, [F], [1.0], 1.0, [LebesgueSpace(2.0, AtomicMeasure.unit(3))])
-        assert len(cert.family.cubes) > 3 and calls == [math.inf]
+        assert len(cert.family.cubes) > 3
+        assert calls == [[g.cell_shape], 1.0, [g.cell_shape + (3,)], 1.0, math.inf]
         assert not hasattr(Grid, "cube_slices")
 
     def test_random_suite_produces_valid_certificates(self):
@@ -935,6 +954,19 @@ def test_stopping_sweep_matches_the_walk(case):
         assert swept == walked
     else:
         assert_identical(swept, walked)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=stopping_cases().filter(lambda case: case[1][0].shape[-1] <= 3))
+def test_stopping_audit_equals_one_from_lattice_maximal(case):
+    # the audit's maximal function is the running max of the pyramid the
+    # sweeps read; built afresh by lattice_maximal it gives the same bits
+    cert = _stopping_outcome(stopping_domination, case)
+    assume(not isinstance(cert, dict))
+    grid, Fs, rs, q, spaces = case[:5]
+    ratios, pointwise_ok = stopping_audit(grid, Fs, rs, q, spaces, cert.family.cubes, cert.c_stop)
+    assert cert.ratios.dtype == ratios.dtype and np.array_equal(cert.ratios, ratios)
+    assert cert.pointwise_ok == pointwise_ok
 
 
 @settings(max_examples=120, deadline=None)

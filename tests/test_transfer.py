@@ -2,7 +2,6 @@
 
 import json
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -156,7 +155,7 @@ class TestSparseOperator:
             assert np.array_equal(T.apply(grid, fs), oracles.sparse_apply_walk(T, grid, fs))
 
     @pytest.mark.parametrize("d", [1, 2])
-    def test_apply_and_sparse_form_build_no_level_array(self, monkeypatch, d):
+    def test_apply_and_sparse_form_build_no_level_array(self, bind_everywhere, d):
         # both read only their family's blocks, and still equal the cube walks
         grid = Grid(d, 4)
         fam = certified([Cube(k, (k % 2,) * d) for k in range(1, 5)] + [Cube(0, (0,) * d)])
@@ -166,8 +165,8 @@ class TestSparseOperator:
         fs = [oracles.signed_cells(rng, grid.cell_shape) for _ in rs]
         T = SparseOperator(fam, rs=rs)
         want = oracles.sparse_apply_walk(T, grid, Fs), oracles.sparse_form_walk(fam, grid, fs, rs)
-        _bind_everywhere(monkeypatch, dyadic.level_averages, refused_level_arrays)
-        _bind_everywhere(monkeypatch, dyadic.level_products, refused_level_arrays)
+        bind_everywhere(dyadic.level_averages, refused_level_arrays)
+        bind_everywhere(dyadic.level_products, refused_level_arrays)
         assert np.array_equal(T.apply(grid, Fs), want[0])
         assert sparse_form(fam, grid, fs, rs) == want[1]
 
@@ -838,24 +837,15 @@ class TestUnconditionalityProbe:
 # ---------------------------------------------------------------------------
 
 
-def _bind_everywhere(monkeypatch, original, replacement):
-    """Replace ``original`` in every sparsedom namespace that binds it."""
-    for name, module in list(sys.modules.items()):
-        if name == "sparsedom" or name.startswith("sparsedom."):
-            for key, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, key, replacement)
-
-
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("dim, depth", [(1, 5), (2, 3)])
-def test_transfer_report_equals_the_oracle_paths(monkeypatch, dim, depth, seed):
+def test_transfer_report_equals_the_oracle_paths(monkeypatch, bind_everywhere, dim, depth, seed):
     # the report's floats must keep their bits, not only a tolerance: the
     # fitted slopes are noise of size 1e-16 that an ulp moves
     cfg = {"dim": dim, "depth": depth, "trials": 5, "seed": seed}
     fast = cli.run("transfer", cfg)
-    _bind_everywhere(monkeypatch, dyadic.level_averages, oracles.level_averages_padded)
-    _bind_everywhere(monkeypatch, maximal.scalar_maximal, oracles.scalar_maximal_upsampled)
+    bind_everywhere(dyadic.level_averages, oracles.level_averages_padded)
+    bind_everywhere(maximal.scalar_maximal, oracles.scalar_maximal_upsampled)
     monkeypatch.setattr(SparseOperator, "apply", oracles.sparse_apply_walk)
     monkeypatch.setattr(HaarTransform, "apply", oracles.haar_apply_loop)
     assert cli.run("transfer", cfg) == fast
