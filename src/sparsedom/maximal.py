@@ -1,11 +1,11 @@
 """Multisublinear maximal operators over the shift-0 dyadic tree of a grid.
 
-The scalar operator takes the sup over the tree's cubes of the product of
-r_j-averages; the lattice variant is the same computation with a trailing
-atom axis, which makes the per-atom slice identity hold by construction (and
-it is still asserted in the tests).  Operator norms are probed from below by
-randomized and structured inputs; upper bounds belong to the sparse-domination
-route.
+The operator takes the sup over the tree's cubes of the product of
+r_j-averages.  Trailing atom axes broadcast, so on lattice-valued inputs it
+is the lattice maximal operator, and the per-atom slice identity holds by
+construction (it is still asserted in the tests).  Operator norms are
+probed from below by randomized and structured inputs; upper bounds belong
+to the sparse-domination route.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from .spaces import Space, harmonic_exponent, product_space
 
 __all__ = [
     "scalar_maximal",
-    "lattice_maximal",
     "maximal_opnorm_lower",
 ]
 
@@ -46,7 +45,9 @@ def scalar_maximal(grid: Grid, fs: Sequence[np.ndarray], rs: Sequence[float]) ->
     Q runs over the full shift-0 tree of the grid: ``_running_max`` of the
     ``level_products`` pyramid.  Max is exact, so this equals the max over
     every level upsampled to the cells (the oracle in ``tests/oracles.py``)
-    bit for bit.
+    bit for bit.  The functions share one trailing atom shape, which
+    broadcasts: on (cells x atoms) inputs this is the lattice maximal
+    operator, the scalar one on every atom slice.
     """
     one_per("exponent", "function", rs, fs)
     fs, _ = check_tuple(grid, fs)
@@ -66,20 +67,6 @@ def _running_max(grid: Grid, levels: dict[int, np.ndarray]) -> np.ndarray:
         coarse = levels[k - 1].reshape((1 << (k - 1), 1) * grid.d + trail)
         np.maximum(fine, coarse, out=fine)
     return levels[grid.depth]
-
-
-def lattice_maximal(grid: Grid, Fs: Sequence[np.ndarray], rs: Sequence[float]) -> np.ndarray:
-    """The lattice maximal operator: scalar_maximal on every atom slice.
-
-    Inputs are (cells x atoms) arrays over one shared atom count; the lattice
-    sup over an atomic measure space is the per-atom sup, so this is the
-    scalar computation with a trailing axis.
-    """
-    Fs = [np.asarray(F, dtype=float) for F in Fs]
-    atoms = {F.shape[grid.d:] for F in Fs}
-    if len(atoms) != 1 or Fs[0].ndim == grid.d:
-        raise ValueError("lattice inputs need one common nonempty atom shape")
-    return scalar_maximal(grid, Fs, rs)
 
 
 def tower(rng, grid: Grid) -> np.ndarray:
@@ -139,7 +126,7 @@ def maximal_opnorm_lower(
                 np.multiply.outer(tower(rng, grid), rng.exponential(size=n))
                 for _ in range(m)
             ]
-        M = lattice_maximal(grid, Fs, rs)
+        M = scalar_maximal(grid, Fs, rs)
         num = grid_norm(grid, np.asarray(prod.norm(M)), p_out)
         den = 1.0
         for F, p, sp in zip(Fs, ps, spaces):

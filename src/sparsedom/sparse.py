@@ -70,7 +70,7 @@ class SparseFamily:
     witness set E_Q is cells[offsets[i]:offsets[i + 1]]: flat ids (row-major
     ints) of finest cells at ``certificate_depth`` (at most 31), empty for a
     cube without witnesses.  ``from_cubes`` builds a family from a cube list;
-    ``cubes`` and ``certificate`` build the ``Cube`` views on every read.
+    ``cubes`` builds the ``Cube`` list on every read.
     """
 
     level: np.ndarray
@@ -85,16 +85,18 @@ class SparseFamily:
         check("certificate_depth", self.certificate_depth, _CELL_DEPTHS, integer=True)
 
     @classmethod
-    def from_cubes(cls, cubes: Sequence[Cube], eta: float = 0.5, certificate: dict | None = None,
+    def from_cubes(cls, cubes: Sequence[Cube], eta: float = 0.5, certificate: Sequence[Sequence[int]] | None = None,
                    certificate_depth: int = 0) -> SparseFamily:
-        """The family of ``cubes`` in list order, each with its cells in
-        ``certificate`` (none when it has no entry).
+        """The family of ``cubes`` in list order, cube i with the witness cells
+        certificate[i] (none without a certificate), as ``family_to_json``
+        writes them.
 
         The cubes must be distinct shift-0 cubes of one dimension inside the
-        unit cube, the certificate's keys family cubes and its cells ints;
-        else a named refusal.
+        unit cube, the certificate one list of int cells per cube; else a
+        named refusal.
         """
-        cubes, certificate = list(cubes), dict(certificate or {})
+        cubes = list(cubes)
+        sets = [[] for _ in cubes] if certificate is None else [list(s) for s in certificate]
         rows = [(q.level, *q.index) for q in cubes if not q.shift]
         if len(rows) < len(cubes):
             raise ValueError("sparseness verification supports the standard lattice only")
@@ -104,10 +106,8 @@ class SparseFamily:
         if bad is not None:
             raise ValueError(f"cube indices must be in [0, 2^level), got {bad}")
         distinct("cubes", cubes)
-        stray = set(certificate) - set(cubes)
-        if stray:
-            raise ValueError(f"certificate keys must be family cubes, got {stray.pop()}")
-        sets = [list(certificate.get(q, ())) for q in cubes]
+        if cubes or sets:
+            one_per("witness set", "cube", sets, cubes)
         flat = list(chain.from_iterable(sets))
         wrong = next((c for c in flat if not _is_int(c) or not -(1 << 63) <= c < 1 << 63), None)
         if wrong is not None:  # int64 cell ids
@@ -121,14 +121,9 @@ class SparseFamily:
         """The cubes in family order, built on every read."""
         return _cubes(self.level, self.index)
 
-    @property
-    def certificate(self) -> dict[Cube, list[int]]:
-        """Each cube with witness cells -> its cells, in family order, built on every read."""
-        cells, bounds = self.cells.tolist(), self.offsets.tolist()
-        return {q: cells[a:b] for q, a, b in zip(self.cubes, bounds, bounds[1:]) if b > a}
-
     def __eq__(self, other) -> bool:
-        return isinstance(other, SparseFamily) and all(
+        """Same type, every field equal, arrays by value (a dataclass == over arrays raises)."""
+        return type(self) is type(other) and all(
             np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self)
         )
 
@@ -162,13 +157,20 @@ class SparseFamily:
 
 @dataclass
 class SparseRefutation:
-    """A Hall violator: cubes whose demand exceeds their union's measure."""
+    """A Hall violator: cubes whose demand exceeds their union's measure.
 
-    cubes: list[Cube]
+    Cube i is 2^(-level[i]) * ([0,1)^d + index[i]), as in ``SparseFamily``:
+    the refuted cube and its family descendants, in family order.
+    """
+
+    level: np.ndarray
+    index: np.ndarray
     demand: Fraction
     available: Fraction
     eta: float
     depth: int
+
+    __eq__ = SparseFamily.__eq__
 
 
 def certificate_depth(d: int, level: int, eta: float) -> int:
@@ -237,14 +239,14 @@ def _pack(level: np.ndarray, index: np.ndarray, eta: float):
             top, deeper = at[np.argmax(count[:, -1] < demand)], np.flatnonzero(level >= k)
             inside = deeper[np.all(index[deeper] >> (level[deeper] - k)[:, None] == index[top], axis=1)]
             owned = frac * Fraction(int(np.sum(1 << d * (depth - level[inside]))), 1 << d * depth)
-            return SparseRefutation(_cubes(level[inside], index[inside]), owned, Fraction(1, 1 << d * k), eta, depth)
+            return SparseRefutation(level[inside], index[inside], owned, Fraction(1, 1 << d * k), eta, depth)
         free[mine] = False
         cells[offsets[at, None] + np.arange(demand)] = mine.reshape(len(at), demand)
     return SparseFamily(level, index, cells, offsets, eta, depth)
 
 
 def sparse_form(
-    family: SparseFamily | Sequence[Cube],
+    family: SparseFamily,
     grid: Grid,
     fs: Sequence[np.ndarray],
     rs: Sequence[float],
@@ -254,16 +256,14 @@ def sparse_form(
 ) -> float:
     """( sum_Q (prod_j <f_j>_{r_j,Q})^q <g>_{sigma,Q}^q |Q| )^(1/q), exact.
 
-    q lies in (0, inf) and sigma, which defaults to q, in (0, inf].  A cube
-    list goes through ``SparseFamily.from_cubes``.  The terms are read off
-    the family's level and index arrays by ``dyadic._family_products``, as
-    in ``SparseOperator.apply``: only the blocks under the family's cubes are
-    reduced, each product equals its ``level_products`` entry bit for bit,
-    and the terms are summed left to right in family order.  The functions
+    q lies in (0, inf) and sigma, which defaults to q, in (0, inf].  The
+    terms are read off the family's level and index arrays by
+    ``dyadic._family_products``, as in ``SparseOperator.apply``: only the
+    blocks under the family's cubes are reduced, each product equals its
+    ``level_products`` entry bit for bit, and the terms are summed left to
+    right in family order.  The functions
     are scalar cell functions: one with atom axes is refused.
     """
-    if not isinstance(family, SparseFamily):
-        family = SparseFamily.from_cubes(family)
     check("q", q, FINITE)
     if g is not None and sigma is not None:
         check("sigma", sigma, EXPONENT)
@@ -416,7 +416,7 @@ class CZParts:
     good[j] = flat[j] + averaged[j]: the original function off the level set
     plus its r_j-average frozen on each selected maximal cube.  bad is the
     product remainder prod f_j - prod good[j].  selections[j][k] masks
-    component j's selected cubes at level k; ``stopping_cubes`` builds them.
+    component j's selected cubes at level k.
     """
 
     good: list[np.ndarray]
@@ -429,17 +429,6 @@ class CZParts:
     r: float
     component_thresholds: list[float]
     norms: list[float]
-
-    @property
-    def stopping_cubes(self) -> list[list[Cube]]:
-        """Each component's disjoint selected cubes, built from ``selections``
-        on every read, in descending Z-order of their first finest cell."""
-        out = []
-        for picks in self.selections:
-            level, index, code = _selected(picks, len(picks) - 1)
-            order = np.argsort(-code, kind="stable")
-            out.append(_cubes(level[order], index[order]))
-        return out
 
 
 def cz_decompose(
@@ -455,9 +444,8 @@ def cz_decompose(
     component threshold; the averaged part freezes the cube average there.
     They are found in one top-down sweep over the levels: at level k the
     selection is the exceeding cubes not covered by a coarser selection, and
-    the cover and the frozen values are refined one level at a time.  The
-    masks are kept; ``stopping_cubes`` builds the disjoint cubes from them on
-    read, in descending Z-order of their first finest cell (axis 0 high).
+    the cover and the frozen values are refined one level at a time, and
+    each level's selection mask is kept.
 
     The lattice is the full one of the zero extension beyond the window, so
     when the root average exceeds the threshold the selected cube is the
@@ -595,7 +583,7 @@ def stopping_domination(
     the high bit), then by level.  The audit reads level arrays as well:
     the lattice maximal function is the running max of the vector pyramid
     the sweeps read (``maximal._running_max``, bit for bit
-    ``lattice_maximal``), a cell's sum of A(Q)^q is a running sum down the
+    ``scalar_maximal``), a cell's sum of A(Q)^q is a running sum down the
     selection masks, and a cube's worst ratio its entry of
     ``level_averages`` at r = inf.
     """
@@ -703,5 +691,7 @@ def family_from_json(text: str) -> SparseFamily:
     pairs = [entries("certificate", entry, "cube", "cells") for entry in entered]
     at = [check("certificate cube", i, positions, integer=True) for i, _ in pairs]
     distinct("certificate cubes", at)
-    certificate = {cubes[i]: cells for i, (_, cells) in zip(at, pairs)}
+    certificate = [[] for _ in cubes]
+    for i, (_, cells) in zip(at, pairs):
+        certificate[i] = cells
     return SparseFamily.from_cubes(cubes, eta, certificate, depth)

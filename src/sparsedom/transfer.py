@@ -27,8 +27,8 @@ from typing import Sequence
 
 import numpy as np
 
-from ._checks import EXPONENT, at_least, check, increasing, need, nonempty, one_per
-from .dyadic import Cube, Grid, _family_products, grid_norm
+from ._checks import _REAL, EXPONENT, at_least, check, increasing, need, nonempty, one_per
+from .dyadic import Grid, _family_products, grid_norm
 from .maximal import check_tuple, scalar_maximal, tower
 from .sparse import SparseFamily, _check_on_grid
 from .spaces import (
@@ -149,28 +149,24 @@ class HaarTransform:
     """Martingale sign transform: mean plus signed per-cube differences.
 
     T f = E_0 f + sum_Q eps_Q (E_{k+1} f - E_k f) 1_Q over shift-0 cubes Q of
-    levels 0..depth-1, eps_Q in {+1,-1} (missing cubes default to +1, so the
-    empty dict is the identity).  The differences are orthogonal, so every
-    sign choice is an L^2 isometry.  One input function only.
+    levels 0..depth-1.  ``signs`` is the pyramid of eps_Q: level k an array
+    of shape (2^k,)*d with entries +1 or -1, levels 0 to the deepest signed
+    one; levels past it keep eps_Q = +1, so the empty pyramid is the
+    identity.  The differences are orthogonal, so every sign choice is an
+    L^2 isometry.  One input function only.
     """
 
     kind = "haar"
 
-    def __init__(self, signs: dict[Cube, float] | None = None):
-        # eps_Q as one array per level, levels 0 to the deepest signed cube
-        self.signs: list[np.ndarray] = []
-        for cube, eps in (signs or {}).items():
-            if float(eps) not in (1.0, -1.0):
-                raise ValueError(f"Haar signs must be +1 or -1, got {eps}")
-            if cube.shift != 0:
-                raise ValueError("Haar signs attach to shift-0 cubes")
-            if self.signs and cube.d != self.signs[0].ndim:
-                raise ValueError("sign cubes must share one dimension")
-            if any(not 0 <= i < (1 << cube.level) for i in cube.index):
-                raise ValueError("sign cube lies outside the unit cube")
-            while len(self.signs) <= cube.level:
-                self.signs.append(np.ones((1 << len(self.signs),) * cube.d))
-            self.signs[cube.level][cube.index] = float(eps)
+    def __init__(self, signs: Sequence[np.ndarray] = ()):
+        self.signs = [np.array(eps, dtype=float) for eps in signs]
+        d = self.signs[0].ndim if self.signs else 0
+        for k, eps in enumerate(self.signs):
+            if not d or eps.shape != (1 << k,) * d:
+                raise ValueError(f"Haar sign level {k} must have shape (2^{k},)*d for one d >= 1, got shape {eps.shape}")
+            wrong = eps[(eps != 1.0) & (eps != -1.0)]
+            if wrong.size:
+                raise ValueError(f"Haar signs must be +1 or -1, got {wrong[0]} at level {k}")
         self.rs = (1.0,)
         self.m = 1
         self.eta = None
@@ -178,11 +174,9 @@ class HaarTransform:
     @classmethod
     def random(cls, grid: Grid, seed: int = 0) -> "HaarTransform":
         """A sign per cube of levels 0..depth-1, drawn level by level in row-major order."""
-        rng, T = np.random.default_rng(seed), cls()
-        for k in range(grid.depth):
-            draws = [rng.choice([-1.0, 1.0]) for _ in range(1 << grid.d * k)]
-            T.signs.append(np.reshape(draws, (1 << k,) * grid.d))
-        return T
+        rng = np.random.default_rng(seed)
+        draws = [[rng.choice([-1.0, 1.0]) for _ in range(1 << grid.d * k)] for k in range(grid.depth)]
+        return cls([np.reshape(level, (1 << k,) * grid.d) for k, level in enumerate(draws)])
 
     def hypothesis_constant(self, q: float) -> None:
         # no a-priori certificate; the scalar check reports the measured one
@@ -244,12 +238,15 @@ def space_tuple(specs: Sequence, n: int) -> tuple[Space, ...]:
 
     Nested specs scale their outer axis with n and keep two inner atoms.
     All factors share the unit atomic measure, as the pointwise product
-    structure requires.
+    structure requires.  Any other spec is refused by name.
     """
     meas = AtomicMeasure.unit(n)
     out = []
     for spec in specs:
-        if isinstance(spec, (tuple, list)):
+        pair = isinstance(spec, (tuple, list)) and len(spec) == 2
+        if not all(isinstance(t, _REAL) for t in (spec if pair else [spec])):
+            raise ValueError(f"a space spec is an exponent t or a pair (t_outer, t_inner), got {spec!r}")
+        if pair:
             t_outer, t_inner = spec
             out.append(
                 IteratedSpace(

@@ -25,7 +25,7 @@ from sparsedom.dyadic import (
     shifted_grids,
 )
 from sparsedom import spaces
-from sparsedom.maximal import check_tuple, lattice_maximal, scalar_maximal
+from sparsedom.maximal import check_tuple, scalar_maximal
 from sparsedom.spaces import OrliczSpace, _nominal_exponent, _orlicz_split, harmonic_exponent, product_space
 from sparsedom.sparse import (
     CZParts,
@@ -236,12 +236,12 @@ def flow_sparse(cubes, eta):
     result = maximum_flow(graph, 0, sink)
 
     if result.flow_value == sum(demands):
-        certificate = {}
-        for i, q in enumerate(cubes):
+        certificate = []
+        for i in range(C):
             row = result.flow.getrow(1 + i)
-            certificate[q] = sorted(
+            certificate.append(sorted(
                 int(j) - 1 - C for j, fl in zip(row.indices, row.data) if fl > 0
-            )
+            ))
         return SparseFamily.from_cubes(cubes, eta, certificate, depth)
 
     residual = graph - result.flow
@@ -257,7 +257,12 @@ def flow_sparse(cubes, eta):
     violator = [q for i, q in enumerate(cubes) if 1 + i in reach]
     union = set().union(*(cell_sets[i] for i in range(C) if 1 + i in reach))
     demand = sum(frac * Fraction(1, (2**q.level) ** d) for q in violator)
-    return SparseRefutation(violator, demand, Fraction(len(union), ncells), eta, depth)
+    return SparseRefutation(*cube_arrays(violator), demand, Fraction(len(union), ncells), eta, depth)
+
+
+def cube_arrays(cubes):
+    """The level array and n x d index array of a nonempty ``Cube`` list, in order."""
+    return np.array([q.level for q in cubes]), np.array([q.index for q in cubes])
 
 
 def _require_standard(cubes):
@@ -309,11 +314,11 @@ def verify_sparse_walk(cubes, eta=0.5):
             ]
             total = sum(frac * Fraction(1, 2 ** (d * Q.level)) for Q in violator)
             return SparseRefutation(
-                violator, total, Fraction(1, 2 ** (d * P.level)), eta, depth
+                *cube_arrays(violator), total, Fraction(1, 2 ** (d * P.level)), eta, depth
             )
         free[cells] = False
         taken[i] = np.ravel_multi_index(cells, free.shape).tolist()
-    certificate = {q: taken[i] for i, q in enumerate(cubes)}
+    certificate = [taken[i] for i in range(len(cubes))]
     return SparseFamily.from_cubes(cubes, eta, certificate, depth)
 
 
@@ -322,11 +327,11 @@ def check_certificate_sets(family):
 
     A depth below a cube's level raises.
     """
-    if set(family.certificate) != set(family.cubes):
-        return False
     seen = set()
     eta = Fraction(family.eta)
-    for cube, cells in family.certificate.items():
+    bounds = family.offsets.tolist()
+    for cube, a, b in zip(family.cubes, bounds, bounds[1:]):
+        cells = family.cells[a:b].tolist()
         if seen.intersection(cells) or len(set(cells)) < len(cells):
             return False
         seen.update(cells)
@@ -339,9 +344,10 @@ def check_certificate_sets(family):
 
 
 def family_to_json_cubes(family):
-    """``sparse.family_to_json`` from the ``Cube`` views: each certificate
-    entry finds its cube by ``list.index``."""
+    """``sparse.family_to_json`` from the ``Cube`` list: one certificate
+    entry per cube whose slice of ``cells`` is not empty."""
     cubes = family.cubes
+    bounds = family.offsets.tolist()
     payload = {
         "eta": float(family.eta),
         "cubes": [
@@ -349,8 +355,9 @@ def family_to_json_cubes(family):
             for q in cubes
         ],
         "certificate": [
-            {"cube": cubes.index(q), "cells": list(cells)}
-            for q, cells in family.certificate.items()
+            {"cube": i, "cells": family.cells[a:b].tolist()}
+            for i, (a, b) in enumerate(zip(bounds, bounds[1:]))
+            if b > a
         ],
         "depth": family.certificate_depth,
     }
@@ -620,13 +627,7 @@ def greedy_walk(fs, rs, grid, eta=0.5):
 
 
 def cz_decompose_walk(grid, fs, rs, lam):
-    """``sparse.cz_decompose`` by a stack walk over ``Grid.children``."""
-    return cz_stack_walk(grid, fs, rs, lam)[0]
-
-
-def cz_stack_walk(grid, fs, rs, lam):
-    """The CZParts of a stack walk over ``Grid.children``, and its stopping
-    cubes per component in the walk's own pop order.
+    """``sparse.cz_decompose`` by a stack walk over ``Grid.children``.
 
     Pops the root, keeps a cube above its threshold, else pushes its
     children.  The selection masks are set from the kept cubes.
@@ -641,7 +642,7 @@ def cz_stack_walk(grid, fs, rs, lam):
     r = harmonic_exponent(rs)
     thresholds = [lam ** (r / rj) for rj in rs]
 
-    flat, averaged, good, level_sets, selections, stop_cubes = [], [], [], [], [], []
+    flat, averaged, good, level_sets, selections = [], [], [], [], []
     for f, rj, thr in zip(fn, rs, thresholds):
         lv = level_averages(grid, f, rj)
         selected = []
@@ -674,13 +675,11 @@ def cz_stack_walk(grid, fs, rs, lam):
         good.append(g1 + g2)
         level_sets.append(mask)
         selections.append(picks)
-        stop_cubes.append(selected)
 
     bad = np.prod(fn, axis=0) - np.prod(good, axis=0)
-    parts = CZParts(
+    return CZParts(
         good, flat, averaged, bad, level_sets, selections, lam, r, thresholds, norms
     )
-    return parts, stop_cubes
 
 
 def stopping_domination_walk(grid, Fs, rs, q, spaces, c_stop=1.0, max_doublings=20):
@@ -759,9 +758,9 @@ def stopping_domination_walk(grid, Fs, rs, q, spaces, c_stop=1.0, max_doublings=
 
 def stopping_audit(grid, Fs, rs, q, spaces, cubes, c):
     """(ratios, pointwise_ok) of a stopping family's cubes at constant c, by
-    cube slices, from the X-norm of ``lattice_maximal`` built afresh."""
+    cube slices, from the X-norm of ``scalar_maximal`` built afresh."""
     prod_space_X = product_space(spaces)
-    lhs = np.asarray(prod_space_X.norm(lattice_maximal(grid, Fs, rs)))
+    lhs = np.asarray(prod_space_X.norm(scalar_maximal(grid, Fs, rs)))
     scalar_lp = level_products(grid, [np.asarray(sp.norm(F)) for sp, F in zip(spaces, Fs)], rs)
     rhs_q = np.zeros(grid.cell_shape)
     for Q in cubes:  # top down along every chain, as the preorder lists them

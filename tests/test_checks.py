@@ -40,6 +40,7 @@ from sparsedom.transfer import (
     admissible_tuple,
     haar_unconditionality_probe,
     scalar_hypothesis_check,
+    space_tuple,
     transfer_sides,
     vv_transfer_check,
 )
@@ -75,11 +76,11 @@ REFUSALS = [
     # (0, inf], where inf is legal
     ("grid_norm-p", lambda: grid_norm(G, ONES, -INF), r"p must be in \(0, inf\], got -inf"),
     ("level_averages-r", lambda: level_averages(G, ONES, NAN), r"r must be in \(0, inf\], got nan"),
-    ("sparse_form-sigma", lambda: sparse_form([Cube(0, (0,))], G, [ONES], [1.0], g=ONES, sigma=NAN),
+    ("sparse_form-sigma", lambda: sparse_form(ROOT_ONLY, G, [ONES], [1.0], g=ONES, sigma=NAN),
      r"sigma must be in \(0, inf\], got nan"),
     ("SparseOperator-r", lambda: SparseOperator(SparseFamily.from_cubes([Cube(0, (0,))]), rs=(NAN,)), r"r_1 must be in \(0, inf\], got nan"),
     # (0, inf)
-    ("sparse_form-q", lambda: sparse_form([Cube(0, (0,))], G, [ONES], [1.0], q=INF),
+    ("sparse_form-q", lambda: sparse_form(ROOT_ONLY, G, [ONES], [1.0], q=INF),
      r"q must be in \(0, inf\), got inf"),
     ("cz_decompose-norms", lambda: cz_decompose(G, [np.full(G.cell_shape, NAN)], [1.0], 1.0),
      r"norm of f_1 must be in \(0, inf\), got nan"),
@@ -137,9 +138,18 @@ REFUSALS = [
      "need q <= p, got q=3.0 > p=2.0"),
     ("vv-one-atom-count", lambda: vv_transfer_check([HAAR], G, [2.0], 1.0, INF, ns=(4,)),
      r"need at least two atom counts to fit a slope, got \(4,\)"),
+    # a space spec is an exponent t or a pair (t_outer, t_inner)
+    ("space-spec-one", lambda: vv_transfer_check([HAAR], Grid(1, 2), [(2.0,)], 1.0, INF, trials=1),
+     r"a space spec is an exponent t or a pair \(t_outer, t_inner\), got \(2.0,\)"),
+    ("space-spec-three", lambda: space_tuple([(3.0, 2.0, 2.0)], 2),
+     r"a space spec is an exponent t or a pair \(t_outer, t_inner\), got \(3.0, 2.0, 2.0\)"),
+    ("space-spec-word", lambda: space_tuple(["abc"], 2),
+     r"a space spec is an exponent t or a pair \(t_outer, t_inner\), got 'abc'"),
+    ("space-spec-inner-word", lambda: space_tuple([[3.0, "2"]], 2),
+     r"a space spec is an exponent t or a pair \(t_outer, t_inner\), got \[3.0, '2'\]"),
     ("stopping-shifted", lambda: stopping_domination(Grid(1, 2, 1), [np.ones((4, 2))], [1.0], 1.0, [LebesgueSpace(2.0, U2)]),
      r"cell functions live on the shift-0 grid, got Grid\(d=1, depth=2, shift=1\)"),
-    ("sparse_form-atoms", lambda: sparse_form([Cube(0, (0,))], G, [np.ones((4, 2))], [1.0]),
+    ("sparse_form-atoms", lambda: sparse_form(ROOT_ONLY, G, [np.ones((4, 2))], [1.0]),
      r"sparse_form takes scalar functions of shape \(4,\), got shape \(4, 2\)"),
     # a group of models sharing one trial suite
     ("models-none", lambda: vv_transfer_check([], G, [2.0], 1.0, INF), "need at least one model, got none"),

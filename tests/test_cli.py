@@ -470,8 +470,8 @@ def test_reports_match_the_stack_walks(monkeypatch, command, dim, depth, seed):
 
 
 def test_cz_battery_builds_no_cubes(monkeypatch):
-    """The cz battery reads the level arrays only; reading stopping_cubes
-    builds one list of cubes per component."""
+    """The cz battery reads the level arrays only, and its results hold
+    their selections as level masks, with no view that builds cubes."""
     built, parts, cubes = [], [], sparse._cubes
 
     def counted(*args):
@@ -486,14 +486,14 @@ def test_cz_battery_builds_no_cubes(monkeypatch):
     monkeypatch.setattr(cli, "cz_decompose", kept)
     run("cz", {"dim": 2, "depth": 4, "seed": 0})
     assert parts and not built
-    assert len(parts[-1].stopping_cubes) == len(built) == len(parts[-1].selections) == 2
+    assert not hasattr(parts[-1], "stopping_cubes") and len(parts[-1].selections) == 2
 
 
 def test_sparse_families_build_no_cubes_until_read(monkeypatch):
     """The equivalence battery, both optimizer modes and the stopping
     recursion keep their families as level and index arrays, and the JSON
-    writer reads those: no Cube is built or compared until ``cubes`` or
-    ``certificate`` is read."""
+    writer reads those: no Cube is built or compared until ``cubes`` is
+    read."""
     calls = {"init": 0, "eq": 0}
     init, eq = Cube.__init__, Cube.__eq__
 
@@ -520,8 +520,8 @@ def test_sparse_families_build_no_cubes_until_read(monkeypatch):
     text = family_to_json(exact)
     assert len(exact.level) > 1000 and len(greedy.level) > 1 and len(cert.family.level) > 1
     assert calls == {"init": 0, "eq": 0}
-    # each read of a view builds one cube per family cube
-    assert len(exact.certificate) == len(exact.level) == calls["init"]
+    # each read of the view builds one cube per family cube
+    assert len(exact.cubes) == len(exact.level) == calls["init"]
     assert family_from_json(text).cubes == exact.cubes
 
 

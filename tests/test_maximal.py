@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sparsedom.dyadic import Grid
-from sparsedom.maximal import lattice_maximal, maximal_opnorm_lower, scalar_maximal
+from sparsedom.maximal import maximal_opnorm_lower, scalar_maximal
 from sparsedom.spaces import AtomicMeasure, LebesgueSpace
 import oracles
 from oracles import naive_scalar_maximal
@@ -74,14 +74,14 @@ def test_lattice_single_atom_matches_scalar():
     grid = Grid(1, 2)
     rng = np.random.default_rng(4)
     f = rng.exponential(size=grid.cell_shape)
-    lat = lattice_maximal(grid, [f[:, None]], [1.0])
+    lat = scalar_maximal(grid, [f[:, None]], [1.0])
     assert np.allclose(lat[:, 0], scalar_maximal(grid, [f], [1.0]), rtol=1e-12)
 
 
 def test_lattice_two_atom_example():
     grid = Grid(1, 1)
     F = np.array([[1.0, 0.0], [0.0, 1.0]])
-    out = lattice_maximal(grid, [F], [1.0])
+    out = scalar_maximal(grid, [F], [1.0])
     assert np.allclose(out[:, 0], [1.0, 0.5])
     assert np.allclose(out[:, 1], [0.5, 1.0])
 
@@ -90,16 +90,16 @@ def test_lattice_constant_in_x_returns_input():
     grid = Grid(1, 2)
     vals = np.array([0.3, 2.0, 1.1])
     F = np.broadcast_to(vals, grid.cell_shape + (3,)).copy()
-    out = lattice_maximal(grid, [F], [2.0])
+    out = scalar_maximal(grid, [F], [2.0])
     assert np.allclose(out, F, rtol=1e-12)
 
 
 def test_lattice_mismatched_atoms_rejected():
     grid = Grid(1, 1)
-    with pytest.raises(ValueError):
-        lattice_maximal(grid, [np.ones((2, 2)), np.ones((2, 3))], [1.0, 1.0])
-    with pytest.raises(ValueError):
-        lattice_maximal(grid, [np.ones(2)], [1.0])
+    with pytest.raises(ValueError, match="functions must share the grid cell shape and atoms"):
+        scalar_maximal(grid, [np.ones((2, 2)), np.ones((2, 3))], [1.0, 1.0])
+    with pytest.raises(ValueError, match="functions must share the grid cell shape and atoms"):
+        scalar_maximal(grid, [np.ones((2, 2)), np.ones(2)], [1.0, 1.0])
 
 
 @settings(max_examples=30, deadline=None)
@@ -110,7 +110,7 @@ def test_slice_identity(data):
     rng = np.random.default_rng(data.draw(st.integers(0, 1000)))
     Fs = [rng.exponential(size=grid.cell_shape + (n,)) for _ in range(2)]
     rs = [1.0, 2.0]
-    lat = lattice_maximal(grid, Fs, rs)
+    lat = scalar_maximal(grid, Fs, rs)
     for w in range(n):
         sliced = scalar_maximal(grid, [F[..., w] for F in Fs], rs)
         assert np.allclose(lat[..., w], sliced, rtol=1e-12)

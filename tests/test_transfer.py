@@ -202,9 +202,9 @@ class TestSparseOperator:
         # the witness cells that certify the shift-0 cube make no family of
         # the shifted one
         cube, shifted = Cube(1, (0,)), Cube(1, (0,), shift=1)
-        SparseOperator(SparseFamily.from_cubes([cube], 0.5, {cube: [0, 1]}, 3), rs=(1.0,))
+        SparseOperator(SparseFamily.from_cubes([cube], 0.5, [[0, 1]], 3), rs=(1.0,))
         with pytest.raises(ValueError, match="sparseness verification supports the standard lattice only"):
-            SparseFamily.from_cubes([shifted], 0.5, {shifted: [0, 1]}, 3)
+            SparseFamily.from_cubes([shifted], 0.5, [[0, 1]], 3)
         # the exponents are checked before the certificate
         with pytest.raises(ValueError, match=r"r_1 must be in \(0, inf\], got nan"):
             SparseOperator(SparseFamily.from_cubes([cube]), rs=(math.nan,))
@@ -242,7 +242,7 @@ class TestHaarTransform:
 
     def test_root_flip_pinned(self):
         grid = Grid(1, 1)
-        T = HaarTransform({Cube(0, (0,)): -1.0})
+        T = HaarTransform([np.array([-1.0])])
         out = T.apply(grid, [np.array([1.0, 0.0])])
         assert np.allclose(out, [0.0, 1.0], atol=1e-15)
 
@@ -281,22 +281,16 @@ class TestHaarTransform:
         grid = Grid(data.draw(st.sampled_from([1, 2])), data.draw(st.integers(0, 5)))
         atoms = tuple(data.draw(st.lists(st.integers(1, 3), max_size=2)))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        # a random subset of the cubes gets a random sign; the rest default to +1
-        signs = {
-            cube: float(rng.choice([-1.0, 1.0]))
-            for cube in Grid(grid.d, max(grid.depth - 1, 0)).cubes()
-            if grid.depth and rng.random() < 0.7
-        }
+        # signs on levels 0 to a random one; the levels past it keep +1
+        signs = [rng.choice([-1.0, 1.0], size=(1 << k,) * grid.d) for k in range(data.draw(st.integers(0, grid.depth)))]
         T = HaarTransform(signs)
-        # the constructor puts each cube's sign at its level and index, +1 elsewhere
-        assert all(T.signs[cube.level][cube.index] == eps for cube, eps in signs.items())
-        assert sum(int(np.sum(s == -1.0)) for s in T.signs) == list(signs.values()).count(-1.0)
+        assert len(T.signs) == len(signs) and all(np.array_equal(a, b) for a, b in zip(T.signs, signs))
         for _ in range(2):
             f = oracles.signed_cells(rng, grid.cell_shape + atoms)
             assert np.array_equal(T.apply(grid, [f]), oracles.haar_apply_loop(T, grid, [f]))
 
     def test_signs_are_validated_on_every_grid(self):
-        T = HaarTransform({Cube(2, (0,)): -1.0})
+        T = HaarTransform([np.ones(1), np.ones(2), np.array([-1.0, 1.0, 1.0, 1.0])])
         T.apply(Grid(1, 3), [np.ones(8)])
         for _ in range(2):
             with pytest.raises(ValueError, match="no children"):
@@ -308,20 +302,28 @@ class TestHaarTransform:
             HaarTransform().apply(grid, [np.ones(2), np.ones(2)])
 
     def test_sign_validation(self):
-        with pytest.raises(ValueError, match=r"\+1 or -1"):
-            HaarTransform({Cube(0, (0,)): 2.0})
-        with pytest.raises(ValueError, match="shift-0"):
-            HaarTransform({Cube(1, (0,), shift=1): 1.0})
+        for level in ([2.0], [0.0], [math.nan], [-0.5]):
+            with pytest.raises(ValueError, match=rf"Haar signs must be \+1 or -1, got {level[0]} at level 0"):
+                HaarTransform([np.array(level)])
+        with pytest.raises(ValueError, match=r"Haar signs must be \+1 or -1, got 0.0 at level 1"):
+            HaarTransform([np.ones(1), np.array([1.0, 0.0])])
+        # level k has shape (2^k,)*d, one d >= 1 for all levels
+        for signs, k, shape in [
+            ([np.ones(2)], 0, r"\(2,\)"),
+            ([np.ones(1), np.ones(3)], 1, r"\(3,\)"),
+            ([np.ones(1), np.ones((2, 2))], 1, r"\(2, 2\)"),
+            ([np.ones((1, 1)), np.ones(2)], 1, r"\(2,\)"),
+            ([np.ones((1, 1)), np.ones((2, 1))], 1, r"\(2, 1\)"),
+            ([np.array(1.0)], 0, r"\(\)"),
+        ]:
+            with pytest.raises(ValueError, match=rf"Haar sign level {k} must have shape \(2\^{k},\)\*d for one d >= 1, got shape {shape}"):
+                HaarTransform(signs)
         grid = Grid(1, 2)
-        deep = HaarTransform({Cube(2, (0,)): -1.0})
+        deep = HaarTransform([np.ones(1), np.ones(2), np.array([-1.0, 1.0, 1.0, 1.0])])
         with pytest.raises(ValueError, match="no children"):
             deep.apply(grid, [np.ones(4)])
-        with pytest.raises(ValueError, match="outside"):
-            HaarTransform({Cube(1, (2,)): -1.0})
-        with pytest.raises(ValueError, match="one dimension"):
-            HaarTransform({Cube(0, (0,)): 1.0, Cube(1, (0, 1)): -1.0})
         with pytest.raises(ValueError, match="dimension does not match"):
-            HaarTransform({Cube(0, (0, 0)): -1.0}).apply(grid, [np.ones(4)])
+            HaarTransform([-np.ones((1, 1))]).apply(grid, [np.ones(4)])
 
 
 # ---------------------------------------------------------------------------
