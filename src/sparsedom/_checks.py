@@ -109,6 +109,13 @@ def entries(what: str, obj, *keys: str) -> list:
     return [obj[key] for key in keys]
 
 
+def json_list(name: str, x) -> list:
+    """x itself when it is a JSON array, read as a list; else a named refusal."""
+    if not isinstance(x, list):
+        raise ValueError(f"{name} must be a list, got {x!r}")
+    return x
+
+
 def csv_rows(fh, header: Sequence[str]) -> Iterator[list[str]]:
     """The rows of an open CSV file after its header line, each with at least
     one field per header name; else a named refusal.  Rows are numbered by

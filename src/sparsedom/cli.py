@@ -209,12 +209,13 @@ def _equivalence_checks(cfg: dict) -> list[dict]:
     high_case = low_case = greedy_case = None
     for rs in [(1.0,), (1.0, 1.0), (2.0, 1.0)]:
         case_max = 0.0
-        for trial in range(cfg["trials"]):
-            fs = _positive_inputs(rng, grid, len(rs))
-            # one pyramid for the three; the running max overwrites it, so last
-            lp = level_products(grid, fs, rs)
-            exact_val, exact_fam = _optimize_form(grid, lp, rs, "exact", eta)
-            greedy_val, _ = _optimize_form(grid, lp, rs, "greedy", eta)
+        inputs = [_positive_inputs(rng, grid, len(rs)) for _ in range(cfg["trials"])]
+        # one pyramid per trial for the three, and one optimizer call per mode
+        # for all trials; the running max overwrites a pyramid, so last
+        pyramids = [level_products(grid, fs, rs) for fs in inputs]
+        exact = _optimize_form(grid, pyramids, rs, "exact", eta)
+        greedy = _optimize_form(grid, pyramids, rs, "greedy", eta)
+        for trial, (fs, lp, (exact_val, exact_fam), (greedy_val, _)) in enumerate(zip(inputs, pyramids, exact, greedy)):
             mnorm = grid_norm(grid, _running_max(grid, lp), 1.0)
             ratio, raw = mnorm / (eta * exact_val), mnorm / exact_val
             witness = (rs, trial, fs, ratio, raw)  # serialized only if reported

@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._checks import EXPONENT, FINITE, UNIT, _is_int, check, distinct, entries, interval, one_per
+from ._checks import EXPONENT, FINITE, UNIT, _is_int, check, distinct, entries, interval, json_list, one_per
 from .dyadic import Cube, Grid, _family_products, grid_norm, level_averages, level_products
 from .maximal import _check_convexity, _running_max, check_tuple
 from .spaces import Space, harmonic_exponent, product_space
@@ -100,6 +100,9 @@ class SparseFamily:
         rows = [(q.level, *q.index) for q in cubes if not q.shift]
         if len(rows) < len(cubes):
             raise ValueError("sparseness verification supports the standard lattice only")
+        wrong = next((q for q, r in zip(cubes, rows) if len(r) < 2 or not all(map(_is_int, r))), None)
+        if wrong is not None:
+            raise ValueError(f"a cube needs an int level and one int index per axis, got {wrong}")
         if len({len(r) for r in rows}) > 1:
             raise ValueError("cubes must share one dimension")
         bad = next((q for q, r in zip(cubes, rows) if min(r) < 0 or any(m >> r[0] for m in r[1:])), None)
@@ -271,15 +274,20 @@ def sparse_form(
     if g is not None:
         fs, rs = fs + [g], rs + [q if sigma is None else sigma]
     one_per("exponent", "function", rs, fs)
-    for f in fs:
-        if np.shape(f) != grid.cell_shape:
-            raise ValueError(f"sparse_form takes scalar functions of shape {grid.cell_shape}, got shape {np.shape(f)}")
+    _check_scalar("sparse_form", grid, fs)
     _check_on_grid(family, grid)
     products = _family_products(grid, fs, rs, family.level, family.index)
     total = 0.0
     for k, p in zip(family.level.tolist(), products):
         total += float(p) ** q * 2.0 ** (-k * grid.d)
     return total ** (1.0 / q)
+
+
+def _check_scalar(caller: str, grid: Grid, fs: Sequence[np.ndarray]) -> None:
+    """Refuse a function that is no scalar cell function of ``grid``, naming the caller."""
+    for f in fs:
+        if np.shape(f) != grid.cell_shape:
+            raise ValueError(f"{caller} takes scalar functions of shape {grid.cell_shape}, got shape {np.shape(f)}")
 
 
 def _check_on_grid(family: SparseFamily, grid: Grid) -> None:
@@ -317,23 +325,40 @@ def optimal_sparse_form(
     greedy family is sparse at a slightly smaller eta when sum 1/r_j > 1
     (set on the result).
     Both modes refuse shifted grids: they optimize on the standard lattice.
-    Both read the ``level_products`` pyramid of (fs, rs) through
-    ``_optimize_form``, which a caller holding that pyramid calls directly.
+    The functions are scalar cell functions with finite entries: one with
+    atom axes, which the batched optimizer would read as a batch, or with a
+    NaN or infinite entry, is refused by name.
+    This is the batch of one of ``_optimize_form``, which reads the
+    ``level_products`` pyramids of many inputs that share ``rs`` and
+    optimizes them all in one knapsack or one sweep; each input's result is
+    bit for bit the one it gets alone.
     """
-    return _optimize_form(grid, level_products(grid, fs, rs), rs, mode, eta)
+    one_per("exponent", "function", rs, fs)
+    _check_scalar("optimal_sparse_form", grid, fs)
+    for j, f in enumerate(fs, 1):
+        if not np.all(np.isfinite(f)):
+            raise ValueError(f"optimal_sparse_form takes finite functions, got a non-finite entry in f_{j}")
+    [result] = _optimize_form(grid, [level_products(grid, fs, rs)], rs, mode, eta)
+    return result
 
 
 def _optimize_form(
-    grid: Grid, lp: dict[int, np.ndarray], rs: Sequence[float], mode: str, eta: float
-) -> tuple[float, SparseFamily]:
-    """``optimal_sparse_form`` on the pyramid lp = ``level_products(grid, fs, rs)``.
+    grid: Grid, pyramids: Sequence[dict[int, np.ndarray]], rs: Sequence[float], mode: str, eta: float
+) -> list[tuple[float, SparseFamily]]:
+    """``optimal_sparse_form`` on each pyramid lp = ``level_products(grid, fs, rs)``
+    of a batch whose inputs share ``rs``: one (value, family) per pyramid, in order.
 
-    lp is only read: the greedy sweep writes fresh ``_refine`` copies.
+    Each level of the pyramids is stacked along a trailing input axis, and
+    the knapsack or the greedy sweep runs once on the stack.  Both are
+    elementwise across that axis, so an input's masks are bit for bit those
+    of a batch of one.  The masks are read off, ordered, summed and packed
+    per input.  The pyramids are only read.
     """
     check("eta", eta, UNIT)
     if grid.shift:
         raise ValueError("sparse forms are optimized on the standard lattice only")
-    contrib = [lp[k] * 2.0 ** (-grid.d * k) for k in range(grid.depth + 1)]
+    lp = [np.stack([p[k] for p in pyramids], axis=-1) for k in range(grid.depth + 1)]
+    contrib = [v * 2.0 ** (-grid.d * k) for k, v in enumerate(lp)]
     if mode == "exact":
         picks = _knapsack_picks(contrib, grid.d, Fraction(eta))
     elif mode == "greedy":
@@ -352,25 +377,60 @@ def _optimize_form(
             anchor[picks[-1]] = lp[k][picks[-1]]
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    level, index, code = _selected(picks, grid.depth)
-    values = np.concatenate([c[sel] for c, sel in zip(contrib, picks)])
-    if mode == "exact":
-        order = np.argsort(-values, kind="stable")
-    else:  # descending Z-order of the last finest cell, then by level
-        order = np.lexsort((level, -(code + (1 << grid.d * (grid.depth - level)) - 1)))
-    value = float(np.cumsum(np.concatenate(([0.0], values[order])))[-1])  # left to right; np.sum pairs
-    family = _pack(level[order], index[order], eta)
-    if not isinstance(family, SparseFamily):
-        raise AssertionError(f"{mode} family failed sparseness verification")
-    return value, family
+    results = []
+    for b in range(len(pyramids)):
+        mine = [sel[..., b] for sel in picks]
+        level, index, code = _selected(mine, grid.depth)
+        values = np.concatenate([c[..., b][sel] for c, sel in zip(contrib, mine)])
+        if mode == "exact":
+            order = np.argsort(-values, kind="stable")
+        else:  # descending Z-order of the last finest cell, then by level
+            order = np.lexsort((level, -(code + (1 << grid.d * (grid.depth - level)) - 1)))
+        value = float(np.cumsum(np.concatenate(([0.0], values[order])))[-1])  # left to right; np.sum pairs
+        family = _pack(level[order], index[order], eta)
+        if not isinstance(family, SparseFamily):
+            raise AssertionError(f"{mode} family failed sparseness verification")
+        results.append((value, family))
+    return results
+
+
+_KNAPSACK_CELLS = 1 << 16  # finest cells, over all its inputs, of one knapsack chunk
 
 
 def _knapsack_picks(contrib: Sequence[np.ndarray], d: int, eta: Fraction) -> list[np.ndarray]:
-    """Per-level masks of the exact optimum of ``optimal_sparse_form``: the
-    leaves' children hold empty selections, and loads past |Q|/eta are cut."""
-    depth = len(contrib) - 1
+    """Per-level masks of the exact optimum of ``optimal_sparse_form`` for a
+    batch of inputs.
+
+    contrib[k] holds the level-k contributions prod_j <f_j>_{r_j,Q} |Q| of B
+    inputs, shape (2^k,)*d + (B,); the masks keep that trailing input axis.
+    The tables of B inputs take B times the memory of one, so the inputs run
+    in chunks of at most max(1, 2^16 // 2^(d depth)): a chunk holds at most
+    2^16 finest cells in all, or one input.  With eta = num/den, level k's
+    tables hold t_k = min(den/num, depth - k + 1) entries per finest cell
+    (``optimal_sparse_form``); a chunk peaks under 48 S bytes per finest
+    cell, S = t_0 + ... + t_depth, plus 1 MiB.  At d=2 L=6 and eta = 1/2
+    that is 16 inputs a chunk and under 40 MiB (18.4 MiB measured).
+    """
+    depth, inputs = len(contrib) - 1, contrib[0].shape[-1]
+    step = max(1, _KNAPSACK_CELLS >> d * depth)
+    chunks = [_knapsack_chunk([c[..., i : i + step] for c in contrib], d, eta) for i in range(0, inputs, step)]
+    return [np.concatenate(masks, axis=-1) for masks in zip(*chunks)]
+
+
+def _knapsack_chunk(contrib: Sequence[np.ndarray], d: int, eta: Fraction) -> list[np.ndarray]:
+    """``_knapsack_picks`` on one chunk of inputs, all in one pass.
+
+    A table has shape (2^k,)*d + (inputs, loads).  Every step is
+    elementwise across the input axis: the sums, comparisons and masked
+    copies of the merge, the take/skip choice, the roll along the load axis,
+    and the backtrack's argmax and gathers along it.  So each input's masks
+    keep the bits of a knapsack on it alone (kept as the oracle in
+    ``tests/oracles.py``).  The leaves' children hold empty selections, and
+    loads past |Q|/eta are cut.
+    """
+    depth, inputs = len(contrib) - 1, contrib[0].shape[-1]
     kids = [tuple(slice(b, None, 2) for b in e) for e in product((0, 1), repeat=d)]
-    g, steps = np.zeros((2 << depth,) * d + (1,)), []
+    g, steps = np.zeros((2 << depth,) * d + (inputs, 1)), []
     for k in range(depth, -1, -1):
         cells = 1 << (d * (depth - k))
         acc, args = g[kids[0]], []
@@ -393,10 +453,12 @@ def _knapsack_picks(contrib: Sequence[np.ndarray], d: int, eta: Fraction) -> lis
         chosen = (take >= skip)[..., :top]
         g = np.where(chosen, take[..., :top], skip[..., :top])
         steps.append((cells, chosen, args))
-    load, picks = np.full((1,) * d, np.argmax(g)), []
+    # the root's smallest best load, per input
+    load, picks = np.argmax(g, axis=-1), []
     for cells, chosen, args in reversed(steps):
         picks.append(np.take_along_axis(chosen, load[..., None], axis=-1)[..., 0])
-        rest, load = load - picks[-1] * cells, np.empty(tuple(2 * n for n in load.shape), dtype=int)
+        rest = load - picks[-1] * cells
+        load = np.empty(tuple(2 * n for n in load.shape[:d]) + (inputs,), dtype=int)
         for e, arg in zip(kids[:0:-1], args[::-1]):
             load[e] = np.take_along_axis(arg, rest[..., None], axis=-1)[..., 0]
             rest = rest - load[e]
@@ -686,12 +748,15 @@ def family_from_json(text: str) -> SparseFamily:
     """The family of a ``family_to_json`` text; a certificate entry must name
     a listed cube by its position, at most once."""
     eta, listed, entered, depth = entries("family", json.loads(text), "eta", "cubes", "certificate", "depth")
-    cubes = [Cube(k, tuple(m), s) for k, m, s in (entries("cube", c, "level", "index", "shift") for c in listed)]
+    cubes = [
+        Cube(k, tuple(json_list("cube index", m)), s)
+        for k, m, s in (entries("cube", c, "level", "index", "shift") for c in json_list("cubes", listed))
+    ]
     positions = interval(0, len(cubes), lo_closed=True)
-    pairs = [entries("certificate", entry, "cube", "cells") for entry in entered]
+    pairs = [entries("certificate", entry, "cube", "cells") for entry in json_list("certificate", entered)]
     at = [check("certificate cube", i, positions, integer=True) for i, _ in pairs]
     distinct("certificate cubes", at)
     certificate = [[] for _ in cubes]
     for i, (_, cells) in zip(at, pairs):
-        certificate[i] = cells
+        certificate[i] = json_list("certificate cells", cells)
     return SparseFamily.from_cubes(cubes, eta, certificate, depth)

@@ -10,6 +10,7 @@ import math
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations, product
+from typing import Sequence
 
 import numpy as np
 
@@ -24,7 +25,7 @@ from sparsedom.dyadic import (
     level_products,
     shifted_grids,
 )
-from sparsedom import spaces
+from sparsedom import spaces, sparse
 from sparsedom.maximal import check_tuple, scalar_maximal
 from sparsedom.spaces import OrliczSpace, _nominal_exponent, _orlicz_split, harmonic_exponent, product_space
 from sparsedom.sparse import (
@@ -398,6 +399,68 @@ def exhaustive_best_form(cube_values, eta, depth):
             if value > best:
                 best, best_family = value, list(sub)
     return best, best_family
+
+
+def knapsack_picks(contrib: Sequence[np.ndarray], d: int, eta: Fraction) -> list[np.ndarray]:
+    """Per-level masks of the exact optimum of ``optimal_sparse_form``: the
+    leaves' children hold empty selections, and loads past |Q|/eta are cut.
+
+    The library's knapsack before it took a trailing input axis, verbatim:
+    one input, contrib[k] of shape (2^k,)*d."""
+    depth = len(contrib) - 1
+    kids = [tuple(slice(b, None, 2) for b in e) for e in product((0, 1), repeat=d)]
+    g, steps = np.zeros((2 << depth,) * d + (1,)), []
+    for k in range(depth, -1, -1):
+        cells = 1 << (d * (depth - k))
+        acc, args = g[kids[0]], []
+        for e in kids[1:]:
+            # max-plus with the next child, looping over its (shorter)
+            # table; a tie keeps the child's smaller load
+            n, child = acc.shape[-1], g[e]
+            out = np.full(acc.shape[:-1] + (n + child.shape[-1] - 1,), -np.inf)
+            args.append(np.zeros(out.shape, dtype=np.int32))
+            for i in range(child.shape[-1]):
+                cand = acc + child[..., i : i + 1]
+                better = cand > out[..., i : i + n]
+                np.copyto(out[..., i : i + n], cand, where=better)
+                np.copyto(args[-1][..., i : i + n], i, where=better)
+            acc = out
+        skip = np.concatenate([acc, np.full(acc.shape[:-1] + (cells,), -np.inf)], axis=-1)
+        # take[b] = skip[b - |Q|] + c_Q; the roll brings the -inf pad below |Q|
+        take = np.roll(skip, cells, axis=-1) + contrib[k][..., None]
+        top = eta.denominator * cells // eta.numerator + 1
+        chosen = (take >= skip)[..., :top]
+        g = np.where(chosen, take[..., :top], skip[..., :top])
+        steps.append((cells, chosen, args))
+    load, picks = np.full((1,) * d, np.argmax(g)), []
+    for cells, chosen, args in reversed(steps):
+        picks.append(np.take_along_axis(chosen, load[..., None], axis=-1)[..., 0])
+        rest, load = load - picks[-1] * cells, np.empty(tuple(2 * n for n in load.shape), dtype=int)
+        for e, arg in zip(kids[:0:-1], args[::-1]):
+            load[e] = np.take_along_axis(arg, rest[..., None], axis=-1)[..., 0]
+            rest = rest - load[e]
+        load[kids[0]] = rest
+    return picks
+
+
+def knapsack_picks_per_input(contrib, d, eta):
+    """``sparse._knapsack_picks`` by ``knapsack_picks`` on one input at a
+    time: contrib[k] has a trailing input axis, and so do the masks."""
+    inputs = contrib[0].shape[-1]
+    each = [knapsack_picks([c[..., b] for c in contrib], d, eta) for b in range(inputs)]
+    return [np.stack(masks, axis=-1) for masks in zip(*each)]
+
+
+@contextmanager
+def knapsack_per_input():
+    """Within the block, the exact optimizer solves each input's knapsack
+    alone, by ``knapsack_picks``."""
+    saved = sparse._knapsack_picks
+    sparse._knapsack_picks = knapsack_picks_per_input
+    try:
+        yield
+    finally:
+        sparse._knapsack_picks = saved
 
 
 # ---------------------------------------------------------------------------

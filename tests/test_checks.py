@@ -29,6 +29,8 @@ from sparsedom.sparse import (
     certificate_depth,
     cz_decompose,
     family_from_json,
+    family_to_json,
+    optimal_sparse_form,
     sparse_form,
     stopping_domination,
     verify_sparse,
@@ -69,6 +71,7 @@ NO_CLOSED_DUAL = [
     ("power-1", OrliczSpace.from_power(1.0, U2)),
     ("mixed-iterated", IteratedSpace(LebesgueSpace(3.0, U2), OrliczSpace.from_power(2.0, U2))),
 ]
+FAMILY_PAYLOAD = family_to_json(ROOT_ONLY)  # the root, witness cell 0 at depth 1
 ITERATED_PAYLOAD = space_to_json(IteratedSpace(LebesgueSpace(2.0, AtomicMeasure([1.0, 2.0])), LebesgueSpace(3.0, U2)))
 
 # (id, call, message): the message names the parameter, its range and the value
@@ -151,6 +154,18 @@ REFUSALS = [
      r"cell functions live on the shift-0 grid, got Grid\(d=1, depth=2, shift=1\)"),
     ("sparse_form-atoms", lambda: sparse_form(ROOT_ONLY, G, [np.ones((4, 2))], [1.0]),
      r"sparse_form takes scalar functions of shape \(4,\), got shape \(4, 2\)"),
+    # the optimizers read a trailing axis as a batch of inputs, so a
+    # function with atom axes is refused, as is a non-finite entry
+    *[
+        (f"optimal_sparse_form-{mode}-{name}", lambda mode=mode, f=f: optimal_sparse_form([ONES, f], [1.0, 1.0], G, mode=mode),
+         message)
+        for mode in ("exact", "greedy")
+        for name, f, message in [
+            ("atoms", np.ones((4, 2)), r"optimal_sparse_form takes scalar functions of shape \(4,\), got shape \(4, 2\)"),
+            ("nan", np.array([1.0, NAN, 1.0, 1.0]), "optimal_sparse_form takes finite functions, got a non-finite entry in f_2"),
+            ("inf", np.array([1.0, INF, 1.0, 1.0]), "optimal_sparse_form takes finite functions, got a non-finite entry in f_2"),
+        ]
+    ],
     # a group of models sharing one trial suite
     ("models-none", lambda: vv_transfer_check([], G, [2.0], 1.0, INF), "need at least one model, got none"),
     ("models-m", lambda: scalar_hypothesis_check([HAAR, SparseOperator(ROOT_ONLY, rs=(1.0, 1.0))], G, 1.0),
@@ -181,6 +196,21 @@ REFUSALS = [
     ("family-json-cubes", lambda: family_from_json('{"eta": 0.5}'), "family payload needs a 'cubes' entry"),
     ("family-json-shift", lambda: family_from_json('{"eta": 0.5, "cubes": [{"level": 0, "index": [0]}], "certificate": [], "depth": 0}'),
      "cube payload needs a 'shift' entry"),
+    # and refuse a list entry that is no list, or a cube that is not ints
+    ("family-json-cells-int", lambda: family_from_json(FAMILY_PAYLOAD.replace('"cells": [0]', '"cells": 5')),
+     "certificate cells must be a list, got 5"),
+    ("family-json-index-int", lambda: family_from_json(FAMILY_PAYLOAD.replace('"index": [0]', '"index": 5')),
+     "cube index must be a list, got 5"),
+    ("family-json-cubes-int", lambda: family_from_json(FAMILY_PAYLOAD.replace('"cubes": [', '"cubes": 5, "was": [')),
+     "cubes must be a list, got 5"),
+    ("family-json-certificate-word", lambda: family_from_json(FAMILY_PAYLOAD.replace('"certificate": [', '"certificate": "x", "was": [')),
+     "certificate must be a list, got 'x'"),
+    ("family-json-index-word", lambda: family_from_json(FAMILY_PAYLOAD.replace('"index": [0]', '"index": ["0"]')),
+     r"a cube needs an int level and one int index per axis, got Cube\(level=0, index=\('0',\), shift=0\)"),
+    ("family-json-level-float", lambda: family_from_json(FAMILY_PAYLOAD.replace('"level": 0', '"level": 0.5')),
+     r"a cube needs an int level and one int index per axis, got Cube\(level=0.5, index=\(0,\), shift=0\)"),
+    ("family-json-index-empty", lambda: family_from_json(FAMILY_PAYLOAD.replace('"index": [0]', '"index": []')),
+     r"a cube needs an int level and one int index per axis, got Cube\(level=0, index=\(\), shift=0\)"),
     ("function-json-L", lambda: function_from_json('{"d": 1, "values": [1.0]}'), "function payload needs a 'L' entry"),
     # an iterated payload's atoms are its outer layer's
     ("space-json-iterated-atoms", lambda: space_from_json(json.dumps({**json.loads(ITERATED_PAYLOAD), "atoms": [7.0]})),

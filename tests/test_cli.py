@@ -32,6 +32,7 @@ from sparsedom.sparse import (
 from oracles import (
     check_certificate_sets,
     cz_decompose_walk,
+    knapsack_picks_per_input,
     stopping_domination_walk,
     verify_sparse_walk,
 )
@@ -554,8 +555,9 @@ def test_batteries_build_cubes_only_for_the_transfer_chain(monkeypatch, command,
     [("stopping", 1, 6), ("stopping", 2, 3), ("cz", 2, 3), ("equivalence", 1, 3), ("equivalence", 2, 2)],
 )
 def test_stopping_cz_equivalence_reports_equal_the_oracle_paths(monkeypatch, command, dim, depth, seed):
-    """The level-array verification, certificate check and stopping audit
-    leave the reports of the per-cube walks, loops and set checks."""
+    """The level-array verification, certificate check, stopping audit and
+    batched knapsack leave the reports of the per-cube walks, loops, set
+    checks and single-input knapsacks."""
     config = {"dim": dim, "depth": depth, "seed": seed}
     fast = run(command, config)
     for module in (sparse, cli):
@@ -564,6 +566,8 @@ def test_stopping_cz_equivalence_reports_equal_the_oracle_paths(monkeypatch, com
     # the optimizers pack their level and index arrays without verify_sparse
     monkeypatch.setattr(sparse, "_pack", lambda level, index, eta: verify_sparse_walk(sparse._cubes(level, index), eta))
     monkeypatch.setattr(sparse.SparseFamily, "check_certificate", check_certificate_sets)
+    # and solve the knapsack of every trial alone
+    monkeypatch.setattr(sparse, "_knapsack_picks", knapsack_picks_per_input)
     assert run(command, config) == fast
 
 
@@ -574,3 +578,13 @@ def test_equivalence_builds_one_pyramid_per_trial(bind_everywhere):
     bind_everywhere(products, lambda g, fs, rs: calls.append(tuple(rs)) or products(g, fs, rs))
     run("equivalence", {"dim": 1, "depth": 3, "trials": 4, "seed": 0})
     assert calls == [rs for rs in [(1.0,), (1.0, 1.0), (2.0, 1.0)] for _ in range(4)]
+
+
+def test_equivalence_solves_all_trials_of_a_tuple_in_one_knapsack(monkeypatch):
+    """The exact optimum of every trial of one exponent tuple comes from one
+    knapsack call over the stacked trials: one call per tuple, each with the
+    tuple's four trials on its input axis."""
+    calls, picks = [], sparse._knapsack_picks
+    monkeypatch.setattr(sparse, "_knapsack_picks", lambda c, d, eta: calls.append(c[0].shape) or picks(c, d, eta))
+    run("equivalence", {"dim": 1, "depth": 3, "trials": 4, "seed": 0})
+    assert calls == [(1, 4)] * 3

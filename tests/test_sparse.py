@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import json
 import math
+import tracemalloc
 import zlib
 from fractions import Fraction
 
@@ -41,6 +42,8 @@ from oracles import (
     flow_sparse,
     greedy_walk,
     hall_feasible,
+    knapsack_per_input,
+    knapsack_picks,
     sparse_form_walk,
     stopping_audit,
     stopping_domination_walk,
@@ -450,16 +453,18 @@ class TestOptimalExact:
 
     @pytest.mark.parametrize("d, depth", [(1, 4), (2, 3)])
     def test_optimizers_only_read_the_pyramid(self, d, depth):
-        # a caller reuses the pyramid after both modes, so neither writes it
+        # a caller reuses every pyramid of a batch after both modes, so
+        # neither writes one, and each input gets its batch-of-one result
         grid, rs = Grid(d, depth), [1.0, 2.0]
         rng = np.random.default_rng(79)
-        fs = [rng.lognormal(size=grid.cell_shape) for _ in rs]
-        lp = dyadic.level_products(grid, fs, rs)
-        kept = {k: v.copy() for k, v in lp.items()}
+        inputs = [[rng.lognormal(size=grid.cell_shape) for _ in rs] for _ in range(3)]
+        pyramids = [dyadic.level_products(grid, fs, rs) for fs in inputs]
+        kept = [{k: v.copy() for k, v in lp.items()} for lp in pyramids]
         for mode in ("exact", "greedy"):
-            value, family = sparse_module._optimize_form(grid, lp, rs, mode, 0.5)
-            assert all(np.array_equal(lp[k], kept[k]) for k in kept)
-            assert (value, family) == optimal_sparse_form(fs, rs, grid, mode=mode)
+            results = sparse_module._optimize_form(grid, pyramids, rs, mode, 0.5)
+            for lp, was in zip(pyramids, kept):
+                assert all(np.array_equal(lp[k], was[k]) for k in was)
+            assert results == [optimal_sparse_form(fs, rs, grid, mode=mode) for fs in inputs]
 
     @pytest.mark.parametrize("mode", ["exact", "greedy"])
     def test_shifted_lattice_refused(self, mode):
@@ -529,6 +534,63 @@ def test_knapsack_metamorphic_bounds(case, other):
     # candidate of the exact search there
     gval, gfam = optimal_sparse_form(fs, rs, g, mode="greedy", eta=eta)
     assert gval <= optimal_sparse_form(fs, rs, g, eta=gfam.eta)[0] * (1 + 1e-12)
+
+
+@st.composite
+def knapsack_batches(draw):
+    """A grid, an eta the battery accepts, exponents and a batch of 1 to 5
+    inputs.  Some inputs are constant, where equal loads tie at every cube
+    and the child's-smaller-load and smallest-root-load rules decide the
+    picks; some take values in {0, 1, 2}."""
+    d, depth = draw(st.sampled_from([(1, 0), (1, 1), (1, 3), (1, 5), (2, 1), (2, 2), (2, 3)]))
+    g, rs = Grid(d, depth), list(draw(st.sampled_from(R_CASES)))
+    eta = draw(st.sampled_from([1 / 2, 1 / 4, 1 / 32, 3 / 4]))
+    cell = st.sampled_from([st.integers(0, 2).map(float), st.floats(1e-3, 4.0)])
+    batch = []
+    for _ in range(draw(st.integers(1, 5))):
+        if draw(st.booleans()):
+            batch.append([np.full(g.cell_shape, draw(st.sampled_from([0.0, 1.0, 2.0]))) for _ in rs])
+        else:
+            batch.append([draw(arrays(np.float64, g.cell_shape, elements=draw(cell))) for _ in rs])
+    return g, eta, rs, batch
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=knapsack_batches())
+def test_batched_knapsack_equals_the_oracle_per_input(case):
+    # one call for the batch: every input's masks, value and family are
+    # those of the single-input knapsack run on it alone
+    g, eta, rs, batch = case
+    pyramids = [dyadic.level_products(g, fs, rs) for fs in batch]
+    contrib = [np.stack([lp[k] for lp in pyramids], axis=-1) * 2.0 ** (-g.d * k) for k in range(g.depth + 1)]
+    masks = sparse_module._knapsack_picks(contrib, g.d, Fraction(eta))
+    for b in range(len(batch)):
+        alone = knapsack_picks([c[..., b] for c in contrib], g.d, Fraction(eta))
+        assert all(np.array_equal(m[..., b], a) for m, a in zip(masks, alone))
+    results = sparse_module._optimize_form(g, pyramids, rs, "exact", eta)
+    with knapsack_per_input():
+        assert results == [sparse_module._optimize_form(g, [lp], rs, "exact", eta)[0] for lp in pyramids]
+
+
+def test_knapsack_batch_memory_stays_under_the_stated_bound(monkeypatch):
+    # 25 inputs at d=2 L=6 run in chunks of 2^16 // 4^6 = 16 inputs, and a
+    # chunk peaks under 48 S bytes per finest cell plus 1 MiB, S the sum of
+    # the per-level table entries per cell (the _knapsack_picks docstring)
+    d, depth, eta = 2, 6, Fraction(1, 2)
+    rng = np.random.default_rng(31)
+    contrib = [rng.lognormal(size=(1 << k,) * d + (25,)) * 2.0 ** (-d * k) for k in range(depth + 1)]
+    chunks, solve = [], sparse_module._knapsack_chunk
+    monkeypatch.setattr(sparse_module, "_knapsack_chunk", lambda c, *args: chunks.append(c[0].shape[-1]) or solve(c, *args))
+    S = sum(min(eta.denominator / eta.numerator, depth - k + 1) for k in range(depth + 1))
+    tracemalloc.start()
+    try:
+        masks = sparse_module._knapsack_picks(contrib, d, eta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert chunks == [16, 9]
+    assert [m.shape for m in masks] == [c.shape for c in contrib]
+    assert peak < 48 * S * (1 << 16) + (1 << 20)
 
 
 @settings(max_examples=40, deadline=None)
