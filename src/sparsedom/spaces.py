@@ -172,22 +172,30 @@ class LebesgueSpace(Space):
         self.t = float(t)
 
     def norm(self, xi):
+        xi = np.asarray(xi, dtype=float)
         a = self._atoms(xi)
         if math.isinf(self.t):
             return _as_scalar(a.max(axis=-1))
         w = self.measure.weights
-        # np.power: a NumPy scalar's ** rounds unlike the array loop.  The
-        # matmul still sums a row in an order set by the batch size.  A power
-        # that overflows is renormed below, so it need not warn.  An empty
-        # batch reads as in range through the initial values.
+        # a is a fresh |xi|, so it takes the power in place: one temporary
+        # of the input's size, not two, and the same bits, as in-place and
+        # plain ** share np.power's scalar-exponent loop.  np.power on the
+        # sums: a NumPy scalar's ** rounds unlike the array loop.  The
+        # matmul still sums a row in an order set by the batch size.  A
+        # power that overflows is renormed below, so it need not warn.  An
+        # empty batch reads as in range through the initial values.
         with np.errstate(over="ignore"):
-            total = a**self.t @ w
+            a **= self.t
+            total = a @ w
         out = np.power(total, 1.0 / self.t)
+        # the range tests read xi, not its power, which can underflow to 0
+        # on a nonzero row
         lo, hi = np.min(total, initial=math.inf), np.max(total, initial=0.0)
-        if hi < math.inf and (_TINY <= lo or not a[total < _TINY].any()):
+        if hi < math.inf and (_TINY <= lo or not xi[total < _TINY].any()):
             return _as_scalar(out)  # every sum in range, or from a zero row
         # a power sum that overflows or leaves the normal range loses its
         # row; norm such nonzero rows again scaled by their largest entry
+        a = np.abs(xi)
         top = a.max(axis=-1)
         odd = ~((total >= _TINY) & (total < math.inf)) & (top > 0) & (top < math.inf)
         if np.any(odd):

@@ -264,8 +264,9 @@ def sparse_form(
     ``dyadic._family_products``, as in ``SparseOperator.apply``: only the
     blocks under the family's cubes are reduced, each product equals its
     ``level_products`` entry bit for bit, and the terms are summed left to
-    right in family order.  The functions
-    are scalar cell functions: one with atom axes is refused.
+    right in family order.  The functions are scalar cell functions with
+    finite entries: one with atom axes, or with a NaN or infinite entry, is
+    refused by name.
     """
     check("q", q, FINITE)
     if g is not None and sigma is not None:
@@ -284,10 +285,12 @@ def sparse_form(
 
 
 def _check_scalar(caller: str, grid: Grid, fs: Sequence[np.ndarray]) -> None:
-    """Refuse a function that is no scalar cell function of ``grid``, naming the caller."""
-    for f in fs:
+    """Refuse a function that is no finite scalar cell function of ``grid``, naming the caller."""
+    for j, f in enumerate(fs, 1):
         if np.shape(f) != grid.cell_shape:
             raise ValueError(f"{caller} takes scalar functions of shape {grid.cell_shape}, got shape {np.shape(f)}")
+        if not np.all(np.isfinite(f)):
+            raise ValueError(f"{caller} takes finite functions, got a non-finite entry in f_{j}")
 
 
 def _check_on_grid(family: SparseFamily, grid: Grid) -> None:
@@ -335,9 +338,6 @@ def optimal_sparse_form(
     """
     one_per("exponent", "function", rs, fs)
     _check_scalar("optimal_sparse_form", grid, fs)
-    for j, f in enumerate(fs, 1):
-        if not np.all(np.isfinite(f)):
-            raise ValueError(f"optimal_sparse_form takes finite functions, got a non-finite entry in f_{j}")
     [result] = _optimize_form(grid, [level_products(grid, fs, rs)], rs, mode, eta)
     return result
 

@@ -1,10 +1,13 @@
-"""The benchmark's correctness gate on ``sparse-certify``, inside the tier-1 suite.
+"""The benchmark's correctness gate on ``sparse-certify`` and ``vector-transfer``,
+inside the tier-1 suite.
 
-The four ``sparse-certify`` operations of ``perfbench/workloads.py`` run at
+The operations of each workload in ``perfbench/workloads.py`` (four for
+``sparse-certify``, two ``transfer`` batteries for ``vector-transfer``) run at
 seeds 0 and 1, and ``perfbench/gate.judge`` compares each output with its
-stored reference in ``perfbench/refs/sparse-certify.json``, which is only
-read.  A speed change that moves a report past the gate fails here before
-the benchmark runs.
+stored reference in ``perfbench/refs/<workload>.json``, which is only read.
+A speed change that moves a report past the gate fails here before the
+benchmark runs.  The ``vector-transfer`` gate compares fitted slopes of size
+about 1e-16 at a relative tolerance, so there it fails on one ulp.
 """
 
 import importlib.util
@@ -28,11 +31,10 @@ def _load(name: str):
 gate, workloads = _load("gate"), _load("workloads")
 
 
-@pytest.mark.parametrize("seed", [0, 1])
-def test_sparse_certify_passes_the_benchmark_gate(seed):
-    refs = gate.load_refs("sparse-certify")[str(seed)]["outputs"]
-    ops = workloads.sparse_certify(seed)
-    assert len(ops) == len(refs) == 4
+def _passes_the_gate(workload: str, seed: int, count: int) -> None:
+    refs = gate.load_refs(workload)[str(seed)]["outputs"]
+    ops = workloads.WORKLOADS[workload](seed)
+    assert len(ops) == len(refs) == count
     for op, ref in zip(ops, refs):
         try:
             result, error = op.call(), None
@@ -40,3 +42,13 @@ def test_sparse_certify_passes_the_benchmark_gate(seed):
             result, error = None, exc
         _, problems = gate.judge(op, result, error, ref)
         assert problems == [], (op.label, problems)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_sparse_certify_passes_the_benchmark_gate(seed):
+    _passes_the_gate("sparse-certify", seed, 4)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_vector_transfer_passes_the_benchmark_gate(seed):
+    _passes_the_gate("vector-transfer", seed, 2)

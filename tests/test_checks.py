@@ -154,6 +154,15 @@ REFUSALS = [
      r"cell functions live on the shift-0 grid, got Grid\(d=1, depth=2, shift=1\)"),
     ("sparse_form-atoms", lambda: sparse_form(ROOT_ONLY, G, [np.ones((4, 2))], [1.0]),
      r"sparse_form takes scalar functions of shape \(4,\), got shape \(4, 2\)"),
+    *[
+        (f"sparse_form-{name}", lambda f=f: sparse_form(ROOT_ONLY, G, [ONES, f], [1.0, 1.0]),
+         "sparse_form takes finite functions, got a non-finite entry in f_2")
+        for name, f in [
+            ("nan", np.array([1.0, NAN, 1.0, 1.0])),
+            ("inf", np.array([1.0, INF, 1.0, 1.0])),
+            ("neg-inf", np.array([1.0, -INF, 1.0, 1.0])),
+        ]
+    ],
     # the optimizers read a trailing axis as a batch of inputs, so a
     # function with atom axes is refused, as is a non-finite entry
     *[

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -666,6 +667,23 @@ def test_lebesgue_norm_scales_rows_out_of_range():
     out = LebesgueSpace(2.0, U3).norm(X)
     assert out[:2] == pytest.approx([1e-300, 5.0], rel=1e-12, abs=0.0)
     assert out[2] == 0.0 and out[3] == math.inf
+
+
+@pytest.mark.parametrize("t", [1.0, 2.0, 4.0])
+def test_lebesgue_norm_takes_the_power_in_place(t):
+    # |xi| is the norm's one temporary of the input's size: the power
+    # overwrites it, and the input itself is left as it was
+    xi = np.random.default_rng(0).lognormal(sigma=1.0, size=(32, 32, 32))
+    before = xi.copy()
+    sp = LebesgueSpace(t, AtomicMeasure.unit(32))
+    tracemalloc.start()
+    try:
+        sp.norm(xi)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * xi.nbytes
+    assert np.array_equal(xi, before)
 
 
 # ---------------------------------------------------------------------------

@@ -751,13 +751,32 @@ def test_grouped_models_equal_each_model_alone(d, depth, s, group):
 @pytest.mark.parametrize("group", ["haar-sparse", "pair"])
 @pytest.mark.parametrize("d, depth", [(1, 3), (2, 2)])
 def test_ratios_follow_the_per_atom_count_streams(d, depth, group):
-    # trials outside and atom counts inside draw what a loop over n with the
-    # profile stream reseeded draws, bit for bit
+    # every trial's profiles first, then atom counts outside and trials
+    # inside, draw what a loop over n with the profile stream reseeded
+    # draws, bit for bit
     grid = Grid(d, depth)
     models, specs = model_groups(grid)[group]
     reports = vv_transfer_check(models, grid, specs, 1.0, 8.0, ns=(2, 3, 8), trials=9, seed=4)
     for T, rep in zip(models, reports):
         assert rep.ratios == oracles.transfer_ratios_per_atom_count(T, grid, specs, 1.0, 8.0, (2, 3, 8), 9, 4)
+
+
+@pytest.mark.parametrize("group", ["haar-sparse", "pair"])
+def test_atom_counts_run_outside_and_trials_inside(monkeypatch, group):
+    # each atom count lifts and evaluates every trial back to back, so the
+    # largest count's arrays are not made and freed once per trial
+    grid = Grid(2, 2)
+    counts = []
+
+    def counted(Ts, grid, Fs, *args):
+        counts.append(Fs[0].shape[grid.d])
+        return transfer_sides(Ts, grid, Fs, *args)
+
+    monkeypatch.setattr(transfer, "transfer_sides", counted)
+    models, specs = model_groups(grid)[group]
+    trials = 5
+    vv_transfer_check(models, grid, specs, 1.0, INF, ns=(2, 8, 32), trials=trials)
+    assert counts == [2] * trials + [8] * trials + [32] * trials
 
 
 @pytest.mark.parametrize("size", [1, 2, 3])
