@@ -1,4 +1,4 @@
-"""Dyadic cubes, shifted grids, the three-lattice covering, and r-averages.
+"""Dyadic cubes, shifted grids and r-averages.
 
 Everything lives on the unit cube [0,1)^d, d in {1,2}, truncated at a depth
 cap so that every supremum in the toolkit is a finite maximum.  Functions are
@@ -7,23 +7,25 @@ stored as plain numpy arrays of shape (2^L,)*d, optionally with trailing axes
 (one value per atom of a function space).  Integrals of such functions are
 finite sums, so averages are exact up to float rounding.
 
-Shifted grids follow the one-third trick: grid alpha consists of the cubes
+A ``Cube`` is (level, index) on the standard lattice.  Shifted grids follow
+the one-third trick: grid alpha consists of the cubes
 
     2^(-k) * ([0,1)^d + m + (-1)^k * a/3),    a = per-axis digits of alpha,
 
 which is nested in k (the two children of a cube along an axis have indices
 2m + (-1)^k a and 2m + (-1)^k a + 1).  Shifted cubes may protrude from the
-unit cube; averages are then taken over the intersection with [0,1)^d.  Cover
-decisions use exact rational arithmetic, so the covering suites are exact.
+unit cube; averages are then taken over the intersection with [0,1)^d.  A
+shifted ``Grid`` holds level arrays only: its cubes are entries of those
+arrays, not ``Cube`` objects.
 
 ``level_averages`` is the one r-average kernel, for every lattice: it refines
 each axis with a nonzero shift digit into thirds, which makes every cube of a
 level one contiguous block of subcells, and reduces all blocks of a level in
 one zero-padded reshape.  On the shift-0 lattice the blocks tile the cells,
-so a level is a plain reshape-and-sum divided by one integer count.
-``average`` reads one cube, shifted or not, off its lattice's level arrays.
-A sparse family reads its cubes' blocks only (``_family_products``), summed
-in the full reshape's order, so its values equal the level arrays' entries.
+so a level is a plain reshape-and-sum divided by one integer count, and
+``average`` reads one ``Cube`` off it.  A sparse family reads its cubes'
+blocks only (``_family_products``), summed in the full reshape's order, so
+its values equal the level arrays' entries.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ import csv
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 from typing import Iterator, Sequence
 
@@ -44,7 +45,6 @@ __all__ = [
     "Cube",
     "Grid",
     "shifted_grids",
-    "cover_cube",
     "average",
     "level_averages",
     "level_products",
@@ -59,8 +59,6 @@ MAX_DEPTH = {1: 12, 2: 6}
 _DIMENSIONS = interval(1, 2, lo_closed=True, hi_closed=True)
 _DEPTHS = {d: interval(0, cap, lo_closed=True, hi_closed=True) for d, cap in MAX_DEPTH.items()}
 _SHIFTS = {d: interval(0, 3**d, lo_closed=True) for d in MAX_DEPTH}
-_SIDES = interval(0, 1, hi_closed=True)
-_CORNERS = interval(0, 1, lo_closed=True)
 
 
 def _digits(shift: int, d: int) -> tuple[int, ...]:
@@ -70,54 +68,14 @@ def _digits(shift: int, d: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class Cube:
-    """One dyadic cube 2^(-level) * ([0,1)^d + index + sign*digits/3)."""
+    """One standard-lattice dyadic cube 2^(-level) * ([0,1)^d + index)."""
 
     level: int
     index: tuple[int, ...]
-    shift: int = 0
 
     @property
     def d(self) -> int:
         return len(self.index)
-
-    @property
-    def side(self) -> float:
-        return 2.0 ** (-self.level)
-
-    @property
-    def measure(self) -> float:
-        return 2.0 ** (-self.level * self.d)
-
-    @property
-    def sign(self) -> int:
-        # level-alternating sign of the one-third shift
-        return 1 if self.level % 2 == 0 else -1
-
-    @property
-    def shift_digits(self) -> tuple[int, ...]:
-        return _digits(self.shift, self.d)
-
-    def support_exact(self) -> list[tuple[Fraction, Fraction]]:
-        """Per-axis [lo, hi) as exact rationals."""
-        den = 3 * (1 << self.level)
-        out = []
-        for m, a in zip(self.index, self.shift_digits):
-            lo = Fraction(3 * m + self.sign * a, den)
-            out.append((lo, lo + Fraction(3, den)))
-        return out
-
-    def support(self) -> list[tuple[float, float]]:
-        """Per-axis [lo, hi) in floats."""
-        return [(float(lo), float(hi)) for lo, hi in self.support_exact()]
-
-    def contains(self, lower: Sequence, side) -> bool:
-        """Exact test: is the axis-parallel cube (lower, side) inside self."""
-        side = Fraction(side)
-        for (lo, hi), x in zip(self.support_exact(), lower):
-            x = Fraction(x)
-            if x < lo or x + side > hi:
-                return False
-        return True
 
 
 def _axis_range(level: int, digit: int) -> range:
@@ -133,7 +91,8 @@ class Grid:
     """The finite tree of dyadic cubes of one shift, levels 0..depth.
 
     The function domain (finest cells) always refers to the shift-0 grid at
-    level ``depth``; a shifted ``Grid`` only enumerates cube geometry.
+    level ``depth``.  A shifted ``Grid`` holds level arrays only: it counts
+    its cubes but builds no ``Cube``.
     """
 
     def __init__(self, d: int, depth: int, shift: int = 0):
@@ -151,86 +110,42 @@ class Grid:
     def __repr__(self) -> str:
         return f"Grid(d={self.d}, depth={self.depth}, shift={self.shift})"
 
+    def _standard(self, *cubes: Cube) -> None:
+        """Refuse a shifted grid, and any of ``cubes`` off this one."""
+        if self.shift:
+            raise ValueError(f"cubes lie on the standard lattice; {self!r} holds level arrays only")
+        for q in cubes:
+            if q.d != self.d or not 0 <= q.level <= self.depth or not all(0 <= m < 1 << q.level for m in q.index):
+                raise ValueError(f"{q} lies off {self!r}")
+
     def level_cubes(self, level: int) -> list[Cube]:
+        self._standard()
         check("level", level, interval(0, self.depth, lo_closed=True, hi_closed=True), integer=True)
-        ranges = [_axis_range(level, a) for a in self.digits]
-        return [Cube(level, index, self.shift) for index in product(*ranges)]
+        return [Cube(level, index) for index in product(range(1 << level), repeat=self.d)]
 
     def cubes(self) -> Iterator[Cube]:
         for level in range(self.depth + 1):
             yield from self.level_cubes(level)
 
     def ncubes(self) -> int:
+        """The count of cubes on this grid's lattice, shifted or not."""
         return sum(math.prod(len(_axis_range(k, a)) for a in self.digits) for k in range(self.depth + 1))
 
     def children(self, cube: Cube) -> list[Cube]:
-        """The up-to-2^d subcubes at the next level meeting [0,1)^d."""
+        """The 2^d subcubes at the next level, none at the depth.  A cube off
+        the grid raises ValueError."""
+        self._standard(cube)
         if cube.level >= self.depth:
             return []
-        k1 = cube.level + 1
-        digits = cube.shift_digits
-        axes = []
-        for m, a in zip(cube.index, digits):
-            base = 2 * m + cube.sign * a
-            rng = _axis_range(k1, a)
-            axes.append([b for b in (base, base + 1) if b in rng])
-        return [Cube(k1, index, self.shift) for index in product(*axes)]
+        return [
+            Cube(cube.level + 1, tuple(2 * m + e for m, e in zip(cube.index, bits)))
+            for bits in product((0, 1), repeat=self.d)
+        ]
 
 
 def shifted_grids(d: int, depth: int) -> list[Grid]:
     """All 3^d shifted grids at the same dimension and depth."""
     return [Grid(d, depth, alpha) for alpha in range(3**d)]
-
-
-def cover_cube(lower: Sequence, side) -> tuple[int, Cube]:
-    """Cover an arbitrary axis-parallel cube by one shifted dyadic cube.
-
-    Returns (alpha, Q') with Q contained in Q' and |Q'| <= 6^d |Q|.  The
-    level is the largest k with 2^(-k) >= 3*side (so 2^(-k) < 6*side), and
-    per axis at most one of the three digit classes has a grid endpoint
-    cutting through Q, which leaves a containing cube in one of the others.
-    Sides longer than 1/3 are covered by the shift-0 root directly.  The
-    side lies in (0, 1] and each lower-corner coordinate in [0, 1).
-    """
-    check("side", side, _SIDES)
-    lower = [Fraction(check(f"lower corner x_{i}", x, _CORNERS)) for i, x in enumerate(lower, 1)]
-    side = Fraction(side)
-    d = len(lower)
-    if d not in (1, 2):
-        raise ValueError(f"dimension must be 1 or 2, got {d}")
-    for x in lower:
-        if x + side > 1:
-            raise ValueError("cube must sit inside [0,1)^d")
-
-    # exact standard-grid cubes cover themselves at ratio 1
-    if side.numerator == 1 and side.denominator & (side.denominator - 1) == 0:
-        if all(x % side == 0 for x in lower):
-            k = side.denominator.bit_length() - 1
-            return 0, Cube(k, tuple(int(x / side) for x in lower), 0)
-
-    if side > Fraction(1, 3):
-        return 0, Cube(0, (0,) * d, 0)
-
-    k = 0
-    while Fraction(1, 2 ** (k + 1)) >= 3 * side:
-        k += 1
-    sign = 1 if k % 2 == 0 else -1
-    scale = Fraction(1 << k)
-
-    digits, index = [], []
-    for x in lower:
-        for a in (0, 1, 2):
-            t = scale * x - Fraction(sign * a, 3)
-            m = math.floor(t)
-            hi = (m + 1 + Fraction(sign * a, 3)) / scale
-            if x + side <= hi:
-                digits.append(a)
-                index.append(m)
-                break
-        else:  # unreachable: at most one digit class can fail
-            raise AssertionError("no admissible one-third shift found")
-    alpha = sum(a * 3**i for i, a in enumerate(digits))
-    return alpha, Cube(k, tuple(index), alpha)
 
 
 def _check_cells(grid: Grid, f: np.ndarray) -> np.ndarray:
@@ -374,19 +289,12 @@ def _family_products(
 
 
 def average(grid: Grid, f: np.ndarray, r: float, cube: Cube):
-    """The r-average <f>_{r,Q} of one cube, exact (see level_averages).
-
-    The cube may come from any of the 3^d lattices.  Trailing axes of ``f``
-    broadcast (one average per atom).  A cube that is not in its lattice's
-    index range raises ValueError.
+    """The r-average <f>_{r,Q} of one cube, read off its level of
+    ``level_averages``.  Trailing axes of ``f`` broadcast (one average per
+    atom).  A cube off the grid raises ValueError.
     """
-    if cube.d != grid.d or not 0 <= cube.level <= grid.depth:
-        raise ValueError(f"{cube} lies off the d={grid.d} lattices of depth {grid.depth}")
-    ranges = [_axis_range(cube.level, a) for a in cube.shift_digits]
-    if any(m not in rng for m, rng in zip(cube.index, ranges)):
-        raise ValueError(f"{cube} does not meet [0,1)^{grid.d}")
-    lv = level_averages(Grid(grid.d, grid.depth, cube.shift), f, r)[cube.level]
-    return lv[tuple(m - rng.start for m, rng in zip(cube.index, ranges))]
+    grid._standard(cube)
+    return level_averages(grid, f, r)[cube.level][cube.index]
 
 
 def grid_norm(grid: Grid, f: np.ndarray, p: float, weight: np.ndarray | None = None) -> float:

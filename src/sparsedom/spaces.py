@@ -182,12 +182,13 @@ class LebesgueSpace(Space):
         # plain ** share np.power's scalar-exponent loop.  np.power on the
         # sums: a NumPy scalar's ** rounds unlike the array loop.  The
         # matmul still sums a row in an order set by the batch size.  A
-        # power that overflows is renormed below, so it need not warn.  An
-        # empty batch reads as in range through the initial values.
+        # power that overflows is renormed below, so it need not warn, and
+        # a norm past the largest double (for t < 1) is inf.  An empty
+        # batch reads as in range through the initial values.
         with np.errstate(over="ignore"):
             a **= self.t
             total = a @ w
-        out = np.power(total, 1.0 / self.t)
+            out = np.power(total, 1.0 / self.t)
         # the range tests read xi, not its power, which can underflow to 0
         # on a nonzero row
         lo, hi = np.min(total, initial=math.inf), np.max(total, initial=0.0)

@@ -91,15 +91,13 @@ class SparseFamily:
         certificate[i] (none without a certificate), as ``family_to_json``
         writes them.
 
-        The cubes must be distinct shift-0 cubes of one dimension inside the
-        unit cube, the certificate one list of int cells per cube; else a
-        named refusal.
+        The cubes must be distinct cubes of one dimension inside the unit
+        cube, the certificate one list of int cells per cube; else a named
+        refusal.
         """
         cubes = list(cubes)
         sets = [[] for _ in cubes] if certificate is None else [list(s) for s in certificate]
-        rows = [(q.level, *q.index) for q in cubes if not q.shift]
-        if len(rows) < len(cubes):
-            raise ValueError("sparseness verification supports the standard lattice only")
+        rows = [(q.level, *q.index) for q in cubes]
         wrong = next((q for q, r in zip(cubes, rows) if len(r) < 2 or not all(map(_is_int, r))), None)
         if wrong is not None:
             raise ValueError(f"a cube needs an int level and one int index per axis, got {wrong}")
@@ -195,8 +193,8 @@ def certificate_depth(d: int, level: int, eta: float) -> int:
 def verify_sparse(cubes: Sequence[Cube], eta: float = 0.5):
     """Decide eta-sparseness exactly; SparseFamily or SparseRefutation.
 
-    The cubes must be distinct shift-0 cubes of one dimension inside the
-    unit cube, as ``SparseFamily.from_cubes`` requires.  The demand eta |Q|
+    The cubes must be distinct cubes of one dimension inside the unit
+    cube, as ``SparseFamily.from_cubes`` requires.  The demand eta |Q|
     must be an integer number of cells at the working depth, which is
     refined automatically for dyadic eta; other eta values cannot be
     resolved on any dyadic refinement and raise.
@@ -583,7 +581,7 @@ def _selected(picks: Sequence[np.ndarray], depth: int):
 
 
 def _cubes(level: np.ndarray, index: np.ndarray) -> list[Cube]:
-    """Shift-0 cubes of level and n x d index arrays, with Python ints."""
+    """The cubes of level and n x d index arrays, with Python ints."""
     return [Cube(k, tuple(m)) for k, m in zip(level.tolist(), index.tolist())]
 
 
@@ -748,10 +746,11 @@ def family_from_json(text: str) -> SparseFamily:
     """The family of a ``family_to_json`` text; a certificate entry must name
     a listed cube by its position, at most once."""
     eta, listed, entered, depth = entries("family", json.loads(text), "eta", "cubes", "certificate", "depth")
-    cubes = [
-        Cube(k, tuple(json_list("cube index", m)), s)
-        for k, m, s in (entries("cube", c, "level", "index", "shift") for c in json_list("cubes", listed))
-    ]
+    cubes = []
+    for k, m, shift in (entries("cube", c, "level", "index", "shift") for c in json_list("cubes", listed)):
+        if shift != 0:
+            raise ValueError(f"family cubes lie on the standard lattice, so cube shift must be 0, got {shift!r}")
+        cubes.append(Cube(k, tuple(json_list("cube index", m))))
     positions = interval(0, len(cubes), lo_closed=True)
     pairs = [entries("certificate", entry, "cube", "cells") for entry in json_list("certificate", entered)]
     at = [check("certificate cube", i, positions, integer=True) for i, _ in pairs]

@@ -66,7 +66,6 @@ __all__ = [
     "vv_transfer_check",
     "vv_equivalence_check",
     "weighted_transfer_experiment",
-    "haar_unconditionality_probe",
 ]
 
 
@@ -78,11 +77,10 @@ __all__ = [
 class SparseOperator:
     """Positive averaging model: T(f)(x) = sum_Q prod_j <f_j>_{r_j,Q} 1_Q(x).
 
-    ``family`` is a SparseFamily on the standard (shift-0) lattice whose
-    certificate checks, so that its sparseness parameter certifies the
-    scalar hypothesis constant; a shifted cube or an uncertified family is
-    refused.  Averages take absolute values, so the operator is positive and
-    m-sublinear.
+    ``family`` is a SparseFamily whose certificate checks, so that its
+    sparseness parameter certifies the scalar hypothesis constant; an
+    uncertified family is refused.  Averages take absolute values, so the
+    operator is positive and m-sublinear.
     """
 
     kind = "sparse"
@@ -93,7 +91,7 @@ class SparseOperator:
         self.rs = tuple(check(f"r_{j}", float(r), EXPONENT) for j, r in enumerate(rs, 1))
         self.m = nonempty("averaging exponent", self.rs)
         if not family.check_certificate():
-            raise ValueError("SparseOperator needs a shift-0 family whose certificate checks, as from verify_sparse")
+            raise ValueError("SparseOperator needs a family whose certificate checks, as from verify_sparse")
 
     def hypothesis_constant(self, q: float) -> float | None:
         """eta^(-1/q), the certified scalar-domination constant for q <= 1.
@@ -759,44 +757,3 @@ def _weighted_suite(rng, grid: Grid, spaces, ws, trials: int):
         yield tuple(lifted)
     for _ in range(trials):
         yield tuple(_random_field(rng, grid, shape) for shape in shapes)
-
-
-# ---------------------------------------------------------------------------
-# sign unconditionality probe
-# ---------------------------------------------------------------------------
-
-
-def haar_unconditionality_probe(
-    grid: Grid,
-    t: float,
-    p: float,
-    n: int,
-    budgets: Sequence[int] = (4, 16, 64),
-    fields: int = 12,
-    seed: int = 0,
-) -> dict:
-    """Sup over random sign patterns of the sign-transform ratio in L^p(l^t).
-
-    ``budgets`` are strictly increasing positive ints.  One seeded stream
-    serves every budget, so the curve is a running prefix maximum:
-    non-decreasing by construction, and its flattening (and stability in n)
-    is the evidence that the sup over all patterns is finite.
-    """
-    budgets = increasing("budgets", budgets)
-    X = LebesgueSpace(t, AtomicMeasure.unit(n))
-    rng = np.random.default_rng(seed)
-    suite = [_random_field(rng, grid, (n,)) for _ in range(fields)]
-    base = [grid_norm(grid, np.asarray(X.norm(F)), p) for F in suite]
-
-    sups, cur, done = [], 0.0, 0
-    for b in budgets:
-        for _ in range(b - done):
-            T = HaarTransform.random(grid, seed=int(rng.integers(2**31)))
-            for F, bn in zip(suite, base):
-                if bn == 0:
-                    continue
-                out = tensor_extend(T, grid, [F])
-                cur = max(cur, grid_norm(grid, np.asarray(X.norm(out)), p) / bn)
-        done = b
-        sups.append(float(cur))
-    return {"budgets": list(budgets), "sup_ratios": sups, "n": int(n), "t": float(t), "p": float(p)}

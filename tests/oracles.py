@@ -8,18 +8,20 @@ checks, so agreement is evidence, not tautology.
 import json
 import math
 from contextlib import contextmanager
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from typing import Sequence
 
 import numpy as np
 
-from sparsedom._checks import need
+from sparsedom._checks import check, interval, need
 from sparsedom.dyadic import (
     Cube,
     Grid,
     _axis_range,
     _check_cells,
+    _digits,
     grid_norm,
     level_averages,
     level_products,
@@ -44,11 +46,87 @@ from sparsedom.weights import gap_exponent
 # tree geometry of single cubes (the library works on level arrays)
 # ---------------------------------------------------------------------------
 
+def measure(cube):
+    """|Q| of a cube of any lattice."""
+    return 2.0 ** (-cube.level * cube.d)
+
+
 def root(grid):
     """The level-0 cube of a shift-0 grid."""
     if grid.shift != 0:
         raise ValueError("shifted grids have no single root over [0,1)^d")
-    return Cube(0, (0,) * grid.d, 0)
+    return Cube(0, (0,) * grid.d)
+
+
+def cube_slices(grid, cube):
+    """Cell-array slices covered by a standard-lattice cube."""
+    b = 1 << (grid.depth - cube.level)
+    return tuple(slice(m * b, (m + 1) * b) for m in cube.index)
+
+
+@dataclass(frozen=True)
+class ShiftedCube:
+    """One cube 2^(-level) * ([0,1)^d + index + (-1)^level * digits/3) of the
+    one-third-shifted lattice ``shift``, with exact geometry."""
+
+    level: int
+    index: tuple[int, ...]
+    shift: int = 0
+
+    @property
+    def d(self):
+        return len(self.index)
+
+    @property
+    def side(self):
+        return 2.0 ** (-self.level)
+
+    @property
+    def digits(self):
+        return _digits(self.shift, self.d)
+
+    def support_exact(self):
+        """Per-axis [lo, hi) as exact rationals."""
+        den = 3 * (1 << self.level)
+        out = []
+        for m, a in zip(self.index, self.digits):
+            lo = Fraction(3 * m + (-1) ** self.level * a, den)
+            out.append((lo, lo + Fraction(3, den)))
+        return out
+
+    def contains(self, lower, side):
+        """Exact test: is the axis-parallel cube (lower, side) inside self."""
+        side = Fraction(side)
+        for (lo, hi), x in zip(self.support_exact(), lower):
+            x = Fraction(x)
+            if x < lo or x + side > hi:
+                return False
+        return True
+
+
+def shifted_level_cubes(grid, level):
+    """The level's cubes of ``grid``'s lattice that meet [0,1)^d, row-major:
+    the order of the entries of ``level_averages(grid, f, r)[level]``."""
+    ranges = [_axis_range(level, a) for a in grid.digits]
+    return [ShiftedCube(level, index, grid.shift) for index in product(*ranges)]
+
+
+def shifted_cubes(grid):
+    """Every cube of ``grid``'s lattice that meets [0,1)^d, level by level."""
+    return [q for k in range(grid.depth + 1) for q in shifted_level_cubes(grid, k)]
+
+
+def shifted_children(grid, cube):
+    """The up-to-2^d subcubes at the next level meeting [0,1)^d."""
+    if cube.level >= grid.depth:
+        return []
+    k1 = cube.level + 1
+    axes = []
+    for m, a in zip(cube.index, cube.digits):
+        base = 2 * m + (-1) ** cube.level * a
+        rng = _axis_range(k1, a)
+        axes.append([b for b in (base, base + 1) if b in rng])
+    return [ShiftedCube(k1, index, grid.shift) for index in product(*axes)]
 
 
 def parent(grid, cube):
@@ -56,22 +134,68 @@ def parent(grid, cube):
     if cube.level == 0:
         return None
     k0 = cube.level - 1
-    sign0 = 1 if k0 % 2 == 0 else -1
-    index = tuple((m - sign0 * a) // 2 for m, a in zip(cube.index, cube.shift_digits))
-    return Cube(k0, index, grid.shift)
-
-
-def cube_slices(grid, cube):
-    """Cell-array slices covered by a shift-0 cube."""
-    if cube.shift != 0:
-        raise ValueError("cell slices are defined for shift-0 cubes only")
-    b = 1 << (grid.depth - cube.level)
-    return tuple(slice(m * b, (m + 1) * b) for m in cube.index)
+    index = tuple((m - (-1) ** k0 * a) // 2 for m, a in zip(cube.index, cube.digits))
+    return ShiftedCube(k0, index, grid.shift)
 
 
 # ---------------------------------------------------------------------------
-# covering oracle: minimal containing cube over all shifted grids
+# three-lattice covering, and the minimal containing cube over all shifted grids
 # ---------------------------------------------------------------------------
+
+_SIDES = interval(0, 1, hi_closed=True)
+_CORNERS = interval(0, 1, lo_closed=True)
+
+
+def cover_cube(lower, side):
+    """Cover an arbitrary axis-parallel cube by one shifted dyadic cube.
+
+    Returns (alpha, Q') with Q contained in Q' and |Q'| <= 6^d |Q|.  The
+    level is the largest k with 2^(-k) >= 3*side (so 2^(-k) < 6*side), and
+    per axis at most one of the three digit classes has a grid endpoint
+    cutting through Q, which leaves a containing cube in one of the others.
+    Sides longer than 1/3 are covered by the shift-0 root directly.  The
+    side lies in (0, 1] and each lower-corner coordinate in [0, 1).
+    """
+    check("side", side, _SIDES)
+    lower = [Fraction(check(f"lower corner x_{i}", x, _CORNERS)) for i, x in enumerate(lower, 1)]
+    side = Fraction(side)
+    d = len(lower)
+    if d not in (1, 2):
+        raise ValueError(f"dimension must be 1 or 2, got {d}")
+    for x in lower:
+        if x + side > 1:
+            raise ValueError("cube must sit inside [0,1)^d")
+
+    # exact standard-grid cubes cover themselves at ratio 1
+    if side.numerator == 1 and side.denominator & (side.denominator - 1) == 0:
+        if all(x % side == 0 for x in lower):
+            k = side.denominator.bit_length() - 1
+            return 0, ShiftedCube(k, tuple(int(x / side) for x in lower), 0)
+
+    if side > Fraction(1, 3):
+        return 0, ShiftedCube(0, (0,) * d, 0)
+
+    k = 0
+    while Fraction(1, 2 ** (k + 1)) >= 3 * side:
+        k += 1
+    sign = 1 if k % 2 == 0 else -1
+    scale = Fraction(1 << k)
+
+    digits, index = [], []
+    for x in lower:
+        for a in (0, 1, 2):
+            t = scale * x - Fraction(sign * a, 3)
+            m = math.floor(t)
+            hi = (m + 1 + Fraction(sign * a, 3)) / scale
+            if x + side <= hi:
+                digits.append(a)
+                index.append(m)
+                break
+        else:  # unreachable: at most one digit class can fail
+            raise AssertionError("no admissible one-third shift found")
+    alpha = sum(a * 3**i for i, a in enumerate(digits))
+    return alpha, ShiftedCube(k, tuple(index), alpha)
+
 
 def minimal_container(lower, side, d, max_depth):
     """Smallest shifted dyadic cube containing (lower, side), by enumeration.
@@ -83,7 +207,7 @@ def minimal_container(lower, side, d, max_depth):
     side = Fraction(side)
     best = None
     for grid in shifted_grids(d, max_depth):
-        for cube in grid.cubes():
+        for cube in shifted_cubes(grid):
             if cube.contains(lower, side):
                 if best is None or cube.level > best.level:
                     best = cube
@@ -132,7 +256,7 @@ def naive_shifted_average(values, r, cube, depth):
     """<f>_{r,Q} for any shifted cube Q, cut down to [0,1)^d, d in {1, 2}.
 
     Each finest cell enters with the exact Fraction measure of its overlap
-    with Q, taken per axis from Cube.support_exact; r = inf is the max over
+    with Q, taken per axis from ShiftedCube.support_exact; r = inf is the max over
     the cells that meet Q in positive measure.  Trailing axes of ``values``
     broadcast.
     """
@@ -266,9 +390,7 @@ def cube_arrays(cubes):
     return np.array([q.level for q in cubes]), np.array([q.index for q in cubes])
 
 
-def _require_standard(cubes):
-    if any(q.shift != 0 for q in cubes):
-        raise ValueError("sparseness verification supports the standard lattice only")
+def _one_dimension(cubes):
     ds = {q.d for q in cubes}
     if len(ds) != 1:
         raise ValueError("cubes must share one dimension")
@@ -293,7 +415,7 @@ def verify_sparse_walk(cubes, eta=0.5):
     cubes = list(cubes)
     if not cubes:
         return SparseFamily.from_cubes([], eta)
-    d = _require_standard(cubes)
+    d = _one_dimension(cubes)
     frac = Fraction(eta)
     depth = certificate_depth(d, max(q.level for q in cubes), eta)
 
@@ -352,7 +474,7 @@ def family_to_json_cubes(family):
     payload = {
         "eta": float(family.eta),
         "cubes": [
-            {"level": q.level, "index": list(q.index), "shift": q.shift}
+            {"level": q.level, "index": list(q.index), "shift": 0}
             for q in cubes
         ],
         "certificate": [
@@ -372,15 +494,15 @@ def carleson_constant(cubes):
     cubes = list(cubes)
     if not cubes:
         return 0.0
-    _require_standard(cubes)
+    _one_dimension(cubes)
     # each cube adds its measure to every family ancestor, itself included
     packed = {P: 0.0 for P in cubes}
     for Q in cubes:
         for level in range(Q.level + 1):
             P = _ancestor(Q, level)
             if P in packed:
-                packed[P] += Q.measure
-    return max(tot / P.measure for P, tot in packed.items())
+                packed[P] += measure(Q)
+    return max(tot / measure(P) for P, tot in packed.items())
 
 
 def exhaustive_best_form(cube_values, eta, depth):
@@ -537,7 +659,7 @@ def scalar_maximal_upsampled(grid, fs, rs):
 
 
 def cube_averages(grid, fs, rs, cubes):
-    """Yield prod_j <f_j>_{r_j,Q} for each cube Q, looked up in level arrays.
+    """Yield prod_j <f_j>_{r_j,Q} for each ``ShiftedCube`` Q, looked up in level arrays.
 
     The cubes may come from any of the 3^d lattices; level products are
     built once for each lattice that occurs.
@@ -546,7 +668,7 @@ def cube_averages(grid, fs, rs, cubes):
     for cube in cubes:
         if cube.d != grid.d or not 0 <= cube.level <= grid.depth:
             raise ValueError(f"{cube} lies off the d={grid.d} lattices of depth {grid.depth}")
-        ranges = [_axis_range(cube.level, a) for a in cube.shift_digits]
+        ranges = [_axis_range(cube.level, a) for a in cube.digits]
         if any(m not in rng for m, rng in zip(cube.index, ranges)):
             raise ValueError(f"{cube} does not meet [0,1)^{grid.d}")
         if cube.shift not in tables:
@@ -554,15 +676,20 @@ def cube_averages(grid, fs, rs, cubes):
         yield tables[cube.shift][cube.level][tuple(m - rng.start for m, rng in zip(cube.index, ranges))]
 
 
+def as_shifted(cubes):
+    """Standard-lattice ``Cube``s as shift-0 ``ShiftedCube``s."""
+    return [ShiftedCube(q.level, q.index) for q in cubes]
+
+
 def sparse_form_walk(family, grid, fs, rs, g=None, sigma=None, q=1.0):
     """``sparse.sparse_form`` cube by cube: each ``Cube`` of the family looked
-    up by ``cube_averages``, its term times ``Cube.measure`` summed in order."""
+    up by ``cube_averages``, its term times |Q| summed in order."""
     if g is not None:
         fs, rs = list(fs) + [g], list(rs) + [q if sigma is None else sigma]
     total = 0.0
     cubes = family.cubes
-    for cube, term in zip(cubes, cube_averages(grid, fs, rs, cubes)):
-        total += float(term) ** q * cube.measure
+    for cube, term in zip(cubes, cube_averages(grid, fs, rs, as_shifted(cubes))):
+        total += float(term) ** q * measure(cube)
     return total ** (1.0 / q)
 
 
@@ -573,7 +700,7 @@ def sparse_apply_walk(T, grid, fs):
     fs, trail = check_tuple(grid, fs)
     out = np.zeros(grid.cell_shape + trail)
     cubes = T.family.cubes
-    for cube, val in zip(cubes, cube_averages(grid, fs, T.rs, cubes)):
+    for cube, val in zip(cubes, cube_averages(grid, fs, T.rs, as_shifted(cubes))):
         out[cube_slices(grid, cube)] += val
     return out
 
@@ -629,7 +756,7 @@ def transfer_ratios_per_atom_count(T, grid, specs, q, s, ns, trials, seed):
 # ---------------------------------------------------------------------------
 
 def muckenhoupt_over_cubes(ws, ps, rs, s, grid, cubes):
-    """max over ``cubes`` of prod_j <w_j^-1>_{e_j,Q} * <w>_{e,Q}, exact.
+    """max over the ``ShiftedCube``s ``cubes`` of prod_j <w_j^-1>_{e_j,Q} * <w>_{e,Q}, exact.
 
     ``ws`` are positive cell arrays of one shape, and w is their product.
     The exponents are e_j = gap_exponent(r_j, p_j) and e = gap_exponent(p, s).
@@ -679,7 +806,7 @@ def greedy_walk(fs, rs, grid, eta=0.5):
         p = float(lp[cube.level][cube.index])
         if select_now or p > 2 * anchor:
             selected.append(cube)
-            value += p * cube.measure
+            value += p * measure(cube)
             anchor = p
         for child in grid.children(cube):
             stack.append((child, anchor, False))
@@ -798,7 +925,7 @@ def stopping_domination_walk(grid, Fs, rs, q, spaces, c_stop=1.0, max_doublings=
                 else:
                     for sub in grid.children(node):
                         stack.append((sub, chain))
-            if sum(ch.measure for ch in children) > 0.5 * Q.measure:
+            if sum(map(measure, children)) > 0.5 * measure(Q):
                 ok = False
                 break
             frontier.extend(children)

@@ -14,8 +14,8 @@ from fractions import Fraction
 import numpy as np
 
 import conftest
-from oracles import theta_scan
-from sparsedom.dyadic import Cube, Grid, cover_cube, grid_norm
+from oracles import cover_cube, theta_scan
+from sparsedom.dyadic import Cube, Grid, grid_norm
 from sparsedom.maximal import scalar_maximal
 from sparsedom.sparse import (
     SparseFamily,

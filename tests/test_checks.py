@@ -9,7 +9,7 @@ import pytest
 
 from sparsedom._checks import EXPONENT, FINITE, at_least, check, increasing
 from sparsedom.cli import ConfigError, main, run
-from sparsedom.dyadic import Cube, Grid, cover_cube, function_from_json, grid_norm, level_averages
+from sparsedom.dyadic import Cube, Grid, average, function_from_json, grid_norm, level_averages
 from sparsedom.maximal import maximal_opnorm_lower
 from sparsedom.spaces import (
     AtomicMeasure,
@@ -40,7 +40,6 @@ from sparsedom.transfer import (
     SparseOperator,
     _norming_field,
     admissible_tuple,
-    haar_unconditionality_probe,
     scalar_hypothesis_check,
     space_tuple,
     transfer_sides,
@@ -54,6 +53,8 @@ from sparsedom.weights import (
     power_weight,
     stable_muckenhoupt_constant,
 )
+
+from oracles import cover_cube
 
 INF, NAN = math.inf, math.nan
 G = Grid(1, 2)
@@ -104,6 +105,17 @@ REFUSALS = [
     ("grid-depth", lambda: Grid(1, 13), r"depth at d=1 must be in \[0, 12\], got 13"),
     ("grid-shift", lambda: Grid(2, 2, 9), r"shift at d=2 must be in \[0, 9\), got 9"),
     ("grid-level", lambda: G.level_cubes(3), r"level must be in \[0, 2\], got 3"),
+    # cubes lie on the standard lattice: a shifted grid holds level arrays only
+    *[
+        (f"shifted-{name}", call,
+         r"cubes lie on the standard lattice; Grid\(d=1, depth=2, shift=1\) holds level arrays only")
+        for name, call in [
+            ("level_cubes", lambda: Grid(1, 2, 1).level_cubes(1)),
+            ("cubes", lambda: list(Grid(1, 2, 1).cubes())),
+            ("children", lambda: Grid(1, 2, 1).children(Cube(0, (0,)))),
+            ("average", lambda: average(Grid(1, 2, 1), ONES, 1.0, Cube(0, (0,)))),
+        ]
+    ],
     ("grid-depth-float", lambda: Grid(1, 2.5), r"depth at d=1 must be an integer in \[0, 12\], got 2.5"),
     ("grid-depth-whole-float", lambda: Grid(1, 2.0), r"depth at d=1 must be an integer in \[0, 12\], got 2.0"),
     ("grid-shift-float", lambda: Grid(1, 2, 1.0), r"shift at d=1 must be an integer in \[0, 3\), got 1.0"),
@@ -128,8 +140,6 @@ REFUSALS = [
      "restarts must be an integer at least 1, got True"),
     ("ns-float", lambda: vv_transfer_check([HAAR], G, [2.0], 1.0, INF, ns=(2.5, 8)),
      r"ns must be one or more strictly increasing positive ints, got \(2.5, 8\)"),
-    ("budgets", lambda: haar_unconditionality_probe(G, 2.0, 2.0, 2, budgets=()),
-     r"budgets must be one or more strictly increasing positive ints, got \(\)"),
     # arity and exponent claims
     ("one-per", lambda: admissible_tuple([], [], 1.0, INF),
      "need one space per averaging exponent and at least one, got 0 for 0"),
@@ -205,6 +215,8 @@ REFUSALS = [
     ("family-json-cubes", lambda: family_from_json('{"eta": 0.5}'), "family payload needs a 'cubes' entry"),
     ("family-json-shift", lambda: family_from_json('{"eta": 0.5, "cubes": [{"level": 0, "index": [0]}], "certificate": [], "depth": 0}'),
      "cube payload needs a 'shift' entry"),
+    ("family-json-shift-1", lambda: family_from_json(FAMILY_PAYLOAD.replace('"shift": 0', '"shift": 1')),
+     "family cubes lie on the standard lattice, so cube shift must be 0, got 1"),
     # and refuse a list entry that is no list, or a cube that is not ints
     ("family-json-cells-int", lambda: family_from_json(FAMILY_PAYLOAD.replace('"cells": [0]', '"cells": 5')),
      "certificate cells must be a list, got 5"),
@@ -215,11 +227,11 @@ REFUSALS = [
     ("family-json-certificate-word", lambda: family_from_json(FAMILY_PAYLOAD.replace('"certificate": [', '"certificate": "x", "was": [')),
      "certificate must be a list, got 'x'"),
     ("family-json-index-word", lambda: family_from_json(FAMILY_PAYLOAD.replace('"index": [0]', '"index": ["0"]')),
-     r"a cube needs an int level and one int index per axis, got Cube\(level=0, index=\('0',\), shift=0\)"),
+     r"a cube needs an int level and one int index per axis, got Cube\(level=0, index=\('0',\)\)"),
     ("family-json-level-float", lambda: family_from_json(FAMILY_PAYLOAD.replace('"level": 0', '"level": 0.5')),
-     r"a cube needs an int level and one int index per axis, got Cube\(level=0.5, index=\(0,\), shift=0\)"),
+     r"a cube needs an int level and one int index per axis, got Cube\(level=0.5, index=\(0,\)\)"),
     ("family-json-index-empty", lambda: family_from_json(FAMILY_PAYLOAD.replace('"index": [0]', '"index": []')),
-     r"a cube needs an int level and one int index per axis, got Cube\(level=0, index=\(\), shift=0\)"),
+     r"a cube needs an int level and one int index per axis, got Cube\(level=0, index=\(\)\)"),
     ("function-json-L", lambda: function_from_json('{"d": 1, "values": [1.0]}'), "function payload needs a 'L' entry"),
     # an iterated payload's atoms are its outer layer's
     ("space-json-iterated-atoms", lambda: space_from_json(json.dumps({**json.loads(ITERATED_PAYLOAD), "atoms": [7.0]})),
@@ -240,7 +252,7 @@ REFUSALS = [
     ("weights-zero", lambda: muckenhoupt_constant([np.zeros(G.cell_shape)], (2.0,), (1.0,), INF, G),
      "weights must be finite and strictly positive"),
     ("SparseOperator-uncertified", lambda: SparseOperator(SparseFamily.from_cubes(list(Grid(1, 3).cubes())), rs=(1.0,)),
-     "SparseOperator needs a shift-0 family whose certificate checks, as from verify_sparse"),
+     "SparseOperator needs a family whose certificate checks, as from verify_sparse"),
 ]
 
 

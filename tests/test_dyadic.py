@@ -1,5 +1,6 @@
 """Dyadic substrate: grids, covering, averages, serialization."""
 
+import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -14,7 +15,6 @@ from sparsedom.dyadic import (
     Grid,
     _family_products,
     average,
-    cover_cube,
     function_from_csv,
     function_from_json,
     function_to_csv,
@@ -26,6 +26,7 @@ from sparsedom.dyadic import (
 )
 
 import oracles
+from oracles import ShiftedCube, cover_cube
 
 
 # ---------------------------------------------------------------------------
@@ -40,7 +41,15 @@ def test_grid_counts():
     for d in (1, 2):
         for depth in (2, 3):
             for grid in shifted_grids(d, depth):
-                assert grid.ncubes() == len(list(grid.cubes()))
+                assert grid.ncubes() == len(oracles.shifted_cubes(grid))
+            assert Grid(d, depth).ncubes() == len(list(Grid(d, depth).cubes()))
+
+
+def test_a_cube_has_no_shift():
+    # a Cube is (level, index) on the standard lattice; a shift is a Grid's
+    with pytest.raises(TypeError):
+        Cube(1, (0,), 1)
+    assert [f.name for f in dataclasses.fields(Cube)] == ["level", "index"]
 
 
 def test_grid_validation():
@@ -58,7 +67,7 @@ def test_grid_validation():
 
 def test_cells_partition_unit_interval():
     grid = Grid(1, 3, 0)
-    cells = grid.level_cubes(3)
+    cells = oracles.shifted_level_cubes(grid, 3)
     endpoints = sorted(c.support_exact()[0] for c in cells)
     assert endpoints[0][0] == 0
     assert endpoints[-1][1] == 1
@@ -72,10 +81,12 @@ def test_children_tile_parent_exactly(d, alpha_axis):
     # exact rational check that the 2^d index-children tile each parent
     alpha = alpha_axis * sum(3**i for i in range(d)) if alpha_axis else 0
     grid = Grid(d, 3 if d == 1 else 2, alpha)
-    for cube in grid.cubes():
+    for cube in oracles.shifted_cubes(grid):
         if cube.level == grid.depth:
             continue
-        kids = grid.children(cube)
+        kids = oracles.shifted_children(grid, cube)
+        if not alpha:
+            assert oracles.as_shifted(grid.children(Cube(cube.level, cube.index))) == kids
         # full index-space children, ignoring the unit-cube clipping
         total = sum(Fraction(1, (2 ** (cube.level + 1)) ** d) for _ in kids)
         clipped = Fraction(1, (2**cube.level) ** d) - total
@@ -90,7 +101,7 @@ def test_children_tile_parent_exactly(d, alpha_axis):
 
 def test_shifted_grid_cube_meets_domain():
     for grid in shifted_grids(1, 4):
-        for cube in grid.cubes():
+        for cube in oracles.shifted_cubes(grid):
             (lo, hi), = cube.support_exact()
             assert lo < 1 and hi > 0
 
@@ -103,10 +114,10 @@ def test_cover_dyadic_identity():
     # a standard dyadic cube is covered by itself at ratio 1
     alpha, cube = cover_cube([Fraction(1, 4)], Fraction(1, 4))
     assert alpha == 0
-    assert cube == Cube(2, (1,), 0)
+    assert cube == ShiftedCube(2, (1,), 0)
     alpha, cube = cover_cube([Fraction(1, 2), Fraction(1, 2)], Fraction(1, 2))
     assert alpha == 0
-    assert cube == Cube(1, (1, 1), 0)
+    assert cube == ShiftedCube(1, (1, 1), 0)
 
 
 def test_cover_half_interval_example():
@@ -183,8 +194,11 @@ def test_average_shifted_cube_against_direct_sum():
     rng = np.random.default_rng(3)
     f = rng.random(grid.cell_shape)
     shifted = Grid(1, 4, 1)
-    for cube in shifted.level_cubes(2):
-        lo, hi = cube.support()[0]
+    lv = level_averages(shifted, f, 2)[2]
+    cubes = oracles.shifted_level_cubes(shifted, 2)
+    assert len(lv) == len(cubes)
+    for cube, value in zip(cubes, lv):
+        lo, hi = map(float, cube.support_exact()[0])
         clo, chi = max(lo, 0.0), min(hi, 1.0)
         if chi <= clo:
             continue
@@ -195,20 +209,19 @@ def test_average_shifted_cube_against_direct_sum():
             total += ov
             acc += ov * v**2
         expected = (acc / total) ** 0.5
-        assert average(grid, f, 2, cube) == pytest.approx(expected, abs=1e-12)
+        assert value == pytest.approx(expected, abs=1e-12)
 
 
 def test_average_empty_intersection_error():
-    grid = Grid(1, 2, 0)
-    f = np.ones(grid.cell_shape)
-    # level-1 shifted cube [-1/6, 1/3+...) exists; build one fully outside
-    outside = Cube(1, (2,), 1)  # [1 - 1/6, 1.5 - 1/6) except clipped
-    (lo, hi), = outside.support()
-    if lo >= 1.0:
-        with pytest.raises(ValueError):
-            average(grid, f, 1, outside)
-    else:
-        assert average(grid, f, 1, outside) == pytest.approx(1.0)
+    # the level-1 cube [5/6, 4/3) of shift 1 meets [0,1) and averages over
+    # the overlap; [4/3, 11/6) does not, and no level array holds it
+    lattice = Grid(1, 2, 1)
+    cubes = oracles.shifted_level_cubes(lattice, 1)
+    lv = level_averages(lattice, np.ones(lattice.cell_shape), 1)[1]
+    assert len(lv) == len(cubes)
+    assert ShiftedCube(1, (3,), 1) not in cubes
+    assert cubes[-1] == ShiftedCube(1, (2,), 1) and cubes[-1].support_exact() == [(Fraction(5, 6), Fraction(4, 3))]
+    assert lv[-1] == pytest.approx(1.0)
 
 
 def test_average_bad_exponent():
@@ -251,8 +264,8 @@ def test_average_nesting_identity(vals, r):
         restricted = np.zeros_like(f)
         sl = oracles.cube_slices(grid, Q)
         restricted[sl] = f[sl]
-        lhs = average(grid, restricted, r, P) ** r * P.measure
-        rhs = average(grid, f, r, Q) ** r * Q.measure
+        lhs = average(grid, restricted, r, P) ** r * oracles.measure(P)
+        rhs = average(grid, f, r, Q) ** r * oracles.measure(Q)
         assert lhs == pytest.approx(rhs, abs=1e-9)
 
 
@@ -275,7 +288,7 @@ _NONNEGLIGIBLE = st.one_of(st.just(0.0), st.floats(1e-3, 8.0), st.floats(-8.0, -
 @given(st.data())
 def test_level_averages_match_exact_overlap_oracle(data):
     # every cube of every one-third-shifted lattice, entries in the row-major
-    # order of Grid.level_cubes
+    # order of the oracle's enumeration
     d = data.draw(st.sampled_from([1, 2]), label="d")
     depth = 3 if d == 1 else 2
     atoms = data.draw(st.sampled_from([(), (2,)]), label="atoms")
@@ -289,7 +302,7 @@ def test_level_averages_match_exact_overlap_oracle(data):
         lv = level_averages(lattice, f, r)
         for k in range(depth + 1):
             got = lv[k].reshape((-1,) + atoms)
-            cubes = lattice.level_cubes(k)
+            cubes = oracles.shifted_level_cubes(lattice, k)
             assert len(got) == len(cubes)
             for cube, value in zip(cubes, got):
                 want = oracles.naive_shifted_average(f, r, cube, depth)
@@ -375,12 +388,14 @@ def test_average_rejects_cube_outside_its_lattice():
     for cube in (
         Cube(1, (-1,)),
         Cube(1, (2,)),
-        Cube(1, (3,), 1),
-        Cube(2, (-2,), 2),
+        Cube(1, (3,)),
+        Cube(2, (-2,)),
         Cube(3, (0,)),
     ):
         with pytest.raises(ValueError):
             average(grid, f, 1.0, cube)
+        with pytest.raises(ValueError, match="lies off Grid"):
+            grid.children(cube)
     with pytest.raises(ValueError):
         average(Grid(2, 1), np.ones((2, 2)), 2.0, Cube(1, (0, -1)))
 

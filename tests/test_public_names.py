@@ -39,11 +39,9 @@ KEPT = {
     "phi_table_to_csv": SERIALIZATION,
     "phi_table_from_csv": SERIALIZATION,
     "family_from_json": SERIALIZATION + "; the acceptance tests import it",
-    "cover_cube": "the acceptance tests import it",
     "sparse_form": "the form the optimizers are tested against",
     "GREEDY_FACTOR": "documents the 1/4 guarantee that greedy_captures_quarter checks",
     "maximal_opnorm_lower": "ROADMAP item 6 gives it a battery caller",
-    "haar_unconditionality_probe": "ROADMAP item 6 gives it a battery caller",
     "vv_equivalence_check": "ROADMAP items 7 and 11 give it a battery caller",
     "average": "the perfbench tracer wraps it (ROADMAP items 1 and 3)",
     "stable_muckenhoupt_constant": "ROADMAP item 4 calls it if it needs it",

@@ -145,8 +145,11 @@ def test_orlicz_rows_near_the_double_limit_keep_their_norm():
         IteratedSpace(LebesgueSpace(2.0, U2), LebesgueSpace(2.0, AtomicMeasure.unit(1))),
         IteratedSpace(LebesgueSpace(2.0, AtomicMeasure.unit(1)), LebesgueSpace(2.0, U2)),
         OrliczSpace.from_power(2.0, U2),
+        # t < 1: the power sum stays finite and only the norm overflows
+        LebesgueSpace(0.5, U2),
+        IteratedSpace(LebesgueSpace(0.5, U2), LebesgueSpace(2.0, AtomicMeasure.unit(1))),
     ],
-    ids=["l1", "l2", "l2-of-l2-outer", "l2-of-l2-inner", "orlicz-2"],
+    ids=["l1", "l2", "l2-of-l2-outer", "l2-of-l2-inner", "orlicz-2", "l0.5", "l0.5-of-l2-outer"],
 )
 def test_norms_past_the_largest_double_are_inf_without_a_warning(space):
     xi = np.full(space.atom_shape, 1.7e308)

@@ -50,9 +50,9 @@ from oracles import (
     verify_sparse_walk,
 )
 
-ROOT = Cube(0, (0,), 0)
-LEFT = Cube(1, (0,), 0)
-RIGHT = Cube(1, (1,), 0)
+ROOT = Cube(0, (0,))
+LEFT = Cube(1, (0,))
+RIGHT = Cube(1, (1,))
 TREE1 = [ROOT, LEFT, RIGHT]
 
 
@@ -68,7 +68,7 @@ def full_tree(d, depth):
 
 class TestVerifySparse:
     def test_disjoint_cubes_sparse_at_any_eta(self):
-        cubes = [Cube(2, (i,), 0) for i in range(4)]
+        cubes = [Cube(2, (i,)) for i in range(4)]
         fam = verify_sparse(cubes, 15 / 16)
         assert isinstance(fam, SparseFamily)
         assert fam.check_certificate()
@@ -135,26 +135,20 @@ class TestVerifySparse:
         assert not SparseFamily.from_cubes([ROOT], 0.5, [[0, 0]], 2).check_certificate()
 
     def test_certificate_below_a_cube_level_is_false(self):
-        Q = Cube(2, (1,), 0)
+        Q = Cube(2, (1,))
         with pytest.raises(TypeError):  # the set oracle asks for half a cell
             check_certificate_sets(SparseFamily.from_cubes([Q], 0.5, [[1]], 1))
         assert not SparseFamily.from_cubes([Q], 0.5, [[1]], 1).check_certificate()
 
-    def test_certificate_of_a_shifted_cube_is_false(self):
-        # no family holds a shifted cube: shift-0 cell 0 witnesses none
-        Q = Cube(1, (0,), 1)
-        with pytest.raises(ValueError, match="standard lattice only"):
-            SparseFamily.from_cubes([Q], 0.5, [[0]], 2)
-
     def test_repeated_cubes_are_refused(self):
-        again = r"cubes must be distinct, got Cube\(level=1, index=\(0,\), shift=0\) more than once"
+        again = r"cubes must be distinct, got Cube\(level=1, index=\(0,\)\) more than once"
         with pytest.raises(ValueError, match=again):
             verify_sparse([LEFT, RIGHT, LEFT], 0.5)
         # one witness set cannot serve two copies: no family holds both
         with pytest.raises(ValueError, match=again):
             SparseFamily.from_cubes([LEFT, LEFT], 0.5, [[0], []], 2)
 
-    @pytest.mark.parametrize("cube", [Cube(1, (2,), 0), Cube(1, (-1,), 0), Cube(2, (1, 4), 0)])
+    @pytest.mark.parametrize("cube", [Cube(1, (2,)), Cube(1, (-1,)), Cube(2, (1, 4))])
     def test_cubes_outside_the_unit_cube_are_refused(self, cube):
         with pytest.raises(ValueError, match=r"cube indices must be in \[0, 2\^level\), got Cube"):
             verify_sparse([ROOT if cube.d == 1 else Cube(0, (0, 0)), cube], 0.5)
@@ -182,10 +176,6 @@ class TestVerifySparse:
     def test_unresolvable_float_eta_rejected(self):
         with pytest.raises(ValueError, match="resolution cap"):
             verify_sparse(TREE1, 0.3)
-
-    def test_shifted_cubes_rejected(self):
-        with pytest.raises(ValueError, match="standard lattice"):
-            verify_sparse([Cube(1, (0,), 1)], 0.5)
 
     def test_eta_out_of_range(self):
         with pytest.raises(ValueError):
@@ -346,7 +336,7 @@ class TestSparseForm:
     def test_chain_family_hand_value(self):
         g = Grid(1, 2)
         f = np.array([4.0, 0.0, 0.0, 0.0])
-        S = [Cube(2, (0,), 0), LEFT, ROOT]
+        S = [Cube(2, (0,)), LEFT, ROOT]
         assert sparse_form(SparseFamily.from_cubes(S), g, [f], [1.0]) == pytest.approx(3.0)
 
     def test_qth_root_reporting(self):
@@ -395,7 +385,7 @@ def oracle_best(fs, rs, grid, eta):
         prod = 1.0
         for f, r in zip(fs, rs):
             prod *= float(average(grid, f, r, q))
-        vals[q] = prod * q.measure
+        vals[q] = prod * 2.0 ** (-q.level * q.d)
     return exhaustive_best_form(vals, eta, certificate_depth(grid.d, grid.depth, eta))
 
 
@@ -419,7 +409,7 @@ class TestOptimalExact:
         f = np.array([4.0, 0.0, 0.0, 0.0])
         val, fam = optimal_sparse_form([f], [1.0], g)
         assert val == pytest.approx(3.0)
-        assert set(fam.cubes) == {Cube(2, (0,), 0), LEFT, ROOT}
+        assert set(fam.cubes) == {Cube(2, (0,)), LEFT, ROOT}
 
     @pytest.mark.parametrize("d, depth", [(1, 2), (2, 1)])
     @pytest.mark.parametrize("eta", [0.25, 0.5, 0.625, 0.75])
@@ -816,7 +806,7 @@ class TestStopping:
         X = [LebesgueSpace(4.0, AtomicMeasure.unit(2)), LebesgueSpace(4 / 3, AtomicMeasure.unit(2))]
         Fs = [vec((4,), [1.0, 2.0]), vec((4,), [3.0, 1.0])]
         cert = stopping_domination(g, Fs, [1.0, 1.0], 1.0, X)
-        assert cert.family.cubes == [Cube(0, (0,), 0)]
+        assert cert.family.cubes == [Cube(0, (0,))]
         assert cert.c_stop == 1.0
         assert cert.doublings == 0
         assert cert.pointwise_ok
@@ -826,7 +816,7 @@ class TestStopping:
         g = Grid(1, 2)
         f = np.array([4.0, 0.0, 0.0, 0.0])[:, None]
         cert = stopping_domination(g, [f], [1.0], 1.0, [LebesgueSpace(1.0, AtomicMeasure.unit(1))])
-        assert set(cert.family.cubes) == {ROOT, LEFT, Cube(2, (0,), 0)}
+        assert set(cert.family.cubes) == {ROOT, LEFT, Cube(2, (0,))}
         assert cert.pointwise_ok
         assert cert.c_stop == 1.0
 
@@ -850,7 +840,7 @@ class TestStopping:
         g = Grid(1, 2)
         F = np.array([[59.0, 0.0], [2.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
         cert = stopping_domination(g, [F], [1.0], 1.0, [LebesgueSpace(2.0, AtomicMeasure.unit(2))])
-        assert cert.family.cubes == [ROOT, LEFT, Cube(2, (0,), 0)]
+        assert cert.family.cubes == [ROOT, LEFT, Cube(2, (0,))]
         assert cert.c_stop == 1.0
 
     def test_one_norm_call_per_level_and_no_tree_walk(self, monkeypatch):

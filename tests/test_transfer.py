@@ -26,7 +26,6 @@ from sparsedom.transfer import (
     _norming_field,
     admissible_tuple,
     dual_power_space,
-    haar_unconditionality_probe,
     lebesgue_layers,
     scalar_hypothesis_check,
     space_tuple,
@@ -183,7 +182,7 @@ class TestSparseOperator:
         # is not 1/2-sparse); a cube outside [0,1) or a repeated cube makes
         # no family at all
         root = Cube(0, (0,))
-        with pytest.raises(ValueError, match="SparseOperator needs a shift-0 family whose certificate checks"):
+        with pytest.raises(ValueError, match="SparseOperator needs a family whose certificate checks"):
             SparseOperator(SparseFamily.from_cubes([root]), rs=(1.0,))
         with pytest.raises(ValueError, match=r"cube indices must be in \[0, 2\^level\)"):
             SparseFamily.from_cubes([root, Cube(1, (2,))])
@@ -197,17 +196,6 @@ class TestSparseOperator:
         assert T.hypothesis_constant(1.0) == 2.0
         assert T.hypothesis_constant(0.5) == 4.0
         assert T.hypothesis_constant(1.5) is None
-
-    def test_shifted_cubes_are_refused(self):
-        # the witness cells that certify the shift-0 cube make no family of
-        # the shifted one
-        cube, shifted = Cube(1, (0,)), Cube(1, (0,), shift=1)
-        SparseOperator(SparseFamily.from_cubes([cube], 0.5, [[0, 1]], 3), rs=(1.0,))
-        with pytest.raises(ValueError, match="sparseness verification supports the standard lattice only"):
-            SparseFamily.from_cubes([shifted], 0.5, [[0, 1]], 3)
-        # the exponents are checked before the certificate
-        with pytest.raises(ValueError, match=r"r_1 must be in \(0, inf\], got nan"):
-            SparseOperator(SparseFamily.from_cubes([cube]), rs=(math.nan,))
 
     def test_operators_refuse_a_shifted_grid(self):
         # cell functions live on the shift-0 grid; the level products of a
@@ -825,32 +813,6 @@ class TestWeightedTransfer:
         T = SparseOperator(certified([Cube(0, (0, 0))]), rs=(1.0,))
         with pytest.raises(ValueError, match="interval"):
             weighted_transfer_experiment(T, Grid(2, 2), [2.0], ps=(2.0,), q=1.0)
-
-
-# ---------------------------------------------------------------------------
-# sign probe
-# ---------------------------------------------------------------------------
-
-
-class TestUnconditionalityProbe:
-    def test_parseval_case_is_flat_at_one(self):
-        res = haar_unconditionality_probe(Grid(1, 3), t=2.0, p=2.0, n=4)
-        assert np.allclose(res["sup_ratios"], 1.0, atol=1e-12)
-
-    def test_prefix_maximum_is_monotone(self):
-        res = haar_unconditionality_probe(Grid(1, 3), t=4.0, p=2.5, n=3)
-        sups = res["sup_ratios"]
-        assert all(a <= b + 1e-15 for a, b in zip(sups, sups[1:]))
-
-    def test_stable_in_the_atom_count(self):
-        small = haar_unconditionality_probe(Grid(1, 3), t=4.0, p=2.5, n=2)
-        large = haar_unconditionality_probe(Grid(1, 3), t=4.0, p=2.5, n=8)
-        a, b = small["sup_ratios"][-1], large["sup_ratios"][-1]
-        assert max(a, b) / min(a, b) < 1.5
-
-    def test_budget_validation(self):
-        with pytest.raises(ValueError, match="strictly increasing"):
-            haar_unconditionality_probe(Grid(1, 2), 2.0, 2.0, 2, budgets=(8, 4))
 
 
 # ---------------------------------------------------------------------------

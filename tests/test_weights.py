@@ -25,7 +25,7 @@ from sparsedom.weights import (
     transfer_exponent,
 )
 
-from oracles import muckenhoupt_over_cubes, naive_average, theta_scan, theta_scan_full
+from oracles import muckenhoupt_over_cubes, naive_average, shifted_cubes, theta_scan, theta_scan_full
 
 INF = math.inf
 EXPONENTS = st.floats(0.01, 100.0)
@@ -254,14 +254,14 @@ class TestMuckenhouptConstant:
         rng = np.random.default_rng(seed)
         ws = [np.exp(rng.normal(scale=2.0, size=grids[0].cell_shape)) for _ in exps]
         want = muckenhoupt_over_cubes(
-            ws, ps, rs, s, grids[0], (q for g in grids for q in g.cubes())
+            ws, ps, rs, s, grids[0], (q for g in grids for q in shifted_cubes(g))
         )
         assert muckenhoupt_constant(ws, ps, rs, s, grids) == want
 
     def test_monotone_in_cube_family(self):
         g = Grid(1, 5)
         w = power_weight(g, 0.5)
-        cubes = list(g.cubes())
+        cubes = shifted_cubes(g)
         full = muckenhoupt_over_cubes([w], (2.0,), (1.0,), INF, g, cubes)
         rng = np.random.default_rng(7)
         for _ in range(10):
