@@ -21,7 +21,9 @@ arrays, not ``Cube`` objects.
 ``level_averages`` is the one r-average kernel, for every lattice: it refines
 each axis with a nonzero shift digit into thirds, which makes every cube of a
 level one contiguous block of subcells, and reduces all blocks of a level in
-one zero-padded reshape.  On the shift-0 lattice the blocks tile the cells,
+one zero-padded reshape.  That layout depends on the lattice only, so it is
+computed once per (d, depth, shift) and reused by every later call, on any
+``Grid`` of that lattice.  On the shift-0 lattice the blocks tile the cells,
 so a level is a plain reshape-and-sum divided by one integer count, and
 ``average`` reads one ``Cube`` off it.  A sparse family reads its cubes'
 blocks only (``_family_products``), summed in the full reshape's order, so
@@ -31,6 +33,7 @@ its values equal the level arrays' entries.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -162,6 +165,34 @@ def _power(f: np.ndarray, r: float) -> np.ndarray:
     return np.abs(f) if math.isinf(r) or r == 1 else np.abs(f) ** r
 
 
+@functools.cache
+def _shifted_layout(d: int, depth: int, shift: int) -> tuple[tuple, ...]:
+    """Per level of a shifted lattice, its block layout in subcells: the block
+    shape, the zero-padded extent, the window of the subcells in it, and the
+    read-only count of subcells of each cube inside the unit cube.
+
+    The layout depends on the lattice only, so each of the at most 82 shifted
+    lattices (``MAX_DEPTH`` and 3^d - 1 shifts) is laid out once.
+    """
+    layout = []
+    for k in range(depth + 1):
+        shape, padded, window, counts = (), (), (), np.ones(())
+        sign = 1 if k % 2 == 0 else -1
+        for a in _digits(shift, d):
+            # in subcells: cube i of the axis is block i after ``lo`` zeros
+            rng, size = _axis_range(k, a), (3 if a else 1) << depth
+            ncubes, block = len(rng), (3 if a else 1) << (depth - k)
+            lo = -(3 * rng.start + sign * a) << (depth - k)
+            shape += (ncubes, block)
+            padded += (ncubes * block,)
+            window += (slice(lo, lo + size),)
+            edges = np.clip(np.arange(ncubes + 1) * block - lo, 0, size)
+            counts = np.multiply.outer(counts, np.diff(edges))
+        counts.flags.writeable = False
+        layout.append((shape, padded, window, counts))
+    return tuple(layout)
+
+
 def level_averages(grid: Grid, f: np.ndarray, r: float) -> dict[int, np.ndarray]:
     """r-averages over every cube of ``grid``'s lattice, one array per level.
 
@@ -171,10 +202,11 @@ def level_averages(grid: Grid, f: np.ndarray, r: float) -> dict[int, np.ndarray]
     count of subcells inside the unit cube.  On shift 0 the cubes of a level
     tile the cells, so the reshape needs no padding and the count is one
     integer; a shifted lattice works on subcells (see the module notes) and
-    zero-pads its protruding blocks.  At r = 1 the powers |f|^1 and s^(1/1)
-    are skipped: both are exact identities.  Entry i along an axis is the
-    cube with index ``_axis_range(level, digit)[i]``; on shift 0 that is the
-    index itself.  Trailing axes broadcast.
+    zero-pads its protruding blocks, in a layout computed once per
+    (d, depth, shift) and reused (``_shifted_layout``).  At r = 1 the powers
+    |f|^1 and s^(1/1) are skipped: both are exact identities.  Entry i along
+    an axis is the cube with index ``_axis_range(level, digit)[i]``; on
+    shift 0 that is the index itself.  Trailing axes broadcast.
     """
     check("r", r, EXPONENT)
     f = _check_cells(grid, f)
@@ -184,23 +216,13 @@ def level_averages(grid: Grid, f: np.ndarray, r: float) -> dict[int, np.ndarray]
         if a:
             power = np.repeat(power, 3, axis=axis)
     blocks = tuple(range(1, 2 * grid.d, 2))
+    layout = _shifted_layout(grid.d, grid.depth, grid.shift) if grid.shift else ()
     out: dict[int, np.ndarray] = {}
     for k in range(grid.depth + 1):
         if grid.shift:
-            shape, padded, window, counts = (), (), [], np.ones(())
-            sign = 1 if k % 2 == 0 else -1
-            for axis, a in enumerate(grid.digits):
-                # in subcells: cube i of the axis is block i after ``lo`` zeros
-                rng, size = _axis_range(k, a), power.shape[axis]
-                ncubes, block = len(rng), (3 if a else 1) << (grid.depth - k)
-                lo = -(3 * rng.start + sign * a) << (grid.depth - k)
-                shape += (ncubes, block)
-                padded += (ncubes * block,)
-                window.append(slice(lo, lo + size))
-                edges = np.clip(np.arange(ncubes + 1) * block - lo, 0, size)
-                counts = np.multiply.outer(counts, np.diff(edges))
+            shape, padded, window, counts = layout[k]
             x = np.zeros(padded + trail)
-            x[tuple(window)] = power
+            x[window] = power
             x = x.reshape(shape + trail)
             counts = counts.reshape(counts.shape + (1,) * len(trail))
         else:
@@ -300,8 +322,8 @@ def average(grid: Grid, f: np.ndarray, r: float, cube: Cube):
 def grid_norm(grid: Grid, f: np.ndarray, p: float, weight: np.ndarray | None = None) -> float:
     """L^p norm over the unit cube of a scalar cell function.
 
-    A weight, of the cells' shape, multiplies pointwise before the norm (the
-    ||f w||_p convention).
+    A weight, of the cells' shape, finite and strictly positive, multiplies
+    pointwise before the norm (the ||f w||_p convention).
     p lies in (0, inf]; p = inf gives the sup over cells.
     """
     check("p", p, EXPONENT)
@@ -310,7 +332,12 @@ def grid_norm(grid: Grid, f: np.ndarray, p: float, weight: np.ndarray | None = N
         raise ValueError("grid_norm expects a scalar cell function")
     if weight is not None and np.shape(weight) != grid.cell_shape:
         raise ValueError(f"weight shape {np.shape(weight)} must be the cell shape {grid.cell_shape}")
-    g = np.abs(f) if weight is None else np.abs(f) * np.asarray(weight, dtype=float)
+    g = np.abs(f)
+    if weight is not None:
+        weight = np.asarray(weight, dtype=float)
+        if not np.all(np.isfinite(weight) & (weight > 0)):
+            raise ValueError("weights must be finite and strictly positive")
+        g = g * weight
     if math.isinf(p):
         return float(g.max())
     return float((np.sum(g**p) * grid.cell_measure) ** (1.0 / p))

@@ -256,13 +256,14 @@ def power_envelope(xs, ys, gamma: float) -> tuple[float, float]:
     C is the smallest constant making the envelope hold on the data; the
     slope comes from a least-squares line through (log x, log y) and is 0
     when the data cannot support one (a single point, or no spread in x).
+    The data must be finite, with x > 0 and y >= 0.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if xs.shape != ys.shape or xs.ndim != 1 or xs.size == 0:
         raise ValueError("need matching nonempty 1-d arrays")
-    if np.any(xs <= 0) or np.any(ys < 0):
-        raise ValueError("envelope fit needs x > 0 and y >= 0")
+    if not np.all(np.isfinite(xs) & (xs > 0) & np.isfinite(ys) & (ys >= 0)):
+        raise ValueError("envelope fit needs finite x > 0 and y >= 0")
     envelope = float(np.max(ys / xs**gamma))
     lx = np.log(xs)
     if xs.size < 2 or float(lx.max() - lx.min()) < 1e-12 or np.any(ys <= 0):

@@ -15,13 +15,14 @@ from typing import Sequence
 
 import numpy as np
 
-from sparsedom._checks import check, interval, need
+from sparsedom._checks import EXPONENT, check, interval, need
 from sparsedom.dyadic import (
     Cube,
     Grid,
     _axis_range,
     _check_cells,
     _digits,
+    _power,
     grid_norm,
     level_averages,
     level_products,
@@ -637,6 +638,51 @@ def level_averages_padded(grid, f, r):
         else:
             counts = counts.reshape(counts.shape + (1,) * len(trail))
             out[k] = (x.sum(axis=blocks) / counts) ** (1.0 / r)
+    return out
+
+
+def level_averages_per_call(grid, f, r):
+    """``dyadic.level_averages`` with no memoized layout: every call lays out
+    every level of a shifted lattice again (block shape, padded extent,
+    window and counts).  Its arithmetic is the library's, so the two agree
+    bit for bit.
+    """
+    check("r", r, EXPONENT)
+    f = _check_cells(grid, f)
+    trail = f.shape[grid.d:]
+    power = _power(f, r)
+    for axis, a in enumerate(grid.digits):
+        if a:
+            power = np.repeat(power, 3, axis=axis)
+    blocks = tuple(range(1, 2 * grid.d, 2))
+    out: dict[int, np.ndarray] = {}
+    for k in range(grid.depth + 1):
+        if grid.shift:
+            shape, padded, window, counts = (), (), [], np.ones(())
+            sign = 1 if k % 2 == 0 else -1
+            for axis, a in enumerate(grid.digits):
+                # in subcells: cube i of the axis is block i after ``lo`` zeros
+                rng, size = _axis_range(k, a), power.shape[axis]
+                ncubes, block = len(rng), (3 if a else 1) << (grid.depth - k)
+                lo = -(3 * rng.start + sign * a) << (grid.depth - k)
+                shape += (ncubes, block)
+                padded += (ncubes * block,)
+                window.append(slice(lo, lo + size))
+                edges = np.clip(np.arange(ncubes + 1) * block - lo, 0, size)
+                counts = np.multiply.outer(counts, np.diff(edges))
+            x = np.zeros(padded + trail)
+            x[tuple(window)] = power
+            x = x.reshape(shape + trail)
+            counts = counts.reshape(counts.shape + (1,) * len(trail))
+        else:
+            block = 1 << (grid.depth - k)
+            x = power.reshape((1 << k, block) * grid.d + trail)
+            counts = block**grid.d
+        if math.isinf(r):
+            out[k] = x.max(axis=blocks)
+        else:
+            mean = x.sum(axis=blocks) / counts
+            out[k] = mean if r == 1 else mean ** (1.0 / r)
     return out
 
 

@@ -1,8 +1,9 @@
-"""The benchmark's correctness gate on ``sparse-certify`` and ``vector-transfer``,
-inside the tier-1 suite.
+"""The benchmark's correctness gate on ``sparse-certify``, ``vector-transfer``
+and ``shifted-weights``, inside the tier-1 suite.
 
 The operations of each workload in ``perfbench/workloads.py`` (four for
-``sparse-certify``, two ``transfer`` batteries for ``vector-transfer``) run at
+``sparse-certify``, two ``transfer`` batteries for ``vector-transfer``, one
+``weights`` battery over the shifted lattices for ``shifted-weights``) run at
 seeds 0 and 1, and ``perfbench/gate.judge`` compares each output with its
 stored reference in ``perfbench/refs/<workload>.json``, which is only read.
 A speed change that moves a report past the gate fails here before the
@@ -52,3 +53,8 @@ def test_sparse_certify_passes_the_benchmark_gate(seed):
 @pytest.mark.parametrize("seed", [0, 1])
 def test_vector_transfer_passes_the_benchmark_gate(seed):
     _passes_the_gate("vector-transfer", seed, 2)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_shifted_weights_passes_the_benchmark_gate(seed):
+    _passes_the_gate("shifted-weights", seed, 1)

@@ -50,6 +50,7 @@ from sparsedom.weights import (
     composed_transfer_exponent,
     conjugate,
     muckenhoupt_constant,
+    power_envelope,
     power_weight,
     stable_muckenhoupt_constant,
 )
@@ -251,6 +252,23 @@ REFUSALS = [
      "weight components must share one cell shape"),
     ("weights-zero", lambda: muckenhoupt_constant([np.zeros(G.cell_shape)], (2.0,), (1.0,), INF, G),
      "weights must be finite and strictly positive"),
+    # a grid norm's weight too; a negative one gave a norm of 0.5 for 1.0
+    *[
+        (f"grid_norm-weight-{name}", lambda w=w: grid_norm(G, ONES, 1.0, weight=np.array([w, 1.0, 1.0, 1.0])),
+         "weights must be finite and strictly positive")
+        for name, w in [("negative", -1.0), ("nan", NAN), ("inf", INF)]
+    ],
+    # an envelope fit takes finite data only; NaN and inf passed the sign test
+    *[
+        (f"power_envelope-{name}", lambda xs=xs, ys=ys: power_envelope(xs, ys, 1.0),
+         "envelope fit needs finite x > 0 and y >= 0")
+        for name, xs, ys in [
+            ("x-nan", [NAN, 2.0], [1.0, 1.0]),
+            ("y-nan", [1.0, 2.0], [NAN, 1.0]),
+            ("x-inf", [1.0, INF], [1.0, 1.0]),
+            ("y-inf", [1.0, 2.0], [1.0, INF]),
+        ]
+    ],
     ("SparseOperator-uncertified", lambda: SparseOperator(SparseFamily.from_cubes(list(Grid(1, 3).cubes())), rs=(1.0,)),
      "SparseOperator needs a family whose certificate checks, as from verify_sparse"),
 ]

@@ -11,9 +11,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sparsedom.dyadic import (
+    MAX_DEPTH,
     Cube,
     Grid,
     _family_products,
+    _shifted_layout,
     average,
     function_from_csv,
     function_from_json,
@@ -342,6 +344,44 @@ def test_level_averages_match_the_padded_oracle(data):
     assert got.keys() == want.keys()
     for k in want:
         assert np.array_equal(got[k], want[k])
+
+
+@st.composite
+def lattice_cases(draw):
+    """(d, depth, atoms, r, seed) up to the depth caps, for all 3^d shifts."""
+    d = draw(st.sampled_from([1, 2]))
+    depth = draw(st.integers(0, MAX_DEPTH[d]))
+    atoms = draw(st.sampled_from([(), (2,)]))
+    r = draw(st.sampled_from([0.5, 1.0, 2.0, math.inf]))
+    return d, depth, atoms, r, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=lattice_cases())
+@example(case=(1, MAX_DEPTH[1], (2,), 0.5, 0))
+@example(case=(2, MAX_DEPTH[2], (2,), 2.0, 1))
+@example(case=(2, 0, (), math.inf, 2))
+def test_level_averages_equal_the_per_call_layout(case):
+    # bit for bit: the memoized layout changes no arithmetic
+    d, depth, atoms, r, seed = case
+    f = oracles.signed_cells(np.random.default_rng(seed), (1 << depth,) * d + atoms)
+    for grid in shifted_grids(d, depth):
+        got, want = level_averages(grid, f, r), oracles.level_averages_per_call(grid, f, r)
+        assert got.keys() == want.keys()
+        for k in want:
+            assert np.array_equal(got[k], want[k])
+
+
+def test_shifted_layout_is_built_once_and_read_only():
+    f = np.ones((8, 8))
+    level_averages(Grid(2, 3, 4), f, 2.0)
+    before = _shifted_layout.cache_info()
+    level_averages(Grid(2, 3, 4), f, 2.0)  # a fresh Grid of the same lattice
+    after = _shifted_layout.cache_info()
+    assert (after.misses, after.hits) == (before.misses, before.hits + 1)
+    for _, _, _, counts in _shifted_layout(2, 3, 4):
+        with pytest.raises(ValueError, match="read-only"):
+            counts[...] = 0.0
 
 
 @st.composite

@@ -172,8 +172,14 @@ def private_functions() -> dict[tuple[str, int], str]:
 
 @functools.cache
 def reached() -> frozenset[str]:
-    """The private functions that run in the reach configs, traced by call."""
-    from sparsedom import cli
+    """The private functions that run in the reach configs, traced by call.
+
+    Memoized layouts are dropped first, so the configs run as in a fresh
+    process: a cache hit from an earlier test would enter no function.
+    """
+    from sparsedom import cli, dyadic
+
+    dyadic._shifted_layout.cache_clear()
 
     seen = set()
 
